@@ -20,18 +20,21 @@
 // (Definition 9) and is reported in TopKResult::stats.
 //
 // Performance architecture (see DESIGN.md): both edge sets are stored
-// as CSR (CsrGraph), per-query node state lives in a reusable
-// epoch-stamped QueryScratch, and the build parallelizes the fine peel
-// across coarse layers and the ∀-edge wiring across adjacent layer
-// pairs with a deterministic merge, so the parallel build is
-// bit-identical to the serial one.
+// as CSR (CsrGraph), per-query node state lives in reusable
+// epoch-stamped QueryScratch objects pooled per index, and the build
+// parallelizes the fine peel across coarse layers and the ∀-edge
+// wiring across adjacent layer pairs with a deterministic merge, so
+// the parallel build is bit-identical to the serial one.
 
 #ifndef DRLI_CORE_DUAL_LAYER_H_
 #define DRLI_CORE_DUAL_LAYER_H_
 
 #include <cstdint>
 #include <limits>
+#include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -191,7 +194,10 @@ struct QueryLayout {
 // queries is O(nodes touched) amortized: states are epoch-stamped, and
 // a node's state is lazily re-initialized the first time a query
 // touches it. One scratch serves any number of sequential queries
-// against indexes of any size; use one scratch per thread.
+// against indexes of any size, but switching it to another index
+// re-seeds all O(nodes) init words; DualLayerIndex::Query avoids that
+// by drawing from a pool of scratches owned by the index itself. Not
+// thread-safe: one scratch per concurrent query.
 class QueryScratch {
  public:
   QueryScratch() = default;
@@ -216,7 +222,8 @@ class QueryScratch {
 
   // Binds the scratch to `layout` (seeding the per-slot init words if
   // the scratch last served a different index) and opens a fresh epoch.
-  void Prepare(const QueryLayout& layout);
+  // Returns true when it had to seed.
+  bool Prepare(const QueryLayout& layout);
 
   std::uint64_t generation_ = 0;
   std::uint32_t epoch_ = 0;
@@ -248,14 +255,20 @@ class DualLayerIndex final : public TopKIndex {
   std::string name() const override { return name_; }
   std::size_t size() const override { return points_.size(); }
   std::size_t dim() const override { return points_.dim(); }
-  // Convenience wrapper over the scratch overload (thread-local
-  // scratch, so repeated calls on one thread already reuse state).
+  // Thread-safe. Borrows a scratch from this index's pool (creating
+  // one when every pooled scratch is in use), runs the scratch
+  // overload, and returns it. Pooled scratches only ever serve this
+  // index, so after its first use a scratch never re-seeds; the pool
+  // holds at most as many scratches as the peak number of concurrent
+  // queries on this index, and frees them with the index.
   TopKResult Query(const TopKQuery& query) const override;
-  // Explicit-scratch variant for callers that manage per-thread
-  // workspaces themselves (batch engines, benchmarks).
+  // Explicit-scratch variant for callers that manage workspaces
+  // themselves (benchmarks, tests). A scratch last used on another
+  // index re-seeds here.
   TopKResult Query(const TopKQuery& query, QueryScratch* scratch) const;
   // Parallel batch: answers queries[i] -> results[i] using
-  // ParallelThreadCount() workers, one QueryScratch per worker.
+  // ParallelThreadCount() workers, each on a scratch drawn from the
+  // same pool as Query.
   std::vector<TopKResult> QueryBatch(
       const std::vector<TopKQuery>& queries) const override;
   // Keep the base admission-control overload visible alongside the
@@ -359,6 +372,18 @@ class DualLayerIndex final : public TopKIndex {
                                 const std::vector<TupleId>& pool_ids) const;
   void ApplyFinePeel(const FinePeelResult& peel, AdjacencyBuilder* fine_adj);
 
+  // Idle scratches bound to this index's layout (see Query), each with
+  // the thread that last used it. A thread gets its own scratch back
+  // when that one is idle, so the node states its last query touched
+  // are still in its core's cache rather than another worker's.
+  struct ScratchPool {
+    std::mutex mu;
+    std::vector<std::pair<std::thread::id, std::unique_ptr<QueryScratch>>>
+        idle;  // guarded by mu
+  };
+  std::unique_ptr<QueryScratch> AcquireScratch() const;
+  void ReleaseScratch(std::unique_ptr<QueryScratch> scratch) const;
+
   std::string name_;
   DualLayerOptions options_;
   DualLayerBuildStats stats_;
@@ -378,6 +403,9 @@ class DualLayerIndex final : public TopKIndex {
   // serialized (rebuilt after every build and snapshot load).
   QueryLayout layout_;
   std::vector<SublayerSummary> sublayer_catalog_;
+  // Behind a pointer so the index stays movable.
+  std::unique_ptr<ScratchPool> scratch_pool_ =
+      std::make_unique<ScratchPool>();
 
   // 2-d zero layer (Section V-A).
   bool use_weight_table_ = false;

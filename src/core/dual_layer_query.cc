@@ -1,5 +1,9 @@
 #include <algorithm>
 #include <limits>
+#include <memory>
+#include <mutex>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/check.h"
@@ -25,8 +29,9 @@ struct HeapEntryGreater {
 
 }  // namespace
 
-void QueryScratch::Prepare(const QueryLayout& layout) {
-  if (generation_ != layout.generation) {
+bool QueryScratch::Prepare(const QueryLayout& layout) {
+  const bool seed = generation_ != layout.generation;
+  if (seed) {
     // First query against this layout: seed the per-slot init words so
     // a first touch reads one cache line instead of also hitting a
     // separate init array. Amortized over every query the scratch
@@ -49,13 +54,42 @@ void QueryScratch::Prepare(const QueryLayout& layout) {
   heap_.clear();
   freed_.clear();
   bound_heap_.clear();
+  return seed;
+}
+
+std::unique_ptr<QueryScratch> DualLayerIndex::AcquireScratch() const {
+  {
+    const std::lock_guard<std::mutex> lock(scratch_pool_->mu);
+    auto& idle = scratch_pool_->idle;
+    if (!idle.empty()) {
+      // The pool holds one scratch per peak concurrent query, so this
+      // scan is short.
+      const std::thread::id self = std::this_thread::get_id();
+      const auto own =
+          std::find_if(idle.begin(), idle.end(),
+                       [&](const auto& entry) { return entry.first == self; });
+      if (own != idle.end()) std::iter_swap(own, idle.end() - 1);
+      std::unique_ptr<QueryScratch> scratch = std::move(idle.back().second);
+      idle.pop_back();
+      return scratch;
+    }
+  }
+  return std::make_unique<QueryScratch>();
+}
+
+void DualLayerIndex::ReleaseScratch(
+    std::unique_ptr<QueryScratch> scratch) const {
+  const std::lock_guard<std::mutex> lock(scratch_pool_->mu);
+  scratch_pool_->idle.emplace_back(std::this_thread::get_id(),
+                                   std::move(scratch));
 }
 
 TopKResult DualLayerIndex::Query(const TopKQuery& query) const {
-  // Thread-local so sequential callers on one thread reuse the arena
-  // without managing it themselves; Query stays thread-compatible.
-  static thread_local QueryScratch scratch;
-  return Query(query, &scratch);
+  // A throwing query drops its scratch instead of returning it.
+  std::unique_ptr<QueryScratch> scratch = AcquireScratch();
+  TopKResult result = Query(query, scratch.get());
+  ReleaseScratch(std::move(scratch));
+  return result;
 }
 
 TopKResult DualLayerIndex::Query(const TopKQuery& query,
@@ -77,7 +111,7 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
 
   const QueryLayout& layout = layout_;
   QueryScratch& s = *scratch;
-  s.Prepare(layout);
+  result.stats.scratch_seeds = s.Prepare(layout) ? 1 : 0;
   if (s.heap_.capacity() < initial_.size() + 16) {
     s.heap_.reserve(initial_.size() + 16);
   }
@@ -285,18 +319,24 @@ std::vector<TopKResult> DualLayerIndex::QueryBatch(
   if (queries.empty()) return results;
   const std::size_t workers =
       std::min(ParallelThreadCount(), queries.size());
-  // One scratch per worker: Query itself is const, so per-worker
+  // One pooled scratch per worker: Query itself is const, so per-worker
   // scratches are the only mutable state in the fan-out.
-  std::vector<QueryScratch> scratches(workers);
+  std::vector<std::unique_ptr<QueryScratch>> scratches(workers);
+  for (std::unique_ptr<QueryScratch>& scratch : scratches) {
+    scratch = AcquireScratch();
+  }
   ParallelFor(
       queries.size(),
       [&](std::size_t i, std::size_t worker) {
         // GuardedQuery keeps a throwing worker from poisoning the whole
         // batch: the slot reports kError, the other queries proceed.
         results[i] = GuardedQuery(
-            [&] { return Query(queries[i], &scratches[worker]); });
+            [&] { return Query(queries[i], scratches[worker].get()); });
       },
       workers);
+  for (std::unique_ptr<QueryScratch>& scratch : scratches) {
+    ReleaseScratch(std::move(scratch));
+  }
   return results;
 }
 

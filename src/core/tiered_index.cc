@@ -488,6 +488,7 @@ TopKResult TieredDualLayerIndex::Query(const TopKQuery& query) const {
     ++result.stats.runs_opened;
     result.stats.tuples_evaluated += run_result.stats.tuples_evaluated;
     result.stats.virtual_evaluated += run_result.stats.virtual_evaluated;
+    result.stats.scratch_seeds += run_result.stats.scratch_seeds;
     for (const TupleId local : run_result.accessed) {
       result.accessed.push_back(run.ids[local]);
     }

@@ -285,6 +285,7 @@ TopKResult ShardedDualLayerIndex::Query(const TopKQuery& query) const {
     ++result.stats.shards_touched;
     result.stats.tuples_evaluated += shard_result.stats.tuples_evaluated;
     result.stats.virtual_evaluated += shard_result.stats.virtual_evaluated;
+    result.stats.scratch_seeds += shard_result.stats.scratch_seeds;
     for (const TupleId local : shard_result.accessed) {
       result.accessed.push_back(members[local]);
     }

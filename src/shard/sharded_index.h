@@ -127,9 +127,9 @@ class ShardedDualLayerIndex final : public TopKIndex {
   // stats.shards_touched reports how many shards actually ran;
   // stats.tuples_evaluated sums the per-shard traversal costs.
   TopKResult Query(const TopKQuery& query) const override;
-  // Parallel batch over ParallelThreadCount() workers (the per-shard
-  // indexes' thread-local scratches make the serial Query reentrant
-  // per-thread).
+  // Parallel batch over ParallelThreadCount() workers (Query is
+  // thread-safe: each shard lends every concurrent call its own pooled
+  // scratch).
   std::vector<TopKResult> QueryBatch(
       const std::vector<TopKQuery>& queries) const override;
   using TopKIndex::QueryBatch;

@@ -131,6 +131,11 @@ struct QueryStats {
   // (scenarios/constrained.h only; 0 elsewhere). The constrained
   // traversal's pruning effectiveness metric.
   std::size_t boxes_pruned = 0;
+  // DL/DL+ partition calls whose query scratch had to seed its O(nodes)
+  // per-slot state because it last served another index (or none):
+  // 1 or 0 per DualLayerIndex call, summed by coordinators. Stays 0
+  // once an index's scratch pool is warm (core/dual_layer.h).
+  std::size_t scratch_seeds = 0;
   // Wall time of the Query call (seconds). Complements the paper's
   // tuples-evaluated metric in benchmark output. Merge sums it, so a
   // merged value over a parallel batch is aggregate query-seconds (CPU
@@ -144,6 +149,7 @@ struct QueryStats {
     shards_touched += other.shards_touched;
     runs_opened += other.runs_opened;
     boxes_pruned += other.boxes_pruned;
+    scratch_seeds += other.scratch_seeds;
     elapsed_seconds += other.elapsed_seconds;
   }
 };

@@ -1,11 +1,13 @@
 // The parallel fast path must be invisible in results: QueryBatch over
 // the task pool is element-wise identical to a serial Query loop for
-// every index kind, and a parallel build produces the same index as a
-// serial build, bit for bit.
+// every index kind, a parallel build produces the same index as a
+// serial build, bit for bit, and the per-index scratch pool answers
+// exactly like an explicit scratch while never re-seeding once warm.
 
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -13,7 +15,9 @@
 #include "common/parallel_for.h"
 #include "core/dual_layer.h"
 #include "core/index_registry.h"
+#include "core/tiered_index.h"
 #include "data/generator.h"
+#include "shard/sharded_index.h"
 #include "test_util.h"
 
 namespace drli {
@@ -101,6 +105,96 @@ TEST(QueryBatchTest, SharedScratchAcrossIndexesStaysCorrect) {
                     small_index.Query(query, &scratch));
     ExpectIdentical(large_index.Query(query),
                     large_index.Query(query, &scratch));
+  }
+}
+
+// Coordinators query each partition through DualLayerIndex::Query, so
+// every shard and run draws a scratch from its own pool: once a round
+// of queries has warmed the pools, a repeat round re-seeds nothing and
+// returns the same answers, and each partition's pooled path equals
+// the explicit-scratch path bit for bit.
+TEST(ScratchPoolTest, WarmPartitionsNeverReseed) {
+  ShardedBuildOptions shard_options;
+  shard_options.num_shards = 8;
+  const ShardedDualLayerIndex sharded = ShardedDualLayerIndex::Build(
+      GenerateAnticorrelated(2000, 4, 61), shard_options);
+
+  TieredIndexOptions tiered_options;
+  tiered_options.memtable_capacity = 64;
+  tiered_options.auto_compact = false;
+  TieredDualLayerIndex tiered(GenerateAnticorrelated(600, 4, 62),
+                              tiered_options);
+  const PointSet inserts = GenerateAnticorrelated(300, 4, 63);
+  for (std::size_t i = 0; i < inserts.size(); ++i) tiered.Insert(inserts[i]);
+  ASSERT_GE(tiered.num_runs(), 4u);
+
+  const std::vector<TopKQuery> queries =
+      testing_util::RandomQueries(4, /*k=*/10, /*count=*/32, /*seed=*/64);
+  for (const TopKIndex* index :
+       {static_cast<const TopKIndex*>(&sharded),
+        static_cast<const TopKIndex*>(&tiered)}) {
+    SCOPED_TRACE(index->name());
+    std::vector<TopKResult> warm_up;
+    std::size_t seeds = 0;
+    for (const TopKQuery& query : queries) {
+      warm_up.push_back(index->Query(query));
+      seeds += warm_up.back().stats.scratch_seeds;
+    }
+    EXPECT_GT(seeds, 0u);
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      const TopKResult again = index->Query(queries[i]);
+      EXPECT_EQ(again.stats.scratch_seeds, 0u) << "query " << i;
+      ExpectIdentical(warm_up[i], again);
+    }
+  }
+
+  std::vector<const DualLayerIndex*> partitions;
+  for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
+    partitions.push_back(&sharded.shard(s));
+  }
+  for (std::size_t r = 0; r < tiered.num_runs(); ++r) {
+    partitions.push_back(&tiered.run(r).index);
+  }
+  QueryScratch scratch;  // shared: it re-seeds on every partition switch
+  for (const TopKQuery& query : queries) {
+    for (const DualLayerIndex* partition : partitions) {
+      ExpectIdentical(partition->Query(query, &scratch),
+                      partition->Query(query));
+    }
+  }
+}
+
+// Concurrent coordinator queries share each shard's pool: every thread
+// borrows its own scratch, and the answers match a serial loop.
+TEST(ScratchPoolTest, ConcurrentShardedQueriesMatchSerial) {
+  constexpr std::size_t kThreads = 4;
+  ShardedBuildOptions options;
+  options.num_shards = 8;
+  const ShardedDualLayerIndex index = ShardedDualLayerIndex::Build(
+      GenerateAnticorrelated(2000, 3, 71), options);
+  const std::vector<TopKQuery> queries =
+      testing_util::RandomQueries(3, /*k=*/10, /*count=*/64, /*seed=*/72);
+  std::vector<TopKResult> serial;
+  for (const TopKQuery& query : queries) serial.push_back(index.Query(query));
+
+  std::vector<std::vector<TopKResult>> answers(
+      kThreads, std::vector<TopKResult>(queries.size()));
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    threads.emplace_back([&, t] {
+      // Staggered starts so the threads hit different shards at once.
+      for (std::size_t j = 0; j < queries.size(); ++j) {
+        const std::size_t i = (j + t * queries.size() / kThreads) %
+                              queries.size();
+        answers[t][i] = index.Query(queries[i]);
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    for (std::size_t i = 0; i < queries.size(); ++i) {
+      ExpectIdentical(serial[i], answers[t][i]);
+    }
   }
 }
 

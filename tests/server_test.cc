@@ -429,6 +429,15 @@ TEST(ServerTest, GracefulDrainAnswersInFlightWork) {
     id = 5;
     ASSERT_TRUE(client.SendRaw(frame).ok());
   }
+  // Shut down only once the loop has admitted the query; an earlier
+  // drain would refuse it with kShuttingDown instead.
+  const auto admit_deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server.counters().queries_in_flight < 1) {
+    ASSERT_LT(std::chrono::steady_clock::now(), admit_deadline)
+        << "query never admitted";
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
   std::thread shutdown([&] { server.Shutdown(); });
   // The in-flight query is answered, not dropped, while the server
   // drains underneath it.
