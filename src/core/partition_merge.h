@@ -1,0 +1,94 @@
+// The bounded-partition merge (DESIGN.md §7): the one coordinator loop
+// behind the sharded engine, the tiered run merge, and the constrained
+// scenario over both. Whole partitions (shards, runs) wait in a
+// min-heap at a lower bound on their scores and are opened through a
+// caller callback only when the merge frontier reaches that bound;
+// opened partitions' sorted lists compete in the same heap.
+//
+// Heap order: by score; at equal score a bound precedes an item (a
+// partition must open before a tuple at its bound is emitted, or an
+// equal-scoring smaller id hiding in it would break the canonical tie
+// order); bounds then break ties by partition index, items by global
+// id. Partitions therefore open in ascending (bound, index) order.
+//
+// Budgets compose by remainder (RemainingBudget). One partial policy: a
+// partition whose traversal trips contributes no items and is bounded
+// by the smaller of its frontier and its best returned score; the
+// emitted prefix is certified against the minimum of that floor and
+// every surviving heap key.
+
+#ifndef DRLI_CORE_PARTITION_MERGE_H_
+#define DRLI_CORE_PARTITION_MERGE_H_
+
+#include <cstddef>
+#include <functional>
+#include <string>
+#include <unordered_set>
+#include <vector>
+
+#include "common/point.h"
+#include "common/stopwatch.h"
+#include "core/dual_layer.h"
+#include "topk/query.h"
+
+namespace drli {
+
+// Cap on bound corners per partition; bounds the per-query cost of
+// seeding the merge heap at (partitions * 64 * d) flops.
+inline constexpr std::size_t kMaxBoundCorners = 64;
+
+// Corner points that together dominate every tuple of `index`: its
+// skyline (coarse layer 1 dominates every deeper tuple) sorted along
+// the first coordinate, ties by id, and cut into at most
+// kMaxBoundCorners groups, one componentwise-min corner per group.
+// Row-major, dim() doubles per corner; empty for an empty index. A
+// skyline within the cap keeps one corner per member, so the bound is
+// then the exact minimum score.
+std::vector<double> SkylineCorners(const DualLayerIndex& index);
+
+// The minimum Score over `corners`; +inf when there are none. Sound
+// for every tuple the corners dominate, in floating point too: Score
+// associates left-to-right everywhere and rounding is monotone, so
+// lowering a coordinate never raises the computed score.
+double CornerLowerBound(const std::vector<double>& corners,
+                        PointView weights);
+
+// One candidate partition of a merge.
+struct PartitionBound {
+  double bound = 0.0;         // no member scores below it
+  std::size_t partition = 0;  // passed to the callbacks; breaks bound ties
+};
+
+// Queries partition `partition` under `budget`, the remainder of the
+// merge's budget. Returns its items in canonical order with global ids
+// and no dead members, `accessed` in global ids too, and stats carrying
+// whatever counters the caller keeps (shards_touched, runs_opened,
+// boxes_pruned); the merge folds them in with QueryStats::Merge. A
+// kError or kInvalidQuery result aborts the merge with kError.
+using OpenPartition =
+    std::function<TopKResult(std::size_t partition, const ExecBudget& budget)>;
+
+// Names a partition in error text, e.g. "shard 3" or "run 7".
+using PartitionLabel = std::function<std::string(std::size_t partition)>;
+
+// Merges `partitions` into the canonical top-k. `opened` is an
+// already-open partition: its items (canonical order) enter the heap
+// up front and its stats and accessed ids seed the result's -- the
+// tiered memtable scan; pass {} when there is none. `timer` is the
+// caller's Query clock: deadlines and elapsed_seconds are measured on
+// it.
+TopKResult MergePartitions(std::size_t k, const ExecBudget& budget,
+                           const Stopwatch& timer, TopKResult opened,
+                           const std::vector<PartitionBound>& partitions,
+                           const OpenPartition& open,
+                           const PartitionLabel& label);
+
+// Rewrites a partition result from local to global ids: `ids[local]`
+// is the global id of local tuple `local`. Items whose global id is in
+// `dead` (may be null) are dropped; `accessed` is mapped unfiltered.
+void MapToGlobal(const std::vector<TupleId>& ids,
+                 const std::unordered_set<TupleId>* dead, TopKResult* result);
+
+}  // namespace drli
+
+#endif  // DRLI_CORE_PARTITION_MERGE_H_

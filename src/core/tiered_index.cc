@@ -1,42 +1,18 @@
 #include "core/tiered_index.h"
 
 #include <algorithm>
-#include <limits>
 #include <numeric>
 #include <utility>
 
 #include "common/check.h"
 #include "common/stopwatch.h"
+#include "core/partition_merge.h"
 
 namespace drli {
 
 namespace {
 
-constexpr double kInf = std::numeric_limits<double>::infinity();
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
-
-// One entry of the run-merge heap, identical in shape and ordering to
-// the sharded coordinator's (shard/sharded_index.cc): bound entries
-// (kind 0) stand in for a whole unopened run at its corner lower
-// bound; item entries (kind 1) are the cursor over one opened result
-// list. Bounds order before items of equal score -- a run must be
-// opened before any tuple at its bound may be emitted -- and items of
-// equal score order by stable id, which is exactly ResultOrderLess.
-struct MergeEntry {
-  double score;
-  std::uint32_t kind;  // 0 = run bound, 1 = item cursor
-  std::uint32_t tie;   // bound: slot; item: stable tuple id
-  std::uint32_t slot;  // run slot; memtable = num_runs
-  std::uint32_t pos;   // item: position in the opened list
-};
-
-struct MergeEntryAfter {
-  bool operator()(const MergeEntry& a, const MergeEntry& b) const {
-    if (a.score != b.score) return a.score > b.score;
-    if (a.kind != b.kind) return a.kind > b.kind;
-    return a.tie > b.tie;
-  }
-};
 
 }  // namespace
 
@@ -180,55 +156,9 @@ void TieredDualLayerIndex::InstallRun(PointSet rows, std::vector<TupleId> ids,
   TieredRun run{next_run_uid_++, tier,
                 DualLayerIndex::Build(std::move(rows), options_.run),
                 std::move(ids), 0, {}};
-  ComputeRunBound(&run);
+  run.bound_values = SkylineCorners(run.index);
   runs_.push_back(std::move(run));
   ++generation_;
-}
-
-void TieredDualLayerIndex::ComputeRunBound(TieredRun* run) const {
-  // Same construction as the sharded coordinator's shard bounds: the
-  // run's skyline (coarse layer 1 dominates every deeper tuple),
-  // chunked along the first coordinate into at most
-  // kMaxBoundPointsPerRun groups, one componentwise-min corner per
-  // group. Sound under tombstones too: masking members only raises the
-  // run's true minimum live score.
-  run->bound_values.clear();
-  const PointSet& pts = run->index.points();
-  if (pts.size() == 0) return;
-  std::vector<TupleId> sky = run->index.coarse_layers().front();
-  std::stable_sort(sky.begin(), sky.end(), [&](TupleId a, TupleId b) {
-    return pts[a][0] < pts[b][0] || (pts[a][0] == pts[b][0] && a < b);
-  });
-  const std::size_t groups = std::min(kMaxBoundPointsPerRun, sky.size());
-  const std::size_t base = sky.size() / groups;
-  const std::size_t extra = sky.size() % groups;
-  std::size_t cursor = 0;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::size_t take = base + (g < extra ? 1 : 0);
-    const std::size_t begin = run->bound_values.size();
-    run->bound_values.insert(run->bound_values.end(), dim_, kInf);
-    for (std::size_t i = 0; i < take; ++i) {
-      const PointView p = pts[sky[cursor + i]];
-      for (std::size_t d = 0; d < dim_; ++d) {
-        run->bound_values[begin + d] =
-            std::min(run->bound_values[begin + d], p[d]);
-      }
-    }
-    cursor += take;
-  }
-}
-
-double TieredDualLayerIndex::RunLowerBound(const TieredRun& run,
-                                           PointView weights) const {
-  // Minimum corner score; exact-sound in floating point because Score
-  // accumulates left-to-right with monotone rounding, so lowering any
-  // coordinate never raises the computed score.
-  double bound = kInf;
-  for (std::size_t at = 0; at < run.bound_values.size(); at += dim_) {
-    bound = std::min(bound,
-                     Score(weights, PointView(&run.bound_values[at], dim_)));
-  }
-  return bound;
 }
 
 void TieredDualLayerIndex::MaybeMaintain() {
@@ -360,7 +290,7 @@ CompactProgress TieredDualLayerIndex::CompactStep() {
     TieredRun merged{next_run_uid_++, job.target_tier,
                      std::move(*job.built), std::move(job.row_ids), dead,
                      {}};
-    ComputeRunBound(&merged);
+    merged.bound_values = SkylineCorners(merged.index);
     kept.insert(kept.begin() + static_cast<std::ptrdiff_t>(insert_at),
                 std::move(merged));
   }
@@ -399,157 +329,49 @@ TopKResult TieredDualLayerIndex::Query(const TopKQuery& query) const {
   if (const Status status = ValidateQuery(query, dim_); !status.ok()) {
     return InvalidQueryResult(status);
   }
-  TopKResult result;
-  if (query.k == 0 || size() == 0) {
+  if (query.k == 0) {
+    TopKResult result;
     FinalizeComplete(result);
     result.stats.elapsed_seconds = timer.ElapsedSeconds();
     return result;
   }
-
-  const PointView w(query.weights);
-  const std::size_t mem_slot = runs_.size();
-  // Result lists: opened runs (tombstones filtered, ids stable) plus
-  // the memtable's pre-sorted scan at mem_slot.
-  std::vector<std::vector<ScoredTuple>> open(runs_.size() + 1);
 
   // Memtable: always a full scan, even under a budget -- it is bounded
   // by the seal threshold, so this is amortized-constant overshoot,
   // and covering it completely lets a partial result certify against
   // the run frontiers alone (unsorted unscanned rows would otherwise
   // force a -inf frontier and certify nothing).
-  {
-    std::vector<ScoredTuple>& mem = open[mem_slot];
-    mem.reserve(memtable_ids_.size());
-    for (std::size_t i = 0; i < memtable_ids_.size(); ++i) {
-      mem.push_back(ScoredTuple{memtable_ids_[i], Score(w, memtable_[i])});
-      ++result.stats.tuples_evaluated;
-      result.accessed.push_back(memtable_ids_[i]);
-    }
-    std::sort(mem.begin(), mem.end(), ResultOrderLess);
+  const PointView w(query.weights);
+  TopKResult memtable;
+  memtable.items.reserve(memtable_ids_.size());
+  for (std::size_t i = 0; i < memtable_ids_.size(); ++i) {
+    memtable.items.push_back(
+        ScoredTuple{memtable_ids_[i], Score(w, memtable_[i])});
+    memtable.accessed.push_back(memtable_ids_[i]);
   }
+  memtable.stats.tuples_evaluated = memtable_ids_.size();
+  std::sort(memtable.items.begin(), memtable.items.end(), ResultOrderLess);
 
-  std::vector<MergeEntry> heap;
-  heap.reserve(runs_.size() + 2);
+  std::vector<PartitionBound> partitions;
+  partitions.reserve(runs_.size());
   for (std::size_t s = 0; s < runs_.size(); ++s) {
     if (runs_[s].ids.size() <= runs_[s].dead) continue;  // no live member
-    heap.push_back(MergeEntry{RunLowerBound(runs_[s], w), 0,
-                              static_cast<std::uint32_t>(s),
-                              static_cast<std::uint32_t>(s), 0});
+    partitions.push_back({CornerLowerBound(runs_[s].bound_values, w), s});
   }
-  if (!open[mem_slot].empty()) {
-    const ScoredTuple& first = open[mem_slot].front();
-    heap.push_back(MergeEntry{first.score, 1, first.id,
-                              static_cast<std::uint32_t>(mem_slot), 0});
-  }
-  std::make_heap(heap.begin(), heap.end(), MergeEntryAfter{});
-
-  Termination reason = Termination::kComplete;
-  double stop_floor = kInf;
-  bool stopped = false;
-
-  while (result.items.size() < query.k && !heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), MergeEntryAfter{});
-    const MergeEntry entry = heap.back();
-    heap.pop_back();
-
-    if (entry.kind == 1) {
-      const std::vector<ScoredTuple>& items = open[entry.slot];
-      result.items.push_back(items[entry.pos]);
-      if (entry.pos + 1 < items.size()) {
-        const ScoredTuple& next = items[entry.pos + 1];
-        heap.push_back(
-            MergeEntry{next.score, 1, next.id, entry.slot, entry.pos + 1});
-        std::push_heap(heap.begin(), heap.end(), MergeEntryAfter{});
-      }
-      continue;
-    }
-
-    // The merge frontier reached this run's corner bound: open it.
-    ExecBudget sub;
-    reason = RemainingBudget(query.budget, result.stats.tuples_evaluated,
-                             timer, &sub);
-    if (reason != Termination::kComplete) {
-      stop_floor = entry.score;  // the run we could not afford to open
-      stopped = true;
-      break;
-    }
-    const TieredRun& run = runs_[entry.slot];
-    // Over-fetch to survive tombstone filtering: the top (k + dead)
-    // members contain at least min(live(run), k) live tuples, so a
-    // complete run's cursor can only be exhausted when the whole run
-    // was returned -- there is never an unreturned live member hiding
-    // past the cut.
-    TopKQuery run_query;
-    run_query.weights = query.weights;
-    run_query.k = std::min(run.ids.size(), query.k + run.dead);
-    run_query.budget = sub;
-    TopKResult run_result = run.index.Query(run_query);
-
-    ++result.stats.runs_opened;
-    result.stats.tuples_evaluated += run_result.stats.tuples_evaluated;
-    result.stats.virtual_evaluated += run_result.stats.virtual_evaluated;
-    result.stats.scratch_seeds += run_result.stats.scratch_seeds;
-    for (const TupleId local : run_result.accessed) {
-      result.accessed.push_back(run.ids[local]);
-    }
-    if (run_result.termination == Termination::kError ||
-        run_result.termination == Termination::kInvalidQuery) {
-      result.items.clear();
-      result.termination = Termination::kError;
-      result.error =
-          "run " + std::to_string(run.uid) + ": " +
-          (run_result.error.empty()
-               ? std::string(TerminationName(run_result.termination))
-               : run_result.error);
-      result.certified_prefix = 0;
-      result.frontier_bound = -kInf;
-      result.stats.elapsed_seconds = timer.ElapsedSeconds();
-      return result;
-    }
-
-    if (!run_result.complete()) {
-      // The run's budget slice tripped mid-traversal. None of its
-      // items are merged; the whole run is bounded by the smaller of
-      // its frontier and its best returned score, and the merge stops.
-      double floor = run_result.frontier_bound;
-      if (!run_result.items.empty()) {
-        floor = std::min(floor, run_result.items.front().score);
-      }
-      stop_floor = floor;
-      reason = run_result.termination;
-      stopped = true;
-      break;
-    }
-
-    std::vector<ScoredTuple>& live = open[entry.slot];
-    live.reserve(run_result.items.size());
-    for (const ScoredTuple& item : run_result.items) {
-      const TupleId stable = run.ids[item.id];
-      if (tombstones_.count(stable)) continue;  // masked member
-      live.push_back(ScoredTuple{stable, item.score});
-    }
-    if (!live.empty()) {
-      heap.push_back(MergeEntry{live.front().score, 1, live.front().id,
-                                entry.slot, 0});
-      std::push_heap(heap.begin(), heap.end(), MergeEntryAfter{});
-    }
-  }
-
-  if (!stopped) {
-    FinalizeComplete(result);
-  } else {
-    // Every unreturned live tuple is (a) in the run that stopped or
-    // was unaffordable -- bounded by stop_floor, (b) in a run still
-    // represented by a bound entry, (c) after the cursor of an opened
-    // list (memtable included), or (d) past an opened run's over-fetch
-    // cut, where the raw k'-th score >= that run's live cursor entry.
-    // (b)-(d) are all covered by the surviving heap keys.
-    double bound = stop_floor;
-    for (const MergeEntry& e : heap) bound = std::min(bound, e.score);
-    FinalizePartial(result, reason, bound);
-  }
-  result.stats.elapsed_seconds = timer.ElapsedSeconds();
-  return result;
+  return MergePartitions(
+      query.k, query.budget, timer, std::move(memtable), partitions,
+      [&](std::size_t s, const ExecBudget& budget) {
+        // Over-fetch to survive tombstone filtering: the top (k + dead)
+        // members hold at least min(live(run), k) live tuples.
+        const TieredRun& run = runs_[s];
+        TopKResult run_result = run.index.Query(TopKQuery{
+            query.weights, std::min(run.ids.size(), query.k + run.dead),
+            budget});
+        ++run_result.stats.runs_opened;
+        MapToGlobal(run.ids, &tombstones_, &run_result);
+        return run_result;
+      },
+      [this](std::size_t s) { return "run " + std::to_string(runs_[s].uid); });
 }
 
 }  // namespace drli

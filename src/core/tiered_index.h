@@ -16,15 +16,15 @@
 // run order and the per-run id lists stay sorted -- the property the
 // query path leans on for canonical (score, id) tie-breaking.
 //
-// Queries run the same scatter-gather merge as the sharded coordinator
-// (shard/sharded_index.cc): one min-heap seeded with a per-run lower
-// bound (componentwise-min corners over the run's skyline, grouped to
-// at most kMaxBoundPointsPerRun corners) plus a cursor over the fully
-// scanned memtable. A run is opened -- its DualLayerIndex queried for
-// min(|run|, k + dead(run)) items, tombstones filtered on merge --
-// only when the merge frontier reaches its bound, so cold runs stay
-// closed exactly like cold shards. Budgets compose by remainder and
-// partial results certify against the surviving heap keys.
+// Queries run the bounded-partition merge the sharded coordinator uses
+// (core/partition_merge.h): one partition per run holding a live
+// member, bounded by its grouped skyline corners, plus the fully
+// scanned memtable as an already-open list. A run is opened -- its
+// DualLayerIndex queried for min(|run|, k + dead(run)) items,
+// tombstones filtered before the merge -- only when the merge frontier
+// reaches its bound, so cold runs stay closed exactly like cold shards.
+// Budgets compose by remainder and partial results certify against the
+// surviving heap keys.
 //
 // Compaction is incremental: CompactStep() advances a single job by a
 // bounded amount (copy <= compact_rows_per_step live rows, then one
@@ -94,16 +94,14 @@ struct TieredRun {
   DualLayerIndex index;
   std::vector<TupleId> ids;
   std::size_t dead = 0;
-  // Grouped skyline corners backing the run's query-time lower bound
-  // (see ComputeRunBound); `bound_corners` corners of dim() doubles.
+  // SkylineCorners(index): the grouped skyline corners backing the
+  // run's query-time lower bound, dim() doubles per corner. Sound under
+  // tombstones too: masking members only raises the live minimum.
   std::vector<double> bound_values;
 };
 
 class TieredDualLayerIndex final : public TopKIndex {
  public:
-  // Corner cap per run bound, matching the sharded coordinator's.
-  static constexpr std::size_t kMaxBoundPointsPerRun = 64;
-
   explicit TieredDualLayerIndex(std::size_t dim,
                                 const TieredIndexOptions& options = {});
   // Bulk start: `initial` becomes one run holding ids [0, n).
@@ -191,8 +189,6 @@ class TieredDualLayerIndex final : public TopKIndex {
   // generation; drops empty row sets.
   void InstallRun(PointSet rows, std::vector<TupleId> ids,
                   std::uint32_t tier);
-  void ComputeRunBound(TieredRun* run) const;
-  double RunLowerBound(const TieredRun& run, PointView weights) const;
   // Picks the next merge job per the size-tiered policy; false = none.
   bool ScheduleCompaction();
   // Queues a merge of every run (full compaction driver).

@@ -3,10 +3,13 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <string>
+#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "core/partition_merge.h"
 
 namespace drli {
 namespace {
@@ -52,6 +55,37 @@ Status ValidateConstrained(const ConstrainedQuery& query, std::size_t dim) {
   base.k = query.k;
   if (Status status = ValidateQuery(base, dim); !status.ok()) return status;
   return ValidateBox(query.box, dim);
+}
+
+// Opens one shard or run of a constrained merge: a partition whose
+// sublayer boxes all miss the constraint box is pruned unscored
+// (boxes_pruned); otherwise its DL+ traversal runs for `k` items under
+// `budget` and counts itself in `opened`. Ids come back global, `dead`
+// members dropped.
+TopKResult OpenConstrained(const DualLayerIndex& part,
+                           const std::vector<TupleId>& ids,
+                           const std::unordered_set<TupleId>* dead,
+                           std::size_t QueryStats::*opened,
+                           const ConstrainedQuery& query, std::size_t k,
+                           const ExecBudget& budget) {
+  const std::vector<SublayerSummary>& catalog = part.sublayer_catalog();
+  const bool overlaps =
+      std::any_of(catalog.begin(), catalog.end(), [&](const auto& group) {
+        return query.box.Intersects(group.bbox_lo, group.bbox_hi);
+      });
+  if (!overlaps) {
+    TopKResult pruned;
+    pruned.stats.boxes_pruned = 1;
+    FinalizeComplete(pruned);
+    return pruned;
+  }
+  ConstrainedQuery sub = query;
+  sub.k = k;
+  sub.budget = budget;
+  TopKResult local = ConstrainedTopK(part, sub);
+  ++(local.stats.*opened);
+  MapToGlobal(ids, dead, &local);
+  return local;
 }
 
 // Can a unit with bound `bound` still change a full keeper's answer?
@@ -121,197 +155,64 @@ TopKResult ConstrainedTopK(const DualLayerIndex& index,
 TopKResult ConstrainedTopK(const ShardedDualLayerIndex& index,
                            const ConstrainedQuery& query) {
   Stopwatch timer;
-  TopKResult result;
   if (Status status = ValidateConstrained(query, index.dim()); !status.ok()) {
     return InvalidQueryResult(status);
   }
-
-  // Shards in ascending frontier-bound order (the grouped-corner bound
-  // the unconstrained coordinator uses). The per-shard box is the fold
-  // of the shard's sublayer catalog boxes.
-  using Entry = std::pair<double, std::size_t>;  // (bound, shard)
-  std::vector<Entry> entries;
+  std::vector<PartitionBound> partitions;
   for (std::size_t s = 0; s < index.num_shards(); ++s) {
     if (index.shard_members(s).empty()) continue;
-    entries.emplace_back(index.ShardLowerBound(s, query.weights), s);
+    partitions.push_back({index.ShardLowerBound(s, query.weights), s});
   }
-  std::sort(entries.begin(), entries.end());
-
-  TopKKeeper keeper(query.k);
-  const auto finish_partial = [&](Termination reason, double frontier) {
-    result.items = keeper.TakeSorted();
-    result.stats.elapsed_seconds = timer.ElapsedSeconds();
-    FinalizePartial(result, reason, frontier);
-    return result;
-  };
-
-  for (std::size_t next = 0; next < entries.size(); ++next) {
-    const double bound = entries[next].first;
-    const std::size_t s = entries[next].second;
-    if (!FrontierOpen(keeper, bound)) break;
-
-    const DualLayerIndex& shard = index.shard(s);
-    const std::vector<SublayerSummary>& catalog = shard.sublayer_catalog();
-    bool overlaps = false;
-    for (const SublayerSummary& group : catalog) {
-      if (query.box.Intersects(group.bbox_lo, group.bbox_hi)) {
-        overlaps = true;
-        break;
-      }
-    }
-    if (!overlaps) {
-      ++result.stats.boxes_pruned;
-      continue;
-    }
-
-    ConstrainedQuery sub = query;
-    const Termination remaining =
-        RemainingBudget(query.budget, result.stats.tuples_evaluated, timer,
-                        &sub.budget);
-    if (remaining != Termination::kComplete) {
-      return finish_partial(remaining, bound);
-    }
-
-    TopKResult local = ConstrainedTopK(shard, sub);
-    ++result.stats.shards_touched;
-    result.stats.tuples_evaluated += local.stats.tuples_evaluated;
-    result.stats.virtual_evaluated += local.stats.virtual_evaluated;
-    result.stats.boxes_pruned += local.stats.boxes_pruned;
-    const std::vector<TupleId>& members = index.shard_members(s);
-    for (const TupleId local_id : local.accessed) {
-      result.accessed.push_back(members[local_id]);
-    }
-    // Local (score, local-id) order equals global (score, global-id)
-    // order because shard membership is ascending -- same argument as
-    // the unconstrained scatter-gather merge.
-    const std::size_t usable = local.complete()
-                                   ? local.items.size()
-                                   : local.certified_prefix;
-    for (std::size_t i = 0; i < usable; ++i) {
-      keeper.Offer(
-          ScoredTuple{members[local.items[i].id], local.items[i].score});
-    }
-    if (!local.complete()) {
-      // The tripped shard bounds its own remainder; later shards are
-      // bounded by their (ascending) corner bounds.
-      double frontier = local.frontier_bound;
-      if (next + 1 < entries.size()) {
-        frontier = std::min(frontier, entries[next + 1].first);
-      }
-      return finish_partial(local.termination, frontier);
-    }
-  }
-
-  result.items = keeper.TakeSorted();
-  result.stats.elapsed_seconds = timer.ElapsedSeconds();
-  FinalizeComplete(result);
-  return result;
+  return MergePartitions(
+      query.k, query.budget, timer, {}, partitions,
+      [&](std::size_t s, const ExecBudget& budget) {
+        return OpenConstrained(index.shard(s), index.shard_members(s),
+                               nullptr, &QueryStats::shards_touched, query,
+                               query.k, budget);
+      },
+      [](std::size_t s) { return "shard " + std::to_string(s); });
 }
 
 TopKResult ConstrainedTopK(const TieredDualLayerIndex& index,
                            const ConstrainedQuery& query) {
   Stopwatch timer;
-  TopKResult result;
   if (Status status = ValidateConstrained(query, index.dim()); !status.ok()) {
     return InvalidQueryResult(status);
   }
 
-  TopKKeeper keeper(query.k);
-
   // The memtable is always fully scanned (it is small by construction:
   // at most memtable_capacity rows), so a later partial stop only has
   // to certify against run bounds.
-  const PointSet& memtable = index.memtable();
-  const std::vector<TupleId>& memtable_ids = index.memtable_ids();
-  for (std::size_t i = 0; i < memtable.size(); ++i) {
-    const PointView p = memtable[i];
+  TopKResult memtable;
+  const PointSet& rows = index.memtable();
+  const std::vector<TupleId>& ids = index.memtable_ids();
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    const PointView p = rows[i];
     if (!query.box.Contains(p)) continue;
-    ++result.stats.tuples_evaluated;
-    result.accessed.push_back(memtable_ids[i]);
-    keeper.Offer(ScoredTuple{memtable_ids[i], Score(query.weights, p)});
+    ++memtable.stats.tuples_evaluated;
+    memtable.accessed.push_back(ids[i]);
+    memtable.items.push_back(ScoredTuple{ids[i], Score(query.weights, p)});
   }
+  std::sort(memtable.items.begin(), memtable.items.end(), ResultOrderLess);
 
-  // Runs in ascending grouped-corner bound order.
-  using Entry = std::pair<double, std::size_t>;  // (bound, run slot)
-  std::vector<Entry> entries;
-  const std::size_t d = index.dim();
+  std::vector<PartitionBound> partitions;
   for (std::size_t r = 0; r < index.num_runs(); ++r) {
     const TieredRun& run = index.run(r);
-    double bound = std::numeric_limits<double>::infinity();
-    for (std::size_t c = 0; c * d < run.bound_values.size(); ++c) {
-      bound = std::min(
-          bound, Score(query.weights,
-                       PointView(run.bound_values.data() + c * d, d)));
-    }
-    entries.emplace_back(bound, r);
+    if (run.ids.size() <= run.dead) continue;  // no live member
+    partitions.push_back(
+        {CornerLowerBound(run.bound_values, query.weights), r});
   }
-  std::sort(entries.begin(), entries.end());
-
-  const auto finish_partial = [&](Termination reason, double frontier) {
-    result.items = keeper.TakeSorted();
-    result.stats.elapsed_seconds = timer.ElapsedSeconds();
-    FinalizePartial(result, reason, frontier);
-    return result;
-  };
-
-  for (std::size_t next = 0; next < entries.size(); ++next) {
-    const double bound = entries[next].first;
-    const TieredRun& run = index.run(entries[next].second);
-    if (!FrontierOpen(keeper, bound)) break;
-
-    const std::vector<SublayerSummary>& catalog = run.index.sublayer_catalog();
-    bool overlaps = false;
-    for (const SublayerSummary& group : catalog) {
-      if (query.box.Intersects(group.bbox_lo, group.bbox_hi)) {
-        overlaps = true;
-        break;
-      }
-    }
-    if (!overlaps) {
-      ++result.stats.boxes_pruned;
-      continue;
-    }
-
-    ConstrainedQuery sub = query;
-    const Termination remaining =
-        RemainingBudget(query.budget, result.stats.tuples_evaluated, timer,
-                        &sub.budget);
-    if (remaining != Termination::kComplete) {
-      return finish_partial(remaining, bound);
-    }
-    // k + dead(run) local items guarantee k live ones when the run has
-    // them: any further member follows at least k live predecessors.
-    sub.k = query.k + run.dead;
-
-    TopKResult local = ConstrainedTopK(run.index, sub);
-    ++result.stats.runs_opened;
-    result.stats.tuples_evaluated += local.stats.tuples_evaluated;
-    result.stats.virtual_evaluated += local.stats.virtual_evaluated;
-    result.stats.boxes_pruned += local.stats.boxes_pruned;
-    for (const TupleId local_id : local.accessed) {
-      result.accessed.push_back(run.ids[local_id]);
-    }
-    const std::size_t usable = local.complete()
-                                   ? local.items.size()
-                                   : local.certified_prefix;
-    for (std::size_t i = 0; i < usable; ++i) {
-      const TupleId gid = run.ids[local.items[i].id];
-      if (index.tombstones().count(gid) != 0) continue;
-      keeper.Offer(ScoredTuple{gid, local.items[i].score});
-    }
-    if (!local.complete()) {
-      double frontier = local.frontier_bound;
-      if (next + 1 < entries.size()) {
-        frontier = std::min(frontier, entries[next + 1].first);
-      }
-      return finish_partial(local.termination, frontier);
-    }
-  }
-
-  result.items = keeper.TakeSorted();
-  result.stats.elapsed_seconds = timer.ElapsedSeconds();
-  FinalizeComplete(result);
-  return result;
+  return MergePartitions(
+      query.k, query.budget, timer, std::move(memtable), partitions,
+      [&](std::size_t r, const ExecBudget& budget) {
+        // k + dead(run) local items guarantee k live ones when the run
+        // has them: any further member follows k live predecessors.
+        const TieredRun& run = index.run(r);
+        return OpenConstrained(run.index, run.ids, &index.tombstones(),
+                               &QueryStats::runs_opened, query,
+                               query.k + run.dead, budget);
+      },
+      [&](std::size_t r) { return "run " + std::to_string(index.run(r).uid); });
 }
 
 TopKResult ConstrainedScanRows(const PointSet& points,

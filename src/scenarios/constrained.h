@@ -4,25 +4,26 @@
 // the tuples the box contains -- the same contract as every other
 // family, over a smaller universe.
 //
-// Index acceleration pushes the predicate into the layer structure:
-// each engine keeps a heap of pruning units ordered by a sound score
-// lower bound (the componentwise-min corner of the unit's bounding
-// box, or the grouped-corner frontier bounds for shards / runs) and
-//   * skips a unit entirely when its bounding box misses the
+// Index acceleration pushes the predicate into the layer structure.
+// Over one DL+ index, a heap of its sublayer groups
+// (DualLayerIndex::sublayer_catalog) ordered by a sound score lower
+// bound -- the componentwise-min corner of the group's bounding box --
+//   * skips a group entirely when its bounding box misses the
 //     constraint box (stats.boxes_pruned counts these), and
-//   * stops once the next unit's bound exceeds the current k-th
+//   * stops once the next group's bound exceeds the current k-th
 //     in-box score (the usual layer-frontier termination, exact in FP
 //     because dominance is score-monotone under non-negative weights).
-// Units are: DL+ sublayer groups (DualLayerIndex::sublayer_catalog),
-// whole shards for sdl+, and whole runs for tdl+ (plus a full scan of
-// the memtable, mirroring the unconstrained tiered merge).
+// Over shards (sdl+) and runs (tdl+), the engines' bounded-partition
+// merge (core/partition_merge.h) opens each partition with the
+// predicate pushed in: a shard or run whose sublayer boxes all miss
+// the box counts as one box pruned, any other runs the traversal above.
 //
 // Certified partials: with an ExecBudget, a tripped traversal returns
-// the candidates found so far with frontier_bound = the next unit's
-// lower bound. That certifies the usual strict-below-frontier prefix:
-// unopened units cannot score below the bound, box-pruned units hold
-// no eligible tuple at all, and a tuple rejected by the running top-k
-// heap canonically follows every returned item.
+// a certified prefix. Over one index the frontier is the next group's
+// lower bound: unopened groups cannot score below it, box-pruned
+// groups hold no eligible tuple at all, and a tuple rejected by the
+// running top-k heap canonically follows every returned item. Over
+// shards and runs the merge certifies.
 
 #ifndef DRLI_SCENARIOS_CONSTRAINED_H_
 #define DRLI_SCENARIOS_CONSTRAINED_H_

@@ -264,7 +264,7 @@ Status ParseManifest(const std::string& path, const std::string& bytes,
 }  // namespace
 
 std::string ShardFilePath(const std::string& manifest_path, std::size_t s) {
-  char suffix[16];
+  char suffix[32];  // ".shard-", up to 20 digits of a size_t, NUL
   std::snprintf(suffix, sizeof(suffix), ".shard-%04zu", s);
   return manifest_path + suffix;
 }

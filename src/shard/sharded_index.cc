@@ -1,8 +1,6 @@
 #include "shard/sharded_index.h"
 
 #include <algorithm>
-#include <cmath>
-#include <limits>
 #include <numeric>
 #include <optional>
 #include <utility>
@@ -10,39 +8,9 @@
 #include "common/parallel_for.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
+#include "core/partition_merge.h"
 
 namespace drli {
-
-namespace {
-
-constexpr double kInf = std::numeric_limits<double>::infinity();
-
-// One entry of the scatter-gather merge heap. Bound entries (kind 0)
-// stand in for a whole unopened shard at its corner lower bound; item
-// entries (kind 1) are the cursor over one opened shard's result list.
-struct MergeEntry {
-  double score;
-  std::uint32_t kind;  // 0 = shard bound, 1 = item cursor
-  std::uint32_t tie;   // bound: shard id; item: global tuple id
-  std::uint32_t shard;
-  std::uint32_t pos;  // item: position in the opened shard's list
-};
-
-// Heap comparator ("a orders after b") for a min-heap via
-// std::push_heap/pop_heap. Bounds order before items of equal score --
-// a shard must be opened before any tuple at its bound may be emitted,
-// otherwise an equal-scoring, smaller-id tuple hiding in that shard
-// would break the canonical tie order. Items of equal score order by
-// global id, which is exactly ResultOrderLess.
-struct MergeEntryAfter {
-  bool operator()(const MergeEntry& a, const MergeEntry& b) const {
-    if (a.score != b.score) return a.score > b.score;
-    if (a.kind != b.kind) return a.kind > b.kind;
-    return a.tie > b.tie;
-  }
-};
-
-}  // namespace
 
 const char* ShardPartitionerName(ShardPartitioner partitioner) {
   switch (partitioner) {
@@ -164,181 +132,38 @@ ShardedDualLayerIndex ShardedDualLayerIndex::Build(
 }
 
 void ShardedDualLayerIndex::ComputeShardBounds() {
-  // Per shard, a set of corner points that collectively dominate every
-  // tuple: the shard's skyline (coarse layer 1 -- every deeper tuple is
-  // dominated by a skyline member through the iterated-skyline chain),
-  // chunked along the first coordinate into at most
-  // kMaxBoundPointsPerShard groups, one componentwise-min corner per
-  // group. Small skylines keep one corner per member, making the bound
-  // the shard's exact minimum score; the chunking only kicks in to cap
-  // the per-query bound cost.
-  bound_values_.clear();
-  bound_offsets_.assign(1, 0);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    const PointSet& pts = shards_[s].points();
-    if (pts.size() > 0) {
-      std::vector<TupleId> sky = shards_[s].coarse_layers().front();
-      std::stable_sort(sky.begin(), sky.end(), [&](TupleId a, TupleId b) {
-        return pts[a][0] < pts[b][0] || (pts[a][0] == pts[b][0] && a < b);
-      });
-      const std::size_t groups =
-          std::min(kMaxBoundPointsPerShard, sky.size());
-      const std::size_t base = sky.size() / groups;
-      const std::size_t extra = sky.size() % groups;
-      std::size_t cursor = 0;
-      for (std::size_t g = 0; g < groups; ++g) {
-        const std::size_t take = base + (g < extra ? 1 : 0);
-        const std::size_t begin = bound_values_.size();
-        bound_values_.insert(bound_values_.end(), dim_, kInf);
-        for (std::size_t i = 0; i < take; ++i) {
-          const PointView p = pts[sky[cursor + i]];
-          for (std::size_t d = 0; d < dim_; ++d) {
-            bound_values_[begin + d] = std::min(bound_values_[begin + d], p[d]);
-          }
-        }
-        cursor += take;
-      }
-    }
-    bound_offsets_.push_back(bound_values_.size());
+  bound_corners_.clear();
+  for (const DualLayerIndex& shard : shards_) {
+    bound_corners_.push_back(SkylineCorners(shard));
   }
 }
 
 double ShardedDualLayerIndex::ShardLowerBound(std::size_t s,
                                               PointView weights) const {
-  // Minimum corner score. Sound in floating point, not just over the
-  // reals: Score accumulates left-to-right with the same association
-  // everywhere and rounding is monotone, so lowering any coordinate
-  // can never raise the computed score -- a corner therefore scores no
-  // higher than any tuple its group dominates.
-  double bound = kInf;
-  for (std::size_t at = bound_offsets_[s]; at < bound_offsets_[s + 1];
-       at += dim_) {
-    bound =
-        std::min(bound, Score(weights, PointView(&bound_values_[at], dim_)));
-  }
-  return bound;
+  return CornerLowerBound(bound_corners_[s], weights);
 }
 
 TopKResult ShardedDualLayerIndex::Query(const TopKQuery& query) const {
   Stopwatch timer;
-  {
-    const Status status = ValidateQuery(query, dim_);
-    if (!status.ok()) return InvalidQueryResult(status);
+  if (const Status status = ValidateQuery(query, dim_); !status.ok()) {
+    return InvalidQueryResult(status);
   }
-  TopKResult result;
-  if (query.k == 0 || total_points_ == 0) {
-    FinalizeComplete(result);
-    result.stats.elapsed_seconds = timer.ElapsedSeconds();
-    return result;
-  }
-
-  const PointView w(query.weights);
-  std::vector<MergeEntry> heap;
-  heap.reserve(shards_.size() + 2);
+  std::vector<PartitionBound> partitions;
+  partitions.reserve(shards_.size());
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     if (members_[s].empty()) continue;
-    heap.push_back(MergeEntry{ShardLowerBound(s, w), 0,
-                              static_cast<std::uint32_t>(s),
-                              static_cast<std::uint32_t>(s), 0});
+    partitions.push_back({ShardLowerBound(s, query.weights), s});
   }
-  std::make_heap(heap.begin(), heap.end(), MergeEntryAfter{});
-
-  // Result lists of opened shards, ids already mapped to global.
-  std::vector<std::vector<ScoredTuple>> open(shards_.size());
-  Termination reason = Termination::kComplete;
-  double stop_floor = kInf;
-  bool stopped = false;
-
-  while (result.items.size() < query.k && !heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), MergeEntryAfter{});
-    const MergeEntry entry = heap.back();
-    heap.pop_back();
-
-    if (entry.kind == 1) {
-      const std::vector<ScoredTuple>& items = open[entry.shard];
-      result.items.push_back(items[entry.pos]);
-      if (entry.pos + 1 < items.size()) {
-        const ScoredTuple& next = items[entry.pos + 1];
-        heap.push_back(
-            MergeEntry{next.score, 1, next.id, entry.shard, entry.pos + 1});
-        std::push_heap(heap.begin(), heap.end(), MergeEntryAfter{});
-      }
-      continue;
-    }
-
-    // The merge frontier reached this shard's corner bound: open it.
-    ExecBudget sub;
-    reason = RemainingBudget(query.budget, result.stats.tuples_evaluated,
-                             timer, &sub);
-    if (reason != Termination::kComplete) {
-      stop_floor = entry.score;  // the shard we could not afford to open
-      stopped = true;
-      break;
-    }
-    const std::vector<TupleId>& members = members_[entry.shard];
-    TopKQuery shard_query;
-    shard_query.weights = query.weights;
-    shard_query.k = std::min(query.k, members.size());
-    shard_query.budget = sub;
-    TopKResult shard_result = shards_[entry.shard].Query(shard_query);
-
-    ++result.stats.shards_touched;
-    result.stats.tuples_evaluated += shard_result.stats.tuples_evaluated;
-    result.stats.virtual_evaluated += shard_result.stats.virtual_evaluated;
-    result.stats.scratch_seeds += shard_result.stats.scratch_seeds;
-    for (const TupleId local : shard_result.accessed) {
-      result.accessed.push_back(members[local]);
-    }
-    if (shard_result.termination == Termination::kError ||
-        shard_result.termination == Termination::kInvalidQuery) {
-      result.items.clear();
-      result.termination = Termination::kError;
-      result.error = "shard " + std::to_string(entry.shard) + ": " +
-                     (shard_result.error.empty()
-                          ? std::string(TerminationName(shard_result.termination))
-                          : shard_result.error);
-      result.certified_prefix = 0;
-      result.frontier_bound = -kInf;
-      result.stats.elapsed_seconds = timer.ElapsedSeconds();
-      return result;
-    }
-    for (ScoredTuple& item : shard_result.items) item.id = members[item.id];
-
-    if (!shard_result.complete()) {
-      // The shard's budget tripped mid-traversal. None of its items are
-      // merged; instead the whole shard is bounded by the smaller of
-      // its frontier and its best returned score, and the merge stops.
-      double floor = shard_result.frontier_bound;
-      if (!shard_result.items.empty()) {
-        floor = std::min(floor, shard_result.items.front().score);
-      }
-      stop_floor = floor;
-      reason = shard_result.termination;
-      stopped = true;
-      break;
-    }
-
-    open[entry.shard] = std::move(shard_result.items);
-    const ScoredTuple& first = open[entry.shard].front();
-    heap.push_back(MergeEntry{first.score, 1, first.id, entry.shard, 0});
-    std::push_heap(heap.begin(), heap.end(), MergeEntryAfter{});
-  }
-
-  if (!stopped) {
-    FinalizeComplete(result);
-  } else {
-    // Every unreturned tuple lives (a) in the shard that stopped or was
-    // unaffordable -- bounded by stop_floor, (b) in a shard still
-    // represented by a bound entry, (c) after the cursor of an opened
-    // shard's list, or (d) past the end of an opened shard's k_s items,
-    // in which case k_s = k and the k_s-th score >= the live cursor
-    // entry. Cases (b)-(d) are all covered by the surviving heap keys.
-    double bound = stop_floor;
-    for (const MergeEntry& e : heap) bound = std::min(bound, e.score);
-    FinalizePartial(result, reason, bound);
-  }
-  result.stats.elapsed_seconds = timer.ElapsedSeconds();
-  return result;
+  return MergePartitions(
+      query.k, query.budget, timer, {}, partitions,
+      [&](std::size_t s, const ExecBudget& budget) {
+        TopKResult shard_result = shards_[s].Query(TopKQuery{
+            query.weights, std::min(query.k, members_[s].size()), budget});
+        ++shard_result.stats.shards_touched;
+        MapToGlobal(members_[s], nullptr, &shard_result);
+        return shard_result;
+      },
+      [](std::size_t s) { return "shard " + std::to_string(s); });
 }
 
 std::vector<TopKResult> ShardedDualLayerIndex::QueryBatch(

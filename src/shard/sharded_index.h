@@ -4,36 +4,13 @@
 // and the superlinear per-shard build cost means even a single core
 // wins), and answer top-k by scatter-gather.
 //
-// Query processing is a coordinator loop over one global min-heap that
-// holds two kinds of entries:
-//   * a *bound* entry per still-unopened shard, keyed by the shard's
-//     frontier lower bound: the minimum Score over a small set of
-//     corner points derived from the shard's skyline (layer 1 of its
-//     DL+ index, chunked into <= 64 groups, one componentwise-min
-//     corner per group). Every shard tuple is dominated by a skyline
-//     member, every skyline member by its group corner, and dominance
-//     is score-monotone even in floating point (positive weights,
-//     identical left-to-right Score association everywhere) -- so no
-//     tuple in the shard can score below the bound, exactly. With one
-//     group this degenerates to the classic bounding-box corner; with
-//     the skyline resolution it equals the true minimum score whenever
-//     the skyline is small.
-//   * an *item* entry per opened shard, keyed by the shard's next
-//     unmerged result tuple (score, global id).
-// Bound entries order before item entries of equal score, so a shard is
-// opened (its DL+ index queried) only when its corner bound reaches the
-// merge frontier. Shards whose bound never surfaces before the k-th
-// item pops are never queried at all -- that is the pruning: with
-// selective partitions (hyperplane split) most queries touch a small
-// fraction of S. stats.shards_touched counts the shards that ran.
-//
-// ExecBudget composes across shards: each opened shard receives the
-// remaining step/deadline allowance, and when any shard stops early --
-// or the budget expires between shards -- the coordinator certifies the
-// merged prefix against the minimum of every outstanding lower bound
-// (unopened shard corners, the partial shard's frontier, opened shards'
-// unreturned remainders, and unmerged heap items), exactly the
-// certified-partial contract of DESIGN.md §5 lifted one level up.
+// Query processing is the bounded-partition merge (core/
+// partition_merge.h), one partition per non-empty shard, bounded by the
+// shard's skyline corners. A shard is opened -- its DL+ index queried
+// for min(k, |shard|) items -- only when its bound reaches the merge
+// frontier, so with selective partitions (hyperplane split) most
+// queries touch a small fraction of S; stats.shards_touched counts the
+// shards that ran. Budgets compose across shards by remainder.
 
 #ifndef DRLI_SHARD_SHARDED_INDEX_H_
 #define DRLI_SHARD_SHARDED_INDEX_H_
@@ -144,16 +121,9 @@ class ShardedDualLayerIndex final : public TopKIndex {
   ShardPartitioner partitioner() const { return partitioner_; }
   std::uint64_t partition_seed() const { return partition_seed_; }
   const ShardedBuildStats& build_stats() const { return build_stats_; }
-  // Frontier lower bound of shard s for weight vector w (tests).
+  // The merge's lower bound on every score in shard s for weight
+  // vector w: the minimum Score over the shard's skyline corners.
   double ShardLowerBound(std::size_t s, PointView weights) const;
-  // Bound corner points of shard s (tests).
-  std::size_t NumBoundPoints(std::size_t s) const {
-    return (bound_offsets_[s + 1] - bound_offsets_[s]) / dim_;
-  }
-
-  // Cap on corner points per shard; bounds the per-query cost of
-  // seeding the merge heap at S * 64 * d flops.
-  static constexpr std::size_t kMaxBoundPointsPerShard = 64;
 
  private:
   friend StatusOr<ShardedDualLayerIndex> LoadShardedIndex(
@@ -176,11 +146,9 @@ class ShardedDualLayerIndex final : public TopKIndex {
   // members_[s] = ascending global ids of shard s; the inverse of the
   // per-shard local id space.
   std::vector<std::vector<TupleId>> members_;
-  // Bound corner points of shard s: d-dimensional rows in
-  // bound_values_[bound_offsets_[s], bound_offsets_[s + 1]). Empty
-  // shards have an empty range (their bound entry is never enqueued).
-  std::vector<double> bound_values_;
-  std::vector<std::size_t> bound_offsets_;
+  // bound_corners_[s] = SkylineCorners(shards_[s]); empty for an empty
+  // shard (which the merge never enqueues).
+  std::vector<std::vector<double>> bound_corners_;
 };
 
 }  // namespace drli

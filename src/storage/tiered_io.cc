@@ -10,6 +10,7 @@
 #include <utility>
 
 #include "common/crc32c.h"
+#include "core/partition_merge.h"
 
 namespace drli {
 
@@ -411,7 +412,7 @@ class TieredIndexIO {
       TieredRun loaded{info.runs[r].uid, info.runs[r].tier,
                        std::move(run).value(), std::move(parsed.run_ids[r]),
                        0, {}};
-      index.ComputeRunBound(&loaded);
+      loaded.bound_values = SkylineCorners(loaded.index);
       index.runs_.push_back(std::move(loaded));
     }
 
