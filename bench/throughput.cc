@@ -1,6 +1,8 @@
 // Query-engine throughput: build seconds (serial vs. parallel) and
 // batch QPS (1 worker vs. DRLI_THREADS workers) for DL+ across
-// n x d -- the wall-clock companion to the tuples-evaluated figures.
+// n x d -- the wall-clock companion to the tuples-evaluated figures --
+// plus the same single-query loop on DL (no zero layer), so every row
+// is a same-binary DL+ vs DL comparison.
 //
 // Unlike the figure benches this one is not averaged through Google
 // Benchmark: it times explicit batches so the 1-thread and N-thread
@@ -44,6 +46,8 @@ struct Row {
   double build_seconds_serial = 0;  // build_threads = 1
   double build_seconds_parallel = 0;
   double single_query_seconds = 0;  // serial loop, reused scratch
+  // The same loop and queries on DL (zero layer off, same data).
+  double dl_single_query_seconds = 0;
   // Same loop with an armed-but-never-firing ExecBudget (generous
   // max_evals + deadline + live cancel token): the serving-path cost of
   // metering every traversal step through BudgetGate.
@@ -58,6 +62,7 @@ struct Row {
   double batch_wall_seconds_nt = 0;
   double batch_query_seconds_nt = 0;
   double avg_tuples = 0;  // Definition 9, for cross-checking
+  double avg_edges = 0;   // QueryStats::edges_walked per DL+ query
   const char* kernel = "";  // active score-kernel dispatch target
 };
 
@@ -104,14 +109,34 @@ Row Measure(std::size_t n, std::size_t d, std::size_t num_queries,
 
   // Single-thread per-query latency with an explicitly reused scratch.
   std::size_t tuples = 0;
+  std::size_t edges = 0;
   timer.Restart();
   for (const TopKQuery& query : queries) {
-    tuples += index.Query(query, &scratch).stats.tuples_evaluated;
+    const QueryStats stats = index.Query(query, &scratch).stats;
+    tuples += stats.tuples_evaluated;
+    edges += stats.edges_walked;
   }
   row.single_query_seconds =
       timer.ElapsedSeconds() / static_cast<double>(num_queries);
   row.avg_tuples =
       static_cast<double>(tuples) / static_cast<double>(num_queries);
+  row.avg_edges =
+      static_cast<double>(edges) / static_cast<double>(num_queries);
+
+  // DL baseline: same data, queries and loop, its own warmed scratch.
+  DualLayerOptions dl_options;
+  dl_options.build_threads = threads;
+  const DualLayerIndex dl_index = DualLayerIndex::Build(points, dl_options);
+  QueryScratch dl_scratch;
+  for (const TopKQuery& query : queries) {
+    (void)dl_index.Query(query, &dl_scratch);
+  }
+  timer.Restart();
+  for (const TopKQuery& query : queries) {
+    (void)dl_index.Query(query, &dl_scratch);
+  }
+  row.dl_single_query_seconds =
+      timer.ElapsedSeconds() / static_cast<double>(num_queries);
 
   // Budget-gate overhead: identical queries, budgets armed wide enough
   // that no query ever trips (every result must stay complete).
@@ -180,16 +205,19 @@ int main(int argc, char** argv) {
       Row row = Measure(n, d, num_queries, threads);
       std::printf(
           "n=%-7zu d=%zu kernel=%s build_serial=%.3fs build_parallel=%.3fs "
-          "query=%.2fus budgeted=%.2fus overhead=%+.1f%% "
-          "qps_1t=%.0f qps_%zut=%.0f speedup=%.2fx tuples=%.1f\n",
+          "query=%.2fus dl_query=%.2fus budgeted=%.2fus overhead=%+.1f%% "
+          "qps_1t=%.0f qps_%zut=%.0f speedup=%.2fx tuples=%.1f "
+          "edges=%.1f\n",
           row.n, row.d, row.kernel, row.build_seconds_serial,
           row.build_seconds_parallel, row.single_query_seconds * 1e6,
+          row.dl_single_query_seconds * 1e6,
           row.single_query_budgeted_seconds * 1e6,
           100.0 * (row.single_query_budgeted_seconds /
                        row.single_query_seconds -
                    1.0),
           row.batch_qps_1t, row.threads, row.batch_qps_nt,
-          row.batch_qps_nt / row.batch_qps_1t, row.avg_tuples);
+          row.batch_qps_nt / row.batch_qps_1t, row.avg_tuples,
+          row.avg_edges);
       std::fflush(stdout);
       rows.push_back(row);
     }
@@ -203,21 +231,23 @@ int main(int argc, char** argv) {
   out << "[\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    char buffer[640];
+    char buffer[768];
     std::snprintf(
         buffer, sizeof(buffer),
         "  {\"n\": %zu, \"d\": %zu, \"batch\": %zu, \"threads\": %zu, "
         "\"kernel\": \"%s\", "
         "\"build_seconds_serial\": %.6f, \"build_seconds_parallel\": %.6f, "
-        "\"single_query_seconds\": %.9f, "
+        "\"single_query_seconds\": %.9f, \"dl_single_query_seconds\": %.9f, "
         "\"single_query_budgeted_seconds\": %.9f, \"batch_qps_1t\": %.1f, "
         "\"batch_qps_nt\": %.1f, \"batch_wall_seconds_nt\": %.6f, "
-        "\"batch_query_seconds_nt\": %.6f, \"avg_tuples\": %.2f}%s\n",
+        "\"batch_query_seconds_nt\": %.6f, \"avg_tuples\": %.2f, "
+        "\"avg_edges\": %.2f}%s\n",
         r.n, r.d, r.batch, r.threads, r.kernel, r.build_seconds_serial,
         r.build_seconds_parallel, r.single_query_seconds,
+        r.dl_single_query_seconds,
         r.single_query_budgeted_seconds, r.batch_qps_1t, r.batch_qps_nt,
         r.batch_wall_seconds_nt, r.batch_query_seconds_nt, r.avg_tuples,
-        i + 1 < rows.size() ? "," : "");
+        r.avg_edges, i + 1 < rows.size() ? "," : "");
     out << buffer;
   }
   out << "]\n";

@@ -440,9 +440,8 @@ void DualLayerIndex::FinalizeInitialNodes() {
   }
   layout.first_real_slot = static_cast<std::uint32_t>(virtual_points_.size());
 
-  // Remap both edge sets to slot space. Rows keep their original edge
-  // order so the traversal's per-pop access sequence (and therefore
-  // TopKResult::accessed) is byte-identical to the node-space walk.
+  // Remap both edge sets to slot space, keeping each row's edge order;
+  // only the lazy ∀-gate below reorders the pseudo-tuples' coarse rows.
   const auto remap = [&](const CsrGraph& graph,
                          std::vector<std::uint32_t>& offsets,
                          std::vector<std::uint32_t>& targets) {
@@ -469,6 +468,44 @@ void DualLayerIndex::FinalizeInitialNodes() {
     layout.init_packed[slot] =
         coarse_in_degree_[node] |
         (has_fine_in_[node] ? 0u : QueryLayout::kFineFreeBit);
+  }
+
+  // Lazy ∀-gate (see QueryLayout): split each pseudo slot's coarse row
+  // into the targets fine-free at init, then the fine-blocked rest, and
+  // index every fine-blocked target's pseudo parents. One O(edges) pass.
+  const std::uint32_t num_pseudo = layout.first_real_slot;
+  layout.pseudo_free_end.clear();
+  layout.parent_offsets.clear();
+  layout.parent_slots.clear();
+  if (num_pseudo > 0) {
+    const auto fine_free = [&](std::uint32_t slot) {
+      return (layout.init_packed[slot] & QueryLayout::kFineFreeBit) != 0;
+    };
+    std::vector<std::uint32_t>& targets = layout.coarse_targets;
+    layout.pseudo_free_end.resize(num_pseudo);
+    layout.parent_offsets.assign(total + 1, 0);
+    for (std::uint32_t p = 0; p < num_pseudo; ++p) {
+      const auto row_end = targets.begin() + layout.coarse_offsets[p + 1];
+      const auto free_end = std::stable_partition(
+          targets.begin() + layout.coarse_offsets[p], row_end, fine_free);
+      layout.pseudo_free_end[p] =
+          static_cast<std::uint32_t>(free_end - targets.begin());
+      for (auto it = free_end; it != row_end; ++it) {
+        ++layout.parent_offsets[*it + 1];
+      }
+    }
+    std::partial_sum(layout.parent_offsets.begin(),
+                     layout.parent_offsets.end(),
+                     layout.parent_offsets.begin());
+    layout.parent_slots.resize(layout.parent_offsets[total]);
+    std::vector<std::uint32_t> next(layout.parent_offsets.begin(),
+                                    layout.parent_offsets.end() - 1);
+    for (std::uint32_t p = 0; p < num_pseudo; ++p) {
+      for (std::uint32_t i = layout.pseudo_free_end[p];
+           i < layout.coarse_offsets[p + 1]; ++i) {
+        layout.parent_slots[next[targets[i]]++] = p;
+      }
+    }
   }
   layout.initial_slots.clear();
   layout.initial_slots.reserve(initial_.size());

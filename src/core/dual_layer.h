@@ -146,10 +146,25 @@ struct SublayerSummary {
 // low layers almost exclusively, so in slot order a query's working
 // set -- node states, CSR rows, point data -- collapses into a small
 // contiguous prefix of each array and stays cache-resident. Edge rows
-// are remapped to slot targets but keep their original edge order, so
-// the traversal performs the identical access sequence as in node
-// space. Points are held dimension-major (SoaPointSet) for the batched
-// kernels in common/kernels_batch.h.
+// are remapped to slot targets and keep their original edge order,
+// except the coarse rows of pseudo-tuples, which the lazy ∀-gate below
+// partitions. Points are held dimension-major (SoaPointSet) for the
+// batched kernels in common/kernels_batch.h.
+//
+// Lazy ∀-gate (zero layer, d >= 3). A pseudo-tuple ∀-dominates nearly
+// every L1 tuple it covers, but an L1 tuple outside L^{11} cannot be
+// freed before its ∃ bit arrives, so counting it down early buys
+// nothing. Each pseudo slot's coarse row is stably partitioned into the
+// targets that are fine-free at init (the L^{11} members and any tuple
+// without an ∃ in-edge), ending at pseudo_free_end[slot], followed by
+// the fine-blocked rest. A pseudo pop walks only that prefix plus its
+// per-query pending list (QueryScratch). When a fine-blocked slot
+// receives its ∃ bit it walks its pseudo parents (parent_offsets /
+// parent_slots): a parent that already popped counts it down at once,
+// any other parent gets it appended to its pending list. Every slot is
+// freed at the same pop as under the eager walk, so items, evaluation
+// counts and the heap are unchanged; only the order of `accessed`
+// within one pop can differ (same multiset, still dominance-ordered).
 struct QueryLayout {
   // Packed per-slot traversal state, one uint32 (see QueryScratch):
   //   bits  0-23  remaining coarse in-degree countdown
@@ -179,6 +194,14 @@ struct QueryLayout {
   std::vector<std::uint32_t> coarse_targets;
   std::vector<std::uint32_t> fine_offsets;
   std::vector<std::uint32_t> fine_targets;
+  // Lazy ∀-gate (see above); all three are empty without pseudo-tuples.
+  // pseudo_free_end[p], p < first_real_slot: end of p's fine-free
+  // coarse prefix, an index into coarse_targets.
+  std::vector<std::uint32_t> pseudo_free_end;
+  // Reverse CSR over all slots: the pseudo slots with a coarse edge
+  // into a slot that is fine-blocked at init (empty rows elsewhere).
+  std::vector<std::uint32_t> parent_offsets;
+  std::vector<std::uint32_t> parent_slots;
   // Per-slot initial state word: in-degree | (fine-free if no ∃-edge).
   std::vector<std::uint32_t> init_packed;
   std::vector<std::uint32_t> initial_slots;
@@ -190,9 +213,10 @@ struct QueryLayout {
 
 // Reusable per-query workspace for DualLayerIndex::Query. Holds the
 // traversal's per-node state (one packed word per slot, see
-// QueryLayout) plus the priority-queue backing store. Resetting between
-// queries is O(nodes touched) amortized: states are epoch-stamped, and
-// a node's state is lazily re-initialized the first time a query
+// QueryLayout) plus the priority-queue backing store and the lazy
+// ∀-gate's per-pseudo pending lists. Resetting between queries is
+// O(nodes touched + pseudo-tuples) amortized: states are epoch-stamped,
+// and a node's state is lazily re-initialized the first time a query
 // touches it. One scratch serves any number of sequential queries
 // against indexes of any size, but switching it to another index
 // re-seeds all O(nodes) init words; DualLayerIndex::Query avoids that
@@ -234,6 +258,9 @@ class QueryScratch {
   // kernel call before being enqueued.
   std::vector<std::uint32_t> freed_;
   std::vector<double> freed_scores_;
+  // pending_[p]: fine-blocked slots whose ∃ bit arrived before pseudo
+  // slot p popped; p counts them down when it pops (lazy ∀-gate).
+  std::vector<std::vector<std::uint32_t>> pending_;
   // Max-heap over the k smallest real candidate scores seen so far;
   // its top bounds the final k-th answer and prunes doomed heap pushes.
   std::vector<double> bound_heap_;
@@ -360,6 +387,10 @@ class DualLayerIndex final : public TopKIndex {
   void BuildCoarseEdges(AdjacencyBuilder* coarse_adj);
   void BuildZeroLayer(AdjacencyBuilder* coarse_adj,
                       AdjacencyBuilder* fine_adj);
+  // Derives what queries run on from the node-space graph: the initial
+  // nodes, the slot-space QueryLayout (including the lazy ∀-gate's
+  // partitioned pseudo rows and parent CSR) and the sublayer catalog.
+  // Runs after every build and snapshot load; none of it is persisted.
   void FinalizeInitialNodes();
 
   // Splits one node subset (real coarse layer or the virtual layer)

@@ -43,7 +43,9 @@ bool QueryScratch::Prepare(const QueryLayout& layout) {
       nodes_[i] = NodeState{layout.init_packed[i], 0, 0};
     }
     epoch_ = 0;
+    pending_.resize(layout.first_real_slot);
   }
+  for (std::vector<std::uint32_t>& pending : pending_) pending.clear();
   ++epoch_;
   if (epoch_ == 0) {
     // Epoch counter wrapped: stale stamps could collide, so invalidate
@@ -127,6 +129,12 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
   const std::uint32_t* const coarse_tgt = layout.coarse_targets.data();
   const std::uint32_t* const fine_off = layout.fine_offsets.data();
   const std::uint32_t* const fine_tgt = layout.fine_targets.data();
+  const std::uint32_t first_real = layout.first_real_slot;
+  const std::uint32_t* const free_end = layout.pseudo_free_end.data();
+  const std::uint32_t* const parent_off = layout.parent_offsets.data();
+  const std::uint32_t* const parent_slot = layout.parent_slots.data();
+  // Adjacency entries read, reported as QueryStats::edges_walked.
+  std::size_t edges = 0;
 
   // Lazily initializes slot state on first touch this query; the reset
   // cost is O(slots touched), not O(n).
@@ -167,8 +175,8 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
   // the scores past the expansion changes nothing observable:
   // tie_cutoff only moves at pops, the heap pop sequence is a total
   // order on (score, node id) independent of push order, and the
-  // accessed/evaluated bookkeeping runs in the exact event order the
-  // eager traversal used.
+  // accessed/evaluated bookkeeping runs in the order the expansion
+  // loops freed the slots.
   const auto flush_freed = [&]() {
     const std::size_t count = s.freed_.size();
     if (count == 0) return;
@@ -264,19 +272,52 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
       if (result.items.size() == query.k) tie_cutoff = top.score;
     }
 
-    // ∀-successors: free once every coarse in-neighbour popped.
-    for (std::uint32_t i = coarse_off[slot]; i < coarse_off[slot + 1]; ++i) {
+    // ∀-successors: free once every coarse in-neighbour popped. A
+    // pseudo-tuple walks only its fine-free prefix and then the
+    // fine-blocked targets whose ∃ bit has arrived (lazy ∀-gate, see
+    // QueryLayout); the rest count it down when their ∃ bit arrives.
+    const bool pseudo = slot < first_real;
+    const std::uint32_t coarse_end =
+        pseudo ? free_end[slot] : coarse_off[slot + 1];
+    edges += coarse_end - coarse_off[slot];
+    for (std::uint32_t i = coarse_off[slot]; i < coarse_end; ++i) {
       const std::uint32_t succ = coarse_tgt[i];
       QueryScratch::NodeState& ns = touch(succ);
       DRLI_DCHECK((ns.packed & QueryLayout::kRemainingMask) > 0);
       if (--ns.packed == QueryLayout::kFreeable) s.freed_.push_back(succ);
     }
-    // ∃-successors: free once any fine in-neighbour popped.
+    if (pseudo) {
+      edges += s.pending_[slot].size();
+      for (const std::uint32_t succ : s.pending_[slot]) {
+        QueryScratch::NodeState& ns = st[succ];
+        DRLI_DCHECK(ns.stamp == epoch);
+        DRLI_DCHECK((ns.packed & QueryLayout::kRemainingMask) > 0);
+        if (--ns.packed == QueryLayout::kFreeable) s.freed_.push_back(succ);
+      }
+    }
+    // ∃-successors: free once any fine in-neighbour popped. The ∃ bit
+    // opens the gate: popped pseudo parents count the slot down now,
+    // the others queue it on their pending list.
+    edges += fine_off[slot + 1] - fine_off[slot];
     for (std::uint32_t i = fine_off[slot]; i < fine_off[slot + 1]; ++i) {
       const std::uint32_t succ = fine_tgt[i];
       QueryScratch::NodeState& ns = touch(succ);
       if (!(ns.packed & QueryLayout::kFineFreeBit)) {
         ns.packed |= QueryLayout::kFineFreeBit;
+        if (first_real != 0) {
+          edges += parent_off[succ + 1] - parent_off[succ];
+          for (std::uint32_t j = parent_off[succ]; j < parent_off[succ + 1];
+               ++j) {
+            const std::uint32_t parent = parent_slot[j];
+            if ((touch(parent).packed & QueryLayout::kStateMask) ==
+                QueryLayout::kPoppedBit) {
+              DRLI_DCHECK((ns.packed & QueryLayout::kRemainingMask) > 0);
+              --ns.packed;
+            } else {
+              s.pending_[parent].push_back(succ);
+            }
+          }
+        }
         if (ns.packed == QueryLayout::kFreeable) s.freed_.push_back(succ);
       }
     }
@@ -285,6 +326,7 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
       const std::vector<TupleId>& chain = weight_table_.chain();
       const std::size_t pos = chain_pos_[top.node];
       const auto unlock = [&](std::size_t neighbour) {
+        ++edges;
         const std::uint32_t nslot = layout.slot_of[chain[neighbour]];
         QueryScratch::NodeState& ns = st[nslot];
         if (ns.packed & QueryLayout::kChainLockedBit) {
@@ -309,6 +351,7 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
     // frontier, so they never invalidate the certified prefix.
     FinalizePartial(result, stop, frontier);
   }
+  result.stats.edges_walked = edges;
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   return result;
 }

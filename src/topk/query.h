@@ -136,6 +136,12 @@ struct QueryStats {
   // 1 or 0 per DualLayerIndex call, summed by coordinators. Stays 0
   // once an index's scratch pool is warm (core/dual_layer.h).
   std::size_t scratch_seeds = 0;
+  // Adjacency entries the DL/DL+ traversal read: ∀ rows (a pseudo-
+  // tuple's fine-free prefix), the lazy ∀-gate's pending lists and
+  // parent entries, ∃ rows and weight-table chain neighbours. The
+  // traversal's memory cost beside Definition 9's evaluations; summed
+  // by coordinators, 0 for other families, not on the wire.
+  std::size_t edges_walked = 0;
   // Wall time of the Query call (seconds). Complements the paper's
   // tuples-evaluated metric in benchmark output. Merge sums it, so a
   // merged value over a parallel batch is aggregate query-seconds (CPU
@@ -150,6 +156,7 @@ struct QueryStats {
     runs_opened += other.runs_opened;
     boxes_pruned += other.boxes_pruned;
     scratch_seeds += other.scratch_seeds;
+    edges_walked += other.edges_walked;
     elapsed_seconds += other.elapsed_seconds;
   }
 };
