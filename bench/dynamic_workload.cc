@@ -1,16 +1,15 @@
 // Sustained mixed read/write serving against the dynamic index:
 // ~95% top-k queries / ~5% writes (inserts and deletes) over a stream
-// of operations, comparing
-//   * the tiered engine with incremental auto-compaction (default),
-//   * the tiered engine with compaction disabled (runs accumulate),
-//   * the legacy flat-rebuild policy (stop-the-world Compact).
+// of operations, comparing the tiered engine (plain DL runs, a
+// 1024-row memtable, fanout 4)
+//   * with incremental auto-compaction (default),
+//   * with compaction disabled (runs accumulate).
 //
 // Reports query QPS and latency percentiles per configuration and
 // writes machine-readable JSON (BENCH_dynamic.json, or argv[1] /
 // DRLI_BENCH_OUT). The p99 ratio between compaction-on and
 // compaction-off is the headline number: incremental compaction must
-// not stall the read stream (target <= 2x), while the flat policy's
-// p99 exposes the rebuild spikes the tiered design removes.
+// not stall the read stream (target <= 2x).
 //
 // DRLI_BENCH_N scales the preloaded relation (default 10000);
 // DRLI_BENCH_OPS the operation stream (default 30000).
@@ -25,7 +24,7 @@
 #include "common/check.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
-#include "core/dynamic_index.h"
+#include "core/tiered_index.h"
 #include "data/generator.h"
 #include "topk/query.h"
 
@@ -63,14 +62,14 @@ double Percentile(std::vector<double>& sorted_us, double p) {
   return sorted_us[i];
 }
 
-Row RunStream(const char* label, const DynamicIndexOptions& options,
+Row RunStream(const char* label, const TieredIndexOptions& options,
               const PointSet& preload, std::size_t ops) {
   Row row;
   row.label = label;
   row.n = preload.size();
   row.ops = ops;
 
-  DynamicDualLayerIndex index(preload.dim(), options);
+  TieredDualLayerIndex index(preload.dim(), options);
   std::vector<TupleId> live;
   live.reserve(preload.size() + ops / 10);
   for (std::size_t i = 0; i < preload.size(); ++i) {
@@ -83,7 +82,6 @@ Row RunStream(const char* label, const DynamicIndexOptions& options,
   std::vector<double> write_us;
   query_us.reserve(ops);
   Stopwatch op_timer;
-  Stopwatch wall;
   double query_seconds = 0.0;
   for (std::size_t op = 0; op < ops; ++op) {
     const bool write = rng.Index(100) < 5;
@@ -114,7 +112,6 @@ Row RunStream(const char* label, const DynamicIndexOptions& options,
       ++row.queries;
     }
   }
-  (void)wall;
 
   std::sort(query_us.begin(), query_us.end());
   std::sort(write_us.begin(), write_us.end());
@@ -123,9 +120,9 @@ Row RunStream(const char* label, const DynamicIndexOptions& options,
   row.p99_us = Percentile(query_us, 0.99);
   row.max_us = query_us.empty() ? 0.0 : query_us.back();
   row.write_p99_us = Percentile(write_us, 0.99);
-  row.seals = index.engine().seal_count();
-  row.compactions = index.engine().compaction_count();
-  row.final_runs = index.engine().num_runs();
+  row.seals = index.seal_count();
+  row.compactions = index.compaction_count();
+  row.final_runs = index.num_runs();
   return row;
 }
 
@@ -137,21 +134,18 @@ int main(int argc, char** argv) {
   const PointSet preload =
       Generate(Distribution::kAnticorrelated, n, 4, /*seed=*/20120401);
 
-  DynamicIndexOptions tiered_on;
-  tiered_on.policy = MaintenancePolicy::kTiered;
+  TieredIndexOptions tiered_on;
+  tiered_on.run.build_zero_layer = false;
   tiered_on.memtable_capacity = 1024;
+  tiered_on.fanout = 4;
   tiered_on.auto_compact = true;
 
-  DynamicIndexOptions tiered_off = tiered_on;
+  TieredIndexOptions tiered_off = tiered_on;
   tiered_off.auto_compact = false;
-
-  DynamicIndexOptions flat;
-  flat.policy = MaintenancePolicy::kFlatRebuild;
 
   std::vector<Row> rows;
   rows.push_back(RunStream("tiered_compact_on", tiered_on, preload, ops));
   rows.push_back(RunStream("tiered_compact_off", tiered_off, preload, ops));
-  rows.push_back(RunStream("flat_rebuild", flat, preload, ops));
 
   for (const Row& row : rows) {
     std::printf(

@@ -36,24 +36,15 @@ std::vector<double> SkylineCorners(const DualLayerIndex& index) {
   std::vector<double> corners;
   const PointSet& pts = index.points();
   if (pts.size() == 0) return corners;
-  const std::size_t dim = pts.dim();
-  std::vector<TupleId> sky = index.coarse_layers().front();
-  std::sort(sky.begin(), sky.end(), [&](TupleId a, TupleId b) {
-    return pts[a][0] < pts[b][0] || (pts[a][0] == pts[b][0] && a < b);
-  });
-  const std::size_t groups = std::min(kMaxBoundCorners, sky.size());
-  const std::size_t base = sky.size() / groups;
-  const std::size_t extra = sky.size() % groups;
-  corners.assign(groups * dim, kInf);
-  std::size_t cursor = 0;
-  for (std::size_t g = 0; g < groups; ++g) {
-    const std::size_t end = cursor + base + (g < extra ? 1 : 0);
-    for (; cursor < end; ++cursor) {
-      const PointView p = pts[sky[cursor]];
-      for (std::size_t d = 0; d < dim; ++d) {
-        corners[g * dim + d] = std::min(corners[g * dim + d], p[d]);
-      }
-    }
+  // DL+'s start set among real tuples: the skyline members that no
+  // ∃-edge gates, i.e. L^{11} plus the members the EDS test left
+  // uncovered (the hull's tolerances can push a true minimiser into a
+  // deeper sublayer without giving it a covering facet).
+  const std::vector<std::uint8_t>& has_fine_in = index.has_fine_in();
+  for (TupleId id : index.coarse_layers().front()) {
+    if (index.fine_layer_of(id) != 0 && has_fine_in[id]) continue;
+    const PointView p = pts[id];
+    corners.insert(corners.end(), p.begin(), p.end());
   }
   return corners;
 }

@@ -33,23 +33,16 @@
 
 namespace drli {
 
-// Cap on bound corners per partition; bounds the per-query cost of
-// seeding the merge heap at (partitions * 64 * d) flops.
-inline constexpr std::size_t kMaxBoundCorners = 64;
-
-// Corner points that together dominate every tuple of `index`: its
-// skyline (coarse layer 1 dominates every deeper tuple) sorted along
-// the first coordinate, ties by id, and cut into at most
-// kMaxBoundCorners groups, one componentwise-min corner per group.
-// Row-major, dim() doubles per corner; empty for an empty index. A
-// skyline within the cap keeps one corner per member, so the bound is
-// then the exact minimum score.
+// The points DL+'s traversal of `index` starts from among its real
+// tuples, row-major, dim() doubles per point; empty for an empty
+// index. These are the first convex sublayer L^{11}, which holds the
+// linear top-1 for every non-negative weight vector (DESIGN.md §7),
+// plus the skyline members no ∃-edge gates. CornerLowerBound over them
+// is the index's exact minimum score; in floating point it rests on
+// the same EDS test as the traversal, and is exactly as sound.
 std::vector<double> SkylineCorners(const DualLayerIndex& index);
 
-// The minimum Score over `corners`; +inf when there are none. Sound
-// for every tuple the corners dominate, in floating point too: Score
-// associates left-to-right everywhere and rounding is monotone, so
-// lowering a coordinate never raises the computed score.
+// The minimum Score over `corners`; +inf when there are none.
 double CornerLowerBound(const std::vector<double>& corners,
                         PointView weights);
 

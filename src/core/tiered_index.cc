@@ -85,18 +85,6 @@ bool TieredDualLayerIndex::Contains(TupleId id) const {
   return MemtablePosOf(id) != kNpos || RunSlotOf(id) != kNpos;
 }
 
-PointView TieredDualLayerIndex::Get(TupleId id) const {
-  DRLI_CHECK(!tombstones_.count(id)) << "tuple " << id << " deleted";
-  const std::size_t mem = MemtablePosOf(id);
-  if (mem != kNpos) return memtable_[mem];
-  const std::size_t slot = RunSlotOf(id);
-  DRLI_CHECK(slot != kNpos) << "unknown tuple " << id;
-  const std::vector<TupleId>& ids = runs_[slot].ids;
-  const std::size_t local = static_cast<std::size_t>(
-      std::lower_bound(ids.begin(), ids.end(), id) - ids.begin());
-  return runs_[slot].index.points()[local];
-}
-
 std::optional<std::uint32_t> TieredDualLayerIndex::run_uid_of(
     TupleId id) const {
   if (id >= next_id_ || tombstones_.count(id)) return std::nullopt;

@@ -18,7 +18,8 @@
 //
 // Queries run the bounded-partition merge the sharded coordinator uses
 // (core/partition_merge.h): one partition per run holding a live
-// member, bounded by its grouped skyline corners, plus the fully
+// member, bounded by its exact top-1 score (the minimum over its
+// SkylineCorners points, dead members included), plus the fully
 // scanned memtable as an already-open list. A run is opened -- its
 // DualLayerIndex queried for min(|run|, k + dead(run)) items,
 // tombstones filtered before the merge -- only when the merge frontier
@@ -94,8 +95,8 @@ struct TieredRun {
   DualLayerIndex index;
   std::vector<TupleId> ids;
   std::size_t dead = 0;
-  // SkylineCorners(index): the grouped skyline corners backing the
-  // run's query-time lower bound, dim() doubles per corner. Sound under
+  // SkylineCorners(index): the run's bound points backing its
+  // query-time lower bound, dim() doubles per point. Sound under
   // tombstones too: masking members only raises the live minimum.
   std::vector<double> bound_values;
 };
@@ -123,8 +124,6 @@ class TieredDualLayerIndex final : public TopKIndex {
   bool Erase(TupleId id);
   // True iff the id refers to a live tuple.
   bool Contains(TupleId id) const;
-  // The live tuple's attributes (CHECKs Contains).
-  PointView Get(TupleId id) const;
 
   // Builds the current memtable into a tier-0 run (no-op when empty).
   void SealMemtable();
@@ -136,8 +135,8 @@ class TieredDualLayerIndex final : public TopKIndex {
   // into at most one run with no tombstones, or the budget trips.
   // Returns kComplete on full compaction, else the tripped reason.
   Termination Compact(const ExecBudget& budget);
-  // Blocking full compaction (seals, merges everything, drops all
-  // tombstones) -- the legacy DynamicDualLayerIndex::Compact contract.
+  // Blocking full compaction: seals, merges everything into at most
+  // one run, and drops all tombstones.
   void Compact();
 
   // --- introspection (tests, persistence, inspect) ---

@@ -6,11 +6,13 @@
 //
 // Query processing is the bounded-partition merge (core/
 // partition_merge.h), one partition per non-empty shard, bounded by the
-// shard's skyline corners. A shard is opened -- its DL+ index queried
-// for min(k, |shard|) items -- only when its bound reaches the merge
-// frontier, so with selective partitions (hyperplane split) most
-// queries touch a small fraction of S; stats.shards_touched counts the
-// shards that ran. Budgets compose across shards by remainder.
+// shard's exact top-1 score (the minimum over the real tuples its DL+
+// traversal starts from, SkylineCorners). A shard is opened -- its DL+
+// index queried for min(k, |shard|) items -- only when its bound
+// reaches the merge frontier, so with selective partitions (hyperplane
+// split) most queries touch a small fraction of S;
+// stats.shards_touched counts the shards that ran. Budgets compose
+// across shards by remainder.
 
 #ifndef DRLI_SHARD_SHARDED_INDEX_H_
 #define DRLI_SHARD_SHARDED_INDEX_H_
@@ -122,7 +124,8 @@ class ShardedDualLayerIndex final : public TopKIndex {
   std::uint64_t partition_seed() const { return partition_seed_; }
   const ShardedBuildStats& build_stats() const { return build_stats_; }
   // The merge's lower bound on every score in shard s for weight
-  // vector w: the minimum Score over the shard's skyline corners.
+  // vector w: the shard's exact top-1 score, the minimum Score over
+  // its SkylineCorners points.
   double ShardLowerBound(std::size_t s, PointView weights) const;
 
  private:
@@ -131,8 +134,8 @@ class ShardedDualLayerIndex final : public TopKIndex {
 
   ShardedDualLayerIndex() = default;
 
-  // Derives the bound corner sets from the shard skylines; called
-  // after build and after load (bounds are never persisted).
+  // Derives the bound point sets (SkylineCorners) of every shard;
+  // called after build and after load (bounds are never persisted).
   void ComputeShardBounds();
 
   std::string name_;
@@ -146,8 +149,8 @@ class ShardedDualLayerIndex final : public TopKIndex {
   // members_[s] = ascending global ids of shard s; the inverse of the
   // per-shard local id space.
   std::vector<std::vector<TupleId>> members_;
-  // bound_corners_[s] = SkylineCorners(shards_[s]); empty for an empty
-  // shard (which the merge never enqueues).
+  // bound_corners_[s] = SkylineCorners(shards_[s]), the shard's bound
+  // points; empty for an empty shard (which the merge never enqueues).
   std::vector<std::vector<double>> bound_corners_;
 };
 

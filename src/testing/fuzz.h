@@ -7,12 +7,14 @@
 //  2. the differential harness across every index family, with
 //     degenerate queries (k = 0, k = n, k > n) and tied weights mixed
 //     into the sampled ones;
-//  3. optionally the dynamic engines -- the flat-rebuild policy and
-//     the tiered LSM engine with rng-derived memtable/fanout knobs --
-//     under interleaved insert / delete / query / seal / compact-step
-//     traces, compared against a brute-force mirror of the live set,
-//     with a budgeted probe at a random cut point on every query and a
-//     save/load roundtrip of the live multi-run state at the end.
+//  3. optionally the tiered LSM dynamic engine with rng-derived
+//     memtable/fanout knobs -- sometimes a memtable larger than the
+//     trace, so rows pile up beside one big run until an explicit
+//     seal or Compact() -- under interleaved insert / delete / query
+//     / seal / compact-step traces, compared against a brute-force
+//     mirror of the live set, with a budgeted probe at a random cut
+//     point on every query and a save/load roundtrip of the live
+//     multi-run state at the end.
 //
 // Everything is derived from the case seed, so any failure replays
 // with `drli_fuzz --replay=<seed>`.
@@ -29,7 +31,7 @@
 namespace drli {
 
 struct FuzzOptions {
-  // Also exercise DynamicDualLayerIndex with interleaved updates.
+  // Also exercise TieredDualLayerIndex with interleaved updates.
   bool dynamic = true;
   // Run CheckIndex on DL / DL+ builds of the dataset.
   bool check_structure = true;
@@ -64,6 +66,8 @@ struct FuzzCaseResult {
   std::size_t max_runs = 0;
   std::size_t mid_compaction_queries = 0;
   std::size_t peak_tombstones = 0;
+  // Queries whose exact answer splits a tie class across runs.
+  std::size_t split_tie_queries = 0;
 
   bool ok() const { return failures.empty(); }
 };

@@ -210,8 +210,8 @@ struct TopKResult {
   // DL/DL+/DG/DG+/PLI, the TA/NRA threshold for the list-based
   // families, the last fully-scanned layer's minimum for Onion, -inf
   // when nothing can be bounded (FullScan mid-scan), +inf after a
-  // complete run. Kept for composition (DynamicDualLayerIndex) and
-  // diagnostics.
+  // complete run. The bounded-partition merge (core/partition_merge.h)
+  // composes it; also kept for diagnostics.
   double frontier_bound = -std::numeric_limits<double>::infinity();
   // Human-readable detail for kInvalidQuery / kError / kShed.
   std::string error;
@@ -388,7 +388,7 @@ Termination RemainingBudget(const ExecBudget& budget, std::size_t evaluated,
 // index families (brute-force reference included): boundary-of-simplex
 // queries are exactly what reverse top-k slope intervals and
 // constrained scenarios produce, and every traversal invariant in the
-// library (dominance => score <=, grouped-corner shard/run bounds,
+// library (dominance => score <=, exact top-1 shard/run bounds,
 // the 2-d weight-range chain) only needs non-negative weights. The
 // all-zero vector is rejected: it scores every tuple 0 and reduces
 // "top-k" to an id sort, which no caller means. k = 0 is legal and

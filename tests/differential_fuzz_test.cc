@@ -4,8 +4,11 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <set>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -53,8 +56,27 @@ TEST(DifferentialFuzzTest, SeedReplayIsDeterministic) {
   }
 }
 
-// Every .seed file in tests/corpus/ is a historical failure; all must
-// stay fixed. The file format is comment lines (#) plus one seed.
+// Checks a "# floor: key>=value ..." corpus line against the trace
+// telemetry, so a seed picked for a trace shape keeps that shape.
+void CheckTraceFloor(const std::string& line, const FuzzCaseResult& r,
+                     const std::string& file) {
+  const std::map<std::string, std::size_t> telemetry = {
+      {"max_runs", r.max_runs},
+      {"mid_compaction_queries", r.mid_compaction_queries},
+      {"peak_tombstones", r.peak_tombstones},
+      {"split_tie_queries", r.split_tie_queries}};
+  std::istringstream in(line.substr(std::string("# floor:").size()));
+  std::string key;
+  std::size_t floor = 0;
+  while (std::getline(in >> std::ws, key, '>') && in.ignore() >> floor) {
+    EXPECT_GE(telemetry.at(key), floor)
+        << file << ": the trace lost its shape (" << key << ")";
+  }
+}
+
+// Every .seed file in tests/corpus/ is a historical failure or a pinned
+// trace shape; all must stay fixed. The file format is comment lines
+// (#), optional "# floor:" lines of telemetry minimums, and one seed.
 TEST(DifferentialFuzzTest, CorpusStaysFixed) {
   const std::filesystem::path corpus(DRLI_TEST_CORPUS_DIR);
   ASSERT_TRUE(std::filesystem::is_directory(corpus)) << corpus;
@@ -65,8 +87,10 @@ TEST(DifferentialFuzzTest, CorpusStaysFixed) {
     ASSERT_TRUE(in.good()) << entry.path();
     std::uint64_t seed = 0;
     bool have_seed = false;
+    std::vector<std::string> floors;
     std::string line;
     while (std::getline(in, line)) {
+      if (line.rfind("# floor:", 0) == 0) floors.push_back(line);
       if (line.empty() || line[0] == '#') continue;
       seed = std::stoull(line);
       have_seed = true;
@@ -79,6 +103,9 @@ TEST(DifferentialFuzzTest, CorpusStaysFixed) {
         << result.dataset_desc << ")";
     for (const std::string& failure : result.failures) {
       ADD_FAILURE() << failure;
+    }
+    for (const std::string& floor : floors) {
+      CheckTraceFloor(floor, result, entry.path().filename().string());
     }
     ++replayed;
   }

@@ -3,13 +3,21 @@
 
 #include "gtest/gtest.h"
 
-#include "core/dynamic_index.h"
+#include "core/tiered_index.h"
 #include "data/generator.h"
 #include "test_util.h"
 #include "topk/scan.h"
 
 namespace drli {
 namespace {
+
+// Plain DL runs (no zero layer) under the default tier policy: a
+// 128-row memtable, fanout 4 and auto-compaction.
+TieredIndexOptions DlRuns() {
+  TieredIndexOptions options;
+  options.run.build_zero_layer = false;
+  return options;
+}
 
 // Reference model: a map from stable id to tuple, scanned per query.
 class ReferenceRelation {
@@ -41,7 +49,7 @@ class ReferenceRelation {
   std::map<TupleId, Point> tuples_;
 };
 
-void ExpectAgrees(const DynamicDualLayerIndex& index,
+void ExpectAgrees(const TieredDualLayerIndex& index,
                   const ReferenceRelation& model, std::size_t d,
                   std::uint64_t seed) {
   ASSERT_EQ(index.size(), model.size());
@@ -57,7 +65,7 @@ void ExpectAgrees(const DynamicDualLayerIndex& index,
 }
 
 TEST(DynamicIndexTest, InsertOnlyWorkload) {
-  DynamicDualLayerIndex index(3);
+  TieredDualLayerIndex index(3, DlRuns());
   ReferenceRelation model(3);
   Rng rng(1);
   for (int i = 0; i < 300; ++i) {
@@ -70,7 +78,7 @@ TEST(DynamicIndexTest, InsertOnlyWorkload) {
 
 TEST(DynamicIndexTest, MixedWorkloadMatchesModel) {
   const PointSet initial = GenerateAnticorrelated(400, 3, 3);
-  DynamicDualLayerIndex index(initial);
+  TieredDualLayerIndex index(initial, DlRuns());
   ReferenceRelation model(3);
   std::vector<TupleId> live;
   for (TupleId id = 0; id < initial.size(); ++id) {
@@ -95,11 +103,11 @@ TEST(DynamicIndexTest, MixedWorkloadMatchesModel) {
     if (step % 80 == 79) ExpectAgrees(index, model, 3, 100 + step);
   }
   ExpectAgrees(index, model, 3, 5);
-  EXPECT_GT(index.rebuild_count(), 0u);
+  EXPECT_GT(index.seal_count() + index.compaction_count(), 0u);
 }
 
 TEST(DynamicIndexTest, EraseSemantics) {
-  DynamicDualLayerIndex index(2);
+  TieredDualLayerIndex index(2, DlRuns());
   const TupleId a = index.Insert(Point{0.1, 0.9});
   const TupleId b = index.Insert(Point{0.9, 0.1});
   EXPECT_TRUE(index.Contains(a));
@@ -120,7 +128,7 @@ TEST(DynamicIndexTest, EraseSemantics) {
 
 TEST(DynamicIndexTest, DeletedBaseTuplesNeverReturned) {
   const PointSet initial = GenerateIndependent(200, 2, 6);
-  DynamicDualLayerIndex index(initial);
+  TieredDualLayerIndex index(initial, DlRuns());
   // Delete the global top-1 for the uniform weight repeatedly; the
   // answer must always move to the next live tuple.
   TopKQuery query;
@@ -140,7 +148,7 @@ TEST(DynamicIndexTest, DeletedBaseTuplesNeverReturned) {
 }
 
 TEST(DynamicIndexTest, CompactPreservesAnswersAndResetsDelta) {
-  DynamicDualLayerIndex index(3);
+  TieredDualLayerIndex index(3, DlRuns());
   ReferenceRelation model(3);
   Rng rng(7);
   for (int i = 0; i < 150; ++i) {
@@ -149,19 +157,19 @@ TEST(DynamicIndexTest, CompactPreservesAnswersAndResetsDelta) {
     model.Insert(id, p);
   }
   index.Compact();
-  EXPECT_EQ(index.delta_size(), 0u);
+  EXPECT_EQ(index.memtable_size(), 0u);
   EXPECT_EQ(index.tombstone_count(), 0u);
   ExpectAgrees(index, model, 3, 8);
 }
 
 TEST(DynamicIndexTest, StableIdsSurviveRebuilds) {
-  DynamicDualLayerIndex index(2);
+  TieredDualLayerIndex index(2, DlRuns());
   const TupleId keeper = index.Insert(Point{0.01, 0.01});
   Rng rng(9);
   for (int i = 0; i < 500; ++i) {
     index.Insert(Point{rng.Uniform(0.2, 1.0), rng.Uniform(0.2, 1.0)});
   }
-  EXPECT_GT(index.rebuild_count(), 0u);
+  EXPECT_GT(index.seal_count() + index.compaction_count(), 0u);
   EXPECT_TRUE(index.Contains(keeper));
   TopKQuery query;
   query.weights = {0.5, 0.5};
@@ -171,9 +179,9 @@ TEST(DynamicIndexTest, StableIdsSurviveRebuilds) {
 
 TEST(DynamicIndexTest, CostStaysSelectiveBetweenRebuilds) {
   const PointSet initial = GenerateIndependent(5000, 3, 10);
-  DynamicDualLayerIndex index(initial);
+  TieredDualLayerIndex index(initial, DlRuns());
   Rng rng(11);
-  for (int i = 0; i < 50; ++i) {  // below the rebuild threshold
+  for (int i = 0; i < 50; ++i) {  // below the memtable capacity
     index.Insert(Point{rng.Uniform(), rng.Uniform(), rng.Uniform()});
   }
   TopKQuery query;

@@ -19,7 +19,7 @@
 #include "gtest/gtest.h"
 
 #include "common/random.h"
-#include "core/dynamic_index.h"
+#include "core/tiered_index.h"
 #include "storage/tiered_io.h"
 #include "test_util.h"
 
@@ -51,9 +51,10 @@ TEST(DynamicSaveRaceTest, ConcurrentTieredSaveAndReaderPool) {
           .string();
   std::filesystem::create_directories(dir);
 
-  DynamicIndexOptions options;
+  TieredIndexOptions options;
+  options.run.build_zero_layer = false;
   options.memtable_capacity = 64;  // several runs + a live memtable
-  DynamicDualLayerIndex index(3, options);
+  TieredDualLayerIndex index(3, options);
   Rng rng(7);
 
   const std::vector<TopKQuery> queries =
@@ -79,7 +80,7 @@ TEST(DynamicSaveRaceTest, ConcurrentTieredSaveAndReaderPool) {
     std::atomic<bool> save_done{false};
     Status save_status;
     std::thread saver([&] {
-      save_status = SaveTieredIndex(index.engine(), path);
+      save_status = SaveTieredIndex(index, path);
       save_done.store(true);
     });
     std::vector<std::thread> readers;
@@ -114,7 +115,7 @@ TEST(DynamicSaveRaceTest, ConcurrentTieredSaveAndReaderPool) {
     auto loaded = LoadTieredIndex(path);
     ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
     EXPECT_EQ(loaded.value().size(), index.size());
-    EXPECT_EQ(loaded.value().generation(), index.engine().generation());
+    EXPECT_EQ(loaded.value().generation(), index.generation());
     ExpectIdenticalAnswers(index, loaded.value(), queries, "reload");
   }
 

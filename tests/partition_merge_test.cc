@@ -1,7 +1,8 @@
 // The bounded-partition merge driven directly: hand-built sorted lists
 // and bounds pin its heap order, budget composition, partial policy
-// and error propagation; random data pins the corner bound's
-// soundness and exactness.
+// and error propagation; random data pins the corner bound to the exact
+// top-1 score and the shard and run merges to opening only the
+// partitions they must.
 
 #include "core/partition_merge.h"
 
@@ -17,7 +18,9 @@
 #include "gtest/gtest.h"
 
 #include "common/random.h"
+#include "core/tiered_index.h"
 #include "data/generator.h"
+#include "shard/sharded_index.h"
 
 namespace drli {
 namespace {
@@ -177,45 +180,236 @@ TEST(PartitionMergeTest, MapToGlobalDropsDeadMembers) {
   EXPECT_EQ(local.accessed, (std::vector<TupleId>{30, 10, 20}));
 }
 
-// The corner bound never exceeds a member's score, and is the exact
-// minimum whenever the skyline fits under the corner cap.
-void CheckCornerBound(const PointSet& points, std::uint64_t seed) {
-  DualLayerOptions options;
-  options.build_zero_layer = false;
-  const DualLayerIndex index = DualLayerIndex::Build(points, options);
-  const std::vector<double> corners = SkylineCorners(index);
-  const std::size_t d = points.dim();
-  ASSERT_EQ(corners.size() % d, 0u);
-  const std::size_t skyline = index.coarse_layers().front().size();
-  EXPECT_EQ(corners.size() / d, std::min(skyline, kMaxBoundCorners));
-
-  Rng rng(seed);
-  for (int q = 0; q < 50; ++q) {
-    const Point w = rng.SimplexWeight(d);
-    const double bound = CornerLowerBound(corners, w);
-    double exact = kInf;
-    for (std::size_t i = 0; i < points.size(); ++i) {
-      const double score = Score(w, points[i]);
-      ASSERT_LE(bound, score) << "tuple " << i << " query " << q;
-      exact = std::min(exact, score);
-    }
-    if (skyline <= kMaxBoundCorners) {
-      EXPECT_EQ(bound, exact) << "query " << q;
-    }
+// The brute-force top-1 score over every row of `index`, dead rows of
+// a tiered run included.
+double TopOneScore(const DualLayerIndex& index, PointView weights) {
+  const PointSet& points = index.points();
+  double best = kInf;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    best = std::min(best, Score(weights, points[i]));
   }
+  return best;
 }
 
-TEST(PartitionMergeTest, CornerBoundIsSoundAndExactOnSmallSkylines) {
-  const PointSet small = GenerateIndependent(400, 3, 5);
-  const PointSet large = GenerateAnticorrelated(3000, 4, 6);
-  CheckCornerBound(small, 11);
-  CheckCornerBound(large, 12);
-  DualLayerOptions options;
-  options.build_zero_layer = false;
-  EXPECT_LE(DualLayerIndex::Build(small, options).coarse_layers()[0].size(),
-            kMaxBoundCorners);
-  EXPECT_GT(DualLayerIndex::Build(large, options).coarse_layers()[0].size(),
-            kMaxBoundCorners);
+// Random simplex weights, every axis e_i, and weights with two equal
+// non-zero coordinates (alone, and inside a random simplex point).
+std::vector<Point> ContractWeights(std::size_t d, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<Point> weights;
+  for (int q = 0; q < 150; ++q) weights.push_back(rng.SimplexWeight(d));
+  for (std::size_t i = 0; i < d; ++i) {
+    Point axis(d, 0.0);
+    axis[i] = 1.0;
+    weights.push_back(axis);
+    for (std::size_t j = i + 1; j < d; ++j) {
+      Point pair(d, 0.0);
+      pair[i] = pair[j] = 0.5;
+      weights.push_back(pair);
+      Point tied = rng.SimplexWeight(d);
+      tied[j] = tied[i];
+      weights.push_back(tied);
+    }
+  }
+  return weights;
+}
+
+// Points on the plane sum(x) = 1, one in three pushed 1e-12..1e-10
+// below it: inside the hull's tolerances (and, at d = 2, the collinear
+// test's), so such a point can sit below L^{11} while scoring lower
+// than every L^{11} member.
+PointSet NearCoplanar(std::size_t n, std::size_t d, std::uint64_t seed) {
+  Rng rng(seed);
+  PointSet points(d);
+  for (std::size_t i = 0; i < n; ++i) {
+    Point p = rng.SimplexWeight(d, 0.0);
+    if (i % 3 == 0) {
+      const double scale = 1.0 - rng.Uniform(1e-12, 1e-10);
+      for (double& x : p) x *= scale;
+    }
+    points.Add(p);
+  }
+  return points;
+}
+
+// An integer grid with exact duplicates: bitwise score ties.
+PointSet GridWithDuplicates(std::size_t n, std::size_t d,
+                            std::uint64_t seed) {
+  Rng rng(seed);
+  PointSet points(d);
+  for (std::size_t i = 0; i < n; ++i) {
+    Point p(d);
+    for (double& x : p) x = static_cast<double>(rng.Index(5)) / 4.0;
+    points.Add(p);
+  }
+  for (std::size_t i = 0; i < n / 8; ++i) {
+    points.Add(points.Materialize(i * 7));
+  }
+  return points;
+}
+
+// The corner bound is the index's exact top-1 score, bit for bit: its
+// points are L^{11}, which holds the linear top-1 for every w >= 0,
+// plus the skyline members no ∃-edge gates. Checked with the zero
+// layer off and on and with fine layers off; returns the largest
+// skyline over the three builds.
+std::size_t CheckExactTopOne(const PointSet& points, std::uint64_t seed,
+                             const std::string& label) {
+  const DualLayerOptions zero_off;
+  DualLayerOptions zero_on;
+  zero_on.build_zero_layer = true;
+  DualLayerOptions fine_off;
+  fine_off.enable_fine_layers = false;
+  const std::size_t d = points.dim();
+  const std::vector<Point> weights = ContractWeights(d, seed);
+  std::size_t largest_skyline = 0;
+  for (const DualLayerOptions& options : {zero_off, zero_on, fine_off}) {
+    const DualLayerIndex index = DualLayerIndex::Build(points, options);
+    largest_skyline =
+        std::max(largest_skyline, index.coarse_layers()[0].size());
+    const std::vector<double> corners = SkylineCorners(index);
+    EXPECT_EQ(corners.size() % d, 0u);
+    for (std::size_t q = 0; q < weights.size(); ++q) {
+      EXPECT_EQ(CornerLowerBound(corners, weights[q]),
+                TopOneScore(index, weights[q]))
+          << label << " d=" << d << " zero=" << options.build_zero_layer
+          << " fine=" << options.enable_fine_layers << " weight " << q;
+    }
+  }
+  return largest_skyline;
+}
+
+TEST(PartitionMergeTest, CornerBoundIsExactTopOneScore) {
+  const std::size_t sizes[] = {0, 0, 2000, 1500, 1000, 500, 400};
+  std::size_t largest_skyline = 0;
+  for (std::size_t d = 2; d <= 6; ++d) {
+    for (const Distribution dist :
+         {Distribution::kIndependent, Distribution::kCorrelated,
+          Distribution::kAnticorrelated}) {
+      const PointSet points = Generate(dist, sizes[d], d, 40 + d);
+      largest_skyline = std::max(largest_skyline,
+                                 CheckExactTopOne(points, 50 + d, "generated"));
+    }
+    CheckExactTopOne(NearCoplanar(300, d, 60 + d), 70 + d, "near-coplanar");
+    CheckExactTopOne(GridWithDuplicates(300, d, 80 + d), 90 + d, "grid");
+  }
+  EXPECT_GT(largest_skyline, 64u);
+}
+
+// The k-th returned score, or +inf when fewer than k items came back
+// (every partition was then exhausted).
+double KthScore(const TopKResult& result, std::size_t k) {
+  return result.items.size() < k ? kInf : result.items.back().score;
+}
+
+// With exact bounds the merge opens exactly the partitions whose top-1
+// score is <= the k-th returned score: a bound pops before an item of
+// equal score, and nothing pops after the k-th item.
+std::size_t MustOpen(const std::vector<double>& top_one, double kth) {
+  return static_cast<std::size_t>(
+      std::count_if(top_one.begin(), top_one.end(),
+                    [kth](double bound) { return bound <= kth; }));
+}
+
+// Every shard bound equals the shard's brute-force top-1, the k = 1
+// answer is the global top-1, and the merge opens exactly the shards
+// it must. Returns how many queries' top-1 lies in a shard whose L^{11}
+// alone would have popped after another shard's top-1, pruning it.
+std::size_t CheckShardMerge(const ShardedDualLayerIndex& index,
+                            const std::vector<Point>& weights) {
+  std::size_t first_sublayer_would_prune = 0;
+  for (std::size_t q = 0; q < weights.size(); ++q) {
+    const Point& w = weights[q];
+    std::vector<double> top_one;
+    std::vector<double> first_sublayer;
+    for (std::size_t s = 0; s < index.num_shards(); ++s) {
+      if (index.shard_members(s).empty()) continue;
+      const DualLayerIndex& shard = index.shard(s);
+      top_one.push_back(TopOneScore(shard, w));
+      EXPECT_EQ(index.ShardLowerBound(s, w), top_one.back())
+          << "shard " << s << " query " << q;
+      first_sublayer.push_back(kInf);
+      for (TupleId id : shard.sublayer_catalog().front().members) {
+        first_sublayer.back() =
+            std::min(first_sublayer.back(), Score(w, shard.points()[id]));
+      }
+    }
+    for (const std::size_t k : {1, 10, 100}) {
+      const TopKResult result = index.Query(TopKQuery{w, k, {}});
+      EXPECT_TRUE(result.complete());
+      EXPECT_EQ(result.items.front().score,
+                *std::min_element(top_one.begin(), top_one.end()))
+          << "query " << q;
+      EXPECT_EQ(result.stats.shards_touched,
+                MustOpen(top_one, KthScore(result, k)))
+          << "query " << q << " k=" << k;
+    }
+    const std::size_t holder = static_cast<std::size_t>(
+        std::min_element(top_one.begin(), top_one.end()) - top_one.begin());
+    for (std::size_t s = 0; s < top_one.size(); ++s) {
+      if (s != holder && first_sublayer[holder] > top_one[s]) {
+        ++first_sublayer_would_prune;
+        break;
+      }
+    }
+  }
+  return first_sublayer_would_prune;
+}
+
+TEST(PartitionMergeTest, ShardMergeOpensOnlyTheShardsItMust) {
+  ShardedBuildOptions options;
+  options.num_shards = 8;
+  options.partitioner = ShardPartitioner::kHyperplane;
+  CheckShardMerge(ShardedDualLayerIndex::Build(
+                      GenerateAnticorrelated(4000, 4, 21), options),
+                  ContractWeights(4, 22));
+}
+
+// A shard whose top-1 lies outside its L^{11} but is gated by no
+// ∃-edge is still opened, including where a bound over L^{11} alone
+// would have pruned it.
+TEST(PartitionMergeTest, ShardHoldingATopOneOutsideItsFirstSublayerOpens) {
+  ShardedBuildOptions options;
+  options.num_shards = 3;
+  options.partitioner = ShardPartitioner::kRandom;
+  EXPECT_GT(CheckShardMerge(ShardedDualLayerIndex::Build(
+                                NearCoplanar(1200, 5, 43), options),
+                            ContractWeights(5, 42)),
+            0u);
+}
+
+TEST(PartitionMergeTest, RunMergeOpensOnlyTheRunsItMust) {
+  TieredIndexOptions options;
+  options.memtable_capacity = 200;
+  options.auto_compact = false;
+  TieredDualLayerIndex index(GenerateAnticorrelated(2000, 4, 31), options);
+  const PointSet more = GenerateAnticorrelated(1100, 4, 32);
+  for (std::size_t i = 0; i < more.size(); ++i) index.Insert(more[i]);
+  // Tombstones inside the bulk run, and one run erased whole.
+  for (TupleId id = 0; id < 2000; id += 9) ASSERT_TRUE(index.Erase(id));
+  const std::vector<TupleId> whole_run = index.run(1).ids;
+  for (TupleId id : whole_run) ASSERT_TRUE(index.Erase(id));
+  ASSERT_GE(index.num_runs(), 5u);
+  ASSERT_GT(index.memtable_size(), 0u);
+
+  Rng rng(33);
+  for (int q = 0; q < 60; ++q) {
+    const Point w = rng.SimplexWeight(4);
+    std::vector<double> top_one;
+    for (std::size_t r = 0; r < index.num_runs(); ++r) {
+      const TieredRun& run = index.run(r);
+      if (run.ids.size() <= run.dead) continue;  // never enqueued
+      top_one.push_back(TopOneScore(run.index, w));
+      EXPECT_EQ(CornerLowerBound(run.bound_values, w), top_one.back())
+          << "run " << r << " query " << q;
+    }
+    for (const std::size_t k : {1, 10, 100}) {
+      const TopKResult result = index.Query(TopKQuery{w, k, {}});
+      ASSERT_TRUE(result.complete());
+      EXPECT_EQ(result.stats.runs_opened,
+                MustOpen(top_one, KthScore(result, k)))
+          << "query " << q << " k=" << k;
+    }
+  }
 }
 
 TEST(PartitionMergeTest, CornerBoundOfEmptyIndexIsInfinite) {

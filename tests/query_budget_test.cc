@@ -21,8 +21,8 @@
 
 #include "common/parallel_for.h"
 #include "core/dual_layer.h"
-#include "core/dynamic_index.h"
 #include "core/index_registry.h"
+#include "core/tiered_index.h"
 #include "data/generator.h"
 #include "test_util.h"
 #include "testing/differential.h"
@@ -211,7 +211,9 @@ TEST(BudgetedQueryTest, DynamicIndexCertifiesAgainstExactAnswer) {
   const PointSet points = GenerateAnticorrelated(160, 3, 17);
   PointSet initial(3);
   for (std::size_t i = 0; i < 100; ++i) initial.Add(points[i]);
-  DynamicDualLayerIndex dynamic(std::move(initial));
+  TieredIndexOptions options;
+  options.run.build_zero_layer = false;
+  TieredDualLayerIndex dynamic(std::move(initial), options);
   for (std::size_t i = 100; i < points.size(); ++i) {
     dynamic.Insert(points[i]);
   }
@@ -285,7 +287,9 @@ TEST(InvalidQueryTest, EveryFamilyRejectsRecoverably) {
 }
 
 TEST(InvalidQueryTest, DynamicIndexRejectsRecoverably) {
-  DynamicDualLayerIndex dynamic(3);
+  TieredIndexOptions options;
+  options.run.build_zero_layer = false;
+  TieredDualLayerIndex dynamic(3, options);
   const Point tuple{0.1, 0.2, 0.3};
   dynamic.Insert(PointView(tuple));
   TopKQuery bad;

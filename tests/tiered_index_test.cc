@@ -13,7 +13,6 @@
 #include "gtest/gtest.h"
 
 #include "common/random.h"
-#include "core/dynamic_index.h"
 #include "core/tiered_index.h"
 #include "test_util.h"
 #include "topk/query.h"
@@ -355,46 +354,6 @@ TEST(TieredIndexTest, BulkConstructorMatchesInsertPath) {
       EXPECT_DOUBLE_EQ(a.items[i].score, b.items[i].score);
     }
   }
-}
-
-// The legacy wrapper: both maintenance policies answer identically and
-// keep the historical observable behaviour (delta drains on Compact).
-TEST(TieredIndexTest, DynamicWrapperPoliciesAgree) {
-  DynamicIndexOptions tiered_options;
-  tiered_options.policy = MaintenancePolicy::kTiered;
-  tiered_options.memtable_capacity = 8;
-  DynamicIndexOptions flat_options;
-  flat_options.policy = MaintenancePolicy::kFlatRebuild;
-  DynamicDualLayerIndex tiered(3, tiered_options);
-  DynamicDualLayerIndex flat(3, flat_options);
-  Rng rng(47);
-  std::vector<TupleId> ids;
-  for (std::size_t i = 0; i < 120; ++i) {
-    const Point row = RandomRow(rng, 3);
-    const TupleId a = tiered.Insert(PointView(row.data(), row.size()));
-    const TupleId b = flat.Insert(PointView(row.data(), row.size()));
-    ASSERT_EQ(a, b) << "policies diverge on id assignment";
-    ids.push_back(a);
-    if (i % 5 == 2 && !ids.empty()) {
-      const TupleId victim = ids[rng.Index(ids.size())];
-      ASSERT_EQ(tiered.Erase(victim), flat.Erase(victim));
-    }
-  }
-  ASSERT_EQ(tiered.size(), flat.size());
-  for (const TopKQuery& query : testing_util::RandomQueries(3, 6, 10, 53)) {
-    const TopKResult a = tiered.Query(query);
-    const TopKResult b = flat.Query(query);
-    ASSERT_EQ(a.items.size(), b.items.size());
-    for (std::size_t i = 0; i < a.items.size(); ++i) {
-      EXPECT_EQ(a.items[i].id, b.items[i].id);
-      EXPECT_DOUBLE_EQ(a.items[i].score, b.items[i].score);
-    }
-  }
-  tiered.Compact();
-  flat.Compact();
-  EXPECT_EQ(tiered.delta_size(), 0u);
-  EXPECT_EQ(flat.delta_size(), 0u);
-  EXPECT_EQ(tiered.size(), flat.size());
 }
 
 }  // namespace

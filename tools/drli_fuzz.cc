@@ -2,7 +2,7 @@
 //
 //   drli_fuzz --cases=500 --seed=1        # seeds 1..500
 //   drli_fuzz --replay=391                # one failing seed, verbose
-//   drli_fuzz --cases=200 --dynamic=0     # skip the DynamicIndex oracle
+//   drli_fuzz --cases=200 --dynamic=0     # skip the dynamic-index oracle
 //   drli_fuzz --mixed-rw --cases=40       # sustained ~95/5 read/write
 //                                         # traces against the tiered
 //                                         # engine (nightly sanitizer
@@ -25,8 +25,8 @@
 // duplicates, grid-snapped coordinates, coplanar rows, d in 2..5, tiny
 // n), runs the invariant checker on dl/dl+ builds, cross-checks every
 // registered family against the brute-force reference, and replays an
-// insert/erase/query/compact-step trace against both dynamic engines
-// (flat-rebuild and tiered). A failure prints "FAIL seed=<seed>" and
+// insert/erase/query/compact-step trace against the tiered dynamic
+// engine. A failure prints "FAIL seed=<seed>" and
 // the process exits nonzero; the same seed reproduces the case
 // deterministically.
 
@@ -299,9 +299,9 @@ int Main(int argc, char** argv) {
                   static_cast<unsigned long long>(seed),
                   result.dataset_desc.c_str());
       std::printf("  tiered trace: max_runs=%zu mid_compaction_queries=%zu "
-                  "peak_tombstones=%zu\n",
+                  "peak_tombstones=%zu split_tie_queries=%zu\n",
                   result.max_runs, result.mid_compaction_queries,
-                  result.peak_tombstones);
+                  result.peak_tombstones, result.split_tie_queries);
     }
     if (result.ok()) continue;
     ++failed;
