@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cmath>
+#include <limits>
 #include <map>
 #include <numeric>
 #include <utility>
@@ -188,8 +190,9 @@ DualLayerIndex::FinePeelResult DualLayerIndex::PeelFineLayers(
             ++out.eds.bbox_rejects;
             continue;
           }
-          if (!FacetIsEds(pool, prev_facets_pool[f], PointView(corner, d),
-                          target, &out.eds)) {
+          if (!FacetIsVerifiedEds(pool, prev_facets_pool[f],
+                                  PointView(corner, d), target,
+                                  EdsMargin::kRounding, &out.eds)) {
             continue;
           }
           for (const NodeId source : prev_facets[f]) {
@@ -515,6 +518,8 @@ void DualLayerIndex::FinalizeInitialNodes() {
   layout.points =
       SoaPointSet::FromPermutation(points_, virtual_points_, layout.node_of);
 
+  layout.stop_slack = ComputeStopSlack();
+
   // A fresh id per rebuild lets QueryScratch detect that its cached
   // per-slot init words belong to another layout and must be re-seeded.
   static std::atomic<std::uint64_t> layout_generation{0};
@@ -557,6 +562,57 @@ void DualLayerIndex::FinalizeInitialNodes() {
                        }),
         sublayer_catalog_.end());
   }
+}
+
+double DualLayerIndex::StopSlack(PointView weights) const {
+  double slack = 0.0;
+  for (std::size_t j = 0; j < layout_.stop_slack.size(); ++j) {
+    slack += weights[j] * layout_.stop_slack[j];
+  }
+  return slack;
+}
+
+std::vector<double> DualLayerIndex::ComputeStopSlack() const {
+  const std::size_t d = points_.dim();
+  const std::size_t n = points_.size();
+  const std::size_t total = num_nodes();
+  // The longest chain of ∃ steps: within one coarse layer (or the
+  // pseudo-tuples' layer) a chain climbs at most its deepest sublayer
+  // index; ∀ steps between layers are exact.
+  // deepest[coarse_layers_.size()] is the pseudo-tuples' layer.
+  std::vector<std::uint32_t> deepest(coarse_layers_.size() + 1, 0);
+  std::vector<std::uint32_t> fine_in(total, 0);
+  for (std::size_t node = 0; node < total; ++node) {
+    for (const NodeId succ : fine_out_[static_cast<NodeId>(node)]) {
+      ++fine_in[succ];
+    }
+    if (fine_of_[node] == kNoFineLayer) continue;
+    std::uint32_t& depth =
+        deepest[node < n ? coarse_of_[node] : coarse_layers_.size()];
+    depth = std::max(depth, fine_of_[node]);
+  }
+  double chain = 0.0;
+  for (const std::uint32_t depth : deepest) chain += depth;
+  std::vector<double> slack(d, 0.0);
+  if (fine_out_.num_edges() == 0 || chain == 0.0) return slack;
+  // One ∃ step (eds.h, kRounding): the virtual tuple passes the target
+  // by at most ~3 * (ulps + facet) ulps of the coordinate's magnitude,
+  // and two Score evaluations round by d ulps each; 8 * ulps + 2d + 8
+  // covers both, and the factor 2 covers rounding cutoff + slack.
+  const std::size_t facet = *std::max_element(fine_in.begin(), fine_in.end());
+  const double ulps = 8.0 * EdsRoundingUlps(facet, d) +
+                      2.0 * static_cast<double>(d) + 8.0;
+  const double per_unit =
+      2.0 * chain * ulps * std::numeric_limits<double>::epsilon();
+  for (const PointSet* set : {&points_, &virtual_points_}) {
+    for (std::size_t i = 0; i < set->size(); ++i) {
+      const PointView p = (*set)[i];
+      for (std::size_t j = 0; j < d; ++j) {
+        slack[j] = std::max(slack[j], per_unit * std::fabs(p[j]));
+      }
+    }
+  }
+  return slack;
 }
 
 std::vector<LayerAccessRow> ExplainAccess(const DualLayerIndex& index,

@@ -209,6 +209,14 @@ struct QueryLayout {
   SoaPointSet points;
   // Slots in [0, first_real_slot) are pseudo-tuples.
   std::uint32_t first_real_slot = 0;
+  // Rounding slack of the ∃-edges, per dimension: under weights w no
+  // tuple scores more than sum_j w_j * stop_slack[j] below the best of
+  // the ancestors that block it (DESIGN.md §7). An ∃-edge's certificate
+  // holds up to rounding (EdsMargin::kRounding), so one ∃ step can
+  // undercut by a few hundred ulps of the coordinates' magnitude; the
+  // slack multiplies that by the longest chain of ∃ steps. All zero
+  // without fine edges.
+  std::vector<double> stop_slack;
 };
 
 // Reusable per-query workspace for DualLayerIndex::Query. Holds the
@@ -358,6 +366,9 @@ class DualLayerIndex final : public TopKIndex {
   const WeightRangeTable& weight_table() const { return weight_table_; }
   // The derived slot-space layout queries run on (tests, benchmarks).
   const QueryLayout& query_layout() const { return layout_; }
+  // sum_j weights[j] * query_layout().stop_slack[j]: how far below the
+  // ancestors blocking it a tuple can score under `weights`.
+  double StopSlack(PointView weights) const;
 
  private:
   friend class DualLayerSerializer;
@@ -392,6 +403,8 @@ class DualLayerIndex final : public TopKIndex {
   // partitioned pseudo rows and parent CSR) and the sublayer catalog.
   // Runs after every build and snapshot load; none of it is persisted.
   void FinalizeInitialNodes();
+  // QueryLayout::stop_slack for the current graph.
+  std::vector<double> ComputeStopSlack() const;
 
   // Splits one node subset (real coarse layer or the virtual layer)
   // into fine sublayers with ∃-edges. `node_ids` are node-space ids;

@@ -153,20 +153,30 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
   // algorithm would never have materialized them, so charging them
   // would distort the Definition-9 metric on tie-free queries.
   double tie_cutoff = std::numeric_limits<double>::infinity();
+  // An ∃-edge holds up to rounding, so a blocked tuple can score up to
+  // `slack` below the ancestors that block it (QueryLayout::stop_slack;
+  // 0 without fine edges). Every test against tie_cutoff or push_bound
+  // that decides whether something may still be hiding at or below the
+  // k-th score therefore looks `slack` past it: on coplanar rows a tie
+  // can sit an ulp under every one of its fine parents.
+  const double slack = StopSlack(w);
+  double stop_above = tie_cutoff;
 
   // Provisional upper bound on the final k-th answer: the k-th smallest
   // real candidate score seen so far (+inf until k have been seen).
-  // Pops are non-decreasing in (score, node) and unlocking a node never
-  // reveals a smaller score than its unlocker, so (a) the final answer
-  // set is the k smallest real keys among everything eventually scored,
-  // which makes any prefix's k-th smallest an upper bound on the final
-  // tie_cutoff, and (b) no entry with score strictly above the final
-  // tie_cutoff is ever popped. A candidate scoring strictly above the
-  // bound is therefore dead weight: it is counted and recorded exactly
-  // as before, but its heap push is skipped. Only exercised when no
-  // budget gate is active -- a tripped gate certifies its partial
-  // result against the literal heap minimum, which pruning would move.
+  // Unlocking a node never reveals a score more than `slack` below its
+  // unlocker's, so (a) the final answer set is the k smallest real keys
+  // among everything eventually scored, which makes any prefix's k-th
+  // smallest an upper bound on the final tie_cutoff, and (b) no entry
+  // scoring more than `slack` above the final tie_cutoff is ever popped
+  // or unlocks anything at or below it. A candidate scoring more than
+  // `slack` above the bound is therefore dead weight: it is counted and
+  // recorded exactly as before, but its heap push is skipped. Only
+  // exercised when no budget gate is active -- a tripped gate certifies
+  // its partial result against the literal heap minimum, which pruning
+  // would move.
   double push_bound = std::numeric_limits<double>::infinity();
+  double push_above = push_bound;
   const bool prune_pushes = !gate.active();
 
   // Slots freed during one pop's expansion accumulate in s.freed_ (in
@@ -186,7 +196,7 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
     for (std::size_t i = 0; i < count; ++i) {
       const std::uint32_t slot = s.freed_[i];
       const double score = s.freed_scores_[i];
-      if (score > tie_cutoff) continue;
+      if (score > stop_above) continue;
       const std::uint32_t node = node_of[slot];
       if (slot < layout.first_real_slot) {
         ++result.stats.virtual_evaluated;
@@ -207,11 +217,13 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
             std::push_heap(bh.begin(), bh.end());
             push_bound = bh.front();
           }
+          push_above = push_bound + slack;
         }
       }
-      // Strictly above the bound: can never pop before termination and
-      // can never tie the k-th answer (ties are == the bound at most).
-      if (score > push_bound) continue;
+      // Strictly above the bound (plus the slack): can never pop before
+      // termination and can never tie the k-th answer or block a tuple
+      // that does.
+      if (score > push_above) continue;
       st[slot].packed |= QueryLayout::kQueuedBit;
       s.heap_.push_back(QueryScratch::HeapEntry{score, node, slot});
       std::push_heap(s.heap_.begin(), s.heap_.end(), HeapEntryGreater{});
@@ -242,22 +254,23 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
   double frontier = -std::numeric_limits<double>::infinity();
 
   while (!s.heap_.empty()) {
-    // Pops are non-decreasing in (score, node): every blocked node has
-    // an in-heap ancestor with a score no larger than its own, so once
-    // the heap minimum is strictly worse than the k-th answer no exact
-    // tie can be hiding behind a blocked node and the query is done.
+    // Every blocked node has an in-heap ancestor scoring at most
+    // `slack` above it, so once the heap minimum is more than the slack
+    // above the k-th answer no tie can be hiding behind a blocked node
+    // and the query is done.
     if (result.items.size() >= query.k &&
-        s.heap_.front().score > tie_cutoff) {
+        s.heap_.front().score > stop_above) {
       break;
     }
     // Budget check at the pop boundary. The same invariant that powers
     // the stop rule above makes the partial result certifiable: every
-    // unreturned tuple is in the heap, behind an in-heap ancestor, or
-    // behind a tie-filtered probe (score > tie_cutoff), so
-    // min(heap minimum, tie_cutoff) lower-bounds all of them.
+    // unreturned tuple is in the heap, behind an in-heap ancestor
+    // (score >= heap minimum - slack), or behind a tie-filtered probe
+    // (score > tie_cutoff + slack), so min(heap minimum - slack,
+    // tie_cutoff) lower-bounds all of them.
     if (stop = gate.Step(result.stats.tuples_evaluated);
         stop != Termination::kComplete) {
-      frontier = std::min(s.heap_.front().score, tie_cutoff);
+      frontier = std::min(s.heap_.front().score - slack, tie_cutoff);
       break;
     }
     std::pop_heap(s.heap_.begin(), s.heap_.end(), HeapEntryGreater{});
@@ -269,7 +282,10 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
 
     if (slot >= layout.first_real_slot) {
       result.items.push_back(ScoredTuple{top.node, top.score});
-      if (result.items.size() == query.k) tie_cutoff = top.score;
+      if (result.items.size() == query.k) {
+        tie_cutoff = top.score;
+        stop_above = tie_cutoff + slack;
+      }
     }
 
     // ∀-successors: free once every coarse in-neighbour popped. A

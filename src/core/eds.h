@@ -50,6 +50,32 @@ bool FacetIsEds(const PointSet& points, const std::vector<TupleId>& facet,
 bool FacetIsEds(const PointSet& points, const std::vector<TupleId>& facet,
                 PointView target);
 
+// FacetIsEds with the LP stage's barycentric weights x re-checked in
+// floating point (DESIGN.md §7). With s = sum_m x_m and, per coordinate
+// j, v_j = fl(sum_m x_m p^m_j) and the allowance
+//   err_j = EdsRoundingUlps(|facet|, d) * epsilon
+//           * (sum_m x_m |p^m_j| + s * (|t_j| + max_m |p^m_j|)),
+// which covers the rounding of the check itself:
+//   kRounding  v_j <= s * t_j + err_j. The virtual tuple may sit on the
+//              facet or past the target by rounding, never by the
+//              LP's 1e-7 feasibility tolerance. A member can then
+//              score above the target by at most the traversal's
+//              per-step rounding slack (QueryLayout::stop_slack).
+//   kStrict    v_j + err_j <= s * t_j, solving the LP against the
+//              target pulled in by 2^-36 of each coordinate's largest
+//              magnitude. Some member's computed Score is then <= the
+//              target's for every w >= 0, bit for bit.
+// A member hit (weak dominance) passes both as is: Score is monotone
+// per coordinate in floating point.
+enum class EdsMargin { kRounding, kStrict };
+bool FacetIsVerifiedEds(const PointSet& points,
+                        const std::vector<TupleId>& facet,
+                        PointView min_corner, PointView target,
+                        EdsMargin margin, EdsCounters* counters);
+
+// The ulp multiplier in err_j above.
+double EdsRoundingUlps(std::size_t facet_size, std::size_t dim);
+
 }  // namespace drli
 
 #endif  // DRLI_CORE_EDS_H_

@@ -5,6 +5,9 @@
 #include <limits>
 #include <utility>
 
+#include "common/check.h"
+#include "core/eds.h"
+
 namespace drli {
 
 namespace {
@@ -39,11 +42,30 @@ std::vector<double> SkylineCorners(const DualLayerIndex& index) {
   // DL+'s start set among real tuples: the skyline members that no
   // ∃-edge gates, i.e. L^{11} plus the members the EDS test left
   // uncovered (the hull's tolerances can push a true minimiser into a
-  // deeper sublayer without giving it a covering facet).
+  // deeper sublayer without giving it a covering facet). Then the gated
+  // members whose fine parents certify them only up to rounding: on a
+  // facet, such a member can score an ulp below every parent.
+  const std::vector<TupleId>& skyline = index.coarse_layers().front();
   const std::vector<std::uint8_t>& has_fine_in = index.has_fine_in();
-  for (TupleId id : index.coarse_layers().front()) {
-    if (index.fine_layer_of(id) != 0 && has_fine_in[id]) continue;
+  // Fine edges stay inside a coarse layer: a skyline member's fine
+  // parents are skyline members.
+  std::vector<std::vector<TupleId>> parents(skyline.size());
+  std::vector<std::size_t> position(pts.size(), skyline.size());
+  for (std::size_t i = 0; i < skyline.size(); ++i) position[skyline[i]] = i;
+  for (const TupleId id : skyline) {
+    for (const auto succ : index.fine_out()[id]) {
+      DRLI_DCHECK(position[succ] < skyline.size());
+      parents[position[succ]].push_back(id);
+    }
+  }
+  for (std::size_t i = 0; i < skyline.size(); ++i) {
+    const TupleId id = skyline[i];
     const PointView p = pts[id];
+    if (index.fine_layer_of(id) != 0 && has_fine_in[id] &&
+        FacetIsVerifiedEds(pts, parents[i], FacetMinCorner(pts, parents[i]),
+                           p, EdsMargin::kStrict, nullptr)) {
+      continue;
+    }
     corners.insert(corners.end(), p.begin(), p.end());
   }
   return corners;

@@ -33,13 +33,16 @@
 
 namespace drli {
 
-// The points DL+'s traversal of `index` starts from among its real
-// tuples, row-major, dim() doubles per point; empty for an empty
-// index. These are the first convex sublayer L^{11}, which holds the
-// linear top-1 for every non-negative weight vector (DESIGN.md §7),
-// plus the skyline members no ∃-edge gates. CornerLowerBound over them
-// is the index's exact minimum score; in floating point it rests on
-// the same EDS test as the traversal, and is exactly as sound.
+// The skyline points no other skyline point provably undercuts,
+// row-major, dim() doubles per point; empty for an empty index: DL+'s
+// start set among real tuples -- the first convex sublayer L^{11},
+// which holds the linear top-1 for every non-negative weight vector
+// (DESIGN.md §7), plus the skyline members no ∃-edge gates -- and the
+// gated members whose fine parents pass only the rounding-level EDS
+// certificate, not the strict one (coplanar rows). CornerLowerBound
+// over them is the index's exact minimum computed score, bit for bit.
+// Costs one LP per LP-gated skyline member; callers build it once per
+// partition.
 std::vector<double> SkylineCorners(const DualLayerIndex& index);
 
 // The minimum Score over `corners`; +inf when there are none.

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "common/crc32c.h"
+#include "core/eds.h"
 #include "storage/mmap_file.h"
 
 namespace drli {
@@ -240,7 +241,8 @@ Status IndexSections(const std::uint8_t* base, std::uint64_t size,
     return Status::Corruption("header CRC mismatch");
   }
   if (h.reserved != 0) return Status::Corruption("nonzero header reserved");
-  if ((h.flags & ~snapshot::kFlagWeightTable) != 0) {
+  if ((h.flags & ~(snapshot::kFlagWeightTable |
+                   snapshot::kFlagVerifiedFineEdges)) != 0) {
     return Status::Corruption("unknown header flags");
   }
   if (h.dim == 0 || h.dim > snapshot::kMaxDim) {
@@ -479,7 +481,8 @@ class DualLayerSerializer {
 
     HeaderV2 header;
     header.dim = static_cast<std::uint32_t>(index.points_.dim());
-    header.flags = index.use_weight_table_ ? snapshot::kFlagWeightTable : 0;
+    header.flags = snapshot::kFlagVerifiedFineEdges |
+                   (index.use_weight_table_ ? snapshot::kFlagWeightTable : 0);
     header.num_points = index.points_.size();
     header.num_virtual = index.virtual_points_.size();
     header.num_sections = kNumSections;
@@ -579,7 +582,7 @@ class DualLayerSerializer {
     index.fine_out_ = CsrGraph::FromAdjacency(fine_adj);
     index.coarse_layers_ = std::move(coarse_layers);
     return FinishLoadedIndex(std::move(index), use_table != 0,
-                             std::move(chain));
+                             std::move(chain), /*fine_edges_verified=*/false);
   }
 
   static StatusOr<DualLayerIndex> LoadV2(
@@ -669,15 +672,57 @@ class DualLayerSerializer {
     const auto chain_span =
         SectionSpan<TupleId>(map[SectionKind::kWeightChain]);
     std::vector<TupleId> chain(chain_span.begin(), chain_span.end());
-    return FinishLoadedIndex(std::move(index),
-                             (h.flags & snapshot::kFlagWeightTable) != 0,
-                             std::move(chain));
+    return FinishLoadedIndex(
+        std::move(index), (h.flags & snapshot::kFlagWeightTable) != 0,
+        std::move(chain), (h.flags & snapshot::kFlagVerifiedFineEdges) != 0);
+  }
+
+  // A file without kFlagVerifiedFineEdges may hold ∃-edges the EDS LP
+  // accepted up to its 1e-7 tolerance: a target past a facet can then
+  // score below every fine parent by more than the traversal's rounding
+  // slack (QueryLayout::stop_slack), and DL+ would stop before it. Each
+  // gated node's in-set is re-verified as the build verifies a facet; a
+  // node that fails loses its in-edges and becomes a start node. Runs
+  // after the range checks.
+  static void DropUnverifiedFineEdges(DualLayerIndex& index) {
+    const std::size_t total = index.num_nodes();
+    PointSet nodes(index.points_.dim());
+    nodes.Reserve(total);
+    std::vector<std::vector<TupleId>> parents(total);
+    for (std::size_t node = 0; node < total; ++node) {
+      nodes.Add(index.node_point(static_cast<CsrGraph::NodeId>(node)));
+      for (const CsrGraph::NodeId succ :
+           index.fine_out_[static_cast<CsrGraph::NodeId>(node)]) {
+        parents[succ].push_back(static_cast<TupleId>(node));
+      }
+    }
+    bool dropped = false;
+    for (std::size_t node = 0; node < total; ++node) {
+      if (parents[node].empty() ||
+          FacetIsVerifiedEds(nodes, parents[node],
+                             FacetMinCorner(nodes, parents[node]),
+                             nodes[node], EdsMargin::kRounding, nullptr)) {
+        continue;
+      }
+      index.has_fine_in_[node] = 0;
+      dropped = true;
+    }
+    if (!dropped) return;
+    std::vector<std::vector<CsrGraph::NodeId>> kept(total);
+    for (std::size_t node = 0; node < total; ++node) {
+      for (const CsrGraph::NodeId succ :
+           index.fine_out_[static_cast<CsrGraph::NodeId>(node)]) {
+        if (index.has_fine_in_[succ] != 0) kept[node].push_back(succ);
+      }
+    }
+    index.fine_out_ = CsrGraph::FromAdjacency(kept);
   }
 
   // Shared tail of both loaders: range-checks everything that could
   // index out of bounds at query time, then recomputes derived state.
   static StatusOr<DualLayerIndex> FinishLoadedIndex(
-      DualLayerIndex index, bool use_table, std::vector<TupleId> chain) {
+      DualLayerIndex index, bool use_table, std::vector<TupleId> chain,
+      bool fine_edges_verified) {
     const std::size_t n = index.points_.size();
     const std::size_t total = index.num_nodes();
     if (index.coarse_of_.size() != total ||
@@ -744,6 +789,7 @@ class DualLayerSerializer {
       index.weight_table_ =
           WeightRangeTable::Build(index.points_, std::move(chain));
     }
+    if (!fine_edges_verified) DropUnverifiedFineEdges(index);
     index.FinalizeInitialNodes();
 
     index.stats_.num_coarse_layers = index.coarse_layers_.size();

@@ -58,7 +58,7 @@ struct HeaderV2 {
   std::uint32_t magic = kMagic;
   std::uint32_t version = kVersionV2;
   std::uint32_t dim = 0;
-  std::uint32_t flags = 0;  // kFlagWeightTable
+  std::uint32_t flags = 0;  // kFlagWeightTable | kFlagVerifiedFineEdges
   std::uint64_t num_points = 0;
   std::uint64_t num_virtual = 0;
   std::uint32_t num_sections = 0;
@@ -70,6 +70,10 @@ struct HeaderV2 {
 static_assert(sizeof(HeaderV2) == 56);
 
 inline constexpr std::uint32_t kFlagWeightTable = 1u << 0;
+// Every ∃-edge passed FacetIsVerifiedEds (EdsMargin::kRounding,
+// core/eds.h) at build. Files without it, v1 files included, have
+// their ∃ in-sets re-verified at load.
+inline constexpr std::uint32_t kFlagVerifiedFineEdges = 1u << 1;
 
 struct SectionEntry {
   std::uint32_t kind = 0;

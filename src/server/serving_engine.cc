@@ -212,6 +212,7 @@ Status ServingEngine::LoadGeneration(
     generation->dl.emplace(std::move(loaded).value());
     generation->index = &*generation->dl;
     generation->dim = generation->dl->points().dim();
+    generation->cells = RelationCells::Build(generation->dl->points());
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -303,8 +304,8 @@ wire::WireResult ExecuteWireQuery(const ServingGeneration& generation,
       q.lambda = query.lambda;
       q.pool_factor = static_cast<std::size_t>(query.pool_factor);
       q.budget = budget;
-      DiversifiedResult result =
-          DiversifiedTopK(*generation.index, generation.dl->points(), q);
+      DiversifiedResult result = DiversifiedTopK(
+          *generation.index, generation.dl->points(), q, generation.cells);
       wire::WireResult out;
       switch (result.termination) {
         case Termination::kInvalidQuery:

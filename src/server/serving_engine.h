@@ -31,6 +31,7 @@
 #include "common/status.h"
 #include "core/dual_layer.h"
 #include "core/tiered_index.h"
+#include "scenarios/diversified.h"
 #include "server/protocol.h"
 #include "shard/sharded_index.h"
 #include "topk/query.h"
@@ -54,6 +55,9 @@ struct ServingGeneration {
   std::optional<ShardedDualLayerIndex> sharded;
   std::optional<TieredDualLayerIndex> tiered;
   const TopKIndex* index = nullptr;
+  // The dl+ relation's cell catalog for diversified queries, built at
+  // load; empty for sharded and tiered generations.
+  RelationCells cells;
   std::size_t dim = 0;
 };
 

@@ -342,7 +342,7 @@ StatusOr<ShardedDualLayerIndex> LoadShardedIndex(
     }
     index.shards_.push_back(std::move(shard).value());
   }
-  index.ComputeShardBounds();
+  index.ComputeShardBounds(/*threads=*/0);
   return index;
 }
 

@@ -117,7 +117,7 @@ ShardedDualLayerIndex ShardedDualLayerIndex::Build(
         std::max(index.build_stats_.max_shard_points, index.members_[s].size());
     index.shards_.push_back(std::move(*built[s]));
   }
-  index.ComputeShardBounds();
+  index.ComputeShardBounds(options.build_threads);
 
   if (!options.name.empty()) {
     index.name_ = options.name;
@@ -131,11 +131,16 @@ ShardedDualLayerIndex ShardedDualLayerIndex::Build(
   return index;
 }
 
-void ShardedDualLayerIndex::ComputeShardBounds() {
-  bound_corners_.clear();
-  for (const DualLayerIndex& shard : shards_) {
-    bound_corners_.push_back(SkylineCorners(shard));
-  }
+void ShardedDualLayerIndex::ComputeShardBounds(std::size_t threads) {
+  // SkylineCorners solves an LP per LP-gated skyline member, so the
+  // shards run in parallel, like their builds.
+  bound_corners_.assign(shards_.size(), {});
+  ParallelFor(
+      shards_.size(),
+      [&](std::size_t s, std::size_t) {
+        bound_corners_[s] = SkylineCorners(shards_[s]);
+      },
+      threads);
 }
 
 double ShardedDualLayerIndex::ShardLowerBound(std::size_t s,

@@ -6,8 +6,9 @@
 //
 // Query processing is the bounded-partition merge (core/
 // partition_merge.h), one partition per non-empty shard, bounded by the
-// shard's exact top-1 score (the minimum over the real tuples its DL+
-// traversal starts from, SkylineCorners). A shard is opened -- its DL+
+// shard's exact top-1 score (the minimum over its SkylineCorners
+// points: the real tuples its DL+ traversal starts from, plus the
+// skyline members gated only up to rounding). A shard is opened -- its DL+
 // index queried for min(k, |shard|) items -- only when its bound
 // reaches the merge frontier, so with selective partitions (hyperplane
 // split) most queries touch a small fraction of S;
@@ -134,9 +135,10 @@ class ShardedDualLayerIndex final : public TopKIndex {
 
   ShardedDualLayerIndex() = default;
 
-  // Derives the bound point sets (SkylineCorners) of every shard;
-  // called after build and after load (bounds are never persisted).
-  void ComputeShardBounds();
+  // Derives the bound point sets (SkylineCorners) of every shard, on
+  // `threads` workers (as ShardedBuildOptions::build_threads); called
+  // after build and after load (bounds are never persisted).
+  void ComputeShardBounds(std::size_t threads);
 
   std::string name_;
   std::size_t dim_ = 0;

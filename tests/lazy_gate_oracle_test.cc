@@ -56,6 +56,10 @@ EagerRun EagerReference(const DualLayerIndex& index, const TopKQuery& query) {
   using Entry = std::pair<double, std::uint32_t>;
   std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> heap;
   double tie_cutoff = std::numeric_limits<double>::infinity();
+  // The ∃-edges' rounding slack: the stop, the tie filter and the
+  // frontier look that far past the k-th score.
+  const double slack = index.StopSlack(w);
+  double stop_above = tie_cutoff;
   const auto try_free = [&](std::uint32_t node) {
     if (freed[node] || remaining[node] != 0 || !fine_free[node] ||
         locked[node]) {
@@ -63,7 +67,7 @@ EagerRun EagerReference(const DualLayerIndex& index, const TopKQuery& query) {
     }
     freed[node] = 1;
     const double score = Score(w, index.node_point(node));
-    if (score > tie_cutoff) return;
+    if (score > stop_above) return;
     if (index.is_virtual(node)) {
       ++r.stats.virtual_evaluated;
     } else {
@@ -77,17 +81,20 @@ EagerRun EagerReference(const DualLayerIndex& index, const TopKQuery& query) {
   Termination stop = Termination::kComplete;
   double frontier = -std::numeric_limits<double>::infinity();
   while (!heap.empty()) {
-    if (r.items.size() >= query.k && heap.top().first > tie_cutoff) break;
+    if (r.items.size() >= query.k && heap.top().first > stop_above) break;
     if (stop = gate.Step(r.stats.tuples_evaluated);
         stop != Termination::kComplete) {
-      frontier = std::min(heap.top().first, tie_cutoff);
+      frontier = std::min(heap.top().first - slack, tie_cutoff);
       break;
     }
     const auto [score, node] = heap.top();
     heap.pop();
     if (!index.is_virtual(node)) {
       r.items.push_back(ScoredTuple{node, score});
-      if (r.items.size() == query.k) tie_cutoff = score;
+      if (r.items.size() == query.k) {
+        tie_cutoff = score;
+        stop_above = tie_cutoff + slack;
+      }
     }
     for (const std::uint32_t succ : index.coarse_out()[node]) {
       ++run.edges;

@@ -21,6 +21,7 @@
 #include "core/tiered_index.h"
 #include "data/generator.h"
 #include "shard/sharded_index.h"
+#include "testing/fuzz.h"
 
 namespace drli {
 namespace {
@@ -293,6 +294,57 @@ TEST(PartitionMergeTest, CornerBoundIsExactTopOneScore) {
     CheckExactTopOne(GridWithDuplicates(300, d, 80 + d), 90 + d, "grid");
   }
   EXPECT_GT(largest_skyline, 64u);
+}
+
+// Windows of fuzz datasets whose rows sit on the plane sum(x) = c up
+// to rounding of the last coordinate: under uniform weights their
+// scores tie mathematically and differ by ulps in floating point. An
+// ∃-edge certified only up to the EDS tolerance let a gated row score
+// an ulp below every one of its fine parents, so the corner bound came
+// out above the window's top-1 and DL+ stopped before an equal-scoring
+// smaller id (seed 2320, window [2, 66): ids 23 and 29 at the k-th
+// score, id 8 missing). Each window is a sub-relation, as a shard or a
+// tiered run holds one; the build's sound ∃-test must keep both the
+// bound and the traversal exact in all of them.
+TEST(PartitionMergeTest, CoplanarWindowsKeepBoundAndTiesExact) {
+  for (const std::uint64_t seed : {2320u, 3740u, 5553u, 6818u, 15475u}) {
+    const PointSet rows = MakeFuzzDataset(seed, FuzzOptions{}, nullptr);
+    const std::size_t d = rows.dim();
+    const Point uniform(d, 1.0 / static_cast<double>(d));
+    for (const std::size_t begin : {0u, 2u}) {
+      for (std::size_t end = begin + 2; end <= rows.size(); ++end) {
+        PointSet window(d);
+        for (std::size_t i = begin; i < end; ++i) window.Add(rows[i]);
+        std::vector<ScoredTuple> want;
+        for (std::size_t i = 0; i < window.size(); ++i) {
+          want.push_back(
+              ScoredTuple{static_cast<TupleId>(i), Score(uniform, window[i])});
+        }
+        std::sort(want.begin(), want.end(), ResultOrderLess);
+        for (const bool zero_layer : {false, true}) {
+          DualLayerOptions options;
+          options.build_zero_layer = zero_layer;
+          options.build_threads = 1;
+          const DualLayerIndex index = DualLayerIndex::Build(window, options);
+          const std::string where =
+              "seed " + std::to_string(seed) + " window [" +
+              std::to_string(begin) + ", " + std::to_string(end) +
+              ") zero=" + std::to_string(zero_layer);
+          ASSERT_EQ(CornerLowerBound(SkylineCorners(index), uniform),
+                    want.front().score)
+              << where;
+          for (const std::size_t k : {1u, 3u, 10u}) {
+            const TopKResult got = index.Query(TopKQuery{uniform, k, {}});
+            ASSERT_EQ(got.items.size(), std::min(k, want.size())) << where;
+            for (std::size_t r = 0; r < got.items.size(); ++r) {
+              ASSERT_EQ(got.items[r].id, want[r].id)
+                  << where << " k=" << k << " rank " << r;
+            }
+          }
+        }
+      }
+    }
+  }
 }
 
 // The k-th returned score, or +inf when fewer than k items came back

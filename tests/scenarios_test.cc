@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -279,6 +280,226 @@ TEST(DiversifiedTest, PoolGrowsUntilCertificateCovers) {
   for (std::size_t i = 0; i < want.picks.size(); ++i) {
     EXPECT_EQ(got.picks[i].id, want.picks[i].id) << i;
   }
+}
+
+// --- the cell certificate ---
+
+// Datasets for the per-cell soundness check: the three generators, an
+// integer grid with exact duplicates, a constant attribute, rows on the
+// cell edges of the grid, and a relation too small for more than one
+// cell.
+std::vector<PointSet> CellDatasets(std::size_t d, std::uint64_t seed) {
+  std::vector<PointSet> sets;
+  for (const Distribution dist :
+       {Distribution::kIndependent, Distribution::kCorrelated,
+        Distribution::kAnticorrelated}) {
+    sets.push_back(Generate(dist, 1500, d, seed));
+  }
+  Rng rng(seed);
+  PointSet grid(d);
+  for (std::size_t i = 0; i < 800; ++i) {
+    Point p(d);
+    for (double& x : p) x = static_cast<double>(rng.Index(6));
+    grid.Add(p);
+    if (i % 5 == 0) grid.Add(p);
+  }
+  sets.push_back(std::move(grid));
+  PointSet constant = Generate(Distribution::kIndependent, 900, d, seed + 1);
+  for (std::size_t i = 0; i < constant.size(); ++i) constant.Set(i, 0, 0.25);
+  sets.push_back(std::move(constant));
+  // Coordinates i / G on [0, 1]: every row sits on a cell boundary.
+  const std::size_t g = RelationCells::Build(sets.front()).grid;
+  PointSet edges(d);
+  for (std::size_t i = 0; i < 1200; ++i) {
+    Point p(d);
+    for (double& x : p) {
+      x = static_cast<double>(rng.Index(g + 1)) / static_cast<double>(g);
+    }
+    edges.Add(p);
+  }
+  sets.push_back(std::move(edges));
+  sets.push_back(Generate(Distribution::kAnticorrelated, 30, d, seed + 2));
+  return sets;
+}
+
+// Every member t of cell c and every s: Score(w, lo_c) <= Score(w, t)
+// and Sim(far_c(s), s) <= Sim(t, s), compared as computed doubles. G
+// is the largest grid with G^d * 40 <= n (or 1), so the slot table
+// never exceeds max(1, n / 40) entries.
+void ExpectCellFloorsHold(const PointSet& points, Rng& rng) {
+  const std::size_t d = points.dim();
+  const std::size_t n = points.size();
+  const RelationCells cells = RelationCells::Build(points);
+  std::size_t slots = 1;
+  std::size_t next_slots = 1;
+  for (std::size_t i = 0; i < d; ++i) {
+    slots *= cells.grid;
+    next_slots *= cells.grid + 1;
+  }
+  ASSERT_EQ(cells.cell_of_slot.size(), slots) << "d=" << d << " n=" << n;
+  ASSERT_LE(slots * 40, std::max<std::size_t>(n, 40)) << "d=" << d;
+  ASSERT_GT(next_slots * 40, n) << "d=" << d;
+  if (n < 40) {
+    ASSERT_EQ(cells.num_cells(), 1u);
+  }
+  std::vector<Point> probes;
+  for (int q = 0; q < 6; ++q) {
+    probes.push_back(points.Materialize(rng.Index(n)));
+    Point outside(d);
+    for (double& x : outside) x = rng.Uniform(-1.0, 7.0);
+    probes.push_back(outside);
+  }
+  const std::vector<Point> weights = {rng.SimplexWeight(d),
+                                      rng.SimplexWeight(d),
+                                      Point(d, 1.0 / static_cast<double>(d))};
+  for (std::size_t t = 0; t < n; ++t) {
+    const std::size_t c = cells.CellOf(points[t]);
+    ASSERT_LT(c, cells.num_cells());
+    for (const Point& w : weights) {
+      ASSERT_LE(Score(w, cells.cell_lo(c)), Score(w, points[t]))
+          << "d=" << d << " tuple " << t;
+    }
+    for (const Point& s : probes) {
+      ASSERT_LE(cells.SimilarityFloor(c, s), Similarity(points[t], s))
+          << "d=" << d << " tuple " << t;
+    }
+  }
+}
+
+TEST(RelationCellsTest, CellFloorsHoldForEveryMemberBitForBit) {
+  for (std::size_t d = 2; d <= 6; ++d) {
+    Rng rng(100 + d);
+    for (const PointSet& points : CellDatasets(d, 200 + d)) {
+      ExpectCellFloorsHold(points, rng);
+    }
+  }
+  // d = 20 with (n / 40)^(1/d) just above 1.5: rounding to the nearest
+  // G would give 2^20 slots for 3,500 cells' worth of rows.
+  Rng rng(120);
+  ExpectCellFloorsHold(Generate(Distribution::kIndependent, 140000, 20, 220),
+                       rng);
+}
+
+void ExpectSameDiversified(const DiversifiedResult& got,
+                           const DiversifiedResult& want,
+                           const std::string& where) {
+  ASSERT_EQ(got.picks.size(), want.picks.size()) << where;
+  for (std::size_t i = 0; i < want.picks.size(); ++i) {
+    EXPECT_EQ(got.picks[i].id, want.picks[i].id) << where << " pick " << i;
+    EXPECT_EQ(got.picks[i].score, want.picks[i].score) << where;
+    EXPECT_EQ(got.picks[i].utility, want.picks[i].utility) << where;
+  }
+}
+
+// The engine equals the brute-force greedy; the cached-catalog and the
+// on-demand overloads agree on everything the replay of a traced run
+// compares; and each certified pick's g is strictly below the true g
+// of every tuple outside the pool at its step.
+TEST(DiversifiedTest, CellCertificateMatchesScanAndIsSound) {
+  const PointSet points = GenerateAnticorrelated(3000, 3, 47);
+  DualLayerOptions options;
+  options.build_zero_layer = true;
+  const DualLayerIndex dl = DualLayerIndex::Build(points, options);
+  const RelationCells cells = RelationCells::Build(points);
+  std::vector<ScoredTuple> ranked;
+  Rng rng(53);
+  for (const double lambda : {0.0, 0.1, 0.5, 2.0, 50.0}) {
+    for (const std::size_t k : {1u, 10u, 50u}) {
+      DiversifiedQuery query;
+      query.weights = rng.SimplexWeight(3);
+      query.k = k;
+      query.lambda = lambda;
+      const std::string where =
+          "lambda=" + std::to_string(lambda) + " k=" + std::to_string(k);
+      const DiversifiedResult want = DiversifiedTopKScan(points, query);
+      const DiversifiedResult cached =
+          DiversifiedTopK(dl, points, query, cells);
+      const DiversifiedResult on_demand = DiversifiedTopK(dl, points, query);
+      ASSERT_TRUE(cached.complete()) << where;
+      EXPECT_EQ(cached.certified_prefix, cached.picks.size()) << where;
+      ExpectSameDiversified(cached, want, where);
+      ExpectSameDiversified(on_demand, cached, where);
+      EXPECT_EQ(on_demand.pool_size, cached.pool_size) << where;
+      EXPECT_EQ(on_demand.pool_bound, cached.pool_bound) << where;
+      EXPECT_EQ(on_demand.certified_prefix, cached.certified_prefix)
+          << where;
+      EXPECT_EQ(on_demand.stats.tuples_evaluated,
+                cached.stats.tuples_evaluated)
+          << where;
+      EXPECT_EQ(on_demand.stats.virtual_evaluated,
+                cached.stats.virtual_evaluated)
+          << where;
+
+      // A complete pool is the canonical top pool_size.
+      ranked.clear();
+      for (std::size_t i = 0; i < points.size(); ++i) {
+        ranked.push_back(ScoredTuple{static_cast<TupleId>(i),
+                                     Score(query.weights, points[i])});
+      }
+      std::sort(ranked.begin(), ranked.end(), ResultOrderLess);
+      std::vector<double> penalty(points.size(), 0.0);
+      for (std::size_t j = 0; j < cached.certified_prefix; ++j) {
+        for (std::size_t r = cached.pool_size; r < ranked.size(); ++r) {
+          const ScoredTuple& t = ranked[r];
+          const double g = t.score + lambda * penalty[t.id];
+          ASSERT_LT(cached.picks[j].utility, g)
+              << where << " pick " << j << " outside tuple " << t.id;
+        }
+        const PointView chosen = points[cached.picks[j].id];
+        for (std::size_t i = 0; i < points.size(); ++i) {
+          penalty[i] = std::max(penalty[i], Similarity(points[i], chosen));
+        }
+      }
+    }
+  }
+}
+
+// The pool the score certificate alone needs: the doubling schedule's
+// first top-m pool whose greedy has every utility below the m-th score
+// (or m = n). The greedy over a top-m pool is the scan greedy over
+// those rows, kept in id order so id ties break the same way.
+std::size_t ScoreOnlyPool(const PointSet& points,
+                          const DiversifiedQuery& query) {
+  std::vector<ScoredTuple> ranked;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    ranked.push_back(ScoredTuple{static_cast<TupleId>(i),
+                                 Score(query.weights, points[i])});
+  }
+  std::sort(ranked.begin(), ranked.end(), ResultOrderLess);
+  const std::size_t n = points.size();
+  for (std::size_t m = std::min(n, query.pool_factor * query.k);;
+       m = std::min(n, 2 * m)) {
+    if (m == n) return n;
+    std::vector<TupleId> ids;
+    for (std::size_t r = 0; r < m; ++r) ids.push_back(ranked[r].id);
+    std::sort(ids.begin(), ids.end());
+    PointSet pool(points.dim());
+    for (const TupleId id : ids) pool.Add(points[id]);
+    const DiversifiedResult greedy = DiversifiedTopKScan(pool, query);
+    if (std::all_of(greedy.picks.begin(), greedy.picks.end(),
+                    [&](const DiversifiedPick& pick) {
+                      return pick.utility < ranked[m - 1].score;
+                    })) {
+      return m;
+    }
+  }
+}
+
+// On anticorrelated data at lambda = 0.5 the score certificate needs
+// most of the relation; the cell certificate stops well before.
+TEST(DiversifiedTest, CellCertificateStopsOnASmallerPool) {
+  const PointSet points = GenerateAnticorrelated(8000, 3, 59);
+  const DualLayerIndex dl = DualLayerIndex::Build(points);
+  DiversifiedQuery query;
+  query.weights = {0.3, 0.3, 0.4};
+  query.k = 10;
+  query.lambda = 0.5;
+  const DiversifiedResult got = DiversifiedTopK(dl, points, query);
+  ASSERT_TRUE(got.complete());
+  const std::size_t score_only = ScoreOnlyPool(points, query);
+  EXPECT_LT(got.pool_size, score_only);
+  EXPECT_LT(got.pool_size, points.size() / 2);
+  ExpectSameDiversified(got, DiversifiedTopKScan(points, query), "ant");
 }
 
 // --- reverse top-k ---

@@ -23,6 +23,7 @@
 #include "data/generator.h"
 #include "testing/check_index.h"
 #include "test_util.h"
+#include "topk/scan.h"
 
 #ifndef DRLI_TEST_GOLDEN_DIR
 #error "DRLI_TEST_GOLDEN_DIR must point at tests/golden"
@@ -118,6 +119,70 @@ TEST(SnapshotCompatTest, GoldenInfoMatchesRecipe) {
       }
     }
   }
+}
+
+// A v2 snapshot written by a build that kept ∃-edges the EDS LP
+// accepted up to its 1e-7 tolerance (no kFlagVerifiedFineEdges): 74
+// rows on the plane sum(x) = 1 at d = 3, one in three scaled down by a
+// factor 1 - delta, delta in [1e-9, 3e-8]. Such a row sits just past a
+// facet of the sublayer above, and the stored in-set gates it although
+// it scores below every member. Over the stored graph DL+ answers
+// uniform weights at k = 10 with row 15 (0.33333332678) at rank 9 and
+// misses row 9 (0.33333332602), far beyond the traversal's rounding
+// slack. The loader re-verifies the in-sets of such files and drops
+// the in-edges that fail. The fixture cannot be regenerated: today's
+// build writes only verified edges.
+TEST(SnapshotCompatTest, UnverifiedFineEdgesAreDroppedAtLoad) {
+  const std::string path = std::string(DRLI_TEST_GOLDEN_DIR) +
+                           "/near_coplanar_tolerance_edges_v2.bin";
+  const auto info = InspectSnapshot(path);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  std::uint64_t stored_edges = 0;
+  for (const SnapshotSectionInfo& row : info.value().sections) {
+    if (row.kind == static_cast<std::uint32_t>(
+                        snapshot::SectionKind::kFineTargets)) {
+      stored_edges = row.length / sizeof(std::uint32_t);
+    }
+  }
+  auto loaded = LoadDualLayerIndex(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const DualLayerIndex& index = loaded.value();
+  EXPECT_LT(index.fine_out().num_edges(), stored_edges);
+  EXPECT_GT(index.fine_out().num_edges(), 0u);
+  EXPECT_TRUE(CheckIndex(index).ok());
+
+  const std::size_t d = index.points().dim();
+  std::vector<TopKQuery> queries;
+  for (const std::size_t k : {1u, 3u, 10u}) {
+    queries.push_back(TopKQuery{Point(d, 1.0 / static_cast<double>(d)), k});
+    for (TopKQuery& query :
+         testing_util::RandomQueries(d, k, /*count=*/50, /*seed=*/k)) {
+      queries.push_back(std::move(query));
+    }
+  }
+  const auto expect_exact = [&](const DualLayerIndex& under_test,
+                                const std::string& where) {
+    for (const TopKQuery& query : queries) {
+      const TopKResult want = Scan(index.points(), query);
+      const TopKResult got = under_test.Query(query);
+      ASSERT_EQ(got.items.size(), want.items.size()) << where;
+      for (std::size_t r = 0; r < want.items.size(); ++r) {
+        EXPECT_EQ(got.items[r].id, want.items[r].id)
+            << where << " k=" << query.k << " rank " << r;
+      }
+    }
+  };
+  expect_exact(index, "loaded");
+
+  // Saved again, the file carries the flag and reloads as is.
+  const std::string resaved = ::testing::TempDir() + "/resaved_verified.v2";
+  ASSERT_TRUE(SaveDualLayerIndex(index, resaved).ok());
+  auto reloaded = LoadDualLayerIndex(resaved);
+  ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
+  EXPECT_EQ(reloaded.value().fine_out().num_edges(),
+            index.fine_out().num_edges());
+  expect_exact(reloaded.value(), "resaved");
+  std::filesystem::remove(resaved);
 }
 
 }  // namespace
