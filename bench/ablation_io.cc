@@ -10,16 +10,17 @@
 // far fewer pages than scattered ones, and DL/DL+ touch the fewest,
 // tracking their lower tuple-access cost.
 //
-// A second section measures snapshot load latency: the v1 stream
-// reader, the v2 owning (copying) reader, and the v2 mmap-backed
-// zero-copy path, each loading the same DL+ index from disk. Results
-// go to stdout and to BENCH_io.json (or DRLI_BENCH_OUT).
+// A second section measures snapshot load latency: the v2 owning
+// (copying) reader and the v2 mmap-backed zero-copy path, each loading
+// the same DL+ index from disk. Results go to stdout and to
+// BENCH_io.json (or DRLI_BENCH_OUT).
 
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <memory>
 #include <numeric>
 #include <string>
@@ -130,7 +131,6 @@ void Register(const std::string& kind, Distribution dist, std::size_t n,
 
 struct LoadRow {
   const char* label;
-  std::uint32_t format_version;
   bool prefer_mmap;
   double seconds = 0;
   std::uint64_t file_bytes = 0;
@@ -148,20 +148,14 @@ void MeasureSnapshotLoads(std::size_t n, std::size_t d) {
   DRLI_CHECK(index != nullptr);
 
   LoadRow rows[] = {
-      {"v1_stream", drli::snapshot::kVersionV1, false},
-      {"v2_copy", drli::snapshot::kVersionV2, false},
-      {"v2_mmap", drli::snapshot::kVersionV2, true},
+      {"v2_copy", false},
+      {"v2_mmap", true},
   };
-  const std::string dir =
-      std::filesystem::temp_directory_path().string() + "/";
+  const std::string path =
+      std::filesystem::temp_directory_path().string() + "/drli_bench_io.bin";
+  DRLI_CHECK(drli::SaveDualLayerIndex(*index, path).ok());
   constexpr int kReps = 7;
   for (LoadRow& row : rows) {
-    const std::string path =
-        dir + "drli_bench_io_v" + std::to_string(row.format_version) +
-        ".bin";
-    drli::SnapshotSaveOptions save;
-    save.format_version = row.format_version;
-    DRLI_CHECK(drli::SaveDualLayerIndex(*index, path, save).ok());
     row.file_bytes = std::filesystem::file_size(path);
     drli::SnapshotLoadOptions load;
     load.prefer_mmap = row.prefer_mmap;
@@ -176,19 +170,20 @@ void MeasureSnapshotLoads(std::size_t n, std::size_t d) {
                       !loaded.value().coarse_out().owns_data();
     }
     row.seconds = best;
-    std::remove(path.c_str());
     std::printf("io_load/%-9s n=%zu d=%zu bytes=%llu load=%.3fms "
                 "zero_copy=%d\n",
                 row.label, n, d,
                 static_cast<unsigned long long>(row.file_bytes),
                 row.seconds * 1e3, row.zero_copy ? 1 : 0);
   }
+  std::remove(path.c_str());
 
   const char* env_out = std::getenv("DRLI_BENCH_OUT");
   const std::string out_path = env_out != nullptr ? env_out : "BENCH_io.json";
   std::ofstream out(out_path);
   out << "[\n";
-  for (std::size_t i = 0; i < 3; ++i) {
+  constexpr std::size_t kRows = std::size(rows);
+  for (std::size_t i = 0; i < kRows; ++i) {
     const LoadRow& r = rows[i];
     char buffer[256];
     std::snprintf(buffer, sizeof(buffer),
@@ -197,7 +192,7 @@ void MeasureSnapshotLoads(std::size_t n, std::size_t d) {
                   "\"load_seconds\": %.9f, \"zero_copy\": %s}%s\n",
                   r.label, n, d,
                   static_cast<unsigned long long>(r.file_bytes), r.seconds,
-                  r.zero_copy ? "true" : "false", i + 1 < 3 ? "," : "");
+                  r.zero_copy ? "true" : "false", i + 1 < kRows ? "," : "");
     out << buffer;
   }
   out << "]\n";

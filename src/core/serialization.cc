@@ -3,9 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
 #include <limits>
 #include <memory>
 #include <utility>
@@ -13,6 +11,7 @@
 
 #include "common/crc32c.h"
 #include "core/eds.h"
+#include "storage/file_io.h"
 #include "storage/mmap_file.h"
 
 namespace drli {
@@ -54,151 +53,6 @@ std::uint64_t AlignUp(std::uint64_t value) {
 }
 
 // ---------------------------------------------------------------------------
-// v1 stream writers (legacy format, still emitted on request).
-
-void WriteU32(std::ostream& out, std::uint32_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void WriteU64(std::ostream& out, std::uint64_t v) {
-  out.write(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void WriteDoubles(std::ostream& out, std::span<const double> v) {
-  WriteU64(out, v.size());
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(double)));
-}
-void WriteString(std::ostream& out, const std::string& s) {
-  WriteU64(out, s.size());
-  out.write(s.data(), static_cast<std::streamsize>(s.size()));
-}
-template <typename T>
-void WriteIds(std::ostream& out, const std::vector<T>& v) {
-  static_assert(sizeof(T) == sizeof(std::uint32_t));
-  WriteU64(out, v.size());
-  out.write(reinterpret_cast<const char*>(v.data()),
-            static_cast<std::streamsize>(v.size() * sizeof(T)));
-}
-template <typename T>
-void WriteAdjacency(std::ostream& out, const std::vector<std::vector<T>>& v) {
-  WriteU64(out, v.size());
-  for (const auto& list : v) WriteIds(out, list);
-}
-// CSR graphs serialize in the same per-node list format as
-// vector<vector> adjacency, so the v1 on-disk layout is unchanged.
-void WriteAdjacency(std::ostream& out, const CsrGraph& graph) {
-  WriteU64(out, graph.num_nodes());
-  for (std::size_t node = 0; node < graph.num_nodes(); ++node) {
-    const auto list = graph[node];
-    WriteU64(out, list.size());
-    out.write(reinterpret_cast<const char*>(list.data()),
-              static_cast<std::streamsize>(list.size() *
-                                           sizeof(CsrGraph::NodeId)));
-  }
-}
-
-// ---------------------------------------------------------------------------
-// v1 bounded stream reader. Every length prefix is checked against the
-// bytes actually left in the file BEFORE any allocation, so a corrupt
-// prefix surfaces as `false` (-> Status::Corruption), never as
-// bad_alloc / length_error from resize(n) on attacker-controlled n.
-
-class BoundedReader {
- public:
-  BoundedReader(std::istream& in, std::uint64_t file_size)
-      : in_(in), remaining_(file_size) {}
-
-  std::uint64_t remaining() const { return remaining_; }
-  std::uint64_t consumed() const { return consumed_; }
-
-  bool ReadU32(std::uint32_t* v) { return ReadRaw(v, sizeof(*v)); }
-  bool ReadU64(std::uint64_t* v) { return ReadRaw(v, sizeof(*v)); }
-
-  bool ReadDoubles(std::vector<double>* v) {
-    std::uint64_t n = 0;
-    if (!ReadU64(&n) || n > remaining_ / sizeof(double)) return false;
-    v->resize(n);
-    return ReadRaw(v->data(), n * sizeof(double));
-  }
-  bool ReadString(std::string* s) {
-    std::uint64_t n = 0;
-    if (!ReadU64(&n) || n > remaining_ || n > kMaxNameBytes) return false;
-    s->resize(n);
-    return ReadRaw(s->data(), n);
-  }
-  template <typename T>
-  bool ReadIds(std::vector<T>* v) {
-    static_assert(sizeof(T) == sizeof(std::uint32_t));
-    std::uint64_t n = 0;
-    if (!ReadU64(&n) || n > remaining_ / sizeof(T)) return false;
-    v->resize(n);
-    return ReadRaw(v->data(), n * sizeof(T));
-  }
-  template <typename T>
-  bool ReadAdjacency(std::vector<std::vector<T>>* v) {
-    std::uint64_t n = 0;
-    // Each non-empty adjacency list costs at least its 8-byte prefix.
-    if (!ReadU64(&n) || n > remaining_ / sizeof(std::uint64_t)) return false;
-    v->resize(n);
-    for (auto& list : *v) {
-      if (!ReadIds(&list)) return false;
-    }
-    return true;
-  }
-
-  // Skips `bytes` without reading them (metadata-only inspection).
-  bool Skip(std::uint64_t bytes) {
-    if (bytes > remaining_) return false;
-    in_.seekg(static_cast<std::streamoff>(bytes), std::ios::cur);
-    if (!in_) return false;
-    remaining_ -= bytes;
-    consumed_ += bytes;
-    return true;
-  }
-
- private:
-  bool ReadRaw(void* out, std::uint64_t bytes) {
-    if (bytes > remaining_) return false;
-    in_.read(static_cast<char*>(out),
-             static_cast<std::streamsize>(bytes));
-    if (!in_) return false;
-    remaining_ -= bytes;
-    consumed_ += bytes;
-    return true;
-  }
-
-  std::istream& in_;
-  std::uint64_t remaining_;
-  std::uint64_t consumed_ = 0;
-};
-
-StatusOr<std::uint64_t> FileSize(std::istream& in, const std::string& path) {
-  in.seekg(0, std::ios::end);
-  const std::streamoff size = in.tellg();
-  in.seekg(0, std::ios::beg);
-  if (!in || size < 0) return Status::IoError("cannot stat " + path);
-  return static_cast<std::uint64_t>(size);
-}
-
-// Finishes a temp-file write: flush, close, verify, rename over `path`.
-// The destination never holds a torn file -- on any failure the temp
-// file is removed and `path` is untouched.
-Status CommitAtomic(std::ofstream& out, const std::string& tmp,
-                    const std::string& path) {
-  out.flush();
-  const bool flushed = bool(out);
-  out.close();
-  if (!flushed || out.fail()) {
-    std::remove(tmp.c_str());
-    return Status::IoError("write failure on " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("cannot rename " + tmp + " over " + path);
-  }
-  return Status::Ok();
-}
-
-// ---------------------------------------------------------------------------
 // v2 section indexing: header + table + per-section validation over a
 // raw byte buffer (an mmap or an in-memory copy of the file).
 
@@ -228,15 +82,28 @@ struct SectionMap {
 // it the caller reports per-section results (`drli inspect`).
 Status IndexSections(const std::uint8_t* base, std::uint64_t size,
                      bool strict_crc, SectionMap* map) {
+  // Magic and version come first, before any size check, so a file in
+  // a retired format is named as such at any length.
+  std::uint32_t lead[2] = {0, 0};
+  if (size < sizeof(lead)) {
+    return Status::Corruption("file smaller than snapshot header");
+  }
+  std::memcpy(lead, base, sizeof(lead));
+  if (lead[0] != snapshot::kMagic) return Status::Corruption("bad magic");
+  if (lead[1] == snapshot::kVersionV1) {
+    return Status::Corruption(
+        "snapshot format v1 is no longer read; rebuild the index with "
+        "`drli build` to write a v2 snapshot");
+  }
+  if (lead[1] != snapshot::kVersionV2) {
+    return Status::Corruption("unsupported snapshot version " +
+                              std::to_string(lead[1]));
+  }
   if (size < sizeof(HeaderV2)) {
     return Status::Corruption("file smaller than snapshot header");
   }
   HeaderV2& h = map->header;
   std::memcpy(&h, base, sizeof(h));
-  if (h.magic != snapshot::kMagic) return Status::Corruption("bad magic");
-  if (h.version != snapshot::kVersionV2) {
-    return Status::Corruption("unsupported snapshot version");
-  }
   if (snapshot::ComputeHeaderCrc(h) != h.header_crc) {
     return Status::Corruption("header CRC mismatch");
   }
@@ -406,28 +273,6 @@ class DualLayerSerializer {
  public:
   // ------------------------------------------------------------------ save
 
-  static Status SaveV1(const DualLayerIndex& index, const std::string& path) {
-    const std::string tmp = path + ".tmp";
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("cannot open " + tmp + " for writing");
-
-    WriteU32(out, snapshot::kMagic);
-    WriteU32(out, snapshot::kVersionV1);
-    WriteString(out, index.name_);
-    WriteU32(out, static_cast<std::uint32_t>(index.points_.dim()));
-    WriteDoubles(out, index.points_.raw());
-    WriteDoubles(out, index.virtual_points_.raw());
-    WriteIds(out, index.coarse_of_);
-    WriteIds(out, index.fine_of_);
-    WriteAdjacency(out, index.coarse_out_);
-    WriteAdjacency(out, index.fine_out_);
-    WriteAdjacency(out, index.coarse_layers_);
-    WriteU32(out, index.use_weight_table_ ? 1 : 0);
-    WriteIds(out, index.weight_table_.chain());
-
-    return CommitAtomic(out, tmp, path);
-  }
-
   static Status SaveV2(const DualLayerIndex& index, const std::string& path) {
     // Flatten the per-layer member lists into offsets + one id array.
     std::vector<std::uint32_t> layer_offsets;
@@ -448,35 +293,28 @@ class DualLayerSerializer {
     const auto fine_targets = index.fine_out_.targets();
     const std::vector<TupleId>& chain = index.weight_table_.chain();
 
+    // Every section is written straight from the index's own arrays.
+    const auto bytes_of = [](const auto& array) {
+      return ByteSpan(reinterpret_cast<const std::uint8_t*>(array.data()),
+                      array.size() * sizeof(*array.data()));
+    };
     struct Payload {
       SectionKind kind;
-      const void* data;
-      std::uint64_t bytes;
+      ByteSpan bytes;
     };
     const std::array<Payload, kNumSections> payloads = {{
-        {SectionKind::kName, index.name_.data(), index.name_.size()},
-        {SectionKind::kPoints, points_raw.data(),
-         points_raw.size() * sizeof(double)},
-        {SectionKind::kVirtualPoints, virtual_raw.data(),
-         virtual_raw.size() * sizeof(double)},
-        {SectionKind::kCoarseOf, index.coarse_of_.data(),
-         index.coarse_of_.size() * sizeof(std::uint32_t)},
-        {SectionKind::kFineOf, index.fine_of_.data(),
-         index.fine_of_.size() * sizeof(std::uint32_t)},
-        {SectionKind::kCoarseOffsets, coarse_offsets.data(),
-         coarse_offsets.size() * sizeof(std::uint32_t)},
-        {SectionKind::kCoarseTargets, coarse_targets.data(),
-         coarse_targets.size() * sizeof(std::uint32_t)},
-        {SectionKind::kFineOffsets, fine_offsets.data(),
-         fine_offsets.size() * sizeof(std::uint32_t)},
-        {SectionKind::kFineTargets, fine_targets.data(),
-         fine_targets.size() * sizeof(std::uint32_t)},
-        {SectionKind::kLayerOffsets, layer_offsets.data(),
-         layer_offsets.size() * sizeof(std::uint32_t)},
-        {SectionKind::kLayerMembers, layer_members.data(),
-         layer_members.size() * sizeof(std::uint32_t)},
-        {SectionKind::kWeightChain, chain.data(),
-         chain.size() * sizeof(std::uint32_t)},
+        {SectionKind::kName, bytes_of(index.name_)},
+        {SectionKind::kPoints, bytes_of(points_raw)},
+        {SectionKind::kVirtualPoints, bytes_of(virtual_raw)},
+        {SectionKind::kCoarseOf, bytes_of(index.coarse_of_)},
+        {SectionKind::kFineOf, bytes_of(index.fine_of_)},
+        {SectionKind::kCoarseOffsets, bytes_of(coarse_offsets)},
+        {SectionKind::kCoarseTargets, bytes_of(coarse_targets)},
+        {SectionKind::kFineOffsets, bytes_of(fine_offsets)},
+        {SectionKind::kFineTargets, bytes_of(fine_targets)},
+        {SectionKind::kLayerOffsets, bytes_of(layer_offsets)},
+        {SectionKind::kLayerMembers, bytes_of(layer_members)},
+        {SectionKind::kWeightChain, bytes_of(chain)},
     }};
 
     HeaderV2 header;
@@ -496,94 +334,31 @@ class DualLayerSerializer {
       SectionEntry& entry = entries[i];
       entry.kind = static_cast<std::uint32_t>(p.kind);
       entry.offset = AlignUp(cursor);
-      entry.length = p.bytes;
-      entry.crc = Crc32c(p.data, p.bytes);
+      entry.length = p.bytes.size();
+      entry.crc = Crc32c(p.bytes.data(), p.bytes.size());
       cursor = entry.offset + entry.length;
     }
     header.section_table_crc =
         Crc32c(entries.data(), sizeof(SectionEntry) * entries.size());
     header.header_crc = snapshot::ComputeHeaderCrc(header);
 
-    const std::string tmp = path + ".tmp";
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::IoError("cannot open " + tmp + " for writing");
-    out.write(reinterpret_cast<const char*>(&header), sizeof(header));
-    out.write(reinterpret_cast<const char*>(entries.data()),
-              static_cast<std::streamsize>(sizeof(SectionEntry) *
-                                           entries.size()));
+    // Header, table, then each payload behind its zero padding.
+    static constexpr std::uint8_t kZeros[snapshot::kSectionAlignment] = {};
+    std::array<ByteSpan, 2 + 2 * kNumSections> parts;
+    parts[0] = ByteSpan(reinterpret_cast<const std::uint8_t*>(&header),
+                        sizeof(header));
+    parts[1] = bytes_of(entries);
     std::uint64_t written =
         sizeof(HeaderV2) + kNumSections * sizeof(SectionEntry);
-    static constexpr char kZeros[snapshot::kSectionAlignment] = {};
     for (std::size_t i = 0; i < kNumSections; ++i) {
-      const std::uint64_t pad = entries[i].offset - written;
-      out.write(kZeros, static_cast<std::streamsize>(pad));
-      out.write(static_cast<const char*>(payloads[i].data),
-                static_cast<std::streamsize>(payloads[i].bytes));
-      written = entries[i].offset + payloads[i].bytes;
+      parts[2 + 2 * i] = ByteSpan(kZeros, entries[i].offset - written);
+      parts[3 + 2 * i] = payloads[i].bytes;
+      written = entries[i].offset + entries[i].length;
     }
-    return CommitAtomic(out, tmp, path);
+    return WriteFileAtomic(path, parts);
   }
 
   // ------------------------------------------------------------------ load
-
-  static StatusOr<DualLayerIndex> LoadV1(std::istream& in,
-                                         std::uint64_t file_size,
-                                         const std::string& path) {
-    BoundedReader reader(in, file_size);
-    std::uint32_t magic = 0, version = 0;
-    if (!reader.ReadU32(&magic) || magic != snapshot::kMagic ||
-        !reader.ReadU32(&version) || version != snapshot::kVersionV1) {
-      return Status::Corruption("bad v1 header in " + path);
-    }
-
-    DualLayerIndex index;
-    std::uint32_t dim = 0;
-    std::vector<double> points_raw;
-    std::vector<double> virtual_raw;
-    std::uint32_t use_table = 0;
-    std::vector<TupleId> chain;
-    std::vector<std::vector<CsrGraph::NodeId>> coarse_adj;
-    std::vector<std::vector<CsrGraph::NodeId>> fine_adj;
-    std::vector<std::vector<TupleId>> coarse_layers;
-    if (!reader.ReadString(&index.name_) || !reader.ReadU32(&dim) ||
-        dim == 0 || dim > snapshot::kMaxDim ||
-        !reader.ReadDoubles(&points_raw) ||
-        !reader.ReadDoubles(&virtual_raw) ||
-        !reader.ReadIds(&index.coarse_of_) ||
-        !reader.ReadIds(&index.fine_of_) ||
-        !reader.ReadAdjacency(&coarse_adj) ||
-        !reader.ReadAdjacency(&fine_adj) ||
-        !reader.ReadAdjacency(&coarse_layers) ||
-        !reader.ReadU32(&use_table) || !reader.ReadIds(&chain)) {
-      return Status::Corruption("truncated or corrupt index file " + path);
-    }
-    if (points_raw.size() % dim != 0 || virtual_raw.size() % dim != 0) {
-      return Status::Corruption("point buffer not divisible by dim");
-    }
-
-    index.points_ = PointSet::FromVector(dim, std::move(points_raw));
-    index.virtual_points_ = PointSet::FromVector(dim, std::move(virtual_raw));
-    const std::size_t total = index.num_nodes();
-    if (coarse_adj.size() != total || fine_adj.size() != total) {
-      return Status::Corruption("node array size mismatch");
-    }
-    // Targets are range-checked in FinishLoadedIndex, but 32-bit CSR
-    // offsets must not overflow before that.
-    const auto count_edges = [](const auto& adj) {
-      std::uint64_t edges = 0;
-      for (const auto& list : adj) edges += list.size();
-      return edges;
-    };
-    if (count_edges(coarse_adj) > std::numeric_limits<std::uint32_t>::max() ||
-        count_edges(fine_adj) > std::numeric_limits<std::uint32_t>::max()) {
-      return Status::Corruption("edge count overflows CSR offsets");
-    }
-    index.coarse_out_ = CsrGraph::FromAdjacency(coarse_adj);
-    index.fine_out_ = CsrGraph::FromAdjacency(fine_adj);
-    index.coarse_layers_ = std::move(coarse_layers);
-    return FinishLoadedIndex(std::move(index), use_table != 0,
-                             std::move(chain), /*fine_edges_verified=*/false);
-  }
 
   static StatusOr<DualLayerIndex> LoadV2(
       const std::uint8_t* base, std::uint64_t size,
@@ -718,8 +493,8 @@ class DualLayerSerializer {
     index.fine_out_ = CsrGraph::FromAdjacency(kept);
   }
 
-  // Shared tail of both loaders: range-checks everything that could
-  // index out of bounds at query time, then recomputes derived state.
+  // Tail of LoadV2: range-checks everything that could index out of
+  // bounds at query time, then recomputes derived state.
   static StatusOr<DualLayerIndex> FinishLoadedIndex(
       DualLayerIndex index, bool use_table, std::vector<TupleId> chain,
       bool fine_edges_verified) {
@@ -798,43 +573,13 @@ class DualLayerSerializer {
   }
 };
 
-Status SaveDualLayerIndex(const DualLayerIndex& index, const std::string& path,
-                          const SnapshotSaveOptions& options) {
-  switch (options.format_version) {
-    case snapshot::kVersionV1:
-      return DualLayerSerializer::SaveV1(index, path);
-    case snapshot::kVersionV2:
-      return DualLayerSerializer::SaveV2(index, path);
-    default:
-      return Status::InvalidArgument(
-          "unknown snapshot format version " +
-          std::to_string(options.format_version));
-  }
+Status SaveDualLayerIndex(const DualLayerIndex& index,
+                          const std::string& path) {
+  return DualLayerSerializer::SaveV2(index, path);
 }
 
 StatusOr<DualLayerIndex> LoadDualLayerIndex(
     const std::string& path, const SnapshotLoadOptions& options) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  auto size = FileSize(in, path);
-  if (!size.ok()) return size.status();
-
-  std::uint32_t magic = 0, version = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!in || magic != snapshot::kMagic) {
-    return Status::Corruption("bad magic in " + path);
-  }
-  in.seekg(0, std::ios::beg);
-
-  if (version == snapshot::kVersionV1) {
-    return DualLayerSerializer::LoadV1(in, size.value(), path);
-  }
-  if (version != snapshot::kVersionV2) {
-    return Status::Corruption("unsupported version in " + path);
-  }
-  in.close();
-
   if (options.prefer_mmap) {
     auto mapped = MmapFile::Open(path);
     if (mapped.ok()) {
@@ -849,126 +594,7 @@ StatusOr<DualLayerIndex> LoadDualLayerIndex(
                                      bytes.value().size(), nullptr);
 }
 
-namespace {
-
-// v1 metadata walk: skips through the stream recording segment
-// boundaries, with every length bounded before use.
-StatusOr<SnapshotInfo> InspectV1(std::istream& in, std::uint64_t file_size) {
-  SnapshotInfo info;
-  info.version = snapshot::kVersionV1;
-  info.file_size = file_size;
-  BoundedReader reader(in, file_size);
-
-  std::uint32_t magic = 0, version = 0;
-  if (!reader.ReadU32(&magic) || !reader.ReadU32(&version)) {
-    return Status::Corruption("truncated v1 header");
-  }
-
-  const auto begin_row = [&](const char* name) {
-    SnapshotSectionInfo row;
-    row.name = name;
-    row.offset = reader.consumed();
-    return row;
-  };
-  const auto end_row = [&](SnapshotSectionInfo row) {
-    row.length = reader.consumed() - row.offset;
-    info.sections.push_back(std::move(row));
-  };
-  const auto skip_array = [&](std::uint64_t elem_size,
-                              std::uint64_t* count) -> bool {
-    std::uint64_t n = 0;
-    if (!reader.ReadU64(&n) || n > reader.remaining() / elem_size) {
-      return false;
-    }
-    if (count != nullptr) *count = n;
-    return reader.Skip(n * elem_size);
-  };
-
-  SnapshotSectionInfo row = begin_row("name");
-  std::uint64_t count = 0;
-  if (!skip_array(1, &count)) return Status::Corruption("corrupt v1 name");
-  end_row(std::move(row));
-
-  std::uint32_t dim = 0;
-  if (!reader.ReadU32(&dim) || dim == 0 || dim > snapshot::kMaxDim) {
-    return Status::Corruption("corrupt v1 dim");
-  }
-  info.dim = dim;
-
-  const char* point_sections[] = {"points", "virtual_points"};
-  for (const char* name : point_sections) {
-    row = begin_row(name);
-    if (!skip_array(sizeof(double), &count)) {
-      return Status::Corruption(std::string("corrupt v1 ") + name);
-    }
-    end_row(std::move(row));
-    if (count % dim != 0) {
-      return Status::Corruption("point buffer not divisible by dim");
-    }
-    (name == point_sections[0] ? info.num_points : info.num_virtual) =
-        count / dim;
-  }
-  const char* id_sections[] = {"coarse_of", "fine_of"};
-  for (const char* name : id_sections) {
-    row = begin_row(name);
-    if (!skip_array(sizeof(std::uint32_t), nullptr)) {
-      return Status::Corruption(std::string("corrupt v1 ") + name);
-    }
-    end_row(std::move(row));
-  }
-  const char* adjacency_sections[] = {"coarse_adjacency", "fine_adjacency",
-                                      "coarse_layers"};
-  for (const char* name : adjacency_sections) {
-    row = begin_row(name);
-    std::uint64_t lists = 0;
-    if (!reader.ReadU64(&lists) ||
-        lists > reader.remaining() / sizeof(std::uint64_t)) {
-      return Status::Corruption(std::string("corrupt v1 ") + name);
-    }
-    for (std::uint64_t i = 0; i < lists; ++i) {
-      if (!skip_array(sizeof(std::uint32_t), nullptr)) {
-        return Status::Corruption(std::string("corrupt v1 ") + name);
-      }
-    }
-    end_row(std::move(row));
-  }
-  row = begin_row("weight_chain");
-  std::uint32_t use_table = 0;
-  if (!reader.ReadU32(&use_table) ||
-      !skip_array(sizeof(std::uint32_t), nullptr)) {
-    return Status::Corruption("corrupt v1 weight chain");
-  }
-  end_row(std::move(row));
-  info.use_weight_table = use_table != 0;
-  if (reader.remaining() != 0) {
-    return Status::Corruption("trailing bytes after v1 stream");
-  }
-  return info;
-}
-
-}  // namespace
-
 StatusOr<SnapshotInfo> InspectSnapshot(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return Status::IoError("cannot open " + path);
-  auto size = FileSize(in, path);
-  if (!size.ok()) return size.status();
-
-  std::uint32_t magic = 0, version = 0;
-  in.read(reinterpret_cast<char*>(&magic), sizeof(magic));
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  if (!in || magic != snapshot::kMagic) {
-    return Status::Corruption("bad magic in " + path);
-  }
-  in.seekg(0, std::ios::beg);
-  if (version == snapshot::kVersionV1) {
-    return InspectV1(in, size.value());
-  }
-  if (version != snapshot::kVersionV2) {
-    return Status::Corruption("unsupported version in " + path);
-  }
-  in.close();
-
   auto mapped = MmapFile::Open(path);
   if (!mapped.ok()) return mapped.status();
   const std::shared_ptr<MmapFile> file = mapped.value();

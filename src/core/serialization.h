@@ -3,16 +3,15 @@
 // operating model of a layer-based index (built offline, queried for
 // many weight vectors).
 //
-// Two on-disk formats:
-//  * v2 (default, core/snapshot_format.h): fixed header + section
-//    table, one 64-byte-aligned section per array, each carrying a
-//    CRC-32C. Written atomically (temp file + rename). Loads either
-//    zero-copy -- PointSet/CsrGraph views pointed straight into a
-//    shared mmap of the file, no copy of the point or adjacency
-//    payloads -- or into owned storage (the fallback, and the only
-//    mode for v1 files).
-//  * v1 (legacy stream format): still readable, and still writable via
-//    SnapshotSaveOptions for fixtures and back-compat tests.
+// One on-disk format, v2 (core/snapshot_format.h): fixed header +
+// section table, one 64-byte-aligned section per array, each carrying
+// a CRC-32C. Written atomically and durably (storage/file_io.h: temp
+// file, fsync, rename). Loads either zero-copy -- PointSet/CsrGraph
+// views pointed straight into a shared mmap of the file, no copy of
+// the point or adjacency payloads -- or into owned storage (the
+// fallback). The retired v1 stream format is recognised by its version
+// field and rejected with a hint to rebuild; no byte past that field
+// is parsed.
 //
 // Load never trusts the file: lengths are bounded by the file size
 // before any allocation, every section CRC is verified, edge targets /
@@ -34,45 +33,37 @@
 
 namespace drli {
 
-struct SnapshotSaveOptions {
-  // snapshot::kVersionV2 (default) or snapshot::kVersionV1 (legacy
-  // stream layout, for fixtures and compatibility tests).
-  std::uint32_t format_version = snapshot::kVersionV2;
-};
-
-// Writes the full index (points, layers, edges, zero layer) to `path`,
-// atomically: the bytes go to "<path>.tmp" and are renamed over `path`
-// only after a clean flush + close, so a crash or full disk never
-// leaves a torn file at `path`.
+// Writes the full index (points, layers, edges, zero layer) to `path`
+// as a v2 snapshot, atomically and durably: the bytes go to
+// "<path>.tmp", are fsync'ed and only then renamed over `path`, so a
+// crash or full disk never leaves a torn file at `path`.
 // Note: only the query-relevant structure is persisted; the loaded
 // index reports default build options() and zeroed build timings.
 Status SaveDualLayerIndex(const DualLayerIndex& index,
-                          const std::string& path,
-                          const SnapshotSaveOptions& options = {});
+                          const std::string& path);
 
 struct SnapshotLoadOptions {
-  // For v2 files: mmap the snapshot and point the index's point /
-  // adjacency storage directly into the mapping (the mapping is
-  // shared-owned by those views and unmapped with the last of them).
-  // When false -- or when mmap fails, or for v1 files -- every array
-  // is copied into owned storage.
+  // mmap the snapshot and point the index's point / adjacency storage
+  // directly into the mapping (the mapping is shared-owned by those
+  // views and unmapped with the last of them). When false -- or when
+  // mmap fails -- every array is copied into owned storage.
   bool prefer_mmap = true;
 };
 
-// Reads an index previously written by SaveDualLayerIndex (either
-// format version).
+// Reads an index previously written by SaveDualLayerIndex. A v1 file
+// returns Corruption naming `drli build` as the way to rebuild it.
 StatusOr<DualLayerIndex> LoadDualLayerIndex(
     const std::string& path, const SnapshotLoadOptions& options = {});
 
 // --- snapshot metadata (drli inspect, testing/fault_inject) ---
 
 struct SnapshotSectionInfo {
-  std::uint32_t kind = 0;   // snapshot::SectionKind (v2); 0 for v1 rows
+  std::uint32_t kind = 0;   // snapshot::SectionKind
   std::string name;         // section name, e.g. "points"
   std::uint64_t offset = 0; // absolute file offset of the payload
   std::uint64_t length = 0; // payload bytes
-  std::uint32_t crc = 0;    // stored CRC-32C (v2 only)
-  bool crc_ok = false;      // payload CRC recomputed and matched (v2)
+  std::uint32_t crc = 0;    // stored CRC-32C
+  bool crc_ok = false;      // payload CRC recomputed and matched
 };
 
 struct SnapshotInfo {
@@ -82,15 +73,14 @@ struct SnapshotInfo {
   std::size_t num_virtual = 0;
   bool use_weight_table = false;
   std::uint64_t file_size = 0;
-  // v2: the section table, in file order, with verified CRCs.
-  // v1: synthesized rows for the stream's length-prefixed segments.
+  // The section table, in file order, with verified CRCs.
   std::vector<SnapshotSectionInfo> sections;
 };
 
-// Parses snapshot metadata without constructing the index. For v2
-// files every section CRC is recomputed into SnapshotSectionInfo::
-// crc_ok; structural corruption (bad magic/header/table, out-of-range
-// sections) is a Corruption status.
+// Parses snapshot metadata without constructing the index. Every
+// section CRC is recomputed into SnapshotSectionInfo::crc_ok;
+// structural corruption (bad magic/header/table, out-of-range
+// sections) and a v1 file are a Corruption status.
 StatusOr<SnapshotInfo> InspectSnapshot(const std::string& path);
 
 }  // namespace drli

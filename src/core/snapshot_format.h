@@ -28,7 +28,7 @@ namespace drli {
 namespace snapshot {
 
 inline constexpr std::uint32_t kMagic = 0x494c5244;  // "DRLI"
-inline constexpr std::uint32_t kVersionV1 = 1;       // legacy stream format
+inline constexpr std::uint32_t kVersionV1 = 1;       // retired; rejected
 inline constexpr std::uint32_t kVersionV2 = 2;       // sectioned + CRC32C
 inline constexpr std::size_t kSectionAlignment = 64;
 
@@ -71,8 +71,8 @@ static_assert(sizeof(HeaderV2) == 56);
 
 inline constexpr std::uint32_t kFlagWeightTable = 1u << 0;
 // Every ∃-edge passed FacetIsVerifiedEds (EdsMargin::kRounding,
-// core/eds.h) at build. Files without it, v1 files included, have
-// their ∃ in-sets re-verified at load.
+// core/eds.h) at build. Files without it (written before the flag
+// existed) have their ∃ in-sets re-verified at load.
 inline constexpr std::uint32_t kFlagVerifiedFineEdges = 1u << 1;
 
 struct SectionEntry {

@@ -1,123 +1,80 @@
 #include "server/protocol.h"
 
-#include <cstring>
 #include <limits>
 
 #include "common/check.h"
 #include "common/crc32c.h"
+#include "storage/file_io.h"
 
 namespace drli {
 namespace wire {
 namespace {
 
-// Little-endian append/read helpers. The reader is bounds-checked on
-// every access: a hostile payload can make a Get fail, never over-read
-// or trigger an unbounded allocation.
-class Writer {
- public:
-  explicit Writer(std::vector<std::uint8_t>* out) : out_(out) {}
+// Fields use the bounds-checked little-endian codec of
+// storage/file_io.h, so a hostile payload can make a read fail, never
+// over-read or trigger an unbounded allocation. Strings carry a u32
+// length prefix.
+void AppendStr(std::vector<std::uint8_t>* out, const std::string& s) {
+  AppendU32(out, static_cast<std::uint32_t>(s.size()));
+  out->insert(out->end(), s.begin(), s.end());
+}
 
-  void U8(std::uint8_t v) { out_->push_back(v); }
-  void U32(std::uint32_t v) { Raw(&v, sizeof(v)); }
-  void U64(std::uint64_t v) { Raw(&v, sizeof(v)); }
-  void F64(double v) { Raw(&v, sizeof(v)); }
-  void Str(const std::string& s) {
-    U32(static_cast<std::uint32_t>(s.size()));
-    Raw(s.data(), s.size());
-  }
+bool ReadStr(ByteReader* r, std::string* s) {
+  std::uint32_t len = 0;
+  return r->ReadU32(&len) && len <= kMaxFramePayload &&
+         r->ReadString(len, s);
+}
 
- private:
-  void Raw(const void* data, std::size_t len) {
-    const auto* bytes = static_cast<const std::uint8_t*>(data);
-    out_->insert(out_->end(), bytes, bytes + len);
-  }
-
-  std::vector<std::uint8_t>* out_;
-};
-
-class Reader {
- public:
-  Reader(const std::uint8_t* data, std::size_t size)
-      : data_(data), size_(size) {}
-
-  std::size_t remaining() const { return size_ - pos_; }
-  bool done() const { return pos_ == size_; }
-
-  bool U8(std::uint8_t* v) { return Raw(v, sizeof(*v)); }
-  bool U32(std::uint32_t* v) { return Raw(v, sizeof(*v)); }
-  bool U64(std::uint64_t* v) { return Raw(v, sizeof(*v)); }
-  bool F64(double* v) { return Raw(v, sizeof(*v)); }
-  bool Str(std::string* s, std::size_t max_len = kMaxFramePayload) {
-    std::uint32_t len = 0;
-    if (!U32(&len) || len > max_len || len > remaining()) return false;
-    s->assign(reinterpret_cast<const char*>(data_ + pos_), len);
-    pos_ += len;
-    return true;
-  }
-
- private:
-  bool Raw(void* out, std::size_t len) {
-    if (len > remaining()) return false;
-    std::memcpy(out, data_ + pos_, len);
-    pos_ += len;
-    return true;
-  }
-
-  const std::uint8_t* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-void EncodeQueryBody(const WireQuery& query, Writer* w) {
-  w->U8(static_cast<std::uint8_t>(query.scenario));
-  w->U64(query.k);
-  w->F64(query.deadline_ms);
-  w->U64(query.max_evals);
-  w->U32(static_cast<std::uint32_t>(query.weights.size()));
-  for (double v : query.weights) w->F64(v);
+void EncodeQueryBody(const WireQuery& query, std::vector<std::uint8_t>* out) {
+  out->push_back(static_cast<std::uint8_t>(query.scenario));
+  AppendU64(out, query.k);
+  AppendF64(out, query.deadline_ms);
+  AppendU64(out, query.max_evals);
+  AppendU32(out, static_cast<std::uint32_t>(query.weights.size()));
+  for (double v : query.weights) AppendF64(out, v);
   switch (query.scenario) {
     case Scenario::kPlain:
       break;
     case Scenario::kConstrained:
-      w->U32(static_cast<std::uint32_t>(query.box.dim()));
+      AppendU32(out, static_cast<std::uint32_t>(query.box.dim()));
       for (std::size_t a = 0; a < query.box.dim(); ++a) {
-        w->F64(query.box.lo[a]);
-        w->F64(query.box.hi[a]);
+        AppendF64(out, query.box.lo[a]);
+        AppendF64(out, query.box.hi[a]);
       }
       break;
     case Scenario::kDiversified:
-      w->F64(query.lambda);
-      w->U64(query.pool_factor);
+      AppendF64(out, query.lambda);
+      AppendU64(out, query.pool_factor);
       break;
     case Scenario::kReverse:
-      w->U32(query.reverse_target);
+      AppendU32(out, query.reverse_target);
       break;
   }
 }
 
-bool DecodeQueryBody(Reader* r, WireQuery* query) {
+bool DecodeQueryBody(ByteReader* r, WireQuery* query) {
   std::uint8_t scenario = 0;
-  if (!r->U8(&scenario) || scenario > 3) return false;
+  if (!r->ReadU8(&scenario) || scenario > 3) return false;
   query->scenario = static_cast<Scenario>(scenario);
-  if (!r->U64(&query->k) || !r->F64(&query->deadline_ms) ||
-      !r->U64(&query->max_evals)) {
+  if (!r->ReadU64(&query->k) || !r->ReadF64(&query->deadline_ms) ||
+      !r->ReadU64(&query->max_evals)) {
     return false;
   }
   std::uint32_t dim = 0;
-  if (!r->U32(&dim) || dim > kMaxWireDim ||
+  if (!r->ReadU32(&dim) || dim > kMaxWireDim ||
       static_cast<std::size_t>(dim) * sizeof(double) > r->remaining()) {
     return false;
   }
   query->weights.resize(dim);
   for (double& v : query->weights) {
-    if (!r->F64(&v)) return false;
+    if (!r->ReadF64(&v)) return false;
   }
   switch (query->scenario) {
     case Scenario::kPlain:
       break;
     case Scenario::kConstrained: {
       std::uint32_t box_dim = 0;
-      if (!r->U32(&box_dim) || box_dim > kMaxWireDim ||
+      if (!r->ReadU32(&box_dim) || box_dim > kMaxWireDim ||
           static_cast<std::size_t>(box_dim) * 2 * sizeof(double) >
               r->remaining()) {
         return false;
@@ -125,76 +82,80 @@ bool DecodeQueryBody(Reader* r, WireQuery* query) {
       query->box.lo.resize(box_dim);
       query->box.hi.resize(box_dim);
       for (std::size_t a = 0; a < box_dim; ++a) {
-        if (!r->F64(&query->box.lo[a]) || !r->F64(&query->box.hi[a])) {
+        if (!r->ReadF64(&query->box.lo[a]) || !r->ReadF64(&query->box.hi[a])) {
           return false;
         }
       }
       break;
     }
     case Scenario::kDiversified:
-      if (!r->F64(&query->lambda) || !r->U64(&query->pool_factor)) {
+      if (!r->ReadF64(&query->lambda) || !r->ReadU64(&query->pool_factor)) {
         return false;
       }
       break;
     case Scenario::kReverse:
-      if (!r->U32(&query->reverse_target)) return false;
+      if (!r->ReadU32(&query->reverse_target)) return false;
       break;
   }
   return true;
 }
 
-void EncodeResultBody(const WireResult& result, Writer* w) {
-  w->U8(static_cast<std::uint8_t>(result.status));
-  w->U8(result.termination);
-  w->U64(result.certified_prefix);
-  w->F64(result.frontier_bound);
-  w->U64(result.tuples_evaluated);
-  w->U64(result.generation);
-  w->U32(result.retry_after_ms);
+void EncodeResultBody(const WireResult& result,
+                      std::vector<std::uint8_t>* out) {
+  out->push_back(static_cast<std::uint8_t>(result.status));
+  out->push_back(result.termination);
+  AppendU64(out, result.certified_prefix);
+  AppendF64(out, result.frontier_bound);
+  AppendU64(out, result.tuples_evaluated);
+  AppendU64(out, result.generation);
+  AppendU32(out, result.retry_after_ms);
   // Truncated so per-result encoded size never exceeds the
   // kWireResultOverheadBytes + items/intervals budget ReplyFits uses.
-  w->Str(result.message.substr(0, kMaxWireMessageBytes));
-  w->U32(static_cast<std::uint32_t>(result.items.size()));
+  AppendStr(out, result.message.substr(0, kMaxWireMessageBytes));
+  AppendU32(out, static_cast<std::uint32_t>(result.items.size()));
   for (const WireItem& item : result.items) {
-    w->U32(item.id);
-    w->F64(item.score);
-    w->F64(item.utility);
+    AppendU32(out, item.id);
+    AppendF64(out, item.score);
+    AppendF64(out, item.utility);
   }
-  w->U32(static_cast<std::uint32_t>(result.intervals.size()));
+  AppendU32(out, static_cast<std::uint32_t>(result.intervals.size()));
   for (const WireInterval& iv : result.intervals) {
-    w->F64(iv.lo);
-    w->F64(iv.hi);
+    AppendF64(out, iv.lo);
+    AppendF64(out, iv.hi);
   }
 }
 
-bool DecodeResultBody(Reader* r, WireResult* result) {
+bool DecodeResultBody(ByteReader* r, WireResult* result) {
   std::uint8_t status = 0;
-  if (!r->U8(&status) || status > 5) return false;
+  if (!r->ReadU8(&status) || status > 5) return false;
   result->status = static_cast<ReplyStatus>(status);
-  if (!r->U8(&result->termination) || result->termination > 6 ||
-      !r->U64(&result->certified_prefix) || !r->F64(&result->frontier_bound) ||
-      !r->U64(&result->tuples_evaluated) || !r->U64(&result->generation) ||
-      !r->U32(&result->retry_after_ms) || !r->Str(&result->message)) {
+  if (!r->ReadU8(&result->termination) || result->termination > 6 ||
+      !r->ReadU64(&result->certified_prefix) ||
+      !r->ReadF64(&result->frontier_bound) ||
+      !r->ReadU64(&result->tuples_evaluated) ||
+      !r->ReadU64(&result->generation) ||
+      !r->ReadU32(&result->retry_after_ms) || !ReadStr(r, &result->message)) {
     return false;
   }
   std::uint32_t count = 0;
-  if (!r->U32(&count) || count > kMaxWireItems ||
+  if (!r->ReadU32(&count) || count > kMaxWireItems ||
       static_cast<std::size_t>(count) * 20 > r->remaining()) {
     return false;
   }
   result->items.resize(count);
   for (WireItem& item : result->items) {
-    if (!r->U32(&item.id) || !r->F64(&item.score) || !r->F64(&item.utility)) {
+    if (!r->ReadU32(&item.id) || !r->ReadF64(&item.score) ||
+        !r->ReadF64(&item.utility)) {
       return false;
     }
   }
-  if (!r->U32(&count) || count > kMaxWireItems ||
+  if (!r->ReadU32(&count) || count > kMaxWireItems ||
       static_cast<std::size_t>(count) * 16 > r->remaining()) {
     return false;
   }
   result->intervals.resize(count);
   for (WireInterval& iv : result->intervals) {
-    if (!r->F64(&iv.lo) || !r->F64(&iv.hi)) return false;
+    if (!r->ReadF64(&iv.lo) || !r->ReadF64(&iv.hi)) return false;
   }
   return true;
 }
@@ -223,11 +184,10 @@ bool AppendFrame(std::uint32_t request_id,
                  const std::vector<std::uint8_t>& payload,
                  std::vector<std::uint8_t>* out) {
   if (payload.size() > kMaxFramePayload) return false;
-  Writer w(out);
-  w.U32(kFrameMagic);
-  w.U32(static_cast<std::uint32_t>(payload.size()));
-  w.U32(Crc32c(payload.data(), payload.size()));
-  w.U32(request_id);
+  AppendU32(out, kFrameMagic);
+  AppendU32(out, static_cast<std::uint32_t>(payload.size()));
+  AppendU32(out, Crc32c(payload.data(), payload.size()));
+  AppendU32(out, request_id);
   out->insert(out->end(), payload.begin(), payload.end());
   return true;
 }
@@ -237,11 +197,12 @@ FrameScan ScanFrame(const std::vector<std::uint8_t>& buf, std::size_t* pos,
   const std::size_t avail = buf.size() - *pos;
   if (avail < kFrameHeaderBytes) return FrameScan::kNeedMore;
   const std::uint8_t* head = buf.data() + *pos;
-  std::uint32_t magic, len, crc, request_id;
-  std::memcpy(&magic, head, 4);
-  std::memcpy(&len, head + 4, 4);
-  std::memcpy(&crc, head + 8, 4);
-  std::memcpy(&request_id, head + 12, 4);
+  std::uint32_t magic = 0, len = 0, crc = 0, request_id = 0;
+  ByteReader header(ByteSpan(head, kFrameHeaderBytes));
+  header.ReadU32(&magic);
+  header.ReadU32(&len);
+  header.ReadU32(&crc);
+  header.ReadU32(&request_id);
   if (magic != kFrameMagic) {
     *error = "bad frame magic";
     return FrameScan::kCorrupt;
@@ -265,18 +226,17 @@ FrameScan ScanFrame(const std::vector<std::uint8_t>& buf, std::size_t* pos,
 
 std::vector<std::uint8_t> EncodeRequest(const Request& request) {
   std::vector<std::uint8_t> payload;
-  Writer w(&payload);
-  w.U8(static_cast<std::uint8_t>(request.verb));
+  payload.push_back(static_cast<std::uint8_t>(request.verb));
   switch (request.verb) {
     case Verb::kQuery:
       DRLI_CHECK(request.queries.size() == 1);
-      EncodeQueryBody(request.queries[0], &w);
+      EncodeQueryBody(request.queries[0], &payload);
       break;
     case Verb::kBatch:
       DRLI_CHECK(request.queries.size() <= kMaxBatchQueries);
-      w.U32(static_cast<std::uint32_t>(request.queries.size()));
+      AppendU32(&payload, static_cast<std::uint32_t>(request.queries.size()));
       for (const WireQuery& query : request.queries) {
-        EncodeQueryBody(query, &w);
+        EncodeQueryBody(query, &payload);
       }
       break;
     case Verb::kInspect:
@@ -289,9 +249,9 @@ std::vector<std::uint8_t> EncodeRequest(const Request& request) {
 
 Status DecodeRequest(const std::vector<std::uint8_t>& payload,
                      Request* request) {
-  Reader r(payload.data(), payload.size());
+  ByteReader r(payload);
   std::uint8_t verb = 0;
-  if (!r.U8(&verb) || verb < 1 || verb > 5) {
+  if (!r.ReadU8(&verb) || verb < 1 || verb > 5) {
     return Status::Corruption("unknown request verb");
   }
   request->verb = static_cast<Verb>(verb);
@@ -307,7 +267,7 @@ Status DecodeRequest(const std::vector<std::uint8_t>& payload,
     }
     case Verb::kBatch: {
       std::uint32_t count = 0;
-      if (!r.U32(&count) || count > kMaxBatchQueries) {
+      if (!r.ReadU32(&count) || count > kMaxBatchQueries) {
         return Status::Corruption("batch count out of range");
       }
       request->queries.resize(count);
@@ -323,7 +283,7 @@ Status DecodeRequest(const std::vector<std::uint8_t>& payload,
     case Verb::kReload:
       break;
   }
-  if (!r.done()) {
+  if (r.remaining() != 0) {
     return Status::Corruption("trailing bytes after request body");
   }
   return Status::Ok();
@@ -332,47 +292,43 @@ Status DecodeRequest(const std::vector<std::uint8_t>& payload,
 std::vector<std::uint8_t> EncodeResultReply(
     const std::vector<WireResult>& results) {
   std::vector<std::uint8_t> payload;
-  Writer w(&payload);
-  w.U8(static_cast<std::uint8_t>(ReplyStatus::kOk));
-  w.U32(static_cast<std::uint32_t>(results.size()));
-  for (const WireResult& result : results) EncodeResultBody(result, &w);
+  payload.push_back(static_cast<std::uint8_t>(ReplyStatus::kOk));
+  AppendU32(&payload, static_cast<std::uint32_t>(results.size()));
+  for (const WireResult& result : results) EncodeResultBody(result, &payload);
   return payload;
 }
 
 std::vector<std::uint8_t> EncodeHealthReply(const HealthInfo& info) {
   std::vector<std::uint8_t> payload;
-  Writer w(&payload);
-  w.U8(static_cast<std::uint8_t>(ReplyStatus::kOk));
-  w.U64(info.generation);
-  w.U64(info.queries_served);
-  w.U64(info.queries_shed);
-  w.U64(info.queries_in_flight);
-  w.U64(info.reloads);
-  w.U64(info.malformed_frames);
-  w.U8(info.draining);
+  payload.push_back(static_cast<std::uint8_t>(ReplyStatus::kOk));
+  AppendU64(&payload, info.generation);
+  AppendU64(&payload, info.queries_served);
+  AppendU64(&payload, info.queries_shed);
+  AppendU64(&payload, info.queries_in_flight);
+  AppendU64(&payload, info.reloads);
+  AppendU64(&payload, info.malformed_frames);
+  payload.push_back(info.draining);
   return payload;
 }
 
 std::vector<std::uint8_t> EncodeInspectReply(const InspectInfo& info) {
   std::vector<std::uint8_t> payload;
-  Writer w(&payload);
-  w.U8(static_cast<std::uint8_t>(ReplyStatus::kOk));
-  w.Str(info.engine);
-  w.Str(info.snapshot);
-  w.U64(info.generation);
-  w.U64(info.num_points);
-  w.U32(info.dim);
-  w.Str(info.last_reload_error);
+  payload.push_back(static_cast<std::uint8_t>(ReplyStatus::kOk));
+  AppendStr(&payload, info.engine);
+  AppendStr(&payload, info.snapshot);
+  AppendU64(&payload, info.generation);
+  AppendU64(&payload, info.num_points);
+  AppendU32(&payload, info.dim);
+  AppendStr(&payload, info.last_reload_error);
   return payload;
 }
 
 std::vector<std::uint8_t> EncodeReloadReply(const ReloadInfo& info) {
   std::vector<std::uint8_t> payload;
-  Writer w(&payload);
-  w.U8(static_cast<std::uint8_t>(ReplyStatus::kOk));
-  w.U8(info.reloaded);
-  w.U64(info.generation);
-  w.Str(info.error);
+  payload.push_back(static_cast<std::uint8_t>(ReplyStatus::kOk));
+  payload.push_back(info.reloaded);
+  AppendU64(&payload, info.generation);
+  AppendStr(&payload, info.error);
   return payload;
 }
 
@@ -380,10 +336,9 @@ std::vector<std::uint8_t> EncodeStatusReply(ReplyStatus status,
                                             const std::string& message,
                                             std::uint32_t retry_after_ms) {
   std::vector<std::uint8_t> payload;
-  Writer w(&payload);
-  w.U8(static_cast<std::uint8_t>(status));
-  w.U32(retry_after_ms);
-  w.Str(message);
+  payload.push_back(static_cast<std::uint8_t>(status));
+  AppendU32(&payload, retry_after_ms);
+  AppendStr(&payload, message);
   return payload;
 }
 
@@ -392,19 +347,19 @@ namespace {
 // Bare-status replies are legal wherever a typed reply is expected;
 // this maps one onto a single WireResult so callers see a uniform
 // (status, message, retry hint) surface.
-bool DecodeBareStatus(Reader* r, ReplyStatus status, WireResult* result) {
+bool DecodeBareStatus(ByteReader* r, ReplyStatus status, WireResult* result) {
   result->status = status;
-  return r->U32(&result->retry_after_ms) && r->Str(&result->message) &&
-         r->done();
+  return r->ReadU32(&result->retry_after_ms) && ReadStr(r, &result->message) &&
+         r->remaining() == 0;
 }
 
 }  // namespace
 
 Status DecodeResultReply(const std::vector<std::uint8_t>& payload,
                          std::vector<WireResult>* results) {
-  Reader r(payload.data(), payload.size());
+  ByteReader r(payload);
   std::uint8_t status = 0;
-  if (!r.U8(&status) || status > 5) {
+  if (!r.ReadU8(&status) || status > 5) {
     return Status::Corruption("unknown reply status");
   }
   results->clear();
@@ -417,7 +372,7 @@ Status DecodeResultReply(const std::vector<std::uint8_t>& payload,
     return Status::Ok();
   }
   std::uint32_t count = 0;
-  if (!r.U32(&count) || count > kMaxBatchQueries) {
+  if (!r.ReadU32(&count) || count > kMaxBatchQueries) {
     return Status::Corruption("reply result count out of range");
   }
   results->resize(count);
@@ -426,21 +381,24 @@ Status DecodeResultReply(const std::vector<std::uint8_t>& payload,
       return Status::Corruption("undecodable result body");
     }
   }
-  if (!r.done()) return Status::Corruption("trailing bytes after reply");
+  if (r.remaining() != 0) {
+    return Status::Corruption("trailing bytes after reply");
+  }
   return Status::Ok();
 }
 
 Status DecodeHealthReply(const std::vector<std::uint8_t>& payload,
                          HealthInfo* info) {
-  Reader r(payload.data(), payload.size());
+  ByteReader r(payload);
   std::uint8_t status = 0;
-  if (!r.U8(&status) || static_cast<ReplyStatus>(status) != ReplyStatus::kOk) {
+  if (!r.ReadU8(&status) ||
+      static_cast<ReplyStatus>(status) != ReplyStatus::kOk) {
     return Status::Corruption("health reply carries a non-ok status");
   }
-  if (!r.U64(&info->generation) || !r.U64(&info->queries_served) ||
-      !r.U64(&info->queries_shed) || !r.U64(&info->queries_in_flight) ||
-      !r.U64(&info->reloads) || !r.U64(&info->malformed_frames) ||
-      !r.U8(&info->draining) || !r.done()) {
+  if (!r.ReadU64(&info->generation) || !r.ReadU64(&info->queries_served) ||
+      !r.ReadU64(&info->queries_shed) || !r.ReadU64(&info->queries_in_flight) ||
+      !r.ReadU64(&info->reloads) || !r.ReadU64(&info->malformed_frames) ||
+      !r.ReadU8(&info->draining) || r.remaining() != 0) {
     return Status::Corruption("undecodable health reply");
   }
   return Status::Ok();
@@ -448,14 +406,16 @@ Status DecodeHealthReply(const std::vector<std::uint8_t>& payload,
 
 Status DecodeInspectReply(const std::vector<std::uint8_t>& payload,
                           InspectInfo* info) {
-  Reader r(payload.data(), payload.size());
+  ByteReader r(payload);
   std::uint8_t status = 0;
-  if (!r.U8(&status) || static_cast<ReplyStatus>(status) != ReplyStatus::kOk) {
+  if (!r.ReadU8(&status) ||
+      static_cast<ReplyStatus>(status) != ReplyStatus::kOk) {
     return Status::Corruption("inspect reply carries a non-ok status");
   }
-  if (!r.Str(&info->engine) || !r.Str(&info->snapshot) ||
-      !r.U64(&info->generation) || !r.U64(&info->num_points) ||
-      !r.U32(&info->dim) || !r.Str(&info->last_reload_error) || !r.done()) {
+  if (!ReadStr(&r, &info->engine) || !ReadStr(&r, &info->snapshot) ||
+      !r.ReadU64(&info->generation) || !r.ReadU64(&info->num_points) ||
+      !r.ReadU32(&info->dim) || !ReadStr(&r, &info->last_reload_error) ||
+      r.remaining() != 0) {
     return Status::Corruption("undecodable inspect reply");
   }
   return Status::Ok();
@@ -463,13 +423,14 @@ Status DecodeInspectReply(const std::vector<std::uint8_t>& payload,
 
 Status DecodeReloadReply(const std::vector<std::uint8_t>& payload,
                          ReloadInfo* info) {
-  Reader r(payload.data(), payload.size());
+  ByteReader r(payload);
   std::uint8_t status = 0;
-  if (!r.U8(&status) || static_cast<ReplyStatus>(status) != ReplyStatus::kOk) {
+  if (!r.ReadU8(&status) ||
+      static_cast<ReplyStatus>(status) != ReplyStatus::kOk) {
     return Status::Corruption("reload reply carries a non-ok status");
   }
-  if (!r.U8(&info->reloaded) || !r.U64(&info->generation) ||
-      !r.Str(&info->error) || !r.done()) {
+  if (!r.ReadU8(&info->reloaded) || !r.ReadU64(&info->generation) ||
+      !ReadStr(&r, &info->error) || r.remaining() != 0) {
     return Status::Corruption("undecodable reload reply");
   }
   return Status::Ok();

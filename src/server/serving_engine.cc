@@ -4,15 +4,14 @@
 #include <cstring>
 #include <utility>
 
-#include <fcntl.h>
 #include <sys/stat.h>
-#include <unistd.h>
 
 #include "core/serialization.h"
 #include "scenarios/constrained.h"
 #include "scenarios/diversified.h"
 #include "scenarios/reverse_topk.h"
 #include "shard/shard_io.h"
+#include "storage/file_io.h"
 #include "storage/mmap_file.h"
 #include "storage/tiered_io.h"
 
@@ -224,36 +223,11 @@ Status ServingEngine::LoadGeneration(
 
 Status PublishSnapshot(const std::string& dir,
                        const std::string& snapshot_name) {
-  const std::string tmp = dir + "/" + kCurrentName + ".tmp";
-  const std::string final_path = dir + "/" + kCurrentName;
-  const int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
-  if (fd < 0) {
-    return Status::IoError("open(" + tmp + "): " + std::strerror(errno));
-  }
-  const std::string contents = snapshot_name + "\n";
-  std::size_t done = 0;
-  while (done < contents.size()) {
-    const ssize_t n = ::write(fd, contents.data() + done,
-                              contents.size() - done);
-    if (n < 0) {
-      if (errno == EINTR) continue;
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      return Status::IoError("write(" + tmp + "): " + err);
-    }
-    done += static_cast<std::size_t>(n);
-  }
-  if (::fsync(fd) != 0) {
-    const std::string err = std::strerror(errno);
-    ::close(fd);
-    return Status::IoError("fsync(" + tmp + "): " + err);
-  }
-  ::close(fd);
-  if (::rename(tmp.c_str(), final_path.c_str()) != 0) {
-    return Status::IoError("rename(" + tmp + " -> " + final_path +
-                           "): " + std::strerror(errno));
-  }
-  return Status::Ok();
+  std::vector<std::uint8_t> contents(snapshot_name.begin(),
+                                     snapshot_name.end());
+  contents.push_back('\n');
+  const ByteSpan parts[] = {contents};
+  return WriteFileAtomic(dir + "/" + kCurrentName, parts);
 }
 
 wire::WireResult ExecuteWireQuery(const ServingGeneration& generation,

@@ -106,9 +106,9 @@ class ServingEngine {
   std::mutex reload_mu_;  // serializes concurrent PollReload calls
 };
 
-// Atomically repoints `dir`/CURRENT at `snapshot_name`: writes
-// CURRENT.tmp, fsyncs, renames over CURRENT. The snapshot file(s)
-// must already be in place -- publish is the last step.
+// Atomically repoints `dir`/CURRENT at `snapshot_name` through
+// WriteFileAtomic (storage/file_io.h: CURRENT.tmp, fsync, rename). The
+// snapshot file(s) must already be saved -- publish is the last step.
 Status PublishSnapshot(const std::string& dir,
                        const std::string& snapshot_name);
 

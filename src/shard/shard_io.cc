@@ -1,12 +1,11 @@
 #include "shard/shard_io.h"
 
 #include <cstdio>
-#include <cstring>
-#include <fstream>
-#include <limits>
 #include <utility>
 
 #include "common/crc32c.h"
+#include "storage/file_io.h"
+#include "storage/mmap_file.h"
 
 namespace drli {
 
@@ -17,124 +16,13 @@ using shard_manifest::kMaxNameLength;
 using shard_manifest::kMaxShards;
 using shard_manifest::kVersion;
 
-void AppendU32(std::string* out, std::uint32_t v) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(bytes, 4);
-}
-
-void AppendU64(std::string* out, std::uint64_t v) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(bytes, 8);
-}
-
-// Bounded little-endian reader over the manifest bytes; every Read
-// checks the remaining length so a truncated or lying manifest becomes
-// a Corruption status, never an out-of-bounds read.
-class Cursor {
- public:
-  Cursor(const char* data, std::size_t size) : data_(data), size_(size) {}
-
-  bool ReadU32(std::uint32_t* v) {
-    if (size_ - pos_ < 4) return false;
-    std::uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 4;
-    *v = out;
-    return true;
-  }
-
-  bool ReadU64(std::uint64_t* v) {
-    if (size_ - pos_ < 8) return false;
-    std::uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 8;
-    *v = out;
-    return true;
-  }
-
-  bool ReadString(std::uint64_t length, std::string* v) {
-    if (size_ - pos_ < length) return false;
-    v->assign(data_ + pos_, static_cast<std::size_t>(length));
-    pos_ += static_cast<std::size_t>(length);
-    return true;
-  }
-
-  std::size_t remaining() const { return size_ - pos_; }
-
- private:
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-// Directory prefix of `path` including the trailing separator, "" for a
-// bare filename -- shard files are addressed relative to the manifest.
-std::string DirOf(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? std::string() : path.substr(0, slash + 1);
-}
-
-std::string BaseOf(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open " + tmp + " for writing");
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  const bool flushed = bool(out);
-  out.close();
-  if (!flushed || out.fail()) {
-    std::remove(tmp.c_str());
-    return Status::IoError("write failure on " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("cannot rename " + tmp + " over " + path);
-  }
-  return Status::Ok();
-}
-
-StatusOr<std::string> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IoError("cannot open " + path);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return Status::IoError("cannot stat " + path);
-  in.seekg(0, std::ios::beg);
-  std::string bytes(static_cast<std::size_t>(size), '\0');
-  if (size > 0 && !in.read(bytes.data(), size)) {
-    return Status::IoError("cannot read " + path);
-  }
-  return bytes;
-}
-
-// A shard file name must stay inside the manifest's directory.
-bool SafeRelativeFile(const std::string& name) {
-  if (name.empty() || name == "." || name == "..") return false;
-  return name.find('/') == std::string::npos &&
-         name.find('\\') == std::string::npos;
-}
-
 Status CorruptManifest(const std::string& path, const std::string& detail) {
   return Status::Corruption("shard manifest " + path + ": " + detail);
 }
 
 // Parses + validates everything except the shard files themselves.
 // `members` is optional (Inspect skips materializing the id lists).
-Status ParseManifest(const std::string& path, const std::string& bytes,
+Status ParseManifest(const std::string& path, ByteSpan bytes,
                      ShardManifestInfo* info,
                      std::vector<std::vector<TupleId>>* members) {
   // Header (40 bytes) + name length + checksum is the smallest legal
@@ -144,12 +32,9 @@ Status ParseManifest(const std::string& path, const std::string& bytes,
   }
   const std::size_t body = bytes.size() - 4;
   std::uint32_t stored_crc = 0;
-  {
-    Cursor trailer(bytes.data() + body, 4);
-    trailer.ReadU32(&stored_crc);
-  }
+  ByteReader(bytes.subspan(body)).ReadU32(&stored_crc);
   const std::uint32_t actual_crc = Crc32c(bytes.data(), body);
-  Cursor cursor(bytes.data(), body);
+  ByteReader cursor(bytes.first(body));
 
   std::uint32_t magic = 0, version = 0, dim = 0, partitioner = 0;
   cursor.ReadU32(&magic);
@@ -270,18 +155,16 @@ std::string ShardFilePath(const std::string& manifest_path, std::size_t s) {
 }
 
 Status SaveShardedIndex(const ShardedDualLayerIndex& index,
-                        const std::string& path,
-                        const ShardedSaveOptions& options) {
+                        const std::string& path) {
   // Shards first, manifest last: the manifest only ever points at
   // fully committed shard snapshots.
   for (std::size_t s = 0; s < index.num_shards(); ++s) {
     const Status status =
-        SaveDualLayerIndex(index.shard(s), ShardFilePath(path, s),
-                           options.snapshot);
+        SaveDualLayerIndex(index.shard(s), ShardFilePath(path, s));
     if (!status.ok()) return status;
   }
 
-  std::string bytes;
+  std::vector<std::uint8_t> bytes;
   AppendU32(&bytes, kMagic);
   AppendU32(&bytes, kVersion);
   AppendU32(&bytes, static_cast<std::uint32_t>(index.dim()));
@@ -292,23 +175,24 @@ Status SaveShardedIndex(const ShardedDualLayerIndex& index,
   AppendU64(&bytes, 0);  // flags
   const std::string name = index.name();
   AppendU64(&bytes, name.size());
-  bytes.append(name);
+  bytes.insert(bytes.end(), name.begin(), name.end());
   const std::string base = BaseOf(path);
   for (std::size_t s = 0; s < index.num_shards(); ++s) {
     const std::vector<TupleId>& members = index.shard_members(s);
     AppendU64(&bytes, members.size());
     const std::string file = BaseOf(ShardFilePath(base, s));
     AppendU64(&bytes, file.size());
-    bytes.append(file);
+    bytes.insert(bytes.end(), file.begin(), file.end());
     for (const TupleId id : members) AppendU32(&bytes, id);
   }
   AppendU32(&bytes, Crc32c(bytes.data(), bytes.size()));
-  return WriteFileAtomic(path, bytes);
+  const ByteSpan parts[] = {bytes};
+  return WriteFileAtomic(path, parts);
 }
 
 StatusOr<ShardedDualLayerIndex> LoadShardedIndex(
     const std::string& path, const ShardedLoadOptions& options) {
-  StatusOr<std::string> bytes = ReadWholeFile(path);
+  StatusOr<std::vector<std::uint8_t>> bytes = MmapFile::ReadFileContents(path);
   if (!bytes.ok()) return bytes.status();
   ShardManifestInfo info;
   std::vector<std::vector<TupleId>> members;
@@ -347,17 +231,11 @@ StatusOr<ShardedDualLayerIndex> LoadShardedIndex(
 }
 
 bool IsShardManifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  char bytes[4];
-  if (!in.read(bytes, 4)) return false;
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, bytes, 4);
-  return magic == kMagic;  // little-endian build targets only
+  return FileStartsWithMagic(path, kMagic);
 }
 
 StatusOr<ShardManifestInfo> InspectShardManifest(const std::string& path) {
-  StatusOr<std::string> bytes = ReadWholeFile(path);
+  StatusOr<std::vector<std::uint8_t>> bytes = MmapFile::ReadFileContents(path);
   if (!bytes.ok()) return bytes.status();
   ShardManifestInfo info;
   const Status status = ParseManifest(path, bytes.value(), &info, nullptr);

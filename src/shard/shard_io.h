@@ -40,11 +40,6 @@ inline constexpr std::size_t kMaxShards = 4096;
 inline constexpr std::size_t kMaxNameLength = 4096;
 }  // namespace shard_manifest
 
-struct ShardedSaveOptions {
-  // Format options applied to every per-shard snapshot.
-  SnapshotSaveOptions snapshot{};
-};
-
 struct ShardedLoadOptions {
   // Load options applied to every per-shard snapshot (mmap by default).
   SnapshotLoadOptions snapshot{};
@@ -56,12 +51,11 @@ struct ShardedLoadOptions {
 std::string ShardFilePath(const std::string& manifest_path, std::size_t s);
 
 // Writes every shard snapshot and then the manifest, each atomically
-// (temp file + rename), manifest last -- a crash mid-save leaves either
-// the old index or stray shard files, never a manifest pointing at
-// missing or torn shards.
+// and durably (storage/file_io.h: temp file, fsync, rename), manifest
+// last -- a crash mid-save leaves either the old index or stray shard
+// files, never a manifest pointing at missing or torn shards.
 Status SaveShardedIndex(const ShardedDualLayerIndex& index,
-                        const std::string& path,
-                        const ShardedSaveOptions& options = {});
+                        const std::string& path);
 
 // Reads a manifest and all shard snapshots written by SaveShardedIndex.
 StatusOr<ShardedDualLayerIndex> LoadShardedIndex(

@@ -4,13 +4,13 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstring>
-#include <fstream>
 #include <limits>
 #include <utility>
 
 #include "common/crc32c.h"
 #include "core/partition_merge.h"
+#include "storage/file_io.h"
+#include "storage/mmap_file.h"
 
 namespace drli {
 
@@ -20,130 +20,6 @@ using tiered_manifest::kMagic;
 using tiered_manifest::kMaxNameLength;
 using tiered_manifest::kMaxRuns;
 using tiered_manifest::kVersion;
-
-void AppendU32(std::string* out, std::uint32_t v) {
-  char bytes[4];
-  for (int i = 0; i < 4; ++i) bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(bytes, 4);
-}
-
-void AppendU64(std::string* out, std::uint64_t v) {
-  char bytes[8];
-  for (int i = 0; i < 8; ++i) bytes[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(bytes, 8);
-}
-
-void AppendF64(std::string* out, double v) {
-  std::uint64_t bits = 0;
-  std::memcpy(&bits, &v, 8);
-  AppendU64(out, bits);
-}
-
-// Bounded little-endian reader over the manifest bytes; every Read
-// checks the remaining length so a truncated or lying manifest becomes
-// a Corruption status, never an out-of-bounds read.
-class Cursor {
- public:
-  Cursor(const char* data, std::size_t size) : data_(data), size_(size) {}
-
-  bool ReadU32(std::uint32_t* v) {
-    if (size_ - pos_ < 4) return false;
-    std::uint32_t out = 0;
-    for (int i = 0; i < 4; ++i) {
-      out |= static_cast<std::uint32_t>(
-                 static_cast<unsigned char>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 4;
-    *v = out;
-    return true;
-  }
-
-  bool ReadU64(std::uint64_t* v) {
-    if (size_ - pos_ < 8) return false;
-    std::uint64_t out = 0;
-    for (int i = 0; i < 8; ++i) {
-      out |= static_cast<std::uint64_t>(
-                 static_cast<unsigned char>(data_[pos_ + i]))
-             << (8 * i);
-    }
-    pos_ += 8;
-    *v = out;
-    return true;
-  }
-
-  bool ReadF64(double* v) {
-    std::uint64_t bits = 0;
-    if (!ReadU64(&bits)) return false;
-    std::memcpy(v, &bits, 8);
-    return true;
-  }
-
-  bool ReadString(std::uint64_t length, std::string* v) {
-    if (size_ - pos_ < length) return false;
-    v->assign(data_ + pos_, static_cast<std::size_t>(length));
-    pos_ += static_cast<std::size_t>(length);
-    return true;
-  }
-
-  std::size_t remaining() const { return size_ - pos_; }
-
- private:
-  const char* data_;
-  std::size_t size_;
-  std::size_t pos_ = 0;
-};
-
-// Directory prefix of `path` including the trailing separator, "" for a
-// bare filename -- run files are addressed relative to the manifest.
-std::string DirOf(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? std::string() : path.substr(0, slash + 1);
-}
-
-std::string BaseOf(const std::string& path) {
-  const std::size_t slash = path.find_last_of('/');
-  return slash == std::string::npos ? path : path.substr(slash + 1);
-}
-
-Status WriteFileAtomic(const std::string& path, const std::string& bytes) {
-  const std::string tmp = path + ".tmp";
-  std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-  if (!out) return Status::IoError("cannot open " + tmp + " for writing");
-  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-  out.flush();
-  const bool flushed = bool(out);
-  out.close();
-  if (!flushed || out.fail()) {
-    std::remove(tmp.c_str());
-    return Status::IoError("write failure on " + tmp);
-  }
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::IoError("cannot rename " + tmp + " over " + path);
-  }
-  return Status::Ok();
-}
-
-StatusOr<std::string> ReadWholeFile(const std::string& path) {
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::IoError("cannot open " + path);
-  const std::streamoff size = in.tellg();
-  if (size < 0) return Status::IoError("cannot stat " + path);
-  in.seekg(0, std::ios::beg);
-  std::string bytes(static_cast<std::size_t>(size), '\0');
-  if (size > 0 && !in.read(bytes.data(), size)) {
-    return Status::IoError("cannot read " + path);
-  }
-  return bytes;
-}
-
-// A run file name must stay inside the manifest's directory.
-bool SafeRelativeFile(const std::string& name) {
-  if (name.empty() || name == "." || name == "..") return false;
-  return name.find('/') == std::string::npos &&
-         name.find('\\') == std::string::npos;
-}
 
 Status CorruptManifest(const std::string& path, const std::string& detail) {
   return Status::Corruption("tiered manifest " + path + ": " + detail);
@@ -160,7 +36,7 @@ struct ParsedManifest {
 // Parses + validates everything except the run files themselves.
 // `full` is optional (Inspect skips materializing the id lists and
 // memtable rows).
-Status ParseManifest(const std::string& path, const std::string& bytes,
+Status ParseManifest(const std::string& path, ByteSpan bytes,
                      TieredManifestInfo* info, ParsedManifest* full) {
   // Fixed header (16 + 56 bytes) + checksum is the smallest legal
   // manifest; anything shorter cannot even hold the trailer.
@@ -169,12 +45,9 @@ Status ParseManifest(const std::string& path, const std::string& bytes,
   }
   const std::size_t body = bytes.size() - 4;
   std::uint32_t stored_crc = 0;
-  {
-    Cursor trailer(bytes.data() + body, 4);
-    trailer.ReadU32(&stored_crc);
-  }
+  ByteReader(bytes.subspan(body)).ReadU32(&stored_crc);
   const std::uint32_t actual_crc = Crc32c(bytes.data(), body);
-  Cursor cursor(bytes.data(), body);
+  ByteReader cursor(bytes.first(body));
 
   std::uint32_t magic = 0, version = 0, dim = 0, reserved = 0;
   cursor.ReadU32(&magic);
@@ -462,8 +335,7 @@ Status SaveTieredIndex(const TieredDualLayerIndex& index,
   for (std::size_t r = 0; r < index.num_runs(); ++r) {
     const TieredRun& run = index.run(r);
     const std::string run_path = TieredRunFilePath(path, run.uid);
-    const Status status =
-        SaveDualLayerIndex(run.index, run_path, options.snapshot);
+    const Status status = SaveDualLayerIndex(run.index, run_path);
     if (!status.ok()) return status;
     referenced.push_back(BaseOf(run_path));
     if (options.write_order != nullptr) {
@@ -471,7 +343,7 @@ Status SaveTieredIndex(const TieredDualLayerIndex& index,
     }
   }
 
-  std::string bytes;
+  std::vector<std::uint8_t> bytes;
   AppendU32(&bytes, tiered_manifest::kMagic);
   AppendU32(&bytes, tiered_manifest::kVersion);
   AppendU32(&bytes, static_cast<std::uint32_t>(index.dim()));
@@ -485,7 +357,7 @@ Status SaveTieredIndex(const TieredDualLayerIndex& index,
   AppendU64(&bytes, 0);  // flags
   const std::string name = index.options().name;
   AppendU64(&bytes, name.size());
-  bytes.append(name);
+  bytes.insert(bytes.end(), name.begin(), name.end());
   for (std::size_t r = 0; r < index.num_runs(); ++r) {
     const TieredRun& run = index.run(r);
     AppendU32(&bytes, run.uid);
@@ -493,7 +365,7 @@ Status SaveTieredIndex(const TieredDualLayerIndex& index,
     AppendU64(&bytes, run.ids.size());
     const std::string file = referenced[r];
     AppendU64(&bytes, file.size());
-    bytes.append(file);
+    bytes.insert(bytes.end(), file.begin(), file.end());
     for (const TupleId id : run.ids) AppendU32(&bytes, id);
   }
   for (const TupleId id : index.memtable_ids()) AppendU32(&bytes, id);
@@ -506,7 +378,8 @@ Status SaveTieredIndex(const TieredDualLayerIndex& index,
   std::sort(tombs.begin(), tombs.end());
   for (const TupleId id : tombs) AppendU32(&bytes, id);
   AppendU32(&bytes, Crc32c(bytes.data(), bytes.size()));
-  const Status status = WriteFileAtomic(path, bytes);
+  const ByteSpan parts[] = {bytes};
+  const Status status = WriteFileAtomic(path, parts);
   if (!status.ok()) return status;
   if (options.write_order != nullptr) options.write_order->push_back(path);
   if (options.sweep_strays) SweepStrayRunFiles(path, referenced);
@@ -515,7 +388,7 @@ Status SaveTieredIndex(const TieredDualLayerIndex& index,
 
 StatusOr<TieredDualLayerIndex> LoadTieredIndex(
     const std::string& path, const TieredLoadOptions& options) {
-  StatusOr<std::string> bytes = ReadWholeFile(path);
+  StatusOr<std::vector<std::uint8_t>> bytes = MmapFile::ReadFileContents(path);
   if (!bytes.ok()) return bytes.status();
   ParsedManifest parsed;
   {
@@ -527,17 +400,11 @@ StatusOr<TieredDualLayerIndex> LoadTieredIndex(
 }
 
 bool IsTieredManifest(const std::string& path) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) return false;
-  char bytes[4];
-  if (!in.read(bytes, 4)) return false;
-  std::uint32_t magic = 0;
-  std::memcpy(&magic, bytes, 4);
-  return magic == tiered_manifest::kMagic;  // little-endian build targets
+  return FileStartsWithMagic(path, tiered_manifest::kMagic);
 }
 
 StatusOr<TieredManifestInfo> InspectTieredManifest(const std::string& path) {
-  StatusOr<std::string> bytes = ReadWholeFile(path);
+  StatusOr<std::vector<std::uint8_t>> bytes = MmapFile::ReadFileContents(path);
   if (!bytes.ok()) return bytes.status();
   TieredManifestInfo info;
   const Status status = ParseManifest(path, bytes.value(), &info, nullptr);

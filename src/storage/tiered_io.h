@@ -20,14 +20,14 @@
 //   num_tombstones x u32 strictly ascending stable ids
 //   u32 crc32c
 //
-// Crash-recovery invariant: runs are written first (each atomically,
-// temp + rename), the manifest last. A crash mid-save leaves either
-// the previous manifest (whose run files were never touched -- new
-// runs get fresh uid-derived names) or the new one with every run it
-// references fully committed; stray run files from the torn
-// generation are swept by the next successful save. The loader trusts
-// nothing: every length is bounded, run id lists must be strictly
-// ascending and pairwise disjoint intervals in manifest order,
+// Crash-recovery invariant: runs are written first (each atomically
+// and durably: temp file, fsync, rename), the manifest last. A crash
+// mid-save leaves either the previous manifest (whose run files were
+// never touched -- new runs get fresh uid-derived names) or the new
+// one with every run it references fully committed; stray run files
+// from the torn generation are swept by the next successful save. The
+// loader trusts nothing: every length is bounded, run id lists must be
+// strictly ascending and pairwise disjoint intervals in manifest order,
 // memtable ids must all exceed every run id, tombstones must resolve
 // to run members, ids/uids must stay below next_id/next_run_uid, and
 // every run file must parse as a valid snapshot of matching dim and
@@ -58,8 +58,6 @@ inline constexpr std::size_t kMaxNameLength = 4096;
 }  // namespace tiered_manifest
 
 struct TieredSaveOptions {
-  // Format options applied to every per-run snapshot.
-  SnapshotSaveOptions snapshot{};
   // When set, receives the absolute path of every file this save wrote,
   // in write order (runs first, manifest last). The crash-recovery
   // sweep replays prefixes of this list over an older generation to
@@ -86,7 +84,8 @@ struct TieredLoadOptions {
 std::string TieredRunFilePath(const std::string& manifest_path,
                               std::uint32_t uid);
 
-// Writes every run snapshot and then the manifest, each atomically.
+// Writes every run snapshot and then the manifest, each atomically and
+// durably (storage/file_io.h: temp file, fsync, rename).
 Status SaveTieredIndex(const TieredDualLayerIndex& index,
                        const std::string& path,
                        const TieredSaveOptions& options = {});

@@ -139,14 +139,6 @@ FaultSweepReport RunSnapshotFaultSweep(const std::string& path,
                                        const FaultSweepOptions& options) {
   FaultSweepReport report;
   const std::vector<std::uint8_t> bytes = ReadFileBytes(path);
-  if (bytes.size() < 8) {
-    report.violations.push_back("snapshot smaller than its magic/version");
-    return report;
-  }
-  std::uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + 4, sizeof(version));
-  const bool v2 = version == snapshot::kVersionV2;
-
   const auto inspected = InspectSnapshot(path);
   if (!inspected.ok()) {
     report.violations.push_back("pristine snapshot fails inspection: " +
@@ -156,28 +148,33 @@ FaultSweepReport RunSnapshotFaultSweep(const std::string& path,
   const SnapshotInfo& info = inspected.value();
 
   const std::string tmp = path + ".fault";
+  // Every mutant must be rejected with Corruption or IoError; when
+  // `hint` is given, the rejection must also mention it.
   const auto probe = [&](const std::vector<std::uint8_t>& mutant,
-                         const std::string& what, bool must_reject) {
+                         const std::string& what,
+                         const std::string& hint = "") {
     WriteFileBytes(tmp, mutant);
     for (const bool mmap : {true, false}) {
       SnapshotLoadOptions load;
       load.prefer_mmap = mmap;
       const auto loaded = LoadDualLayerIndex(tmp, load);
+      const std::string via = mmap ? "mmap" : "owning read";
       ++report.cases;
       if (loaded.ok()) {
         ++report.undetected;
-        if (must_reject) {
-          report.violations.push_back(what + " loaded successfully via " +
-                                      (mmap ? "mmap" : "owning read"));
-        }
+        report.violations.push_back(what + " loaded successfully via " + via);
         continue;
       }
       const StatusCode code = loaded.status().code();
-      if (code == StatusCode::kCorruption || code == StatusCode::kIoError) {
-        ++report.rejected;
-      } else {
+      if (code != StatusCode::kCorruption && code != StatusCode::kIoError) {
         report.violations.push_back(what + " returned unexpected status: " +
                                     loaded.status().ToString());
+      } else if (loaded.status().message().find(hint) == std::string::npos) {
+        report.violations.push_back(what + " rejected via " + via +
+                                    " without \"" + hint +
+                                    "\": " + loaded.status().ToString());
+      } else {
+        ++report.rejected;
       }
     }
   };
@@ -198,14 +195,12 @@ FaultSweepReport RunSnapshotFaultSweep(const std::string& path,
   for (const std::uint64_t cut : cuts) {
     std::vector<std::uint8_t> mutant(bytes.begin(),
                                      bytes.begin() + static_cast<long>(cut));
-    probe(mutant, "truncation to " + std::to_string(cut) + " bytes",
-          /*must_reject=*/true);
+    probe(mutant, "truncation to " + std::to_string(cut) + " bytes");
   }
 
-  // --- family 2: random single-byte flips. v2 must detect every one
-  // (all bytes are covered by a CRC, the zero-padding rule, or the
-  // exact-size rule); v1 has no checksums, so only no-crash is
-  // asserted there.
+  // --- family 2: random single-byte flips. Every one must be detected:
+  // all bytes are covered by a CRC, the zero-padding rule, or the
+  // exact-size rule.
   Rng rng(options.seed);
   for (std::size_t i = 0; i < options.num_flips; ++i) {
     const std::size_t pos = rng.Index(bytes.size());
@@ -213,150 +208,130 @@ FaultSweepReport RunSnapshotFaultSweep(const std::string& path,
         static_cast<std::uint8_t>(1u << rng.Index(8));
     std::vector<std::uint8_t> mutant = bytes;
     mutant[pos] ^= mask;
-    probe(mutant,
-          "byte flip at " + std::to_string(pos) + " mask " +
-              std::to_string(mask),
-          /*must_reject=*/v2);
+    probe(mutant, "byte flip at " + std::to_string(pos) + " mask " +
+                      std::to_string(mask));
   }
 
   // --- family 3: adversarial metadata with CRCs fixed up, so the
   // mutation reaches the bounds checks instead of the checksum gate.
-  if (v2) {
-    const auto with_editor = [&](const std::string& what, auto mutate) {
-      SnapshotV2Editor editor(bytes);
-      mutate(editor);
-      probe(editor.bytes(), what, /*must_reject=*/true);
-    };
-    with_editor("huge num_points", [](SnapshotV2Editor& e) {
-      HeaderV2 h = e.header();
-      h.num_points = std::uint64_t{1} << 40;
-      e.SetHeader(h);
-    });
-    with_editor("num_points + num_virtual overflowing 32-bit ids",
-                [](SnapshotV2Editor& e) {
-                  HeaderV2 h = e.header();
-                  h.num_points = 0xffffffffull;
-                  h.num_virtual = 0xffffffffull;
-                  e.SetHeader(h);
-                });
-    with_editor("zero dim", [](SnapshotV2Editor& e) {
-      HeaderV2 h = e.header();
-      h.dim = 0;
-      e.SetHeader(h);
-    });
-    with_editor("dim above kMaxDim", [](SnapshotV2Editor& e) {
-      HeaderV2 h = e.header();
-      h.dim = snapshot::kMaxDim + 1;
-      e.SetHeader(h);
-    });
-    with_editor("zero sections", [](SnapshotV2Editor& e) {
-      HeaderV2 h = e.header();
-      h.num_sections = 0;
-      e.SetHeader(h);
-    });
-    with_editor("section table pushed out of range", [&](SnapshotV2Editor& e) {
-      HeaderV2 h = e.header();
-      h.section_table_offset = bytes.size();
-      e.SetHeader(h);
-    });
-    with_editor("unknown header flag", [](SnapshotV2Editor& e) {
-      HeaderV2 h = e.header();
-      h.flags |= 0x80000000u;
-      e.SetHeader(h);
-    });
-    with_editor("huge section length", [](SnapshotV2Editor& e) {
-      SectionEntry entry = e.entry(1);
-      entry.length = 0xffffffffffffff00ull;
-      e.SetEntry(1, entry);
-    });
-    with_editor("section offset past end of file", [&](SnapshotV2Editor& e) {
-      SectionEntry entry = e.entry(1);
-      entry.offset = (bytes.size() / snapshot::kSectionAlignment + 2) *
-                     snapshot::kSectionAlignment;
-      e.SetEntry(1, entry);
-    });
-    with_editor("misaligned section offset", [](SnapshotV2Editor& e) {
-      SectionEntry entry = e.entry(1);
-      entry.offset += 1;
-      e.SetEntry(1, entry);
-    });
-    with_editor("unknown section kind", [](SnapshotV2Editor& e) {
-      SectionEntry entry = e.entry(0);
-      entry.kind = 77;
-      e.SetEntry(0, entry);
-    });
-    with_editor("duplicate section kind", [](SnapshotV2Editor& e) {
-      SectionEntry entry = e.entry(1);
-      entry.kind = e.entry(0).kind;
-      e.SetEntry(1, entry);
-    });
-    with_editor("overlapping sections", [](SnapshotV2Editor& e) {
-      SectionEntry entry = e.entry(1);
-      entry.offset = e.entry(0).offset;
-      e.SetEntry(1, entry);
-    });
-    {
-      // Shrink the points section with its CRC recomputed over the
-      // shorter payload: the CRC passes, the shape check must not.
-      SnapshotV2Editor editor(bytes);
-      const int i = editor.FindSection(SectionKind::kPoints);
-      if (i >= 0 && editor.entry(static_cast<std::size_t>(i)).length >= 8) {
-        SectionEntry entry = editor.entry(static_cast<std::size_t>(i));
-        entry.length -= 8;
-        entry.crc = Crc32c(bytes.data() + entry.offset, entry.length);
-        editor.SetEntry(static_cast<std::size_t>(i), entry);
-        probe(editor.bytes(), "shrunk points section with resealed CRC",
-              /*must_reject=*/true);
-      }
+  const auto with_editor = [&](const std::string& what, auto mutate) {
+    SnapshotV2Editor editor(bytes);
+    mutate(editor);
+    probe(editor.bytes(), what);
+  };
+  with_editor("huge num_points", [](SnapshotV2Editor& e) {
+    HeaderV2 h = e.header();
+    h.num_points = std::uint64_t{1} << 40;
+    e.SetHeader(h);
+  });
+  with_editor("num_points + num_virtual overflowing 32-bit ids",
+              [](SnapshotV2Editor& e) {
+                HeaderV2 h = e.header();
+                h.num_points = 0xffffffffull;
+                h.num_virtual = 0xffffffffull;
+                e.SetHeader(h);
+              });
+  with_editor("zero dim", [](SnapshotV2Editor& e) {
+    HeaderV2 h = e.header();
+    h.dim = 0;
+    e.SetHeader(h);
+  });
+  with_editor("dim above kMaxDim", [](SnapshotV2Editor& e) {
+    HeaderV2 h = e.header();
+    h.dim = snapshot::kMaxDim + 1;
+    e.SetHeader(h);
+  });
+  with_editor("zero sections", [](SnapshotV2Editor& e) {
+    HeaderV2 h = e.header();
+    h.num_sections = 0;
+    e.SetHeader(h);
+  });
+  with_editor("section table pushed out of range", [&](SnapshotV2Editor& e) {
+    HeaderV2 h = e.header();
+    h.section_table_offset = bytes.size();
+    e.SetHeader(h);
+  });
+  with_editor("unknown header flag", [](SnapshotV2Editor& e) {
+    HeaderV2 h = e.header();
+    h.flags |= 0x80000000u;
+    e.SetHeader(h);
+  });
+  with_editor("huge section length", [](SnapshotV2Editor& e) {
+    SectionEntry entry = e.entry(1);
+    entry.length = 0xffffffffffffff00ull;
+    e.SetEntry(1, entry);
+  });
+  with_editor("section offset past end of file", [&](SnapshotV2Editor& e) {
+    SectionEntry entry = e.entry(1);
+    entry.offset = (bytes.size() / snapshot::kSectionAlignment + 2) *
+                   snapshot::kSectionAlignment;
+    e.SetEntry(1, entry);
+  });
+  with_editor("misaligned section offset", [](SnapshotV2Editor& e) {
+    SectionEntry entry = e.entry(1);
+    entry.offset += 1;
+    e.SetEntry(1, entry);
+  });
+  with_editor("unknown section kind", [](SnapshotV2Editor& e) {
+    SectionEntry entry = e.entry(0);
+    entry.kind = 77;
+    e.SetEntry(0, entry);
+  });
+  with_editor("duplicate section kind", [](SnapshotV2Editor& e) {
+    SectionEntry entry = e.entry(1);
+    entry.kind = e.entry(0).kind;
+    e.SetEntry(1, entry);
+  });
+  with_editor("overlapping sections", [](SnapshotV2Editor& e) {
+    SectionEntry entry = e.entry(1);
+    entry.offset = e.entry(0).offset;
+    e.SetEntry(1, entry);
+  });
+  {
+    // Shrink the points section with its CRC recomputed over the
+    // shorter payload: the CRC passes, the shape check must not.
+    SnapshotV2Editor editor(bytes);
+    const int i = editor.FindSection(SectionKind::kPoints);
+    if (i >= 0 && editor.entry(static_cast<std::size_t>(i)).length >= 8) {
+      SectionEntry entry = editor.entry(static_cast<std::size_t>(i));
+      entry.length -= 8;
+      entry.crc = Crc32c(bytes.data() + entry.offset, entry.length);
+      editor.SetEntry(static_cast<std::size_t>(i), entry);
+      probe(editor.bytes(), "shrunk points section with resealed CRC");
     }
-    {
-      // Nonzero byte in the padding gap between table and first section.
-      SnapshotV2Editor editor(bytes);
-      const HeaderV2 h = editor.header();
-      const std::uint64_t table_end =
-          h.section_table_offset +
-          std::uint64_t{h.num_sections} * sizeof(SectionEntry);
-      std::uint64_t first = bytes.size();
-      for (std::size_t i = 0; i < editor.num_sections(); ++i) {
-        first = std::min(first, editor.entry(i).offset);
-      }
-      if (first > table_end) {
-        std::vector<std::uint8_t> mutant = bytes;
-        mutant[table_end] = 0xAB;
-        probe(mutant, "nonzero padding byte", /*must_reject=*/true);
-      }
+  }
+  {
+    // Nonzero byte in the padding gap between table and first section.
+    SnapshotV2Editor editor(bytes);
+    const HeaderV2 h = editor.header();
+    const std::uint64_t table_end =
+        h.section_table_offset +
+        std::uint64_t{h.num_sections} * sizeof(SectionEntry);
+    std::uint64_t first = bytes.size();
+    for (std::size_t i = 0; i < editor.num_sections(); ++i) {
+      first = std::min(first, editor.entry(i).offset);
     }
-    {
+    if (first > table_end) {
       std::vector<std::uint8_t> mutant = bytes;
-      mutant.push_back(0);
-      probe(mutant, "trailing byte appended", /*must_reject=*/true);
+      mutant[table_end] = 0xAB;
+      probe(mutant, "nonzero padding byte");
     }
-  } else {
-    // v1: adversarial length prefixes. The bounded reader must reject
-    // every count that exceeds the bytes actually left in the file --
-    // these are exactly the inputs that used to reach resize(n).
-    for (const SnapshotSectionInfo& row : info.sections) {
-      const std::uint64_t prefix_offset =
-          row.name == "weight_chain" ? row.offset + 4 : row.offset;
-      const std::uint64_t huge_lengths[] = {
-          0xffffffffffffffffull, 0x7fffffffffffffffull, bytes.size()};
-      for (const std::uint64_t huge : huge_lengths) {
-        std::vector<std::uint8_t> mutant = bytes;
-        std::memcpy(mutant.data() + prefix_offset, &huge, sizeof(huge));
-        probe(mutant,
-              "v1 " + row.name + " length prefix = " + std::to_string(huge),
-              /*must_reject=*/true);
-      }
-    }
-    // The dim field sits right after the name segment.
-    const std::uint64_t dim_offset =
-        info.sections.front().offset + info.sections.front().length;
-    for (const std::uint32_t bad_dim : {0u, snapshot::kMaxDim + 1}) {
-      std::vector<std::uint8_t> mutant = bytes;
-      std::memcpy(mutant.data() + dim_offset, &bad_dim, sizeof(bad_dim));
-      probe(mutant, "v1 dim = " + std::to_string(bad_dim),
-            /*must_reject=*/true);
-    }
+  }
+  {
+    std::vector<std::uint8_t> mutant = bytes;
+    mutant.push_back(0);
+    probe(mutant, "trailing byte appended");
+  }
+  // The retired v1 and an unknown later version, header CRC resealed:
+  // the v1 rejection must tell the user how to rebuild.
+  for (const std::uint32_t version :
+       {snapshot::kVersionV1, snapshot::kVersionV2 + 1}) {
+    SnapshotV2Editor editor(bytes);
+    HeaderV2 h = editor.header();
+    h.version = version;
+    editor.SetHeader(h);
+    probe(editor.bytes(), "format version " + std::to_string(version),
+          version == snapshot::kVersionV1 ? "drli build" : "");
   }
 
   std::remove(tmp.c_str());

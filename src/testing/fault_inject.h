@@ -1,21 +1,17 @@
 // Snapshot fault injection: systematically corrupts an index snapshot
 // on disk and asserts that LoadDualLayerIndex rejects every mutant with
-// a clean Status (never a crash, hang, or -- for checksummed v2 files
-// -- a silent success).
+// a clean Status (never a crash, hang, or silent success).
 //
 // Three mutation families:
 //  * truncation at every section boundary and one byte around it;
 //  * random single-byte flips (position and bit drawn from a seed);
 //  * adversarial metadata patches -- huge/zero lengths, out-of-range or
-//    misaligned offsets, bogus header geometry -- with the CRCs fixed
-//    up so the mutation reaches the bounds-checking code instead of
-//    dying at the checksum gate.
+//    misaligned offsets, bogus header geometry, a retired or unknown
+//    format version -- with the CRCs fixed up so the mutation reaches
+//    the bounds-checking code instead of dying at the checksum gate.
 //
-// For v2 every mutant must fail to load (the format is fully
-// tamper-evident). For v1 random flips only assert no-crash: the
-// legacy stream has no checksums, which is the motivation for v2;
-// adversarial length prefixes must still be rejected by the bounded
-// reader.
+// Every mutant must fail to load: the v2 format is fully
+// tamper-evident.
 
 #ifndef DRLI_TESTING_FAULT_INJECT_H_
 #define DRLI_TESTING_FAULT_INJECT_H_
@@ -41,17 +37,16 @@ struct FaultSweepOptions {
 struct FaultSweepReport {
   std::size_t cases = 0;       // mutants attempted
   std::size_t rejected = 0;    // load returned Corruption / IoError
-  std::size_t undetected = 0;  // mutant loaded OK (only legal for v1 flips)
+  std::size_t undetected = 0;  // mutant loaded OK (always a violation)
   std::vector<std::string> violations;
 
   bool ok() const { return violations.empty(); }
   std::string ToString() const;
 };
 
-// Runs the sweep against the snapshot at `path` (either format; the
-// family mix adapts to the version). Mutants are written next to
-// `path` and removed afterwards. Every mutated load runs both the mmap
-// and the owning-read path.
+// Runs the sweep against the v2 snapshot at `path`. Mutants are
+// written next to `path` and removed afterwards. Every mutated load
+// runs both the mmap and the owning-read path.
 FaultSweepReport RunSnapshotFaultSweep(const std::string& path,
                                        const FaultSweepOptions& options = {});
 

@@ -1,6 +1,5 @@
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <filesystem>
 #include <fstream>
 
@@ -104,46 +103,21 @@ TEST(SerializationTest, TruncatedFileRejected) {
   std::remove(path.c_str());
 }
 
-TEST(SerializationTest, V1RoundTripStillLoads) {
-  const std::string path = TempPath("drli_index_v1.bin");
-  const PointSet pts = GenerateAnticorrelated(350, 4, 6);
-  DualLayerOptions options;
-  options.build_zero_layer = true;
-  const DualLayerIndex index = DualLayerIndex::Build(pts, options);
-  SnapshotSaveOptions save;
-  save.format_version = snapshot::kVersionV1;
-  ASSERT_TRUE(SaveDualLayerIndex(index, path, save).ok());
-  auto loaded = LoadDualLayerIndex(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  // v1 always loads into owned storage.
-  EXPECT_TRUE(loaded.value().points().owns_data());
-  EXPECT_TRUE(loaded.value().coarse_out().owns_data());
-  ExpectSameAnswersAndCost(index, loaded.value(), 4, 10);
-  EXPECT_TRUE(CheckIndex(loaded.value()).ok());
-  std::remove(path.c_str());
-}
-
-TEST(SerializationTest, WeightTableRoundTripsInBothFormats) {
+TEST(SerializationTest, WeightTableRoundTrips) {
   const PointSet pts = GenerateAnticorrelated(600, 2, 8);
   DualLayerOptions options;
   options.build_zero_layer = true;
   const DualLayerIndex index = DualLayerIndex::Build(pts, options);
   ASSERT_TRUE(index.uses_weight_table());
-  for (const std::uint32_t version :
-       {snapshot::kVersionV1, snapshot::kVersionV2}) {
-    const std::string path =
-        TempPath("drli_index_wt_v" + std::to_string(version) + ".bin");
-    SnapshotSaveOptions save;
-    save.format_version = version;
-    ASSERT_TRUE(SaveDualLayerIndex(index, path, save).ok());
-    auto loaded = LoadDualLayerIndex(path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_TRUE(loaded.value().uses_weight_table());
-    EXPECT_EQ(loaded.value().weight_table().chain(),
-              index.weight_table().chain());
-    ExpectSameAnswersAndCost(index, loaded.value(), 2, 5);
-    std::remove(path.c_str());
-  }
+  const std::string path = TempPath("drli_index_wt.bin");
+  ASSERT_TRUE(SaveDualLayerIndex(index, path).ok());
+  auto loaded = LoadDualLayerIndex(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_TRUE(loaded.value().uses_weight_table());
+  EXPECT_EQ(loaded.value().weight_table().chain(),
+            index.weight_table().chain());
+  ExpectSameAnswersAndCost(index, loaded.value(), 2, 5);
+  std::remove(path.c_str());
 }
 
 TEST(SerializationTest, MmapLoadIsZeroCopy) {
@@ -179,21 +153,15 @@ TEST(SerializationTest, MmapLoadIsZeroCopy) {
   ExpectSameAnswersAndCost(index, mapped.value(), 4, 10);
 }
 
-TEST(SerializationTest, EmptyIndexRoundTripsInBothFormats) {
+TEST(SerializationTest, EmptyIndexRoundTrips) {
   const DualLayerIndex index = DualLayerIndex::Build(PointSet(3));
-  for (const std::uint32_t version :
-       {snapshot::kVersionV1, snapshot::kVersionV2}) {
-    const std::string path =
-        TempPath("drli_index_empty_v" + std::to_string(version) + ".bin");
-    SnapshotSaveOptions save;
-    save.format_version = version;
-    ASSERT_TRUE(SaveDualLayerIndex(index, path, save).ok());
-    auto loaded = LoadDualLayerIndex(path);
-    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-    EXPECT_EQ(loaded.value().size(), 0u);
-    EXPECT_TRUE(CheckIndex(loaded.value()).ok());
-    std::remove(path.c_str());
-  }
+  const std::string path = TempPath("drli_index_empty.bin");
+  ASSERT_TRUE(SaveDualLayerIndex(index, path).ok());
+  auto loaded = LoadDualLayerIndex(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  EXPECT_EQ(loaded.value().size(), 0u);
+  EXPECT_TRUE(CheckIndex(loaded.value()).ok());
+  std::remove(path.c_str());
 }
 
 TEST(SerializationTest, SaveIntoMissingDirectoryFailsCleanly) {
@@ -225,7 +193,7 @@ TEST(SerializationTest, InspectReportsSections) {
   const PointSet pts = GenerateAnticorrelated(200, 3, 3);
   const DualLayerIndex index = DualLayerIndex::Build(pts);
   ASSERT_TRUE(SaveDualLayerIndex(index, path).ok());
-  auto info = InspectSnapshot(path);
+  const auto info = InspectSnapshot(path);
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(info.value().version, snapshot::kVersionV2);
   EXPECT_EQ(info.value().num_points, 200u);
@@ -234,15 +202,6 @@ TEST(SerializationTest, InspectReportsSections) {
   for (const SnapshotSectionInfo& row : info.value().sections) {
     EXPECT_TRUE(row.crc_ok) << row.name;
   }
-
-  SnapshotSaveOptions v1;
-  v1.format_version = snapshot::kVersionV1;
-  ASSERT_TRUE(SaveDualLayerIndex(index, path, v1).ok());
-  info = InspectSnapshot(path);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info.value().version, snapshot::kVersionV1);
-  EXPECT_EQ(info.value().num_points, 200u);
-  EXPECT_FALSE(info.value().sections.empty());
   std::remove(path.c_str());
 }
 
@@ -272,39 +231,22 @@ TEST(SerializationTest, ByteFlipInEverySectionRejected) {
   std::remove(path.c_str());
 }
 
-// A huge length planted in a v1 length prefix must be rejected by the
-// bounded reader before any allocation (this is the resize(n) bug the
-// hardened loader fixes), and a huge section length in a v2 table entry
-// must fail the bounds check even with the table CRC resealed.
+// A huge section length in a table entry must fail the bounds check
+// before any allocation, even with the table CRC resealed.
 TEST(SerializationTest, AdversarialLengthsRejected) {
   const PointSet pts = GenerateIndependent(150, 3, 7);
   const DualLayerIndex index = DualLayerIndex::Build(pts);
-
-  const std::string v1_path = TempPath("drli_index_huge_v1.bin");
-  SnapshotSaveOptions v1;
-  v1.format_version = snapshot::kVersionV1;
-  ASSERT_TRUE(SaveDualLayerIndex(index, v1_path, v1).ok());
-  std::vector<std::uint8_t> bytes = testing::ReadFileBytes(v1_path);
-  // The name length prefix sits at offset 8.
-  const std::uint64_t huge = 0x7fffffffffffffffull;
-  std::memcpy(bytes.data() + 8, &huge, sizeof(huge));
-  testing::WriteFileBytes(v1_path, bytes);
-  auto loaded = LoadDualLayerIndex(v1_path);
-  ASSERT_FALSE(loaded.ok());
-  EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-  std::remove(v1_path.c_str());
-
-  const std::string v2_path = TempPath("drli_index_huge_v2.bin");
-  ASSERT_TRUE(SaveDualLayerIndex(index, v2_path).ok());
-  testing::SnapshotV2Editor editor(testing::ReadFileBytes(v2_path));
+  const std::string path = TempPath("drli_index_huge_v2.bin");
+  ASSERT_TRUE(SaveDualLayerIndex(index, path).ok());
+  testing::SnapshotV2Editor editor(testing::ReadFileBytes(path));
   snapshot::SectionEntry entry = editor.entry(1);
   entry.length = 0xfffffffffffff000ull;
   editor.SetEntry(1, entry);
-  testing::WriteFileBytes(v2_path, editor.bytes());
-  loaded = LoadDualLayerIndex(v2_path);
+  testing::WriteFileBytes(path, editor.bytes());
+  const auto loaded = LoadDualLayerIndex(path);
   ASSERT_FALSE(loaded.ok());
   EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
-  std::remove(v2_path.c_str());
+  std::remove(path.c_str());
 }
 
 // Corrupting only coarse_of (CRC resealed, member lists untouched)
@@ -360,10 +302,10 @@ TEST(SerializationTest, OutOfRangeIdsRejectedAtLoad) {
 }
 
 // The full sweep (truncations at every boundary, seeded byte flips,
-// adversarial metadata) for every index family in both formats.
-// DRLI_FAULT_FLIPS scales the flip count (the nightly sanitizer job
-// raises it; the acceptance run uses >= 1000).
-TEST(SerializationFaultTest, SweepAllFamiliesBothFormats) {
+// adversarial metadata, retired and unknown versions) for every index
+// family. DRLI_FAULT_FLIPS scales the flip count (the nightly sanitizer
+// job raises it; the acceptance run uses >= 1000).
+TEST(SerializationFaultTest, SweepAllFamilies) {
   std::size_t flips = 300;
   if (const char* env = std::getenv("DRLI_FAULT_FLIPS")) {
     flips = std::strtoul(env, nullptr, 10);
@@ -381,23 +323,16 @@ TEST(SerializationFaultTest, SweepAllFamiliesBothFormats) {
     DualLayerOptions options;
     options.build_zero_layer = config.zero_layer;
     const DualLayerIndex index = DualLayerIndex::Build(pts, options);
-    for (const std::uint32_t version :
-         {snapshot::kVersionV1, snapshot::kVersionV2}) {
-      const std::string path = TempPath(std::string("drli_sweep_") +
-                                        config.label + "_v" +
-                                        std::to_string(version) + ".bin");
-      SnapshotSaveOptions save;
-      save.format_version = version;
-      ASSERT_TRUE(SaveDualLayerIndex(index, path, save).ok());
-      testing::FaultSweepOptions sweep;
-      sweep.seed = 31 + version;
-      sweep.num_flips = flips;
-      const testing::FaultSweepReport report =
-          testing::RunSnapshotFaultSweep(path, sweep);
-      EXPECT_TRUE(report.ok()) << config.label << " v" << version << ": "
-                               << report.ToString();
-      std::remove(path.c_str());
-    }
+    const std::string path =
+        TempPath(std::string("drli_sweep_") + config.label + ".bin");
+    ASSERT_TRUE(SaveDualLayerIndex(index, path).ok());
+    testing::FaultSweepOptions sweep;
+    sweep.seed = 33;
+    sweep.num_flips = flips;
+    const testing::FaultSweepReport report =
+        testing::RunSnapshotFaultSweep(path, sweep);
+    EXPECT_TRUE(report.ok()) << config.label << ": " << report.ToString();
+    std::remove(path.c_str());
   }
 }
 

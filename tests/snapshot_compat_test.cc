@@ -1,18 +1,20 @@
 // Cross-version compatibility against checked-in golden snapshots.
 //
-// tests/golden/ holds one v1 and one v2 snapshot per recipe, produced
-// by the deterministic build over a seeded generator. Loading them
-// with today's loader and cross-checking answers against a freshly
-// built index proves that (a) old v1 files written before the v2
-// format existed keep loading, and (b) a future format change cannot
-// silently orphan existing v2 files.
+// tests/golden/ holds one v2 snapshot per recipe, produced by the
+// deterministic build over a seeded generator. Loading them with
+// today's loader and cross-checking answers against a freshly built
+// index proves that a format change cannot silently orphan existing v2
+// files. The recipes' v1 files stay as negative fixtures: v1 is no
+// longer read, and loading one must fail with a hint to rebuild. They
+// cannot be regenerated, since nothing writes v1 any more.
 //
-// Regenerate after an *intentional* format change with:
+// Regenerate the v2 fixtures after an *intentional* format change with:
 //   DRLI_REGEN_GOLDEN=1 ./snapshot_compat_test
-// which rewrites the fixtures in the source tree.
+// which rewrites them in the source tree.
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -42,7 +44,7 @@ struct GoldenRecipe {
 };
 
 // d=3 exercises the clustered pseudo-tuple zero layer; d=2 exercises
-// the weight-range-table chain. Both shapes must survive either format.
+// the weight-range-table chain. Both shapes must survive the format.
 constexpr GoldenRecipe kRecipes[] = {
     {"dl_plus_d3", Distribution::kAnticorrelated, 300, 3, 42, true},
     {"dl_plus_wt_d2", Distribution::kAnticorrelated, 300, 2, 43, true},
@@ -65,60 +67,87 @@ TEST(SnapshotCompatTest, GoldenFixturesLoadAndAnswerIdentically) {
   const bool regen = std::getenv("DRLI_REGEN_GOLDEN") != nullptr;
   for (const GoldenRecipe& recipe : kRecipes) {
     const DualLayerIndex fresh = BuildRecipe(recipe);
-    for (const std::uint32_t version :
-         {snapshot::kVersionV1, snapshot::kVersionV2}) {
-      const std::string path = GoldenPath(recipe, version);
-      if (regen) {
-        SnapshotSaveOptions save;
-        save.format_version = version;
-        ASSERT_TRUE(SaveDualLayerIndex(fresh, path, save).ok()) << path;
-      }
-      ASSERT_TRUE(std::filesystem::exists(path))
-          << path << " missing -- run with DRLI_REGEN_GOLDEN=1";
+    const std::string path = GoldenPath(recipe, snapshot::kVersionV2);
+    if (regen) {
+      ASSERT_TRUE(SaveDualLayerIndex(fresh, path).ok()) << path;
+    }
+    ASSERT_TRUE(std::filesystem::exists(path))
+        << path << " missing -- run with DRLI_REGEN_GOLDEN=1";
 
-      auto loaded = LoadDualLayerIndex(path);
-      ASSERT_TRUE(loaded.ok())
-          << path << ": " << loaded.status().ToString();
-      EXPECT_EQ(loaded.value().size(), recipe.n) << path;
-      EXPECT_EQ(loaded.value().points().dim(), recipe.d) << path;
-      EXPECT_EQ(loaded.value().uses_weight_table(),
-                fresh.uses_weight_table())
+    auto loaded = LoadDualLayerIndex(path);
+    ASSERT_TRUE(loaded.ok()) << path << ": " << loaded.status().ToString();
+    EXPECT_EQ(loaded.value().size(), recipe.n) << path;
+    EXPECT_EQ(loaded.value().points().dim(), recipe.d) << path;
+    EXPECT_EQ(loaded.value().uses_weight_table(), fresh.uses_weight_table())
+        << path;
+    EXPECT_TRUE(CheckIndex(loaded.value()).ok()) << path;
+
+    // Answers from the fixture must match a from-scratch build.
+    // Scores only, not traversal counters: a legitimate future build
+    // change may alter the structure while answers stay correct.
+    for (const TopKQuery& query : testing_util::RandomQueries(
+             recipe.d, /*k=*/10, /*count=*/20, /*seed=*/recipe.seed)) {
+      EXPECT_TRUE(testing_util::ResultsEquivalent(
+          fresh.Query(query), loaded.value().Query(query)))
           << path;
-      EXPECT_TRUE(CheckIndex(loaded.value()).ok()) << path;
-
-      // Answers from the fixture must match a from-scratch build.
-      // Scores only, not traversal counters: a legitimate future build
-      // change may alter the structure while answers stay correct.
-      for (const TopKQuery& query : testing_util::RandomQueries(
-               recipe.d, /*k=*/10, /*count=*/20, /*seed=*/recipe.seed)) {
-        EXPECT_TRUE(testing_util::ResultsEquivalent(
-            fresh.Query(query), loaded.value().Query(query)))
-            << path;
-      }
     }
   }
 }
 
 TEST(SnapshotCompatTest, GoldenInfoMatchesRecipe) {
   for (const GoldenRecipe& recipe : kRecipes) {
-    for (const std::uint32_t version :
-         {snapshot::kVersionV1, snapshot::kVersionV2}) {
-      const std::string path = GoldenPath(recipe, version);
-      if (!std::filesystem::exists(path)) {
-        GTEST_SKIP() << path << " missing -- run with DRLI_REGEN_GOLDEN=1";
-      }
-      const auto info = InspectSnapshot(path);
-      ASSERT_TRUE(info.ok()) << info.status().ToString();
-      EXPECT_EQ(info.value().version, version);
-      EXPECT_EQ(info.value().num_points, recipe.n);
-      EXPECT_EQ(info.value().dim, recipe.d);
-      if (version == snapshot::kVersionV2) {
-        for (const SnapshotSectionInfo& row : info.value().sections) {
-          EXPECT_TRUE(row.crc_ok) << path << " section " << row.name;
-        }
-      }
+    const std::string path = GoldenPath(recipe, snapshot::kVersionV2);
+    if (!std::filesystem::exists(path)) {
+      GTEST_SKIP() << path << " missing -- run with DRLI_REGEN_GOLDEN=1";
+    }
+    const auto info = InspectSnapshot(path);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(info.value().version, snapshot::kVersionV2);
+    EXPECT_EQ(info.value().num_points, recipe.n);
+    EXPECT_EQ(info.value().dim, recipe.d);
+    for (const SnapshotSectionInfo& row : info.value().sections) {
+      EXPECT_TRUE(row.crc_ok) << path << " section " << row.name;
     }
   }
+}
+
+// v1 files -- the recipes' checked-in fixtures and a bare 8-byte magic +
+// version -- are rejected by every entry point with Corruption and a
+// hint naming `drli build`, at any length.
+TEST(SnapshotCompatTest, V1SnapshotsAreRejectedWithRebuildHint) {
+  std::vector<std::string> paths;
+  for (const GoldenRecipe& recipe : kRecipes) {
+    paths.push_back(GoldenPath(recipe, snapshot::kVersionV1));
+    ASSERT_TRUE(std::filesystem::exists(paths.back())) << paths.back();
+  }
+  const std::string bare = ::testing::TempDir() + "/bare_header_v1.bin";
+  {
+    const std::uint32_t lead[2] = {snapshot::kMagic, snapshot::kVersionV1};
+    std::ofstream out(bare, std::ios::binary | std::ios::trunc);
+    out.write(reinterpret_cast<const char*>(lead), sizeof(lead));
+    ASSERT_TRUE(bool(out));
+  }
+  paths.push_back(bare);
+
+  const auto expect_hint = [](const Status& status, const std::string& what) {
+    EXPECT_EQ(status.code(), StatusCode::kCorruption) << what;
+    EXPECT_NE(status.message().find("v1"), std::string::npos) << what;
+    EXPECT_NE(status.message().find("drli build"), std::string::npos)
+        << what << ": " << status.ToString();
+  };
+  for (const std::string& path : paths) {
+    for (const bool mmap : {true, false}) {
+      SnapshotLoadOptions options;
+      options.prefer_mmap = mmap;
+      const auto loaded = LoadDualLayerIndex(path, options);
+      ASSERT_FALSE(loaded.ok()) << path;
+      expect_hint(loaded.status(), path + (mmap ? " (mmap)" : " (owning)"));
+    }
+    const auto info = InspectSnapshot(path);
+    ASSERT_FALSE(info.ok()) << path;
+    expect_hint(info.status(), path + " (inspect)");
+  }
+  std::filesystem::remove(bare);
 }
 
 // A v2 snapshot written by a build that kept ∃-edges the EDS LP

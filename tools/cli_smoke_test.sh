@@ -113,12 +113,18 @@ if "$CLI" query --index="$WORK/sharded.bin" --weights=0.2,0.3,0.5 --k=5 \
   exit 1
 fi
 mv "$WORK/sharded.bin.shard-0002.gone" "$WORK/sharded.bin.shard-0002"
-# Sharded indexes are v2-only.
-if "$CLI" build --input="$WORK/data.csv" --kind=dl+ --shards=2 --format=v1 \
-    --out="$WORK/x.bin" 2>/dev/null; then
-  echo "expected failure for sharded v1 snapshot" >&2
-  exit 1
-fi
+# A v1 snapshot (a checked-in fixture) is no longer read: inspect and
+# query fail and tell the user to rebuild.
+V1_FIXTURE="$(dirname "$0")/../tests/golden/dl_plus_d3_v1.bin"
+test -f "$V1_FIXTURE"
+for CMD in inspect query; do
+  if "$CLI" "$CMD" --index="$V1_FIXTURE" --weights=0.2,0.3,0.5 --k=5 \
+      >/dev/null 2>"$WORK/v1_err.txt"; then
+    echo "expected $CMD to reject a v1 snapshot" >&2
+    exit 1
+  fi
+  grep -q "drli build" "$WORK/v1_err.txt"
+done
 
 # Tiered dynamic index: stream the relation through the insert path,
 # persist the generation (manifest + run snapshots), inspect the run

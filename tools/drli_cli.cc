@@ -250,14 +250,7 @@ int CmdBuild(const Flags& flags) {
   options.zero_layer_clusters = GetSizeFlag(flags, "clusters", 0);
 
   const std::size_t shards = GetSizeFlag(flags, "shards", 0);
-  const std::string format = GetFlag(flags, "format", "v2");
   if (shards > 0) {
-    if (format == "v1") {
-      std::fprintf(stderr,
-                   "sharded indexes require the v2 snapshot format; "
-                   "drop --format=v1 or --shards\n");
-      return 2;
-    }
     auto partitioner =
         ParseShardPartitioner(GetFlag(flags, "partitioner", "hyperplane"));
     if (!partitioner.ok()) {
@@ -312,19 +305,11 @@ int CmdBuild(const Flags& flags) {
       bs.eds_seconds);
   std::printf("coarse edges: pairs_pruned=%zu pairs_tested=%zu\n",
               bs.coarse_pairs_pruned, bs.coarse_pairs_tested);
-  SnapshotSaveOptions save;
-  if (format == "v1") {
-    save.format_version = snapshot::kVersionV1;
-  } else if (format != "v2") {
-    std::fprintf(stderr, "unknown --format=%s (v1|v2)\n", format.c_str());
-    return 2;
-  }
-  if (const Status status = SaveDualLayerIndex(index, out, save);
-      !status.ok()) {
+  if (const Status status = SaveDualLayerIndex(index, out); !status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
     return 1;
   }
-  std::printf("saved to %s (%s)\n", out.c_str(), format.c_str());
+  std::printf("saved to %s\n", out.c_str());
   return 0;
 }
 
@@ -386,7 +371,7 @@ int InspectTiered(const std::string& path) {
 }
 
 // Snapshot metadata without constructing the index: format version,
-// shape, and (for v2) the section table with recomputed CRCs.
+// shape, and the section table with recomputed CRCs.
 int CmdInspect(const Flags& flags) {
   const std::string path = GetFlag(flags, "index");
   if (path.empty()) {
@@ -407,17 +392,6 @@ int CmdInspect(const Flags& flags) {
               info.num_points, info.dim, info.num_virtual,
               info.use_weight_table ? "yes" : "no");
   std::printf("kernel dispatch: %s\n", SimdTargetName(ActiveSimdTarget()));
-  if (info.version == snapshot::kVersionV1) {
-    std::printf("%-18s %10s %12s\n", "segment", "offset", "bytes");
-    for (const SnapshotSectionInfo& row : info.sections) {
-      std::printf("%-18s %10llu %12llu\n", row.name.c_str(),
-                  static_cast<unsigned long long>(row.offset),
-                  static_cast<unsigned long long>(row.length));
-    }
-    std::printf("(v1 stream: no checksums; rebuild with `drli build` to get "
-                "a v2 snapshot)\n");
-    return 0;
-  }
   std::printf("%-16s %10s %12s %10s %s\n", "section", "offset", "bytes",
               "crc32c", "ok");
   bool all_ok = true;

@@ -150,10 +150,10 @@ int RunBudgetFaults(std::size_t cases, std::uint64_t first_seed) {
 }
 
 // Snapshot corruption sweep: builds one index per family (plain DL,
-// clustered DL+, 2-d weight-table DL+), saves it in both formats, and
-// runs the full fault matrix against each file. Nonzero exit on any
-// crash-free-but-wrong outcome; a crash takes the process down, which
-// the nightly ASan/UBSan job reports with a trace.
+// clustered DL+, 2-d weight-table DL+), saves it, and runs the full
+// fault matrix against each file. Nonzero exit when any mutant loads or
+// is rejected without a clean Status; a crash takes the process down,
+// which the nightly ASan/UBSan job reports with a trace.
 int RunSnapshotFaults(std::size_t flips, std::uint64_t seed) {
   struct Config {
     const char* label;
@@ -174,29 +174,20 @@ int RunSnapshotFaults(std::size_t flips, std::uint64_t seed) {
     DualLayerOptions options;
     options.build_zero_layer = config.zero_layer;
     const DualLayerIndex index = DualLayerIndex::Build(points, options);
-    for (const std::uint32_t version :
-         {snapshot::kVersionV1, snapshot::kVersionV2}) {
-      const std::string path = base + config.label + "_v" +
-                               std::to_string(version) + ".bin";
-      SnapshotSaveOptions save;
-      save.format_version = version;
-      if (const Status status = SaveDualLayerIndex(index, path, save);
-          !status.ok()) {
-        std::printf("FAIL %s: %s\n", path.c_str(),
-                    status.ToString().c_str());
-        ok = false;
-        continue;
-      }
-      testing::FaultSweepOptions sweep;
-      sweep.seed = seed;
-      sweep.num_flips = flips;
-      const testing::FaultSweepReport report =
-          testing::RunSnapshotFaultSweep(path, sweep);
-      std::printf("%s v%u: %s\n", config.label, version,
-                  report.ToString().c_str());
-      ok = ok && report.ok();
-      std::remove(path.c_str());
+    const std::string path = base + config.label + ".bin";
+    if (const Status status = SaveDualLayerIndex(index, path); !status.ok()) {
+      std::printf("FAIL %s: %s\n", path.c_str(), status.ToString().c_str());
+      ok = false;
+      continue;
     }
+    testing::FaultSweepOptions sweep;
+    sweep.seed = seed;
+    sweep.num_flips = flips;
+    const testing::FaultSweepReport report =
+        testing::RunSnapshotFaultSweep(path, sweep);
+    std::printf("%s: %s\n", config.label, report.ToString().c_str());
+    ok = ok && report.ok();
+    std::remove(path.c_str());
   }
   // Tiered crash-recovery sweep: crash prefixes over the generation
   // write schedule plus corruption of the manifest and run files.
