@@ -28,7 +28,7 @@ DominantGraphIndex DominantGraphIndex::Build(
 
   if (n > 0) {
     LayerDecomposition decomposition =
-        BuildSkylineLayers(index.points_, options.skyline_algorithm);
+        BuildSkylineLayers(index.points_);
     index.layers_ = std::move(decomposition.layers);
     index.stats_.num_layers = index.layers_.size();
 
@@ -44,8 +44,7 @@ DominantGraphIndex DominantGraphIndex::Build(
 
     if (options.build_zero_layer) {
       const ClusteredZeroLayer zero = BuildClusteredZeroLayer(
-          index.points_, index.layers_[0], options.zero_layer_clusters,
-          options.zero_layer_seed);
+          index.points_, index.layers_[0], options.zero_layer_clusters);
       if (!zero.pseudo.empty()) {
         index.virtual_points_ = zero.pseudo;
         const std::size_t v = index.virtual_points_.size();

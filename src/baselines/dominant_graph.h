@@ -18,16 +18,13 @@
 
 #include "common/point.h"
 #include "common/soa_points.h"
-#include "skyline/skyline.h"
 #include "topk/query.h"
 
 namespace drli {
 
 struct DominantGraphOptions {
-  SkylineAlgorithm skyline_algorithm = SkylineAlgorithm::kSkyTree;
   bool build_zero_layer = false;  // DG+ when true
   std::size_t zero_layer_clusters = 0;  // 0 = ceil(sqrt(|L1|))
-  std::uint64_t zero_layer_seed = 7;
   std::string name;  // empty = "DG" / "DG+"
 };
 

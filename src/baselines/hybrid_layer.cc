@@ -21,8 +21,8 @@ HybridLayerIndex HybridLayerIndex::Build(PointSet points,
                     ? (options.tight_threshold ? "HL+" : "HL")
                     : options.name;
   if (!index.points_.empty()) {
-    ConvexLayerDecomposition decomposition = BuildConvexLayers(
-        index.points_, options.max_layers, options.skyline_algorithm);
+    ConvexLayerDecomposition decomposition =
+        BuildConvexLayers(index.points_, options.max_layers);
     index.layers_ = std::move(decomposition.layers);
     index.stats_.truncated = decomposition.truncated;
     index.lists_.reserve(index.layers_.size());

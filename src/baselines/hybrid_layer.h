@@ -18,14 +18,12 @@
 
 #include "common/point.h"
 #include "common/soa_points.h"
-#include "skyline/skyline.h"
 #include "topk/query.h"
 #include "topk/sorted_lists.h"
 
 namespace drli {
 
 struct HybridLayerOptions {
-  SkylineAlgorithm skyline_algorithm = SkylineAlgorithm::kSkyTree;
   // Cap on peeled layers, as in OnionOptions.
   std::size_t max_layers = static_cast<std::size_t>(-1);
   bool tight_threshold = true;  // HL+ when true

@@ -17,8 +17,8 @@ OnionIndex OnionIndex::Build(PointSet points, const OnionOptions& options) {
   index.name_ = options.name;
   index.early_stop_ = options.early_stop;
   if (!index.points_.empty()) {
-    ConvexLayerDecomposition decomposition = BuildConvexLayers(
-        index.points_, options.max_layers, options.skyline_algorithm);
+    ConvexLayerDecomposition decomposition =
+        BuildConvexLayers(index.points_, options.max_layers);
     index.layers_ = std::move(decomposition.layers);
     index.stats_.truncated = decomposition.truncated;
   }

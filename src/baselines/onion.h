@@ -16,13 +16,11 @@
 #include <vector>
 
 #include "common/point.h"
-#include "skyline/skyline.h"
 #include "topk/query.h"
 
 namespace drli {
 
 struct OnionOptions {
-  SkylineAlgorithm skyline_algorithm = SkylineAlgorithm::kSkyTree;
   // Cap on peeled layers; the remainder becomes one complete-access
   // tail layer (queries with k <= max_layers never reach it).
   std::size_t max_layers = static_cast<std::size_t>(-1);

@@ -42,9 +42,8 @@ PartitionedLayerIndex PartitionedLayerIndex::Build(
     index.layers_.reserve(p);
     for (const std::vector<TupleId>& partition : partitions) {
       const PointSet subset = index.points_.Subset(partition);
-      const ConvexLayerDecomposition decomposition = BuildConvexLayers(
-          subset, options.max_layers_per_partition,
-          options.skyline_algorithm);
+      const ConvexLayerDecomposition decomposition =
+          BuildConvexLayers(subset, options.max_layers_per_partition);
       std::vector<std::vector<TupleId>> mapped;
       mapped.reserve(decomposition.layers.size());
       for (const std::vector<TupleId>& layer : decomposition.layers) {

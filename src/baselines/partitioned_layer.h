@@ -17,7 +17,6 @@
 #include <vector>
 
 #include "common/point.h"
-#include "skyline/skyline.h"
 #include "topk/query.h"
 
 namespace drli {
@@ -28,7 +27,6 @@ struct PartitionedLayerOptions {
   // Layer cap per partition, as in OnionOptions (top-k with k below
   // the cap stays exact; the remainder forms a complete-access tail).
   std::size_t max_layers_per_partition = 256;
-  SkylineAlgorithm skyline_algorithm = SkylineAlgorithm::kSkyTree;
   std::uint64_t seed = 23;  // partition assignment shuffle
   std::string name = "PLI";
 };

@@ -12,6 +12,7 @@
 #include "common/parallel_for.h"
 #include "common/stopwatch.h"
 #include "core/eds.h"
+#include "geometry/convex_skyline.h"
 #include "skyline/skyline_layers.h"
 
 namespace drli {
@@ -73,8 +74,7 @@ DualLayerIndex DualLayerIndex::Build(PointSet points,
 }
 
 void DualLayerIndex::BuildCoarseLayers() {
-  LayerDecomposition decomposition =
-      BuildSkylineLayers(points_, options_.skyline_algorithm);
+  LayerDecomposition decomposition = BuildSkylineLayers(points_);
   coarse_layers_ = std::move(decomposition.layers);
   for (std::size_t i = 0; i < points_.size(); ++i) {
     coarse_of_[i] = static_cast<std::uint32_t>(decomposition.layer_of[i]);
@@ -114,8 +114,7 @@ DualLayerIndex::FinePeelResult DualLayerIndex::PeelFineLayers(
       local_pool_ids.push_back(pool_ids[r]);
       subset.Add(pool[pool_ids[r]]);
     }
-    const ConvexSkylineResult csky =
-        ComputeConvexSkyline(subset, options_.csky);
+    const ConvexSkylineResult csky = ComputeConvexSkyline(subset);
     if (!csky.exact) ++out.csky_fallbacks;
     DRLI_CHECK(!csky.members.empty());
 
@@ -349,8 +348,7 @@ void DualLayerIndex::BuildZeroLayer(AdjacencyBuilder* coarse_adj,
 
   // Section V-B: clustered pseudo-tuples with their own fine split.
   ClusteredZeroLayer zero =
-      BuildClusteredZeroLayer(points_, layer1, options_.zero_layer_clusters,
-                              options_.zero_layer_seed);
+      BuildClusteredZeroLayer(points_, layer1, options_.zero_layer_clusters);
   if (zero.pseudo.empty()) return;
   virtual_points_ = std::move(zero.pseudo);
   const std::size_t n = points_.size();

@@ -43,8 +43,6 @@
 #include "common/soa_points.h"
 #include "core/eds.h"
 #include "core/zero_layer.h"
-#include "geometry/convex_skyline.h"
-#include "skyline/skyline.h"
 #include "topk/query.h"
 
 namespace drli {
@@ -59,8 +57,6 @@ enum class EdsPolicy {
 };
 
 struct DualLayerOptions {
-  SkylineAlgorithm skyline_algorithm = SkylineAlgorithm::kSkyTree;
-  ConvexSkylineOptions csky;
   EdsPolicy eds_policy = EdsPolicy::kSingleFacet;
 
   // Ablation switch: with fine layers disabled each coarse layer is one
@@ -73,7 +69,6 @@ struct DualLayerOptions {
   std::size_t zero_layer_clusters = 0;
   // DL+ splits L0 into fine sublayers; DG+-style flat layer when false.
   bool zero_layer_fine_split = true;
-  std::uint64_t zero_layer_seed = 7;
 
   // Build-side worker threads: 0 = DRLI_THREADS env / hardware
   // concurrency, 1 = serial. Any value yields the identical index.
@@ -301,14 +296,6 @@ class DualLayerIndex final : public TopKIndex {
   // themselves (benchmarks, tests). A scratch last used on another
   // index re-seeds here.
   TopKResult Query(const TopKQuery& query, QueryScratch* scratch) const;
-  // Parallel batch: answers queries[i] -> results[i] using
-  // ParallelThreadCount() workers, each on a scratch drawn from the
-  // same pool as Query.
-  std::vector<TopKResult> QueryBatch(
-      const std::vector<TopKQuery>& queries) const override;
-  // Keep the base admission-control overload visible alongside the
-  // override above.
-  using TopKIndex::QueryBatch;
 
   // --- introspection (tests, serialization, examples) ---
   const PointSet& points() const { return points_; }

@@ -8,7 +8,6 @@
 
 #include "common/check.h"
 #include "common/kernels_batch.h"
-#include "common/parallel_for.h"
 #include "common/stopwatch.h"
 #include "core/dual_layer.h"
 
@@ -370,33 +369,6 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
   result.stats.edges_walked = edges;
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   return result;
-}
-
-std::vector<TopKResult> DualLayerIndex::QueryBatch(
-    const std::vector<TopKQuery>& queries) const {
-  std::vector<TopKResult> results(queries.size());
-  if (queries.empty()) return results;
-  const std::size_t workers =
-      std::min(ParallelThreadCount(), queries.size());
-  // One pooled scratch per worker: Query itself is const, so per-worker
-  // scratches are the only mutable state in the fan-out.
-  std::vector<std::unique_ptr<QueryScratch>> scratches(workers);
-  for (std::unique_ptr<QueryScratch>& scratch : scratches) {
-    scratch = AcquireScratch();
-  }
-  ParallelFor(
-      queries.size(),
-      [&](std::size_t i, std::size_t worker) {
-        // GuardedQuery keeps a throwing worker from poisoning the whole
-        // batch: the slot reports kError, the other queries proceed.
-        results[i] = GuardedQuery(
-            [&] { return Query(queries[i], scratches[worker].get()); });
-      },
-      workers);
-  for (std::unique_ptr<QueryScratch>& scratch : scratches) {
-    ReleaseScratch(std::move(scratch));
-  }
-  return results;
 }
 
 }  // namespace drli

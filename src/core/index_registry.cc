@@ -17,6 +17,11 @@ namespace drli {
 
 namespace {
 
+// Convex-layer cap of onion, pli, hl and hl+.
+constexpr std::size_t kConvexMaxLayers = 256;
+// Memtable capacity of a "tdl+" build without an inline spec.
+constexpr std::size_t kTieredMemtableCapacity = 32;
+
 std::string Lowered(std::string s) {
   std::transform(s.begin(), s.end(), s.begin(),
                  [](unsigned char c) { return std::tolower(c); });
@@ -53,22 +58,19 @@ StatusOr<std::unique_ptr<TopKIndex>> BuildIndex(const IndexBuildConfig& config,
   }
   if (kind == "onion") {
     OnionOptions options;
-    options.skyline_algorithm = config.skyline_algorithm;
-    options.max_layers = config.convex_max_layers;
+    options.max_layers = kConvexMaxLayers;
     return std::unique_ptr<TopKIndex>(std::make_unique<OnionIndex>(
         OnionIndex::Build(std::move(points), options)));
   }
   if (kind == "pli") {
     PartitionedLayerOptions options;
-    options.skyline_algorithm = config.skyline_algorithm;
-    options.max_layers_per_partition = config.convex_max_layers;
+    options.max_layers_per_partition = kConvexMaxLayers;
     return std::unique_ptr<TopKIndex>(
         std::make_unique<PartitionedLayerIndex>(
             PartitionedLayerIndex::Build(std::move(points), options)));
   }
   if (kind == "dg" || kind == "dg+") {
     DominantGraphOptions options;
-    options.skyline_algorithm = config.skyline_algorithm;
     options.build_zero_layer = (kind == "dg+");
     options.zero_layer_clusters = config.zero_layer_clusters;
     return std::unique_ptr<TopKIndex>(std::make_unique<DominantGraphIndex>(
@@ -76,15 +78,13 @@ StatusOr<std::unique_ptr<TopKIndex>> BuildIndex(const IndexBuildConfig& config,
   }
   if (kind == "hl" || kind == "hl+") {
     HybridLayerOptions options;
-    options.skyline_algorithm = config.skyline_algorithm;
-    options.max_layers = config.convex_max_layers;
+    options.max_layers = kConvexMaxLayers;
     options.tight_threshold = (kind == "hl+");
     return std::unique_ptr<TopKIndex>(std::make_unique<HybridLayerIndex>(
         HybridLayerIndex::Build(std::move(points), options)));
   }
   if (kind == "dl" || kind == "dl+") {
     DualLayerOptions options;
-    options.skyline_algorithm = config.skyline_algorithm;
     options.build_zero_layer = (kind == "dl+");
     options.zero_layer_clusters = config.zero_layer_clusters;
     return std::unique_ptr<TopKIndex>(std::make_unique<DualLayerIndex>(
@@ -92,12 +92,6 @@ StatusOr<std::unique_ptr<TopKIndex>> BuildIndex(const IndexBuildConfig& config,
   }
   if (kind.rfind("sdl+", 0) == 0) {
     ShardedBuildOptions options;
-    options.num_shards = config.num_shards;
-    options.partition_seed = config.shard_seed;
-    StatusOr<ShardPartitioner> partitioner =
-        ParseShardPartitioner(config.shard_partitioner);
-    if (!partitioner.ok()) return partitioner.status();
-    options.partitioner = partitioner.value();
     // Optional inline spec: "sdl+<S>[r|h]".
     std::string spec = kind.substr(4);
     if (!spec.empty()) {
@@ -119,7 +113,6 @@ StatusOr<std::unique_ptr<TopKIndex>> BuildIndex(const IndexBuildConfig& config,
       }
       options.num_shards = parsed;
     }
-    options.shard_options.skyline_algorithm = config.skyline_algorithm;
     options.shard_options.build_zero_layer = true;
     options.shard_options.zero_layer_clusters = config.zero_layer_clusters;
     return std::unique_ptr<TopKIndex>(std::make_unique<ShardedDualLayerIndex>(
@@ -127,10 +120,9 @@ StatusOr<std::unique_ptr<TopKIndex>> BuildIndex(const IndexBuildConfig& config,
   }
   if (kind.rfind("tdl+", 0) == 0) {
     TieredIndexOptions options;
-    options.run.skyline_algorithm = config.skyline_algorithm;
     options.run.build_zero_layer = true;
     options.run.zero_layer_clusters = config.zero_layer_clusters;
-    options.memtable_capacity = config.tiered_memtable_capacity;
+    options.memtable_capacity = kTieredMemtableCapacity;
     // Optional inline spec: "tdl+<M>" = memtable capacity M.
     const std::string spec = kind.substr(4);
     if (!spec.empty()) {

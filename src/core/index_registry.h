@@ -4,42 +4,30 @@
 #ifndef DRLI_CORE_INDEX_REGISTRY_H_
 #define DRLI_CORE_INDEX_REGISTRY_H_
 
-#include <cstdint>
 #include <memory>
 #include <string>
 #include <vector>
 
 #include "common/point.h"
 #include "common/status.h"
-#include "skyline/skyline.h"
 #include "topk/query.h"
 
 namespace drli {
 
 struct IndexBuildConfig {
   // One of: scan, fa, ta, nra, prefer, lpta, onion, pli, dg, dg+,
-  // hl, hl+, dl, dl+, sdl+, tdl+ (case-insensitive). The sharded kind
-  // also accepts an inline spec "sdl+<S>[r|h]" -- shard count plus an
-  // optional partitioner letter (random / hyperplane) -- e.g. "sdl+4h";
-  // the suffix overrides num_shards / shard_partitioner below. The
-  // tiered dynamic kind accepts "tdl+<M>" -- the memtable capacity,
-  // overriding tiered_memtable_capacity -- e.g. "tdl+7" seals a run
-  // every 7 inserts.
+  // hl, hl+, dl, dl+, sdl+, tdl+ (case-insensitive). Onion, pli, hl
+  // and hl+ cap their convex layers at 256 (k must stay below it).
+  // The sharded kind builds 4 hyperplane shards (partition seed 42)
+  // and also accepts an inline spec "sdl+<S>[r|h]" -- shard count plus
+  // an optional partitioner letter (random / hyperplane) -- e.g.
+  // "sdl+4h". The tiered dynamic kind feeds the relation through
+  // Insert with a 32-row memtable, so n / 32 seals (minus compactions)
+  // shape the run table; "tdl+<M>" sets the memtable capacity instead,
+  // e.g. "tdl+7" seals a run every 7 inserts.
   std::string kind = "dl+";
-  SkylineAlgorithm skyline_algorithm = SkylineAlgorithm::kSkyTree;
-  // Convex-layer cap for onion/hl/hl+ (k must stay below it).
-  std::size_t convex_max_layers = 256;
   // Zero-layer cluster count for dg+/dl+ (0 = ceil(sqrt(|L1|))).
   std::size_t zero_layer_clusters = 0;
-  // Sharded kind ("sdl+"): shard count, partitioner
-  // ("random" | "hyperplane") and partition seed.
-  std::size_t num_shards = 4;
-  std::string shard_partitioner = "hyperplane";
-  std::uint64_t shard_seed = 42;
-  // Tiered dynamic kind ("tdl+"): rows buffered before a seal. The
-  // relation is fed through Insert at build time, so n / capacity
-  // seals (minus compactions) shape the run table.
-  std::size_t tiered_memtable_capacity = 32;
 };
 
 // All kinds accepted by BuildIndex.

@@ -14,6 +14,10 @@ namespace {
 
 constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 
+// Share of indexed rows the tombstones must exceed (above
+// tombstone_compact_min) before a full merge drops them.
+constexpr double kTombstoneCompactFraction = 0.5;
+
 }  // namespace
 
 TieredDualLayerIndex::TieredDualLayerIndex(std::size_t dim,
@@ -178,15 +182,12 @@ bool TieredDualLayerIndex::ScheduleCompaction() {
 
   // (b) tombstone pressure: merge everything, dropping every consumed
   // tombstone.
-  if (options_.tombstone_compact_fraction > 0.0) {
-    const double cap =
-        std::max(static_cast<double>(options_.tombstone_compact_min),
-                 options_.tombstone_compact_fraction *
-                     static_cast<double>(indexed_rows()));
-    if (static_cast<double>(tombstones_.size()) > cap) {
-      ScheduleFullCompaction();
-      return true;
-    }
+  const double cap =
+      std::max(static_cast<double>(options_.tombstone_compact_min),
+               kTombstoneCompactFraction * static_cast<double>(indexed_rows()));
+  if (static_cast<double>(tombstones_.size()) > cap) {
+    ScheduleFullCompaction();
+    return true;
   }
   return false;
 }

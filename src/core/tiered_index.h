@@ -66,13 +66,9 @@ struct TieredIndexOptions {
   // Live rows copied per merge step (the unit of compaction progress).
   std::size_t compact_rows_per_step = 4096;
   // Merge all runs (dropping every consumed tombstone) once tombstones
-  // exceed max(tombstone_compact_min, this fraction of indexed rows).
-  // 0 disables.
-  double tombstone_compact_fraction = 0.5;
-  // Absolute floor under the tombstone trigger: below this many
-  // tombstones no fraction ever fires. The default keeps the historical
-  // behaviour (a hardcoded 64 kept the trigger off delete-heavy tiny
-  // indexes); set 0 to let the fraction govern alone at any size.
+  // exceed max(tombstone_compact_min, half the indexed rows). The floor
+  // keeps the trigger off delete-heavy tiny indexes; set 0 to let the
+  // half-of-rows rule govern alone at any size.
   std::size_t tombstone_compact_min = 64;
   // Display name; empty = "DL+lsm".
   std::string name;

@@ -67,8 +67,7 @@ std::size_t WeightRangeTable::Lookup(double w1) const {
 
 ClusteredZeroLayer BuildClusteredZeroLayer(const PointSet& points,
                                            const std::vector<TupleId>& layer1,
-                                           std::size_t num_clusters,
-                                           std::uint64_t seed) {
+                                           std::size_t num_clusters) {
   ClusteredZeroLayer out(points.dim());
   if (layer1.empty()) return out;
   if (num_clusters == 0) {
@@ -78,7 +77,7 @@ ClusteredZeroLayer BuildClusteredZeroLayer(const PointSet& points,
   const PointSet members = points.Subset(layer1);
   KMeansOptions options;
   options.num_clusters = num_clusters;
-  options.seed = seed;
+  options.seed = kZeroLayerSeed;
   const KMeansResult clusters = KMeans(members, options);
   out.cluster_of = clusters.assignment;
   for (const Point& corner : ClusterMinCorners(members, clusters)) {

@@ -64,12 +64,15 @@ struct ClusteredZeroLayer {
   explicit ClusteredZeroLayer(std::size_t dim) : pseudo(dim) {}
 };
 
+// K-means seed of every clustered zero layer (DL+ and DG+), fixed so
+// that a build is a pure function of its input.
+inline constexpr std::uint64_t kZeroLayerSeed = 7;
+
 // Clusters the tuples `layer1` of `points`. `num_clusters` 0 means the
 // default ceil(sqrt(|layer1|)).
 ClusteredZeroLayer BuildClusteredZeroLayer(const PointSet& points,
                                            const std::vector<TupleId>& layer1,
-                                           std::size_t num_clusters,
-                                           std::uint64_t seed);
+                                           std::size_t num_clusters);
 
 }  // namespace drli
 

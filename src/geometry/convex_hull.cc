@@ -19,6 +19,15 @@ namespace {
 // fallbacks. Hull-based indexing is hopeless that deep anyway.
 constexpr std::size_t kMaxHullDim = 12;
 
+// Orientation tolerance: a point is "above" a facet iff its signed
+// distance exceeds kEps.
+constexpr double kEps = 1e-9;
+
+// Hard cap on live facets; exceeding it aborts with kDegenerate so a
+// pathological input degrades to the conservative fallback instead of
+// exhausting memory.
+constexpr std::size_t kMaxFacets = 4'000'000;
+
 // Working representation of one facet during construction. The plane
 // is stored inline (fixed-size normal plus offset) so facet creation
 // does not heap-allocate per facet.
@@ -125,7 +134,7 @@ bool HullBuilder::MakePlane(const std::int32_t* verts, FacetRec* f) {
   if (!HyperplaneThroughPoints(plane_pts_, plane)) return false;
   // Orient outward: the interior reference point must be strictly below.
   const double d = plane->SignedDistance(PointView(interior_));
-  if (std::fabs(d) < options_.eps * 0.5) return false;  // interior on plane
+  if (std::fabs(d) < kEps * 0.5) return false;  // interior on plane
   if (d > 0.0) {
     for (double& x : plane->normal) x = -x;
     plane->offset = -plane->offset;
@@ -161,17 +170,17 @@ bool HullBuilder::BuildInitialSimplex() {
     }
   }
   (void)best_axis;
-  if (lo == hi || best_spread < options_.eps) return false;
+  if (lo == hi || best_spread < kEps) return false;
 
   AffineBasis basis(dim_);
   simplex_.clear();
-  basis.Add(PointAt(lo), options_.eps);
+  basis.Add(PointAt(lo), kEps);
   simplex_.push_back(lo);
-  if (!basis.Add(PointAt(hi), options_.eps)) return false;
+  if (!basis.Add(PointAt(hi), kEps)) return false;
   simplex_.push_back(hi);
   while (simplex_.size() < dim_ + 1) {
     std::int32_t best = -1;
-    double best_dist = options_.eps;
+    double best_dist = kEps;
     for (std::size_t i = 0; i < n; ++i) {
       const auto id = static_cast<std::int32_t>(i);
       if (std::find(simplex_.begin(), simplex_.end(), id) != simplex_.end()) {
@@ -184,7 +193,7 @@ bool HullBuilder::BuildInitialSimplex() {
       }
     }
     if (best < 0) return false;  // affinely dependent input
-    DRLI_CHECK(basis.Add(PointAt(best), options_.eps));
+    DRLI_CHECK(basis.Add(PointAt(best), kEps));
     simplex_.push_back(best);
   }
 
@@ -235,7 +244,7 @@ void HullBuilder::AssignInitialOutside() {
     PointView p = PointAt(id);
     for (FacetRec& f : facets_) {
       const double dist = FacetDistance(f, p, dim_);
-      if (dist > options_.eps) {
+      if (dist > kEps) {
         f.outside.push_back(id);
         if (dist > f.furthest_dist) {
           f.furthest_dist = dist;
@@ -309,7 +318,7 @@ bool HullBuilder::ProcessOutsidePoints() {
         const std::int32_t nb = fc.neigh[s];
         DRLI_DCHECK(nb >= 0);
         if (visit_stamp_[nb] == current_stamp_) {
-          if (facets_[nb].alive && apex_dist[nb] > options_.eps) {
+          if (facets_[nb].alive && apex_dist[nb] > kEps) {
             continue;  // already queued as visible
           }
           // Already classified not-visible: horizon ridge.
@@ -319,7 +328,7 @@ bool HullBuilder::ProcessOutsidePoints() {
         visit_stamp_[nb] = current_stamp_;
         const double dist = FacetDistance(facets_[nb], apex_pt, dim_);
         apex_dist[nb] = dist;
-        if (dist > options_.eps) {
+        if (dist > kEps) {
           bfs.push_back(nb);
         } else {
           horizon.push_back(Horizon{cur, s, nb});
@@ -405,7 +414,7 @@ bool HullBuilder::ProcessOutsidePoints() {
       visit_stamp_.push_back(0);
       new_facets.push_back(new_id);
       ++live_facets_;
-      if (live_facets_ > options_.max_facets) return false;
+      if (live_facets_ > kMaxFacets) return false;
     }
     if (open_ridges != 0) return false;  // horizon not closed
 
@@ -428,7 +437,7 @@ bool HullBuilder::ProcessOutsidePoints() {
           const double* pl = new_planes.data() + k * pstride;
           double dist = -pl[dim_];
           for (std::size_t j = 0; j < dim_; ++j) dist += pl[j] * qp[j];
-          if (dist > options_.eps) {
+          if (dist > kEps) {
             FacetRec& nf = facets_[new_facets[k]];
             if (nf.outside.capacity() == 0 && !spare_outside.empty()) {
               nf.outside = std::move(spare_outside.back());

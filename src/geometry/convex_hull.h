@@ -8,8 +8,8 @@
 //   * extract convex skylines (lower facets + vertex membership LPs),
 //   * enumerate facet simplices for the ∃-dominance-set test.
 //
-// Robustness model: tolerance-based orientation (points within
-// `options.eps` of a facet plane are treated as on/behind it), matching
+// Robustness model: tolerance-based orientation (points within a fixed
+// 1e-9 of a facet plane are treated as on/behind it), matching
 // qhull's practical behaviour on the paper's [0,1]^d inputs. Degenerate
 // inputs (affinely dependent, too few points) are reported via
 // HullStatus so callers can fall back to conservative layering.
@@ -51,9 +51,6 @@ struct ConvexHull {
 };
 
 struct ConvexHullOptions {
-  // Orientation tolerance: a point is "above" a facet iff its signed
-  // distance exceeds eps.
-  double eps = 1e-9;
   // When true, a sentinel point far in the dominated direction
   // (max-corner * 2 + 1) is added before building. The sentinel prunes
   // the combinatorially heavy "upper" side of near-degenerate clouds
@@ -62,10 +59,6 @@ struct ConvexHullOptions {
   // output. Used by the convex-skyline code, which only consumes lower
   // facets.
   bool add_top_sentinel = false;
-  // Hard cap on live facets; exceeding it aborts with kDegenerate so a
-  // pathological input degrades to the conservative fallback instead of
-  // exhausting memory.
-  std::size_t max_facets = 4'000'000;
 };
 
 // Computes the convex hull of `points`. On kDegenerate, *hull is left in

@@ -12,6 +12,10 @@ namespace drli {
 
 namespace {
 
+// A hull facet counts as "lower" iff every outward-normal component is
+// at most this.
+constexpr double kLowerNormalTolerance = 1e-9;
+
 ConvexSkylineResult Fallback(const PointSet& points) {
   ConvexSkylineResult result;
   result.exact = false;
@@ -61,15 +65,13 @@ bool IsPositiveMinimizer(const PointSet& points, std::int32_t v,
 
 }  // namespace
 
-ConvexSkylineResult ComputeConvexSkyline(const PointSet& points,
-                                         const ConvexSkylineOptions& options) {
+ConvexSkylineResult ComputeConvexSkyline(const PointSet& points) {
   const std::size_t d = points.dim();
   if (points.empty()) return ConvexSkylineResult{};
   if (d == 2) return ConvexSkyline2D(points);
   if (points.size() <= d + 1) return Fallback(points);
 
   ConvexHullOptions hull_options;
-  hull_options.eps = options.eps;
   hull_options.add_top_sentinel = true;
   ConvexHull hull;
   if (ComputeConvexHull(points, hull_options, &hull) != HullStatus::kOk) {
@@ -81,7 +83,7 @@ ConvexSkylineResult ComputeConvexSkyline(const PointSet& points,
   for (const HullFacet& f : hull.facets) {
     bool lower = true;
     for (double n : f.plane.normal) {
-      if (n > options.normal_tol) {
+      if (n > kLowerNormalTolerance) {
         lower = false;
         break;
       }
@@ -97,12 +99,10 @@ ConvexSkylineResult ComputeConvexSkyline(const PointSet& points,
     result.facets.push_back(std::move(facet));
   }
 
-  if (options.lp_membership) {
-    const auto adjacency = BuildVertexAdjacency(hull, points.size());
-    for (std::int32_t v : hull.vertices) {
-      if (member[v]) continue;
-      if (IsPositiveMinimizer(points, v, adjacency[v])) member[v] = true;
-    }
+  const auto adjacency = BuildVertexAdjacency(hull, points.size());
+  for (std::int32_t v : hull.vertices) {
+    if (member[v]) continue;
+    if (IsPositiveMinimizer(points, v, adjacency[v])) member[v] = true;
   }
 
   for (std::size_t i = 0; i < points.size(); ++i) {

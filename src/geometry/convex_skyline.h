@@ -31,18 +31,6 @@
 
 namespace drli {
 
-struct ConvexSkylineOptions {
-  // Hull orientation tolerance.
-  double eps = 1e-9;
-  // A facet counts as "lower" iff every outward-normal component is
-  // <= normal_tol.
-  double normal_tol = 1e-9;
-  // When false, the per-vertex local-optimality LP pass is skipped and
-  // members are the lower-facet vertices only (faster; used by
-  // benchmarks that only need a valid peel, not the exact CSKY).
-  bool lp_membership = true;
-};
-
 struct ConvexSkylineResult {
   // Convex-skyline member ids (into the input PointSet), ascending.
   std::vector<TupleId> members;
@@ -54,8 +42,7 @@ struct ConvexSkylineResult {
   bool exact = true;
 };
 
-ConvexSkylineResult ComputeConvexSkyline(
-    const PointSet& points, const ConvexSkylineOptions& options = {});
+ConvexSkylineResult ComputeConvexSkyline(const PointSet& points);
 
 }  // namespace drli
 

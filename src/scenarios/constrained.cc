@@ -10,44 +10,10 @@
 
 #include "common/stopwatch.h"
 #include "core/partition_merge.h"
+#include "topk/threshold_algorithm.h"
 
 namespace drli {
 namespace {
-
-// Running top-k under the canonical order: a max-heap whose head is
-// the worst kept candidate, so an offer either displaces the head or
-// is rejected as canonically later than everything kept.
-class TopKKeeper {
- public:
-  explicit TopKKeeper(std::size_t k) : k_(k) {}
-
-  void Offer(const ScoredTuple& t) {
-    if (k_ == 0) return;
-    if (heap_.size() < k_) {
-      heap_.push_back(t);
-      std::push_heap(heap_.begin(), heap_.end(), ResultOrderLess);
-      return;
-    }
-    if (ResultOrderLess(t, heap_.front())) {
-      std::pop_heap(heap_.begin(), heap_.end(), ResultOrderLess);
-      heap_.back() = t;
-      std::push_heap(heap_.begin(), heap_.end(), ResultOrderLess);
-    }
-  }
-
-  bool full() const { return heap_.size() == k_; }
-  // Worst kept candidate; only meaningful when full().
-  const ScoredTuple& worst() const { return heap_.front(); }
-
-  std::vector<ScoredTuple> TakeSorted() {
-    std::sort(heap_.begin(), heap_.end(), ResultOrderLess);
-    return std::move(heap_);
-  }
-
- private:
-  std::size_t k_;
-  std::vector<ScoredTuple> heap_;
-};
 
 Status ValidateConstrained(const ConstrainedQuery& query, std::size_t dim) {
   TopKQuery base;
@@ -88,11 +54,12 @@ TopKResult OpenConstrained(const DualLayerIndex& part,
   return local;
 }
 
-// Can a unit with bound `bound` still change a full keeper's answer?
-// Ties must stay open: an equal-score member with a smaller id would
-// displace the current worst.
-bool FrontierOpen(const TopKKeeper& keeper, double bound) {
-  return !keeper.full() || bound <= keeper.worst().score;
+// Can a unit with bound `bound` still change the heap's answer? Ties
+// must stay open: an equal-score member with a smaller id would
+// displace the current worst. KthScore is +inf while the heap fills
+// and -inf at k = 0, which opens nothing.
+bool FrontierOpen(const TopKHeap& heap, double bound) {
+  return bound <= heap.KthScore();
 }
 
 }  // namespace
@@ -119,13 +86,13 @@ TopKResult ConstrainedTopK(const DualLayerIndex& index,
   std::sort(entries.begin(), entries.end());
 
   BudgetGate gate(query.budget);
-  TopKKeeper keeper(query.k);
+  TopKHeap heap(query.k);
   for (std::size_t next = 0; next < entries.size(); ++next) {
     const double bound = entries[next].first;
-    if (!FrontierOpen(keeper, bound)) break;
+    if (!FrontierOpen(heap, bound)) break;
     if (const Termination stop = gate.Step(result.stats.tuples_evaluated);
         stop != Termination::kComplete) {
-      result.items = keeper.TakeSorted();
+      result.items = heap.SortedAscending();
       result.stats.elapsed_seconds = timer.ElapsedSeconds();
       FinalizePartial(result, stop, bound);
       return result;
@@ -142,11 +109,11 @@ TopKResult ConstrainedTopK(const DualLayerIndex& index,
       // scored; a containment miss costs comparisons, not a score.
       ++result.stats.tuples_evaluated;
       result.accessed.push_back(id);
-      keeper.Offer(ScoredTuple{id, Score(query.weights, p)});
+      heap.Push(ScoredTuple{id, Score(query.weights, p)});
     }
   }
 
-  result.items = keeper.TakeSorted();
+  result.items = heap.SortedAscending();
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   FinalizeComplete(result);
   return result;
@@ -225,11 +192,11 @@ TopKResult ConstrainedScanRows(const PointSet& points,
   }
 
   BudgetGate gate(query.budget);
-  TopKKeeper keeper(query.k);
+  TopKHeap heap(query.k);
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (const Termination stop = gate.Step(result.stats.tuples_evaluated);
         stop != Termination::kComplete) {
-      result.items = keeper.TakeSorted();
+      result.items = heap.SortedAscending();
       result.stats.elapsed_seconds = timer.ElapsedSeconds();
       // Mid-scan there is no bound on the unscanned remainder (same
       // contract as the unconstrained FullScan): certify nothing.
@@ -241,10 +208,10 @@ TopKResult ConstrainedScanRows(const PointSet& points,
     if (!query.box.Contains(p)) continue;
     ++result.stats.tuples_evaluated;
     result.accessed.push_back(ids[i]);
-    keeper.Offer(ScoredTuple{ids[i], Score(query.weights, p)});
+    heap.Push(ScoredTuple{ids[i], Score(query.weights, p)});
   }
 
-  result.items = keeper.TakeSorted();
+  result.items = heap.SortedAscending();
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   FinalizeComplete(result);
   return result;

@@ -473,30 +473,41 @@ void TopKServer::Impl::HandleFrame(const std::shared_ptr<Connection>& conn,
     case wire::Verb::kQuery:
     case wire::Verb::kBatch: {
       const std::size_t n = request.queries.size();
+      // Validate before shedding, as TopKIndex::QueryBatch does: a
+      // request that can only be refused answers kInvalidQuery before
+      // admission, so it never takes or waits on an in-flight slot.
       // One reply frame carries every result, so the worst-case
-      // encoded reply is bounded here, before admission: a well-formed
-      // request whose answer could bust the frame cap comes back as an
-      // explicit kInvalidQuery instead of an untransmittable reply.
-      // Reverse results are interval- (data-) bounded, not k-bounded;
-      // non-plain batch slots answer kInvalidQuery and carry no items.
+      // encoded reply is bounded here: a well-formed request whose
+      // answer could bust the frame cap is refused instead of sent
+      // untransmittable. Reverse results are interval- (data-)
+      // bounded, not k-bounded; non-plain batch slots answer
+      // kInvalidQuery and carry no items. A single query whose k
+      // exceeds the wire bound is refused too (ExecuteWireQuery keeps
+      // the same check for in-process callers).
       std::uint64_t worst_items = 0;
+      bool k_too_large = false;
       for (const wire::WireQuery& q : request.queries) {
         if (request.verb == wire::Verb::kBatch &&
             q.scenario != wire::Scenario::kPlain) {
           continue;
         }
+        k_too_large |= request.verb == wire::Verb::kQuery &&
+                       q.k > wire::kMaxWireItems;
         worst_items += q.scenario == wire::Scenario::kReverse
                            ? wire::kMaxWireItems
                            : std::min<std::uint64_t>(q.k, wire::kMaxWireItems);
       }
-      if (!wire::ReplyFits(n, worst_items)) {
+      const bool fits = wire::ReplyFits(n, worst_items);
+      if (!fits || k_too_large) {
         std::vector<wire::WireResult> results(n);
         for (auto& r : results) {
           r.status = wire::ReplyStatus::kInvalidQuery;
           r.termination =
               static_cast<std::uint8_t>(Termination::kInvalidQuery);
-          r.message = "worst-case reply exceeds the frame payload cap; "
-                      "lower k or split the batch";
+          r.message = fits ? "k exceeds the wire reply bound (" +
+                                 std::to_string(wire::kMaxWireItems) + ")"
+                           : "worst-case reply exceeds the frame payload "
+                             "cap; lower k or split the batch";
         }
         SendReply(conn, frame.request_id, wire::EncodeResultReply(results));
         return;

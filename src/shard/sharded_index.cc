@@ -171,13 +171,4 @@ TopKResult ShardedDualLayerIndex::Query(const TopKQuery& query) const {
       [](std::size_t s) { return "shard " + std::to_string(s); });
 }
 
-std::vector<TopKResult> ShardedDualLayerIndex::QueryBatch(
-    const std::vector<TopKQuery>& queries) const {
-  std::vector<TopKResult> results(queries.size());
-  ParallelFor(queries.size(), [&](std::size_t i, std::size_t) {
-    results[i] = GuardedQuery([&] { return Query(queries[i]); });
-  });
-  return results;
-}
-
 }  // namespace drli

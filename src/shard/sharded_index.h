@@ -107,12 +107,6 @@ class ShardedDualLayerIndex final : public TopKIndex {
   // stats.shards_touched reports how many shards actually ran;
   // stats.tuples_evaluated sums the per-shard traversal costs.
   TopKResult Query(const TopKQuery& query) const override;
-  // Parallel batch over ParallelThreadCount() workers (Query is
-  // thread-safe: each shard lends every concurrent call its own pooled
-  // scratch).
-  std::vector<TopKResult> QueryBatch(
-      const std::vector<TopKQuery>& queries) const override;
-  using TopKIndex::QueryBatch;
 
   // --- introspection (tests, serialization, bench) ---
   std::size_t num_shards() const { return shards_.size(); }

@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <numeric>
 
-#include "common/check.h"
 #include "common/kernels_batch.h"
 #include "common/soa_points.h"
 #include "skyline/bskytree.h"
@@ -15,10 +14,23 @@ namespace {
 
 // Candidate sets at or above this size pay for a compact dimension-major
 // copy (SoaPointSet::FromSubset) so the dominance sweep runs through
-// DominatesAnyBatch; below it the scalar short-circuit loop wins. BNL is
-// excluded: its window pass needs the bidirectional test with eviction,
-// which is not the any-dominates shape the batch kernel implements.
+// DominatesAnyBatch; below it the scalar short-circuit loop wins.
 constexpr std::size_t kBatchSweepThreshold = 32;
+
+}  // namespace
+
+std::vector<TupleId> ComputeSkylineOfSubset(
+    const PointSet& points, const std::vector<TupleId>& candidates) {
+  std::vector<TupleId> result = SkyTreeSkyline(points, candidates);
+  std::sort(result.begin(), result.end());
+  return result;
+}
+
+std::vector<TupleId> ComputeSkyline(const PointSet& points) {
+  std::vector<TupleId> all(points.size());
+  std::iota(all.begin(), all.end(), 0);
+  return ComputeSkylineOfSubset(points, all);
+}
 
 std::vector<TupleId> NaiveSkyline(const PointSet& points,
                                   const std::vector<TupleId>& candidates) {
@@ -35,283 +47,21 @@ std::vector<TupleId> NaiveSkyline(const PointSet& points,
         out.push_back(a);
       }
     }
-    return out;
-  }
-  for (TupleId a : candidates) {
-    bool dominated = false;
-    for (TupleId b : candidates) {
-      if (a == b) continue;
-      if (Dominates(points[b], points[a])) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) out.push_back(a);
-  }
-  return out;
-}
-
-// Block-nested-loops (Börzsönyi et al.): stream candidates against a
-// bounded self-organizing window; window overflow spills to the next
-// pass. A window entry is certified as skyline at the end of a pass iff
-// it was inserted before the first spill (it has then been compared,
-// directly or transitively, against every other candidate).
-std::vector<TupleId> BnlSkyline(const PointSet& points,
-                                std::vector<TupleId> candidates,
-                                std::size_t window_capacity) {
-  struct WindowEntry {
-    TupleId id;
-    std::size_t inserted_at;  // input position when inserted
-  };
-  std::vector<TupleId> skyline;
-  std::vector<TupleId> input = std::move(candidates);
-  while (!input.empty()) {
-    std::vector<WindowEntry> window;
-    window.reserve(std::min(window_capacity, input.size()));
-    std::vector<TupleId> overflow;
-    std::size_t first_overflow = input.size();
-    for (std::size_t pos = 0; pos < input.size(); ++pos) {
-      const TupleId id = input[pos];
-      const PointView p = points[id];
+  } else {
+    for (TupleId a : candidates) {
       bool dominated = false;
-      for (std::size_t w = 0; w < window.size();) {
-        const PointView q = points[window[w].id];
-        if (Dominates(q, p)) {
+      for (TupleId b : candidates) {
+        if (a == b) continue;
+        if (Dominates(points[b], points[a])) {
           dominated = true;
           break;
         }
-        if (Dominates(p, q)) {
-          // Evict: the newcomer supersedes this entry.
-          window[w] = window.back();
-          window.pop_back();
-          continue;
-        }
-        ++w;
       }
-      if (dominated) continue;
-      if (window.size() < window_capacity) {
-        window.push_back(WindowEntry{id, pos});
-      } else {
-        if (first_overflow == input.size()) first_overflow = pos;
-        overflow.push_back(id);
-      }
-    }
-    std::vector<TupleId> next;
-    for (const WindowEntry& entry : window) {
-      if (entry.inserted_at < first_overflow) {
-        skyline.push_back(entry.id);
-      } else {
-        next.push_back(entry.id);
-      }
-    }
-    next.insert(next.end(), overflow.begin(), overflow.end());
-    input = std::move(next);
-  }
-  return skyline;
-}
-
-// Divide & conquer (Börzsönyi et al.): median-split on the widest
-// attribute, solve halves, then mutually filter the partial skylines.
-// The mutual filter is the simple quadratic merge; the asymptotically
-// better recursive merge is not needed at the library's layer sizes.
-class DivideAndConquerSkyline {
- public:
-  explicit DivideAndConquerSkyline(const PointSet& points)
-      : points_(points) {}
-
-  std::vector<TupleId> Run(std::vector<TupleId> candidates) {
-    if (candidates.size() <= kLeaf) return NaiveSkyline(points_, candidates);
-    const std::size_t axis = WidestAxis(candidates);
-    const PointView lo = points_[candidates.front()];
-    double lo_v = lo[axis], hi_v = lo_v;
-    for (TupleId id : candidates) {
-      lo_v = std::min(lo_v, points_[id][axis]);
-      hi_v = std::max(hi_v, points_[id][axis]);
-    }
-    if (hi_v - lo_v <= 0.0) {
-      // No split possible on any axis: the set is degenerate; fall
-      // back to the quadratic scan.
-      return NaiveSkyline(points_, candidates);
-    }
-    // Median split by value on the widest axis.
-    std::nth_element(candidates.begin(),
-                     candidates.begin() + candidates.size() / 2,
-                     candidates.end(), [&](TupleId a, TupleId b) {
-                       if (points_[a][axis] != points_[b][axis]) {
-                         return points_[a][axis] < points_[b][axis];
-                       }
-                       return a < b;
-                     });
-    std::vector<TupleId> low(candidates.begin(),
-                             candidates.begin() + candidates.size() / 2);
-    std::vector<TupleId> high(candidates.begin() + candidates.size() / 2,
-                              candidates.end());
-    const std::vector<TupleId> sky_low = Run(std::move(low));
-    const std::vector<TupleId> sky_high = Run(std::move(high));
-
-    // Mutual merge filter: keep the survivors of each side against the
-    // other. (Points with equal split values can sit on either side,
-    // so both directions must be checked.)
-    std::vector<TupleId> merged;
-    merged.reserve(sky_low.size() + sky_high.size());
-    FilterAgainst(sky_low, sky_high, &merged);
-    FilterAgainst(sky_high, sky_low, &merged);
-    return merged;
-  }
-
- private:
-  static constexpr std::size_t kLeaf = 32;
-
-  bool DominatedByAny(TupleId id, const std::vector<TupleId>& others) const {
-    const PointView p = points_[id];
-    for (TupleId other : others) {
-      if (Dominates(points_[other], p)) return true;
-    }
-    return false;
-  }
-
-  // Appends the members of `ids` not dominated by any member of
-  // `others`. Large filter sets sweep through the batch kernel over a
-  // compact SoA of `others`, built once per merge.
-  void FilterAgainst(const std::vector<TupleId>& ids,
-                     const std::vector<TupleId>& others,
-                     std::vector<TupleId>* out) const {
-    if (others.size() >= kBatchSweepThreshold) {
-      const SoaPointSet soa = SoaPointSet::FromSubset(points_, others);
-      std::vector<std::uint32_t> rows(others.size());
-      std::iota(rows.begin(), rows.end(), 0u);
-      for (TupleId id : ids) {
-        if (!DominatesAnyBatch(soa, rows.data(), rows.size(), points_[id])) {
-          out->push_back(id);
-        }
-      }
-      return;
-    }
-    for (TupleId id : ids) {
-      if (!DominatedByAny(id, others)) out->push_back(id);
+      if (!dominated) out.push_back(a);
     }
   }
-
-  std::size_t WidestAxis(const std::vector<TupleId>& candidates) const {
-    const std::size_t d = points_.dim();
-    std::size_t best_axis = 0;
-    double best_spread = -1.0;
-    for (std::size_t axis = 0; axis < d; ++axis) {
-      double lo = points_[candidates[0]][axis], hi = lo;
-      for (TupleId id : candidates) {
-        lo = std::min(lo, points_[id][axis]);
-        hi = std::max(hi, points_[id][axis]);
-      }
-      if (hi - lo > best_spread) {
-        best_spread = hi - lo;
-        best_axis = axis;
-      }
-    }
-    return best_axis;
-  }
-
-  const PointSet& points_;
-};
-
-std::vector<TupleId> SfsSkyline(const PointSet& points,
-                                std::vector<TupleId> candidates) {
-  // Sort by attribute sum: a dominator always has a strictly smaller
-  // sum, so each point needs comparing only against the window of
-  // already-accepted skyline points.
-  std::stable_sort(candidates.begin(), candidates.end(),
-                   [&](TupleId a, TupleId b) {
-                     double sa = 0.0, sb = 0.0;
-                     const PointView pa = points[a], pb = points[b];
-                     for (std::size_t j = 0; j < points.dim(); ++j) {
-                       sa += pa[j];
-                       sb += pb[j];
-                     }
-                     if (sa != sb) return sa < sb;
-                     return a < b;
-                   });
-  if (candidates.size() >= kBatchSweepThreshold) {
-    // The window only ever grows, so it can be kept as row positions
-    // into a compact SoA of the sorted candidates and swept with the
-    // batch kernel; accepted ids are the same in the same order.
-    const SoaPointSet soa = SoaPointSet::FromSubset(points, candidates);
-    std::vector<std::uint32_t> window_rows;
-    std::vector<TupleId> window;
-    for (std::size_t i = 0; i < candidates.size(); ++i) {
-      if (!DominatesAnyBatch(soa, window_rows.data(), window_rows.size(),
-                             points[candidates[i]])) {
-        window_rows.push_back(static_cast<std::uint32_t>(i));
-        window.push_back(candidates[i]);
-      }
-    }
-    std::sort(window.begin(), window.end());
-    return window;
-  }
-  std::vector<TupleId> window;
-  for (TupleId id : candidates) {
-    const PointView p = points[id];
-    bool dominated = false;
-    for (TupleId s : window) {
-      if (Dominates(points[s], p)) {
-        dominated = true;
-        break;
-      }
-    }
-    if (!dominated) window.push_back(id);
-  }
-  std::sort(window.begin(), window.end());
-  return window;
-}
-
-constexpr std::size_t kBnlWindowCapacity = 512;
-
-}  // namespace
-
-const char* SkylineAlgorithmName(SkylineAlgorithm algorithm) {
-  switch (algorithm) {
-    case SkylineAlgorithm::kNaive:
-      return "naive";
-    case SkylineAlgorithm::kBnl:
-      return "bnl";
-    case SkylineAlgorithm::kSfs:
-      return "sfs";
-    case SkylineAlgorithm::kDivideAndConquer:
-      return "dnc";
-    case SkylineAlgorithm::kSkyTree:
-      return "skytree";
-  }
-  return "unknown";
-}
-
-std::vector<TupleId> ComputeSkylineOfSubset(const PointSet& points,
-                                            const std::vector<TupleId>& candidates,
-                                            SkylineAlgorithm algorithm) {
-  std::vector<TupleId> result;
-  switch (algorithm) {
-    case SkylineAlgorithm::kNaive:
-      result = NaiveSkyline(points, candidates);
-      break;
-    case SkylineAlgorithm::kBnl:
-      result = BnlSkyline(points, candidates, kBnlWindowCapacity);
-      break;
-    case SkylineAlgorithm::kSfs:
-      result = SfsSkyline(points, candidates);
-      break;
-    case SkylineAlgorithm::kDivideAndConquer:
-      result = DivideAndConquerSkyline(points).Run(candidates);
-      break;
-    case SkylineAlgorithm::kSkyTree:
-      result = SkyTreeSkyline(points, candidates);
-      break;
-  }
-  std::sort(result.begin(), result.end());
-  return result;
-}
-
-std::vector<TupleId> ComputeSkyline(const PointSet& points,
-                                    SkylineAlgorithm algorithm) {
-  std::vector<TupleId> all(points.size());
-  std::iota(all.begin(), all.end(), 0);
-  return ComputeSkylineOfSubset(points, all, algorithm);
+  std::sort(out.begin(), out.end());
+  return out;
 }
 
 }  // namespace drli

@@ -1,20 +1,14 @@
-// Skyline computation (Definition 3). Five interchangeable algorithms:
+// Skyline computation (Definition 3).
 //
-//  * kNaive    -- O(n^2) pairwise reference implementation (tests).
-//  * kBnl      -- block-nested-loops with a bounded in-memory window
-//                 (Börzsönyi et al., ICDE'01).
-//  * kSfs      -- sort-filter-skyline: entropy-sorted scan against the
-//                 running skyline window (Chomicki et al.).
-//  * kDivideAndConquer -- median-split D&C with pairwise merge
-//                 filtering (Börzsönyi et al.).
-//  * kSkyTree  -- pivot-based space partitioning with region-level
-//                 incomparability pruning, our implementation of the
-//                 BSkyTree family the paper uses for layer construction
-//                 (Lee & Hwang, EDBT'10).
+//  * ComputeSkyline / ComputeSkylineOfSubset -- pivot-based space
+//    partitioning with region-level incomparability pruning, our
+//    implementation of the BSkyTree family the paper uses for layer
+//    construction (Lee & Hwang, EDBT'10; skyline/bskytree.h).
+//  * NaiveSkyline -- the O(n^2) pairwise sweep, kept as the reference
+//    the tests and the skyline ablation compare against.
 //
-// All return the identical set (the skyline is unique); they only
-// differ in cost. Returned ids are indices into the input PointSet, in
-// ascending order.
+// Both return the identical set (the skyline is unique). Returned ids
+// are indices into the input PointSet, in ascending order.
 
 #ifndef DRLI_SKYLINE_SKYLINE_H_
 #define DRLI_SKYLINE_SKYLINE_H_
@@ -25,30 +19,20 @@
 
 namespace drli {
 
-enum class SkylineAlgorithm {
-  kNaive,
-  kBnl,
-  kSfs,
-  kDivideAndConquer,
-  kSkyTree,
-};
-
-// Short lowercase name, e.g. "skytree".
-const char* SkylineAlgorithmName(SkylineAlgorithm algorithm);
-
-// Computes SKY(points). Duplicated points: the copy with the smallest id
-// is kept (duplicates do not dominate each other per Definition 2, so
-// all exact duplicates of a skyline point are skyline points and all are
-// returned).
-std::vector<TupleId> ComputeSkyline(
-    const PointSet& points,
-    SkylineAlgorithm algorithm = SkylineAlgorithm::kSkyTree);
+// Computes SKY(points). Duplicated points: duplicates do not dominate
+// each other per Definition 2, so all exact duplicates of a skyline
+// point are skyline points and all are returned.
+std::vector<TupleId> ComputeSkyline(const PointSet& points);
 
 // Computes the skyline of the subset `candidates` (ids into `points`),
 // returning surviving ids in ascending order.
 std::vector<TupleId> ComputeSkylineOfSubset(
-    const PointSet& points, const std::vector<TupleId>& candidates,
-    SkylineAlgorithm algorithm = SkylineAlgorithm::kSkyTree);
+    const PointSet& points, const std::vector<TupleId>& candidates);
+
+// Reference: the skyline of `candidates` by the pairwise sweep, same
+// output as ComputeSkylineOfSubset.
+std::vector<TupleId> NaiveSkyline(const PointSet& points,
+                                  const std::vector<TupleId>& candidates);
 
 }  // namespace drli
 

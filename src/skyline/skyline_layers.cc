@@ -7,11 +7,11 @@
 #include "common/check.h"
 #include "geometry/convex_skyline.h"
 #include "skyline/dominance_tree.h"
+#include "skyline/skyline.h"
 
 namespace drli {
 
-LayerDecomposition BuildSkylineLayers(const PointSet& points,
-                                      SkylineAlgorithm /*algorithm*/) {
+LayerDecomposition BuildSkylineLayers(const PointSet& points) {
   LayerDecomposition out;
   const std::size_t n = points.size();
   out.layer_of.assign(n, 0);
@@ -63,15 +63,13 @@ LayerDecomposition BuildSkylineLayers(const PointSet& points,
   return out;
 }
 
-LayerDecomposition BuildSkylineLayersByPeeling(const PointSet& points,
-                                               SkylineAlgorithm algorithm) {
+LayerDecomposition BuildSkylineLayersByPeeling(const PointSet& points) {
   LayerDecomposition out;
   out.layer_of.assign(points.size(), 0);
   std::vector<TupleId> remaining(points.size());
   std::iota(remaining.begin(), remaining.end(), 0);
   while (!remaining.empty()) {
-    std::vector<TupleId> layer =
-        ComputeSkylineOfSubset(points, remaining, algorithm);
+    std::vector<TupleId> layer = ComputeSkylineOfSubset(points, remaining);
     DRLI_CHECK(!layer.empty()) << "skyline of a non-empty set is non-empty";
     const std::size_t layer_index = out.layers.size();
     for (TupleId id : layer) out.layer_of[id] = layer_index;
@@ -87,8 +85,7 @@ LayerDecomposition BuildSkylineLayersByPeeling(const PointSet& points,
 }
 
 ConvexLayerDecomposition BuildConvexLayers(const PointSet& points,
-                                           std::size_t max_layers,
-                                           SkylineAlgorithm algorithm) {
+                                           std::size_t max_layers) {
   ConvexLayerDecomposition out;
   out.layer_of.assign(points.size(), 0);
   std::vector<TupleId> remaining(points.size());
@@ -103,8 +100,7 @@ ConvexLayerDecomposition BuildConvexLayers(const PointSet& points,
       break;
     }
     // CSKY(S) = CSKY(SKY(S)): reduce to the skyline before the hull.
-    std::vector<TupleId> sky =
-        ComputeSkylineOfSubset(points, remaining, algorithm);
+    std::vector<TupleId> sky = ComputeSkylineOfSubset(points, remaining);
     const PointSet sky_points = points.Subset(sky);
     const ConvexSkylineResult csky = ComputeConvexSkyline(sky_points);
     std::vector<TupleId> layer;

@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/point.h"
-#include "skyline/skyline.h"
 
 namespace drli {
 
@@ -39,19 +38,13 @@ struct LayerDecomposition {
 // dominance is transitive, "some member of layer ℓ dominates p" is
 // downward closed in ℓ, so that layer is found by binary search over
 // the layers built so far. The decomposition is unique, so the result
-// is identical to peeling; `algorithm` is kept for call-site
-// compatibility (it selected the per-peel skyline subroutine, which
-// the single-pass build no longer runs).
-LayerDecomposition BuildSkylineLayers(
-    const PointSet& points,
-    SkylineAlgorithm algorithm = SkylineAlgorithm::kSkyTree);
+// is identical to peeling.
+LayerDecomposition BuildSkylineLayers(const PointSet& points);
 
-// Reference implementation: repeated ComputeSkylineOfSubset peels with
-// `algorithm`. Same output as BuildSkylineLayers on every input (the
-// decomposition is unique); kept for equivalence tests and ablations.
-LayerDecomposition BuildSkylineLayersByPeeling(
-    const PointSet& points,
-    SkylineAlgorithm algorithm = SkylineAlgorithm::kSkyTree);
+// Reference implementation: repeated ComputeSkylineOfSubset peels.
+// Same output as BuildSkylineLayers on every input (the decomposition
+// is unique); kept for equivalence tests.
+LayerDecomposition BuildSkylineLayersByPeeling(const PointSet& points);
 
 // Iterated convex skylines (Onion layers): layer 1 = CSKY(R), layer i =
 // CSKY(R - earlier). When `max_layers` peels have been produced and
@@ -65,8 +58,7 @@ struct ConvexLayerDecomposition {
 
 ConvexLayerDecomposition BuildConvexLayers(
     const PointSet& points,
-    std::size_t max_layers = std::numeric_limits<std::size_t>::max(),
-    SkylineAlgorithm algorithm = SkylineAlgorithm::kSkyTree);
+    std::size_t max_layers = std::numeric_limits<std::size_t>::max());
 
 // Pruning effectiveness counters for ForEachDominancePair. Every
 // candidate (source, target) pair lands in exactly one bucket, so

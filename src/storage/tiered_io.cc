@@ -9,6 +9,7 @@
 
 #include "common/crc32c.h"
 #include "core/partition_merge.h"
+#include "core/serialization.h"
 #include "storage/file_io.h"
 #include "storage/mmap_file.h"
 
@@ -259,11 +260,10 @@ void SweepStrayRunFiles(const std::string& manifest_path,
 // persisted (bounds, dead counts).
 class TieredIndexIO {
  public:
-  static StatusOr<TieredDualLayerIndex> Assemble(
-      const std::string& path, ParsedManifest parsed,
-      const TieredLoadOptions& options) {
+  static StatusOr<TieredDualLayerIndex> Assemble(const std::string& path,
+                                                 ParsedManifest parsed) {
     const TieredManifestInfo& info = parsed.info;
-    TieredIndexOptions opts = options.options;
+    TieredIndexOptions opts;
     if (!info.name.empty()) opts.name = info.name;
     TieredDualLayerIndex index(info.dim, opts);
 
@@ -271,8 +271,7 @@ class TieredIndexIO {
     index.runs_.reserve(info.runs.size());
     for (std::size_t r = 0; r < info.runs.size(); ++r) {
       const std::string run_path = dir + info.runs[r].file;
-      StatusOr<DualLayerIndex> run =
-          LoadDualLayerIndex(run_path, options.snapshot);
+      StatusOr<DualLayerIndex> run = LoadDualLayerIndex(run_path);
       if (!run.ok()) return run.status();
       if (run.value().points().dim() != info.dim) {
         return Status::Corruption("run " + run_path +
@@ -386,8 +385,7 @@ Status SaveTieredIndex(const TieredDualLayerIndex& index,
   return Status::Ok();
 }
 
-StatusOr<TieredDualLayerIndex> LoadTieredIndex(
-    const std::string& path, const TieredLoadOptions& options) {
+StatusOr<TieredDualLayerIndex> LoadTieredIndex(const std::string& path) {
   StatusOr<std::vector<std::uint8_t>> bytes = MmapFile::ReadFileContents(path);
   if (!bytes.ok()) return bytes.status();
   ParsedManifest parsed;
@@ -396,7 +394,7 @@ StatusOr<TieredDualLayerIndex> LoadTieredIndex(
         ParseManifest(path, bytes.value(), &parsed.info, &parsed);
     if (!status.ok()) return status;
   }
-  return TieredIndexIO::Assemble(path, std::move(parsed), options);
+  return TieredIndexIO::Assemble(path, std::move(parsed));
 }
 
 bool IsTieredManifest(const std::string& path) {

@@ -45,7 +45,6 @@
 #include <vector>
 
 #include "common/status.h"
-#include "core/serialization.h"
 #include "core/tiered_index.h"
 
 namespace drli {
@@ -69,15 +68,6 @@ struct TieredSaveOptions {
   bool sweep_strays = true;
 };
 
-struct TieredLoadOptions {
-  // Load options applied to every per-run snapshot (mmap by default).
-  SnapshotLoadOptions snapshot{};
-  // Maintenance knobs for the loaded index (memtable capacity, fanout,
-  // auto-compaction, run build options for future seals/merges). The
-  // persisted name overrides options.name when nonempty.
-  TieredIndexOptions options{};
-};
-
 // The on-disk file of run `uid` for a manifest at `manifest_path`:
 // "<manifest_path>.run-NNNNNN". Exposed so tests and tools can target
 // individual run files (fault injection, missing-file paths).
@@ -91,8 +81,10 @@ Status SaveTieredIndex(const TieredDualLayerIndex& index,
                        const TieredSaveOptions& options = {});
 
 // Reads a manifest and all run snapshots written by SaveTieredIndex.
-StatusOr<TieredDualLayerIndex> LoadTieredIndex(
-    const std::string& path, const TieredLoadOptions& options = {});
+// Runs load with the default SnapshotLoadOptions (mmap); the loaded
+// index keeps the default TieredIndexOptions, except that the persisted
+// name, when nonempty, becomes its name.
+StatusOr<TieredDualLayerIndex> LoadTieredIndex(const std::string& path);
 
 // Cheap probe: does `path` start with the tiered-manifest magic? Used
 // by the CLI to route --index files to the right loader.

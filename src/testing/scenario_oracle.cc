@@ -413,6 +413,10 @@ std::vector<std::string> CheckScenarioFamilies(
     query.box = AttributeBox::All(d);
     RunConstrainedProbe(engines, points, query, 0, rng, seed, &failures);
 
+    // k = 0 over the all-space box: complete and empty everywhere.
+    query.k = 0;
+    RunConstrainedProbe(engines, points, query, 0, rng, seed, &failures);
+
     // Point box (lo == hi == a data point): exactly the duplicates of
     // the anchor qualify; k far beyond the match count.
     query.box = BoxFromTuples(points, anchor, anchor);

@@ -208,10 +208,14 @@ ServerFaultReport RunServerFaultSweep(const std::string& scratch_dir,
       query.weights = weights;
       query.k = wire::kMaxWireItems + 1;
       auto result = client.Query(query);
-      if (!result.ok() ||
-          result.value().status != wire::ReplyStatus::kInvalidQuery) {
+      if (!result.ok()) {
         report.violations.push_back(
-            "oversized k not rejected with kInvalidQuery");
+            "oversized k not rejected with kInvalidQuery: " +
+            result.status().ToString());
+      } else if (result.value().status != wire::ReplyStatus::kInvalidQuery) {
+        report.violations.push_back(
+            std::string("oversized k not rejected with kInvalidQuery: got ") +
+            wire::ReplyStatusName(result.value().status));
       }
       ++report.cases;
       std::vector<wire::WireQuery> batch(wire::kMaxBatchQueries);

@@ -4,6 +4,8 @@
 #include <cstddef>
 #include <string>
 
+#include "common/parallel_for.h"
+
 namespace drli {
 
 const char* TerminationName(Termination termination) {
@@ -49,11 +51,10 @@ TopKResult InvalidQueryResult(const Status& status) {
 
 std::vector<TopKResult> TopKIndex::QueryBatch(
     const std::vector<TopKQuery>& queries) const {
-  std::vector<TopKResult> results;
-  results.reserve(queries.size());
-  for (const TopKQuery& query : queries) {
-    results.push_back(GuardedQuery([&] { return Query(query); }));
-  }
+  std::vector<TopKResult> results(queries.size());
+  ParallelFor(queries.size(), [&](std::size_t i, std::size_t) {
+    results[i] = GuardedQuery([&] { return Query(queries[i]); });
+  });
   return results;
 }
 

@@ -338,27 +338,26 @@ class TopKIndex {
   // validation is skipped and Query itself remains the arbiter.
   virtual std::size_t dim() const { return 0; }
 
-  // Answers `query`; thread-compatible (const, no shared mutable state).
-  // Never throws or aborts on malformed input: budget expiry yields a
-  // certified partial result, bad queries a kInvalidQuery result.
+  // Answers `query`; thread-safe (const; DualLayerIndex's scratch pool
+  // is the only shared mutable state, and it is locked). Never throws
+  // or aborts on malformed input: budget expiry yields a certified
+  // partial result, bad queries a kInvalidQuery result.
   virtual TopKResult Query(const TopKQuery& query) const = 0;
 
-  // Answers a batch: results[i] corresponds to queries[i], each
+  // Answers a batch over ParallelThreadCount() workers (DRLI_THREADS;
+  // common/parallel_for.h): results[i] corresponds to queries[i], each
   // element-wise identical to a serial Query(queries[i]) call (budgets
   // included -- deadlines are measured per query from its own start, so
-  // serial and parallel execution give identical allowances). The
-  // default implementation is that serial loop; implementations with
-  // per-thread workspaces may parallelize (DualLayerIndex fans the
-  // batch out over DRLI_THREADS workers). Worker exceptions surface as
-  // kError results in the corresponding slot, never on the process.
-  virtual std::vector<TopKResult> QueryBatch(
+  // serial and parallel execution give identical allowances). Worker
+  // exceptions surface as kError results in the corresponding slot,
+  // never on the process.
+  std::vector<TopKResult> QueryBatch(
       const std::vector<TopKQuery>& queries) const;
 
   // QueryBatch with admission control: the first
-  // options.max_in_flight queries run (through the virtual overload
-  // above, so the parallel fast paths still apply); the rest are shed
-  // deterministically with Termination::kShed. Admitted queries without
-  // a budget inherit options.default_budget.
+  // options.max_in_flight queries run (through the overload above);
+  // the rest are shed deterministically with Termination::kShed.
+  // Admitted queries without a budget inherit options.default_budget.
   std::vector<TopKResult> QueryBatch(const std::vector<TopKQuery>& queries,
                                      const BatchOptions& options) const;
 
@@ -367,7 +366,7 @@ class TopKIndex {
   // wall clock. Per-query elapsed_seconds stay per-query; their sum
   // lands in stats->merged.elapsed_seconds (aggregate query-seconds),
   // while stats->wall_seconds is what a QPS computation divides by --
-  // under the parallel fast path the two differ by ~the worker count.
+  // over parallel workers the two differ by ~the worker count.
   std::vector<TopKResult> QueryBatch(const std::vector<TopKQuery>& queries,
                                      const BatchOptions& options,
                                      BatchStats* stats) const;

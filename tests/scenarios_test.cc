@@ -171,6 +171,25 @@ TEST(ConstrainedTest, ZeroWeightQueriesAreLegal) {
   ExpectSameItems(ConstrainedTopK(engines.tdl, query), want, "tdl+");
 }
 
+// k = 0 is legal (ValidateQuery): every engine answers complete and
+// empty without reading a k-th score from an empty heap.
+TEST(ConstrainedTest, KZeroIsCompleteAndEmptyOnAllEngines) {
+  const PointSet points = GenerateIndependent(200, 3, 29);
+  const Engines engines = BuildEngines(points);
+  ConstrainedQuery query;
+  query.weights = {0.3, 0.3, 0.4};
+  query.k = 0;
+  query.box = AttributeBox::All(3);
+  for (const TopKResult& got : {ConstrainedTopK(engines.dl, query),
+                                ConstrainedTopK(engines.sdl, query),
+                                ConstrainedTopK(engines.tdl, query),
+                                ConstrainedTopKScan(points, query)}) {
+    EXPECT_EQ(got.termination, Termination::kComplete);
+    EXPECT_TRUE(got.items.empty());
+    EXPECT_EQ(got.certified_prefix, 0u);
+  }
+}
+
 TEST(ConstrainedTest, BudgetedPartialCertifiesTruePrefix) {
   const PointSet points = GenerateIndependent(150, 3, 23);
   const Engines engines = BuildEngines(points);

@@ -19,6 +19,7 @@
 #include "core/dual_layer.h"
 #include "core/serialization.h"
 #include "data/generator.h"
+#include "scenarios/scenario_box.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
@@ -403,6 +404,79 @@ TEST(ServerTest, RepliesThatCannotFitOneFrameAreRejectedUpFront) {
   ASSERT_TRUE(legal.ok()) << legal.status().ToString();
   EXPECT_EQ(legal.value().status, wire::ReplyStatus::kOk);
   EXPECT_EQ(legal.value().items.size(), 300u);  // clamped by the dataset
+  server.Shutdown();
+}
+
+// A constrained k = 0 query is legal and routes to the single-index
+// ConstrainedTopK overload: it must answer kOk with no items, and the
+// server must stay up to answer the next request.
+TEST(ServerTest, ConstrainedKZeroAnswersEmptyOnADlPlusGeneration) {
+  ServingDir serving("drli_server_kzero");
+  DualLayerOptions options;
+  options.build_zero_layer = true;
+  const DualLayerIndex index =
+      DualLayerIndex::Build(GenerateIndependent(200, 3, 29), options);
+  ASSERT_TRUE(SaveDualLayerIndex(index, serving.dir + "/gen-1.v2").ok());
+  ASSERT_TRUE(server::PublishSnapshot(serving.dir, "gen-1.v2").ok());
+  TopKServer server;
+  ASSERT_TRUE(server.Start(serving.dir, ServerOptions{}).ok());
+  DrliClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  wire::WireQuery query;
+  query.scenario = wire::Scenario::kConstrained;
+  query.weights = {0.3, 0.3, 0.4};
+  query.k = 0;
+  query.box = AttributeBox::All(3);
+  auto result = client.Query(query);
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(result.value().status, wire::ReplyStatus::kOk);
+  EXPECT_TRUE(result.value().items.empty());
+  EXPECT_TRUE(client.Health().ok());
+  server.Shutdown();
+}
+
+// Validate before shedding: with the only in-flight slot taken, a query
+// whose k exceeds the wire bound is still refused as kInvalidQuery,
+// never answered kOverloaded.
+TEST(ServerTest, OversizedKIsRefusedBeforeAdmission) {
+  ServingDir serving("drli_server_validate_first");
+  BuildAndPublish(serving, "gen-1.v2", 31);
+  ServerOptions options;
+  options.max_in_flight = 1;
+  options.num_workers = 1;
+  options.test_worker_delay_ms = 300.0;  // park the admitted query
+  TopKServer server;
+  ASSERT_TRUE(server.Start(serving.dir, options).ok());
+
+  DrliClient parked;
+  ASSERT_TRUE(parked.Connect("127.0.0.1", server.port()).ok());
+  wire::Request request;
+  wire::WireQuery query;
+  query.weights = {0.2, 0.3, 0.5};
+  query.k = 3;
+  request.queries.push_back(query);
+  std::vector<std::uint8_t> frame;
+  ASSERT_TRUE(wire::AppendFrame(1, wire::EncodeRequest(request), &frame));
+  ASSERT_TRUE(parked.SendRaw(frame).ok());
+
+  DrliClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  bool admitted = false;
+  for (int i = 0; i < 200 && !admitted; ++i) {
+    auto health = client.Health();
+    ASSERT_TRUE(health.ok());
+    admitted = health.value().queries_in_flight == 1;
+    if (!admitted) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_TRUE(admitted);
+
+  query.k = wire::kMaxWireItems + 1;
+  auto refused = client.Query(query);
+  ASSERT_TRUE(refused.ok()) << refused.status().ToString();
+  EXPECT_EQ(refused.value().status, wire::ReplyStatus::kInvalidQuery);
+  EXPECT_EQ(server.counters().queries_shed, 0u);
+  ASSERT_TRUE(parked.ReadFrame().ok());
   server.Shutdown();
 }
 

@@ -77,7 +77,7 @@ TEST(ClusteredZeroLayerTest, CornersCoverLayer) {
   // Use the full set as "layer 1" for the test.
   std::vector<TupleId> layer(pts.size());
   std::iota(layer.begin(), layer.end(), 0);
-  const ClusteredZeroLayer zero = BuildClusteredZeroLayer(pts, layer, 0, 7);
+  const ClusteredZeroLayer zero = BuildClusteredZeroLayer(pts, layer, 0);
   ASSERT_FALSE(zero.pseudo.empty());
   ASSERT_EQ(zero.cluster_of.size(), layer.size());
   for (std::size_t i = 0; i < layer.size(); ++i) {
@@ -93,14 +93,14 @@ TEST(ClusteredZeroLayerTest, ExplicitClusterCount) {
   const PointSet pts = GenerateIndependent(300, 3, 6);
   std::vector<TupleId> layer(pts.size());
   std::iota(layer.begin(), layer.end(), 0);
-  const ClusteredZeroLayer zero = BuildClusteredZeroLayer(pts, layer, 5, 7);
+  const ClusteredZeroLayer zero = BuildClusteredZeroLayer(pts, layer, 5);
   EXPECT_LE(zero.pseudo.size(), 5u);
   EXPECT_GE(zero.pseudo.size(), 1u);
 }
 
 TEST(ClusteredZeroLayerTest, EmptyLayer) {
   const PointSet pts = GenerateIndependent(10, 2, 7);
-  const ClusteredZeroLayer zero = BuildClusteredZeroLayer(pts, {}, 0, 7);
+  const ClusteredZeroLayer zero = BuildClusteredZeroLayer(pts, {}, 0);
   EXPECT_TRUE(zero.pseudo.empty());
 }
 

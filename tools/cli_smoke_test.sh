@@ -117,10 +117,10 @@ mv "$WORK/sharded.bin.shard-0002.gone" "$WORK/sharded.bin.shard-0002"
 # query fail and tell the user to rebuild.
 V1_FIXTURE="$(dirname "$0")/../tests/golden/dl_plus_d3_v1.bin"
 test -f "$V1_FIXTURE"
-for CMD in inspect query; do
-  if "$CLI" "$CMD" --index="$V1_FIXTURE" --weights=0.2,0.3,0.5 --k=5 \
-      >/dev/null 2>"$WORK/v1_err.txt"; then
-    echo "expected $CMD to reject a v1 snapshot" >&2
+for ARGS in "inspect" "query --weights=0.2,0.3,0.5 --k=5"; do
+  # shellcheck disable=SC2086  # ARGS is a command plus its flags
+  if "$CLI" $ARGS --index="$V1_FIXTURE" >/dev/null 2>"$WORK/v1_err.txt"; then
+    echo "expected $ARGS to reject a v1 snapshot" >&2
     exit 1
   fi
   grep -q "drli build" "$WORK/v1_err.txt"
@@ -173,6 +173,21 @@ if "$CLI" frobnicate 2>/dev/null; then
   echo "expected usage failure" >&2
   exit 1
 fi
+# An unknown flag exits 2 and names the flag instead of being ignored.
+expect_unknown_flag() {
+  local flag="$1" status=0
+  shift
+  "$CLI" "$@" 2>"$WORK/flag_err.txt" || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q -- "--$flag" "$WORK/flag_err.txt"; then
+    echo "expected exit 2 naming --$flag for: $* (got $status)" >&2
+    exit 1
+  fi
+}
+expect_unknown_flag format build --input="$WORK/data.csv" --format=v1 \
+  --out="$WORK/y.bin"
+[ ! -e "$WORK/y.bin" ]
+expect_unknown_flag kk query --index="$WORK/index.bin" \
+  --weights=0.2,0.3,0.5 --kk=5
 if "$CLI" check --input="$WORK/data.csv" --kind=onion 2>/dev/null; then
   echo "expected failure for non-checkable kind" >&2
   exit 1

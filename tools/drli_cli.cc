@@ -68,8 +68,10 @@
 //
 // `--no-simd` (any command) forces the scalar batch kernels, same as
 // the DRLI_NO_SIMD environment variable; `query` and `inspect` report
-// the active kernel dispatch target.
+// the active kernel dispatch target. Any other flag a command does not
+// read is an error: the command exits 2 and names the flag.
 
+#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -108,9 +110,13 @@ namespace {
 
 using Flags = std::map<std::string, std::string>;
 
-Flags ParseFlags(int argc, char** argv, int first) {
+// Parses the --key[=value] arguments after the command argv[1]. A flag
+// outside `accepted` (and not the global --no-simd) exits 2 naming it,
+// so a mistyped or retired flag is never silently ignored.
+Flags ParseFlags(int argc, char** argv,
+                 const std::vector<std::string>& accepted) {
   Flags flags;
-  for (int i = first; i < argc; ++i) {
+  for (int i = 2; i < argc; ++i) {
     std::string arg = argv[i];
     if (arg.rfind("--", 0) != 0) {
       std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
@@ -118,11 +124,14 @@ Flags ParseFlags(int argc, char** argv, int first) {
     }
     arg = arg.substr(2);
     const std::size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags[arg] = "true";
-    } else {
-      flags[arg.substr(0, eq)] = arg.substr(eq + 1);
+    const std::string key = arg.substr(0, eq);
+    if (key != "no-simd" &&
+        std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
+      std::fprintf(stderr, "unknown flag for %s: --%s\n", argv[1],
+                   key.c_str());
+      std::exit(2);
     }
+    flags[key] = eq == std::string::npos ? "true" : arg.substr(eq + 1);
   }
   return flags;
 }
@@ -1011,21 +1020,45 @@ int CmdPublish(const Flags& flags) {
   return 0;
 }
 
+// One subcommand and every flag it reads.
+struct Command {
+  const char* name;
+  int (*run)(const Flags&);
+  std::vector<std::string> flags;
+};
+
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
-  const std::string command = argv[1];
-  const Flags flags = ParseFlags(argc, argv, 2);
-  if (GetFlag(flags, "no-simd") == "true") ForceScalarKernels(true);
-  if (command == "generate") return CmdGenerate(flags);
-  if (command == "build") return CmdBuild(flags);
-  if (command == "stats") return CmdStats(flags);
-  if (command == "inspect") return CmdInspect(flags);
-  if (command == "query") return CmdQuery(flags);
-  if (command == "compare") return CmdCompare(flags);
-  if (command == "sweep") return CmdSweep(flags);
-  if (command == "check") return CmdCheck(flags);
-  if (command == "serve") return CmdServe(flags);
-  if (command == "publish") return CmdPublish(flags);
+  const Command commands[] = {
+      {"generate", CmdGenerate, {"dist", "n", "d", "seed", "out"}},
+      {"build",
+       CmdBuild,
+       {"input", "kind", "out", "clusters", "shards", "partitioner",
+        "shard-seed"}},
+      {"stats", CmdStats, {"index"}},
+      {"inspect", CmdInspect, {"index"}},
+      {"query",
+       CmdQuery,
+       {"index", "input", "kind", "clusters", "weights", "k", "box",
+        "reverse", "lambda", "pool-factor", "deadline-ms", "max-evals",
+        "explain"}},
+      {"compare", CmdCompare, {"input", "kinds", "k", "queries"}},
+      {"sweep", CmdSweep, {"input", "k", "limit", "reverse"}},
+      {"check",
+       CmdCheck,
+       {"index", "input", "kind", "clusters", "samples", "seed"}},
+      {"serve",
+       CmdServe,
+       {"dir", "host", "port", "port-file", "loops", "workers",
+        "max-in-flight", "deadline-ms", "idle-timeout", "reload-poll"}},
+      {"publish", CmdPublish, {"dir", "snapshot"}},
+  };
+  for (const Command& command : commands) {
+    if (command.name != std::string(argv[1])) continue;
+    const Flags flags = ParseFlags(argc, argv, command.flags);
+    if (GetFlag(flags, "no-simd") == "true") ForceScalarKernels(true);
+    return command.run(flags);
+  }
   return Usage();
 }
 
