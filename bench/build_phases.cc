@@ -3,7 +3,8 @@
 // 1, so the five phase timers sum to ≈ the total) per n x d cell and
 // emits machine-readable JSON (BENCH_build.json in the working
 // directory, or the path given as argv[1] / DRLI_BENCH_OUT), including
-// the EDS and coarse-edge pruning counters.
+// the hull, EDS and coarse-edge pruning counters, the active score
+// kernel and the host's hardware thread count.
 //
 // DRLI_BENCH_N overrides the n sweep with a single cardinality (the CI
 // smoke uses 5000).
@@ -12,9 +13,11 @@
 #include <cstdlib>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/check.h"
+#include "common/simd.h"
 #include "common/stopwatch.h"
 #include "core/dual_layer.h"
 #include "data/generator.h"
@@ -33,6 +36,8 @@ std::size_t EnvSize(const char* name, std::size_t fallback) {
 struct Row {
   std::size_t n = 0;
   std::size_t d = 0;
+  unsigned hardware_threads = 0;
+  const char* kernel = "";
   DualLayerBuildStats stats;
 };
 
@@ -40,6 +45,8 @@ Row Measure(std::size_t n, std::size_t d) {
   Row row;
   row.n = n;
   row.d = d;
+  row.hardware_threads = std::thread::hardware_concurrency();
+  row.kernel = SimdTargetName(ActiveSimdTarget());
   const PointSet points = GenerateAnticorrelated(n, d, /*seed=*/20120401);
   DualLayerOptions options;
   options.build_zero_layer = true;
@@ -71,11 +78,12 @@ int main(int argc, char** argv) {
           s.fine_peel_seconds, s.eds_seconds, s.coarse_edge_seconds,
           s.zero_layer_seconds, s.finalize_seconds);
       std::printf(
-          "          eds: lp_calls=%zu bbox_rejects=%zu member_hits=%zu; "
-          "coarse: pruned=%zu tested=%zu edges=%zu fine_edges=%zu\n",
-          s.eds_lp_calls, s.eds_bbox_rejects, s.eds_member_hits,
-          s.coarse_pairs_pruned, s.coarse_pairs_tested, s.num_coarse_edges,
-          s.num_fine_edges);
+          "          hull_facets_created=%zu; eds: lp_calls=%zu "
+          "bbox_rejects=%zu member_hits=%zu; coarse: pruned=%zu tested=%zu "
+          "edges=%zu fine_edges=%zu\n",
+          s.hull_facets_created, s.eds_lp_calls, s.eds_bbox_rejects,
+          s.eds_member_hits, s.coarse_pairs_pruned, s.coarse_pairs_tested,
+          s.num_coarse_edges, s.num_fine_edges);
       std::fflush(stdout);
       rows.push_back(row);
     }
@@ -90,20 +98,23 @@ int main(int argc, char** argv) {
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
     const DualLayerBuildStats& s = r.stats;
-    char buffer[768];
+    char buffer[1024];
     std::snprintf(
         buffer, sizeof(buffer),
-        "  {\"n\": %zu, \"d\": %zu, \"build_seconds_serial\": %.6f, "
+        "  {\"n\": %zu, \"d\": %zu, \"hardware_threads\": %u, "
+        "\"kernel\": \"%s\", \"build_seconds_serial\": %.6f, "
         "\"skyline_seconds\": %.6f, \"fine_peel_seconds\": %.6f, "
         "\"coarse_edge_seconds\": %.6f, \"zero_layer_seconds\": %.6f, "
         "\"finalize_seconds\": %.6f, \"eds_seconds\": %.6f, "
+        "\"hull_facets_created\": %zu, "
         "\"eds_lp_calls\": %zu, \"eds_bbox_rejects\": %zu, "
         "\"eds_member_hits\": %zu, \"coarse_pairs_pruned\": %zu, "
         "\"coarse_pairs_tested\": %zu, \"num_coarse_edges\": %zu, "
         "\"num_fine_edges\": %zu}%s\n",
-        r.n, r.d, s.build_seconds, s.skyline_seconds, s.fine_peel_seconds,
-        s.coarse_edge_seconds, s.zero_layer_seconds, s.finalize_seconds,
-        s.eds_seconds, s.eds_lp_calls, s.eds_bbox_rejects,
+        r.n, r.d, r.hardware_threads, r.kernel, s.build_seconds,
+        s.skyline_seconds, s.fine_peel_seconds, s.coarse_edge_seconds,
+        s.zero_layer_seconds, s.finalize_seconds, s.eds_seconds,
+        s.hull_facets_created, s.eds_lp_calls, s.eds_bbox_rejects,
         s.eds_member_hits, s.coarse_pairs_pruned, s.coarse_pairs_tested,
         s.num_coarse_edges, s.num_fine_edges,
         i + 1 < rows.size() ? "," : "");

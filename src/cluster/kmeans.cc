@@ -11,6 +11,10 @@ namespace drli {
 
 namespace {
 
+// Cap on Lloyd rounds; the loop also stops once no point changes
+// cluster.
+constexpr std::size_t kMaxIterations = 25;
+
 double SquaredDistance(PointView a, PointView b) {
   double s = 0.0;
   for (std::size_t j = 0; j < a.size(); ++j) {
@@ -61,7 +65,7 @@ KMeansResult KMeans(const PointSet& points, const KMeansOptions& options) {
   std::vector<std::size_t> assignment(n, 0);
   std::vector<Point> sums(centroids.size(), Point(d, 0.0));
   std::vector<std::size_t> counts(centroids.size(), 0);
-  for (std::size_t iter = 0; iter < options.max_iterations; ++iter) {
+  for (std::size_t iter = 0; iter < kMaxIterations; ++iter) {
     bool changed = false;
     for (std::size_t i = 0; i < n; ++i) {
       std::size_t best = 0;

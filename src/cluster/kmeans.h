@@ -14,7 +14,6 @@ namespace drli {
 
 struct KMeansOptions {
   std::size_t num_clusters = 8;
-  std::size_t max_iterations = 25;
   std::uint64_t seed = 42;
 };
 

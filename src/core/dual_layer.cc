@@ -13,6 +13,7 @@
 #include "common/stopwatch.h"
 #include "core/eds.h"
 #include "geometry/convex_skyline.h"
+#include "skyline/dominance_tree.h"
 #include "skyline/skyline_layers.h"
 
 namespace drli {
@@ -92,23 +93,24 @@ DualLayerIndex::FinePeelResult DualLayerIndex::PeelFineLayers(
   std::iota(remaining.begin(), remaining.end(), 0);
 
   std::uint32_t fine = 0;
+  const std::size_t d = pool.dim();
   // Facets of the previous sublayer, as node ids.
   std::vector<std::vector<NodeId>> prev_facets;
   // The previous sublayer lives in `pool`; the EDS LP needs pool-local
   // coordinates, so keep a parallel pool-id version of the facets.
   std::vector<std::vector<TupleId>> prev_facets_pool;
-  // Componentwise-min corner per facet, computed once per facet and
-  // reused as the O(d) EDS reject test against every target. Stored
-  // flat (facet-major) with the corner's attribute sum alongside: a
-  // corner whose sum exceeds the target's cannot weakly dominate it,
-  // which settles most rejections in one comparison.
-  std::vector<double> prev_corner_coords;
-  std::vector<double> prev_corner_sums;
+  // Componentwise-min corner per facet (FacetMinCorner), computed once
+  // per facet, and a dominance tree over the corners: a facet whose
+  // corner fails to weakly dominate a target cannot be its EDS, so the
+  // tree hands each target only the facets worth testing.
+  PointSet prev_corners(d);
+  DominanceTree prev_corner_tree;
+  std::vector<TupleId> candidates;
 
   while (!remaining.empty()) {
     std::vector<TupleId> local_pool_ids;
     local_pool_ids.reserve(remaining.size());
-    PointSet subset(pool.dim());
+    PointSet subset(d);
     subset.Reserve(remaining.size());
     for (std::size_t r : remaining) {
       local_pool_ids.push_back(pool_ids[r]);
@@ -116,6 +118,7 @@ DualLayerIndex::FinePeelResult DualLayerIndex::PeelFineLayers(
     }
     const ConvexSkylineResult csky = ComputeConvexSkyline(subset);
     if (!csky.exact) ++out.csky_fallbacks;
+    out.hull_facets_created += csky.hull_facets_created;
     DRLI_CHECK(!csky.members.empty());
 
     // Map sublayer members and facets back to node / pool ids.
@@ -128,15 +131,49 @@ DualLayerIndex::FinePeelResult DualLayerIndex::PeelFineLayers(
       member_nodes.push_back(node);
       out.fine_of.emplace_back(node, fine);
     }
-    const std::size_t d = pool.dim();
-    std::vector<std::vector<NodeId>> facets;
-    std::vector<std::vector<TupleId>> facets_pool;
-    std::vector<double> corner_coords;
-    std::vector<double> corner_sums;
-    facets.reserve(csky.facets.size());
-    facets_pool.reserve(csky.facets.size());
-    corner_coords.reserve(csky.facets.size() * d);
-    corner_sums.reserve(csky.facets.size());
+
+    // ∃-edges from sublayer fine-1 into this sublayer (Section III-B):
+    // each target takes the first facet, in the canonical order of
+    // ConvexSkylineResult::facets, that passes the EDS test.
+    if (fine > 0) {
+      Stopwatch eds_timer;
+      for (std::size_t m = 0; m < member_nodes.size(); ++m) {
+        const NodeId target_node = member_nodes[m];
+        const PointView target = pool[local_pool_ids[csky.members[m]]];
+        candidates.clear();
+        prev_corner_tree.ForEachWeakDominator(
+            target, [&](TupleId f) { candidates.push_back(f); });
+        std::sort(candidates.begin(), candidates.end());
+        // A facet the tree leaves out is the bbox reject a scan in
+        // canonical order would have counted, up to where that scan
+        // stops.
+        std::size_t scan_end = prev_facets.size();
+        std::size_t tested = 0;
+        bool covered = false;
+        for (const TupleId f : candidates) {
+          ++tested;
+          if (!FacetIsVerifiedEds(pool, prev_facets_pool[f], prev_corners[f],
+                                  target, EdsMargin::kRounding, &out.eds)) {
+            continue;
+          }
+          for (const NodeId source : prev_facets[f]) {
+            out.edges.emplace_back(source, target_node);
+          }
+          covered = true;
+          if (options_.eds_policy == EdsPolicy::kSingleFacet) {
+            scan_end = f + 1;
+            break;
+          }
+        }
+        out.eds.bbox_rejects += scan_end - tested;
+        if (!covered) ++out.eds_uncovered;
+      }
+      out.eds_seconds += eds_timer.ElapsedSeconds();
+    }
+
+    prev_facets.clear();
+    prev_facets_pool.clear();
+    prev_corners.Clear();
     for (const auto& facet : csky.facets) {
       std::vector<NodeId> f_nodes;
       std::vector<TupleId> f_pool;
@@ -146,69 +183,13 @@ DualLayerIndex::FinePeelResult DualLayerIndex::PeelFineLayers(
         f_nodes.push_back(node_ids[remaining[local]]);
         f_pool.push_back(pool_ids[remaining[local]]);
       }
-      const std::size_t at = corner_coords.size();
-      corner_coords.resize(at + d);
-      double* corner = corner_coords.data() + at;
-      const PointView first = pool[f_pool[0]];
-      std::copy(first.begin(), first.end(), corner);
-      for (std::size_t v = 1; v < f_pool.size(); ++v) {
-        const PointView p = pool[f_pool[v]];
-        for (std::size_t j = 0; j < d; ++j) {
-          corner[j] = std::min(corner[j], p[j]);
-        }
-      }
-      double corner_sum = 0.0;
-      for (std::size_t j = 0; j < d; ++j) corner_sum += corner[j];
-      corner_sums.push_back(corner_sum);
-      facets.push_back(std::move(f_nodes));
-      facets_pool.push_back(std::move(f_pool));
+      prev_corners.Add(FacetMinCorner(pool, f_pool));
+      prev_facets.push_back(std::move(f_nodes));
+      prev_facets_pool.push_back(std::move(f_pool));
     }
-
-    // ∃-edges from sublayer fine-1 into this sublayer (Section III-B).
-    if (fine > 0) {
-      Stopwatch eds_timer;
-      for (std::size_t m = 0; m < member_nodes.size(); ++m) {
-        const NodeId target_node = member_nodes[m];
-        const PointView target = pool[local_pool_ids[csky.members[m]]];
-        double target_sum = 0.0;
-        for (std::size_t j = 0; j < d; ++j) target_sum += target[j];
-        bool covered = false;
-        for (std::size_t f = 0; f < prev_facets.size(); ++f) {
-          // Inline bbox reject on the flat corner array (identical
-          // decision and counter to FacetIsEds' own corner test, minus
-          // the call): the sum shortcut settles a reject in one compare
-          // when it fires (componentwise <= implies, with monotone
-          // rounding and the same association, sum <=), then the corner
-          // itself must weakly dominate the target.
-          if (prev_corner_sums[f] > target_sum) {
-            ++out.eds.bbox_rejects;
-            continue;
-          }
-          const double* corner = prev_corner_coords.data() + f * d;
-          if (!WeaklyDominates(PointView(corner, d), target)) {
-            ++out.eds.bbox_rejects;
-            continue;
-          }
-          if (!FacetIsVerifiedEds(pool, prev_facets_pool[f],
-                                  PointView(corner, d), target,
-                                  EdsMargin::kRounding, &out.eds)) {
-            continue;
-          }
-          for (const NodeId source : prev_facets[f]) {
-            out.edges.emplace_back(source, target_node);
-          }
-          covered = true;
-          if (options_.eds_policy == EdsPolicy::kSingleFacet) break;
-        }
-        if (!covered) ++out.eds_uncovered;
-      }
-      out.eds_seconds += eds_timer.ElapsedSeconds();
-    }
-
-    prev_facets = std::move(facets);
-    prev_facets_pool = std::move(facets_pool);
-    prev_corner_coords = std::move(corner_coords);
-    prev_corner_sums = std::move(corner_sums);
+    std::vector<TupleId> facet_ids(prev_facets.size());
+    std::iota(facet_ids.begin(), facet_ids.end(), 0);
+    prev_corner_tree.Build(prev_corners, facet_ids);
 
     // Remove the sublayer from the remaining pool.
     std::vector<std::size_t> next;
@@ -238,6 +219,7 @@ void DualLayerIndex::ApplyFinePeel(const FinePeelResult& peel,
   stats_.eds_bbox_rejects += peel.eds.bbox_rejects;
   stats_.eds_lp_calls += peel.eds.lp_calls;
   stats_.eds_seconds += peel.eds_seconds;
+  stats_.hull_facets_created += peel.hull_facets_created;
 }
 
 void DualLayerIndex::BuildFineLayers(AdjacencyBuilder* fine_adj) {

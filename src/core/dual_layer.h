@@ -88,6 +88,9 @@ struct DualLayerBuildStats {
   std::size_t eds_uncovered = 0;
   // Fine peels that used the conservative all-remaining fallback.
   std::size_t csky_fallbacks = 0;
+  // ConvexHull::facets_created summed over every fine-peel hull: the
+  // peel's hull work, independent of the host's speed.
+  std::size_t hull_facets_created = 0;
   std::size_t num_virtual = 0;
   double build_seconds = 0.0;
 
@@ -374,6 +377,7 @@ class DualLayerIndex final : public TopKIndex {
     std::size_t num_fine_layers = 0;
     std::size_t eds_uncovered = 0;
     std::size_t csky_fallbacks = 0;
+    std::size_t hull_facets_created = 0;
     EdsCounters eds;
     double eds_seconds = 0.0;
   };

@@ -105,6 +105,10 @@ class HullBuilder {
   }
 
   bool MakePlane(const std::int32_t* verts, FacetRec* f);
+  void PushPending(std::int32_t fid) {
+    pending_.push_back(Pending{facets_[fid].furthest_dist, fid});
+    std::push_heap(pending_.begin(), pending_.end());
+  }
   bool BuildInitialSimplex();
   bool ProcessOutsidePoints();
   void AssignInitialOutside();
@@ -118,7 +122,20 @@ class HullBuilder {
   Point interior_;         // reference interior point
   std::vector<std::int32_t> simplex_;   // initial d+1 vertex ids
   std::vector<FacetRec> facets_;
-  std::vector<std::int32_t> pending_;   // facet ids with outside points
+  // Facets with outside points as a max-heap on (furthest_dist, -id):
+  // the next apex is the furthest outside point over all live facets
+  // (Barber, Dobkin & Huhdanpaa's furthest-point rule). A facet's key
+  // is fixed once its outside set is assigned, so a dead facet's entry
+  // is skipped when popped instead of being removed.
+  struct Pending {
+    double dist;
+    std::int32_t facet;
+    bool operator<(const Pending& o) const {
+      if (dist != o.dist) return dist < o.dist;
+      return facet > o.facet;
+    }
+  };
+  std::vector<Pending> pending_;
   std::size_t live_facets_ = 0;
   // Per-facet visit stamps for the visibility BFS.
   std::vector<std::uint32_t> visit_stamp_;
@@ -256,7 +273,7 @@ void HullBuilder::AssignInitialOutside() {
   }
   for (std::size_t i = 0; i < facets_.size(); ++i) {
     if (!facets_[i].outside.empty()) {
-      pending_.push_back(static_cast<std::int32_t>(i));
+      PushPending(static_cast<std::int32_t>(i));
     }
   }
 }
@@ -287,11 +304,11 @@ bool HullBuilder::ProcessOutsidePoints() {
   std::vector<std::vector<std::int32_t>> spare_outside;
 
   while (!pending_.empty()) {
-    const std::int32_t fid = pending_.back();
+    std::pop_heap(pending_.begin(), pending_.end());
+    const std::int32_t fid = pending_.back().facet;
     pending_.pop_back();
-    if (fid >= static_cast<std::int32_t>(facets_.size())) continue;
     FacetRec& f = facets_[fid];
-    if (!f.alive || f.outside.empty()) continue;
+    if (!f.alive) continue;
 
     const std::int32_t apex = f.furthest;
     DRLI_DCHECK(apex >= 0);
@@ -461,7 +478,7 @@ bool HullBuilder::ProcessOutsidePoints() {
       --live_facets_;
     }
     for (const std::int32_t nid : new_facets) {
-      if (!facets_[nid].outside.empty()) pending_.push_back(nid);
+      if (!facets_[nid].outside.empty()) PushPending(nid);
     }
   }
   return true;
@@ -531,11 +548,14 @@ HullStatus HullBuilder::Build(ConvexHull* out) {
     for (double& x : sentinel_) x = x * 2.0 + 1.0;
     sentinel_id_ = static_cast<std::int32_t>(input_.size());
   }
-  if (!BuildInitialSimplex()) return HullStatus::kDegenerate;
-  AssignInitialOutside();
-  if (!ProcessOutsidePoints()) return HullStatus::kDegenerate;
-  Compact(out);
-  return HullStatus::kOk;
+  bool built = BuildInitialSimplex();
+  if (built) {
+    AssignInitialOutside();
+    built = ProcessOutsidePoints();
+  }
+  if (built) Compact(out);
+  out->facets_created = facets_.size();
+  return built ? HullStatus::kOk : HullStatus::kDegenerate;
 }
 
 }  // namespace
@@ -548,14 +568,14 @@ HullStatus ComputeConvexHull(const PointSet& points,
 }
 
 std::vector<std::vector<std::int32_t>> BuildVertexAdjacency(
-    const ConvexHull& hull, std::size_t num_points) {
-  std::vector<std::vector<std::int32_t>> adj(num_points);
+    const ConvexHull& hull, const std::vector<bool>& wanted) {
+  std::vector<std::vector<std::int32_t>> adj(wanted.size());
   for (const HullFacet& f : hull.facets) {
     // Simplicial facet: every vertex pair within it is a hull edge.
-    for (std::size_t a = 0; a < f.vertices.size(); ++a) {
-      for (std::size_t b = a + 1; b < f.vertices.size(); ++b) {
-        adj[f.vertices[a]].push_back(f.vertices[b]);
-        adj[f.vertices[b]].push_back(f.vertices[a]);
+    for (const std::int32_t a : f.vertices) {
+      if (!wanted[a]) continue;
+      for (const std::int32_t b : f.vertices) {
+        if (b != a) adj[a].push_back(b);
       }
     }
   }

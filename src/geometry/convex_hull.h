@@ -1,6 +1,9 @@
 // d-dimensional convex hull (quickhull / beneath-beyond with outside
 // sets), the substrate the paper obtains from QHull. Supports d in
-// [2, ~6] which covers the paper's experiments (d = 2..5).
+// [2, ~6] which covers the paper's experiments (d = 2..5). Like qhull,
+// it adds the furthest outside point over all live facets next, so far
+// fewer points that end up interior are added as apexes and torn down
+// again than under a last-in-first-out order.
 //
 // The hull is maintained with simplicial facets, outward unit normals
 // (oriented away from an interior reference point) and facet adjacency,
@@ -48,6 +51,9 @@ struct ConvexHull {
   // Indices of input points that are hull vertices (sorted, unique).
   std::vector<std::int32_t> vertices;
   std::vector<HullFacet> facets;
+  // Facets built, counting the initial simplex's and those a later
+  // apex deleted: the hull's work, set on kDegenerate as well.
+  std::size_t facets_created = 0;
 };
 
 struct ConvexHullOptions {
@@ -67,11 +73,12 @@ HullStatus ComputeConvexHull(const PointSet& points,
                              const ConvexHullOptions& options,
                              ConvexHull* hull);
 
-// Per-vertex adjacency over the hull's 1-skeleton: result[v] lists the
-// input-point indices adjacent to v (sorted, unique); empty for
-// non-vertices. `num_points` is the size of the original point set.
+// Per-vertex adjacency over the hull's 1-skeleton, for the vertices v
+// with wanted[v]: result[v] lists the input-point indices adjacent to
+// v (sorted, unique). Every other list is empty, non-vertices' too.
+// `wanted` has one entry per point of the original point set.
 std::vector<std::vector<std::int32_t>> BuildVertexAdjacency(
-    const ConvexHull& hull, std::size_t num_points);
+    const ConvexHull& hull, const std::vector<bool>& wanted);
 
 }  // namespace drli
 

@@ -16,6 +16,43 @@ namespace {
 // at most this.
 constexpr double kLowerNormalTolerance = 1e-9;
 
+// Sorts `facets` into the canonical order (header). A facet's corner
+// is the componentwise minimum over its rows.
+void SortFacetsCanonically(const PointSet& points,
+                           std::vector<std::vector<TupleId>>* facets) {
+  struct Key {
+    double corner_sum;
+    std::vector<TupleId> sorted;
+    std::size_t at;
+  };
+  const std::size_t d = points.dim();
+  std::vector<Key> keys;
+  keys.reserve(facets->size());
+  Point corner(d);
+  for (std::size_t f = 0; f < facets->size(); ++f) {
+    const std::vector<TupleId>& facet = (*facets)[f];
+    const PointView first = points[facet[0]];
+    std::copy(first.begin(), first.end(), corner.begin());
+    for (std::size_t v = 1; v < facet.size(); ++v) {
+      const PointView p = points[facet[v]];
+      for (std::size_t j = 0; j < d; ++j) corner[j] = std::min(corner[j], p[j]);
+    }
+    double corner_sum = 0.0;
+    for (std::size_t j = 0; j < d; ++j) corner_sum += corner[j];
+    std::vector<TupleId> sorted = facet;
+    std::sort(sorted.begin(), sorted.end());
+    keys.push_back(Key{corner_sum, std::move(sorted), f});
+  }
+  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
+    if (a.corner_sum != b.corner_sum) return a.corner_sum > b.corner_sum;
+    return a.sorted < b.sorted;
+  });
+  std::vector<std::vector<TupleId>> ordered;
+  ordered.reserve(facets->size());
+  for (Key& key : keys) ordered.push_back(std::move((*facets)[key.at]));
+  *facets = std::move(ordered);
+}
+
 ConvexSkylineResult Fallback(const PointSet& points) {
   ConvexSkylineResult result;
   result.exact = false;
@@ -38,6 +75,7 @@ ConvexSkylineResult ConvexSkyline2D(const PointSet& points) {
                              static_cast<TupleId>(chain[i + 1])});
   }
   std::sort(result.members.begin(), result.members.end());
+  SortFacetsCanonically(points, &result.facets);
   return result;
 }
 
@@ -75,10 +113,13 @@ ConvexSkylineResult ComputeConvexSkyline(const PointSet& points) {
   hull_options.add_top_sentinel = true;
   ConvexHull hull;
   if (ComputeConvexHull(points, hull_options, &hull) != HullStatus::kOk) {
-    return Fallback(points);
+    ConvexSkylineResult fallback = Fallback(points);
+    fallback.hull_facets_created = hull.facets_created;
+    return fallback;
   }
 
   ConvexSkylineResult result;
+  result.hull_facets_created = hull.facets_created;
   std::vector<bool> member(points.size(), false);
   for (const HullFacet& f : hull.facets) {
     bool lower = true;
@@ -99,16 +140,25 @@ ConvexSkylineResult ComputeConvexSkyline(const PointSet& points) {
     result.facets.push_back(std::move(facet));
   }
 
-  const auto adjacency = BuildVertexAdjacency(hull, points.size());
+  // Only the hull vertices no lower facet holds need the LP, and with
+  // it their neighbours.
+  std::vector<bool> undecided(points.size(), false);
+  for (std::int32_t v : hull.vertices) undecided[v] = !member[v];
+  const auto adjacency = BuildVertexAdjacency(hull, undecided);
   for (std::int32_t v : hull.vertices) {
-    if (member[v]) continue;
+    if (!undecided[v]) continue;
     if (IsPositiveMinimizer(points, v, adjacency[v])) member[v] = true;
   }
 
   for (std::size_t i = 0; i < points.size(); ++i) {
     if (member[i]) result.members.push_back(static_cast<TupleId>(i));
   }
-  if (result.members.empty()) return Fallback(points);
+  if (result.members.empty()) {
+    ConvexSkylineResult fallback = Fallback(points);
+    fallback.hull_facets_created = hull.facets_created;
+    return fallback;
+  }
+  SortFacetsCanonically(points, &result.facets);
   return result;
 }
 

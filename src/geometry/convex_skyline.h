@@ -36,10 +36,17 @@ struct ConvexSkylineResult {
   std::vector<TupleId> members;
   // Lower-facet simplices: each a set of <= d member ids spanning one
   // lower facet of the hull. These are the EDS candidates of Section
-  // III-B. May be empty in fallback mode.
+  // III-B. May be empty in fallback mode. Canonical order on every
+  // path: descending sum of the facet's componentwise-min corner, ties
+  // by the sorted vertex ids, so the order depends only on the facet
+  // set and not on how the hull was built. Vertex ids are ascending
+  // within a facet, except d == 2 keeps chain order (left to right).
   std::vector<std::vector<TupleId>> facets;
   // False when the conservative fallback (members = all points) fired.
   bool exact = true;
+  // ConvexHull::facets_created of the hull built (0 on the d == 2 chain
+  // and when no hull was attempted).
+  std::size_t hull_facets_created = 0;
 };
 
 ConvexSkylineResult ComputeConvexSkyline(const PointSet& points);

@@ -139,14 +139,23 @@ void DominanceTree::ForEachDominator(PointView t,
   if (empty()) return;
   DRLI_DCHECK(t.size() == dim_);
   DominanceTreeStats local;
-  ForEachDominatorAt(0, t, fn, &local);
+  ForEachDominatorAt(0, t, /*strict=*/true, fn, &local);
   if (stats != nullptr) {
     stats->pruned += local.pruned;
     stats->tested += local.tested;
   }
 }
 
+void DominanceTree::ForEachWeakDominator(
+    PointView t, const std::function<void(TupleId)>& fn) const {
+  if (empty()) return;
+  DRLI_DCHECK(t.size() == dim_);
+  DominanceTreeStats unused;
+  ForEachDominatorAt(0, t, /*strict=*/false, fn, &unused);
+}
+
 void DominanceTree::ForEachDominatorAt(std::uint32_t idx, PointView t,
+                                       bool strict,
                                        const std::function<void(TupleId)>& fn,
                                        DominanceTreeStats* stats) const {
   const Node& node = nodes_[idx];
@@ -156,7 +165,8 @@ void DominanceTree::ForEachDominatorAt(std::uint32_t idx, PointView t,
     stats->pruned += node.end - node.begin;
     return;
   }
-  if (WeaklyDominates(PointView(bmax, dim_), t) && !CornersEqual(bmax, t, dim_)) {
+  if (WeaklyDominates(PointView(bmax, dim_), t) &&
+      !(strict && CornersEqual(bmax, t, dim_))) {
     for (std::uint32_t i = node.begin; i < node.end; ++i) fn(ids_[i]);
     stats->tested += node.end - node.begin;
     return;
@@ -164,14 +174,14 @@ void DominanceTree::ForEachDominatorAt(std::uint32_t idx, PointView t,
   if (node.right < 0) {
     for (std::uint32_t i = node.begin; i < node.end; ++i) {
       ++stats->tested;
-      if (Dominates(PointView(coords_.data() + i * dim_, dim_), t)) {
-        fn(ids_[i]);
-      }
+      const PointView p(coords_.data() + i * dim_, dim_);
+      if (strict ? Dominates(p, t) : WeaklyDominates(p, t)) fn(ids_[i]);
     }
     return;
   }
-  ForEachDominatorAt(idx + 1, t, fn, stats);
-  ForEachDominatorAt(static_cast<std::uint32_t>(node.right), t, fn, stats);
+  ForEachDominatorAt(idx + 1, t, strict, fn, stats);
+  ForEachDominatorAt(static_cast<std::uint32_t>(node.right), t, strict, fn,
+                     stats);
 }
 
 void IncrementalDominatorSet::Add(TupleId id) {

@@ -1,8 +1,9 @@
 // Static kd-style bounds tree over a point subset, answering dominance
 // queries against it:
 //
-//  * AnyDominates(t)    -- does some member strictly dominate t?
-//  * ForEachDominators  -- report every member strictly dominating t.
+//  * AnyDominates(t)         -- does some member strictly dominate t?
+//  * ForEachDominator(t)     -- report every member strictly dominating t.
+//  * ForEachWeakDominator(t) -- report every member <= t componentwise.
 //
 // Nodes store the componentwise min and max corner of their subtree. A
 // subtree whose min corner fails to weakly dominate the target cannot
@@ -57,6 +58,11 @@ class DominanceTree {
   void ForEachDominator(PointView t, const std::function<void(TupleId)>& fn,
                         DominanceTreeStats* stats = nullptr) const;
 
+  // Invokes fn(id) for every member weakly dominating t (<= in every
+  // coordinate, so a member equal to t counts), in the same preorder.
+  void ForEachWeakDominator(PointView t,
+                            const std::function<void(TupleId)>& fn) const;
+
  private:
   struct Node {
     std::uint32_t begin = 0;  // member range [begin, end) in ids_/coords_
@@ -69,7 +75,8 @@ class DominanceTree {
                           const std::vector<TupleId>& ids,
                           std::vector<std::uint32_t>* perm);
   bool AnyDominatesAt(std::uint32_t idx, PointView t) const;
-  void ForEachDominatorAt(std::uint32_t idx, PointView t,
+  // Strict or weak dominators (see the public queries).
+  void ForEachDominatorAt(std::uint32_t idx, PointView t, bool strict,
                           const std::function<void(TupleId)>& fn,
                           DominanceTreeStats* stats) const;
 

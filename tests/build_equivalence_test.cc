@@ -1,8 +1,9 @@
 // Golden equivalence tests for the build-pipeline fast paths: the
-// pruned coarse ∀-edge detection, the EDS bbox prefilter, and the
-// single-pass layer peeling must produce exactly the structure the
-// naive reference procedures produce -- the optimizations are pure
-// speedups, never semantic changes.
+// pruned coarse ∀-edge detection, the EDS corner prefilter (a
+// dominance tree over facet corners), and the single-pass layer
+// peeling must produce exactly the structure the naive reference
+// procedures produce -- the optimizations are pure speedups, never
+// semantic changes.
 
 #include <algorithm>
 #include <cstdio>
@@ -22,6 +23,7 @@
 #include "core/eds.h"
 #include "core/serialization.h"
 #include "data/generator.h"
+#include "geometry/convex_skyline.h"
 #include "skyline/skyline_layers.h"
 
 namespace drli {
@@ -168,6 +170,72 @@ TEST_P(BuildEquivalenceTest, BuildStatsPartitionCandidatePairs) {
                   stats.eds_lp_calls,
               0u);
   }
+}
+
+// The fine peel from scratch: every sublayer is the convex skyline of
+// what its coarse layer has left, and each target's ∃-edge sources are
+// the vertices of the first facet of the sublayer above, in canonical
+// order, that passes the verified EDS test. The build must agree edge
+// for edge however it finds that facet.
+TEST_P(BuildEquivalenceTest, ExistsEdgesMatchFirstCoveringFacetReference) {
+  const Config& c = GetParam();
+  const PointSet pts = Generate(c.dist, c.n, c.d, c.seed);
+  const DualLayerIndex index = DualLayerIndex::Build(pts);
+  std::vector<std::vector<TupleId>> parents(pts.size());
+  for (std::size_t node = 0; node < pts.size(); ++node) {
+    for (const auto succ :
+         index.fine_out()[static_cast<DualLayerIndex::NodeId>(node)]) {
+      parents[succ].push_back(static_cast<TupleId>(node));
+    }
+  }
+  std::size_t checked = 0;
+  for (const std::vector<TupleId>& layer : index.coarse_layers()) {
+    std::vector<TupleId> remaining = layer;
+    for (std::uint32_t fine = 0; !remaining.empty(); ++fine) {
+      const ConvexSkylineResult csky =
+          ComputeConvexSkyline(pts.Subset(remaining));
+      std::vector<TupleId> members;
+      for (const TupleId local : csky.members) {
+        members.push_back(remaining[local]);
+      }
+      std::vector<TupleId> built_members;
+      std::vector<TupleId> next;
+      for (const TupleId id : remaining) {
+        if (index.fine_layer_of(id) == fine) {
+          built_members.push_back(id);
+        } else {
+          next.push_back(id);
+        }
+      }
+      ASSERT_EQ(members, built_members) << "fine sublayer " << fine;
+      std::vector<std::vector<TupleId>> facets;
+      for (const std::vector<TupleId>& facet : csky.facets) {
+        facets.emplace_back();
+        for (const TupleId local : facet) {
+          facets.back().push_back(remaining[local]);
+        }
+      }
+      for (const TupleId target : next) {
+        if (index.fine_layer_of(target) != fine + 1) continue;
+        std::vector<TupleId> expected;
+        for (const std::vector<TupleId>& facet : facets) {
+          if (FacetIsVerifiedEds(pts, facet, FacetMinCorner(pts, facet),
+                                 pts[target], EdsMargin::kRounding,
+                                 nullptr)) {
+            expected = facet;
+            break;
+          }
+        }
+        std::sort(expected.begin(), expected.end());
+        std::vector<TupleId> got = parents[target];
+        std::sort(got.begin(), got.end());
+        EXPECT_EQ(got, expected) << "target " << target;
+        ++checked;
+      }
+      remaining = std::move(next);
+    }
+  }
+  EXPECT_GT(checked, 0u);
 }
 
 std::string ReadFileBytes(const std::string& path) {

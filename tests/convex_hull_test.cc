@@ -187,7 +187,8 @@ TEST(ConvexHullTest, VertexAdjacencySymmetric) {
   const PointSet pts = GenerateIndependent(100, 3, 13);
   ConvexHull hull;
   ASSERT_EQ(ComputeConvexHull(pts, {}, &hull), HullStatus::kOk);
-  const auto adj = BuildVertexAdjacency(hull, pts.size());
+  const auto adj =
+      BuildVertexAdjacency(hull, std::vector<bool>(pts.size(), true));
   for (std::size_t v = 0; v < adj.size(); ++v) {
     for (std::int32_t u : adj[v]) {
       const auto& back = adj[u];

@@ -1,9 +1,13 @@
 #include <algorithm>
+#include <numeric>
 #include <set>
+#include <string>
+#include <utility>
 
 #include "gtest/gtest.h"
 
 #include "common/random.h"
+#include "core/eds.h"
 #include "data/generator.h"
 #include "geometry/convex_skyline.h"
 #include "geometry/simplex_lp.h"
@@ -32,6 +36,89 @@ bool IsConvexSkylineByLp(const PointSet& points, std::size_t t) {
     lp.AddConstraint(row, LpRelation::kGreaterEq, 0.0);
   }
   return lp.IsFeasible();
+}
+
+// Asserts the canonical facet order of ConvexSkylineResult: corner sums
+// non-increasing, ties strictly ascending by sorted vertex ids.
+void ExpectCanonicalFacetOrder(const PointSet& pts,
+                               const ConvexSkylineResult& csky,
+                               const std::string& label) {
+  std::vector<std::pair<double, std::vector<TupleId>>> keys;
+  for (const std::vector<TupleId>& facet : csky.facets) {
+    const Point corner = FacetMinCorner(pts, facet);
+    double sum = 0.0;
+    for (const double c : corner) sum += c;
+    std::vector<TupleId> sorted = facet;
+    std::sort(sorted.begin(), sorted.end());
+    keys.emplace_back(sum, std::move(sorted));
+  }
+  for (std::size_t f = 1; f < keys.size(); ++f) {
+    const auto& [prev_sum, prev_ids] = keys[f - 1];
+    const auto& [sum, ids] = keys[f];
+    EXPECT_TRUE(prev_sum > sum || (prev_sum == sum && prev_ids < ids))
+        << label << " facet " << f;
+  }
+}
+
+TEST(ConvexSkylineTest, FacetsComeInCanonicalOrder) {
+  for (std::size_t d = 2; d <= 5; ++d) {
+    for (const Distribution dist :
+         {Distribution::kIndependent, Distribution::kAnticorrelated}) {
+      const PointSet pts = Generate(dist, 400, d, 90 + d);
+      const ConvexSkylineResult csky = ComputeConvexSkyline(pts);
+      ASSERT_TRUE(csky.exact) << d;
+      ASSERT_GT(csky.facets.size(), 1u) << d;
+      ExpectCanonicalFacetOrder(pts, csky, "d=" + std::to_string(d));
+      if (d == 2) continue;  // d == 2 keeps chain order within a facet
+      for (const std::vector<TupleId>& facet : csky.facets) {
+        EXPECT_TRUE(std::is_sorted(facet.begin(), facet.end())) << d;
+      }
+    }
+  }
+  // The fallback's one pseudo-facet holds every member, ascending.
+  PointSet flat(3);
+  for (int i = 0; i < 30; ++i) flat.Add({i * 0.03, 0.9 - i * 0.03, 0.5});
+  const ConvexSkylineResult fallback = ComputeConvexSkyline(flat);
+  ASSERT_FALSE(fallback.exact);
+  ASSERT_EQ(fallback.facets.size(), 1u);
+  EXPECT_EQ(fallback.facets[0], fallback.members);
+  ExpectCanonicalFacetOrder(flat, fallback, "fallback");
+}
+
+// The members and the facet set depend on the point set, not on the
+// order of its rows (and so not on the order the hull inserts them).
+TEST(ConvexSkylineTest, RowOrderLeavesMembersAndFacetsUnchanged) {
+  for (std::size_t d = 3; d <= 5; ++d) {
+    const PointSet pts = GenerateIndependent(500, d, 110 + d);
+    const ConvexSkylineResult csky = ComputeConvexSkyline(pts);
+    ASSERT_TRUE(csky.exact) << d;
+    std::set<std::vector<TupleId>> facets(csky.facets.begin(),
+                                          csky.facets.end());
+    ASSERT_EQ(facets.size(), csky.facets.size()) << d;
+    Rng rng(120 + d);
+    for (int trial = 0; trial < 3; ++trial) {
+      // shuffled row r is original row perm[r].
+      std::vector<TupleId> perm(pts.size());
+      std::iota(perm.begin(), perm.end(), 0);
+      std::shuffle(perm.begin(), perm.end(), rng.engine());
+      PointSet shuffled(d);
+      for (const TupleId id : perm) shuffled.Add(pts[id]);
+      const ConvexSkylineResult got = ComputeConvexSkyline(shuffled);
+      ASSERT_TRUE(got.exact) << d;
+      std::vector<TupleId> members;
+      for (const TupleId r : got.members) members.push_back(perm[r]);
+      std::sort(members.begin(), members.end());
+      EXPECT_EQ(members, csky.members) << "d=" << d << " trial " << trial;
+      std::set<std::vector<TupleId>> got_facets;
+      for (const std::vector<TupleId>& facet : got.facets) {
+        std::vector<TupleId> mapped;
+        for (const TupleId r : facet) mapped.push_back(perm[r]);
+        std::sort(mapped.begin(), mapped.end());
+        got_facets.insert(std::move(mapped));
+      }
+      EXPECT_EQ(got_facets, facets) << "d=" << d << " trial " << trial;
+    }
+  }
 }
 
 TEST(ConvexSkylineTest, ToyDatasetFirstLayer) {

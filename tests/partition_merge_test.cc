@@ -418,15 +418,20 @@ TEST(PartitionMergeTest, ShardMergeOpensOnlyTheShardsItMust) {
 
 // A shard whose top-1 lies outside its L^{11} but is gated by no
 // ∃-edge is still opened, including where a bound over L^{11} alone
-// would have pruned it.
+// would have pruned it. Which near-coplanar inputs give such a shard
+// depends on the hull's tolerance decisions and facet order, so the
+// count is summed over several inputs rather than pinned to one.
 TEST(PartitionMergeTest, ShardHoldingATopOneOutsideItsFirstSublayerOpens) {
   ShardedBuildOptions options;
   options.num_shards = 3;
   options.partitioner = ShardPartitioner::kRandom;
-  EXPECT_GT(CheckShardMerge(ShardedDualLayerIndex::Build(
-                                NearCoplanar(1200, 5, 43), options),
-                            ContractWeights(5, 42)),
-            0u);
+  std::size_t would_prune = 0;
+  for (std::uint64_t seed = 43; seed <= 50; ++seed) {
+    would_prune += CheckShardMerge(
+        ShardedDualLayerIndex::Build(NearCoplanar(1200, 5, seed), options),
+        ContractWeights(5, 42));
+  }
+  EXPECT_GT(would_prune, 0u);
 }
 
 TEST(PartitionMergeTest, RunMergeOpensOnlyTheRunsItMust) {

@@ -5,6 +5,7 @@
 
 #include "common/random.h"
 #include "data/generator.h"
+#include "skyline/dominance_tree.h"
 #include "skyline/skyline_layers.h"
 #include "test_util.h"
 
@@ -145,6 +146,36 @@ TEST(ForEachDominancePairTest, MatchesBruteForce) {
     }
   }
   EXPECT_EQ(via_helper, brute);
+}
+
+// Grid coordinates make ties and duplicate rows common, which is where
+// strict and weak dominance part ways.
+TEST(DominanceTreeTest, StrictAndWeakDominatorsMatchBruteForceOnTies) {
+  PointSet pts(3);
+  Rng rng(91);
+  for (int i = 0; i < 300; ++i) {
+    pts.Add({rng.Index(5) * 0.25, rng.Index(5) * 0.25, rng.Index(5) * 0.25});
+  }
+  std::vector<TupleId> members;
+  for (TupleId id = 0; id < 200; ++id) members.push_back(id);
+  DominanceTree tree;
+  tree.Build(pts, members);
+  for (std::size_t t = 0; t < pts.size(); ++t) {
+    std::set<TupleId> strict;
+    std::set<TupleId> weak;
+    tree.ForEachDominator(pts[t], [&](TupleId id) { strict.insert(id); });
+    tree.ForEachWeakDominator(pts[t], [&](TupleId id) {
+      EXPECT_TRUE(weak.insert(id).second) << "reported twice: " << id;
+    });
+    std::set<TupleId> brute_strict;
+    std::set<TupleId> brute_weak;
+    for (const TupleId id : members) {
+      if (Dominates(pts[id], pts[t])) brute_strict.insert(id);
+      if (WeaklyDominates(pts[id], pts[t])) brute_weak.insert(id);
+    }
+    EXPECT_EQ(strict, brute_strict) << "target " << t;
+    EXPECT_EQ(weak, brute_weak) << "target " << t;
+  }
 }
 
 }  // namespace
