@@ -18,6 +18,13 @@ namespace {
 
 using NodeId = DualLayerIndex::NodeId;
 
+// Budget (in point-pair comparisons) for the exact layer recomputation
+// and the ∀-edge completeness check; above it the checker falls back to
+// randomized pair sampling.
+constexpr std::size_t kMaxPairWork = 4'000'000;
+// Stop collecting failure messages past this count.
+constexpr std::size_t kMaxFailures = 32;
+
 // Collects failures with a cap so a systemically broken index does not
 // produce megabytes of output; invariants_checked counts every named
 // invariant the checker evaluated (pass or fail).
@@ -31,7 +38,7 @@ class Checker {
  private:
   template <typename... Parts>
   void Fail(const Parts&... parts) {
-    if (report_.failures.size() >= options_.max_failures) return;
+    if (report_.failures.size() >= kMaxFailures) return;
     std::ostringstream out;
     (out << ... << parts);
     report_.failures.push_back(out.str());
@@ -250,7 +257,7 @@ void Checker::CheckCoarseLayers() {
   Checked();
   const std::size_t pair_work = n() < 2 ? 0 : n() * (n() - 1) / 2;
   Rng rng(options_.seed);
-  if (pair_work <= options_.max_pair_work) {
+  if (pair_work <= kMaxPairWork) {
     // Exact dominance-depth recomputation: a tuple's iterated-skyline
     // layer equals the length of the longest strict-dominance chain
     // ending at it. Strict dominance lowers the coordinate sum, so a
@@ -284,7 +291,7 @@ void Checker::CheckCoarseLayers() {
   } else {
     // Sampled fallback: dominance implies a strictly deeper layer, and
     // tuples sharing a layer are mutually non-dominating.
-    for (std::size_t s = 0; s < options_.max_pair_work / 8; ++s) {
+    for (std::size_t s = 0; s < kMaxPairWork / 8; ++s) {
       const TupleId a = static_cast<TupleId>(rng.Index(n()));
       const TupleId b = static_cast<TupleId>(rng.Index(n()));
       if (a == b) continue;
@@ -320,7 +327,7 @@ void Checker::CheckCoarseEdgeCompleteness() {
   for (std::size_t l = 0; l + 1 < layers.size(); ++l) {
     pair_work += layers[l].size() * layers[l + 1].size();
   }
-  if (pair_work > options_.max_pair_work) return;  // covered by sampling above
+  if (pair_work > kMaxPairWork) return;  // covered by sampling above
   std::unordered_set<std::uint64_t> edges;
   for (std::size_t u = 0; u < n(); ++u) {
     for (NodeId v : index_.coarse_out()[static_cast<NodeId>(u)]) {

@@ -10,8 +10,8 @@
 //  * coarse_in_degree / has_fine_in / initial_nodes match a recount
 //    from the adjacency;
 //  * coarse layers are exactly the iterated skyline (dominance-depth
-//    recomputation, capped by CheckOptions::max_pair_work with a
-//    sampled fallback), and adjacent-layer ∀-edges are complete;
+//    recomputation, capped at 4M point pairs with a sampled
+//    fallback), and adjacent-layer ∀-edges are complete;
 //  * fine sublayers are convex: per sampled weight, sublayer minima are
 //    non-decreasing in the fine index (so the first sublayer always
 //    holds a group minimizer);
@@ -38,12 +38,6 @@ struct CheckOptions {
   // Weight vectors sampled for the convexity / zero-layer checks.
   std::size_t weight_samples = 16;
   std::uint64_t seed = 12345;
-  // Budget (in point-pair comparisons) for the exact layer
-  // recomputation and the ∀-edge completeness check; above it the
-  // checker falls back to randomized pair sampling.
-  std::size_t max_pair_work = 4'000'000;
-  // Stop collecting failure messages past this count.
-  std::size_t max_failures = 32;
 };
 
 struct CheckReport {

@@ -1,19 +1,26 @@
 #include "testing/differential.h"
 
-#include <algorithm>
-#include <cmath>
-#include <limits>
+#include <map>
 #include <sstream>
-#include <unordered_set>
 
 namespace drli {
 
 namespace {
 
-// Scores closer than this are one tie class for the relaxed
-// comparison; genuinely distinct scores on the supported datasets are
-// separated by far more, ulp-level splits by far less.
-constexpr double kScoreEps = 1e-9;
+// Families compared by exact (id, score) sequence. The sdl+ entries are
+// the sharded scatter-gather family at shard counts that cover the
+// degenerate (S=1), even-split, both-partitioner, and
+// n-not-divisible-by-S cases; all must merge to the bit-identical
+// unsharded answer. The tdl+ entries are the tiered dynamic family
+// (relation fed through Insert, so the run table is live): a tiny
+// memtable forcing many runs and compactions, and a capacity that
+// leaves a partially filled memtable plus runs straddling ties.
+constexpr const char* kExactKinds[] = {
+    "scan", "onion",  "pli",    "ta", "nra",  "prefer", "lpta",
+    "dg",   "dg+",    "hl",     "hl+", "dl",  "dl+",    "sdl+1",
+    "sdl+2r", "sdl+4h", "sdl+7r", "tdl+7", "tdl+32"};
+// Families compared by score sequence only (tie ids may differ).
+constexpr const char* kScoreOnlyKinds[] = {"fa"};
 
 std::string DescribeQuery(const TopKQuery& query) {
   std::ostringstream out;
@@ -28,10 +35,8 @@ std::string DescribeQuery(const TopKQuery& query) {
 }  // namespace
 
 StatusOr<DifferentialHarness> DifferentialHarness::Build(
-    const PointSet& points, const DifferentialOptions& options) {
-  DifferentialHarness harness;
-  harness.points_ = points;
-  harness.options_ = options;
+    const PointSet& points) {
+  DifferentialHarness harness(points);
   auto add = [&](const std::string& kind, bool exact) -> Status {
     IndexBuildConfig config;
     config.kind = kind;
@@ -40,151 +45,43 @@ StatusOr<DifferentialHarness> DifferentialHarness::Build(
     harness.families_.push_back(Family{kind, exact, std::move(built).value()});
     return Status::Ok();
   };
-  for (const std::string& kind : options.exact_kinds) {
+  for (const char* kind : kExactKinds) {
     Status status = add(kind, /*exact=*/true);
     if (!status.ok()) return status;
   }
-  for (const std::string& kind : options.score_only_kinds) {
+  for (const char* kind : kScoreOnlyKinds) {
     Status status = add(kind, /*exact=*/false);
     if (!status.ok()) return status;
   }
   return harness;
 }
 
-std::vector<ScoredTuple> DifferentialHarness::Reference(
-    const TopKQuery& query) const {
-  std::vector<ScoredTuple> all;
-  all.reserve(points_.size());
-  const PointView w(query.weights);
-  for (std::size_t id = 0; id < points_.size(); ++id) {
-    all.push_back(ScoredTuple{static_cast<TupleId>(id),
-                              Score(w, points_[id])});
-  }
-  std::sort(all.begin(), all.end(), ResultOrderLess);
-  all.resize(std::min<std::size_t>(query.k, all.size()));
-  return all;
-}
-
 std::vector<std::string> DifferentialHarness::CheckQuery(
-    const TopKQuery& query) const {
+    const TopKQuery& query, const std::string& only_kind,
+    std::size_t* partials) const {
   std::vector<std::string> failures;
-  const PointView w(query.weights);
-  std::vector<double> scores(points_.size());
-  for (std::size_t id = 0; id < points_.size(); ++id) {
-    scores[id] = Score(w, points_[id]);
-  }
-  std::vector<ScoredTuple> want;
-  want.reserve(points_.size());
-  for (std::size_t id = 0; id < points_.size(); ++id) {
-    want.push_back(ScoredTuple{static_cast<TupleId>(id), scores[id]});
-  }
-  std::sort(want.begin(), want.end(), ResultOrderLess);
-  want.resize(std::min<std::size_t>(query.k, want.size()));
+  const TopKReference reference(universe_, query.weights, query.k);
+  const bool budgeted = !query.budget.unlimited();
 
-  // A query is FP-robust when every pair of dataset scores is either
-  // bitwise identical (an exact tie the canonical order resolves by
-  // id) or separated by more than the tolerance. Geometric families
-  // cannot honor ulp-level splits -- coplanar or accumulation-order
-  // effects legitimately reorder those -- so such queries fall back to
-  // tie-class comparison.
-  bool robust = true;
-  {
-    std::vector<double> sorted = scores;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-      const double gap = sorted[i + 1] - sorted[i];
-      if (gap > 0.0 && gap <= kScoreEps) {
-        robust = false;
-        break;
-      }
-    }
-  }
-
-  std::size_t kth_ties = 0;  // tuples bitwise-tying the k-th answer
-  if (!want.empty()) {
-    for (double score : scores) kth_ties += score == want.back().score;
-  }
-
-  std::size_t dl_cost = 0, dg_cost = 0, dlp_cost = 0, dgp_cost = 0;
-  bool have_dl = false, have_dg = false, have_dlp = false, have_dgp = false;
+  std::map<std::string, std::size_t> costs;
   for (const Family& family : families_) {
+    if (!only_kind.empty() && family.kind != only_kind) continue;
     const TopKResult result = family.index->Query(query);
-    if (family.kind == "dl") {
-      dl_cost = result.stats.tuples_evaluated;
-      have_dl = true;
-    } else if (family.kind == "dg") {
-      dg_cost = result.stats.tuples_evaluated;
-      have_dg = true;
-    } else if (family.kind == "dl+") {
-      dlp_cost = result.stats.tuples_evaluated;
-      have_dlp = true;
-    } else if (family.kind == "dg+") {
-      dgp_cost = result.stats.tuples_evaluated;
-      have_dgp = true;
-    }
-
-    auto fail = [&](const std::string& what) {
-      failures.push_back("[" + family.kind + "] " + DescribeQuery(query) +
-                         ": " + what);
-    };
-    if (result.items.size() != want.size()) {
-      std::ostringstream out;
-      out << "returned " << result.items.size() << " items, want "
-          << want.size();
-      fail(out.str());
-      continue;
-    }
-
-    // Universal structure: canonical order, no duplicate ids, reported
-    // scores match the tuples they cite.
-    std::unordered_set<TupleId> ids;
-    bool structure_ok = true;
-    for (std::size_t rank = 0; structure_ok && rank < result.items.size();
-         ++rank) {
-      const ScoredTuple& got = result.items[rank];
-      if (got.id >= points_.size()) {
-        std::ostringstream out;
-        out << "rank " << rank << " cites unknown id " << got.id;
-        fail(out.str());
-        structure_ok = false;
-      } else if (!ids.insert(got.id).second) {
-        std::ostringstream out;
-        out << "duplicate id " << got.id << " in the result";
-        fail(out.str());
-        structure_ok = false;
-      } else if (std::abs(got.score - scores[got.id]) > kScoreEps) {
-        std::ostringstream out;
-        out << "rank " << rank << " reports score " << got.score
-            << " for id " << got.id << ", tuple scores " << scores[got.id];
-        fail(out.str());
-        structure_ok = false;
-      } else if (rank > 0 &&
-                 ResultOrderLess(got, result.items[rank - 1])) {
-        std::ostringstream out;
-        out << "ranks " << rank - 1 << " and " << rank
-            << " violate the canonical (score, id) order";
-        fail(out.str());
-        structure_ok = false;
-      }
-    }
-    if (!structure_ok) continue;
-
-    for (std::size_t rank = 0; rank < want.size(); ++rank) {
-      const ScoredTuple& got = result.items[rank];
-      const bool exact_ok =
-          got.score == want[rank].score &&
-          (!family.exact || got.id == want[rank].id);
-      if (exact_ok) continue;
-      if (!robust && std::abs(got.score - want[rank].score) <= kScoreEps &&
-          std::abs(scores[got.id] - want[rank].score) <= kScoreEps) {
-        continue;  // inside an ulp-ambiguous tie class
-      }
-      std::ostringstream out;
-      out << "rank " << rank << " is (id " << got.id << ", score "
-          << got.score << "), want (id " << want[rank].id << ", score "
-          << want[rank].score << ")";
-      fail(out.str());
-      break;
+    costs[family.kind] = result.stats.tuples_evaluated;
+    if (partials != nullptr && !result.complete()) ++(*partials);
+    // A query is FP-robust when every pair of dataset scores is either
+    // bitwise identical (an exact tie the canonical order resolves by
+    // id) or separated by more than the tolerance. Geometric families
+    // cannot honor ulp-level splits -- coplanar or accumulation-order
+    // effects legitimately reorder those -- so such queries fall back
+    // to tie-class comparison.
+    const MatchRule rule = !reference.robust() ? MatchRule::kTieClass
+                           : family.exact      ? MatchRule::kExact
+                                               : MatchRule::kScoreOnly;
+    const std::string failure = reference.Check(result, rule, query.budget);
+    if (!failure.empty()) {
+      failures.push_back("[" + family.kind + (budgeted ? " budget] " : "] ") +
+                         DescribeQuery(query) + ": " + failure);
     }
   }
 
@@ -192,29 +89,33 @@ std::vector<std::string> DifferentialHarness::CheckQuery(
   // traversal never evaluates more than the single-resolution one.
   // Tie-probe charges are bounded by the k-th answer's bitwise tie
   // class, and ulp-ambiguous queries can shift layer stops, so the
-  // assertion carries that slack and only fires on robust queries.
-  if (options_.check_access_containment && robust) {
-    const std::size_t slack = kth_ties > 0 ? kth_ties - 1 : 0;
-    if (have_dl && have_dg && dl_cost > dg_cost + slack) {
-      std::ostringstream out;
-      out << "[dl] " << DescribeQuery(query) << ": evaluated " << dl_cost
-          << " tuples, more than dg's " << dg_cost << " plus tie slack "
-          << slack;
-      failures.push_back(out.str());
-    }
-    // In 2-d DL+ answers through the exact weight-range table while
-    // DG+ uses clustered pseudo-tuples -- different zero layers, so
-    // pointwise containment only holds where both build the same L0
-    // (d >= 3, identical clustering inputs).
-    if (points_.dim() >= 3 && have_dlp && have_dgp &&
-        dlp_cost > dgp_cost + slack) {
-      std::ostringstream out;
-      out << "[dl+] " << DescribeQuery(query) << ": evaluated " << dlp_cost
-          << " tuples, more than dg+'s " << dgp_cost << " plus tie slack "
-          << slack;
-      failures.push_back(out.str());
+  // assertion carries that slack and only fires on robust, unbudgeted
+  // queries.
+  if (budgeted || !reference.robust()) return failures;
+  std::size_t kth_ties = 0;  // tuples bitwise-tying the k-th answer
+  if (!reference.answer().empty()) {
+    for (double score : reference.scores()) {
+      kth_ties += score == reference.answer().back().score;
     }
   }
+  const std::size_t slack = kth_ties > 0 ? kth_ties - 1 : 0;
+  const auto contain = [&](const char* dual, const char* single) {
+    if (!costs.count(dual) || !costs.count(single) ||
+        costs[dual] <= costs[single] + slack) {
+      return;
+    }
+    std::ostringstream out;
+    out << "[" << dual << "] " << DescribeQuery(query) << ": evaluated "
+        << costs[dual] << " tuples, more than " << single << "'s "
+        << costs[single] << " plus tie slack " << slack;
+    failures.push_back(out.str());
+  };
+  contain("dl", "dg");
+  // In 2-d DL+ answers through the exact weight-range table while DG+
+  // uses clustered pseudo-tuples -- different zero layers, so pointwise
+  // containment only holds where both build the same L0 (d >= 3,
+  // identical clustering inputs).
+  if (universe_.rows.dim() >= 3) contain("dl+", "dg+");
   return failures;
 }
 
@@ -229,162 +130,6 @@ DifferentialHarness::UnbudgetedCosts(const TopKQuery& query) const {
                        family.index->Query(unlimited).stats.tuples_evaluated);
   }
   return costs;
-}
-
-std::vector<std::string> DifferentialHarness::CheckBudgetedQuery(
-    const TopKQuery& query, const std::string& only_kind,
-    std::size_t* partials) const {
-  std::vector<std::string> failures;
-  const PointView w(query.weights);
-  std::vector<double> scores(points_.size());
-  for (std::size_t id = 0; id < points_.size(); ++id) {
-    scores[id] = Score(w, points_[id]);
-  }
-  std::vector<ScoredTuple> want;
-  want.reserve(points_.size());
-  for (std::size_t id = 0; id < points_.size(); ++id) {
-    want.push_back(ScoredTuple{static_cast<TupleId>(id), scores[id]});
-  }
-  std::sort(want.begin(), want.end(), ResultOrderLess);
-  want.resize(std::min<std::size_t>(query.k, want.size()));
-
-  // Same ulp-ambiguity fallback as CheckQuery: geometric families may
-  // legitimately reorder tuples whose scores differ by less than the
-  // tolerance.
-  bool robust = true;
-  {
-    std::vector<double> sorted = scores;
-    std::sort(sorted.begin(), sorted.end());
-    for (std::size_t i = 0; i + 1 < sorted.size(); ++i) {
-      const double gap = sorted[i + 1] - sorted[i];
-      if (gap > 0.0 && gap <= kScoreEps) {
-        robust = false;
-        break;
-      }
-    }
-  }
-
-  for (const Family& family : families_) {
-    if (!only_kind.empty() && family.kind != only_kind) continue;
-    const TopKResult result = family.index->Query(query);
-    auto fail = [&](const std::string& what) {
-      failures.push_back("[" + family.kind + " budget] " +
-                         DescribeQuery(query) + ": " + what);
-    };
-
-    if (result.termination == Termination::kInvalidQuery ||
-        result.termination == Termination::kError ||
-        result.termination == Termination::kShed) {
-      fail(std::string("valid query rejected with ") +
-           TerminationName(result.termination) + ": " + result.error);
-      continue;
-    }
-    if (partials != nullptr && !result.complete()) ++(*partials);
-    if (result.certified_prefix > result.items.size()) {
-      std::ostringstream out;
-      out << "certified prefix " << result.certified_prefix
-          << " exceeds the " << result.items.size() << " returned items";
-      fail(out.str());
-      continue;
-    }
-    if (result.complete() &&
-        result.certified_prefix != result.items.size()) {
-      fail("complete result does not certify all its items");
-      continue;
-    }
-    if (result.complete() && result.items.size() != want.size()) {
-      std::ostringstream out;
-      out << "complete result has " << result.items.size()
-          << " items, want " << want.size();
-      fail(out.str());
-      continue;
-    }
-
-    // Universal structure (canonical order, no duplicates, honest
-    // scores) holds for partial results too.
-    std::unordered_set<TupleId> ids;
-    bool structure_ok = true;
-    for (std::size_t rank = 0; structure_ok && rank < result.items.size();
-         ++rank) {
-      const ScoredTuple& got = result.items[rank];
-      if (got.id >= points_.size()) {
-        std::ostringstream out;
-        out << "rank " << rank << " cites unknown id " << got.id;
-        fail(out.str());
-        structure_ok = false;
-      } else if (!ids.insert(got.id).second) {
-        std::ostringstream out;
-        out << "duplicate id " << got.id << " in the result";
-        fail(out.str());
-        structure_ok = false;
-      } else if (std::abs(got.score - scores[got.id]) > kScoreEps) {
-        std::ostringstream out;
-        out << "rank " << rank << " reports score " << got.score
-            << " for id " << got.id << ", tuple scores " << scores[got.id];
-        fail(out.str());
-        structure_ok = false;
-      } else if (rank > 0 && ResultOrderLess(got, result.items[rank - 1])) {
-        std::ostringstream out;
-        out << "ranks " << rank - 1 << " and " << rank
-            << " violate the canonical (score, id) order";
-        fail(out.str());
-        structure_ok = false;
-      }
-    }
-    if (!structure_ok) continue;
-
-    // The certified prefix must be a correct prefix of the exact
-    // answer (the whole point of certification).
-    const std::size_t certified = result.complete()
-                                      ? result.items.size()
-                                      : result.certified_prefix;
-    if (certified > want.size()) {
-      std::ostringstream out;
-      out << "certified prefix " << certified << " exceeds the exact "
-          << "answer's " << want.size() << " items";
-      fail(out.str());
-      continue;
-    }
-    bool prefix_ok = true;
-    for (std::size_t rank = 0; rank < certified; ++rank) {
-      const ScoredTuple& got = result.items[rank];
-      const bool exact_ok =
-          got.score == want[rank].score &&
-          (!family.exact || got.id == want[rank].id);
-      if (exact_ok) continue;
-      if (!robust && std::abs(got.score - want[rank].score) <= kScoreEps &&
-          std::abs(scores[got.id] - want[rank].score) <= kScoreEps) {
-        continue;  // inside an ulp-ambiguous tie class
-      }
-      std::ostringstream out;
-      out << "certified rank " << rank << " is (id " << got.id
-          << ", score " << got.score << "), want (id " << want[rank].id
-          << ", score " << want[rank].score << ")";
-      fail(out.str());
-      prefix_ok = false;
-      break;
-    }
-    if (!prefix_ok) continue;
-
-    // Frontier soundness: every tuple the partial result did not
-    // return must score at or above the reported frontier (tolerance
-    // for LP / knapsack bounds computed in different FP orders).
-    if (!result.complete() &&
-        result.frontier_bound >
-            -std::numeric_limits<double>::infinity()) {
-      for (std::size_t id = 0; id < points_.size(); ++id) {
-        if (ids.count(static_cast<TupleId>(id))) continue;
-        if (scores[id] < result.frontier_bound - kScoreEps) {
-          std::ostringstream out;
-          out << "unreturned id " << id << " scores " << scores[id]
-              << ", below the reported frontier " << result.frontier_bound;
-          fail(out.str());
-          break;
-        }
-      }
-    }
-  }
-  return failures;
 }
 
 }  // namespace drli

@@ -1,9 +1,9 @@
 // Differential top-k oracle: one harness that builds every index
 // family over one dataset and asserts, query by query, that they all
 // return the same answer under the canonical (score asc, id asc) order
-// of ResultOrderLess. The reference is an independent brute-force scan
-// computed inside the harness, so a bug shared by an index family and
-// the ScanIndex still surfaces.
+// of ResultOrderLess. The reference is the shared checker's brute-force
+// top-k (testing/result_check.h), independent of every family, so a
+// bug shared by an index family and the ScanIndex still surfaces.
 //
 // Families fall into two tiers:
 //  * exact kinds return the identical (id, score) sequence -- every
@@ -25,50 +25,28 @@
 #include "common/point.h"
 #include "common/status.h"
 #include "core/index_registry.h"
+#include "testing/result_check.h"
 #include "topk/query.h"
 
 namespace drli {
 
-struct DifferentialOptions {
-  // Families compared by exact (id, score) sequence. The sdl+ entries
-  // are the sharded scatter-gather family at shard counts that cover
-  // the degenerate (S=1), even-split, both-partitioner, and
-  // n-not-divisible-by-S cases; all must merge to the bit-identical
-  // unsharded answer. The tdl+ entries are the tiered dynamic family
-  // (relation fed through Insert, so the run table is live): a tiny
-  // memtable forcing many runs and compactions, and a capacity that
-  // leaves a partially filled memtable plus runs straddling ties.
-  std::vector<std::string> exact_kinds = {
-      "scan", "onion",  "pli",    "ta", "nra",  "prefer", "lpta",
-      "dg",   "dg+",    "hl",     "hl+", "dl",  "dl+",    "sdl+1",
-      "sdl+2r", "sdl+4h", "sdl+7r", "tdl+7", "tdl+32"};
-  // Families compared by score sequence only (tie ids may differ).
-  std::vector<std::string> score_only_kinds = {"fa"};
-  // Assert tuples_evaluated(dl) <= tuples_evaluated(dg) and
-  // dl+ <= dg+ whenever both members of a pair are present.
-  bool check_access_containment = true;
-};
-
 class DifferentialHarness {
  public:
-  // Builds one index per configured kind over a copy of `points`.
-  static StatusOr<DifferentialHarness> Build(
-      const PointSet& points, const DifferentialOptions& options = {});
+  // Builds one index per family kind over a copy of `points`.
+  static StatusOr<DifferentialHarness> Build(const PointSet& points);
 
-  // Runs `query` through every family against the brute-force
-  // reference. Returns one human-readable line per mismatch; empty
-  // means all families agree.
-  std::vector<std::string> CheckQuery(const TopKQuery& query) const;
-
-  // Budgeted-execution oracle: runs `query` (whose embedded ExecBudget
-  // is expected to fire mid-traversal) and asserts that every family
-  // returns a well-formed result whose certified prefix is a correct
-  // prefix of the exact answer, and whose frontier bound really bounds
-  // every tuple it did not return. Complete results are held to full
-  // equality. `only_kind` restricts the check to one family; `partials`
+  // Runs `query` through every family and checks each result against
+  // the brute-force reference (testing/result_check.h): exact match
+  // for the exact kinds, score match for FA, the tie-class fallback
+  // for all of them on ulp-ambiguous queries. An unbudgeted query must
+  // complete; a budgeted one may stop early, and its partial result
+  // must certify a correct prefix and report a sound frontier. Returns
+  // one human-readable line per failing family (plus the containment
+  // check on unbudgeted queries); empty means all families agree.
+  // `only_kind` restricts the check to one family; `partials`
   // (optional) is incremented once per family result that terminated
   // early.
-  std::vector<std::string> CheckBudgetedQuery(
+  std::vector<std::string> CheckQuery(
       const TopKQuery& query, const std::string& only_kind = std::string(),
       std::size_t* partials = nullptr) const;
 
@@ -78,14 +56,11 @@ class DifferentialHarness {
   std::vector<std::pair<std::string, std::size_t>> UnbudgetedCosts(
       const TopKQuery& query) const;
 
-  // The tie-broken brute-force answer (exposed for tests).
-  std::vector<ScoredTuple> Reference(const TopKQuery& query) const;
-
-  const PointSet& points() const { return points_; }
   std::size_t num_families() const { return families_.size(); }
 
  private:
-  DifferentialHarness() : points_(1) {}
+  explicit DifferentialHarness(const PointSet& points)
+      : universe_(CheckUniverse::Of(points)) {}
 
   struct Family {
     std::string kind;
@@ -93,8 +68,7 @@ class DifferentialHarness {
     std::unique_ptr<TopKIndex> index;
   };
 
-  PointSet points_;
-  DifferentialOptions options_;
+  CheckUniverse universe_;
   std::vector<Family> families_;
 };
 

@@ -16,6 +16,7 @@
 #include "core/tiered_index.h"
 #include "storage/tiered_io.h"
 #include "testing/differential.h"
+#include "testing/result_check.h"
 
 namespace drli {
 namespace testing {
@@ -342,6 +343,10 @@ namespace {
 
 namespace fs = std::filesystem;
 
+// Manifest truncation is exhaustive (every byte) up to this size;
+// larger manifests are cut at evenly strided positions.
+constexpr std::size_t kTruncationCap = 4096;
+
 // The fixed probe queries of the tiered sweep; answers are compared
 // exactly (same ids, same score bits) against the durable generation.
 std::vector<TopKQuery> TieredProbeQueries(std::uint64_t seed,
@@ -376,11 +381,9 @@ bool TieredAnswersEqual(const std::vector<std::vector<ScoredTuple>>& a,
                         const std::vector<std::vector<ScoredTuple>>& b) {
   if (a.size() != b.size()) return false;
   for (std::size_t q = 0; q < a.size(); ++q) {
-    if (a[q].size() != b[q].size()) return false;
-    for (std::size_t i = 0; i < a[q].size(); ++i) {
-      if (a[q][i].id != b[q][i].id || a[q][i].score != b[q][i].score) {
-        return false;
-      }
+    if (a[q].size() != b[q].size() ||
+        !SameExactPrefix(a[q], b[q], a[q].size())) {
+      return false;
     }
   }
   return true;
@@ -578,13 +581,12 @@ TieredFaultReport RunTieredFaultSweep(const std::string& scratch_dir,
   };
 
   // --- family 2: manifest truncation at every byte (strided when the
-  // manifest outgrows truncation_cap).
+  // manifest outgrows kTruncationCap).
   const std::vector<std::uint8_t> manifest_bytes = ReadFileBytes(manifest_b);
   reset_recovery_from(dir_b);
-  const std::size_t stride =
-      manifest_bytes.size() <= options.truncation_cap
-          ? 1
-          : manifest_bytes.size() / options.truncation_cap + 1;
+  const std::size_t stride = manifest_bytes.size() <= kTruncationCap
+                                 ? 1
+                                 : manifest_bytes.size() / kTruncationCap + 1;
   for (std::size_t cut = 0; cut < manifest_bytes.size(); cut += stride) {
     const std::vector<std::uint8_t> mutant(manifest_bytes.begin(),
                                            manifest_bytes.begin() +
@@ -666,8 +668,7 @@ std::string BudgetFaultReport::ToString() const {
 }
 
 BudgetFaultReport RunBudgetFaultSweep(const PointSet& points,
-                                      const std::vector<TopKQuery>& queries,
-                                      const BudgetFaultOptions& options) {
+                                      const std::vector<TopKQuery>& queries) {
   BudgetFaultReport report;
   StatusOr<DifferentialHarness> harness = DifferentialHarness::Build(points);
   if (!harness.ok()) {
@@ -675,36 +676,21 @@ BudgetFaultReport RunBudgetFaultSweep(const PointSet& points,
                                 harness.status().ToString());
     return report;
   }
-  const std::size_t stride = std::max<std::size_t>(1, options.stride);
   for (const TopKQuery& base : queries) {
     for (const auto& [kind, cost] : harness.value().UnbudgetedCosts(base)) {
-      std::size_t limit = cost;
-      if (options.max_steps_per_family > 0) {
-        limit = std::min(limit, options.max_steps_per_family);
-      }
       // s = cost is the boundary case where the gate arms but never
       // fires; every smaller s cuts the traversal mid-flight.
-      for (std::size_t s = 1; s <= limit; s += stride) {
-        {
-          TopKQuery query = base;
-          query.budget.max_evals = s;
+      for (std::size_t s = 1; s <= cost; ++s) {
+        CancelToken token;
+        token.CancelAfterChecks(static_cast<std::int64_t>(s));
+        TopKQuery by_steps = base;
+        by_steps.budget.max_evals = s;
+        TopKQuery by_cancel = base;
+        by_cancel.budget.cancel = &token;
+        for (const TopKQuery* query : {&by_steps, &by_cancel}) {
           std::size_t partial = 0;
-          std::vector<std::string> violations =
-              harness.value().CheckBudgetedQuery(query, kind, &partial);
-          ++report.cases;
-          report.partials += partial;
-          report.completes += 1 - partial;
-          report.violations.insert(report.violations.end(),
-                                   violations.begin(), violations.end());
-        }
-        if (options.cancel_faults) {
-          CancelToken token;
-          token.CancelAfterChecks(static_cast<std::int64_t>(s));
-          TopKQuery query = base;
-          query.budget.cancel = &token;
-          std::size_t partial = 0;
-          std::vector<std::string> violations =
-              harness.value().CheckBudgetedQuery(query, kind, &partial);
+          const std::vector<std::string> violations =
+              harness.value().CheckQuery(*query, kind, &partial);
           ++report.cases;
           report.partials += partial;
           report.completes += 1 - partial;

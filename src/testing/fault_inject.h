@@ -54,20 +54,11 @@ FaultSweepReport RunSnapshotFaultSweep(const std::string& path,
 //
 // Deterministic execution-budget faults: for every index family and
 // every step index s of its unbudgeted traversal, re-run the query
-// with max_evals = s (and, optionally, with a cancel token fused to
-// trip at the s-th poll) and assert through the differential oracle
-// that the partial result is well-formed, its certified prefix is a
-// correct prefix of the exact answer, and its frontier bound really
-// bounds every unreturned tuple.
-
-struct BudgetFaultOptions {
-  // Check every stride-th step index (1 = exhaustive).
-  std::size_t stride = 1;
-  // Also fire a CancelToken fuse at each step index (doubles the work).
-  bool cancel_faults = true;
-  // Cap on step indices per (family, query); 0 = no cap.
-  std::size_t max_steps_per_family = 0;
-};
+// with max_evals = s and with a cancel token fused to trip at the s-th
+// poll, and assert through the differential oracle that the partial
+// result is well-formed, its certified prefix is a correct prefix of
+// the exact answer, and its frontier bound really bounds every
+// unreturned tuple.
 
 struct BudgetFaultReport {
   std::size_t cases = 0;      // budgeted queries executed
@@ -82,8 +73,7 @@ struct BudgetFaultReport {
 // Runs the sweep for every query over one dataset. The queries must be
 // valid for `points` (the oracle treats a rejection as a violation).
 BudgetFaultReport RunBudgetFaultSweep(const PointSet& points,
-                                      const std::vector<TopKQuery>& queries,
-                                      const BudgetFaultOptions& options = {});
+                                      const std::vector<TopKQuery>& queries);
 
 // --- tiered-index crash recovery ---
 //
@@ -95,9 +85,9 @@ BudgetFaultReport RunBudgetFaultSweep(const PointSet& points,
 //  * replays every prefix of B's writes over a copy of A's files --
 //    every prefix must load cleanly and answer exactly as the last
 //    durable generation (A until B's manifest commits, B after);
-//  * truncates B's manifest at every byte (strided above
-//    truncation_cap) -- every cut must be rejected with a clean
-//    Corruption/IoError, never a crash or a silent success;
+//  * truncates B's manifest at every byte (strided above 4 KiB) --
+//    every cut must be rejected with a clean Corruption/IoError, never
+//    a crash or a silent success;
 //  * truncates one of B's run snapshots at every v2 section boundary
 //    and one byte around it -- same requirement;
 //  * applies seeded single-byte flips to the manifest and a run file
@@ -109,9 +99,6 @@ struct TieredFaultOptions {
   std::size_t num_flips = 400;
   // Mutation-trace ops applied between generation A and generation B.
   std::size_t mutations_between = 48;
-  // Manifest truncation is exhaustive (every byte) up to this size;
-  // larger manifests are cut at evenly strided positions.
-  std::size_t truncation_cap = 4096;
 };
 
 struct TieredFaultReport {

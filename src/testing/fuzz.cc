@@ -19,12 +19,20 @@
 #include "storage/tiered_io.h"
 #include "testing/check_index.h"
 #include "testing/differential.h"
+#include "testing/result_check.h"
 #include "testing/scenario_oracle.h"
 #include "topk/query.h"
 
 namespace drli {
 
 namespace {
+
+// Randomized queries per case, on top of the fixed degenerate ones.
+constexpr std::size_t kQueriesPerCase = 4;
+// Randomized execution-budget cut points per case: each one re-runs a
+// sampled query across every family with max_evals (and a cancel fuse)
+// tripping mid-traversal.
+constexpr std::size_t kBudgetCutPoints = 3;
 
 void SnapToGrid(PointSet* points, std::size_t levels) {
   for (std::size_t i = 0; i < points->size(); ++i) {
@@ -37,109 +45,38 @@ void SnapToGrid(PointSet* points, std::size_t levels) {
   }
 }
 
-// Brute-force top-k over an id -> point map under the canonical order;
-// the mirror oracle for the dynamic index.
-std::vector<ScoredTuple> MirrorTopK(const std::map<TupleId, Point>& live,
-                                    const std::vector<double>& weights,
-                                    std::size_t k) {
-  std::vector<ScoredTuple> all;
-  all.reserve(live.size());
-  const PointView w(weights);
-  for (const auto& [id, point] : live) {
-    all.push_back(ScoredTuple{id, Score(w, PointView(point))});
-  }
-  std::sort(all.begin(), all.end(), ResultOrderLess);
-  all.resize(std::min(k, all.size()));
-  return all;
-}
-
-void CompareToMirror(const TopKResult& got,
-                     const std::vector<ScoredTuple>& want,
-                     const char* when, std::size_t step,
-                     std::vector<std::string>* failures) {
-  if (got.items.size() != want.size()) {
-    std::ostringstream out;
-    out << "[dynamic] " << when << " step " << step << ": got "
-        << got.items.size() << " items, mirror has " << want.size();
-    failures->push_back(out.str());
-    return;
-  }
-  for (std::size_t rank = 0; rank < want.size(); ++rank) {
-    if (got.items[rank].id == want[rank].id &&
-        got.items[rank].score == want[rank].score) {
-      continue;
-    }
-    std::ostringstream out;
-    out << "[dynamic] " << when << " step " << step << ": rank " << rank
-        << " is (id " << got.items[rank].id << ", score "
-        << got.items[rank].score << "), mirror says (id " << want[rank].id
-        << ", score " << want[rank].score << ")";
-    failures->push_back(out.str());
-    return;
-  }
-}
-
-// Budgeted probe for the dynamic index: the certified prefix must be a
-// correct prefix of the mirror's exact answer.
-void CheckDynamicPartial(const TopKResult& got,
-                         const std::vector<ScoredTuple>& want,
-                         std::size_t step,
-                         std::vector<std::string>* failures) {
-  std::ostringstream out;
-  out << "[dynamic] budgeted query step " << step << ": ";
-  if (got.termination == Termination::kInvalidQuery ||
-      got.termination == Termination::kError) {
-    out << "valid query rejected with " << TerminationName(got.termination)
-        << ": " << got.error;
-    failures->push_back(out.str());
-    return;
-  }
-  const std::size_t certified = got.certified_prefix;
-  if (certified > got.items.size() || certified > want.size()) {
-    out << "certified prefix " << certified << " exceeds items ("
-        << got.items.size() << ") or the mirror answer (" << want.size()
-        << ")";
-    failures->push_back(out.str());
-    return;
-  }
-  for (std::size_t rank = 0; rank < certified; ++rank) {
-    if (got.items[rank].id == want[rank].id &&
-        got.items[rank].score == want[rank].score) {
-      continue;
-    }
-    out << "certified rank " << rank << " is (id " << got.items[rank].id
-        << ", score " << got.items[rank].score << "), mirror says (id "
-        << want[rank].id << ", score " << want[rank].score << ")";
-    failures->push_back(out.str());
-    return;
-  }
+// Appends the checker's verdict on `got`, a tiered-engine answer held
+// to the exact rule, tagged with the oracle and the trace step.
+void CheckExact(const TopKReference& reference, const TopKResult& got,
+                const ExecBudget& budget, const std::string& what,
+                std::size_t step, std::vector<std::string>* failures) {
+  const std::string failure =
+      reference.Check(got, MatchRule::kExact, budget);
+  if (failure.empty()) return;
+  failures->push_back(what + " step " + std::to_string(step) + ": " +
+                      failure);
 }
 
 // Scenario probes for the mixed-rw trace: the constrained traversal
-// over the live tiered index (runs + memtable + tombstones) against
-// the reference scan over the live rows, and the diversified greedy
-// against the same greedy over the compacted live set. `universe`
-// holds every row ever inserted at its stable id (ids are never
-// reused), so global pick ids index it even after erases.
+// over the live tiered index (runs + memtable + tombstones), with and
+// without a budget, and the reference scan over the live rows, against
+// the checker's top-k over the live rows in the box; and the
+// diversified greedy against the same greedy over the compacted live
+// set. `universe` holds every row ever inserted at its stable id (ids
+// are never reused), so global pick ids index it even after erases.
 void RunMixedScenarioProbes(const TieredDualLayerIndex& tiered,
                             const PointSet& universe,
-                            const std::map<TupleId, Point>& live, Rng& rng,
+                            const CheckUniverse& live, Rng& rng,
                             std::size_t step,
                             std::vector<std::string>* failures) {
-  if (live.empty()) return;
+  if (live.ids.empty()) return;
   const std::size_t d = universe.dim();
-  std::vector<TupleId> ids;  // ascending (map iteration order)
-  PointSet live_points(d);
-  ids.reserve(live.size());
-  for (const auto& [id, point] : live) {
-    ids.push_back(id);
-    live_points.Add(PointView(point));
-  }
+  const std::vector<TupleId>& ids = live.ids;  // ascending
 
   {
     ConstrainedQuery query;
     query.weights = rng.SimplexWeight(d);
-    query.k = 1 + rng.Index(live.size() + 2);
+    query.k = 1 + rng.Index(ids.size() + 2);
     const TupleId a = ids[rng.Index(ids.size())];
     const TupleId b = ids[rng.Index(ids.size())];
     query.box.lo.resize(d);
@@ -150,34 +87,21 @@ void RunMixedScenarioProbes(const TieredDualLayerIndex& tiered,
       query.box.hi[attr] =
           std::max(universe.At(a, attr), universe.At(b, attr));
     }
-    const TopKResult want = ConstrainedScanRows(live_points, ids, query);
+    const TopKReference reference(live.InBox(query.box), query.weights,
+                                  query.k);
     const TopKResult got = ConstrainedTopK(tiered, query);
-    if (!got.complete()) {
-      failures->push_back("[mixed] constrained step " + std::to_string(step) +
-                          ": unbudgeted query did not complete: " + got.error);
-      return;
-    }
-    if (got.items.size() != want.items.size()) {
-      std::ostringstream out;
-      out << "[mixed] constrained step " << step << ": got "
-          << got.items.size() << " items, scan has " << want.items.size();
-      failures->push_back(out.str());
-      return;
-    }
-    for (std::size_t rank = 0; rank < want.items.size(); ++rank) {
-      if (got.items[rank].id == want.items[rank].id &&
-          got.items[rank].score == want.items[rank].score) {
-        continue;
-      }
-      std::ostringstream out;
-      out << "[mixed] constrained step " << step << ": rank " << rank
-          << " is (id " << got.items[rank].id << ", score "
-          << got.items[rank].score << "), scan says (id "
-          << want.items[rank].id << ", score " << want.items[rank].score
-          << ")";
-      failures->push_back(out.str());
-      return;
-    }
+    CheckExact(reference, got, query.budget, "[mixed] constrained", step,
+               failures);
+    CheckExact(reference, ConstrainedScanRows(live.rows, ids, query),
+               query.budget, "[mixed] constrained scan", step, failures);
+    // A cut halfway through the unbudgeted cost, derived without a
+    // draw so the trace's rng sequence stays put.
+    ConstrainedQuery budgeted = query;
+    budgeted.budget.max_evals =
+        std::max<std::size_t>(1, got.stats.tuples_evaluated / 2);
+    CheckExact(reference, ConstrainedTopK(tiered, budgeted), budgeted.budget,
+               "[mixed] constrained budget", step, failures);
+    if (!failures->empty()) return;
   }
 
   if (rng.Index(2) == 0) {
@@ -190,33 +114,12 @@ void RunMixedScenarioProbes(const TieredDualLayerIndex& tiered,
     // The greedy over the compacted live set with order-preserving id
     // relabeling makes the same selections: scores, similarities, and
     // the ascending-id tie-break are all invariant under the mapping.
-    const DiversifiedResult want = DiversifiedTopKScan(live_points, query);
-    if (!got.complete()) {
+    DiversifiedResult want = DiversifiedTopKScan(live.rows, query);
+    for (DiversifiedPick& pick : want.picks) pick.id = ids[pick.id];
+    const std::string failure = CheckPicks(got, want, query.budget);
+    if (!failure.empty()) {
       failures->push_back("[mixed] diversified step " + std::to_string(step) +
-                          ": unbudgeted query did not complete: " + got.error);
-      return;
-    }
-    if (got.picks.size() != want.picks.size()) {
-      std::ostringstream out;
-      out << "[mixed] diversified step " << step << ": got "
-          << got.picks.size() << " picks, scan has " << want.picks.size();
-      failures->push_back(out.str());
-      return;
-    }
-    for (std::size_t i = 0; i < want.picks.size(); ++i) {
-      const TupleId want_id = ids[want.picks[i].id];
-      if (got.picks[i].id == want_id &&
-          got.picks[i].score == want.picks[i].score &&
-          got.picks[i].utility == want.picks[i].utility) {
-        continue;
-      }
-      std::ostringstream out;
-      out << "[mixed] diversified step " << step << ": pick " << i
-          << " is id " << got.picks[i].id << " (g=" << got.picks[i].utility
-          << "), scan says id " << want_id << " (g=" << want.picks[i].utility
-          << ")";
-      failures->push_back(out.str());
-      return;
+                          ": " + failure);
     }
   }
 }
@@ -239,7 +142,7 @@ bool SplitsATieClass(const TieredDualLayerIndex& tiered,
 // insert / erase / query / maintenance-step trace. Ids are assigned
 // monotonically after the initial prefix, so the mirror keys on them.
 void RunDynamicOracle(std::uint64_t seed, const PointSet& dataset,
-                      const FuzzOptions& options, FuzzCaseResult* result) {
+                      FuzzCaseResult* result) {
   std::vector<std::string>* failures = &result->failures;
   Rng rng(seed * 0x9e3779b97f4a7c15ULL + 1);
   const std::size_t d = dataset.dim();
@@ -322,19 +225,22 @@ void RunDynamicOracle(std::uint64_t seed, const PointSet& dataset,
       TopKQuery query;
       query.k = rng.Index(live.size() + 3);  // covers k = 0 and k > n
       query.weights = rng.SimplexWeight(d);
-      const std::vector<ScoredTuple> want =
-          MirrorTopK(live, query.weights, query.k);
+      const TopKReference reference(CheckUniverse::Of(live, d),
+                                    query.weights, query.k);
       if (tiered.compaction_active()) ++result->mid_compaction_queries;
-      if (SplitsATieClass(tiered, want)) ++result->split_tie_queries;
-      CompareToMirror(tiered.Query(query), want, "tiered query", step,
-                      failures);
+      if (SplitsATieClass(tiered, reference.answer())) {
+        ++result->split_tie_queries;
+      }
+      CheckExact(reference, tiered.Query(query), query.budget,
+                 "[dynamic] tiered query", step, failures);
       if (!failures->empty()) return;
       if (!live.empty()) {
         // Budgeted probe on every query step: a random cut point must
         // still certify correctly against the multi-run frontier.
         TopKQuery budgeted = query;
         budgeted.budget.max_evals = 1 + rng.Index(live.size());
-        CheckDynamicPartial(tiered.Query(budgeted), want, step, failures);
+        CheckExact(reference, tiered.Query(budgeted), budgeted.budget,
+                   "[dynamic] budgeted query", step, failures);
         if (!failures->empty()) return;
       }
     } else {
@@ -359,10 +265,10 @@ void RunDynamicOracle(std::uint64_t seed, const PointSet& dataset,
   TopKQuery final_query;
   final_query.k = live.size() / 2 + 1;
   final_query.weights = rng.SimplexWeight(d);
-  const std::vector<ScoredTuple> final_want =
-      MirrorTopK(live, final_query.weights, final_query.k);
+  const TopKReference final_reference(CheckUniverse::Of(live, d),
+                                      final_query.weights, final_query.k);
 
-  if (options.tiered_roundtrip) {
+  {
     // Save / load roundtrip of the live tiered state (mid-memtable,
     // mid-tombstone, possibly mid-compaction-job -- the job is
     // transient and must not affect the persisted answer).
@@ -390,8 +296,9 @@ void RunDynamicOracle(std::uint64_t seed, const PointSet& dataset,
         failures->push_back(
             "[dynamic] tiered roundtrip changed size or generation");
       }
-      CompareToMirror(loaded.value().Query(final_query), final_want,
-                      "post-roundtrip", steps, failures);
+      CheckExact(final_reference, loaded.value().Query(final_query),
+                 final_query.budget, "[dynamic] post-roundtrip", steps,
+                 failures);
     }
     for (const std::string& file : written) std::remove(file.c_str());
     if (!failures->empty()) return;
@@ -400,8 +307,8 @@ void RunDynamicOracle(std::uint64_t seed, const PointSet& dataset,
   // Full compaction must preserve ids, membership, and answers, and
   // leave the index in its canonical final shape.
   tiered.Compact();
-  CompareToMirror(tiered.Query(final_query), final_want,
-                  "tiered post-compact", steps, failures);
+  CheckExact(final_reference, tiered.Query(final_query), final_query.budget,
+             "[dynamic] tiered post-compact", steps, failures);
   if (!failures->empty()) return;
   if (tiered.num_runs() > 1 || tiered.tombstone_count() != 0 ||
       tiered.memtable_size() != 0 || tiered.compaction_active()) {
@@ -481,19 +388,16 @@ FuzzCaseResult RunFuzzCase(std::uint64_t seed, const FuzzOptions& options) {
   result.d = dataset.dim();
   Rng rng(seed + 0x6a09e667f3bcc909ULL);
 
-  if (options.check_structure) {
-    for (const bool zero_layer : {false, true}) {
-      DualLayerOptions build;
-      build.build_zero_layer = zero_layer;
-      const DualLayerIndex index = DualLayerIndex::Build(dataset, build);
-      CheckOptions check;
-      check.seed = seed;
-      const CheckReport report = CheckIndex(index, check);
-      for (const std::string& failure : report.failures) {
-        result.failures.push_back(std::string("[check ") +
-                                  (zero_layer ? "dl+" : "dl") + "] " +
-                                  failure);
-      }
+  for (const bool zero_layer : {false, true}) {
+    DualLayerOptions build;
+    build.build_zero_layer = zero_layer;
+    const DualLayerIndex index = DualLayerIndex::Build(dataset, build);
+    CheckOptions check;
+    check.seed = seed;
+    const CheckReport report = CheckIndex(index, check);
+    for (const std::string& failure : report.failures) {
+      result.failures.push_back(std::string("[check ") +
+                                (zero_layer ? "dl+" : "dl") + "] " + failure);
     }
   }
 
@@ -520,7 +424,7 @@ FuzzCaseResult RunFuzzCase(std::uint64_t seed, const FuzzOptions& options) {
                          1.0 / static_cast<double>(dataset.dim()));
     queries.push_back(std::move(query));
   }
-  for (std::size_t i = 0; i < options.queries_per_case; ++i) {
+  for (std::size_t i = 0; i < kQueriesPerCase; ++i) {
     TopKQuery query;
     query.k = 1 + rng.Index(n + 2);
     query.weights = rng.SimplexWeight(dataset.dim());
@@ -533,7 +437,7 @@ FuzzCaseResult RunFuzzCase(std::uint64_t seed, const FuzzOptions& options) {
     if (!result.failures.empty()) return result;
   }
 
-  if (options.budget_cut_points > 0 && n > 0) {
+  if (n > 0) {
     // Budget faults: sample a query, find the most expensive family's
     // unbudgeted cost, and cut the traversal at random step indices
     // with both a step budget and a cancel fuse.
@@ -544,12 +448,11 @@ FuzzCaseResult RunFuzzCase(std::uint64_t seed, const FuzzOptions& options) {
     for (const auto& [kind, cost] : harness.value().UnbudgetedCosts(base)) {
       max_cost = std::max(max_cost, cost);
     }
-    for (std::size_t i = 0; max_cost > 0 && i < options.budget_cut_points;
-         ++i) {
+    for (std::size_t i = 0; max_cost > 0 && i < kBudgetCutPoints; ++i) {
       TopKQuery budgeted = base;
       budgeted.budget.max_evals = 1 + rng.Index(max_cost);
       std::vector<std::string> failures =
-          harness.value().CheckBudgetedQuery(budgeted);
+          harness.value().CheckQuery(budgeted);
       result.failures.insert(result.failures.end(), failures.begin(),
                              failures.end());
       if (!result.failures.empty()) return result;
@@ -559,23 +462,19 @@ FuzzCaseResult RunFuzzCase(std::uint64_t seed, const FuzzOptions& options) {
           static_cast<std::int64_t>(1 + rng.Index(max_cost)));
       TopKQuery cancelled = base;
       cancelled.budget.cancel = &token;
-      failures = harness.value().CheckBudgetedQuery(cancelled);
+      failures = harness.value().CheckQuery(cancelled);
       result.failures.insert(result.failures.end(), failures.begin(),
                              failures.end());
       if (!result.failures.empty()) return result;
     }
   }
 
-  if (options.scenarios) {
-    for (const std::string& failure : CheckScenarioFamilies(dataset, seed)) {
-      result.failures.push_back("[scenario] " + failure);
-    }
-    if (!result.failures.empty()) return result;
+  for (const std::string& failure : CheckScenarioFamilies(dataset, seed)) {
+    result.failures.push_back("[scenario] " + failure);
   }
+  if (!result.failures.empty()) return result;
 
-  if (options.dynamic) {
-    RunDynamicOracle(seed, dataset, options, &result);
-  }
+  if (options.dynamic) RunDynamicOracle(seed, dataset, &result);
   return result;
 }
 
@@ -633,21 +532,21 @@ FuzzCaseResult RunMixedTraceCase(std::uint64_t seed,
     TopKQuery query;
     query.k = 1 + rng.Index(live.size() + 2);
     query.weights = rng.SimplexWeight(d);
-    const std::vector<ScoredTuple> want =
-        MirrorTopK(live, query.weights, query.k);
+    const CheckUniverse live_universe = CheckUniverse::Of(live, d);
+    const TopKReference reference(live_universe, query.weights, query.k);
     if (tiered.compaction_active()) ++result.mid_compaction_queries;
-    CompareToMirror(tiered.Query(query), want, "mixed query", step,
-                    &result.failures);
+    CheckExact(reference, tiered.Query(query), query.budget, "[mixed] query",
+               step, &result.failures);
     if (!result.failures.empty()) return result;
     if (!live.empty() && rng.Index(4) == 0) {
       TopKQuery budgeted = query;
       budgeted.budget.max_evals = 1 + rng.Index(live.size());
-      CheckDynamicPartial(tiered.Query(budgeted), want, step,
-                          &result.failures);
+      CheckExact(reference, tiered.Query(budgeted), budgeted.budget,
+                 "[mixed] budgeted query", step, &result.failures);
       if (!result.failures.empty()) return result;
     }
-    if (options.scenarios && rng.Index(8) == 0) {
-      RunMixedScenarioProbes(tiered, universe, live, rng, step,
+    if (rng.Index(8) == 0) {
+      RunMixedScenarioProbes(tiered, universe, live_universe, rng, step,
                              &result.failures);
       if (!result.failures.empty()) return result;
     }

@@ -1,23 +1,27 @@
 // Seeded invariant fuzzer. One seed deterministically derives an
 // adversarial dataset (distribution, dimension d in [2, 5], tiny to
 // medium n, grid-snapped coordinates, exact duplicates, coplanar rows,
-// constant attributes), then drives three oracles over it:
+// constant attributes), then drives four oracles over it:
 //
 //  1. CheckIndex on fresh DL and DL+ builds (structural invariants);
 //  2. the differential harness across every index family, with
 //     degenerate queries (k = 0, k = n, k > n) and tied weights mixed
-//     into the sampled ones;
-//  3. optionally the tiered LSM dynamic engine with rng-derived
+//     into the sampled ones, then a sampled query cut at random step
+//     budgets and cancel fuses;
+//  3. the scenario oracle (constrained, diversified and reverse top-k
+//     on DL+, sharded and tiered engines);
+//  4. optionally the tiered LSM dynamic engine with rng-derived
 //     memtable/fanout knobs -- sometimes a memtable larger than the
 //     trace, so rows pile up beside one big run until an explicit
 //     seal or Compact() -- under interleaved insert / delete / query
-//     / seal / compact-step traces, compared against a brute-force
-//     mirror of the live set, with a budgeted probe at a random cut
-//     point on every query and a save/load roundtrip of the live
-//     multi-run state at the end.
+//     / seal / compact-step traces, checked against a brute-force top-k
+//     over the live rows, with a budgeted probe at a random cut point
+//     on every query and a save/load roundtrip of the live multi-run
+//     state at the end.
 //
-// Everything is derived from the case seed, so any failure replays
-// with `drli_fuzz --replay=<seed>`.
+// Every answer, complete or partial, goes through the one result check
+// of testing/result_check.h. Everything is derived from the case seed,
+// so any failure replays with `drli_fuzz --replay=<seed>`.
 
 #ifndef DRLI_TESTING_FUZZ_H_
 #define DRLI_TESTING_FUZZ_H_
@@ -33,25 +37,8 @@ namespace drli {
 struct FuzzOptions {
   // Also exercise TieredDualLayerIndex with interleaved updates.
   bool dynamic = true;
-  // Run CheckIndex on DL / DL+ builds of the dataset.
-  bool check_structure = true;
-  // Randomized queries per case, on top of the fixed degenerate ones.
-  std::size_t queries_per_case = 4;
   // Upper bound on the generated dataset size.
   std::size_t max_n = 160;
-  // Randomized execution-budget cut points per case: each one re-runs
-  // a sampled query across every family with max_evals (and a cancel
-  // fuse) tripping mid-traversal, asserting certified-prefix
-  // correctness. 0 disables budget faults.
-  std::size_t budget_cut_points = 3;
-  // Save the live tiered state (memtable, runs, tombstones) at the end
-  // of the dynamic trace and verify the loaded copy answers
-  // identically. Costs a little file IO per case.
-  bool tiered_roundtrip = true;
-  // Drive the scenario oracle (constrained / diversified / reverse
-  // top-k vs. their brute-force references) over the case dataset, and
-  // mix constrained + diversified probes into the mixed-rw trace.
-  bool scenarios = true;
 };
 
 struct FuzzCaseResult {
@@ -82,11 +69,12 @@ PointSet MakeFuzzDataset(std::uint64_t seed, const FuzzOptions& options,
 FuzzCaseResult RunFuzzCase(std::uint64_t seed, const FuzzOptions& options = {});
 
 // Sustained serving-shaped trace (~95% reads / ~5% writes) against the
-// tiered dynamic engine and the brute-force mirror: seals and
-// compactions happen under the read stream, every answer is checked,
-// and a fraction of reads carry a random execution budget. The
-// entry point for `drli_fuzz --mixed-rw` and the nightly
-// sanitizer soak.
+// tiered dynamic engine, checked against a brute-force top-k over the
+// live rows: seals and compactions happen under the read stream, every
+// answer is checked, a fraction of reads carry a random execution
+// budget, and one read in eight adds constrained (unbudgeted and cut
+// halfway) and diversified probes. The entry point for
+// `drli_fuzz --mixed-rw` and the nightly sanitizer soak.
 FuzzCaseResult RunMixedTraceCase(std::uint64_t seed,
                                  const FuzzOptions& options = {});
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstddef>
-#include <limits>
 #include <sstream>
 #include <vector>
 
@@ -14,10 +13,20 @@
 #include "scenarios/diversified.h"
 #include "scenarios/reverse_topk.h"
 #include "shard/sharded_index.h"
+#include "testing/result_check.h"
 
 namespace drli {
 
 namespace {
+
+// Random constrained probes (each runs on DL+, sharded, tiered).
+constexpr std::size_t kConstrainedProbes = 3;
+// Budgeted re-runs per constrained probe.
+constexpr std::size_t kBudgetProbes = 2;
+// Diversified probes (greedy vs. brute-force greedy).
+constexpr std::size_t kDiversifiedProbes = 2;
+// Reverse top-k probes (d == 2 datasets only).
+constexpr std::size_t kReverseProbes = 3;
 
 // Reverse-interval endpoints: the table breakpoint B/(B-A) and the
 // sweep crossing (ia-ib)/(sb-sa) are the same rational number computed
@@ -106,91 +115,38 @@ ScenarioEngines BuildEngines(const PointSet& points, Rng& rng) {
 
 // === constrained ============================================================
 
-// Exact comparison: engines and the scan share the scalar Score and
-// the canonical order, so complete answers must match bit-for-bit.
-void CompareConstrained(const char* engine, const TopKResult& got,
-                        const TopKResult& want, const ConstrainedQuery& query,
-                        std::uint64_t seed,
-                        std::vector<std::string>* failures) {
-  std::ostringstream tag;
-  tag << "seed=" << seed << " constrained/" << engine << " k=" << query.k
-      << " " << DescribeWeights(query.weights) << " " << DescribeBox(query.box);
-  if (!got.complete()) {
-    failures->push_back(tag.str() + ": unbudgeted query did not complete: " +
-                        got.error);
-    return;
-  }
-  if (got.certified_prefix != got.items.size()) {
-    failures->push_back(tag.str() + ": complete result not fully certified");
-  }
-  if (got.items.size() != want.items.size()) {
-    std::ostringstream out;
-    out << tag.str() << ": size " << got.items.size() << " want "
-        << want.items.size();
-    failures->push_back(out.str());
-    return;
-  }
-  for (std::size_t i = 0; i < want.items.size(); ++i) {
-    if (got.items[i].id != want.items[i].id ||
-        got.items[i].score != want.items[i].score) {
-      std::ostringstream out;
-      out << tag.str() << ": item " << i << " = (" << got.items[i].id << ","
-          << got.items[i].score << ") want (" << want.items[i].id << ","
-          << want.items[i].score << ")";
-      failures->push_back(out.str());
-      return;
-    }
-  }
-}
-
-// A budgeted partial must certify only a true prefix of the exact
-// answer, and its frontier bound must not exclude any unreturned
-// in-box tuple scoring strictly below it.
-void CheckConstrainedPartial(const char* engine, const TopKResult& got,
-                             const TopKResult& want,
-                             const ConstrainedQuery& query, std::uint64_t seed,
-                             std::vector<std::string>* failures) {
-  std::ostringstream tag;
-  tag << "seed=" << seed << " constrained-budget/" << engine << " k=" << query.k
-      << " " << DescribeBox(query.box);
-  if (got.certified_prefix > got.items.size()) {
-    failures->push_back(tag.str() + ": certified_prefix exceeds items");
-    return;
-  }
-  if (got.certified_prefix > want.items.size()) {
-    failures->push_back(tag.str() + ": certified more than the answer holds");
-    return;
-  }
-  for (std::size_t i = 0; i < got.certified_prefix; ++i) {
-    if (got.items[i].id != want.items[i].id ||
-        got.items[i].score != want.items[i].score) {
-      std::ostringstream out;
-      out << tag.str() << ": certified item " << i << " = ("
-          << got.items[i].id << "," << got.items[i].score << ") want ("
-          << want.items[i].id << "," << want.items[i].score << ")";
-      failures->push_back(out.str());
-      return;
-    }
-  }
-  if (got.complete() && (got.certified_prefix != got.items.size() ||
-                         got.items.size() != want.items.size())) {
-    failures->push_back(tag.str() +
-                        ": complete budgeted run disagrees with reference");
-  }
-}
-
+// Every engine (and the production scan) against the checker's top-k
+// over the in-box rows, held to the exact rule: engines and reference
+// share the scalar Score and the canonical order, so complete answers
+// match bit-for-bit, and budgeted partials must certify a true prefix
+// and report a frontier no unreturned in-box tuple scores below.
 void RunConstrainedProbe(const ScenarioEngines& engines,
-                         const PointSet& points, const ConstrainedQuery& query,
+                         const CheckUniverse& universe,
+                         const ConstrainedQuery& query,
                          std::size_t budget_probes, Rng& rng,
                          std::uint64_t seed,
                          std::vector<std::string>* failures) {
-  const TopKResult want = ConstrainedTopKScan(points, query);
+  const TopKReference reference(universe.InBox(query.box), query.weights,
+                                query.k);
+  const auto check = [&](const char* engine, const TopKResult& got,
+                         const ExecBudget& budget) {
+    const std::string failure =
+        reference.Check(got, MatchRule::kExact, budget);
+    if (failure.empty()) return;
+    std::ostringstream out;
+    out << "seed=" << seed << " constrained/" << engine << " k=" << query.k;
+    if (budget.max_evals > 0) out << " max_evals=" << budget.max_evals;
+    out << " " << DescribeWeights(query.weights) << " "
+        << DescribeBox(query.box) << ": " << failure;
+    failures->push_back(out.str());
+  };
+  check("scan", ConstrainedTopKScan(universe.rows, query), query.budget);
   const TopKResult dl = ConstrainedTopK(engines.dl, query);
   const TopKResult sdl = ConstrainedTopK(engines.sdl, query);
   const TopKResult tdl = ConstrainedTopK(engines.tdl, query);
-  CompareConstrained("dl+", dl, want, query, seed, failures);
-  CompareConstrained("sdl+", sdl, want, query, seed, failures);
-  CompareConstrained("tdl+", tdl, want, query, seed, failures);
+  check("dl+", dl, query.budget);
+  check("sdl+", sdl, query.budget);
+  check("tdl+", tdl, query.budget);
 
   // Budget cuts across the full cost range, engine by engine.
   const std::size_t max_cost =
@@ -199,89 +155,40 @@ void RunConstrainedProbe(const ScenarioEngines& engines,
   for (std::size_t cut = 0; cut < budget_probes; ++cut) {
     ConstrainedQuery budgeted = query;
     budgeted.budget.max_evals = 1 + rng.Index(max_cost);
-    CheckConstrainedPartial("dl+", ConstrainedTopK(engines.dl, budgeted),
-                            want, budgeted, seed, failures);
-    CheckConstrainedPartial("sdl+", ConstrainedTopK(engines.sdl, budgeted),
-                            want, budgeted, seed, failures);
-    CheckConstrainedPartial("tdl+", ConstrainedTopK(engines.tdl, budgeted),
-                            want, budgeted, seed, failures);
+    check("dl+", ConstrainedTopK(engines.dl, budgeted), budgeted.budget);
+    check("sdl+", ConstrainedTopK(engines.sdl, budgeted), budgeted.budget);
+    check("tdl+", ConstrainedTopK(engines.tdl, budgeted), budgeted.budget);
   }
 }
 
 // === diversified ============================================================
 
-void CompareDiversified(const char* engine, const DiversifiedResult& got,
-                        const DiversifiedResult& want,
-                        const DiversifiedQuery& query, std::uint64_t seed,
-                        std::vector<std::string>* failures) {
-  std::ostringstream tag;
-  tag << "seed=" << seed << " diversified/" << engine << " k=" << query.k
-      << " lambda=" << query.lambda << " " << DescribeWeights(query.weights);
-  if (!got.complete()) {
-    failures->push_back(tag.str() + ": unbudgeted query did not complete: " +
-                        got.error);
-    return;
-  }
-  if (got.certified_prefix != got.picks.size()) {
-    failures->push_back(tag.str() + ": complete result not fully certified");
-  }
-  if (got.picks.size() != want.picks.size()) {
-    std::ostringstream out;
-    out << tag.str() << ": picks " << got.picks.size() << " want "
-        << want.picks.size();
-    failures->push_back(out.str());
-    return;
-  }
-  for (std::size_t i = 0; i < want.picks.size(); ++i) {
-    if (got.picks[i].id != want.picks[i].id ||
-        got.picks[i].score != want.picks[i].score ||
-        got.picks[i].utility != want.picks[i].utility) {
-      std::ostringstream out;
-      out << tag.str() << ": pick " << i << " = id " << got.picks[i].id
-          << " g=" << got.picks[i].utility << " want id " << want.picks[i].id
-          << " g=" << want.picks[i].utility;
-      failures->push_back(out.str());
-      return;
-    }
-  }
-}
-
+// Every engine against the brute-force greedy, plus one budget cut on
+// DL+ whose certified picks must be a true greedy prefix.
 void RunDiversifiedProbe(const ScenarioEngines& engines,
                          const PointSet& points, const DiversifiedQuery& query,
                          std::uint64_t seed, Rng& rng,
                          std::vector<std::string>* failures) {
   const DiversifiedResult want = DiversifiedTopKScan(points, query);
-  CompareDiversified("dl+", DiversifiedTopK(engines.dl, points, query), want,
-                     query, seed, failures);
-  CompareDiversified("sdl+", DiversifiedTopK(engines.sdl, points, query),
-                     want, query, seed, failures);
-  CompareDiversified("tdl+", DiversifiedTopK(engines.tdl, points, query),
-                     want, query, seed, failures);
+  const auto check = [&](const char* engine, const DiversifiedResult& got,
+                         const ExecBudget& budget) {
+    const std::string failure = CheckPicks(got, want, budget);
+    if (failure.empty()) return;
+    std::ostringstream out;
+    out << "seed=" << seed << " diversified/" << engine << " k=" << query.k;
+    if (budget.max_evals > 0) out << " max_evals=" << budget.max_evals;
+    out << " lambda=" << query.lambda << " " << DescribeWeights(query.weights)
+        << ": " << failure;
+    failures->push_back(out.str());
+  };
+  check("dl+", DiversifiedTopK(engines.dl, points, query), query.budget);
+  check("sdl+", DiversifiedTopK(engines.sdl, points, query), query.budget);
+  check("tdl+", DiversifiedTopK(engines.tdl, points, query), query.budget);
 
-  // One budget cut: the certified prefix must be a true greedy prefix.
   DiversifiedQuery budgeted = query;
   budgeted.budget.max_evals = 1 + rng.Index(std::max<std::size_t>(
                                       1, points.size()));
-  const DiversifiedResult partial =
-      DiversifiedTopK(engines.dl, points, budgeted);
-  std::ostringstream tag;
-  tag << "seed=" << seed << " diversified-budget k=" << query.k
-      << " lambda=" << query.lambda;
-  if (partial.certified_prefix > partial.picks.size() ||
-      partial.certified_prefix > want.picks.size()) {
-    failures->push_back(tag.str() + ": certified prefix out of range");
-    return;
-  }
-  for (std::size_t i = 0; i < partial.certified_prefix; ++i) {
-    if (partial.picks[i].id != want.picks[i].id ||
-        partial.picks[i].utility != want.picks[i].utility) {
-      std::ostringstream out;
-      out << tag.str() << ": certified pick " << i << " = id "
-          << partial.picks[i].id << " want id " << want.picks[i].id;
-      failures->push_back(out.str());
-      return;
-    }
-  }
+  check("dl+", DiversifiedTopK(engines.dl, points, budgeted), budgeted.budget);
 }
 
 // === reverse ================================================================
@@ -374,9 +281,8 @@ void RunReverseProbe(const ScenarioEngines& engines, const PointSet& points,
 
 }  // namespace
 
-std::vector<std::string> CheckScenarioFamilies(
-    const PointSet& points, std::uint64_t seed,
-    const ScenarioOracleOptions& options) {
+std::vector<std::string> CheckScenarioFamilies(const PointSet& points,
+                                               std::uint64_t seed) {
   std::vector<std::string> failures;
   const std::size_t n = points.size();
   const std::size_t d = points.dim();
@@ -384,20 +290,22 @@ std::vector<std::string> CheckScenarioFamilies(
 
   Rng rng(seed ^ 0x9e3779b97f4a7c15ULL);
   ScenarioEngines engines = BuildEngines(points, rng);
+  const CheckUniverse universe = CheckUniverse::Of(points);
 
   // --- constrained: data-spanned boxes + boundary weights ---
-  for (std::size_t probe = 0; probe < options.constrained_probes; ++probe) {
+  for (std::size_t probe = 0; probe < kConstrainedProbes; ++probe) {
     ConstrainedQuery query;
     query.weights = probe % 3 == 2 ? BoundaryWeights(rng, d)
                                    : rng.SimplexWeight(d);
     query.k = 1 + rng.Index(n + 2);  // includes k > |matches|
     query.box = BoxFromTuples(points, static_cast<TupleId>(rng.Index(n)),
                               static_cast<TupleId>(rng.Index(n)));
-    RunConstrainedProbe(engines, points, query, options.budget_probes, rng,
-                        seed, &failures);
+    RunConstrainedProbe(engines, universe, query, kBudgetProbes, rng, seed,
+                        &failures);
   }
 
-  if (options.degenerate_boxes) {
+  // --- constrained: the fixed degenerate-box battery ---
+  {
     const TupleId anchor = static_cast<TupleId>(rng.Index(n));
     ConstrainedQuery query;
     query.weights = rng.SimplexWeight(d);
@@ -407,25 +315,25 @@ std::vector<std::string> CheckScenarioFamilies(
     query.box = AttributeBox::All(d);
     query.box.lo[0] = 1.0;
     query.box.hi[0] = 0.0;
-    RunConstrainedProbe(engines, points, query, 0, rng, seed, &failures);
+    RunConstrainedProbe(engines, universe, query, 0, rng, seed, &failures);
 
     // All-space box: the constrained answer is the plain top-k.
     query.box = AttributeBox::All(d);
-    RunConstrainedProbe(engines, points, query, 0, rng, seed, &failures);
+    RunConstrainedProbe(engines, universe, query, 0, rng, seed, &failures);
 
     // k = 0 over the all-space box: complete and empty everywhere.
     query.k = 0;
-    RunConstrainedProbe(engines, points, query, 0, rng, seed, &failures);
+    RunConstrainedProbe(engines, universe, query, 0, rng, seed, &failures);
 
     // Point box (lo == hi == a data point): exactly the duplicates of
     // the anchor qualify; k far beyond the match count.
     query.box = BoxFromTuples(points, anchor, anchor);
     query.k = n + 3;
-    RunConstrainedProbe(engines, points, query, 0, rng, seed, &failures);
+    RunConstrainedProbe(engines, universe, query, 0, rng, seed, &failures);
   }
 
   // --- diversified ---
-  for (std::size_t probe = 0; probe < options.diversified_probes; ++probe) {
+  for (std::size_t probe = 0; probe < kDiversifiedProbes; ++probe) {
     DiversifiedQuery query;
     query.weights = rng.SimplexWeight(d);
     query.k = 1 + rng.Index(std::min<std::size_t>(n + 1, 6));
@@ -436,7 +344,7 @@ std::vector<std::string> CheckScenarioFamilies(
 
   // --- reverse (2-d only) ---
   if (d == 2) {
-    for (std::size_t probe = 0; probe < options.reverse_probes; ++probe) {
+    for (std::size_t probe = 0; probe < kReverseProbes; ++probe) {
       ReverseTopKQuery query;
       query.target = static_cast<TupleId>(rng.Index(n));
       query.k = 1 + rng.Index(5);

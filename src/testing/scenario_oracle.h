@@ -4,7 +4,17 @@
 // testing/differential.h one workload up: where the differential
 // harness pits 20 index families against one brute-force scan on plain
 // top-k, this one pits the three accelerated scenario engines (DL+,
-// sharded, tiered) against the scenario-specific references.
+// sharded, tiered) against the scenario-specific references:
+//
+//  * constrained: every engine and the production scan against the
+//    shared checker's top-k over the in-box rows
+//    (testing/result_check.h), exact rule, complete and budgeted runs
+//    alike -- so partials are checked for structure, certified prefix
+//    and frontier soundness over the in-box universe;
+//  * diversified: every engine, and one budgeted DL+ run, against the
+//    brute-force greedy, pick by pick on (id, score, utility);
+//  * reverse (2-d): intervals against the sweep reference, plus
+//    membership probes inside and between them.
 //
 // Probes are deterministic in the seed, so every failure replays. Box
 // probes are built FROM data coordinates (two sampled tuples span the
@@ -24,26 +34,12 @@
 
 namespace drli {
 
-struct ScenarioOracleOptions {
-  // Random constrained probes (each runs on DL+, sharded, tiered).
-  std::size_t constrained_probes = 3;
-  // Budgeted re-runs per constrained probe (certified-prefix checks).
-  std::size_t budget_probes = 2;
-  // Also run the fixed degenerate-box battery.
-  bool degenerate_boxes = true;
-  // Diversified probes (greedy vs. brute-force greedy).
-  std::size_t diversified_probes = 2;
-  // Reverse top-k probes (d == 2 datasets only).
-  std::size_t reverse_probes = 3;
-};
-
 // Builds a DL+ index, a sharded index, and a tiered index over
 // `points` and drives all three scenario families against their
 // brute-force references. Returns one human-readable line per
 // mismatch; empty means every probe agreed.
-std::vector<std::string> CheckScenarioFamilies(
-    const PointSet& points, std::uint64_t seed,
-    const ScenarioOracleOptions& options = {});
+std::vector<std::string> CheckScenarioFamilies(const PointSet& points,
+                                               std::uint64_t seed);
 
 }  // namespace drli
 

@@ -16,6 +16,7 @@
 #include "server/protocol.h"
 #include "server/server.h"
 #include "server/serving_engine.h"
+#include "testing/result_check.h"
 
 namespace drli {
 namespace testing {
@@ -26,6 +27,15 @@ namespace fs = std::filesystem;
 
 constexpr char kSnapshotA[] = "gen-a.v2";
 constexpr char kSnapshotB[] = "gen-b.v2";
+
+// Corrupt-frame cases (flips / truncations / garbage).
+constexpr std::size_t kFrameFaults = 120;
+// Reload flips raced against the query stream.
+constexpr std::size_t kReloadRaces = 12;
+// Queries in the deadline storm.
+constexpr std::size_t kDeadlineStorm = 96;
+// Concurrent overload clients.
+constexpr std::size_t kOverloadClients = 8;
 
 std::vector<std::uint8_t> MakeQueryFrame(const Point& weights,
                                          std::uint64_t k,
@@ -59,16 +69,20 @@ bool DrainReplies(server::DrliClient& client, std::size_t* malformed_replies) {
   }
 }
 
+std::vector<ScoredTuple> ToScoredTuples(
+    const std::vector<wire::WireItem>& items) {
+  std::vector<ScoredTuple> tuples;
+  tuples.reserve(items.size());
+  for (const wire::WireItem& item : items) {
+    tuples.push_back(ScoredTuple{item.id, item.score});
+  }
+  return tuples;
+}
+
 bool SameAnswer(const std::vector<wire::WireItem>& got,
                 const TopKResult& expected) {
-  if (got.size() != expected.items.size()) return false;
-  for (std::size_t i = 0; i < got.size(); ++i) {
-    if (got[i].id != expected.items[i].id ||
-        got[i].score != expected.items[i].score) {
-      return false;
-    }
-  }
-  return true;
+  return got.size() == expected.items.size() &&
+         SameExactPrefix(ToScoredTuples(got), expected.items, got.size());
 }
 
 }  // namespace
@@ -143,7 +157,7 @@ ServerFaultReport RunServerFaultSweep(const std::string& scratch_dir,
   // --- corrupt frames ---
   const std::vector<std::uint8_t> valid_frame =
       MakeQueryFrame(weights, 5, 7777);
-  for (std::size_t i = 0; i < options.frame_faults; ++i) {
+  for (std::size_t i = 0; i < kFrameFaults; ++i) {
     ++report.cases;
     server::DrliClient client;
     if (!client.Connect("127.0.0.1", port, 2.0).ok()) {
@@ -240,7 +254,7 @@ ServerFaultReport RunServerFaultSweep(const std::string& scratch_dir,
   {
     std::atomic<bool> publishing{true};
     std::thread publisher([&] {
-      for (std::size_t r = 0; r < options.reload_races; ++r) {
+      for (std::size_t r = 0; r < kReloadRaces; ++r) {
         const char* name = (r % 2 == 0) ? kSnapshotB : kSnapshotA;
         (void)server::PublishSnapshot(scratch_dir, name);
         std::this_thread::sleep_for(std::chrono::milliseconds(10));
@@ -297,7 +311,7 @@ ServerFaultReport RunServerFaultSweep(const std::string& scratch_dir,
       if (!inspect.ok() || inspect.value().snapshot != kSnapshotA) {
         report.violations.push_back("failed to pin generation A for storm");
       }
-      for (std::size_t i = 0; i < options.deadline_storm; ++i) {
+      for (std::size_t i = 0; i < kDeadlineStorm; ++i) {
         ++report.cases;
         wire::WireQuery query;
         query.weights = weights;
@@ -329,14 +343,10 @@ ServerFaultReport RunServerFaultSweep(const std::string& scratch_dir,
         }
         // The certified prefix must be an exact prefix of the true
         // answer -- the wire-level degradation contract.
-        for (std::size_t j = 0; j < r.certified_prefix; ++j) {
-          if (j >= expected_a.items.size() ||
-              r.items[j].id != expected_a.items[j].id ||
-              r.items[j].score != expected_a.items[j].score) {
-            report.violations.push_back(
-                "storm certified prefix diverges from the exact answer");
-            break;
-          }
+        if (!SameExactPrefix(ToScoredTuples(r.items), expected_a.items,
+                             r.certified_prefix)) {
+          report.violations.push_back(
+              "storm certified prefix diverges from the exact answer");
         }
       }
     } else {
@@ -350,7 +360,7 @@ ServerFaultReport RunServerFaultSweep(const std::string& scratch_dir,
     std::atomic<std::size_t> bad_sheds{0};
     std::atomic<std::size_t> failures{0};
     std::vector<std::thread> clients;
-    for (std::size_t c = 0; c < options.overload_clients; ++c) {
+    for (std::size_t c = 0; c < kOverloadClients; ++c) {
       clients.emplace_back([&, c] {
         server::DrliClient client;
         if (!client.Connect("127.0.0.1", port, 5.0).ok()) {
@@ -377,7 +387,7 @@ ServerFaultReport RunServerFaultSweep(const std::string& scratch_dir,
       });
     }
     for (auto& t : clients) t.join();
-    report.cases += options.overload_clients * 12;
+    report.cases += kOverloadClients * 12;
     report.sheds = sheds.load();
     if (bad_sheds.load() > 0) {
       report.violations.push_back("kOverloaded reply without a retry hint");

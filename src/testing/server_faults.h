@@ -32,14 +32,6 @@ namespace testing {
 
 struct ServerFaultOptions {
   std::uint64_t seed = 1;
-  // Corrupt-frame cases (flips / truncations / garbage).
-  std::size_t frame_faults = 120;
-  // Reload flips raced against the query stream.
-  std::size_t reload_races = 12;
-  // Queries in the deadline storm.
-  std::size_t deadline_storm = 96;
-  // Concurrent overload clients.
-  std::size_t overload_clients = 8;
 };
 
 struct ServerFaultReport {

@@ -130,7 +130,7 @@ TEST_P(ExhaustiveCutPointTest, EveryPopIndexCertifiesCorrectly) {
       TopKQuery query = base;
       query.budget.max_evals = s;
       const std::vector<std::string> failures =
-          harness.value().CheckBudgetedQuery(query, GetParam(), &partials);
+          harness.value().CheckQuery(query, GetParam(), &partials);
       ASSERT_TRUE(failures.empty())
           << "max_evals=" << s << ": " << failures.front();
     }
@@ -140,7 +140,7 @@ TEST_P(ExhaustiveCutPointTest, EveryPopIndexCertifiesCorrectly) {
       TopKQuery query = base;
       query.budget.cancel = &token;
       const std::vector<std::string> failures =
-          harness.value().CheckBudgetedQuery(query, GetParam(), &partials);
+          harness.value().CheckQuery(query, GetParam(), &partials);
       ASSERT_TRUE(failures.empty())
           << "cancel after " << s << " checks: " << failures.front();
     }

@@ -263,7 +263,7 @@ TEST(ShardedQueryTest, QueryBatchMatchesSerialLoop) {
 // Budget certification across shard merges: for every step index of
 // the sharded traversal, a max_evals budget tripping there must yield
 // a certified prefix that is a correct prefix of the exact answer.
-// CheckBudgetedQuery is the same oracle the fuzzer uses.
+// CheckQuery is the same oracle the fuzzer uses.
 TEST(ShardedBudgetTest, CertifiedPrefixSoundAtEveryCutPoint) {
   const PointSet points = DuplicateHeavyDataset(180, 3, 42);
   StatusOr<DifferentialHarness> harness = DifferentialHarness::Build(points);
@@ -285,7 +285,7 @@ TEST(ShardedBudgetTest, CertifiedPrefixSoundAtEveryCutPoint) {
       TopKQuery budgeted = base;
       budgeted.budget.max_evals = step;
       const std::vector<std::string> failures =
-          harness.value().CheckBudgetedQuery(budgeted, "sdl+4h", &partials);
+          harness.value().CheckQuery(budgeted, "sdl+4h", &partials);
       EXPECT_TRUE(failures.empty())
           << "step " << step << ": " << failures.front();
       if (!failures.empty()) return;
@@ -511,7 +511,6 @@ TEST(ShardedFuzzTest, PinnedSeedClean) {
   // canonical (score, id) order.
   FuzzOptions options;
   options.dynamic = false;
-  options.queries_per_case = 4;
   const FuzzCaseResult result = RunFuzzCase(964, options);
   EXPECT_TRUE(result.ok()) << result.failures.front();
 }
