@@ -194,4 +194,42 @@ void MapToGlobal(const std::vector<TupleId>& ids,
   result->items.resize(kept);
 }
 
+DualLayerPartition MakeDualLayerPartition(DualLayerIndex index,
+                                          std::vector<TupleId> ids) {
+  std::vector<double> bound_values = SkylineCorners(index);
+  return DualLayerPartition{std::move(index), std::move(ids), 0,
+                            std::move(bound_values)};
+}
+
+TopKResult MergeDualLayerPartitions(const PartitionSet& set,
+                                    PointView weights, std::size_t k,
+                                    const ExecBudget& budget,
+                                    const Stopwatch& timer, TopKResult opened,
+                                    const PartitionTraversal& traverse) {
+  std::vector<PartitionBound> bounds;
+  bounds.reserve(set.parts.size());
+  for (std::size_t p = 0; p < set.parts.size(); ++p) {
+    const DualLayerPartition& part = *set.parts[p];
+    if (part.ids.size() <= part.dead) continue;  // no live member
+    bounds.push_back({CornerLowerBound(part.bound_values, weights), p});
+  }
+  return MergePartitions(
+      k, budget, timer, std::move(opened), bounds,
+      [&](std::size_t p, const ExecBudget& sub) {
+        const DualLayerPartition& part = *set.parts[p];
+        std::optional<TopKResult> result = traverse(
+            part.index, std::min(part.ids.size(), k + part.dead), sub);
+        if (!result.has_value()) {
+          TopKResult declined;
+          declined.stats.boxes_pruned = 1;
+          FinalizeComplete(declined);
+          return declined;
+        }
+        ++(result->stats.*set.opened);
+        MapToGlobal(part.ids, set.tombstones, &*result);
+        return std::move(*result);
+      },
+      set.label);
+}
+
 }  // namespace drli

@@ -16,12 +16,17 @@
 // by the smaller of its frontier and its best returned score; the
 // emitted prefix is certified against the minimum of that floor and
 // every surviving heap key.
+//
+// Shards and tiered runs are one type, DualLayerPartition, and the four
+// merges over them (plain and constrained, sharded and tiered) share
+// one open rule, MergeDualLayerPartitions.
 
 #ifndef DRLI_CORE_PARTITION_MERGE_H_
 #define DRLI_CORE_PARTITION_MERGE_H_
 
 #include <cstddef>
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_set>
 #include <vector>
@@ -41,8 +46,8 @@ namespace drli {
 // gated members whose fine parents pass only the rounding-level EDS
 // certificate, not the strict one (coplanar rows). CornerLowerBound
 // over them is the index's exact minimum computed score, bit for bit.
-// Costs one LP per LP-gated skyline member; callers build it once per
-// partition.
+// Costs one LP per LP-gated skyline member; MakeDualLayerPartition
+// computes it once per partition.
 std::vector<double> SkylineCorners(const DualLayerIndex& index);
 
 // The minimum Score over `corners`; +inf when there are none.
@@ -84,6 +89,53 @@ TopKResult MergePartitions(std::size_t k, const ExecBudget& budget,
 // `dead` (may be null) are dropped; `accessed` is mapped unfiltered.
 void MapToGlobal(const std::vector<TupleId>& ids,
                  const std::unordered_set<TupleId>* dead, TopKResult* result);
+
+// A shard or a tiered run: a complete DL+ index over a subset of the
+// relation. `ids[local]` is the global id of local tuple `local`,
+// strictly ascending, so the local (score, id) order is the global
+// one. `dead` counts members masked by tombstones (always 0 for a
+// shard). `bound_values` = SkylineCorners(index), the points of the
+// partition's corner bound; sound under tombstones too, since masking
+// members only raises the live minimum.
+struct DualLayerPartition {
+  DualLayerIndex index;
+  std::vector<TupleId> ids;
+  std::size_t dead = 0;
+  std::vector<double> bound_values;
+};
+
+// The one way to make a partition: computes its bound points (one LP
+// per LP-gated skyline member, so callers run it on worker threads).
+DualLayerPartition MakeDualLayerPartition(DualLayerIndex index,
+                                          std::vector<TupleId> ids);
+
+// One engine's partitions as its merges see them.
+struct PartitionSet {
+  std::vector<const DualLayerPartition*> parts;
+  // Masked run members, dropped from opened lists; null for shards.
+  const std::unordered_set<TupleId>* tombstones = nullptr;
+  std::size_t QueryStats::*opened = nullptr;  // shards_touched, runs_opened
+  PartitionLabel label;
+};
+
+// One merge's per-partition traversal: the top `k` items of `index`
+// under `budget`, in local ids; nullopt declines the partition unopened
+// (one box pruned: all its sublayer boxes miss a constraint box).
+using PartitionTraversal = std::function<std::optional<TopKResult>(
+    const DualLayerIndex& index, std::size_t k, const ExecBudget& budget)>;
+
+// The open rule of every merge over DL+ partitions. A partition with no
+// live member is never enqueued; the rest wait at their corner bound
+// under `weights`. An opened partition is asked for
+// min(|ids|, k + dead) items -- the top k + dead members hold at least
+// min(live, k) live ones -- mapped to global ids with the tombstones
+// dropped, and bumps `set.opened`; errors carry `set.label`. `opened`
+// (the already-open list) and `timer` are as in MergePartitions.
+TopKResult MergeDualLayerPartitions(const PartitionSet& set,
+                                    PointView weights, std::size_t k,
+                                    const ExecBudget& budget,
+                                    const Stopwatch& timer, TopKResult opened,
+                                    const PartitionTraversal& traverse);
 
 }  // namespace drli
 

@@ -6,7 +6,6 @@
 
 #include "common/check.h"
 #include "common/stopwatch.h"
-#include "core/partition_merge.h"
 
 namespace drli {
 
@@ -145,11 +144,11 @@ void TieredDualLayerIndex::InstallRun(PointSet rows, std::vector<TupleId> ids,
   if (ids.empty()) return;
   DRLI_CHECK(runs_.empty() || ids.front() > runs_.back().ids.back())
       << "new run must hold the newest id interval";
-  TieredRun run{next_run_uid_++, tier,
-                DualLayerIndex::Build(std::move(rows), options_.run),
-                std::move(ids), 0, {}};
-  run.bound_values = SkylineCorners(run.index);
-  runs_.push_back(std::move(run));
+  runs_.push_back(TieredRun{
+      MakeDualLayerPartition(
+          DualLayerIndex::Build(std::move(rows), options_.run),
+          std::move(ids)),
+      next_run_uid_++, tier});
   ++generation_;
 }
 
@@ -276,10 +275,10 @@ CompactProgress TieredDualLayerIndex::CompactStep() {
   }
   DRLI_CHECK(insert_at != kNpos);
   if (!job.row_ids.empty()) {
-    TieredRun merged{next_run_uid_++, job.target_tier,
-                     std::move(*job.built), std::move(job.row_ids), dead,
-                     {}};
-    merged.bound_values = SkylineCorners(merged.index);
+    TieredRun merged{MakeDualLayerPartition(std::move(*job.built),
+                                            std::move(job.row_ids)),
+                     next_run_uid_++, job.target_tier};
+    merged.dead = dead;
     kept.insert(kept.begin() + static_cast<std::ptrdiff_t>(insert_at),
                 std::move(merged));
   }
@@ -341,26 +340,24 @@ TopKResult TieredDualLayerIndex::Query(const TopKQuery& query) const {
   memtable.stats.tuples_evaluated = memtable_ids_.size();
   std::sort(memtable.items.begin(), memtable.items.end(), ResultOrderLess);
 
-  std::vector<PartitionBound> partitions;
-  partitions.reserve(runs_.size());
-  for (std::size_t s = 0; s < runs_.size(); ++s) {
-    if (runs_[s].ids.size() <= runs_[s].dead) continue;  // no live member
-    partitions.push_back({CornerLowerBound(runs_[s].bound_values, w), s});
-  }
-  return MergePartitions(
-      query.k, query.budget, timer, std::move(memtable), partitions,
-      [&](std::size_t s, const ExecBudget& budget) {
-        // Over-fetch to survive tombstone filtering: the top (k + dead)
-        // members hold at least min(live(run), k) live tuples.
-        const TieredRun& run = runs_[s];
-        TopKResult run_result = run.index.Query(TopKQuery{
-            query.weights, std::min(run.ids.size(), query.k + run.dead),
-            budget});
-        ++run_result.stats.runs_opened;
-        MapToGlobal(run.ids, &tombstones_, &run_result);
-        return run_result;
-      },
-      [this](std::size_t s) { return "run " + std::to_string(runs_[s].uid); });
+  return MergeDualLayerPartitions(
+      partitions(), w, query.k, query.budget, timer, std::move(memtable),
+      [&](const DualLayerIndex& run, std::size_t k,
+          const ExecBudget& budget) -> std::optional<TopKResult> {
+        return run.Query(TopKQuery{query.weights, k, budget});
+      });
+}
+
+PartitionSet TieredDualLayerIndex::partitions() const {
+  PartitionSet set;
+  set.parts.reserve(runs_.size());
+  for (const TieredRun& run : runs_) set.parts.push_back(&run);
+  set.tombstones = &tombstones_;
+  set.opened = &QueryStats::runs_opened;
+  set.label = [this](std::size_t r) {
+    return "run " + std::to_string(runs_[r].uid);
+  };
+  return set;
 }
 
 }  // namespace drli

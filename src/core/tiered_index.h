@@ -16,9 +16,10 @@
 // run order and the per-run id lists stay sorted -- the property the
 // query path leans on for canonical (score, id) tie-breaking.
 //
-// Queries run the bounded-partition merge the sharded coordinator uses
-// (core/partition_merge.h): one partition per run holding a live
-// member, bounded by its exact top-1 score (the minimum over its
+// Every run is a DualLayerPartition (core/partition_merge.h) plus its
+// uid and tier, and queries run the partitions' one open rule, the
+// same as the sharded coordinator: one partition per run holding a
+// live member, bounded by its exact top-1 score (the minimum over its
 // SkylineCorners points, dead members included), plus the fully
 // scanned memtable as an already-open list. A run is opened -- its
 // DualLayerIndex queried for min(|run|, k + dead(run)) items,
@@ -45,7 +46,9 @@
 #include <vector>
 
 #include "common/point.h"
+#include "common/status.h"
 #include "core/dual_layer.h"
+#include "core/partition_merge.h"
 #include "topk/query.h"
 
 namespace drli {
@@ -82,19 +85,12 @@ enum class CompactProgress : std::uint8_t {
   kInstalled,   // swapped the new run in (generation advanced)
 };
 
-// One immutable run: a DualLayerIndex over a contiguous batch of
-// stable ids. `ids` maps run-local tuple positions to stable ids and
-// is strictly ascending; `dead` counts members currently tombstoned.
-struct TieredRun {
+// One immutable run: a partition over a contiguous batch of stable
+// ids (`ids` maps run-local positions to them; `dead` counts members
+// currently tombstoned).
+struct TieredRun : DualLayerPartition {
   std::uint32_t uid = 0;   // unique within the index, monotone
   std::uint32_t tier = 0;  // 0 = sealed memtable, +1 per merge
-  DualLayerIndex index;
-  std::vector<TupleId> ids;
-  std::size_t dead = 0;
-  // SkylineCorners(index): the run's bound points backing its
-  // query-time lower bound, dim() doubles per point. Sound under
-  // tombstones too: masking members only raises the live minimum.
-  std::vector<double> bound_values;
 };
 
 class TieredDualLayerIndex final : public TopKIndex {
@@ -162,9 +158,12 @@ class TieredDualLayerIndex final : public TopKIndex {
   const std::unordered_set<TupleId>& tombstones() const {
     return tombstones_;
   }
+  // The runs as the merges, plain and constrained, see them.
+  PartitionSet partitions() const;
 
  private:
-  friend class TieredIndexIO;  // storage/tiered_io.cc
+  friend StatusOr<TieredDualLayerIndex> LoadTieredIndex(  // tiered_io.cc
+      const std::string& path);
 
   struct CompactionJob {
     std::vector<std::uint32_t> input_uids;

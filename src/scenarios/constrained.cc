@@ -3,8 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
-#include <string>
-#include <unordered_set>
+#include <optional>
 #include <utility>
 #include <vector>
 
@@ -23,35 +22,22 @@ Status ValidateConstrained(const ConstrainedQuery& query, std::size_t dim) {
   return ValidateBox(query.box, dim);
 }
 
-// Opens one shard or run of a constrained merge: a partition whose
-// sublayer boxes all miss the constraint box is pruned unscored
-// (boxes_pruned); otherwise its DL+ traversal runs for `k` items under
-// `budget` and counts itself in `opened`. Ids come back global, `dead`
-// members dropped.
-TopKResult OpenConstrained(const DualLayerIndex& part,
-                           const std::vector<TupleId>& ids,
-                           const std::unordered_set<TupleId>* dead,
-                           std::size_t QueryStats::*opened,
-                           const ConstrainedQuery& query, std::size_t k,
-                           const ExecBudget& budget) {
-  const std::vector<SublayerSummary>& catalog = part.sublayer_catalog();
-  const bool overlaps =
-      std::any_of(catalog.begin(), catalog.end(), [&](const auto& group) {
-        return query.box.Intersects(group.bbox_lo, group.bbox_hi);
-      });
-  if (!overlaps) {
-    TopKResult pruned;
-    pruned.stats.boxes_pruned = 1;
-    FinalizeComplete(pruned);
-    return pruned;
-  }
-  ConstrainedQuery sub = query;
-  sub.k = k;
-  sub.budget = budget;
-  TopKResult local = ConstrainedTopK(part, sub);
-  ++(local.stats.*opened);
-  MapToGlobal(ids, dead, &local);
-  return local;
+// A constrained merge's per-partition traversal: the sublayer-pruning
+// traversal below, or nullopt when every sublayer box misses the box.
+PartitionTraversal ConstrainedTraversal(const ConstrainedQuery& query) {
+  return [&query](const DualLayerIndex& part, std::size_t k,
+                  const ExecBudget& budget) -> std::optional<TopKResult> {
+    const std::vector<SublayerSummary>& catalog = part.sublayer_catalog();
+    const bool overlaps =
+        std::any_of(catalog.begin(), catalog.end(), [&](const auto& group) {
+          return query.box.Intersects(group.bbox_lo, group.bbox_hi);
+        });
+    if (!overlaps) return std::nullopt;
+    ConstrainedQuery sub = query;
+    sub.k = k;
+    sub.budget = budget;
+    return ConstrainedTopK(part, sub);
+  };
 }
 
 // Can a unit with bound `bound` still change the heap's answer? Ties
@@ -125,19 +111,9 @@ TopKResult ConstrainedTopK(const ShardedDualLayerIndex& index,
   if (Status status = ValidateConstrained(query, index.dim()); !status.ok()) {
     return InvalidQueryResult(status);
   }
-  std::vector<PartitionBound> partitions;
-  for (std::size_t s = 0; s < index.num_shards(); ++s) {
-    if (index.shard_members(s).empty()) continue;
-    partitions.push_back({index.ShardLowerBound(s, query.weights), s});
-  }
-  return MergePartitions(
-      query.k, query.budget, timer, {}, partitions,
-      [&](std::size_t s, const ExecBudget& budget) {
-        return OpenConstrained(index.shard(s), index.shard_members(s),
-                               nullptr, &QueryStats::shards_touched, query,
-                               query.k, budget);
-      },
-      [](std::size_t s) { return "shard " + std::to_string(s); });
+  return MergeDualLayerPartitions(index.partitions(), query.weights, query.k,
+                                  query.budget, timer, {},
+                                  ConstrainedTraversal(query));
 }
 
 TopKResult ConstrainedTopK(const TieredDualLayerIndex& index,
@@ -161,25 +137,9 @@ TopKResult ConstrainedTopK(const TieredDualLayerIndex& index,
     memtable.items.push_back(ScoredTuple{ids[i], Score(query.weights, p)});
   }
   std::sort(memtable.items.begin(), memtable.items.end(), ResultOrderLess);
-
-  std::vector<PartitionBound> partitions;
-  for (std::size_t r = 0; r < index.num_runs(); ++r) {
-    const TieredRun& run = index.run(r);
-    if (run.ids.size() <= run.dead) continue;  // no live member
-    partitions.push_back(
-        {CornerLowerBound(run.bound_values, query.weights), r});
-  }
-  return MergePartitions(
-      query.k, query.budget, timer, std::move(memtable), partitions,
-      [&](std::size_t r, const ExecBudget& budget) {
-        // k + dead(run) local items guarantee k live ones when the run
-        // has them: any further member follows k live predecessors.
-        const TieredRun& run = index.run(r);
-        return OpenConstrained(run.index, run.ids, &index.tombstones(),
-                               &QueryStats::runs_opened, query,
-                               query.k + run.dead, budget);
-      },
-      [&](std::size_t r) { return "run " + std::to_string(index.run(r).uid); });
+  return MergeDualLayerPartitions(index.partitions(), query.weights, query.k,
+                                  query.budget, timer, std::move(memtable),
+                                  ConstrainedTraversal(query));
 }
 
 TopKResult ConstrainedScanRows(const PointSet& points,

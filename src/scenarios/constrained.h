@@ -13,10 +13,10 @@
 //   * stops once the next group's bound exceeds the current k-th
 //     in-box score (the usual layer-frontier termination, exact in FP
 //     because dominance is score-monotone under non-negative weights).
-// Over shards (sdl+) and runs (tdl+), the engines' bounded-partition
-// merge (core/partition_merge.h) opens each partition with the
-// predicate pushed in: a shard or run whose sublayer boxes all miss
-// the box counts as one box pruned, any other runs the traversal above.
+// Over shards (sdl+) and runs (tdl+), the partitions' open rule
+// (core/partition_merge.h) runs with the predicate pushed in: a shard
+// or run whose sublayer boxes all miss the box counts as one box
+// pruned, any other runs the traversal above.
 //
 // Certified partials: with an ExecBudget, a tripped traversal returns
 // a certified prefix. Over one index the frontier is the next group's
@@ -63,8 +63,8 @@ TopKResult ConstrainedTopK(const ShardedDualLayerIndex& index,
 
 // Tiered engine: the memtable is always fully scanned (so partials
 // certify against run bounds alone, like the unconstrained merge);
-// runs open in bound order, each queried for k + dead(run) items so
-// tombstoned members can never starve the live answer.
+// runs open in bound order, each queried for min(|run|, k + dead(run))
+// items so tombstoned members can never starve the live answer.
 TopKResult ConstrainedTopK(const TieredDualLayerIndex& index,
                            const ConstrainedQuery& query);
 

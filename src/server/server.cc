@@ -689,14 +689,7 @@ void TopKServer::Impl::Execute(WorkItem& item) {
     results.push_back(
         ExecuteWireQuery(*generation, item.request.queries[0], budgets[0]));
   } else {
-    results = ExecuteWireBatch(*generation, item.request.queries, budgets,
-                               options.max_in_flight);
-  }
-  for (auto& r : results) {
-    if (r.status == wire::ReplyStatus::kOverloaded) {
-      r.retry_after_ms = options.retry_after_ms;
-      shed.fetch_add(1);
-    }
+    results = ExecuteWireBatch(*generation, item.request.queries, budgets);
   }
   served.fetch_add(n);
   in_flight.fetch_sub(item.admitted);

@@ -40,10 +40,14 @@ Status StatIdentity(const std::string& path, FileIdentity* out) {
   return Status::Ok();
 }
 
-wire::WireResult FromTopKResult(const TopKResult& result,
-                                std::uint64_t sequence) {
+// The reply to an answer that ended with `termination`: rejections map
+// to their own statuses, and every other ending -- complete or
+// certified partial -- is kOk. The caller adds items and certification.
+wire::WireResult ReplyOf(Termination termination,
+                         std::size_t tuples_evaluated,
+                         const std::string& message, std::uint64_t sequence) {
   wire::WireResult out;
-  switch (result.termination) {
+  switch (termination) {
     case Termination::kShed:
       out.status = wire::ReplyStatus::kOverloaded;
       break;
@@ -56,27 +60,30 @@ wire::WireResult FromTopKResult(const TopKResult& result,
     default:
       out.status = wire::ReplyStatus::kOk;
   }
-  out.termination = static_cast<std::uint8_t>(result.termination);
+  out.termination = static_cast<std::uint8_t>(termination);
+  out.tuples_evaluated = tuples_evaluated;
+  out.generation = sequence;
+  out.message = message;
+  return out;
+}
+
+wire::WireResult FromTopKResult(const TopKResult& result,
+                                std::uint64_t sequence) {
+  wire::WireResult out = ReplyOf(result.termination,
+                                 result.stats.tuples_evaluated, result.error,
+                                 sequence);
   out.certified_prefix = result.certified_prefix;
   out.frontier_bound = result.frontier_bound;
   out.items.reserve(result.items.size());
   for (const ScoredTuple& item : result.items) {
     out.items.push_back({item.id, item.score, item.score});
   }
-  out.tuples_evaluated = result.stats.tuples_evaluated;
-  out.generation = sequence;
-  out.message = result.error;
   return out;
 }
 
 wire::WireResult InvalidWireQuery(std::uint64_t sequence,
                                   const std::string& message) {
-  wire::WireResult out;
-  out.status = wire::ReplyStatus::kInvalidQuery;
-  out.termination = static_cast<std::uint8_t>(Termination::kInvalidQuery);
-  out.generation = sequence;
-  out.message = message;
-  return out;
+  return ReplyOf(Termination::kInvalidQuery, 0, message, sequence);
 }
 
 }  // namespace
@@ -280,27 +287,15 @@ wire::WireResult ExecuteWireQuery(const ServingGeneration& generation,
       q.budget = budget;
       DiversifiedResult result = DiversifiedTopK(
           *generation.index, generation.dl->points(), q, generation.cells);
-      wire::WireResult out;
-      switch (result.termination) {
-        case Termination::kInvalidQuery:
-          out.status = wire::ReplyStatus::kInvalidQuery;
-          break;
-        case Termination::kError:
-          out.status = wire::ReplyStatus::kError;
-          break;
-        default:
-          out.status = wire::ReplyStatus::kOk;
-      }
-      out.termination = static_cast<std::uint8_t>(result.termination);
+      wire::WireResult out =
+          ReplyOf(result.termination, result.stats.tuples_evaluated,
+                  result.error, generation.sequence);
       out.certified_prefix = result.certified_prefix;
       out.frontier_bound = result.pool_bound;
       out.items.reserve(result.picks.size());
       for (const DiversifiedPick& pick : result.picks) {
         out.items.push_back({pick.id, pick.score, pick.utility});
       }
-      out.tuples_evaluated = result.stats.tuples_evaluated;
-      out.generation = generation.sequence;
-      out.message = result.error;
       return out;
     }
     case wire::Scenario::kReverse: {
@@ -319,29 +314,16 @@ wire::WireResult ExecuteWireQuery(const ServingGeneration& generation,
         // Interval count is bounded by the data, not by k, so it is
         // only checkable here; an explicit error beats a reply that
         // cannot fit one frame.
-        wire::WireResult out;
-        out.status = wire::ReplyStatus::kError;
-        out.termination = static_cast<std::uint8_t>(Termination::kError);
-        out.tuples_evaluated = result.stats.tuples_evaluated;
-        out.generation = generation.sequence;
-        out.message = "reverse result carries " +
-                      std::to_string(result.intervals.size()) +
-                      " intervals, over the wire bound (" +
-                      std::to_string(wire::kMaxWireItems) + ")";
-        return out;
+        return ReplyOf(Termination::kError, result.stats.tuples_evaluated,
+                       "reverse result carries " +
+                           std::to_string(result.intervals.size()) +
+                           " intervals, over the wire bound (" +
+                           std::to_string(wire::kMaxWireItems) + ")",
+                       generation.sequence);
       }
-      wire::WireResult out;
-      switch (result.termination) {
-        case Termination::kInvalidQuery:
-          out.status = wire::ReplyStatus::kInvalidQuery;
-          break;
-        case Termination::kError:
-          out.status = wire::ReplyStatus::kError;
-          break;
-        default:
-          out.status = wire::ReplyStatus::kOk;
-      }
-      out.termination = static_cast<std::uint8_t>(result.termination);
+      wire::WireResult out =
+          ReplyOf(result.termination, result.stats.tuples_evaluated,
+                  result.error, generation.sequence);
       // Every returned interval of a complete sweep is exact.
       out.certified_prefix =
           result.complete() ? result.intervals.size() : 0;
@@ -349,9 +331,6 @@ wire::WireResult ExecuteWireQuery(const ServingGeneration& generation,
       for (const WeightInterval& iv : result.intervals) {
         out.intervals.push_back({iv.lo, iv.hi});
       }
-      out.tuples_evaluated = result.stats.tuples_evaluated;
-      out.generation = generation.sequence;
-      out.message = result.error;
       return out;
     }
   }
@@ -361,7 +340,7 @@ wire::WireResult ExecuteWireQuery(const ServingGeneration& generation,
 std::vector<wire::WireResult> ExecuteWireBatch(
     const ServingGeneration& generation,
     const std::vector<wire::WireQuery>& queries,
-    const std::vector<ExecBudget>& budgets, std::size_t max_in_flight) {
+    const std::vector<ExecBudget>& budgets) {
   std::vector<wire::WireResult> out(queries.size());
   std::vector<std::size_t> plain;
   plain.reserve(queries.size());
@@ -389,10 +368,7 @@ std::vector<wire::WireResult> ExecuteWireBatch(
     q.budget = budgets[i];
     batch.push_back(std::move(q));
   }
-  BatchOptions options;
-  options.max_in_flight = max_in_flight;
-  std::vector<TopKResult> results =
-      generation.index->QueryBatch(batch, options);
+  std::vector<TopKResult> results = generation.index->QueryBatch(batch);
   for (std::size_t j = 0; j < plain.size(); ++j) {
     out[plain[j]] = FromTopKResult(results[j], generation.sequence);
   }

@@ -121,15 +121,15 @@ wire::WireResult ExecuteWireQuery(const ServingGeneration& generation,
                                   const wire::WireQuery& query,
                                   const ExecBudget& budget);
 
-// Runs a kBatch frame through the TopKIndex::QueryBatch admission
-// machinery: plain queries are batched (parallel fast path, validate-
-// before-shed, deterministic shedding at `max_in_flight`); non-plain
-// scenarios come back kInvalidQuery without consuming a slot (use
-// kQuery for scenario routing). budgets[i] is query i's ExecBudget.
+// Runs a kBatch frame's plain queries through TopKIndex::QueryBatch;
+// non-plain scenarios and k past the wire reply bound come back
+// kInvalidQuery (use kQuery for scenario routing). budgets[i] is query
+// i's ExecBudget. Nothing is shed here: the server's loop thread admits
+// or sheds a whole request against its in-flight cap beforehand.
 std::vector<wire::WireResult> ExecuteWireBatch(
     const ServingGeneration& generation,
     const std::vector<wire::WireQuery>& queries,
-    const std::vector<ExecBudget>& budgets, std::size_t max_in_flight);
+    const std::vector<ExecBudget>& budgets);
 
 }  // namespace server
 }  // namespace drli

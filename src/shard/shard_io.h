@@ -4,21 +4,16 @@
 // manifest that records the partition: which global tuple ids live in
 // which shard file.
 //
-// Manifest layout (little-endian, CRC-32C over everything before the
-// trailing checksum):
-//   u32 magic "DRLS"   u32 version   u32 dim   u32 partitioner
-//   u64 num_shards     u64 total_points   u64 partition_seed
-//   u64 flags (reserved, 0)
-//   u64 name_len, name bytes
-//   per shard: u64 num_points; u64 file_len, file bytes (relative,
-//              path-separator-free); num_points x u32 ascending global
-//              tuple ids
-//   u32 crc32c
-// The loader trusts nothing: every length is bounded before use, the
-// member lists must form an exact partition of [0, total_points), the
-// per-shard files must parse as valid snapshots of matching dim and
-// cardinality. Shard corner bounds are recomputed from the loaded
-// points, never persisted.
+// The manifest is written with the partition-table codec the tiered
+// manifest shares (storage/manifest_codec.h): magic "DRLS", version 1,
+// the partitioner as the prologue word, the counters num_shards,
+// total_points and partition_seed, then one entry per shard (its file
+// "<manifest>.shard-NNNN" and ascending global member ids). The loader
+// trusts nothing: every length is bounded before use, the member lists
+// must form an exact partition of [0, total_points), the per-shard
+// files must parse as valid snapshots of matching dim and cardinality.
+// Shard corner bounds are recomputed from the loaded points on worker
+// threads, never persisted.
 
 #ifndef DRLI_SHARD_SHARD_IO_H_
 #define DRLI_SHARD_SHARD_IO_H_
@@ -30,6 +25,7 @@
 #include "common/status.h"
 #include "core/serialization.h"
 #include "shard/sharded_index.h"
+#include "storage/manifest_codec.h"
 
 namespace drli {
 
@@ -37,7 +33,6 @@ namespace shard_manifest {
 inline constexpr std::uint32_t kMagic = 0x534c5244;  // "DRLS" LE
 inline constexpr std::uint32_t kVersion = 1;
 inline constexpr std::size_t kMaxShards = 4096;
-inline constexpr std::size_t kMaxNameLength = 4096;
 }  // namespace shard_manifest
 
 struct ShardedLoadOptions {
@@ -67,11 +62,6 @@ bool IsShardManifest(const std::string& path);
 
 // --- manifest metadata (drli inspect, tests) ---
 
-struct ShardManifestShardInfo {
-  std::uint64_t num_points = 0;
-  std::string file;  // relative to the manifest's directory
-};
-
 struct ShardManifestInfo {
   std::uint32_t version = 0;
   std::size_t dim = 0;
@@ -80,7 +70,7 @@ struct ShardManifestInfo {
   std::uint64_t total_points = 0;
   std::uint64_t partition_seed = 0;
   std::string name;
-  std::vector<ShardManifestShardInfo> shards;
+  std::vector<ManifestEntry> shards;
 };
 
 // Parses and fully validates the manifest (checksum included) without

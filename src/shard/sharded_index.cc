@@ -8,7 +8,6 @@
 #include "common/parallel_for.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
-#include "core/partition_merge.h"
 
 namespace drli {
 
@@ -83,8 +82,8 @@ ShardedDualLayerIndex ShardedDualLayerIndex::Build(
 
   const std::size_t shards = std::max<std::size_t>(1, options.num_shards);
   Stopwatch phase;
-  index.members_ = PartitionPoints(points, shards, options.partitioner,
-                                   options.partition_seed);
+  std::vector<std::vector<TupleId>> members = PartitionPoints(
+      points, shards, options.partitioner, options.partition_seed);
   index.build_stats_.partition_seconds = phase.ElapsedSeconds();
 
   // The outer loop over shards owns all parallelism; each shard build
@@ -100,8 +99,7 @@ ShardedDualLayerIndex ShardedDualLayerIndex::Build(
       shards,
       [&](std::size_t s, std::size_t) {
         built[s].emplace(
-            DualLayerIndex::Build(points.Subset(index.members_[s]),
-                                  shard_options));
+            DualLayerIndex::Build(points.Subset(members[s]), shard_options));
       },
       options.build_threads);
   index.build_stats_.build_wall_seconds = phase.ElapsedSeconds();
@@ -112,12 +110,22 @@ ShardedDualLayerIndex ShardedDualLayerIndex::Build(
     index.build_stats_.build_cpu_seconds +=
         built[s]->build_stats().build_seconds;
     index.build_stats_.min_shard_points =
-        std::min(index.build_stats_.min_shard_points, index.members_[s].size());
+        std::min(index.build_stats_.min_shard_points, members[s].size());
     index.build_stats_.max_shard_points =
-        std::max(index.build_stats_.max_shard_points, index.members_[s].size());
-    index.shards_.push_back(std::move(*built[s]));
+        std::max(index.build_stats_.max_shard_points, members[s].size());
+    index.shards_.push_back(
+        {std::move(*built[s]), std::move(members[s]), 0, {}});
   }
-  index.ComputeShardBounds(options.build_threads);
+  // The bound points cost an LP per LP-gated skyline member: a second
+  // pass over the same workers, once every shard is built.
+  ParallelFor(
+      shards,
+      [&](std::size_t s, std::size_t) {
+        DualLayerPartition& shard = index.shards_[s];
+        shard = MakeDualLayerPartition(std::move(shard.index),
+                                       std::move(shard.ids));
+      },
+      options.build_threads);
 
   if (!options.name.empty()) {
     index.name_ = options.name;
@@ -131,21 +139,18 @@ ShardedDualLayerIndex ShardedDualLayerIndex::Build(
   return index;
 }
 
-void ShardedDualLayerIndex::ComputeShardBounds(std::size_t threads) {
-  // SkylineCorners solves an LP per LP-gated skyline member, so the
-  // shards run in parallel, like their builds.
-  bound_corners_.assign(shards_.size(), {});
-  ParallelFor(
-      shards_.size(),
-      [&](std::size_t s, std::size_t) {
-        bound_corners_[s] = SkylineCorners(shards_[s]);
-      },
-      threads);
-}
-
 double ShardedDualLayerIndex::ShardLowerBound(std::size_t s,
                                               PointView weights) const {
-  return CornerLowerBound(bound_corners_[s], weights);
+  return CornerLowerBound(shards_[s].bound_values, weights);
+}
+
+PartitionSet ShardedDualLayerIndex::partitions() const {
+  PartitionSet set;
+  set.parts.reserve(shards_.size());
+  for (const DualLayerPartition& shard : shards_) set.parts.push_back(&shard);
+  set.opened = &QueryStats::shards_touched;
+  set.label = [](std::size_t s) { return "shard " + std::to_string(s); };
+  return set;
 }
 
 TopKResult ShardedDualLayerIndex::Query(const TopKQuery& query) const {
@@ -153,22 +158,12 @@ TopKResult ShardedDualLayerIndex::Query(const TopKQuery& query) const {
   if (const Status status = ValidateQuery(query, dim_); !status.ok()) {
     return InvalidQueryResult(status);
   }
-  std::vector<PartitionBound> partitions;
-  partitions.reserve(shards_.size());
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (members_[s].empty()) continue;
-    partitions.push_back({ShardLowerBound(s, query.weights), s});
-  }
-  return MergePartitions(
-      query.k, query.budget, timer, {}, partitions,
-      [&](std::size_t s, const ExecBudget& budget) {
-        TopKResult shard_result = shards_[s].Query(TopKQuery{
-            query.weights, std::min(query.k, members_[s].size()), budget});
-        ++shard_result.stats.shards_touched;
-        MapToGlobal(members_[s], nullptr, &shard_result);
-        return shard_result;
-      },
-      [](std::size_t s) { return "shard " + std::to_string(s); });
+  return MergeDualLayerPartitions(
+      partitions(), query.weights, query.k, query.budget, timer, {},
+      [&](const DualLayerIndex& shard, std::size_t k,
+          const ExecBudget& budget) -> std::optional<TopKResult> {
+        return shard.Query(TopKQuery{query.weights, k, budget});
+      });
 }
 
 }  // namespace drli

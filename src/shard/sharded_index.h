@@ -4,16 +4,15 @@
 // and the superlinear per-shard build cost means even a single core
 // wins), and answer top-k by scatter-gather.
 //
-// Query processing is the bounded-partition merge (core/
-// partition_merge.h), one partition per non-empty shard, bounded by the
-// shard's exact top-1 score (the minimum over its SkylineCorners
-// points: the real tuples its DL+ traversal starts from, plus the
-// skyline members gated only up to rounding). A shard is opened -- its DL+
-// index queried for min(k, |shard|) items -- only when its bound
-// reaches the merge frontier, so with selective partitions (hyperplane
-// split) most queries touch a small fraction of S;
-// stats.shards_touched counts the shards that ran. Budgets compose
-// across shards by remainder.
+// Each shard is a DualLayerPartition (core/partition_merge.h): its
+// index, its ascending global member ids and its bound points. Query
+// processing is the partitions' one open rule, MergeDualLayerPartitions,
+// bounded by each shard's exact top-1 score (the minimum over its
+// SkylineCorners points). A shard is opened -- its DL+ index queried
+// for min(k, |shard|) items -- only when its bound reaches the merge
+// frontier, so with selective partitions (hyperplane split) most
+// queries touch a small fraction of S; stats.shards_touched counts the
+// shards that ran. Budgets compose across shards by remainder.
 
 #ifndef DRLI_SHARD_SHARDED_INDEX_H_
 #define DRLI_SHARD_SHARDED_INDEX_H_
@@ -26,6 +25,7 @@
 #include "common/point.h"
 #include "common/status.h"
 #include "core/dual_layer.h"
+#include "core/partition_merge.h"
 #include "topk/query.h"
 
 namespace drli {
@@ -111,10 +111,13 @@ class ShardedDualLayerIndex final : public TopKIndex {
   // --- introspection (tests, serialization, bench) ---
   std::size_t num_shards() const { return shards_.size(); }
   std::size_t dim() const override { return dim_; }
-  const DualLayerIndex& shard(std::size_t s) const { return shards_[s]; }
+  const DualLayerIndex& shard(std::size_t s) const { return shards_[s].index; }
+  // Ascending global ids of shard s: the inverse of its local id space.
   const std::vector<TupleId>& shard_members(std::size_t s) const {
-    return members_[s];
+    return shards_[s].ids;
   }
+  // The shards as the merges, plain and constrained, see them.
+  PartitionSet partitions() const;
   ShardPartitioner partitioner() const { return partitioner_; }
   std::uint64_t partition_seed() const { return partition_seed_; }
   const ShardedBuildStats& build_stats() const { return build_stats_; }
@@ -129,11 +132,6 @@ class ShardedDualLayerIndex final : public TopKIndex {
 
   ShardedDualLayerIndex() = default;
 
-  // Derives the bound point sets (SkylineCorners) of every shard, on
-  // `threads` workers (as ShardedBuildOptions::build_threads); called
-  // after build and after load (bounds are never persisted).
-  void ComputeShardBounds(std::size_t threads);
-
   std::string name_;
   std::size_t dim_ = 0;
   std::size_t total_points_ = 0;
@@ -141,13 +139,7 @@ class ShardedDualLayerIndex final : public TopKIndex {
   std::uint64_t partition_seed_ = 0;
   ShardedBuildStats build_stats_;
 
-  std::vector<DualLayerIndex> shards_;
-  // members_[s] = ascending global ids of shard s; the inverse of the
-  // per-shard local id space.
-  std::vector<std::vector<TupleId>> members_;
-  // bound_corners_[s] = SkylineCorners(shards_[s]), the shard's bound
-  // points; empty for an empty shard (which the merge never enqueues).
-  std::vector<std::vector<double>> bound_corners_;
+  std::vector<DualLayerPartition> shards_;
 };
 
 }  // namespace drli

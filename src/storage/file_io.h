@@ -1,6 +1,6 @@
 // The byte-level codec shared by every on-disk writer -- the v2 index
 // snapshot (core/serialization), the shard and tiered manifests
-// (shard/shard_io, storage/tiered_io) and the serving directory's
+// (storage/manifest_codec) and the serving directory's
 // CURRENT pointer (server/serving_engine) -- and by the wire protocol
 // (server/protocol).
 //

@@ -7,226 +7,108 @@
 #include <limits>
 #include <utility>
 
-#include "common/crc32c.h"
-#include "core/partition_merge.h"
-#include "core/serialization.h"
-#include "storage/file_io.h"
-#include "storage/mmap_file.h"
+#include "storage/manifest_codec.h"
 
 namespace drli {
 
 namespace {
 
-using tiered_manifest::kMagic;
-using tiered_manifest::kMaxNameLength;
-using tiered_manifest::kMaxRuns;
-using tiered_manifest::kVersion;
+// The prologue's counters, in manifest order.
+enum Counter {
+  kGeneration,
+  kNextId,
+  kNextRunUid,
+  kNumRuns,
+  kMemtableRows,
+  kNumTombstones,
+  kNumCounters
+};
 
-Status CorruptManifest(const std::string& path, const std::string& detail) {
-  return Status::Corruption("tiered manifest " + path + ": " + detail);
-}
+constexpr ManifestFormat kFormat{"tiered manifest", tiered_manifest::kMagic,
+                                 tiered_manifest::kVersion, kNumCounters,
+                                 "run"};
 
 struct ParsedManifest {
   TieredManifestInfo info;
-  std::vector<std::vector<TupleId>> run_ids;  // per run, ascending
+  std::vector<ManifestEntry> runs;
   std::vector<TupleId> memtable_ids;
   std::vector<double> memtable_rows;  // memtable_ids.size() x dim
   std::vector<TupleId> tombstones;    // ascending
 };
 
-// Parses + validates everything except the run files themselves.
-// `full` is optional (Inspect skips materializing the id lists and
-// memtable rows).
-Status ParseManifest(const std::string& path, ByteSpan bytes,
-                     TieredManifestInfo* info, ParsedManifest* full) {
-  // Fixed header (16 + 56 bytes) + checksum is the smallest legal
-  // manifest; anything shorter cannot even hold the trailer.
-  if (bytes.size() < 16 + 56 + 4) {
-    return CorruptManifest(path, "truncated");
+// Reads and validates the manifest, not the run files themselves.
+Status ReadManifest(const std::string& path, ParsedManifest* out) {
+  ManifestReader reader(kFormat, path);
+  ManifestPrologue prologue;
+  if (Status status = reader.Open(&prologue); !status.ok()) return status;
+  if (prologue.word != 0) return reader.Corrupt("reserved field not zero");
+  const std::uint64_t next_id = prologue.counters[kNextId];
+  const std::uint64_t next_run_uid = prologue.counters[kNextRunUid];
+  const std::uint64_t num_runs = prologue.counters[kNumRuns];
+  const std::uint64_t memtable_rows = prologue.counters[kMemtableRows];
+  const std::uint64_t num_tombstones = prologue.counters[kNumTombstones];
+  if (num_runs > tiered_manifest::kMaxRuns) {
+    return reader.Corrupt("run count out of range");
   }
-  const std::size_t body = bytes.size() - 4;
-  std::uint32_t stored_crc = 0;
-  ByteReader(bytes.subspan(body)).ReadU32(&stored_crc);
-  const std::uint32_t actual_crc = Crc32c(bytes.data(), body);
-  ByteReader cursor(bytes.first(body));
-
-  std::uint32_t magic = 0, version = 0, dim = 0, reserved = 0;
-  cursor.ReadU32(&magic);
-  if (magic != kMagic) return CorruptManifest(path, "bad magic");
-  // Magic before checksum so a non-manifest file reads as "not a
-  // manifest", but any bit flip inside a real manifest -- trailer
-  // included -- is a checksum failure.
-  if (actual_crc != stored_crc) {
-    return CorruptManifest(path, "checksum mismatch");
-  }
-  cursor.ReadU32(&version);
-  if (version != kVersion) {
-    return CorruptManifest(path,
-                           "unsupported version " + std::to_string(version));
-  }
-  cursor.ReadU32(&dim);
-  if (dim == 0 || dim > snapshot::kMaxDim) {
-    return CorruptManifest(path, "dim out of range");
-  }
-  cursor.ReadU32(&reserved);
-  if (reserved != 0) return CorruptManifest(path, "reserved field not zero");
-  std::uint64_t generation = 0, next_id = 0, next_run_uid = 0, num_runs = 0,
-                memtable_rows = 0, num_tombstones = 0, flags = 0,
-                name_len = 0;
-  cursor.ReadU64(&generation);
-  cursor.ReadU64(&next_id);
-  cursor.ReadU64(&next_run_uid);
-  cursor.ReadU64(&num_runs);
-  cursor.ReadU64(&memtable_rows);
-  cursor.ReadU64(&num_tombstones);
-  cursor.ReadU64(&flags);
-  if (!cursor.ReadU64(&name_len)) return CorruptManifest(path, "truncated");
-  if (num_runs > kMaxRuns) {
-    return CorruptManifest(path, "run count out of range");
-  }
-  if (next_id >= kInvalidTupleId) {
-    return CorruptManifest(path, "next_id out of range");
-  }
+  if (next_id >= kInvalidTupleId) return reader.Corrupt("next_id out of range");
   if (next_run_uid > std::numeric_limits<std::uint32_t>::max()) {
-    return CorruptManifest(path, "next_run_uid out of range");
-  }
-  // Every stable id occupies at least 4 manifest bytes, so counts
-  // beyond size/4 cannot be covered -- reject before reserving.
-  if (memtable_rows > bytes.size() / 4 ||
-      num_tombstones > bytes.size() / 4) {
-    return CorruptManifest(path, "counts exceed manifest capacity");
-  }
-  if (flags != 0) return CorruptManifest(path, "unknown flags");
-  if (name_len > kMaxNameLength) return CorruptManifest(path, "name too long");
-  std::string name;
-  if (!cursor.ReadString(name_len, &name)) {
-    return CorruptManifest(path, "truncated name");
+    return reader.Corrupt("next_run_uid out of range");
   }
 
-  info->version = version;
-  info->dim = dim;
-  info->generation = generation;
-  info->next_id = next_id;
-  info->next_run_uid = next_run_uid;
-  info->memtable_rows = memtable_rows;
-  info->num_tombstones = num_tombstones;
-  info->name = std::move(name);
+  TieredManifestInfo& info = out->info;
+  info.version = kFormat.version;
+  info.dim = prologue.dim;
+  info.generation = prologue.counters[kGeneration];
+  info.next_id = next_id;
+  info.next_run_uid = next_run_uid;
+  info.memtable_rows = memtable_rows;
+  info.num_tombstones = num_tombstones;
+  info.name = std::move(prologue.name);
 
-  if (full != nullptr) {
-    full->run_ids.resize(static_cast<std::size_t>(num_runs));
-  }
   // Runs must appear in ascending-min-id order with pairwise disjoint
-  // intervals -- exactly the in-memory invariant. Tracking the running
-  // max id enforces both at once.
-  TupleId max_seen = 0;
-  bool any_seen = false;
-  for (std::uint64_t r = 0; r < num_runs; ++r) {
+  // intervals -- exactly the in-memory invariant -- and the memtable
+  // holds the newest ids: one ascending id order over every run and
+  // then the memtable enforces all of it at once.
+  out->runs.resize(static_cast<std::size_t>(num_runs));
+  for (ManifestEntry& run : out->runs) {
     std::uint32_t uid = 0, tier = 0;
-    std::uint64_t num_points = 0, file_len = 0;
-    if (!cursor.ReadU32(&uid) || !cursor.ReadU32(&tier) ||
-        !cursor.ReadU64(&num_points) || !cursor.ReadU64(&file_len)) {
-      return CorruptManifest(path, "truncated run table");
+    if (!reader.cursor().ReadU32(&uid) || !reader.cursor().ReadU32(&tier)) {
+      return reader.Corrupt("truncated run table");
     }
     if (uid >= next_run_uid) {
-      return CorruptManifest(path, "run uid not below next_run_uid");
+      return reader.Corrupt("run uid not below next_run_uid");
     }
-    for (const TieredManifestRunInfo& prior : info->runs) {
-      if (prior.uid == uid) {
-        return CorruptManifest(path, "duplicate run uid");
-      }
+    for (const TieredManifestRunInfo& prior : info.runs) {
+      if (prior.uid == uid) return reader.Corrupt("duplicate run uid");
     }
-    if (num_points == 0) {
-      return CorruptManifest(path, "empty run");
+    if (Status status = reader.ReadEntry(next_id, &run); !status.ok()) {
+      return status;
     }
-    if (num_points > next_id) {
-      return CorruptManifest(path, "run cardinality exceeds id space");
-    }
-    if (file_len == 0 || file_len > kMaxNameLength) {
-      return CorruptManifest(path, "run file name length out of range");
-    }
-    std::string file;
-    if (!cursor.ReadString(file_len, &file)) {
-      return CorruptManifest(path, "truncated run file name");
-    }
-    if (!SafeRelativeFile(file)) {
-      return CorruptManifest(path, "unsafe run file name: " + file);
-    }
-    if (cursor.remaining() < num_points * 4) {
-      return CorruptManifest(path, "truncated run member list");
-    }
-    std::vector<TupleId>* out =
-        full != nullptr ? &full->run_ids[static_cast<std::size_t>(r)]
-                        : nullptr;
-    if (out != nullptr) out->reserve(static_cast<std::size_t>(num_points));
-    for (std::uint64_t i = 0; i < num_points; ++i) {
-      std::uint32_t id = 0;
-      cursor.ReadU32(&id);
-      if (id >= next_id) {
-        return CorruptManifest(path, "run member id not below next_id");
-      }
-      if (any_seen && id <= max_seen) {
-        return CorruptManifest(path, "run member ids not strictly ascending");
-      }
-      max_seen = id;
-      any_seen = true;
-      if (out != nullptr) out->push_back(id);
-    }
-    info->runs.push_back(TieredManifestRunInfo{uid, tier, num_points,
-                                               std::move(file)});
+    if (run.num_points == 0) return reader.Corrupt("empty run");
+    info.runs.push_back(
+        TieredManifestRunInfo{uid, tier, run.num_points, run.file});
   }
-
-  // Memtable ids continue the ascending order (the memtable holds the
-  // newest ids) and its rows follow as raw doubles.
-  if (cursor.remaining() < memtable_rows * 4) {
-    return CorruptManifest(path, "truncated memtable id list");
+  if (Status status = reader.ReadAscendingIds(memtable_rows, next_id,
+                                              "memtable", &out->memtable_ids);
+      !status.ok()) {
+    return status;
   }
-  if (full != nullptr) {
-    full->memtable_ids.reserve(static_cast<std::size_t>(memtable_rows));
+  // The memtable rows follow as raw doubles.
+  if (reader.cursor().remaining() / 8 < memtable_rows * prologue.dim) {
+    return reader.Corrupt("truncated memtable rows");
   }
-  for (std::uint64_t i = 0; i < memtable_rows; ++i) {
-    std::uint32_t id = 0;
-    cursor.ReadU32(&id);
-    if (id >= next_id) {
-      return CorruptManifest(path, "memtable id not below next_id");
-    }
-    if (any_seen && id <= max_seen) {
-      return CorruptManifest(path, "memtable ids not above run ids");
-    }
-    max_seen = id;
-    any_seen = true;
-    if (full != nullptr) full->memtable_ids.push_back(id);
-  }
-  if (cursor.remaining() < memtable_rows * dim * 8) {
-    return CorruptManifest(path, "truncated memtable rows");
-  }
-  for (std::uint64_t i = 0; i < memtable_rows * dim; ++i) {
-    double v = 0.0;
-    cursor.ReadF64(&v);
-    if (full != nullptr) full->memtable_rows.push_back(v);
-  }
-
-  // Tombstones: strictly ascending; membership in a run is checked by
+  out->memtable_rows.resize(
+      static_cast<std::size_t>(memtable_rows * prologue.dim));
+  for (double& v : out->memtable_rows) reader.cursor().ReadF64(&v);
+  // Tombstones ascend on their own; membership in a run is checked by
   // the loader against the materialized id lists.
-  if (cursor.remaining() < num_tombstones * 4) {
-    return CorruptManifest(path, "truncated tombstone list");
+  reader.ResetAscending();
+  if (Status status = reader.ReadAscendingIds(num_tombstones, next_id,
+                                              "tombstone", &out->tombstones);
+      !status.ok()) {
+    return status;
   }
-  TupleId prev_tomb = 0;
-  for (std::uint64_t i = 0; i < num_tombstones; ++i) {
-    std::uint32_t id = 0;
-    cursor.ReadU32(&id);
-    if (id >= next_id) {
-      return CorruptManifest(path, "tombstone id not below next_id");
-    }
-    if (i > 0 && id <= prev_tomb) {
-      return CorruptManifest(path, "tombstone ids not strictly ascending");
-    }
-    prev_tomb = id;
-    if (full != nullptr) full->tombstones.push_back(id);
-  }
-  if (cursor.remaining() != 0) {
-    return CorruptManifest(path, "trailing bytes");
-  }
-  return Status::Ok();
+  return reader.Finish();
 }
 
 // Removes "<base>.run-*" siblings of the manifest that the just-written
@@ -254,66 +136,6 @@ void SweepStrayRunFiles(const std::string& manifest_path,
 }
 
 }  // namespace
-
-// Friend of TieredDualLayerIndex: assembles a loaded index from parsed
-// manifest state + run snapshots, re-deriving everything that is not
-// persisted (bounds, dead counts).
-class TieredIndexIO {
- public:
-  static StatusOr<TieredDualLayerIndex> Assemble(const std::string& path,
-                                                 ParsedManifest parsed) {
-    const TieredManifestInfo& info = parsed.info;
-    TieredIndexOptions opts;
-    if (!info.name.empty()) opts.name = info.name;
-    TieredDualLayerIndex index(info.dim, opts);
-
-    const std::string dir = DirOf(path);
-    index.runs_.reserve(info.runs.size());
-    for (std::size_t r = 0; r < info.runs.size(); ++r) {
-      const std::string run_path = dir + info.runs[r].file;
-      StatusOr<DualLayerIndex> run = LoadDualLayerIndex(run_path);
-      if (!run.ok()) return run.status();
-      if (run.value().points().dim() != info.dim) {
-        return Status::Corruption("run " + run_path +
-                                  ": dim does not match manifest");
-      }
-      if (run.value().size() != info.runs[r].num_points) {
-        return Status::Corruption("run " + run_path +
-                                  ": cardinality does not match manifest");
-      }
-      TieredRun loaded{info.runs[r].uid, info.runs[r].tier,
-                       std::move(run).value(), std::move(parsed.run_ids[r]),
-                       0, {}};
-      loaded.bound_values = SkylineCorners(loaded.index);
-      index.runs_.push_back(std::move(loaded));
-    }
-
-    index.memtable_ids_ = std::move(parsed.memtable_ids);
-    index.memtable_.Reserve(index.memtable_ids_.size());
-    for (std::size_t i = 0; i < index.memtable_ids_.size(); ++i) {
-      index.memtable_.Add(
-          PointView(&parsed.memtable_rows[i * info.dim], info.dim));
-    }
-
-    // Tombstones must resolve to run members (memtable deletes are
-    // applied in place, so a tombstone naming a memtable or unknown id
-    // means the manifest lies); dead counts are re-derived here.
-    for (const TupleId id : parsed.tombstones) {
-      const std::size_t slot = index.RunSlotOf(id);
-      if (slot == static_cast<std::size_t>(-1)) {
-        return CorruptManifest(path, "tombstone " + std::to_string(id) +
-                                         " is not a run member");
-      }
-      index.tombstones_.insert(id);
-      ++index.runs_[slot].dead;
-    }
-
-    index.next_id_ = static_cast<TupleId>(info.next_id);
-    index.next_run_uid_ = static_cast<std::uint32_t>(info.next_run_uid);
-    index.generation_ = info.generation;
-    return index;
-  }
-};
 
 std::string TieredRunFilePath(const std::string& manifest_path,
                               std::uint32_t uid) {
@@ -343,29 +165,20 @@ Status SaveTieredIndex(const TieredDualLayerIndex& index,
   }
 
   std::vector<std::uint8_t> bytes;
-  AppendU32(&bytes, tiered_manifest::kMagic);
-  AppendU32(&bytes, tiered_manifest::kVersion);
-  AppendU32(&bytes, static_cast<std::uint32_t>(index.dim()));
-  AppendU32(&bytes, 0);  // reserved
-  AppendU64(&bytes, index.generation());
-  AppendU64(&bytes, index.next_id());
-  AppendU64(&bytes, index.next_run_uid());
-  AppendU64(&bytes, index.num_runs());
-  AppendU64(&bytes, index.memtable_size());
-  AppendU64(&bytes, index.tombstone_count());
-  AppendU64(&bytes, 0);  // flags
-  const std::string name = index.options().name;
-  AppendU64(&bytes, name.size());
-  bytes.insert(bytes.end(), name.begin(), name.end());
+  AppendManifestPrologue(
+      kFormat,
+      ManifestPrologue{static_cast<std::uint32_t>(index.dim()),
+                       0,  // reserved
+                       {index.generation(), index.next_id(),
+                        index.next_run_uid(), index.num_runs(),
+                        index.memtable_size(), index.tombstone_count()},
+                       index.options().name},
+      &bytes);
   for (std::size_t r = 0; r < index.num_runs(); ++r) {
     const TieredRun& run = index.run(r);
     AppendU32(&bytes, run.uid);
     AppendU32(&bytes, run.tier);
-    AppendU64(&bytes, run.ids.size());
-    const std::string file = referenced[r];
-    AppendU64(&bytes, file.size());
-    bytes.insert(bytes.end(), file.begin(), file.end());
-    for (const TupleId id : run.ids) AppendU32(&bytes, id);
+    AppendManifestEntry(referenced[r], run.ids, &bytes);
   }
   for (const TupleId id : index.memtable_ids()) AppendU32(&bytes, id);
   for (std::size_t i = 0; i < index.memtable_size(); ++i) {
@@ -376,38 +189,69 @@ Status SaveTieredIndex(const TieredDualLayerIndex& index,
                              index.tombstones().end());
   std::sort(tombs.begin(), tombs.end());
   for (const TupleId id : tombs) AppendU32(&bytes, id);
-  AppendU32(&bytes, Crc32c(bytes.data(), bytes.size()));
-  const ByteSpan parts[] = {bytes};
-  const Status status = WriteFileAtomic(path, parts);
+  const Status status = WriteManifest(path, std::move(bytes));
   if (!status.ok()) return status;
   if (options.write_order != nullptr) options.write_order->push_back(path);
   if (options.sweep_strays) SweepStrayRunFiles(path, referenced);
   return Status::Ok();
 }
 
+// Assembles the index from the manifest and the run snapshots,
+// re-deriving everything that is not persisted (bounds, dead counts).
 StatusOr<TieredDualLayerIndex> LoadTieredIndex(const std::string& path) {
-  StatusOr<std::vector<std::uint8_t>> bytes = MmapFile::ReadFileContents(path);
-  if (!bytes.ok()) return bytes.status();
   ParsedManifest parsed;
-  {
-    const Status status =
-        ParseManifest(path, bytes.value(), &parsed.info, &parsed);
-    if (!status.ok()) return status;
+  if (Status status = ReadManifest(path, &parsed); !status.ok()) {
+    return status;
   }
-  return TieredIndexIO::Assemble(path, std::move(parsed));
+  const TieredManifestInfo& info = parsed.info;
+  StatusOr<std::vector<DualLayerPartition>> runs = LoadManifestPartitions(
+      kFormat, path, info.dim, &parsed.runs, SnapshotLoadOptions{});
+  if (!runs.ok()) return runs.status();
+  TieredIndexOptions opts;
+  if (!info.name.empty()) opts.name = info.name;
+  TieredDualLayerIndex index(info.dim, opts);
+  index.runs_.reserve(info.runs.size());
+  for (std::size_t r = 0; r < info.runs.size(); ++r) {
+    index.runs_.push_back(TieredRun{std::move(runs.value()[r]),
+                                    info.runs[r].uid, info.runs[r].tier});
+  }
+
+  index.memtable_ids_ = std::move(parsed.memtable_ids);
+  index.memtable_.Reserve(index.memtable_ids_.size());
+  for (std::size_t i = 0; i < index.memtable_ids_.size(); ++i) {
+    index.memtable_.Add(
+        PointView(&parsed.memtable_rows[i * info.dim], info.dim));
+  }
+
+  // Tombstones must resolve to run members (memtable deletes are
+  // applied in place, so a tombstone naming a memtable or unknown id
+  // means the manifest lies); dead counts are re-derived here.
+  for (const TupleId id : parsed.tombstones) {
+    const std::size_t slot = index.RunSlotOf(id);
+    if (slot == static_cast<std::size_t>(-1)) {
+      return Status::Corruption("tiered manifest " + path + ": tombstone " +
+                                std::to_string(id) + " is not a run member");
+    }
+    index.tombstones_.insert(id);
+    ++index.runs_[slot].dead;
+  }
+
+  index.next_id_ = static_cast<TupleId>(info.next_id);
+  index.next_run_uid_ = static_cast<std::uint32_t>(info.next_run_uid);
+  index.generation_ = info.generation;
+  return index;
 }
 
 bool IsTieredManifest(const std::string& path) {
-  return FileStartsWithMagic(path, tiered_manifest::kMagic);
+  return FileStartsWithMagic(path, kFormat.magic);
 }
 
 StatusOr<TieredManifestInfo> InspectTieredManifest(const std::string& path) {
-  StatusOr<std::vector<std::uint8_t>> bytes = MmapFile::ReadFileContents(path);
-  if (!bytes.ok()) return bytes.status();
-  TieredManifestInfo info;
-  const Status status = ParseManifest(path, bytes.value(), &info, nullptr);
-  if (!status.ok()) return status;
-  return info;
+  ParsedManifest parsed;
+  if (Status status = ReadManifest(path, &parsed); !status.ok()) {
+    return status;
+  }
+  return std::move(parsed.info);
 }
 
 }  // namespace drli

@@ -5,20 +5,15 @@
 // (uid, tier, stable-id list, file), the memtable rows, and the
 // tombstone set.
 //
-// Manifest layout (little-endian, CRC-32C over everything before the
-// trailing checksum):
-//   u32 magic "DRLT"   u32 version   u32 dim   u32 reserved (0)
-//   u64 generation     u64 next_id   u64 next_run_uid
-//   u64 num_runs       u64 memtable_rows   u64 num_tombstones
-//   u64 flags (reserved, 0)
-//   u64 name_len, name bytes
-//   per run: u32 uid; u32 tier; u64 num_points; u64 file_len, file
-//            bytes (relative, path-separator-free); num_points x u32
-//            strictly ascending stable ids
-//   memtable_rows x u32 strictly ascending stable ids
-//   memtable_rows x dim x f64 attribute rows (IEEE-754 bits)
-//   num_tombstones x u32 strictly ascending stable ids
-//   u32 crc32c
+// The manifest is written with the partition-table codec the shard
+// manifest shares (storage/manifest_codec.h): magic "DRLT", version 1,
+// a reserved zero prologue word, the counters generation, next_id,
+// next_run_uid, num_runs, memtable_rows and num_tombstones; then per
+// run a u32 uid, a u32 tier and its entry (the file
+// "<manifest>.run-NNNNNN" and strictly ascending stable ids); then
+// memtable_rows x u32 strictly ascending stable ids, memtable_rows x
+// dim x f64 attribute rows (IEEE-754 bits), and num_tombstones x u32
+// strictly ascending stable ids.
 //
 // Crash-recovery invariant: runs are written first (each atomically
 // and durably: temp file, fsync, rename), the manifest last. A crash
@@ -31,11 +26,11 @@
 // memtable ids must all exceed every run id, tombstones must resolve
 // to run members, ids/uids must stay below next_id/next_run_uid, and
 // every run file must parse as a valid snapshot of matching dim and
-// cardinality. Run corner bounds and per-run dead counts are
-// recomputed from the loaded state, never persisted. An in-flight
-// compaction job is transient state and is not persisted: a save
-// mid-job records the pre-install generation and loading resumes with
-// compaction idle.
+// cardinality. Run corner bounds (on worker threads) and per-run dead
+// counts are recomputed from the loaded state, never persisted. An
+// in-flight compaction job is transient state and is not persisted: a
+// save mid-job records the pre-install generation and loading resumes
+// with compaction idle.
 
 #ifndef DRLI_STORAGE_TIERED_IO_H_
 #define DRLI_STORAGE_TIERED_IO_H_
@@ -53,7 +48,6 @@ namespace tiered_manifest {
 inline constexpr std::uint32_t kMagic = 0x544c5244;  // "DRLT" LE
 inline constexpr std::uint32_t kVersion = 1;
 inline constexpr std::size_t kMaxRuns = 4096;
-inline constexpr std::size_t kMaxNameLength = 4096;
 }  // namespace tiered_manifest
 
 struct TieredSaveOptions {

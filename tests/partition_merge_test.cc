@@ -1,8 +1,8 @@
 // The bounded-partition merge driven directly: hand-built sorted lists
 // and bounds pin its heap order, budget composition, partial policy
 // and error propagation; random data pins the corner bound to the exact
-// top-1 score and the shard and run merges to opening only the
-// partitions they must.
+// top-1 score and the shard and run merges, plain and constrained, to
+// opening only the partitions they must.
 
 #include "core/partition_merge.h"
 
@@ -20,6 +20,7 @@
 #include "common/random.h"
 #include "core/tiered_index.h"
 #include "data/generator.h"
+#include "scenarios/constrained.h"
 #include "shard/sharded_index.h"
 #include "testing/fuzz.h"
 
@@ -347,6 +348,30 @@ TEST(PartitionMergeTest, CoplanarWindowsKeepBoundAndTiesExact) {
   }
 }
 
+// The constrained merge under a box holding every tuple opens the same
+// partitions as the plain one and returns the same answer: both run
+// the one open rule, and no partition's sublayer boxes miss the box.
+template <typename Engine>
+void ExpectConstrainedOpensTheSame(const Engine& index, const Point& w,
+                                   std::size_t k, const TopKResult& plain,
+                                   std::size_t QueryStats::*opened,
+                                   const std::string& where) {
+  ConstrainedQuery query;
+  query.weights = w;
+  query.k = k;
+  query.box = AttributeBox::All(w.size());
+  const TopKResult got = ConstrainedTopK(index, query);
+  ASSERT_TRUE(got.complete()) << where;
+  ASSERT_EQ(got.items.size(), plain.items.size()) << where;
+  for (std::size_t r = 0; r < got.items.size(); ++r) {
+    EXPECT_EQ(got.items[r].id, plain.items[r].id) << where << " rank " << r;
+    EXPECT_EQ(got.items[r].score, plain.items[r].score)
+        << where << " rank " << r;
+  }
+  EXPECT_EQ(got.stats.*opened, plain.stats.*opened) << where;
+  EXPECT_EQ(got.stats.boxes_pruned, 0u) << where;
+}
+
 // The k-th returned score, or +inf when fewer than k items came back
 // (every partition was then exhausted).
 double KthScore(const TopKResult& result, std::size_t k) {
@@ -394,6 +419,9 @@ std::size_t CheckShardMerge(const ShardedDualLayerIndex& index,
       EXPECT_EQ(result.stats.shards_touched,
                 MustOpen(top_one, KthScore(result, k)))
           << "query " << q << " k=" << k;
+      ExpectConstrainedOpensTheSame(
+          index, w, k, result, &QueryStats::shards_touched,
+          "query " + std::to_string(q) + " k=" + std::to_string(k));
     }
     const std::size_t holder = static_cast<std::size_t>(
         std::min_element(top_one.begin(), top_one.end()) - top_one.begin());
@@ -465,6 +493,9 @@ TEST(PartitionMergeTest, RunMergeOpensOnlyTheRunsItMust) {
       EXPECT_EQ(result.stats.runs_opened,
                 MustOpen(top_one, KthScore(result, k)))
           << "query " << q << " k=" << k;
+      ExpectConstrainedOpensTheSame(
+          index, w, k, result, &QueryStats::runs_opened,
+          "query " + std::to_string(q) + " k=" + std::to_string(k));
     }
   }
 }

@@ -11,10 +11,20 @@
 // Regenerate the v2 fixtures after an *intentional* format change with:
 //   DRLI_REGEN_GOLDEN=1 ./snapshot_compat_test
 // which rewrites them in the source tree.
+//
+// Two manifest fixtures pin the partition-table formats: a DRLS v1
+// shard manifest and a DRLT v1 tiered manifest, each with its
+// partition snapshots, written by an earlier build of the library from
+// the recipes below. They must load, answer like a full scan of their
+// relation, and re-save to the same bytes. They are not regenerated:
+// their bytes are the format.
 
+#include <algorithm>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -22,8 +32,12 @@
 
 #include "core/dual_layer.h"
 #include "core/serialization.h"
+#include "core/tiered_index.h"
 #include "data/generator.h"
+#include "shard/shard_io.h"
+#include "storage/tiered_io.h"
 #include "testing/check_index.h"
+#include "testing/result_check.h"
 #include "test_util.h"
 #include "topk/scan.h"
 
@@ -212,6 +226,111 @@ TEST(SnapshotCompatTest, UnverifiedFineEdgesAreDroppedAtLoad) {
             index.fine_out().num_edges());
   expect_exact(reloaded.value(), "resaved");
   std::filesystem::remove(resaved);
+}
+
+// The manifest fixtures' recipes. Sharded: 240 anticorrelated tuples
+// at d = 3 (seed 44), 3 hyperplane shards (seed 42), zero layer on.
+// Tiered: memtable capacity 48 and fanout 3, 260 independent tuples at
+// d = 3 (seed 45) inserted in order, then ids 2, 9, 16, ... erased --
+// leaving 3 runs with 34 tombstones and 17 memtable rows.
+constexpr char kShardedGolden[] = "sharded_d3_v1.drls";
+constexpr char kTieredGolden[] = "tiered_d3_v1.drlt";
+
+std::map<TupleId, Point> TieredGoldenLive() {
+  const PointSet points = Generate(Distribution::kIndependent, 260, 3, 45);
+  std::map<TupleId, Point> live;
+  for (TupleId id = 0; id < points.size(); ++id) {
+    if (id % 7 != 2) live[id] = points.Materialize(id);
+  }
+  return live;
+}
+
+std::vector<std::uint8_t> FileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::vector<std::uint8_t>(std::istreambuf_iterator<char>(in), {});
+}
+
+// The golden directory's files of the manifest `base`: the manifest
+// and its partition snapshots ("<base>.shard-NNNN", "<base>.run-NNNNNN").
+std::vector<std::string> ManifestFiles(const std::string& dir,
+                                       const std::string& base) {
+  std::vector<std::string> files;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.rfind(base, 0) == 0) files.push_back(name);
+  }
+  std::sort(files.begin(), files.end());
+  return files;
+}
+
+// Every file of the fixture `base` equals, byte for byte, the file
+// `save` writes under the same base name in a fresh directory, and
+// `save` writes no other file.
+template <typename Save>
+void ExpectResavedIdentically(const std::string& base, const Save& save) {
+  const std::string golden_dir = DRLI_TEST_GOLDEN_DIR;
+  const std::string out_dir = ::testing::TempDir() + "/resave_" + base;
+  std::filesystem::remove_all(out_dir);
+  std::filesystem::create_directories(out_dir);
+  ASSERT_TRUE(save(out_dir + "/" + base).ok()) << base;
+  const std::vector<std::string> golden = ManifestFiles(golden_dir, base);
+  ASSERT_GT(golden.size(), 1u) << base;
+  EXPECT_EQ(ManifestFiles(out_dir, base), golden) << base;
+  for (const std::string& name : golden) {
+    EXPECT_EQ(FileBytes(out_dir + "/" + name),
+              FileBytes(golden_dir + "/" + name))
+        << name << " differs after re-save";
+  }
+  std::filesystem::remove_all(out_dir);
+}
+
+// Every answer of `engine` is the exact top-k over `universe`.
+void ExpectAnswersLikeScan(const TopKIndex& engine,
+                           const CheckUniverse& universe,
+                           const std::string& where) {
+  for (const std::size_t k : {1u, 10u, 50u}) {
+    for (const TopKQuery& query : testing_util::RandomQueries(
+             universe.rows.dim(), k, /*count=*/20, /*seed=*/k)) {
+      const TopKReference reference(universe, query.weights, k);
+      const std::string violation =
+          reference.Check(engine.Query(query), MatchRule::kExact, {});
+      EXPECT_TRUE(violation.empty()) << where << " k=" << k << ": "
+                                     << violation;
+    }
+  }
+}
+
+TEST(SnapshotCompatTest, ShardManifestGoldenLoadsAnswersAndResaves) {
+  const std::string path =
+      std::string(DRLI_TEST_GOLDEN_DIR) + "/" + kShardedGolden;
+  const auto loaded = LoadShardedIndex(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const ShardedDualLayerIndex& index = loaded.value();
+  EXPECT_EQ(index.num_shards(), 3u);
+  EXPECT_EQ(index.partitioner(), ShardPartitioner::kHyperplane);
+  ExpectAnswersLikeScan(
+      index,
+      CheckUniverse::Of(Generate(Distribution::kAnticorrelated, 240, 3, 44)),
+      kShardedGolden);
+  ExpectResavedIdentically(kShardedGolden, [&](const std::string& out) {
+    return SaveShardedIndex(index, out);
+  });
+}
+
+TEST(SnapshotCompatTest, TieredManifestGoldenLoadsAnswersAndResaves) {
+  const std::string path =
+      std::string(DRLI_TEST_GOLDEN_DIR) + "/" + kTieredGolden;
+  const auto loaded = LoadTieredIndex(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const TieredDualLayerIndex& index = loaded.value();
+  EXPECT_EQ(index.num_runs(), 3u);
+  EXPECT_EQ(index.tombstone_count(), 34u);
+  EXPECT_EQ(index.memtable_size(), 17u);
+  ExpectAnswersLikeScan(index, CheckUniverse::Of(TieredGoldenLive(), 3),
+                        kTieredGolden);
+  ExpectResavedIdentically(kTieredGolden, [&](const std::string& out) {
+    return SaveTieredIndex(index, out);
+  });
 }
 
 }  // namespace

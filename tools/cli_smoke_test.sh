@@ -147,6 +147,10 @@ test -f "$RUN_FILE"
 "$CLI" query --index="$WORK/tiered.drlt" --weights=0.2,0.3,0.5 --k=5 \
   | grep "tuple " >"$WORK/tiered_items.txt"
 diff "$WORK/simd_items.txt" "$WORK/tiered_items.txt"
+# The invariant checker audits every run of the manifest.
+"$CLI" check --index="$WORK/tiered.drlt" >"$WORK/tiered_check.txt"
+grep -qE "[0-9]+ runs, [0-9]+ memtable rows" "$WORK/tiered_check.txt"
+grep -q "OK" "$WORK/tiered_check.txt"
 # A manifest pointing at a missing run file fails cleanly.
 mv "$RUN_FILE" "$RUN_FILE.gone"
 if "$CLI" query --index="$WORK/tiered.drlt" --weights=0.2,0.3,0.5 --k=5 \

@@ -43,11 +43,12 @@
 // Tiered dynamic index: --kind=tdl+ (optionally tdl+<M> for a memtable
 // of M rows) builds the LSM-style engine by streaming the relation
 // through its insert path and writes a generation manifest plus one
-// run snapshot per sealed run; inspect/query detect tiered manifests
-// automatically and inspect prints the run table.
+// run snapshot per sealed run; inspect/query/check detect tiered
+// manifests automatically and inspect prints the run table.
 //
 //   drli build    --input=data.csv --kind=tdl+128 --out=index.drlt
 //   drli inspect  --index=index.drlt        # generation + run table
+//   drli check    --index=index.drlt        # audits every run
 //   drli query    --index=index.drlt --weights=0.3,0.3,0.4 --k=10
 //                 # prints "runs opened R_o/R" next to the timings
 //
@@ -90,6 +91,7 @@
 #include "common/stopwatch.h"
 #include "core/dual_layer.h"
 #include "core/index_registry.h"
+#include "core/partition_merge.h"
 #include "core/rank_sweep_2d.h"
 #include "core/serialization.h"
 #include "core/tiered_index.h"
@@ -511,45 +513,46 @@ void PrintTopKItems(const TopKResult& result) {
   }
 }
 
+// The index a saved --index file holds, routed by its 4-byte magic: a
+// shard manifest, a tiered manifest, or a v2 snapshot. One slot is
+// engaged and `index` points at it.
+struct SavedIndex {
+  std::optional<DualLayerIndex> dl;
+  std::optional<ShardedDualLayerIndex> sharded;
+  std::optional<TieredDualLayerIndex> tiered;
+  const TopKIndex* index = nullptr;
+};
+
+// Loads `path` into `out`; prints the error and returns false on
+// failure.
+bool LoadSavedIndex(const std::string& path, SavedIndex* out) {
+  const auto load = [out](auto loaded, auto& slot) {
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
+      return false;
+    }
+    out->index = &slot.emplace(std::move(loaded).value());
+    return true;
+  };
+  if (IsShardManifest(path)) return load(LoadShardedIndex(path), out->sharded);
+  if (IsTieredManifest(path)) return load(LoadTieredIndex(path), out->tiered);
+  return load(LoadDualLayerIndex(path), out->dl);
+}
+
 int CmdQuery(const Flags& flags) {
   const std::size_t k = GetSizeFlag(flags, "k", 10);
   const std::string index_path = GetFlag(flags, "index");
 
   std::unique_ptr<TopKIndex> owned;
-  std::optional<DualLayerIndex> loaded_dl;
-  std::optional<ShardedDualLayerIndex> loaded_sharded;
-  std::optional<TieredDualLayerIndex> loaded_tiered;
+  SavedIndex saved;
   std::optional<Dataset> dataset;
   const TieredDualLayerIndex* tiered_alias = nullptr;
   const TopKIndex* index = nullptr;
   std::size_t dim = 0;
-  if (!index_path.empty() && IsShardManifest(index_path)) {
-    auto loaded = LoadShardedIndex(index_path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    loaded_sharded.emplace(std::move(loaded).value());
-    index = &*loaded_sharded;
-    dim = loaded_sharded->dim();
-  } else if (!index_path.empty() && IsTieredManifest(index_path)) {
-    auto loaded = LoadTieredIndex(index_path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    loaded_tiered.emplace(std::move(loaded).value());
-    index = &*loaded_tiered;
-    dim = loaded_tiered->dim();
-  } else if (!index_path.empty()) {
-    auto loaded = LoadDualLayerIndex(index_path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    loaded_dl.emplace(std::move(loaded).value());
-    index = &*loaded_dl;
-    dim = loaded_dl->points().dim();
+  if (!index_path.empty()) {
+    if (!LoadSavedIndex(index_path, &saved)) return 1;
+    index = saved.index;
+    dim = index->dim();
   } else {
     auto loaded = LoadInput(flags);
     if (!loaded.ok()) {
@@ -568,8 +571,8 @@ int CmdQuery(const Flags& flags) {
       DualLayerOptions options;
       options.build_zero_layer = (kind == "dl+");
       options.zero_layer_clusters = GetSizeFlag(flags, "clusters", 0);
-      loaded_dl.emplace(DualLayerIndex::Build(dataset->points(), options));
-      index = &*loaded_dl;
+      saved.dl.emplace(DualLayerIndex::Build(dataset->points(), options));
+      index = &*saved.dl;
     } else {
       IndexBuildConfig config;
       config.kind = kind;
@@ -601,7 +604,7 @@ int CmdQuery(const Flags& flags) {
   // Reverse top-k: no weight vector -- the weights ARE the answer.
   const std::string reverse_flag = GetFlag(flags, "reverse");
   if (!reverse_flag.empty()) {
-    if (!loaded_dl.has_value()) {
+    if (!saved.dl.has_value()) {
       std::fprintf(stderr,
                    "--reverse needs a dl+ engine: a dual-layer snapshot or "
                    "--input with --kind=dl+\n");
@@ -613,7 +616,7 @@ int CmdQuery(const Flags& flags) {
     rquery.k = k;
     rquery.budget = budget;
     Stopwatch timer;
-    const ReverseTopKResult result = ReverseTopK2D(*loaded_dl, rquery);
+    const ReverseTopKResult result = ReverseTopK2D(*saved.dl, rquery);
     const double ms = timer.ElapsedMillis();
     if (!result.complete()) {
       std::fprintf(stderr, "reverse query stopped (%s): %s\n",
@@ -622,7 +625,7 @@ int CmdQuery(const Flags& flags) {
     }
     std::printf("%s reverse top-%zu of tuple %u "
                 "(%.3f ms, %zu tuples swept%s):",
-                loaded_dl->name().c_str(), k, rquery.target, ms,
+                saved.dl->name().c_str(), k, rquery.target, ms,
                 result.stats.tuples_evaluated,
                 result.used_weight_table ? ", via 2-d weight table" : "");
     if (result.intervals.empty()) std::printf(" never in the top-%zu", k);
@@ -655,12 +658,12 @@ int CmdQuery(const Flags& flags) {
     cquery.budget = budget;
     Stopwatch timer;
     const TopKResult result =
-        loaded_dl.has_value()      ? ConstrainedTopK(*loaded_dl, cquery)
-        : loaded_sharded.has_value() ? ConstrainedTopK(*loaded_sharded, cquery)
-        : loaded_tiered.has_value()  ? ConstrainedTopK(*loaded_tiered, cquery)
-        : tiered_alias != nullptr    ? ConstrainedTopK(*tiered_alias, cquery)
-                                     : ConstrainedTopKScan(
-                                           dataset->points(), cquery);
+        saved.dl.has_value()        ? ConstrainedTopK(*saved.dl, cquery)
+        : saved.sharded.has_value() ? ConstrainedTopK(*saved.sharded, cquery)
+        : saved.tiered.has_value()  ? ConstrainedTopK(*saved.tiered, cquery)
+        : tiered_alias != nullptr   ? ConstrainedTopK(*tiered_alias, cquery)
+                                    : ConstrainedTopKScan(
+                                          dataset->points(), cquery);
     const double ms = timer.ElapsedMillis();
     if (result.termination == Termination::kInvalidQuery ||
         result.termination == Termination::kError) {
@@ -680,9 +683,9 @@ int CmdQuery(const Flags& flags) {
   // over a certified candidate pool.
   const std::string lambda_flag = GetFlag(flags, "lambda");
   if (!lambda_flag.empty()) {
-    const PointSet* relation = dataset.has_value() ? &dataset->points()
-                               : loaded_dl.has_value() ? &loaded_dl->points()
-                                                       : nullptr;
+    const PointSet* relation = dataset.has_value()    ? &dataset->points()
+                               : saved.dl.has_value() ? &saved.dl->points()
+                                                      : nullptr;
     if (relation == nullptr) {
       std::fprintf(stderr,
                    "--lambda needs the relation for the similarity "
@@ -742,23 +745,23 @@ int CmdQuery(const Flags& flags) {
   std::printf("%s top-%zu (%.3f ms, %zu tuples evaluated, kernel=%s):\n",
               index->name().c_str(), k, ms, result.stats.tuples_evaluated,
               SimdTargetName(ActiveSimdTarget()));
-  if (loaded_sharded.has_value()) {
+  if (saved.sharded.has_value()) {
     std::printf("shards touched %zu/%zu\n", result.stats.shards_touched,
-                loaded_sharded->num_shards());
+                saved.sharded->num_shards());
   } else if (result.stats.shards_touched > 0) {
     std::printf("shards touched %zu\n", result.stats.shards_touched);
   }
-  if (loaded_tiered.has_value()) {
+  if (saved.tiered.has_value()) {
     std::printf("runs opened %zu/%zu (+memtable of %zu rows)\n",
-                result.stats.runs_opened, loaded_tiered->num_runs(),
-                loaded_tiered->memtable_size());
+                result.stats.runs_opened, saved.tiered->num_runs(),
+                saved.tiered->memtable_size());
   }
   PrintTopKItems(result);
-  if (GetFlag(flags, "explain") == "true" && loaded_dl.has_value()) {
+  if (GetFlag(flags, "explain") == "true" && saved.dl.has_value()) {
     std::printf("\naccess breakdown by sublayer:\n");
     std::printf("%-8s %-6s %-8s %-8s\n", "coarse", "fine", "size",
                 "accessed");
-    for (const LayerAccessRow& row : ExplainAccess(*loaded_dl, result)) {
+    for (const LayerAccessRow& row : ExplainAccess(*saved.dl, result)) {
       if (row.accessed == 0) continue;
       std::printf("%-8u %-6u %-8zu %-8zu\n", row.coarse, row.fine,
                   row.layer_size, row.accessed);
@@ -857,47 +860,15 @@ int CmdSweep(const Flags& flags) {
 }
 
 // Structural invariant audit of a dual-resolution index, either loaded
-// from disk or built on the fly from a CSV.
+// from disk or built on the fly from a CSV. A shard or tiered manifest
+// is audited partition by partition: each is a full dual-resolution
+// index (the merge layer itself is covered by the differential suite,
+// not structural invariants).
 int CmdCheck(const Flags& flags) {
-  std::optional<DualLayerIndex> index;
+  SavedIndex saved;
   const std::string index_path = GetFlag(flags, "index");
-  if (!index_path.empty() && IsShardManifest(index_path)) {
-    // Sharded index: every shard is a full dual-resolution index, so
-    // the audit runs per shard (the merge layer itself is covered by
-    // the differential suite, not structural invariants).
-    auto loaded = LoadShardedIndex(index_path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    const ShardedDualLayerIndex& sharded = loaded.value();
-    CheckOptions options;
-    options.weight_samples = GetSizeFlag(flags, "samples", 16);
-    options.seed = GetSizeFlag(flags, "seed", 12345);
-    std::size_t invariants = 0;
-    bool ok = true;
-    for (std::size_t s = 0; s < sharded.num_shards(); ++s) {
-      const CheckReport report = CheckIndex(sharded.shard(s), options);
-      invariants += report.invariants_checked;
-      if (!report.ok()) {
-        ok = false;
-        std::fprintf(stderr, "shard %zu:\n%s", s, report.ToString().c_str());
-      }
-    }
-    std::printf("%s: n=%zu, %zu shards, %zu invariants checked\n",
-                sharded.name().c_str(), sharded.size(), sharded.num_shards(),
-                invariants);
-    if (!ok) return 1;
-    std::printf("OK\n");
-    return 0;
-  }
   if (!index_path.empty()) {
-    auto loaded = LoadDualLayerIndex(index_path);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return 1;
-    }
-    index.emplace(std::move(loaded).value());
+    if (!LoadSavedIndex(index_path, &saved)) return 1;
   } else {
     auto dataset = LoadInput(flags);
     if (!dataset.ok()) {
@@ -912,22 +883,46 @@ int CmdCheck(const Flags& flags) {
     DualLayerOptions options;
     options.build_zero_layer = (kind == "dl+");
     options.zero_layer_clusters = GetSizeFlag(flags, "clusters", 0);
-    index.emplace(
+    saved.index = &saved.dl.emplace(
         DualLayerIndex::Build(dataset.value().points(), options));
   }
+
+  PartitionSet set;
+  std::string shape;  // printed after the size
+  if (saved.sharded.has_value()) {
+    set = saved.sharded->partitions();
+    shape = ", " + std::to_string(set.parts.size()) + " shards";
+  } else if (saved.tiered.has_value()) {
+    set = saved.tiered->partitions();
+    shape = ", " + std::to_string(set.parts.size()) + " runs, " +
+            std::to_string(saved.tiered->memtable_size()) + " memtable rows";
+  }
+  std::vector<const DualLayerIndex*> audited;
+  for (const DualLayerPartition* part : set.parts) {
+    audited.push_back(&part->index);
+  }
+  if (saved.dl.has_value()) audited.push_back(&*saved.dl);
 
   CheckOptions options;
   options.weight_samples = GetSizeFlag(flags, "samples", 16);
   options.seed = GetSizeFlag(flags, "seed", 12345);
-  const CheckReport report = CheckIndex(*index, options);
-  std::printf("%s: n=%zu, %zu invariants checked\n", index->name().c_str(),
-              index->size(), report.invariants_checked);
-  if (report.ok()) {
-    std::printf("OK\n");
-    return 0;
+  std::size_t invariants = 0;
+  bool ok = true;
+  for (std::size_t i = 0; i < audited.size(); ++i) {
+    const CheckReport report = CheckIndex(*audited[i], options);
+    invariants += report.invariants_checked;
+    if (!report.ok()) {
+      ok = false;
+      if (set.label) std::fprintf(stderr, "%s:\n", set.label(i).c_str());
+      std::fprintf(stderr, "%s", report.ToString().c_str());
+    }
   }
-  std::fprintf(stderr, "%s", report.ToString().c_str());
-  return 1;
+  std::printf("%s: n=%zu%s, %zu invariants checked\n",
+              saved.index->name().c_str(), saved.index->size(),
+              shape.c_str(), invariants);
+  if (!ok) return 1;
+  std::printf("OK\n");
+  return 0;
 }
 
 volatile std::sig_atomic_t g_stop_serving = 0;
