@@ -28,7 +28,6 @@
 #include "benchmark/benchmark.h"
 
 #include "bench/bench_util.h"
-#include "baselines/dominant_graph.h"
 #include "baselines/hybrid_layer.h"
 #include "baselines/onion.h"
 #include "common/check.h"
@@ -67,16 +66,12 @@ Subject MakeSubject(const std::string& kind, Distribution dist,
                     std::size_t n, std::size_t d) {
   Subject subject;
   subject.index = &drli::bench_util::GetIndex(kind, dist, n, d);
-  if (kind == "dl" || kind == "dl+") {
-    const auto* dl =
-        dynamic_cast<const drli::DualLayerIndex*>(subject.index);
+  // DG and DG+ are dual-layer indexes without fine sublayers, so their
+  // groups are their skyline layers.
+  if (const auto* dl =
+          dynamic_cast<const drli::DualLayerIndex*>(subject.index)) {
     subject.clustered =
         std::make_unique<PageLayout>(dl->LayerGroups(), kTuplesPerPage);
-  } else if (kind == "dg" || kind == "dg+") {
-    const auto* dg =
-        dynamic_cast<const drli::DominantGraphIndex*>(subject.index);
-    subject.clustered =
-        std::make_unique<PageLayout>(dg->layers(), kTuplesPerPage);
   } else if (kind == "onion") {
     const auto* onion = dynamic_cast<const drli::OnionIndex*>(subject.index);
     subject.clustered =

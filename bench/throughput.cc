@@ -166,14 +166,14 @@ Row Measure(std::size_t n, std::size_t d, std::size_t num_queries,
   setenv("DRLI_THREADS", "1", 1);
   BatchStats serial_stats;
   const std::vector<TopKResult> serial_results =
-      index.QueryBatch(queries, BatchOptions{}, &serial_stats);
+      index.QueryBatch(queries, &serial_stats);
   row.batch_qps_1t =
       static_cast<double>(num_queries) / serial_stats.wall_seconds;
 
   setenv("DRLI_THREADS", std::to_string(threads).c_str(), 1);
   BatchStats parallel_stats;
   const std::vector<TopKResult> parallel_results =
-      index.QueryBatch(queries, BatchOptions{}, &parallel_stats);
+      index.QueryBatch(queries, &parallel_stats);
   row.batch_qps_nt =
       static_cast<double>(num_queries) / parallel_stats.wall_seconds;
   row.batch_wall_seconds_nt = parallel_stats.wall_seconds;

@@ -210,44 +210,56 @@ TopKResult ListIndex::QueryNra(const TopKQuery& query) const {
     return std::make_pair(lower, upper);
   };
 
+  // One bound pass over the seen tuples: the kk smallest upper bounds
+  // (uppers[0, kk) after nth_element) and a lower bound on every other
+  // tuple -- the smallest lower bound outside that candidate set and,
+  // while some tuple is still unseen, the frontier sum.
+  struct BoundPass {
+    std::vector<std::pair<double, TupleId>> uppers;  // (upper, id)
+    double other_lower = std::numeric_limits<double>::infinity();
+  };
+  auto bound_pass = [&](std::size_t kk) {
+    BoundPass pass;
+    if (kk > 0) {
+      pass.uppers.reserve(seen.size());
+      for (const auto& [id, partial] : seen) {
+        pass.uppers.push_back({bounds_of(partial).second, id});
+      }
+      std::nth_element(pass.uppers.begin(), pass.uppers.begin() + (kk - 1),
+                       pass.uppers.end());
+      std::unordered_set<TupleId> candidate_ids;
+      candidate_ids.reserve(kk);
+      for (std::size_t i = 0; i < kk; ++i) {
+        candidate_ids.insert(pass.uppers[i].second);
+      }
+      for (const auto& [id, partial] : seen) {
+        if (candidate_ids.count(id)) continue;
+        pass.other_lower =
+            std::min(pass.other_lower, bounds_of(partial).first);
+      }
+    }
+    if (seen.size() < n) {
+      double unseen_lower = 0.0;
+      for (std::size_t attr = 0; attr < d; ++attr) {
+        unseen_lower += w[attr] * frontier[attr];
+      }
+      pass.other_lower = std::min(pass.other_lower, unseen_lower);
+    }
+    return pass;
+  };
+
   std::vector<std::pair<double, TupleId>> winners;  // (upper, id)
   for (std::size_t pos = 0; pos < n; ++pos) {
     // Budget check per sorted-access round; NRA's cost metric is the
     // number of tuples with materialized partial information.
     if (stop = gate.Step(seen.size()); stop != Termination::kComplete) {
       // Return the best-upper-bound candidates seen so far (rescored
-      // exactly below -- they are already charged to the cost metric).
-      // Every other tuple scores at least its own lower bound, and
-      // unseen tuples at least the frontier sum, so the minimum of
-      // those is the certification frontier.
+      // exactly below -- they are already charged to the cost metric);
+      // every other tuple is certified by the pass's lower bound.
       const std::size_t kk = std::min(k, seen.size());
-      double min_other_lower = std::numeric_limits<double>::infinity();
-      if (kk > 0) {
-        std::vector<std::pair<double, TupleId>> uppers;
-        uppers.reserve(seen.size());
-        for (const auto& [id, partial] : seen) {
-          uppers.push_back({bounds_of(partial).second, id});
-        }
-        std::nth_element(uppers.begin(), uppers.begin() + (kk - 1),
-                         uppers.end());
-        winners.assign(uppers.begin(), uppers.begin() + kk);
-        std::unordered_set<TupleId> candidate_ids;
-        candidate_ids.reserve(kk);
-        for (const auto& [upper, id] : winners) candidate_ids.insert(id);
-        for (const auto& [id, partial] : seen) {
-          if (candidate_ids.count(id)) continue;
-          min_other_lower =
-              std::min(min_other_lower, bounds_of(partial).first);
-        }
-      }
-      if (seen.size() < n) {
-        double unseen_lower = 0.0;
-        for (std::size_t attr = 0; attr < d; ++attr) {
-          unseen_lower += w[attr] * frontier[attr];
-        }
-        min_other_lower = std::min(min_other_lower, unseen_lower);
-      }
-      partial_frontier = min_other_lower;
+      const BoundPass pass = bound_pass(kk);
+      winners.assign(pass.uppers.begin(), pass.uppers.begin() + kk);
+      partial_frontier = pass.other_lower;
       break;
     }
     for (std::size_t attr = 0; attr < d; ++attr) {
@@ -266,48 +278,16 @@ TopKResult ListIndex::QueryNra(const TopKQuery& query) const {
     // near-linear).
     if ((pos & 63) != 63 && pos + 1 != n) continue;
     if (seen.size() < k) continue;
-
-    // k smallest upper bounds among seen tuples.
-    std::vector<std::pair<double, TupleId>> uppers;
-    uppers.reserve(seen.size());
-    double min_other_lower = std::numeric_limits<double>::infinity();
-    for (const auto& [id, partial] : seen) {
-      uppers.push_back({bounds_of(partial).second, id});
-    }
-    std::nth_element(uppers.begin(), uppers.begin() + (k - 1), uppers.end());
-    const double kth_upper = uppers[k - 1].first;
-    std::unordered_set<TupleId> candidate_ids;
-    candidate_ids.reserve(k);
-    for (std::size_t i = 0; i < k; ++i) candidate_ids.insert(uppers[i].second);
-    for (const auto& [id, partial] : seen) {
-      if (candidate_ids.count(id)) continue;
-      min_other_lower =
-          std::min(min_other_lower, bounds_of(partial).first);
-    }
-    // Tuples never seen in any list score at least the frontier sum.
-    if (seen.size() < n) {
-      double unseen_lower = 0.0;
-      for (std::size_t attr = 0; attr < d; ++attr) {
-        unseen_lower += w[attr] * frontier[attr];
-      }
-      min_other_lower = std::min(min_other_lower, unseen_lower);
-    }
-    // STRICT separation: at kth_upper == min_other_lower a tuple
-    // outside the candidate set could still realize an exact tie with
-    // a smaller id; keep scanning (exhaustion resolves ties exactly).
-    if (kth_upper < min_other_lower) {
-      winners.assign(uppers.begin(), uppers.begin() + k);
+    const BoundPass pass = bound_pass(k);
+    // STRICT separation: at kth_upper == other_lower a tuple outside
+    // the candidate set could still realize an exact tie with a smaller
+    // id; keep scanning. Exhaustion resolves ties exactly: after the
+    // last round every tuple is fully known, so the upper bounds are
+    // the exact scores.
+    if (pass.uppers[k - 1].first < pass.other_lower || pos + 1 == n) {
+      winners.assign(pass.uppers.begin(), pass.uppers.begin() + k);
       break;
     }
-  }
-  if (stop == Termination::kComplete && winners.empty()) {
-    // Exhausted the lists: every tuple is fully known.
-    std::vector<std::pair<double, TupleId>> uppers;
-    for (const auto& [id, partial] : seen) {
-      uppers.push_back({bounds_of(partial).second, id});
-    }
-    std::nth_element(uppers.begin(), uppers.begin() + (k - 1), uppers.end());
-    winners.assign(uppers.begin(), uppers.begin() + k);
   }
 
   // NRA's cost: tuples whose partial information was materialized.

@@ -21,24 +21,6 @@ SoaPointSet SoaPointSet::FromPointSet(const PointSet& points) {
   return soa;
 }
 
-SoaPointSet SoaPointSet::FromPointSets(const PointSet& a, const PointSet& b) {
-  DRLI_CHECK_EQ(a.dim(), b.dim());
-  SoaPointSet soa(a.dim(), a.size() + b.size());
-  for (std::size_t i = 0; i < a.size(); ++i) {
-    const PointView p = a[i];
-    for (std::size_t attr = 0; attr < soa.dim_; ++attr) {
-      soa.values_[attr * soa.stride_ + i] = p[attr];
-    }
-  }
-  for (std::size_t i = 0; i < b.size(); ++i) {
-    const PointView p = b[i];
-    for (std::size_t attr = 0; attr < soa.dim_; ++attr) {
-      soa.values_[attr * soa.stride_ + a.size() + i] = p[attr];
-    }
-  }
-  return soa;
-}
-
 SoaPointSet SoaPointSet::FromPermutation(const PointSet& a, const PointSet& b,
                                          std::span<const std::uint32_t> order) {
   DRLI_CHECK_EQ(a.dim(), b.dim());

@@ -32,10 +32,6 @@ class SoaPointSet {
   // Columns over all of `points`, in id order.
   static SoaPointSet FromPointSet(const PointSet& points);
 
-  // Columns over the concatenated node space `a` then `b` (e.g. real
-  // tuples followed by pseudo-tuples). Dimensions must match.
-  static SoaPointSet FromPointSets(const PointSet& a, const PointSet& b);
-
   // Permuted concatenation: row i of the result is row order[i] of the
   // concatenated node space. Used for the traversal-ordered query
   // layout of the dual-layer index.

@@ -59,15 +59,18 @@ enum class EdsPolicy {
 struct DualLayerOptions {
   EdsPolicy eds_policy = EdsPolicy::kSingleFacet;
 
-  // Ablation switch: with fine layers disabled each coarse layer is one
-  // sublayer with no ∃-edges, reducing the index to a Dominant Graph.
+  // With fine layers disabled each coarse layer is one sublayer with no
+  // ∃-edges: the index is then a Dominant Graph. This is how DG and DG+
+  // are built (DominantGraphConfig in baselines/dominant_graph.h), and
+  // the ablation benchmarks' "no ∃-edges" row.
   bool enable_fine_layers = true;
 
   // DL+ when true (Section V).
   bool build_zero_layer = false;
   // 0 = ceil(sqrt(|L1|)). Ignored for the 2-d weight-range table.
   std::size_t zero_layer_clusters = 0;
-  // DL+ splits L0 into fine sublayers; DG+-style flat layer when false.
+  // DL+ splits L0 into fine sublayers; a flat layer, as in DG+, when
+  // false.
   bool zero_layer_fine_split = true;
 
   // Build-side worker threads: 0 = DRLI_THREADS env / hardware

@@ -70,11 +70,10 @@ StatusOr<std::unique_ptr<TopKIndex>> BuildIndex(const IndexBuildConfig& config,
             PartitionedLayerIndex::Build(std::move(points), options)));
   }
   if (kind == "dg" || kind == "dg+") {
-    DominantGraphOptions options;
-    options.build_zero_layer = (kind == "dg+");
+    DualLayerOptions options = DominantGraphConfig(kind == "dg+");
     options.zero_layer_clusters = config.zero_layer_clusters;
-    return std::unique_ptr<TopKIndex>(std::make_unique<DominantGraphIndex>(
-        DominantGraphIndex::Build(std::move(points), options)));
+    return std::unique_ptr<TopKIndex>(std::make_unique<DualLayerIndex>(
+        DualLayerIndex::Build(std::move(points), options)));
   }
   if (kind == "hl" || kind == "hl+") {
     HybridLayerOptions options;

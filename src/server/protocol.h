@@ -24,7 +24,8 @@
 //             / diversified / reverse), with an optional deadline and
 //             step budget that propagate into the ExecBudget;
 //   kBatch    several query bodies answered in one reply frame through
-//             the QueryBatch machinery (admission control included);
+//             TopKIndex::QueryBatch, admitted as one unit by the
+//             server's in-flight cap;
 //   kInspect  engine metadata (snapshot name, generation, n, d);
 //   kHealth   liveness + serving counters;
 //   kReload   force a generation-pointer check right now.

@@ -39,6 +39,10 @@ constexpr std::size_t kReadChunk = 64 * 1024;
 constexpr std::size_t kMaxReadBurst = 4 * kReadChunk;
 constexpr int kEpollWaitMs = 50;
 constexpr int kListenBacklog = 128;
+// Connections with a reply stuck mid-write this long are closed.
+constexpr double kIoTimeoutSeconds = 10.0;
+// Shutdown() waits this long for in-flight work and reply flushes.
+constexpr double kDrainTimeoutSeconds = 5.0;
 
 Status Errno(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
@@ -114,7 +118,11 @@ struct TopKServer::Impl {
   std::vector<std::thread> workers;
   std::thread watcher;
 
-  std::atomic<bool> started{false};
+  // Every request writes the counters and the work queue below from
+  // loop and worker threads. Starting them on a cache line of their own
+  // keeps those writes off the lines of the read-mostly members above
+  // (options, engine, loops), whatever the sizes of those members.
+  alignas(64) std::atomic<bool> started{false};
   std::atomic<bool> draining{false};
   std::atomic<bool> stop{false};
 
@@ -473,9 +481,9 @@ void TopKServer::Impl::HandleFrame(const std::shared_ptr<Connection>& conn,
     case wire::Verb::kQuery:
     case wire::Verb::kBatch: {
       const std::size_t n = request.queries.size();
-      // Validate before shedding, as TopKIndex::QueryBatch does: a
-      // request that can only be refused answers kInvalidQuery before
-      // admission, so it never takes or waits on an in-flight slot.
+      // Validate before shedding: a request that can only be refused
+      // answers kInvalidQuery before admission, so it never takes or
+      // waits on an in-flight slot.
       // One reply frame carries every result, so the worst-case
       // encoded reply is bounded here: a well-formed request whose
       // answer could bust the frame cap is refused instead of sent
@@ -618,7 +626,7 @@ void TopKServer::Impl::ScanTimeouts(EventLoop& loop) {
       if (conn->closed) continue;
       stuck_write = !conn->outbuf.empty() &&
                     conn->last_write_progress.ElapsedSeconds() >
-                        options.io_timeout_seconds;
+                        kIoTimeoutSeconds;
     }
     const bool idle = conn->last_activity.ElapsedSeconds() >
                       options.idle_timeout_seconds;
@@ -764,7 +772,7 @@ void TopKServer::Impl::ShutdownNow() {
     WakeAllLoops();
     // Drain: let queued work finish and replies flush, bounded.
     Stopwatch drain;
-    while (drain.ElapsedSeconds() < options.drain_timeout_seconds) {
+    while (drain.ElapsedSeconds() < kDrainTimeoutSeconds) {
       // conns maps belong to live loop threads; AllFlushedAndIdle only
       // reads them while loops are still running, which they are here.
       if (AllFlushedAndIdle()) break;

@@ -50,14 +50,10 @@ struct ServerOptions {
   double default_deadline_ms = 0.0;
   // Connections silent this long are closed.
   double idle_timeout_seconds = 60.0;
-  // Connections with a reply stuck mid-write this long are closed.
-  double io_timeout_seconds = 10.0;
   // CURRENT watcher period.
   double reload_poll_seconds = 0.25;
   // Retry hint carried in kOverloaded replies.
   std::uint32_t retry_after_ms = 50;
-  // Shutdown() waits this long for in-flight work and reply flushes.
-  double drain_timeout_seconds = 5.0;
   // Test hook: every worker sleeps this long per request before
   // executing, making overload and drain windows deterministic.
   double test_worker_delay_ms = 0.0;

@@ -59,57 +59,9 @@ std::vector<TopKResult> TopKIndex::QueryBatch(
 }
 
 std::vector<TopKResult> TopKIndex::QueryBatch(
-    const std::vector<TopKQuery>& queries, const BatchOptions& options) const {
-  // Validation runs BEFORE the shed decision: a malformed query comes
-  // back kInvalidQuery without consuming an in-flight slot, so it can
-  // never crowd out a well-formed one. Families that cannot report
-  // their dimensionality (dim() == 0) skip the pre-check and rely on
-  // Query's own rejection, which still costs them the slot.
-  const std::size_t d = dim();
-  std::vector<TopKResult> results(queries.size());
-  std::vector<std::size_t> runnable;
-  runnable.reserve(queries.size());
-  for (std::size_t i = 0; i < queries.size(); ++i) {
-    if (d != 0) {
-      Status status = ValidateQuery(queries[i], d);
-      if (!status.ok()) {
-        results[i] = InvalidQueryResult(status);
-        continue;
-      }
-    }
-    runnable.push_back(i);
-  }
-  const std::size_t admitted_count =
-      (options.max_in_flight == 0 || runnable.size() <= options.max_in_flight)
-          ? runnable.size()
-          : options.max_in_flight;
-  std::vector<TopKQuery> admitted;
-  admitted.reserve(admitted_count);
-  for (std::size_t j = 0; j < admitted_count; ++j) {
-    admitted.push_back(queries[runnable[j]]);
-    if (!options.default_budget.unlimited() &&
-        admitted.back().budget.unlimited()) {
-      admitted.back().budget = options.default_budget;
-    }
-  }
-  std::vector<TopKResult> ran = QueryBatch(admitted);
-  for (std::size_t j = 0; j < ran.size(); ++j) {
-    results[runnable[j]] = std::move(ran[j]);
-  }
-  for (std::size_t j = admitted_count; j < runnable.size(); ++j) {
-    TopKResult& slot = results[runnable[j]];
-    slot.termination = Termination::kShed;
-    slot.error = "shed: batch in-flight limit (" +
-                 std::to_string(options.max_in_flight) + ") exceeded";
-  }
-  return results;
-}
-
-std::vector<TopKResult> TopKIndex::QueryBatch(
-    const std::vector<TopKQuery>& queries, const BatchOptions& options,
-    BatchStats* stats) const {
+    const std::vector<TopKQuery>& queries, BatchStats* stats) const {
   Stopwatch wall;
-  std::vector<TopKResult> results = QueryBatch(queries, options);
+  std::vector<TopKResult> results = QueryBatch(queries);
   if (stats != nullptr) {
     *stats = BatchStats{};
     for (const TopKResult& result : results) stats->merged.Merge(result.stats);

@@ -181,7 +181,7 @@ enum class Termination : std::uint8_t {
   kCancelled,      // CancelToken fired
   kInvalidQuery,   // malformed query rejected (see ValidateQuery)
   kError,          // worker raised an exception; message in `error`
-  kShed,           // rejected by QueryBatch admission control
+  kShed,           // rejected by the server's admission control
 };
 
 // Short identifier, e.g. "complete" or "step-budget".
@@ -311,16 +311,7 @@ TopKResult GuardedQuery(Fn&& fn) {
   }
 }
 
-// Admission control and default budgets for QueryBatch.
-struct BatchOptions {
-  // Queries beyond the first `max_in_flight` are not executed; their
-  // slots come back with Termination::kShed. 0 = unbounded.
-  std::size_t max_in_flight = 0;
-  // Applied to every admitted query whose own budget is unlimited.
-  ExecBudget default_budget{};
-};
-
-// Interface implemented by FullScan, Onion, DG/DG+, HL/HL+, DL/DL+.
+// Interface implemented by every index family (core/index_registry.h).
 class TopKIndex {
  public:
   virtual ~TopKIndex() = default;
@@ -331,12 +322,8 @@ class TopKIndex {
   // Number of tuples in the indexed relation.
   virtual std::size_t size() const = 0;
 
-  // Dimensionality of the indexed relation when the family can report
-  // it; 0 = unknown. The admission-control QueryBatch uses this to
-  // validate queries before the shed decision (a malformed query must
-  // not consume an in-flight slot); for a family reporting 0 that
-  // validation is skipped and Query itself remains the arbiter.
-  virtual std::size_t dim() const { return 0; }
+  // Dimensionality of the indexed relation.
+  virtual std::size_t dim() const = 0;
 
   // Answers `query`; thread-safe (const; DualLayerIndex's scratch pool
   // is the only shared mutable state, and it is locked). Never throws
@@ -354,13 +341,6 @@ class TopKIndex {
   std::vector<TopKResult> QueryBatch(
       const std::vector<TopKQuery>& queries) const;
 
-  // QueryBatch with admission control: the first
-  // options.max_in_flight queries run (through the overload above);
-  // the rest are shed deterministically with Termination::kShed.
-  // Admitted queries without a budget inherit options.default_budget.
-  std::vector<TopKResult> QueryBatch(const std::vector<TopKQuery>& queries,
-                                     const BatchOptions& options) const;
-
   // QueryBatch with batch-level accounting: fills *stats with the
   // Merge of every result's QueryStats plus the batch's own single
   // wall clock. Per-query elapsed_seconds stay per-query; their sum
@@ -368,7 +348,6 @@ class TopKIndex {
   // while stats->wall_seconds is what a QPS computation divides by --
   // over parallel workers the two differ by ~the worker count.
   std::vector<TopKResult> QueryBatch(const std::vector<TopKQuery>& queries,
-                                     const BatchOptions& options,
                                      BatchStats* stats) const;
 };
 

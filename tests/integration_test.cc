@@ -59,7 +59,7 @@ TEST_P(AllIndexesTest, EveryKindMatchesScan) {
 TEST_P(AllIndexesTest, Theorem5DlNeverCostsMoreThanDg) {
   const IntegrationCase& c = GetParam();
   const PointSet pts = Generate(c.dist, c.n, c.d, c.seed);
-  DominantGraphIndex dg = DominantGraphIndex::Build(pts);
+  DualLayerIndex dg = DualLayerIndex::Build(pts, DominantGraphConfig(false));
   DualLayerIndex dl = DualLayerIndex::Build(pts);
   for (std::size_t k : {1u, 10u, 25u}) {
     for (const TopKQuery& query :

@@ -3,9 +3,9 @@
 // malformed queries, and overload-safe batching (DESIGN.md §5).
 //
 // The exhaustive cut-point tests fire a step budget and a cancel fuse
-// at EVERY step index of a small traversal for the graph families, and
-// check every partial result against the brute-force reference through
-// the differential oracle.
+// at EVERY step index of a small traversal for the graph families and
+// NRA, and check every partial result against the brute-force
+// reference through the differential oracle.
 
 #include <algorithm>
 #include <chrono>
@@ -101,7 +101,8 @@ class ExhaustiveCutPointTest : public ::testing::TestWithParam<const char*> {
 };
 
 INSTANTIATE_TEST_SUITE_P(Kinds, ExhaustiveCutPointTest,
-                         ::testing::Values("dl", "dl+", "dg+", "hl+"),
+                         ::testing::Values("dl", "dl+", "dg", "dg+", "hl+",
+                                           "nra"),
                          [](const auto& info) {
                            std::string name = info.param;
                            if (!name.empty() && name.back() == '+') {
@@ -341,120 +342,13 @@ TEST(BatchBudgetTest, SerialAndParallelBatchesHonourPerQueryBudgets) {
   }
 }
 
-TEST(BatchSheddingTest, QueriesBeyondTheInFlightLimitAreShed) {
-  const PointSet points = GenerateAnticorrelated(300, 3, 37);
-  for (const char* kind : {"dl+", "onion"}) {
-    IndexBuildConfig config;
-    config.kind = kind;
-    auto built = BuildIndex(config, points);
-    ASSERT_TRUE(built.ok()) << kind;
-    const TopKIndex& index = *built.value();
-
-    // 4x the in-flight limit, per the acceptance criterion.
-    const std::size_t limit = 8;
-    const std::vector<TopKQuery> queries =
-        testing_util::RandomQueries(3, /*k=*/5, /*count=*/4 * limit,
-                                    /*seed=*/9);
-    BatchOptions options;
-    options.max_in_flight = limit;
-    const std::vector<TopKResult> results = index.QueryBatch(queries, options);
-    ASSERT_EQ(results.size(), queries.size());
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      if (i < limit) {
-        EXPECT_TRUE(results[i].complete()) << kind << " slot " << i;
-        ExpectSameOutcome(index.Query(queries[i]), results[i]);
-      } else {
-        EXPECT_EQ(results[i].termination, Termination::kShed)
-            << kind << " slot " << i;
-        EXPECT_NE(results[i].error.find("in-flight limit"),
-                  std::string::npos);
-        EXPECT_TRUE(results[i].items.empty());
-        EXPECT_EQ(results[i].certified_prefix, 0u);
-      }
-    }
-
-    // Shedding is deterministic: the same batch sheds the same slots.
-    const std::vector<TopKResult> again = index.QueryBatch(queries, options);
-    for (std::size_t i = 0; i < results.size(); ++i) {
-      EXPECT_EQ(results[i].termination, again[i].termination) << i;
-    }
-  }
-}
-
-// Validation happens BEFORE the shed decision: a malformed query is a
-// kInvalidQuery rejection that consumes no in-flight slot, so it can
-// never crowd out a well-formed query under admission pressure.
-TEST(BatchSheddingTest, MalformedQueriesDoNotConsumeInFlightSlots) {
-  const PointSet points = GenerateAnticorrelated(300, 3, 37);
-  const DualLayerIndex index = DualLayerIndex::Build(points);
-
-  std::vector<TopKQuery> queries =
-      testing_util::RandomQueries(3, /*k=*/5, /*count=*/4, /*seed=*/9);
-  queries[0].weights = {0.5, 0.5};           // wrong arity
-  queries[2].weights = {-0.2, 0.6, 0.6};     // negative component
-
-  BatchOptions options;
-  options.max_in_flight = 2;  // exactly the number of valid queries
-  const std::vector<TopKResult> results = index.QueryBatch(queries, options);
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_EQ(results[0].termination, Termination::kInvalidQuery);
-  EXPECT_EQ(results[2].termination, Termination::kInvalidQuery);
-  // Both valid queries were admitted: with validate-after-shed the
-  // malformed slots would have eaten the cap and slot 3 would be shed.
-  EXPECT_TRUE(results[1].complete());
-  EXPECT_TRUE(results[3].complete());
-  ExpectSameOutcome(index.Query(queries[1]), results[1]);
-  ExpectSameOutcome(index.Query(queries[3]), results[3]);
-
-  // With a cap of 1 the second valid query is the one shed -- the
-  // malformed ones still reject as invalid, never as overload.
-  options.max_in_flight = 1;
-  const std::vector<TopKResult> tight = index.QueryBatch(queries, options);
-  EXPECT_EQ(tight[0].termination, Termination::kInvalidQuery);
-  EXPECT_EQ(tight[2].termination, Termination::kInvalidQuery);
-  EXPECT_TRUE(tight[1].complete());
-  EXPECT_EQ(tight[3].termination, Termination::kShed);
-}
-
-TEST(BatchSheddingTest, UnlimitedInFlightAdmitsEverything) {
-  const PointSet points = GenerateIndependent(100, 2, 41);
-  const DualLayerIndex index = DualLayerIndex::Build(points);
-  const std::vector<TopKQuery> queries =
-      testing_util::RandomQueries(2, 3, 12, 2);
-  const std::vector<TopKResult> results =
-      index.QueryBatch(queries, BatchOptions{});
-  for (const TopKResult& result : results) {
-    EXPECT_TRUE(result.complete());
-  }
-}
-
-TEST(BatchDefaultBudgetTest, AppliedOnlyToUnlimitedQueries) {
-  const PointSet points = GenerateIndependent(400, 2, 43);
-  IndexBuildConfig config;
-  config.kind = "scan";
-  auto built = BuildIndex(config, points);
-  ASSERT_TRUE(built.ok());
-
-  std::vector<TopKQuery> queries = testing_util::RandomQueries(2, 5, 4, 3);
-  queries[2].budget.max_evals = points.size();  // own, generous budget
-
-  BatchOptions options;
-  options.default_budget.max_evals = 10;  // far below the scan cost
-  const std::vector<TopKResult> results =
-      built.value()->QueryBatch(queries, options);
-  ASSERT_EQ(results.size(), 4u);
-  EXPECT_EQ(results[0].termination, Termination::kStepBudget);
-  EXPECT_EQ(results[1].termination, Termination::kStepBudget);
-  EXPECT_TRUE(results[2].complete());  // kept its own budget
-  EXPECT_EQ(results[3].termination, Termination::kStepBudget);
-}
-
 // A deliberately poisoned index: proves one throwing worker cannot take
 // down the batch or the process.
 class ThrowingIndex : public TopKIndex {
  public:
   std::string name() const override { return "THROWING"; }
   std::size_t size() const override { return 0; }
+  std::size_t dim() const override { return 1; }
   TopKResult Query(const TopKQuery& query) const override {
     if (query.k == 13) throw std::runtime_error("poisoned query k=13");
     TopKResult result;

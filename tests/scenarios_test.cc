@@ -626,8 +626,7 @@ TEST(BatchStatsTest, WallClockIsNotTheSumOfPerQueryClocks) {
     query.k = 10;
   }
   BatchStats stats;
-  const std::vector<TopKResult> results =
-      index.QueryBatch(queries, BatchOptions{}, &stats);
+  const std::vector<TopKResult> results = index.QueryBatch(queries, &stats);
   ASSERT_EQ(results.size(), queries.size());
   EXPECT_GT(stats.wall_seconds, 0.0);
 
@@ -644,7 +643,7 @@ TEST(BatchStatsTest, WallClockIsNotTheSumOfPerQueryClocks) {
   // ...whose elapsed sum is aggregate query-seconds, NOT the batch
   // wall clock the QPS math needs. (With parallel workers the sum
   // typically exceeds the wall clock; equality would mean a serial
-  // batch, which BatchOptions{} does not request.)
+  // batch, which this overload does not request.)
   EXPECT_NE(stats.merged.elapsed_seconds, stats.wall_seconds);
 }
 

@@ -178,9 +178,10 @@ TEST(IoModelTest, LayerClusteredLayoutBeatsRandomPlacement) {
 TEST(IoModelTest, DlTouchesFewerPagesThanDg) {
   const PointSet pts = GenerateAnticorrelated(3000, 4, 12);
   const DualLayerIndex dl = DualLayerIndex::Build(pts);
-  const DominantGraphIndex dg = DominantGraphIndex::Build(pts);
+  const DualLayerIndex dg =
+      DualLayerIndex::Build(pts, DominantGraphConfig(false));
   const PageLayout dl_layout(dl.LayerGroups(), 64);
-  const PageLayout dg_layout(dg.layers(), 64);
+  const PageLayout dg_layout(dg.LayerGroups(), 64);
   std::size_t dl_pages = 0, dg_pages = 0;
   for (const TopKQuery& query : testing_util::RandomQueries(4, 10, 15, 13)) {
     dl_pages += dl_layout.DistinctPages(dl.Query(query).accessed);

@@ -50,8 +50,12 @@ diff "$WORK/simd_items.txt" "$WORK/scalar_items.txt"
 "$CLI" query --input="$WORK/data.csv" --kind=scan --weights=0.5,0.3,0.2 \
   --k=5 --max-evals=7 | grep -q "stopped on step-budget"
 
-"$CLI" compare --input="$WORK/data.csv" --kinds=scan,dg,dl+ --k=10 --queries=5 \
-  | grep -q "DL+"
+# DG and DG+ are the dual-layer index without fine sublayers; compare
+# drives them beside DL+.
+COMPARE_OUT="$("$CLI" compare --input="$WORK/data.csv" --kinds=scan,dg,dg+,dl+ \
+  --k=10 --queries=5)"
+echo "$COMPARE_OUT" | grep -q "DG+"
+echo "$COMPARE_OUT" | grep -q "DL+"
 
 "$CLI" generate --dist=ind --n=300 --d=2 --seed=3 --out="$WORK/d2.csv" >/dev/null
 "$CLI" sweep --input="$WORK/d2.csv" --k=3 --reverse=0 | grep -q "weight-space partition"
