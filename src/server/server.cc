@@ -4,9 +4,7 @@
 #include <atomic>
 #include <cerrno>
 #include <chrono>
-#include <condition_variable>
 #include <cstring>
-#include <deque>
 #include <mutex>
 #include <thread>
 #include <unordered_map>
@@ -18,7 +16,6 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <sys/epoll.h>
-#include <sys/eventfd.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
@@ -30,12 +27,11 @@ namespace server {
 
 namespace {
 
-// One frame's worth of socket reads per EPOLLIN burst iteration.
+// One frame's worth of socket reads per burst iteration.
 constexpr std::size_t kReadChunk = 64 * 1024;
-// Cap on bytes drained per EPOLLIN event: epoll is level-triggered,
-// so whatever is left re-arms immediately, and a firehose client can
-// neither pin its loop thread nor grow inbuf without bound while
-// other connections wait.
+// Cap on bytes read per claim of a connection: whatever is left waits
+// for the re-arm, so a firehose client can neither pin a pool thread
+// nor grow inbuf without bound while other connections wait.
 constexpr std::size_t kMaxReadBurst = 4 * kReadChunk;
 constexpr int kEpollWaitMs = 50;
 constexpr int kListenBacklog = 128;
@@ -43,6 +39,8 @@ constexpr int kListenBacklog = 128;
 constexpr double kIoTimeoutSeconds = 10.0;
 // Shutdown() waits this long for in-flight work and reply flushes.
 constexpr double kDrainTimeoutSeconds = 5.0;
+// The listener's epoll_data; connection ids count up from 1.
+constexpr std::uint64_t kListenerId = 0;
 
 Status Errno(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
@@ -50,61 +48,42 @@ Status Errno(const std::string& what) {
 
 }  // namespace
 
-// A connected client socket. The owning event loop is the only thread
-// that touches fd / inbuf / epoll registration; workers hand replies
-// over through outbuf under `mu` and wake the loop, which does every
-// actual send. `closed` flips exactly once (under `mu`), after which
-// workers drop replies instead of appending -- the fd may already be
-// reused by a new connection.
+// A connected client socket, registered EPOLLONESHOT under a stable id
+// (never its fd, which a close can hand to a new connection). A pool
+// thread claims it when its event fires and owns everything but `mu`,
+// `claimed` and `closed` until it re-arms or closes it. Claim and
+// re-arm both run under `mu`, which orders one holder's writes before
+// the next holder's reads. Other threads read the owned state only
+// under `mu` while the connection is unclaimed, and only a claim
+// holder closes the fd.
 struct Connection {
+  std::uint64_t id = 0;
   int fd = -1;
-  std::size_t loop = 0;
 
-  // Loop-thread state.
+  std::mutex mu;
+  bool claimed = false;
+  bool closed = false;
+
+  // Owned by the claim holder.
   std::vector<std::uint8_t> inbuf;
   std::size_t inpos = 0;
-  bool want_write = false;
-  Stopwatch last_activity;
-
-  // Shared state.
-  std::mutex mu;
   std::vector<std::uint8_t> outbuf;
   std::size_t outpos = 0;
-  bool closed = false;
   bool close_after_flush = false;
+  Stopwatch last_activity;
   Stopwatch last_write_progress;  // meaningful while outbuf nonempty
 };
 
 namespace {
 
+// An admitted request, run after its burst is decoded.
 struct WorkItem {
-  std::shared_ptr<Connection> conn;
   wire::Request request;
   std::uint32_t request_id = 0;
-  // Started when the frame was decoded: wire deadlines count queue
-  // wait against this clock.
+  // Started when the frame was decoded: wire deadlines count the wait
+  // behind earlier frames of the burst against this clock.
   Stopwatch arrival;
   std::size_t admitted = 0;  // wire queries counted against in-flight
-};
-
-struct EventLoop {
-  std::size_t index = 0;
-  int epoll_fd = -1;
-  int listen_fd = -1;
-  int wake_fd = -1;
-  std::thread thread;
-  // The loop thread owns the map's contents; the mutex covers the map
-  // structure itself, which the drain path reads from another thread.
-  std::mutex conns_mu;
-  std::unordered_map<int, std::shared_ptr<Connection>> conns;
-
-  std::vector<std::shared_ptr<Connection>> Snapshot() {
-    std::lock_guard<std::mutex> lock(conns_mu);
-    std::vector<std::shared_ptr<Connection>> out;
-    out.reserve(conns.size());
-    for (auto& [fd, conn] : conns) out.push_back(conn);
-    return out;
-  }
 };
 
 }  // namespace
@@ -114,14 +93,14 @@ struct TopKServer::Impl {
   ServingEngine engine;
   std::uint16_t bound_port = 0;
 
-  std::vector<std::unique_ptr<EventLoop>> loops;
-  std::vector<std::thread> workers;
+  int epoll_fd = -1;
+  std::vector<std::thread> pool;
   std::thread watcher;
 
-  // Every request writes the counters and the work queue below from
-  // loop and worker threads. Starting them on a cache line of their own
-  // keeps those writes off the lines of the read-mostly members above
-  // (options, engine, loops), whatever the sizes of those members.
+  // Every request writes the members below from the pool threads.
+  // Starting them on a cache line of their own keeps those writes off
+  // the lines of the read-mostly members above (options, engine,
+  // epoll_fd), whatever the sizes of those members.
   alignas(64) std::atomic<bool> started{false};
   std::atomic<bool> draining{false};
   std::atomic<bool> stop{false};
@@ -132,45 +111,47 @@ struct TopKServer::Impl {
   std::atomic<std::uint64_t> malformed{0};
   std::atomic<std::uint64_t> conns_opened{0};
 
-  std::mutex queue_mu;
-  std::condition_variable queue_cv;
-  std::deque<WorkItem> queue;
-  std::atomic<std::uint64_t> busy_workers{0};
+  // Covers listen_fd and next_id; the listener is EPOLLONESHOT too, so
+  // only the drain path ever waits on it.
+  std::mutex listen_mu;
+  int listen_fd = -1;
+  std::uint64_t next_id = kListenerId + 1;
+
+  std::mutex conns_mu;
+  std::unordered_map<std::uint64_t, std::shared_ptr<Connection>> conns;
+
+  std::mutex reap_mu;  // one pool thread scans for timeouts at a time
+  Stopwatch since_reap;
   std::mutex shutdown_mu;  // serializes concurrent Shutdown calls
 
   ~Impl() { ShutdownNow(); }
 
-  // --- startup ---
-
   Status Start(const std::string& dir, const ServerOptions& opts);
-  StatusOr<int> OpenListener();
+  Status OpenListener();
+  void StopAccepting();
 
-  // --- event loop ---
+  // --- pool threads ---
 
-  void LoopMain(std::size_t loop_index);
-  void AcceptAll(EventLoop& loop);
-  void ReadConn(EventLoop& loop, const std::shared_ptr<Connection>& conn);
-  void ProcessFrames(EventLoop& loop, const std::shared_ptr<Connection>& conn);
-  void HandleFrame(const std::shared_ptr<Connection>& conn,
-                   wire::Frame&& frame);
-  void FlushConn(EventLoop& loop, const std::shared_ptr<Connection>& conn);
-  void CloseConn(EventLoop& loop, int fd);
-  void ScanTimeouts(EventLoop& loop);
-
-  // --- workers ---
-
-  void WorkerMain();
-  void Execute(WorkItem& item);
+  void PoolMain();
+  void AcceptAll();
+  void Serve(std::uint64_t id, std::uint32_t events);
+  bool ReadBurst(Connection& conn);
+  void DecodeFrames(Connection& conn, std::vector<WorkItem>* admitted);
+  void HandleFrame(Connection& conn, wire::Frame&& frame,
+                   std::vector<WorkItem>* admitted);
+  void Execute(Connection& conn, WorkItem& item);
+  bool Flush(Connection& conn);
+  void Rearm(Connection& conn);
+  void Close(const std::shared_ptr<Connection>& conn);
+  void ReapTimeouts();
 
   void WatcherMain();
 
-  // Queues `payload` as one reply frame on `conn` and wakes its loop.
-  void SendReply(const std::shared_ptr<Connection>& conn,
-                 std::uint32_t request_id,
+  // Appends `payload` to `conn`'s outbuf as one reply frame.
+  void SendReply(Connection& conn, std::uint32_t request_id,
                  const std::vector<std::uint8_t>& payload);
-  void WakeLoop(std::size_t loop_index);
-  void WakeAllLoops();
 
+  std::vector<std::shared_ptr<Connection>> Snapshot();
   bool AllFlushedAndIdle();
   void ShutdownNow();
 };
@@ -188,147 +169,87 @@ Status TopKServer::Impl::Start(const std::string& dir,
   Status status = engine.Open(dir);
   if (!status.ok()) return status;
 
-  bound_port = options.port;
-  for (std::size_t i = 0; i < options.num_loops; ++i) {
-    auto loop = std::make_unique<EventLoop>();
-    loop->index = i;
-    auto listener = OpenListener();
-    if (!listener.ok()) return listener.status();
-    loop->listen_fd = listener.value();
-    loop->epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
-    if (loop->epoll_fd < 0) return Errno("epoll_create1");
-    loop->wake_fd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-    if (loop->wake_fd < 0) return Errno("eventfd");
-    struct epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN;
-    ev.data.fd = loop->listen_fd;
-    if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->listen_fd, &ev) != 0) {
-      return Errno("epoll_ctl(listener)");
-    }
-    ev.data.fd = loop->wake_fd;
-    if (::epoll_ctl(loop->epoll_fd, EPOLL_CTL_ADD, loop->wake_fd, &ev) != 0) {
-      return Errno("epoll_ctl(eventfd)");
-    }
-    loops.push_back(std::move(loop));
+  epoll_fd = ::epoll_create1(EPOLL_CLOEXEC);
+  if (epoll_fd < 0) return Errno("epoll_create1");
+  status = OpenListener();
+  if (!status.ok()) return status;
+  struct epoll_event ev;
+  std::memset(&ev, 0, sizeof(ev));
+  ev.events = EPOLLIN | EPOLLONESHOT;
+  ev.data.u64 = kListenerId;
+  if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, listen_fd, &ev) != 0) {
+    return Errno("epoll_ctl(listener)");
   }
 
   started.store(true);
-  for (std::size_t i = 0; i < loops.size(); ++i) {
-    loops[i]->thread = std::thread([this, i] { LoopMain(i); });
-  }
-  for (std::size_t i = 0; i < options.num_workers; ++i) {
-    workers.emplace_back([this] { WorkerMain(); });
+  for (std::size_t i = 0; i < options.num_loops + options.num_workers; ++i) {
+    pool.emplace_back([this] { PoolMain(); });
   }
   watcher = std::thread([this] { WatcherMain(); });
   return Status::Ok();
 }
 
-StatusOr<int> TopKServer::Impl::OpenListener() {
-  const int fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC,
-                          0);
-  if (fd < 0) return Errno("socket");
+Status TopKServer::Impl::OpenListener() {
+  listen_fd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
+  if (listen_fd < 0) return Errno("socket");
   const int one = 1;
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  // Every loop binds its own listener to the same port: the kernel
-  // load-balances accepts across them (thread-per-core accepting).
-  ::setsockopt(fd, SOL_SOCKET, SO_REUSEPORT, &one, sizeof(one));
+  ::setsockopt(listen_fd, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
   struct sockaddr_in addr;
   std::memset(&addr, 0, sizeof(addr));
   addr.sin_family = AF_INET;
-  addr.sin_port = htons(bound_port);
+  addr.sin_port = htons(options.port);
   if (::inet_pton(AF_INET, options.host.c_str(), &addr.sin_addr) != 1) {
-    ::close(fd);
     return Status::InvalidArgument("bad listen host: " + options.host);
   }
-  if (::bind(fd, reinterpret_cast<struct sockaddr*>(&addr), sizeof(addr)) !=
-      0) {
-    Status status = Errno("bind " + options.host + ":" +
-                          std::to_string(bound_port));
-    ::close(fd);
-    return status;
+  if (::bind(listen_fd, reinterpret_cast<struct sockaddr*>(&addr),
+             sizeof(addr)) != 0) {
+    return Errno("bind " + options.host + ":" + std::to_string(options.port));
   }
-  if (bound_port == 0) {
-    // First listener picked the ephemeral port; the rest reuse it.
-    socklen_t len = sizeof(addr);
-    if (::getsockname(fd, reinterpret_cast<struct sockaddr*>(&addr), &len) !=
-        0) {
-      Status status = Errno("getsockname");
-      ::close(fd);
-      return status;
-    }
-    bound_port = ntohs(addr.sin_port);
+  socklen_t len = sizeof(addr);
+  if (::getsockname(listen_fd, reinterpret_cast<struct sockaddr*>(&addr),
+                    &len) != 0) {
+    return Errno("getsockname");
   }
-  if (::listen(fd, kListenBacklog) != 0) {
-    Status status = Errno("listen");
-    ::close(fd);
-    return status;
-  }
-  return fd;
+  bound_port = ntohs(addr.sin_port);
+  if (::listen(listen_fd, kListenBacklog) != 0) return Errno("listen");
+  return Status::Ok();
 }
 
-// --- event loop ---
+void TopKServer::Impl::StopAccepting() {
+  std::lock_guard<std::mutex> lock(listen_mu);
+  if (listen_fd < 0) return;
+  if (epoll_fd >= 0) {
+    ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, listen_fd, nullptr);
+  }
+  ::close(listen_fd);
+  listen_fd = -1;
+}
 
-void TopKServer::Impl::LoopMain(std::size_t loop_index) {
-  EventLoop& loop = *loops[loop_index];
-  bool accepting = true;
-  struct epoll_event events[64];
-  while (true) {
-    const int n = ::epoll_wait(loop.epoll_fd, events, 64, kEpollWaitMs);
+// --- pool threads ---
+
+void TopKServer::Impl::PoolMain() {
+  while (!stop.load()) {
+    // One event per wait: a thread never holds a ready connection it is
+    // not serving.
+    struct epoll_event event;
+    const int n = ::epoll_wait(epoll_fd, &event, 1, kEpollWaitMs);
     if (n < 0 && errno != EINTR) break;
-    if (accepting && draining.load()) {
-      // Drain: stop accepting; existing connections keep flushing.
-      ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, loop.listen_fd, nullptr);
-      ::close(loop.listen_fd);
-      loop.listen_fd = -1;
-      accepting = false;
+    if (n == 1) {
+      if (event.data.u64 == kListenerId) {
+        AcceptAll();
+      } else {
+        Serve(event.data.u64, event.events);
+      }
     }
-    for (int i = 0; i < std::max(n, 0); ++i) {
-      const int fd = events[i].data.fd;
-      if (fd == loop.wake_fd) {
-        std::uint64_t drainer = 0;
-        while (::read(loop.wake_fd, &drainer, sizeof(drainer)) > 0) {
-        }
-        // A wake means some connection has replies to flush.
-        for (auto& conn : loop.Snapshot()) FlushConn(loop, conn);
-        continue;
-      }
-      if (fd == loop.listen_fd && accepting) {
-        AcceptAll(loop);
-        continue;
-      }
-      std::shared_ptr<Connection> conn;
-      {
-        std::lock_guard<std::mutex> lock(loop.conns_mu);
-        auto it = loop.conns.find(fd);
-        if (it == loop.conns.end()) continue;
-        conn = it->second;
-      }
-      if (events[i].events & (EPOLLHUP | EPOLLERR)) {
-        CloseConn(loop, fd);
-        continue;
-      }
-      if (events[i].events & EPOLLIN) ReadConn(loop, conn);
-      if (events[i].events & EPOLLOUT) FlushConn(loop, conn);
-    }
-    ScanTimeouts(loop);
-    if (stop.load()) break;
-  }
-  // Hard stop: close the sockets this loop owns. wake_fd and epoll_fd
-  // stay open -- workers and WakeLoop may still write to wake_fd until
-  // they are joined, and closing here could hand the fd number to an
-  // unrelated descriptor mid-write. ShutdownNow closes both after
-  // every thread that can touch them has been joined.
-  for (auto& conn : loop.Snapshot()) CloseConn(loop, conn->fd);
-  if (loop.listen_fd >= 0) {
-    ::close(loop.listen_fd);
-    loop.listen_fd = -1;
+    ReapTimeouts();
   }
 }
 
-void TopKServer::Impl::AcceptAll(EventLoop& loop) {
+void TopKServer::Impl::AcceptAll() {
+  std::lock_guard<std::mutex> lock(listen_mu);
+  if (listen_fd < 0) return;  // draining
   while (true) {
-    const int fd = ::accept4(loop.listen_fd, nullptr, nullptr,
+    const int fd = ::accept4(listen_fd, nullptr, nullptr,
                              SOCK_NONBLOCK | SOCK_CLOEXEC);
     if (fd < 0) {
       if (errno == EINTR) continue;
@@ -337,61 +258,100 @@ void TopKServer::Impl::AcceptAll(EventLoop& loop) {
     const int one = 1;
     ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
     auto conn = std::make_shared<Connection>();
+    conn->id = next_id++;
     conn->fd = fd;
-    conn->loop = loop.index;
+    {
+      // Mapped before it is armed, so its first event finds it.
+      std::lock_guard<std::mutex> conns_lock(conns_mu);
+      conns.emplace(conn->id, conn);
+    }
     struct epoll_event ev;
     std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN;
-    ev.data.fd = fd;
-    if (::epoll_ctl(loop.epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+    ev.events = EPOLLIN | EPOLLONESHOT;
+    ev.data.u64 = conn->id;
+    if (::epoll_ctl(epoll_fd, EPOLL_CTL_ADD, fd, &ev) != 0) {
+      std::lock_guard<std::mutex> conns_lock(conns_mu);
+      conns.erase(conn->id);
       ::close(fd);
       continue;
     }
-    {
-      std::lock_guard<std::mutex> lock(loop.conns_mu);
-      loop.conns.emplace(fd, std::move(conn));
-    }
     conns_opened.fetch_add(1);
+  }
+  struct epoll_event ev;
+  std::memset(&ev, 0, sizeof(ev));
+  ev.events = EPOLLIN | EPOLLONESHOT;
+  ev.data.u64 = kListenerId;
+  ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, listen_fd, &ev);
+}
+
+// One cycle: claim, read one burst, answer or admit every complete
+// frame in it, run the admitted requests in frame order while flushing
+// each reply, then re-arm (or close).
+void TopKServer::Impl::Serve(std::uint64_t id, std::uint32_t events) {
+  std::shared_ptr<Connection> conn;
+  {
+    std::lock_guard<std::mutex> lock(conns_mu);
+    auto it = conns.find(id);
+    if (it == conns.end()) return;
+    conn = it->second;
+  }
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    if (conn->closed || conn->claimed) return;
+    conn->claimed = true;
+  }
+  if (events & (EPOLLHUP | EPOLLERR)) {
+    Close(conn);
+    return;
+  }
+  bool peer_open = true;
+  std::vector<WorkItem> admitted;
+  if (events & EPOLLIN) {
+    peer_open = ReadBurst(*conn);
+    DecodeFrames(*conn, &admitted);
+  }
+  bool writable = Flush(*conn);
+  for (WorkItem& item : admitted) {
+    Execute(*conn, item);
+    if (writable) writable = Flush(*conn);
+  }
+  const bool finished = conn->close_after_flush && conn->outbuf.empty();
+  if (peer_open && writable && !finished) {
+    Rearm(*conn);
+  } else {
+    Close(conn);
   }
 }
 
-void TopKServer::Impl::ReadConn(EventLoop& loop,
-                                const std::shared_ptr<Connection>& conn) {
-  bool peer_closed = false;
+// False once the peer has closed (mid-request disconnects land here).
+bool TopKServer::Impl::ReadBurst(Connection& conn) {
   std::size_t burst = 0;
   while (burst < kMaxReadBurst) {
-    const std::size_t old_size = conn->inbuf.size();
-    conn->inbuf.resize(old_size + kReadChunk);
+    const std::size_t old_size = conn.inbuf.size();
+    conn.inbuf.resize(old_size + kReadChunk);
     const ssize_t n =
-        ::recv(conn->fd, conn->inbuf.data() + old_size, kReadChunk, 0);
+        ::recv(conn.fd, conn.inbuf.data() + old_size, kReadChunk, 0);
     if (n > 0) {
-      conn->inbuf.resize(old_size + static_cast<std::size_t>(n));
-      conn->last_activity.Restart();
+      conn.inbuf.resize(old_size + static_cast<std::size_t>(n));
+      conn.last_activity.Restart();
       burst += static_cast<std::size_t>(n);
       if (static_cast<std::size_t>(n) < kReadChunk) break;
       continue;
     }
-    conn->inbuf.resize(old_size);
-    if (n == 0) {
-      peer_closed = true;  // mid-request disconnects land here
-      break;
-    }
-    if (errno == EINTR) continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK) break;
-    peer_closed = true;
-    break;
+    conn.inbuf.resize(old_size);
+    if (n < 0 && errno == EINTR) continue;
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
   }
-  if (!conn->inbuf.empty()) ProcessFrames(loop, conn);
-  if (peer_closed) CloseConn(loop, conn->fd);
+  return true;
 }
 
-void TopKServer::Impl::ProcessFrames(EventLoop& loop,
-                                     const std::shared_ptr<Connection>& conn) {
+void TopKServer::Impl::DecodeFrames(Connection& conn,
+                                    std::vector<WorkItem>* admitted) {
   while (true) {
     wire::Frame frame;
     std::string error;
     const wire::FrameScan scan =
-        wire::ScanFrame(conn->inbuf, &conn->inpos, &frame, &error);
+        wire::ScanFrame(conn.inbuf, &conn.inpos, &frame, &error);
     if (scan == wire::FrameScan::kNeedMore) break;
     if (scan == wire::FrameScan::kCorrupt) {
       // The stream cannot be resynchronized: one best-effort reply,
@@ -399,30 +359,24 @@ void TopKServer::Impl::ProcessFrames(EventLoop& loop,
       malformed.fetch_add(1);
       SendReply(conn, 0,
                 wire::EncodeStatusReply(wire::ReplyStatus::kMalformed, error));
-      {
-        std::lock_guard<std::mutex> lock(conn->mu);
-        conn->close_after_flush = true;
-      }
-      conn->inbuf.clear();
-      conn->inpos = 0;
-      FlushConn(loop, conn);
+      conn.close_after_flush = true;
+      conn.inbuf.clear();
+      conn.inpos = 0;
       return;
     }
-    HandleFrame(conn, std::move(frame));
+    HandleFrame(conn, std::move(frame), admitted);
   }
   // Drop consumed bytes so the buffer never grows beyond one frame
   // plus one read burst.
-  if (conn->inpos > 0) {
-    conn->inbuf.erase(conn->inbuf.begin(),
-                      conn->inbuf.begin() +
-                          static_cast<std::ptrdiff_t>(conn->inpos));
-    conn->inpos = 0;
+  if (conn.inpos > 0) {
+    conn.inbuf.erase(conn.inbuf.begin(),
+                     conn.inbuf.begin() + static_cast<std::ptrdiff_t>(conn.inpos));
+    conn.inpos = 0;
   }
-  FlushConn(loop, conn);
 }
 
-void TopKServer::Impl::HandleFrame(const std::shared_ptr<Connection>& conn,
-                                   wire::Frame&& frame) {
+void TopKServer::Impl::HandleFrame(Connection& conn, wire::Frame&& frame,
+                                   std::vector<WorkItem>* admitted) {
   wire::Request request;
   Status status = wire::DecodeRequest(frame.payload, &request);
   if (!status.ok()) {
@@ -468,14 +422,9 @@ void TopKServer::Impl::HandleFrame(const std::shared_ptr<Connection>& conn,
     }
     case wire::Verb::kReload: {
       WorkItem item;
-      item.conn = conn;
       item.request = std::move(request);
       item.request_id = frame.request_id;
-      {
-        std::lock_guard<std::mutex> lock(queue_mu);
-        queue.push_back(std::move(item));
-      }
-      queue_cv.notify_one();
+      admitted->push_back(std::move(item));
       return;
     }
     case wire::Verb::kQuery:
@@ -521,7 +470,7 @@ void TopKServer::Impl::HandleFrame(const std::shared_ptr<Connection>& conn,
         return;
       }
       // Deterministic admission: increment first, then shed the whole
-      // request on overshoot, so concurrent loop threads can never
+      // request on overshoot, so concurrent pool threads can never
       // admit past the cap -- a clear kOverloaded beats a
       // deadline-blown answer.
       const std::uint64_t before = in_flight.fetch_add(n);
@@ -540,15 +489,10 @@ void TopKServer::Impl::HandleFrame(const std::shared_ptr<Connection>& conn,
         return;
       }
       WorkItem item;
-      item.conn = conn;
       item.request = std::move(request);
       item.request_id = frame.request_id;
       item.admitted = n;
-      {
-        std::lock_guard<std::mutex> lock(queue_mu);
-        queue.push_back(std::move(item));
-      }
-      queue_cv.notify_one();
+      admitted->push_back(std::move(item));
       return;
     }
   }
@@ -557,105 +501,7 @@ void TopKServer::Impl::HandleFrame(const std::shared_ptr<Connection>& conn,
                                     "unknown verb"));
 }
 
-void TopKServer::Impl::FlushConn(EventLoop& loop,
-                                 const std::shared_ptr<Connection>& conn) {
-  bool close_now = false;
-  bool want_write = false;
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->closed) return;
-    while (conn->outpos < conn->outbuf.size()) {
-      const ssize_t n =
-          ::send(conn->fd, conn->outbuf.data() + conn->outpos,
-                 conn->outbuf.size() - conn->outpos, MSG_NOSIGNAL);
-      if (n > 0) {
-        conn->outpos += static_cast<std::size_t>(n);
-        conn->last_write_progress.Restart();
-        continue;
-      }
-      if (n < 0 && errno == EINTR) continue;
-      if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) {
-        want_write = true;
-        break;
-      }
-      close_now = true;  // peer gone mid-write
-      break;
-    }
-    if (conn->outpos == conn->outbuf.size()) {
-      conn->outbuf.clear();
-      conn->outpos = 0;
-      if (conn->close_after_flush) close_now = true;
-    }
-  }
-  if (close_now) {
-    CloseConn(loop, conn->fd);
-    return;
-  }
-  if (want_write != conn->want_write) {
-    conn->want_write = want_write;
-    struct epoll_event ev;
-    std::memset(&ev, 0, sizeof(ev));
-    ev.events = EPOLLIN | (want_write ? EPOLLOUT : 0u);
-    ev.data.fd = conn->fd;
-    ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_MOD, conn->fd, &ev);
-  }
-}
-
-void TopKServer::Impl::CloseConn(EventLoop& loop, int fd) {
-  std::shared_ptr<Connection> conn;
-  {
-    std::lock_guard<std::mutex> lock(loop.conns_mu);
-    auto it = loop.conns.find(fd);
-    if (it == loop.conns.end()) return;
-    conn = it->second;
-    loop.conns.erase(it);
-  }
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    conn->closed = true;
-  }
-  ::epoll_ctl(loop.epoll_fd, EPOLL_CTL_DEL, fd, nullptr);
-  ::close(fd);
-}
-
-void TopKServer::Impl::ScanTimeouts(EventLoop& loop) {
-  for (auto& conn : loop.Snapshot()) {
-    bool stuck_write = false;
-    {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (conn->closed) continue;
-      stuck_write = !conn->outbuf.empty() &&
-                    conn->last_write_progress.ElapsedSeconds() >
-                        kIoTimeoutSeconds;
-    }
-    const bool idle = conn->last_activity.ElapsedSeconds() >
-                      options.idle_timeout_seconds;
-    if (stuck_write || idle) CloseConn(loop, conn->fd);
-  }
-}
-
-// --- workers ---
-
-void TopKServer::Impl::WorkerMain() {
-  while (true) {
-    WorkItem item;
-    {
-      std::unique_lock<std::mutex> lock(queue_mu);
-      queue_cv.wait(lock, [this] { return stop.load() || !queue.empty(); });
-      if (queue.empty()) {
-        if (stop.load()) return;
-        continue;
-      }
-      item = std::move(queue.front());
-      queue.pop_front();
-      busy_workers.fetch_add(1);
-    }
-    Execute(item);
-    busy_workers.fetch_sub(1);
-  }
-}
-
-void TopKServer::Impl::Execute(WorkItem& item) {
+void TopKServer::Impl::Execute(Connection& conn, WorkItem& item) {
   if (options.test_worker_delay_ms > 0) {
     std::this_thread::sleep_for(std::chrono::duration<double, std::milli>(
         options.test_worker_delay_ms));
@@ -669,7 +515,7 @@ void TopKServer::Impl::Execute(WorkItem& item) {
       info.error = result.status().message();
     }
     info.generation = engine.Acquire()->sequence;
-    SendReply(item.conn, item.request_id, wire::EncodeReloadReply(info));
+    SendReply(conn, item.request_id, wire::EncodeReloadReply(info));
     return;
   }
 
@@ -681,10 +527,10 @@ void TopKServer::Impl::Execute(WorkItem& item) {
     double deadline_ms =
         q.deadline_ms > 0.0 ? q.deadline_ms : options.default_deadline_ms;
     if (deadline_ms > 0.0) {
-      // The wire deadline covers queue wait: hand the traversal only
-      // what is left, floored at a hair above zero so an already-
-      // expired request trips the gate immediately and still returns
-      // a well-formed certified partial.
+      // The wire deadline covers the wait since decode: hand the
+      // traversal only what is left, floored at a hair above zero so an
+      // already-expired request trips the gate immediately and still
+      // returns a well-formed certified partial.
       const double remaining =
           deadline_ms / 1e3 - item.arrival.ElapsedSeconds();
       budgets[i].deadline_seconds = std::max(remaining, 1e-9);
@@ -700,8 +546,74 @@ void TopKServer::Impl::Execute(WorkItem& item) {
     results = ExecuteWireBatch(*generation, item.request.queries, budgets);
   }
   served.fetch_add(n);
+  SendReply(conn, item.request_id, wire::EncodeResultReply(results));
   in_flight.fetch_sub(item.admitted);
-  SendReply(item.conn, item.request_id, wire::EncodeResultReply(results));
+}
+
+// Writes outbuf until the socket would block; false once the peer is
+// gone.
+bool TopKServer::Impl::Flush(Connection& conn) {
+  while (conn.outpos < conn.outbuf.size()) {
+    const ssize_t n =
+        ::send(conn.fd, conn.outbuf.data() + conn.outpos,
+               conn.outbuf.size() - conn.outpos, MSG_NOSIGNAL);
+    if (n > 0) {
+      conn.outpos += static_cast<std::size_t>(n);
+      conn.last_write_progress.Restart();
+      continue;
+    }
+    if (n < 0 && errno == EINTR) continue;
+    return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
+  }
+  conn.outbuf.clear();
+  conn.outpos = 0;
+  return true;
+}
+
+void TopKServer::Impl::Rearm(Connection& conn) {
+  std::lock_guard<std::mutex> lock(conn.mu);
+  conn.claimed = false;
+  struct epoll_event ev;
+  std::memset(&ev, 0, sizeof(ev));
+  // A connection closing after its last reply reads nothing more.
+  ev.events = (conn.close_after_flush ? 0u : EPOLLIN) |
+              (conn.outbuf.empty() ? 0u : EPOLLOUT) | EPOLLONESHOT;
+  ev.data.u64 = conn.id;
+  ::epoll_ctl(epoll_fd, EPOLL_CTL_MOD, conn.fd, &ev);
+}
+
+// The caller holds the claim, or every pool thread has been joined.
+void TopKServer::Impl::Close(const std::shared_ptr<Connection>& conn) {
+  {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    conn->closed = true;
+  }
+  ::epoll_ctl(epoll_fd, EPOLL_CTL_DEL, conn->fd, nullptr);
+  ::close(conn->fd);
+  std::lock_guard<std::mutex> lock(conns_mu);
+  conns.erase(conn->id);
+}
+
+void TopKServer::Impl::ReapTimeouts() {
+  std::unique_lock<std::mutex> reap_lock(reap_mu, std::try_to_lock);
+  if (!reap_lock.owns_lock() || since_reap.ElapsedMillis() < kEpollWaitMs) {
+    return;
+  }
+  since_reap.Restart();
+  for (auto& conn : Snapshot()) {
+    {
+      std::lock_guard<std::mutex> lock(conn->mu);
+      if (conn->claimed || conn->closed) continue;
+      const bool stuck_write =
+          !conn->outbuf.empty() &&
+          conn->last_write_progress.ElapsedSeconds() > kIoTimeoutSeconds;
+      const bool idle = conn->last_activity.ElapsedSeconds() >
+                        options.idle_timeout_seconds;
+      if (!stuck_write && !idle) continue;
+      conn->claimed = true;  // only a claim holder closes
+    }
+    Close(conn);
+  }
 }
 
 void TopKServer::Impl::WatcherMain() {
@@ -716,50 +628,37 @@ void TopKServer::Impl::WatcherMain() {
   }
 }
 
-void TopKServer::Impl::SendReply(const std::shared_ptr<Connection>& conn,
-                                 std::uint32_t request_id,
+void TopKServer::Impl::SendReply(Connection& conn, std::uint32_t request_id,
                                  const std::vector<std::uint8_t>& payload) {
-  {
-    std::lock_guard<std::mutex> lock(conn->mu);
-    if (conn->closed) return;  // client went away; drop the reply
-    if (conn->outbuf.empty()) conn->last_write_progress.Restart();
-    if (!wire::AppendFrame(request_id, payload, &conn->outbuf)) {
-      // Admission bounds the worst-case reply, so this is a belt-and-
-      // braces path: degrade to a bare kError the client can parse
-      // rather than ever aborting or emitting a broken frame.
-      const bool sent = wire::AppendFrame(
-          request_id,
-          wire::EncodeStatusReply(wire::ReplyStatus::kError,
-                                  "reply exceeds the frame payload cap"),
-          &conn->outbuf);
-      DRLI_CHECK(sent);  // a bare status reply is a few dozen bytes
-    }
+  if (conn.outbuf.empty()) conn.last_write_progress.Restart();
+  if (!wire::AppendFrame(request_id, payload, &conn.outbuf)) {
+    // Admission bounds the worst-case reply, so this is a belt-and-
+    // braces path: degrade to a bare kError the client can parse
+    // rather than ever aborting or emitting a broken frame.
+    const bool sent = wire::AppendFrame(
+        request_id,
+        wire::EncodeStatusReply(wire::ReplyStatus::kError,
+                                "reply exceeds the frame payload cap"),
+        &conn.outbuf);
+    DRLI_CHECK(sent);  // a bare status reply is a few dozen bytes
   }
-  WakeLoop(conn->loop);
 }
 
-void TopKServer::Impl::WakeLoop(std::size_t loop_index) {
-  if (loop_index >= loops.size()) return;
-  if (loops[loop_index]->wake_fd < 0) return;  // already shut down
-  const std::uint64_t one = 1;
-  [[maybe_unused]] ssize_t n =
-      ::write(loops[loop_index]->wake_fd, &one, sizeof(one));
+std::vector<std::shared_ptr<Connection>> TopKServer::Impl::Snapshot() {
+  std::lock_guard<std::mutex> lock(conns_mu);
+  std::vector<std::shared_ptr<Connection>> out;
+  out.reserve(conns.size());
+  for (auto& [id, conn] : conns) out.push_back(conn);
+  return out;
 }
 
-void TopKServer::Impl::WakeAllLoops() {
-  for (std::size_t i = 0; i < loops.size(); ++i) WakeLoop(i);
-}
-
+// Admitted work lives only inside a claim, so an unclaimed connection
+// with an empty outbuf has nothing left to answer.
 bool TopKServer::Impl::AllFlushedAndIdle() {
-  if (in_flight.load() != 0 || busy_workers.load() != 0) return false;
-  {
-    std::lock_guard<std::mutex> lock(queue_mu);
-    if (!queue.empty()) return false;
-  }
-  for (auto& loop : loops) {
-    for (auto& conn : loop->Snapshot()) {
-      std::lock_guard<std::mutex> lock(conn->mu);
-      if (!conn->closed && !conn->outbuf.empty()) return false;
+  for (auto& conn : Snapshot()) {
+    std::lock_guard<std::mutex> lock(conn->mu);
+    if (!conn->closed && (conn->claimed || !conn->outbuf.empty())) {
+      return false;
     }
   }
   return true;
@@ -769,46 +668,28 @@ void TopKServer::Impl::ShutdownNow() {
   std::lock_guard<std::mutex> shutdown_lock(shutdown_mu);
   if (started.load()) {
     draining.store(true);
-    WakeAllLoops();
-    // Drain: let queued work finish and replies flush, bounded.
+    StopAccepting();
+    // Drain: let admitted work finish and replies flush, bounded.
     Stopwatch drain;
-    while (drain.ElapsedSeconds() < kDrainTimeoutSeconds) {
-      // conns maps belong to live loop threads; AllFlushedAndIdle only
-      // reads them while loops are still running, which they are here.
-      if (AllFlushedAndIdle()) break;
-      queue_cv.notify_all();
-      WakeAllLoops();
+    while (drain.ElapsedSeconds() < kDrainTimeoutSeconds &&
+           !AllFlushedAndIdle()) {
       std::this_thread::sleep_for(std::chrono::milliseconds(5));
     }
     stop.store(true);
-    queue_cv.notify_all();
-    WakeAllLoops();
-    for (auto& worker : workers) {
-      if (worker.joinable()) worker.join();
+    for (auto& thread : pool) {
+      if (thread.joinable()) thread.join();
     }
     if (watcher.joinable()) watcher.join();
-    for (auto& loop : loops) {
-      if (loop->thread.joinable()) loop->thread.join();
-    }
     started.store(false);
   }
-  // Only now -- with every worker and loop thread joined -- is it safe
-  // to close the wake/epoll fds: no stray WakeLoop write can land on a
-  // recycled descriptor. Also runs for a Start that failed partway, so
-  // its half-built loops do not leak fds.
-  for (auto& loop : loops) {
-    if (loop->wake_fd >= 0) {
-      ::close(loop->wake_fd);
-      loop->wake_fd = -1;
-    }
-    if (loop->epoll_fd >= 0) {
-      ::close(loop->epoll_fd);
-      loop->epoll_fd = -1;
-    }
-    if (loop->listen_fd >= 0) {
-      ::close(loop->listen_fd);
-      loop->listen_fd = -1;
-    }
+  // Every pool thread is joined (or never started), so no claim is
+  // held. Also runs for a Start that failed partway, so its fds do not
+  // leak.
+  StopAccepting();
+  for (auto& conn : Snapshot()) Close(conn);
+  if (epoll_fd >= 0) {
+    ::close(epoll_fd);
+    epoll_fd = -1;
   }
 }
 

@@ -1,15 +1,18 @@
-// Epoll-based TCP serving front end (DESIGN.md §10): thread-per-core
-// event loops (each with its own SO_REUSEPORT listener and epoll set)
-// accept and frame connections; a shared worker pool answers query
-// work through the QueryBatch machinery; a watcher thread polls the
-// serving directory's CURRENT pointer for hot generation swaps.
+// Epoll-based TCP serving front end (DESIGN.md §10): one pool of
+// identical threads waits on one epoll set with one listener. The
+// thread that gets a connection's event reads one burst from it,
+// answers or admits every frame in it, runs the admitted requests in
+// frame order through the QueryBatch machinery, writes each reply, and
+// re-arms the connection. A watcher thread polls the serving
+// directory's CURRENT pointer for hot generation swaps.
 //
 // Robustness contract, in degradation order:
 //   1. full answers while capacity and deadlines allow;
 //   2. certified partials when a per-request deadline or step budget
-//      trips mid-traversal (wire deadline_ms counts from frame arrival,
-//      queue wait included -- a request that waited its whole deadline
-//      out gets an immediate empty kDeadline partial, not a stale run);
+//      trips mid-traversal (wire deadline_ms counts from frame decode,
+//      the wait behind earlier frames of its burst included -- a
+//      request that waited its whole deadline out gets an immediate
+//      kDeadline partial, not a stale run);
 //   3. deterministic load shedding with kOverloaded + retry-after once
 //      admission control's in-flight cap is reached;
 //   4. kShuttingDown while draining (in-flight work still completes).
@@ -37,12 +40,13 @@ struct ServerOptions {
   std::string host = "127.0.0.1";
   // 0 binds an ephemeral port; port() reports the one the kernel chose.
   std::uint16_t port = 0;
-  // Event loops (each an acceptor + epoll set). 0 = one per core,
-  // capped at 4.
+  // The server runs num_loops + num_workers identical pool threads,
+  // each of which accepts, reads, executes and replies.
+  // 0 = one per core, capped at 4.
   std::size_t num_loops = 0;
-  // Query worker threads. 0 = one per core, capped at 8.
+  // 0 = one per core, capped at 8.
   std::size_t num_workers = 0;
-  // Admission cap on wire queries queued or executing; at the cap new
+  // Admission cap on wire queries admitted or executing; at the cap new
   // requests shed deterministically with kOverloaded. 0 = 256.
   std::size_t max_in_flight = 0;
   // Deadline applied to queries whose frame carries none (ms; 0 = no
@@ -54,8 +58,9 @@ struct ServerOptions {
   double reload_poll_seconds = 0.25;
   // Retry hint carried in kOverloaded replies.
   std::uint32_t retry_after_ms = 50;
-  // Test hook: every worker sleeps this long per request before
-  // executing, making overload and drain windows deterministic.
+  // Test hook: the executing thread sleeps this long per admitted
+  // request before running it, making overload and drain windows
+  // deterministic.
   double test_worker_delay_ms = 0.0;
 };
 
@@ -68,7 +73,7 @@ struct ServerCounters {
   std::uint64_t reloads = 0;
 };
 
-// The server. Start() spawns the loops, workers, and watcher;
+// The server. Start() spawns the pool and the watcher;
 // Shutdown() drains gracefully (idempotent; the destructor calls it).
 class TopKServer {
  public:
@@ -84,7 +89,7 @@ class TopKServer {
   // Port actually bound (== options.port unless that was 0).
   std::uint16_t port() const;
 
-  // Graceful drain: stop accepting, answer queued work, flush replies,
+  // Graceful drain: stop accepting, answer admitted work, flush replies,
   // join every thread. Safe to call more than once / concurrently
   // with serving; wired to SIGTERM/SIGINT by `drli serve`.
   void Shutdown();

@@ -36,6 +36,8 @@ constexpr std::size_t kReloadRaces = 12;
 constexpr std::size_t kDeadlineStorm = 96;
 // Concurrent overload clients.
 constexpr std::size_t kOverloadClients = 8;
+// Frames pipelined in one burst, four times the sweep's in-flight cap.
+constexpr std::uint32_t kPipelinedFrames = 16;
 
 std::vector<std::uint8_t> MakeQueryFrame(const Point& weights,
                                          std::uint64_t k,
@@ -395,6 +397,56 @@ ServerFaultReport RunServerFaultSweep(const std::string& scratch_dir,
     if (failures.load() > 0) {
       report.violations.push_back(std::to_string(failures.load()) +
                                   " overload clients saw hard failures");
+    }
+  }
+
+  // --- pipelined overload: one burst of frames past the cap on one
+  // connection. Closed-loop clients keep at most one request each in
+  // flight, so only a pipelined burst is sure to reach the cap. ---
+  {
+    server::DrliClient client;
+    if (client.Connect("127.0.0.1", port, 5.0).ok()) {
+      std::vector<std::uint8_t> burst;
+      for (std::uint32_t id = 1; id <= kPipelinedFrames; ++id) {
+        const std::vector<std::uint8_t> frame = MakeQueryFrame(weights, 5, id);
+        burst.insert(burst.end(), frame.begin(), frame.end());
+      }
+      (void)client.SendRaw(burst);
+      std::vector<int> replies(kPipelinedFrames + 1, 0);
+      for (std::uint32_t i = 0; i < kPipelinedFrames; ++i) {
+        ++report.cases;
+        auto frame = client.ReadFrame();
+        std::vector<wire::WireResult> results;
+        if (!frame.ok() ||
+            !wire::DecodeResultReply(frame.value().payload, &results).ok() ||
+            results.size() != 1 || frame.value().request_id < 1 ||
+            frame.value().request_id > kPipelinedFrames) {
+          report.violations.push_back(
+              "pipelined burst: missing or ill-formed reply");
+          break;
+        }
+        ++replies[frame.value().request_id];
+        const wire::WireResult& r = results[0];
+        if (r.status == wire::ReplyStatus::kOverloaded) {
+          ++report.sheds;
+          if (r.retry_after_ms == 0) {
+            report.violations.push_back(
+                "pipelined burst: kOverloaded reply without a retry hint");
+          }
+        } else if (r.status != wire::ReplyStatus::kOk) {
+          report.violations.push_back(
+              std::string("pipelined burst: reply neither ok nor shed: ") +
+              wire::ReplyStatusName(r.status));
+        }
+      }
+      for (std::uint32_t id = 1; id <= kPipelinedFrames; ++id) {
+        if (replies[id] > 1) {
+          report.violations.push_back("pipelined burst: request " +
+                                      std::to_string(id) + " answered twice");
+        }
+      }
+    } else {
+      report.violations.push_back("connect failed for pipelined burst");
     }
   }
 

@@ -17,8 +17,10 @@
 //  * deadline storms: bursts of near-zero deadlines and tiny step
 //    budgets -- every reply must be a well-formed certified partial or
 //    complete answer;
-//  * overload: concurrent clients past the in-flight cap -- sheds must
-//    be explicit kOverloaded replies carrying a retry hint.
+//  * overload: concurrent clients past the in-flight cap, and one
+//    connection pipelining a burst of frames past it -- every request
+//    is answered once, and sheds must be explicit kOverloaded replies
+//    carrying a retry hint.
 
 #ifndef DRLI_TESTING_SERVER_FAULTS_H_
 #define DRLI_TESTING_SERVER_FAULTS_H_

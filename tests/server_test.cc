@@ -480,6 +480,120 @@ TEST(ServerTest, OversizedKIsRefusedBeforeAdmission) {
   server.Shutdown();
 }
 
+std::vector<std::uint8_t> QueryFrame(std::uint32_t request_id,
+                                     const wire::WireQuery& query) {
+  wire::Request request;
+  request.verb = wire::Verb::kQuery;
+  request.queries.push_back(query);
+  std::vector<std::uint8_t> frame;
+  EXPECT_TRUE(
+      wire::AppendFrame(request_id, wire::EncodeRequest(request), &frame));
+  return frame;
+}
+
+// Admission is decided per frame at decode time, so frames pipelined on
+// one connection are admitted up to the cap and the rest shed at once:
+// one burst past the cap can never queue more than the cap allows.
+TEST(ServerTest, PipelinedBurstPastTheCapShedsTheExcess) {
+  ServingDir serving("drli_server_pipelined_shed");
+  BuildAndPublish(serving, "gen-1.v2", 37);
+  ServerOptions options;
+  options.max_in_flight = 4;
+  options.num_workers = 1;
+  options.test_worker_delay_ms = 20.0;
+  options.retry_after_ms = 35;
+  TopKServer server;
+  ASSERT_TRUE(server.Start(serving.dir, options).ok());
+  DrliClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  constexpr std::uint32_t kFrames = 32;
+  constexpr std::uint32_t kCap = 4;
+  wire::WireQuery query;
+  query.weights = {0.2, 0.3, 0.5};
+  query.k = 3;
+  std::vector<std::uint8_t> burst;
+  for (std::uint32_t id = 1; id <= kFrames; ++id) {
+    const std::vector<std::uint8_t> frame = QueryFrame(id, query);
+    burst.insert(burst.end(), frame.begin(), frame.end());
+  }
+  ASSERT_TRUE(client.SendRaw(burst).ok());
+
+  std::vector<wire::ReplyStatus> status(kFrames + 1, wire::ReplyStatus::kError);
+  std::vector<int> replies(kFrames + 1, 0);
+  for (std::uint32_t i = 0; i < kFrames; ++i) {
+    auto frame = client.ReadFrame();
+    ASSERT_TRUE(frame.ok()) << frame.status().ToString();
+    const std::uint32_t id = frame.value().request_id;
+    ASSERT_GE(id, 1u);
+    ASSERT_LE(id, kFrames);
+    std::vector<wire::WireResult> results;
+    ASSERT_TRUE(
+        wire::DecodeResultReply(frame.value().payload, &results).ok());
+    ASSERT_EQ(results.size(), 1u);
+    ++replies[id];
+    status[id] = results[0].status;
+    if (results[0].status == wire::ReplyStatus::kOverloaded) {
+      EXPECT_EQ(results[0].retry_after_ms, 35u) << "id " << id;
+    }
+  }
+  for (std::uint32_t id = 1; id <= kFrames; ++id) {
+    EXPECT_EQ(replies[id], 1) << "id " << id;
+    EXPECT_EQ(status[id], id <= kCap ? wire::ReplyStatus::kOk
+                                     : wire::ReplyStatus::kOverloaded)
+        << "id " << id;
+  }
+  EXPECT_EQ(server.counters().queries_shed, kFrames - kCap);
+  server.Shutdown();
+}
+
+// A wire deadline runs from frame decode: a frame pipelined behind a
+// slower one spends its budget while it waits.
+TEST(ServerTest, DeadlineCountsTheWaitBehindAnEarlierFrame) {
+  ServingDir serving("drli_server_deadline_wait");
+  BuildAndPublish(serving, "gen-1.v2", 41);
+  ServerOptions options;
+  options.num_workers = 1;
+  options.test_worker_delay_ms = 20.0;
+  TopKServer server;
+  ASSERT_TRUE(server.Start(serving.dir, options).ok());
+  DrliClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+
+  wire::WireQuery first;
+  first.weights = {0.2, 0.3, 0.5};
+  // The traversal reads its clock every 64 steps; k = 100 takes more.
+  first.k = 100;
+  wire::WireQuery second = first;
+  second.deadline_ms = 30.0;  // under the two 20 ms delays ahead of it
+  std::vector<std::uint8_t> burst = QueryFrame(1, first);
+  const std::vector<std::uint8_t> frame = QueryFrame(2, second);
+  burst.insert(burst.end(), frame.begin(), frame.end());
+  ASSERT_TRUE(client.SendRaw(burst).ok());
+
+  for (int i = 0; i < 2; ++i) {
+    auto reply = client.ReadFrame();
+    ASSERT_TRUE(reply.ok()) << reply.status().ToString();
+    std::vector<wire::WireResult> results;
+    ASSERT_TRUE(
+        wire::DecodeResultReply(reply.value().payload, &results).ok());
+    ASSERT_EQ(results.size(), 1u);
+    const wire::WireResult& r = results[0];
+    ASSERT_EQ(r.status, wire::ReplyStatus::kOk);
+    if (reply.value().request_id == 1) {
+      EXPECT_EQ(r.termination,
+                static_cast<std::uint8_t>(Termination::kComplete));
+      EXPECT_EQ(r.items.size(), 100u);
+    } else {
+      ASSERT_EQ(reply.value().request_id, 2u);
+      EXPECT_EQ(r.termination,
+                static_cast<std::uint8_t>(Termination::kDeadline));
+      EXPECT_LE(r.certified_prefix, r.items.size());
+    }
+  }
+  server.Shutdown();
+}
+
 TEST(ServerTest, GracefulDrainAnswersInFlightWork) {
   ServingDir serving("drli_server_drain");
   BuildAndPublish(serving, "gen-1.v2", 19);

@@ -24,7 +24,9 @@
 //   drli serve    --dir=/srv/drli --port=7071
 //                 [--port-file=port.txt]     # written once bound
 //                 [--max-in-flight=256] [--deadline-ms=50]
-//                 [--loops=2] [--workers=4]
+//                 [--loops=2] [--workers=4]  # pool of loops + workers
+//                                            # threads, each serving a
+//                                            # request start to finish
 //   drli publish  --dir=/srv/drli --snapshot=gen-000002.v2
 //
 // Query scenarios (DESIGN.md "Query scenarios"):
