@@ -46,10 +46,11 @@ struct Row {
   double avg_tuples = 0;
   double boxes_pruned = 0;   // constrained: avg pruned units per query
   double avg_pool = 0;       // diversified: avg certified pool size
+  std::vector<std::size_t> evals;  // constrained: per query, not emitted
 };
 
 // Boxes spanned by two random data rows: roughly quartile selectivity,
-// enough misses for sublayer / shard / run pruning to show.
+// enough misses for box-tree / shard / run pruning to show.
 std::vector<ConstrainedQuery> MakeConstrainedQueries(const PointSet& points,
                                                      std::size_t count) {
   Rng rng(7);
@@ -83,6 +84,7 @@ Row MeasureConstrained(const char* engine,
   for (const ConstrainedQuery& query : queries) {
     const TopKResult result = run(query);
     DRLI_CHECK(result.complete()) << engine << " returned a partial";
+    row.evals.push_back(result.stats.tuples_evaluated);
     tuples += result.stats.tuples_evaluated;
     pruned += result.stats.boxes_pruned;
   }
@@ -133,6 +135,16 @@ int main(int argc, char** argv) {
   }));
   DRLI_CHECK(rows[0].boxes_pruned > 0.0)
       << "DL+ constrained traversal pruned nothing";
+  // Each engine scores only in-box tuples, each at most once, so no
+  // query may cost more than the in-box scan.
+  for (std::size_t e = 0; e < 3; ++e) {
+    for (std::size_t q = 0; q < constrained.size(); ++q) {
+      DRLI_CHECK(rows[e].evals[q] <= rows[3].evals[q])
+          << rows[e].engine << " evaluates " << rows[e].evals[q]
+          << " tuples on constrained query " << q << ", the scan "
+          << rows[3].evals[q];
+    }
+  }
 
   // --- diversified: pool-certified greedy vs. whole-relation greedy ---
   Rng rng(11);

@@ -390,6 +390,23 @@ std::vector<std::vector<TupleId>> DualLayerIndex::LayerGroups() const {
 }
 
 void DualLayerIndex::FinalizeInitialNodes() {
+  // The box tree reads only points_, so on the task pool it builds
+  // beside the layout (below kMinPointsForParallelBuild, inline).
+  const std::size_t threads =
+      points_.size() < kMinPointsForParallelBuild ? 1 : options_.build_threads;
+  ParallelFor(
+      2,
+      [&](std::size_t task, std::size_t) {
+        if (task == 0) {
+          box_tree_ = BoxTree::Build(points_);
+        } else {
+          FinalizeLayout();
+        }
+      },
+      threads);
+}
+
+void DualLayerIndex::FinalizeLayout() {
   const std::size_t total = num_nodes();
   initial_.clear();
   for (std::size_t node = 0; node < total; ++node) {
@@ -504,44 +521,6 @@ void DualLayerIndex::FinalizeInitialNodes() {
   // per-slot init words belong to another layout and must be re-seeded.
   static std::atomic<std::uint64_t> layout_generation{0};
   layout.generation = ++layout_generation;
-
-  // Sublayer catalog for the constrained scenario (see SublayerSummary
-  // in dual_layer.h): the LayerGroups partition annotated with each
-  // group's attribute bounding box. O(n*d), once per build/load.
-  sublayer_catalog_.clear();
-  const std::size_t d = points_.dim();
-  for (const std::vector<TupleId>& layer : coarse_layers_) {
-    std::uint32_t max_fine = 0;
-    for (TupleId id : layer) max_fine = std::max(max_fine, fine_of_[id]);
-    const std::size_t base = sublayer_catalog_.size();
-    sublayer_catalog_.resize(base + max_fine + 1);
-    for (TupleId id : layer) {
-      SublayerSummary& group = sublayer_catalog_[base + fine_of_[id]];
-      const PointView p = points_[id];
-      if (group.members.empty()) {
-        group.coarse = coarse_of_[id];
-        group.fine = fine_of_[id];
-        group.bbox_lo.assign(p.begin(), p.end());
-        group.bbox_hi.assign(p.begin(), p.end());
-      } else {
-        for (std::size_t a = 0; a < d; ++a) {
-          group.bbox_lo[a] = std::min(group.bbox_lo[a], p[a]);
-          group.bbox_hi[a] = std::max(group.bbox_hi[a], p[a]);
-        }
-      }
-      group.members.push_back(id);
-    }
-    // Fine sublayer numbering is contiguous per coarse layer, but keep
-    // the catalog robust to gaps: a consumer iterating it must never
-    // see a memberless group.
-    sublayer_catalog_.erase(
-        std::remove_if(sublayer_catalog_.begin() + base,
-                       sublayer_catalog_.end(),
-                       [](const SublayerSummary& g) {
-                         return g.members.empty();
-                       }),
-        sublayer_catalog_.end());
-  }
 }
 
 double DualLayerIndex::StopSlack(PointView weights) const {

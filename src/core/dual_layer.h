@@ -41,6 +41,7 @@
 #include "common/csr.h"
 #include "common/point.h"
 #include "common/soa_points.h"
+#include "core/box_tree.h"
 #include "core/eds.h"
 #include "core/zero_layer.h"
 #include "topk/query.h"
@@ -121,21 +122,6 @@ struct DualLayerBuildStats {
   // skipped by the sort/bound pruning vs. pairs actually compared.
   std::size_t coarse_pairs_pruned = 0;
   std::size_t coarse_pairs_tested = 0;
-};
-
-// One (coarse layer, fine sublayer) group of real tuples with its
-// attribute bounding box, in layer order (same partition as
-// LayerGroups). The constrained scenario traversal treats each
-// sublayer as a pruning unit: skip the whole group when its box misses
-// the constraint box, otherwise open it in ascending order of the
-// componentwise-min corner's score (a lower bound on every member's
-// score under non-negative weights).
-struct SublayerSummary {
-  std::uint32_t coarse = 0;
-  std::uint32_t fine = 0;
-  std::vector<TupleId> members;  // LayerGroups order
-  Point bbox_lo;                 // componentwise min over members
-  Point bbox_hi;                 // componentwise max over members
 };
 
 // Derived, traversal-ordered layout the query path runs on. Built by
@@ -344,17 +330,11 @@ class DualLayerIndex final : public TopKIndex {
   // Real tuples grouped by (coarse layer, fine sublayer), in layer
   // order -- the disk clustering unit for storage/page_layout.
   std::vector<std::vector<TupleId>> LayerGroups() const;
-  // Per-sublayer summaries in layer order: the LayerGroups partition
-  // plus each group's attribute bounding box. bbox_lo is the
-  // componentwise-min corner, so Score(weights, bbox_lo) lower-bounds
-  // every member's score for any non-negative weights -- the bound the
-  // constrained scenario's group heap orders by (scenarios/
-  // constrained.h), and bbox overlap against a constraint box is the
-  // prune test. Derived by FinalizeInitialNodes after every build and
+  // The kd box tree over the real tuples (core/box_tree.h): the
+  // pruning unit of the constrained scenario and the diversified
+  // certificate. Derived by FinalizeInitialNodes after every build and
   // snapshot load; never persisted.
-  const std::vector<SublayerSummary>& sublayer_catalog() const {
-    return sublayer_catalog_;
-  }
+  const BoxTree& box_tree() const { return box_tree_; }
   bool uses_weight_table() const { return use_weight_table_; }
   const WeightRangeTable& weight_table() const { return weight_table_; }
   // The derived slot-space layout queries run on (tests, benchmarks).
@@ -394,9 +374,11 @@ class DualLayerIndex final : public TopKIndex {
                       AdjacencyBuilder* fine_adj);
   // Derives what queries run on from the node-space graph: the initial
   // nodes, the slot-space QueryLayout (including the lazy ∀-gate's
-  // partitioned pseudo rows and parent CSR) and the sublayer catalog.
+  // partitioned pseudo rows and parent CSR) and the box tree.
   // Runs after every build and snapshot load; none of it is persisted.
   void FinalizeInitialNodes();
+  // FinalizeInitialNodes without the box tree.
+  void FinalizeLayout();
   // QueryLayout::stop_slack for the current graph.
   std::vector<double> ComputeStopSlack() const;
 
@@ -440,7 +422,7 @@ class DualLayerIndex final : public TopKIndex {
   // Derived from the members above by FinalizeInitialNodes; never
   // serialized (rebuilt after every build and snapshot load).
   QueryLayout layout_;
-  std::vector<SublayerSummary> sublayer_catalog_;
+  BoxTree box_tree_;
   // Behind a pointer so the index stays movable.
   std::unique_ptr<ScratchPool> scratch_pool_ =
       std::make_unique<ScratchPool>();

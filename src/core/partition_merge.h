@@ -120,7 +120,7 @@ struct PartitionSet {
 
 // One merge's per-partition traversal: the top `k` items of `index`
 // under `budget`, in local ids; nullopt declines the partition unopened
-// (one box pruned: all its sublayer boxes miss a constraint box).
+// (one box pruned: its box tree's root box misses a constraint box).
 using PartitionTraversal = std::function<std::optional<TopKResult>(
     const DualLayerIndex& index, std::size_t k, const ExecBudget& budget)>;
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstddef>
+#include <functional>
 #include <limits>
 #include <optional>
 #include <utility>
@@ -22,17 +23,15 @@ Status ValidateConstrained(const ConstrainedQuery& query, std::size_t dim) {
   return ValidateBox(query.box, dim);
 }
 
-// A constrained merge's per-partition traversal: the sublayer-pruning
-// traversal below, or nullopt when every sublayer box misses the box.
+// A constrained merge's per-partition traversal: the box-tree
+// traversal below, or nullopt when the tree's root box misses the box.
 PartitionTraversal ConstrainedTraversal(const ConstrainedQuery& query) {
   return [&query](const DualLayerIndex& part, std::size_t k,
                   const ExecBudget& budget) -> std::optional<TopKResult> {
-    const std::vector<SublayerSummary>& catalog = part.sublayer_catalog();
-    const bool overlaps =
-        std::any_of(catalog.begin(), catalog.end(), [&](const auto& group) {
-          return query.box.Intersects(group.bbox_lo, group.bbox_hi);
-        });
-    if (!overlaps) return std::nullopt;
+    const BoxTree& tree = part.box_tree();
+    if (tree.empty() || !query.box.Intersects(tree.lo(0), tree.hi(0))) {
+      return std::nullopt;
+    }
     ConstrainedQuery sub = query;
     sub.k = k;
     sub.budget = budget;
@@ -59,22 +58,32 @@ TopKResult ConstrainedTopK(const DualLayerIndex& index,
     return InvalidQueryResult(status);
   }
 
-  // Sublayer groups in ascending corner-bound order. The corner is the
-  // group's componentwise-min box corner, so its score lower-bounds
-  // every member under the non-negative weights ValidateQuery admits.
-  const std::vector<SublayerSummary>& catalog = index.sublayer_catalog();
-  using Entry = std::pair<double, std::size_t>;  // (bound, catalog slot)
-  std::vector<Entry> entries;
-  entries.reserve(catalog.size());
-  for (std::size_t g = 0; g < catalog.size(); ++g) {
-    entries.emplace_back(Score(query.weights, catalog[g].bbox_lo), g);
-  }
-  std::sort(entries.begin(), entries.end());
+  // Tree nodes, best first by the score of the corner max(lo, box.lo)
+  // (header comment). A node whose box misses the query box is never
+  // enqueued.
+  const BoxTree& tree = index.box_tree();
+  const std::size_t d = index.points().dim();
+  Point corner(d);
+  using Entry = std::pair<double, std::size_t>;  // (key, node)
+  std::vector<Entry> frontier;
+  const auto enqueue = [&](std::size_t node) {
+    const PointView lo = tree.lo(node);
+    if (!query.box.Intersects(lo, tree.hi(node))) {
+      ++result.stats.boxes_pruned;
+      return;
+    }
+    for (std::size_t a = 0; a < d; ++a) {
+      corner[a] = std::max(lo[a], query.box.lo[a]);
+    }
+    frontier.emplace_back(Score(query.weights, corner), node);
+    std::push_heap(frontier.begin(), frontier.end(), std::greater<>());
+  };
+  if (!tree.empty()) enqueue(0);
 
   BudgetGate gate(query.budget);
   TopKHeap heap(query.k);
-  for (std::size_t next = 0; next < entries.size(); ++next) {
-    const double bound = entries[next].first;
+  while (!frontier.empty()) {
+    const auto [bound, node] = frontier.front();
     if (!FrontierOpen(heap, bound)) break;
     if (const Termination stop = gate.Step(result.stats.tuples_evaluated);
         stop != Termination::kComplete) {
@@ -83,12 +92,14 @@ TopKResult ConstrainedTopK(const DualLayerIndex& index,
       FinalizePartial(result, stop, bound);
       return result;
     }
-    const SublayerSummary& group = catalog[entries[next].second];
-    if (!query.box.Intersects(group.bbox_lo, group.bbox_hi)) {
-      ++result.stats.boxes_pruned;
+    std::pop_heap(frontier.begin(), frontier.end(), std::greater<>());
+    frontier.pop_back();
+    if (!tree.is_leaf(node)) {
+      enqueue(tree.left(node));
+      enqueue(tree.left(node) + 1);
       continue;
     }
-    for (const TupleId id : group.members) {
+    for (const TupleId id : tree.members(node)) {
       const PointView p = index.points()[id];
       if (!query.box.Contains(p)) continue;
       // Definition-9 accounting: only tuples the predicate admits are
@@ -126,17 +137,11 @@ TopKResult ConstrainedTopK(const TieredDualLayerIndex& index,
   // The memtable is always fully scanned (it is small by construction:
   // at most memtable_capacity rows), so a later partial stop only has
   // to certify against run bounds.
-  TopKResult memtable;
-  const PointSet& rows = index.memtable();
-  const std::vector<TupleId>& ids = index.memtable_ids();
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const PointView p = rows[i];
-    if (!query.box.Contains(p)) continue;
-    ++memtable.stats.tuples_evaluated;
-    memtable.accessed.push_back(ids[i]);
-    memtable.items.push_back(ScoredTuple{ids[i], Score(query.weights, p)});
-  }
-  std::sort(memtable.items.begin(), memtable.items.end(), ResultOrderLess);
+  ConstrainedQuery every = query;
+  every.k = index.memtable().size();
+  every.budget = {};
+  TopKResult memtable =
+      ConstrainedScanRows(index.memtable(), index.memtable_ids(), every);
   return MergeDualLayerPartitions(index.partitions(), query.weights, query.k,
                                   query.budget, timer, std::move(memtable),
                                   ConstrainedTraversal(query));

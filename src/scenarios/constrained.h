@@ -4,26 +4,28 @@
 // the tuples the box contains -- the same contract as every other
 // family, over a smaller universe.
 //
-// Index acceleration pushes the predicate into the layer structure.
-// Over one DL+ index, a heap of its sublayer groups
-// (DualLayerIndex::sublayer_catalog) ordered by a sound score lower
-// bound -- the componentwise-min corner of the group's bounding box --
-//   * skips a group entirely when its bounding box misses the
-//     constraint box (stats.boxes_pruned counts these), and
-//   * stops once the next group's bound exceeds the current k-th
-//     in-box score (the usual layer-frontier termination, exact in FP
-//     because dominance is score-monotone under non-negative weights).
+// Index acceleration pushes the predicate into the index's kd box tree
+// (DualLayerIndex::box_tree, core/box_tree.h). Over one DL+ index the
+// tree's nodes are opened best-first by a sound score lower bound --
+// the score of max(node lo, box lo), a corner that weakly dominates
+// every in-box member --
+//   * a node whose member box misses the constraint box is dropped
+//     unopened (stats.boxes_pruned counts these), and
+//   * the traversal stops once the next node's bound exceeds the
+//     current k-th in-box score (ties stay open; exact in FP because
+//     the score is monotone under non-negative weights).
+// A popped leaf scores only its in-box members.
 // Over shards (sdl+) and runs (tdl+), the partitions' open rule
 // (core/partition_merge.h) runs with the predicate pushed in: a shard
-// or run whose sublayer boxes all miss the box counts as one box
-// pruned, any other runs the traversal above.
+// or run whose root box misses the box counts as one box pruned, any
+// other runs the traversal above.
 //
 // Certified partials: with an ExecBudget, a tripped traversal returns
-// a certified prefix. Over one index the frontier is the next group's
-// lower bound: unopened groups cannot score below it, box-pruned
-// groups hold no eligible tuple at all, and a tuple rejected by the
-// running top-k heap canonically follows every returned item. Over
-// shards and runs the merge certifies.
+// a certified prefix. Over one index the frontier is the next node's
+// lower bound: unopened nodes cannot hold an in-box tuple scoring
+// below it, box-pruned nodes hold no eligible tuple at all, and a
+// tuple rejected by the running top-k heap canonically follows every
+// returned item. Over shards and runs the merge certifies.
 
 #ifndef DRLI_SCENARIOS_CONSTRAINED_H_
 #define DRLI_SCENARIOS_CONSTRAINED_H_
@@ -50,7 +52,7 @@ struct ConstrainedQuery {
   ExecBudget budget{};
 };
 
-// Sublayer-pruning traversal over one DL+ index.
+// Best-first box-tree traversal over one DL+ index.
 TopKResult ConstrainedTopK(const DualLayerIndex& index,
                            const ConstrainedQuery& query);
 

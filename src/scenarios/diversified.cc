@@ -5,7 +5,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <numeric>
 #include <optional>
 #include <vector>
 
@@ -15,7 +14,7 @@ namespace drli {
 namespace {
 
 // 1 / (1 + sqrt(sum_i diff(i)^2)), the one accumulation behind both
-// Similarity and the cell floor, so the two round identically.
+// Similarity and SimilarityFloor, so the two round identically.
 template <typename Diff>
 double SimilarityOf(std::size_t dim, Diff diff) {
   double sum = 0.0;
@@ -90,42 +89,49 @@ std::size_t CertifiedPicks(const std::vector<DiversifiedPick>& picks,
   return certified;
 }
 
-// The cell certificate (header comment), continuing from the first
-// pick the score certificate left uncertified. `order` lists the
-// cells by ascending Score(w, lo_c) (`lo_score`), so the scan for
-// pick j stops at the first cell whose base exceeds g_j: no later
-// cell can reach it. A cell's penalty catches up lazily, only when
-// its base first falls at or below some g_j.
-std::size_t CellCertifiedPicks(const PointSet& points,
+// The box-tree certificate (header comment), continuing from the
+// first pick the score certificate left uncertified. For pick j the
+// tree is walked top-down: a node whose bound exceeds g_j is certified
+// as a whole, a leaf whose bound does not ends certification. A node's
+// penalty floor catches up lazily over the picks, only when the walk
+// first needs it at some later pick.
+std::size_t TreeCertifiedPicks(const PointSet& points,
                                const std::vector<DiversifiedPick>& picks,
                                std::size_t certified, double pool_bound,
-                               double lambda, const RelationCells& cells,
-                               const std::vector<double>& lo_score,
-                               const std::vector<std::uint32_t>& order) {
-  std::vector<double> penalty(cells.num_cells(), 0.0);
-  std::vector<std::uint32_t> upto(cells.num_cells(), 0);
+                               const DiversifiedQuery& query,
+                               const BoxTree& tree) {
+  std::vector<double> penalty(tree.num_nodes(), 0.0);
+  std::vector<std::uint32_t> upto(tree.num_nodes(), 0);
+  std::vector<std::size_t> stack;
   for (; certified < picks.size(); ++certified) {
     const double g = picks[certified].utility;
-    for (const std::uint32_t c : order) {
-      const double base = std::max(pool_bound, lo_score[c]);
-      if (base > g) break;
-      for (; upto[c] < certified; ++upto[c]) {
-        penalty[c] = std::max(
-            penalty[c],
-            cells.SimilarityFloor(c, points[picks[upto[c]].id]));
+    stack.assign(1, 0);
+    while (!stack.empty()) {
+      const std::size_t node = stack.back();
+      stack.pop_back();
+      const PointView lo = tree.lo(node);
+      const double base = std::max(pool_bound, Score(query.weights, lo));
+      if (base > g) continue;
+      for (; upto[node] < certified; ++upto[node]) {
+        const PointView pick = points[picks[upto[node]].id];
+        penalty[node] =
+            std::max(penalty[node], SimilarityFloor(lo, tree.hi(node), pick));
       }
-      if (base + lambda * penalty[c] <= g) return certified;
+      if (base + query.lambda * penalty[node] > g) continue;
+      if (tree.is_leaf(node)) return certified;
+      stack.push_back(tree.left(node));
+      stack.push_back(tree.left(node) + 1);
     }
   }
   return certified;
 }
 
-// Pool-and-grow body shared by both overloads. `cells` is the
-// caller's catalog, or null to build one on first need.
+// Pool-and-grow body shared by the overloads. `tree` is the caller's
+// box tree, or null to build one on first need.
 DiversifiedResult RunDiversified(const TopKIndex& index,
                                  const PointSet& points,
                                  const DiversifiedQuery& query,
-                                 const RelationCells* cells) {
+                                 const BoxTree* tree) {
   Stopwatch timer;
   DiversifiedResult result;
   if (Status status = ValidateDiversified(query, points.dim());
@@ -142,11 +148,9 @@ DiversifiedResult RunDiversified(const TopKIndex& index,
     return result;
   }
 
-  // The on-demand catalog and the per-query cell score floors, made at
-  // the first round the score certificate falls short.
-  std::optional<RelationCells> built;
-  std::vector<double> lo_score;
-  std::vector<std::uint32_t> order;
+  // The on-demand tree, built at the first round the score certificate
+  // falls short.
+  std::optional<BoxTree> built;
   std::size_t m = std::min(n, std::max(query.k,
                                        query.pool_factor * query.k));
   for (;;) {
@@ -199,25 +203,10 @@ DiversifiedResult RunDiversified(const TopKIndex& index,
     result.pool_bound = pool_bound;
     result.certified_prefix = CertifiedPicks(result.picks, pool_bound);
     if (result.certified_prefix < result.picks.size()) {
-      if (cells == nullptr) {
-        cells = &built.emplace(RelationCells::Build(points));
-      }
-      if (order.empty()) {
-        // Once per query: the cells' score floors, ascending.
-        lo_score.resize(cells->num_cells());
-        for (std::size_t c = 0; c < lo_score.size(); ++c) {
-          lo_score[c] = Score(query.weights, cells->cell_lo(c));
-        }
-        order.resize(lo_score.size());
-        std::iota(order.begin(), order.end(), 0u);
-        std::sort(order.begin(), order.end(),
-                  [&](std::uint32_t a, std::uint32_t b) {
-                    return lo_score[a] < lo_score[b];
-                  });
-      }
-      result.certified_prefix = CellCertifiedPicks(
-          points, result.picks, result.certified_prefix, pool_bound,
-          query.lambda, *cells, lo_score, order);
+      if (tree == nullptr) tree = &built.emplace(BoxTree::Build(points));
+      result.certified_prefix =
+          TreeCertifiedPicks(points, result.picks, result.certified_prefix,
+                             pool_bound, query, *tree);
     }
     const std::size_t want = std::min<std::size_t>(query.k, n);
     if (result.certified_prefix == result.picks.size() &&
@@ -242,88 +231,14 @@ DiversifiedResult RunDiversified(const TopKIndex& index,
 
 }  // namespace
 
-RelationCells RelationCells::Build(const PointSet& points) {
-  RelationCells cells;
-  const std::size_t n = points.size();
-  const std::size_t d = points.dim();
-  cells.dim = d;
-  if (n == 0) return cells;
-  // The largest G with G^d * 40 <= n (at least 1), so the slot table
-  // never holds more than n / 40 entries, whatever d is.
-  const auto fits = [&](std::size_t g) {
-    std::size_t slots = 1;
-    for (std::size_t i = 0; i < d; ++i) {
-      if (slots > n / (40 * g)) return false;
-      slots *= g;
-    }
-    return true;
-  };
-  cells.grid = 1;
-  while (fits(cells.grid + 1)) ++cells.grid;
-  const PointView first = points[0];
-  cells.origin.assign(first.begin(), first.end());
-  std::vector<double> top(first.begin(), first.end());
-  for (std::size_t t = 1; t < n; ++t) {
-    const PointView p = points[t];
-    for (std::size_t i = 0; i < d; ++i) {
-      cells.origin[i] = std::min(cells.origin[i], p[i]);
-      top[i] = std::max(top[i], p[i]);
-    }
-  }
-  cells.scale.assign(d, 0.0);
-  std::size_t slots = 1;
-  for (std::size_t i = 0; i < d; ++i) {
-    const double extent = top[i] - cells.origin[i];
-    if (extent > 0.0) cells.scale[i] = static_cast<double>(cells.grid) / extent;
-    slots *= cells.grid;
-  }
-  cells.cell_of_slot.assign(slots, kEmpty);
-  for (std::size_t t = 0; t < n; ++t) {
-    const PointView p = points[t];
-    std::uint32_t& cell = cells.cell_of_slot[cells.SlotOf(p)];
-    if (cell == kEmpty) {
-      cell = static_cast<std::uint32_t>(cells.num_cells());
-      cells.lo.insert(cells.lo.end(), p.begin(), p.end());
-      cells.hi.insert(cells.hi.end(), p.begin(), p.end());
-      continue;
-    }
-    double* lo = cells.lo.data() + cell * d;
-    double* hi = cells.hi.data() + cell * d;
-    for (std::size_t i = 0; i < d; ++i) {
-      lo[i] = std::min(lo[i], p[i]);
-      hi[i] = std::max(hi[i], p[i]);
-    }
-  }
-  return cells;
-}
-
-std::size_t RelationCells::CellOf(PointView point) const {
-  return cell_of_slot[SlotOf(point)];
-}
-
-std::size_t RelationCells::SlotOf(PointView point) const {
-  std::size_t slot = 0;
-  const auto last = static_cast<double>(grid - 1);
-  for (std::size_t i = 0; i < dim; ++i) {
-    // Clamped as a double, so a non-finite coordinate cannot reach the
-    // integer conversion.
-    const double at = (point[i] - origin[i]) * scale[i];
-    slot = slot * grid + (!(at >= 1.0)  ? 0
-                          : at >= last ? grid - 1
-                                       : static_cast<std::size_t>(at));
-  }
-  return slot;
-}
-
-double RelationCells::SimilarityFloor(std::size_t c, PointView s) const {
-  // far_c(s) per coordinate: the box end whose rounded difference from
-  // s has the larger magnitude. fl(x - s_i) is monotone in x, so every
-  // member's |fl(t_i - s_i)| is at most that one.
-  const double* l = lo.data() + c * dim;
-  const double* h = hi.data() + c * dim;
-  return SimilarityOf(dim, [&](std::size_t i) {
-    const double to_lo = l[i] - s[i];
-    const double to_hi = h[i] - s[i];
+double SimilarityFloor(PointView lo, PointView hi, PointView s) {
+  // The farthest box corner from s, per coordinate: the box end whose
+  // rounded difference from s has the larger magnitude. fl(x - s_i) is
+  // monotone in x, so every member's |fl(t_i - s_i)| is at most that
+  // one.
+  return SimilarityOf(s.size(), [&](std::size_t i) {
+    const double to_lo = lo[i] - s[i];
+    const double to_hi = hi[i] - s[i];
     return std::fabs(to_lo) >= std::fabs(to_hi) ? to_lo : to_hi;
   });
 }
@@ -341,8 +256,14 @@ DiversifiedResult DiversifiedTopK(const TopKIndex& index,
 DiversifiedResult DiversifiedTopK(const TopKIndex& index,
                                   const PointSet& points,
                                   const DiversifiedQuery& query,
-                                  const RelationCells& cells) {
-  return RunDiversified(index, points, query, &cells);
+                                  const BoxTree& tree) {
+  return RunDiversified(index, points, query, &tree);
+}
+
+DiversifiedResult DiversifiedTopK(const DualLayerIndex& index,
+                                  const PointSet& points,
+                                  const DiversifiedQuery& query) {
+  return DiversifiedTopK(index, points, query, index.box_tree());
 }
 
 DiversifiedResult DiversifiedTopKScan(const PointSet& points,

@@ -19,18 +19,19 @@
 //
 //   score:  g_j < pool_bound. The penalty is non-negative, so
 //           g(t) >= Score(w, t) >= pool_bound for any outside t.
-//   cell:   g_j < min_c fl(max(pool_bound, Score(w, lo_c))
-//                          + fl(lambda * pen_c)),
-//           over the non-empty cells c of a RelationCells catalog,
-//           where pen_c = max over picks 0..j-1 of Sim(far_c(s), s)
-//           and far_c(s) is the corner of c's member box farthest
-//           from s per coordinate. Every member t of c has
-//           Score(w, t) >= Score(w, lo_c) and Sim(t, s) >=
-//           Sim(far_c(s), s), so the cell bound is <= g(t) -- bit
-//           for bit, because each step (subtract, square, sum, sqrt,
-//           reciprocal, scale, add) is monotone in IEEE arithmetic and
-//           the bound calls the same Score and Similarity as the
-//           greedy (DESIGN.md "Diversified top-k").
+//   tree:   g_j < fl(max(pool_bound, Score(w, lo_b))
+//                    + fl(lambda * pen_b))
+//           for the nodes b of a top-down walk of the relation's box
+//           tree (core/box_tree.h): a node whose bound exceeds g_j is
+//           certified whole, a leaf whose bound does not ends
+//           certification. pen_b is the max over picks 0..j-1 of
+//           SimilarityFloor(lo_b, hi_b, s). Every member t of b has
+//           Score(w, t) >= Score(w, lo_b) and Sim(t, s) >= that floor,
+//           so the node bound is <= g(t) -- bit for bit, because each
+//           step (subtract, square, sum, sqrt, reciprocal, scale, add)
+//           is monotone in IEEE arithmetic and the bound calls the same
+//           Score and Similarity accumulation as the greedy (DESIGN.md
+//           "Diversified top-k").
 //
 // Either way a certified pick's g is strictly below that of every
 // out-of-pool tuple, id tie-break included. Picks are certified in
@@ -38,19 +39,21 @@
 // depend on earlier picks); with an unlimited budget the pool doubles
 // until every pick is certified (worst case: pool = relation, bound =
 // +inf), so the accelerated greedy equals the brute-force greedy
-// exactly. The cell certificate only runs when the score certificate
+// exactly. The tree certificate only runs when the score certificate
 // leaves a pick uncertified; it never changes the pool schedule, the
-// pool bound, or the counted evaluations.
+// pool bound, or the counted evaluations -- only the round the
+// doubling stops at.
 
 #ifndef DRLI_SCENARIOS_DIVERSIFIED_H_
 #define DRLI_SCENARIOS_DIVERSIFIED_H_
 
 #include <cstddef>
-#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "common/point.h"
+#include "core/box_tree.h"
+#include "core/dual_layer.h"
 #include "topk/query.h"
 
 namespace drli {
@@ -90,59 +93,36 @@ struct DiversifiedResult {
   bool complete() const { return termination == Termination::kComplete; }
 };
 
-// The relation cell catalog behind the cell certificate: a uniform
-// grid of G cells per dimension over the relation's bounding box,
-// G = max(1, floor((n / 40)^(1/d))), keeping each non-empty cell's
-// member box: at most n / 40 grid slots, at any d. A pure function of the point set, built in one O(n * d)
-// pass; serving engines build one per generation.
-struct RelationCells {
-  static constexpr std::uint32_t kEmpty = 0xffffffffu;
-
-  std::size_t dim = 0;
-  std::size_t grid = 0;        // G; 0 for an empty relation
-  std::vector<double> origin;  // bounding-box minimum, per dimension
-  std::vector<double> scale;   // G / extent, 0 for a constant dimension
-  // Grid slot (row-major over the G^d cells) -> cell index, or kEmpty.
-  std::vector<std::uint32_t> cell_of_slot;
-  // Member boxes, cell-major: lo[c * dim + i] and hi[c * dim + i].
-  std::vector<double> lo;
-  std::vector<double> hi;
-
-  static RelationCells Build(const PointSet& points);
-
-  std::size_t num_cells() const { return dim == 0 ? 0 : lo.size() / dim; }
-  PointView cell_lo(std::size_t c) const {
-    return PointView(lo.data() + c * dim, dim);
-  }
-  // The cell holding `point`, which must be a member of the relation
-  // the catalog was built over.
-  std::size_t CellOf(PointView point) const;
-  // The grid slot of `point` (clamped into the grid).
-  std::size_t SlotOf(PointView point) const;
-  // Sim(far_c(s), s): no member t of cell c has Sim(t, s) below it.
-  double SimilarityFloor(std::size_t c, PointView s) const;
-};
-
 // Sim(a, b) = 1 / (1 + ||a - b||_2), the greedy's similarity.
 double Similarity(PointView a, PointView b);
+
+// Sim(far(s), s), where far(s) is the corner of the box [lo, hi]
+// farthest from s per coordinate: no t in the box has Sim(t, s) below
+// it, as computed doubles.
+double SimilarityFloor(PointView lo, PointView hi, PointView s);
 
 // Pool-and-grow greedy over any index family. `points` must be the
 // relation `index` was built over (ids index into it); the index
 // answers the pool queries, the similarity penalty reads `points`.
 // stats accumulates every pool query's cost; the greedy and the
-// certificates score no new tuples. Builds the cell catalog of
-// `points` on demand, only when the score certificate fails.
+// certificates score no new tuples. Builds the box tree of `points`
+// on demand, only when the score certificate fails.
 DiversifiedResult DiversifiedTopK(const TopKIndex& index,
                                   const PointSet& points,
                                   const DiversifiedQuery& query);
 
-// The same with a prebuilt catalog, which must be
-// RelationCells::Build(points); returns exactly what the overload
-// above returns.
+// The same with a prebuilt tree, which must be BoxTree::Build(points);
+// returns exactly what the overload above returns.
 DiversifiedResult DiversifiedTopK(const TopKIndex& index,
                                   const PointSet& points,
                                   const DiversifiedQuery& query,
-                                  const RelationCells& cells);
+                                  const BoxTree& tree);
+
+// The same over one DL+ index with the tree it already holds
+// (DualLayerIndex::box_tree); `points` must be index.points().
+DiversifiedResult DiversifiedTopK(const DualLayerIndex& index,
+                                  const PointSet& points,
+                                  const DiversifiedQuery& query);
 
 // Brute-force reference: the same greedy with pool = whole relation
 // (bound +inf, everything certified). The differential oracle compares

@@ -1,8 +1,8 @@
 // Attribute-range constraint boxes for the constrained top-k scenario
 // (scenarios/constrained.h). A box is an axis-aligned, inclusive
 // rectangle over the relation's attribute space; the constrained
-// traversal prunes whole sublayers / runs / shards whose bounding box
-// does not intersect it.
+// traversal prunes whole box-tree nodes / runs / shards whose bounding
+// box does not intersect it.
 
 #ifndef DRLI_SCENARIOS_SCENARIO_BOX_H_
 #define DRLI_SCENARIOS_SCENARIO_BOX_H_
@@ -32,7 +32,7 @@ struct AttributeBox {
   bool Contains(PointView p) const;
 
   // Does this box intersect the (inclusive) box [other_lo, other_hi]?
-  // Used against sublayer / run / shard bounding boxes; a miss proves
+  // Used against box-tree node / run / shard bounding boxes; a miss proves
   // no member can satisfy the constraint.
   bool Intersects(PointView other_lo, PointView other_hi) const;
 };

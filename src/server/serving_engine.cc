@@ -218,7 +218,6 @@ Status ServingEngine::LoadGeneration(
     generation->dl.emplace(std::move(loaded).value());
     generation->index = &*generation->dl;
     generation->dim = generation->dl->points().dim();
-    generation->cells = RelationCells::Build(generation->dl->points());
   }
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -285,8 +284,8 @@ wire::WireResult ExecuteWireQuery(const ServingGeneration& generation,
       q.lambda = query.lambda;
       q.pool_factor = static_cast<std::size_t>(query.pool_factor);
       q.budget = budget;
-      DiversifiedResult result = DiversifiedTopK(
-          *generation.index, generation.dl->points(), q, generation.cells);
+      DiversifiedResult result =
+          DiversifiedTopK(*generation.dl, generation.dl->points(), q);
       wire::WireResult out =
           ReplyOf(result.termination, result.stats.tuples_evaluated,
                   result.error, generation.sequence);

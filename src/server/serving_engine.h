@@ -55,9 +55,6 @@ struct ServingGeneration {
   std::optional<ShardedDualLayerIndex> sharded;
   std::optional<TieredDualLayerIndex> tiered;
   const TopKIndex* index = nullptr;
-  // The dl+ relation's cell catalog for diversified queries, built at
-  // load; empty for sharded and tiered generations.
-  RelationCells cells;
   std::size_t dim = 0;
 };
 

@@ -6,6 +6,7 @@
 #include <limits>
 #include <numeric>
 #include <sstream>
+#include <string>
 #include <unordered_set>
 
 #include "common/point.h"
@@ -59,6 +60,7 @@ class Checker {
   void CheckZeroLayer();
   void CheckWeightTable();
   void CheckLayerGroups();
+  void CheckBoxTree();
   void CheckStats();
 
   // Real tuple ids bucketed by coarse layer (empty layers = failure,
@@ -573,6 +575,13 @@ void Checker::CheckLayerGroups() {
   }
 }
 
+void Checker::CheckBoxTree() {
+  Checked();
+  const CheckReport tree = drli::CheckBoxTree(index_.box_tree(),
+                                              index_.points());
+  for (const std::string& failure : tree.failures) Fail(failure);
+}
+
 void Checker::CheckStats() {
   Checked();
   // Only the fields a deserialized index restores are structural; the
@@ -606,6 +615,7 @@ CheckReport Checker::Run() {
   CheckZeroLayer();
   CheckWeightTable();
   CheckLayerGroups();
+  CheckBoxTree();
   CheckStats();
   return std::move(report_);
 }
@@ -622,6 +632,64 @@ std::string CheckReport::ToString() const {
   out << failures.size() << " invariant violation(s):";
   for (const std::string& failure : failures) out << "\n  " << failure;
   return out.str();
+}
+
+CheckReport CheckBoxTree(const BoxTree& tree, const PointSet& points) {
+  CheckReport report;
+  report.invariants_checked = 1;
+  const auto fail = [&](std::size_t node, const char* what) {
+    if (report.failures.size() < kMaxFailures) {
+      report.failures.push_back("box tree node " + std::to_string(node) +
+                                ": " + what);
+    }
+  };
+  const std::size_t n = points.size();
+  const std::size_t d = points.dim();
+  if (tree.dim() != d || tree.empty() != (n == 0)) {
+    fail(0, "shape disagrees with the relation");
+    return report;
+  }
+  std::vector<std::uint8_t> covered(n, 0);
+  for (std::size_t node = 0; node < tree.num_nodes(); ++node) {
+    const std::span<const TupleId> members = tree.members(node);
+    if (tree.is_leaf(node)) {
+      if (members.empty() || members.size() > BoxTree::kLeafSize) {
+        fail(node, "leaf size out of range");
+      }
+      for (const TupleId id : members) {
+        if (id >= n || covered[id]++ != 0) {
+          fail(node, "lists a row twice or out of range");
+          return report;
+        }
+      }
+    } else if (tree.left(node) <= node ||
+               tree.left(node) + 1 >= tree.num_nodes()) {
+      fail(node, "bad child index");
+      return report;
+    }
+    for (std::size_t a = 0; a < d; ++a) {
+      double lo = std::numeric_limits<double>::infinity();
+      double hi = -lo;
+      for (const TupleId id : members) {
+        lo = std::min(lo, points.At(id, a));
+        hi = std::max(hi, points.At(id, a));
+      }
+      if (tree.lo(node)[a] != lo || tree.hi(node)[a] != hi) {
+        fail(node, "box is not its members' min/max");
+      }
+      if (tree.is_leaf(node)) continue;
+      for (const std::size_t c : {tree.left(node), tree.left(node) + 1}) {
+        if (tree.lo(c)[a] < tree.lo(node)[a] ||
+            tree.hi(c)[a] > tree.hi(node)[a]) {
+          fail(c, "box leaves its parent's");
+        }
+      }
+    }
+  }
+  if (std::count(covered.begin(), covered.end(), 0) != 0) {
+    fail(0, "the leaves miss some rows");
+  }
+  return report;
 }
 
 CheckReport CheckIndex(const DualLayerIndex& index,

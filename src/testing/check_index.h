@@ -20,8 +20,9 @@
 //  * the zero layer covers the first coarse layer, pseudo-tuple edges
 //    weakly dominate their targets, and the 2-d weight-range table
 //    agrees with brute force on sampled weights;
-//  * LayerGroups() partitions the real tuples, and the stats fields a
-//    deserialized index restores match the structure.
+//  * LayerGroups() partitions the real tuples, the box tree passes
+//    CheckBoxTree, and the stats fields a deserialized index restores
+//    match the structure.
 
 #ifndef DRLI_TESTING_CHECK_INDEX_H_
 #define DRLI_TESTING_CHECK_INDEX_H_
@@ -51,6 +52,12 @@ struct CheckReport {
 
 CheckReport CheckIndex(const DualLayerIndex& index,
                        const CheckOptions& options = {});
+
+// The box tree's structure (core/box_tree.h) over the relation it was
+// built from: its leaves partition the ids, no leaf holds more than
+// BoxTree::kLeafSize members, every node's box is its members' exact
+// min/max, and every child's box lies inside its parent's.
+CheckReport CheckBoxTree(const BoxTree& tree, const PointSet& points);
 
 }  // namespace drli
 

@@ -126,7 +126,7 @@ struct QueryStats {
   // only; 0 elsewhere). num_runs - runs_opened runs were pruned by
   // their frontier lower bound.
   std::size_t runs_opened = 0;
-  // Bounding boxes (sublayer groups, runs, or whole shards) discarded
+  // Bounding boxes (box-tree nodes, runs, or whole shards) discarded
   // by a constrained-query predicate without scoring any member
   // (scenarios/constrained.h only; 0 elsewhere). The constrained
   // traversal's pruning effectiveness metric.

@@ -405,7 +405,8 @@ std::size_t CheckShardMerge(const ShardedDualLayerIndex& index,
       EXPECT_EQ(index.ShardLowerBound(s, w), top_one.back())
           << "shard " << s << " query " << q;
       first_sublayer.push_back(kInf);
-      for (TupleId id : shard.sublayer_catalog().front().members) {
+      const std::vector<std::vector<TupleId>> groups = shard.LayerGroups();
+      for (TupleId id : groups.front()) {
         first_sublayer.back() =
             std::min(first_sublayer.back(), Score(w, shard.points()[id]));
       }

@@ -15,6 +15,7 @@
 #include "gtest/gtest.h"
 
 #include "common/random.h"
+#include "core/box_tree.h"
 #include "core/dual_layer.h"
 #include "core/tiered_index.h"
 #include "data/generator.h"
@@ -23,6 +24,8 @@
 #include "scenarios/reverse_topk.h"
 #include "shard/sharded_index.h"
 #include "test_util.h"
+#include "testing/check_index.h"
+#include "testing/result_check.h"
 #include "testing/scenario_oracle.h"
 #include "topk/query.h"
 
@@ -224,6 +227,48 @@ TEST(ConstrainedTest, BudgetedPartialCertifiesTruePrefix) {
   EXPECT_TRUE(saw_partial);
 }
 
+// Every cut of the evaluation budget, from 0 (unlimited) to the
+// unbudgeted cost, on every engine: the result passes the shared check
+// (certified prefix equal to the exact answer's, frontier at most the
+// score of every in-box tuple it did not return).
+TEST(ConstrainedTest, EveryEvalCutCertifies) {
+  const PointSet points = GenerateIndependent(150, 3, 23);
+  const Engines engines = BuildEngines(points);
+  const CheckUniverse universe = CheckUniverse::Of(points);
+  Rng rng(29);
+  for (int probe = 0; probe < 3; ++probe) {
+    ConstrainedQuery query;
+    query.weights = rng.SimplexWeight(3);
+    query.k = 10;
+    query.box = AttributeBox::All(3);
+    query.box.hi[probe] = 0.6;
+    query.box.lo[(probe + 1) % 3] = 0.1;
+    const TopKReference reference(universe.InBox(query.box), query.weights,
+                                  query.k);
+    const auto run = [&](std::size_t engine, const ConstrainedQuery& q) {
+      return engine == 0   ? ConstrainedTopK(engines.dl, q)
+             : engine == 1 ? ConstrainedTopK(engines.sdl, q)
+                           : ConstrainedTopK(engines.tdl, q);
+    };
+    const char* const names[] = {"dl+", "sdl+", "tdl+"};
+    for (std::size_t e = 0; e < 3; ++e) {
+      const std::size_t full_cost = run(e, query).stats.tuples_evaluated;
+      bool saw_partial = false;
+      for (std::size_t cut = 0; cut <= full_cost; ++cut) {
+        ConstrainedQuery budgeted = query;
+        budgeted.budget.max_evals = cut;
+        const TopKResult got = run(e, budgeted);
+        saw_partial |= !got.complete();
+        const std::string error =
+            reference.Check(got, MatchRule::kExact, budgeted.budget);
+        ASSERT_TRUE(error.empty()) << names[e] << " probe " << probe
+                                   << " cut " << cut << ": " << error;
+      }
+      EXPECT_TRUE(saw_partial) << names[e] << " probe " << probe;
+    }
+  }
+}
+
 // --- diversified ---
 
 TEST(DiversifiedTest, LambdaZeroIsCanonicalTopK) {
@@ -301,12 +346,12 @@ TEST(DiversifiedTest, PoolGrowsUntilCertificateCovers) {
   }
 }
 
-// --- the cell certificate ---
+// --- the box tree ---
 
-// Datasets for the per-cell soundness check: the three generators, an
+// Datasets for the per-node soundness check: the three generators, an
 // integer grid with exact duplicates, a constant attribute, rows on the
-// cell edges of the grid, and a relation too small for more than one
-// cell.
+// edges of a uniform grid, and a relation too small for more than one
+// leaf split.
 std::vector<PointSet> CellDatasets(std::size_t d, std::uint64_t seed) {
   std::vector<PointSet> sets;
   for (const Distribution dist :
@@ -326,8 +371,11 @@ std::vector<PointSet> CellDatasets(std::size_t d, std::uint64_t seed) {
   PointSet constant = Generate(Distribution::kIndependent, 900, d, seed + 1);
   for (std::size_t i = 0; i < constant.size(); ++i) constant.Set(i, 0, 0.25);
   sets.push_back(std::move(constant));
-  // Coordinates i / G on [0, 1]: every row sits on a cell boundary.
-  const std::size_t g = RelationCells::Build(sets.front()).grid;
+  // Coordinates i / G on [0, 1]: every row sits on a boundary of the
+  // uniform G^d grid over 1,500 rows with G^d * 40 <= 1,500, for
+  // d = 2..6.
+  constexpr std::size_t kGrid[] = {0, 0, 6, 3, 2, 2, 1};
+  const std::size_t g = kGrid[d];
   PointSet edges(d);
   for (std::size_t i = 0; i < 1200; ++i) {
     Point p(d);
@@ -341,26 +389,20 @@ std::vector<PointSet> CellDatasets(std::size_t d, std::uint64_t seed) {
   return sets;
 }
 
-// Every member t of cell c and every s: Score(w, lo_c) <= Score(w, t)
-// and Sim(far_c(s), s) <= Sim(t, s), compared as computed doubles. G
-// is the largest grid with G^d * 40 <= n (or 1), so the slot table
-// never exceeds max(1, n / 40) entries.
-void ExpectCellFloorsHold(const PointSet& points, Rng& rng) {
+// For every node b (internal and leaf), every member t, each probe s,
+// each weight w and each query box, compared as computed doubles:
+// Score(w, lo_b) <= Score(w, t), SimilarityFloor(lo_b, hi_b, s) <=
+// Sim(t, s), and for in-box t the constrained key Score(w, max(lo_b,
+// box.lo)) <= Score(w, t); a node whose box misses the query box holds
+// no in-box member. Each is checked against the minimum over the
+// node's members, which is exact. The structure passes CheckBoxTree.
+void ExpectTreeFloorsHold(const PointSet& points, Rng& rng) {
   const std::size_t d = points.dim();
   const std::size_t n = points.size();
-  const RelationCells cells = RelationCells::Build(points);
-  std::size_t slots = 1;
-  std::size_t next_slots = 1;
-  for (std::size_t i = 0; i < d; ++i) {
-    slots *= cells.grid;
-    next_slots *= cells.grid + 1;
-  }
-  ASSERT_EQ(cells.cell_of_slot.size(), slots) << "d=" << d << " n=" << n;
-  ASSERT_LE(slots * 40, std::max<std::size_t>(n, 40)) << "d=" << d;
-  ASSERT_GT(next_slots * 40, n) << "d=" << d;
-  if (n < 40) {
-    ASSERT_EQ(cells.num_cells(), 1u);
-  }
+  const BoxTree tree = BoxTree::Build(points);
+  const CheckReport structure = CheckBoxTree(tree, points);
+  ASSERT_TRUE(structure.ok()) << "d=" << d << " n=" << n << ": "
+                              << structure.ToString();
   std::vector<Point> probes;
   for (int q = 0; q < 6; ++q) {
     probes.push_back(points.Materialize(rng.Index(n)));
@@ -371,31 +413,85 @@ void ExpectCellFloorsHold(const PointSet& points, Rng& rng) {
   const std::vector<Point> weights = {rng.SimplexWeight(d),
                                       rng.SimplexWeight(d),
                                       Point(d, 1.0 / static_cast<double>(d))};
-  for (std::size_t t = 0; t < n; ++t) {
-    const std::size_t c = cells.CellOf(points[t]);
-    ASSERT_LT(c, cells.num_cells());
-    for (const Point& w : weights) {
-      ASSERT_LE(Score(w, cells.cell_lo(c)), Score(w, points[t]))
-          << "d=" << d << " tuple " << t;
+  // Boxes spanned by two rows, and one open below on every attribute.
+  std::vector<AttributeBox> boxes;
+  for (int q = 0; q < 3; ++q) {
+    const PointView a = points[rng.Index(n)];
+    const PointView b = points[rng.Index(n)];
+    AttributeBox box = AttributeBox::All(d);
+    for (std::size_t i = 0; i < d; ++i) {
+      box.lo[i] = std::min(a[i], b[i]);
+      box.hi[i] = std::max(a[i], b[i]);
     }
-    for (const Point& s : probes) {
-      ASSERT_LE(cells.SimilarityFloor(c, s), Similarity(points[t], s))
-          << "d=" << d << " tuple " << t;
+    boxes.push_back(box);
+  }
+  boxes.push_back(AttributeBox::All(d));
+  boxes.back().hi = points.Materialize(rng.Index(n));
+
+  // Per node, the minimum of `value` over its members; children follow
+  // their parent, so one reverse pass fills every node.
+  constexpr double kInf = std::numeric_limits<double>::infinity();
+  const auto node_min = [&](const auto& value) {
+    std::vector<double> mins(tree.num_nodes(), kInf);
+    for (std::size_t node = tree.num_nodes(); node-- > 0;) {
+      if (!tree.is_leaf(node)) {
+        mins[node] =
+            std::min(mins[tree.left(node)], mins[tree.left(node) + 1]);
+        continue;
+      }
+      for (const TupleId t : tree.members(node)) {
+        mins[node] = std::min(mins[node], value(points[t]));
+      }
+    }
+    return mins;
+  };
+  Point corner(d);
+  for (const Point& w : weights) {
+    const std::vector<double> score =
+        node_min([&](PointView t) { return Score(w, t); });
+    for (std::size_t node = 0; node < tree.num_nodes(); ++node) {
+      ASSERT_LE(Score(w, tree.lo(node)), score[node])
+          << "d=" << d << " node " << node;
+    }
+    for (const AttributeBox& box : boxes) {
+      const std::vector<double> boxed = node_min([&](PointView t) {
+        return box.Contains(t) ? Score(w, t) : kInf;
+      });
+      for (std::size_t node = 0; node < tree.num_nodes(); ++node) {
+        const PointView lo = tree.lo(node);
+        if (!box.Intersects(lo, tree.hi(node))) {
+          ASSERT_EQ(boxed[node], kInf) << "d=" << d << " node " << node;
+          continue;
+        }
+        for (std::size_t i = 0; i < d; ++i) {
+          corner[i] = std::max(lo[i], box.lo[i]);
+        }
+        ASSERT_LE(Score(w, corner), boxed[node])
+            << "d=" << d << " node " << node;
+      }
+    }
+  }
+  for (const Point& s : probes) {
+    const std::vector<double> similarity =
+        node_min([&](PointView t) { return Similarity(t, s); });
+    for (std::size_t node = 0; node < tree.num_nodes(); ++node) {
+      ASSERT_LE(SimilarityFloor(tree.lo(node), tree.hi(node), s),
+                similarity[node])
+          << "d=" << d << " node " << node;
     }
   }
 }
 
-TEST(RelationCellsTest, CellFloorsHoldForEveryMemberBitForBit) {
+TEST(BoxTreeTest, FloorsHoldForEveryNodeAndMemberBitForBit) {
   for (std::size_t d = 2; d <= 6; ++d) {
     Rng rng(100 + d);
     for (const PointSet& points : CellDatasets(d, 200 + d)) {
-      ExpectCellFloorsHold(points, rng);
+      ExpectTreeFloorsHold(points, rng);
     }
   }
-  // d = 20 with (n / 40)^(1/d) just above 1.5: rounding to the nearest
-  // G would give 2^20 slots for 3,500 cells' worth of rows.
+  // d = 20, 140k rows: a deep tree over many dimensions.
   Rng rng(120);
-  ExpectCellFloorsHold(Generate(Distribution::kIndependent, 140000, 20, 220),
+  ExpectTreeFloorsHold(Generate(Distribution::kIndependent, 140000, 20, 220),
                        rng);
 }
 
@@ -410,16 +506,17 @@ void ExpectSameDiversified(const DiversifiedResult& got,
   }
 }
 
-// The engine equals the brute-force greedy; the cached-catalog and the
-// on-demand overloads agree on everything the replay of a traced run
-// compares; and each certified pick's g is strictly below the true g
-// of every tuple outside the pool at its step.
+// The engine equals the brute-force greedy; the DL+ overload (the
+// index's own box tree) and the generic on-demand overload agree on
+// everything the replay of a traced run compares; and each certified
+// pick's g is strictly below the true g of every tuple outside the pool
+// at its step.
 TEST(DiversifiedTest, CellCertificateMatchesScanAndIsSound) {
   const PointSet points = GenerateAnticorrelated(3000, 3, 47);
   DualLayerOptions options;
   options.build_zero_layer = true;
   const DualLayerIndex dl = DualLayerIndex::Build(points, options);
-  const RelationCells cells = RelationCells::Build(points);
+  const TopKIndex& generic = dl;
   std::vector<ScoredTuple> ranked;
   Rng rng(53);
   for (const double lambda : {0.0, 0.1, 0.5, 2.0, 50.0}) {
@@ -431,9 +528,9 @@ TEST(DiversifiedTest, CellCertificateMatchesScanAndIsSound) {
       const std::string where =
           "lambda=" + std::to_string(lambda) + " k=" + std::to_string(k);
       const DiversifiedResult want = DiversifiedTopKScan(points, query);
-      const DiversifiedResult cached =
-          DiversifiedTopK(dl, points, query, cells);
-      const DiversifiedResult on_demand = DiversifiedTopK(dl, points, query);
+      const DiversifiedResult cached = DiversifiedTopK(dl, points, query);
+      const DiversifiedResult on_demand =
+          DiversifiedTopK(generic, points, query);
       ASSERT_TRUE(cached.complete()) << where;
       EXPECT_EQ(cached.certified_prefix, cached.picks.size()) << where;
       ExpectSameDiversified(cached, want, where);
