@@ -1,7 +1,8 @@
 // Per-phase build wall-clock for DL+: the observability companion to
-// the build-pipeline fast paths. Times a serial build (build_threads =
-// 1, so the five phase timers sum to ≈ the total) per n x d cell and
-// emits machine-readable JSON (BENCH_build.json in the working
+// the build-pipeline fast paths. Times two builds per n x d cell -- a
+// serial one (build_threads = 1, so the five phase timers sum to ≈ the
+// total) and one with a worker per hardware thread -- and emits
+// machine-readable JSON (BENCH_build.json in the working
 // directory, or the path given as argv[1] / DRLI_BENCH_OUT), including
 // the hull, EDS and coarse-edge pruning counters, the active score
 // kernel and the host's hardware thread count.
@@ -9,6 +10,7 @@
 // DRLI_BENCH_N overrides the n sweep with a single cardinality (the CI
 // smoke uses 5000).
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -36,21 +38,22 @@ std::size_t EnvSize(const char* name, std::size_t fallback) {
 struct Row {
   std::size_t n = 0;
   std::size_t d = 0;
+  std::size_t build_threads = 0;
   unsigned hardware_threads = 0;
   const char* kernel = "";
   DualLayerBuildStats stats;
 };
 
-Row Measure(std::size_t n, std::size_t d) {
+Row Measure(const PointSet& points, std::size_t build_threads) {
   Row row;
-  row.n = n;
-  row.d = d;
+  row.n = points.size();
+  row.d = points.dim();
+  row.build_threads = build_threads;
   row.hardware_threads = std::thread::hardware_concurrency();
   row.kernel = SimdTargetName(ActiveSimdTarget());
-  const PointSet points = GenerateAnticorrelated(n, d, /*seed=*/20120401);
   DualLayerOptions options;
   options.build_zero_layer = true;
-  options.build_threads = 1;
+  options.build_threads = build_threads;
   const DualLayerIndex index = DualLayerIndex::Build(points, options);
   row.stats = index.build_stats();
   return row;
@@ -69,23 +72,29 @@ int main(int argc, char** argv) {
   std::vector<Row> rows;
   for (std::size_t n : ns) {
     for (std::size_t d : {std::size_t{2}, std::size_t{4}}) {
-      Row row = Measure(n, d);
-      const DualLayerBuildStats& s = row.stats;
-      std::printf(
-          "n=%-7zu d=%zu build=%.3fs skyline=%.3fs fine_peel=%.3fs "
-          "(eds=%.3fs) coarse_edge=%.3fs zero=%.3fs finalize=%.3fs\n",
-          row.n, row.d, s.build_seconds, s.skyline_seconds,
-          s.fine_peel_seconds, s.eds_seconds, s.coarse_edge_seconds,
-          s.zero_layer_seconds, s.finalize_seconds);
-      std::printf(
-          "          hull_facets_created=%zu; eds: lp_calls=%zu "
-          "bbox_rejects=%zu member_hits=%zu; coarse: pruned=%zu tested=%zu "
-          "edges=%zu fine_edges=%zu\n",
-          s.hull_facets_created, s.eds_lp_calls, s.eds_bbox_rejects,
-          s.eds_member_hits, s.coarse_pairs_pruned, s.coarse_pairs_tested,
-          s.num_coarse_edges, s.num_fine_edges);
-      std::fflush(stdout);
-      rows.push_back(row);
+      const PointSet points = GenerateAnticorrelated(n, d, /*seed=*/20120401);
+      const std::size_t threads =
+          std::max<std::size_t>(1, std::thread::hardware_concurrency());
+      for (const std::size_t build_threads : {std::size_t{1}, threads}) {
+        Row row = Measure(points, build_threads);
+        const DualLayerBuildStats& s = row.stats;
+        std::printf(
+            "n=%-7zu d=%zu threads=%zu build=%.3fs skyline=%.3fs "
+            "fine_peel=%.3fs (eds=%.3fs) coarse_edge=%.3fs zero=%.3fs "
+            "finalize=%.3fs\n",
+            row.n, row.d, row.build_threads, s.build_seconds,
+            s.skyline_seconds, s.fine_peel_seconds, s.eds_seconds,
+            s.coarse_edge_seconds, s.zero_layer_seconds, s.finalize_seconds);
+        std::printf(
+            "          hull_facets_created=%zu; eds: lp_calls=%zu "
+            "bbox_rejects=%zu member_hits=%zu; coarse: pruned=%zu tested=%zu "
+            "edges=%zu fine_edges=%zu\n",
+            s.hull_facets_created, s.eds_lp_calls, s.eds_bbox_rejects,
+            s.eds_member_hits, s.coarse_pairs_pruned, s.coarse_pairs_tested,
+            s.num_coarse_edges, s.num_fine_edges);
+        std::fflush(stdout);
+        rows.push_back(row);
+      }
     }
   }
 
@@ -101,8 +110,9 @@ int main(int argc, char** argv) {
     char buffer[1024];
     std::snprintf(
         buffer, sizeof(buffer),
-        "  {\"n\": %zu, \"d\": %zu, \"hardware_threads\": %u, "
-        "\"kernel\": \"%s\", \"build_seconds_serial\": %.6f, "
+        "  {\"n\": %zu, \"d\": %zu, \"build_threads\": %zu, "
+        "\"hardware_threads\": %u, \"kernel\": \"%s\", "
+        "\"build_seconds\": %.6f, "
         "\"skyline_seconds\": %.6f, \"fine_peel_seconds\": %.6f, "
         "\"coarse_edge_seconds\": %.6f, \"zero_layer_seconds\": %.6f, "
         "\"finalize_seconds\": %.6f, \"eds_seconds\": %.6f, "
@@ -111,7 +121,8 @@ int main(int argc, char** argv) {
         "\"eds_member_hits\": %zu, \"coarse_pairs_pruned\": %zu, "
         "\"coarse_pairs_tested\": %zu, \"num_coarse_edges\": %zu, "
         "\"num_fine_edges\": %zu}%s\n",
-        r.n, r.d, r.hardware_threads, r.kernel, s.build_seconds,
+        r.n, r.d, r.build_threads, r.hardware_threads, r.kernel,
+        s.build_seconds,
         s.skyline_seconds, s.fine_peel_seconds, s.coarse_edge_seconds,
         s.zero_layer_seconds, s.finalize_seconds, s.eds_seconds,
         s.hull_facets_created, s.eds_lp_calls, s.eds_bbox_rejects,

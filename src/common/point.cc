@@ -50,6 +50,12 @@ double ScoreGeneric(PointView weights, PointView point) {
 
 }  // namespace point_internal
 
+double AttributeSum(PointView p) {
+  double s = 0.0;
+  for (const double v : p) s += v;
+  return s;
+}
+
 PointSet::PointSet(std::size_t dim) : dim_(dim) {
   DRLI_CHECK(dim >= 1) << "PointSet requires dim >= 1";
 }

@@ -12,6 +12,7 @@
 #ifndef DRLI_COMMON_POINT_H_
 #define DRLI_COMMON_POINT_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <limits>
@@ -135,6 +136,23 @@ inline double Score(PointView weights, PointView point) {
     default:
       return point_internal::ScoreGeneric(weights, point);
   }
+}
+
+// Attribute sum, accumulated left to right. Rounding is monotone, so
+// a ≺ b implies AttributeSum(a) <= AttributeSum(b) -- but not <: a
+// 1-ulp improvement in one coordinate can round away.
+double AttributeSum(PointView p);
+
+// The order of every sum-ordered pass (the single-pass layering, the
+// SkyTree pivot, the dominance-depth oracle): ascending attribute sum,
+// ties broken lexicographically by coordinates. A strict dominator
+// always precedes the point it dominates -- its sum is <=, and on a
+// tie it is lexicographically smaller. Duplicates are equivalent.
+inline bool PrecedesInSumOrder(double sum_a, PointView a, double sum_b,
+                               PointView b) {
+  if (sum_a != sum_b) return sum_a < sum_b;
+  return std::lexicographical_compare(a.begin(), a.end(), b.begin(),
+                                      b.end());
 }
 
 // Flat row-major container of n points of fixed dimensionality.

@@ -50,6 +50,9 @@ DualLayerIndex DualLayerIndex::Build(PointSet points,
   AdjacencyBuilder coarse_adj(n);
   AdjacencyBuilder fine_adj(n);
   Stopwatch phase;
+  // The box tree reads only points_: built first, it drives the coarse
+  // layering and is then kept for queries.
+  index.box_tree_ = BoxTree::Build(index.points_);
   if (n > 0) {
     index.BuildCoarseLayers();
     index.stats_.skyline_seconds = phase.ElapsedSeconds();
@@ -68,14 +71,17 @@ DualLayerIndex DualLayerIndex::Build(PointSet points,
   phase.Restart();
   index.coarse_out_ = CsrGraph::FromAdjacency(coarse_adj);
   index.fine_out_ = CsrGraph::FromAdjacency(fine_adj);
-  index.FinalizeInitialNodes();
+  index.FinalizeLayout();
   index.stats_.finalize_seconds = phase.ElapsedSeconds();
   index.stats_.build_seconds = timer.ElapsedSeconds();
   return index;
 }
 
 void DualLayerIndex::BuildCoarseLayers() {
-  LayerDecomposition decomposition = BuildSkylineLayers(points_);
+  const std::size_t threads =
+      points_.size() < kMinPointsForParallelBuild ? 1 : options_.build_threads;
+  LayerDecomposition decomposition =
+      BuildSkylineLayers(points_, box_tree_, threads);
   coarse_layers_ = std::move(decomposition.layers);
   for (std::size_t i = 0; i < points_.size(); ++i) {
     coarse_of_[i] = static_cast<std::uint32_t>(decomposition.layer_of[i]);

@@ -22,9 +22,10 @@
 // Performance architecture (see DESIGN.md): both edge sets are stored
 // as CSR (CsrGraph), per-query node state lives in reusable
 // epoch-stamped QueryScratch objects pooled per index, and the build
-// parallelizes the fine peel across coarse layers and the ∀-edge
-// wiring across adjacent layer pairs with a deterministic merge, so
-// the parallel build is bit-identical to the serial one.
+// parallelizes the coarse layering's sum-order sweep in chunks, the
+// fine peel across coarse layers and the ∀-edge wiring across
+// adjacent layer pairs, each with a deterministic merge, so the
+// parallel build is bit-identical to the serial one.
 
 #ifndef DRLI_CORE_DUAL_LAYER_H_
 #define DRLI_CORE_DUAL_LAYER_H_
@@ -41,9 +42,9 @@
 #include "common/csr.h"
 #include "common/point.h"
 #include "common/soa_points.h"
-#include "core/box_tree.h"
 #include "core/eds.h"
 #include "core/zero_layer.h"
+#include "geometry/box_tree.h"
 #include "topk/query.h"
 
 namespace drli {
@@ -101,11 +102,11 @@ struct DualLayerBuildStats {
   // --- per-phase wall clock. In a serial build (build_threads = 1) the
   // five phase timers sum to ≈ build_seconds; with worker threads each
   // phase is still wall clock of that phase.
-  double skyline_seconds = 0.0;      // coarse layer peeling
+  double skyline_seconds = 0.0;      // box tree + coarse layer sweep
   double fine_peel_seconds = 0.0;    // fine sublayers + ∃-edge detection
   double coarse_edge_seconds = 0.0;  // ∀-edge wiring
   double zero_layer_seconds = 0.0;   // L0 (weight table / pseudo-tuples)
-  double finalize_seconds = 0.0;     // CSR flatten + initial-node scan
+  double finalize_seconds = 0.0;     // CSR flatten + query layout
 
   // --- EDS detection (Section III-B) instrumentation. Facet/target
   // pairs are resolved by, in order: a facet member weakly dominating
@@ -125,8 +126,8 @@ struct DualLayerBuildStats {
 };
 
 // Derived, traversal-ordered layout the query path runs on. Built by
-// FinalizeInitialNodes (once per Build and once per snapshot load --
-// never persisted; a snapshot stores only the node-space index).
+// FinalizeLayout (once per Build and once per snapshot load -- never
+// persisted; a snapshot stores only the node-space index).
 //
 // Nodes are renumbered into *slots* ordered by (pseudo-tuples first,
 // coarse layer, fine sublayer, node id). Best-first traversal touches
@@ -330,10 +331,11 @@ class DualLayerIndex final : public TopKIndex {
   // Real tuples grouped by (coarse layer, fine sublayer), in layer
   // order -- the disk clustering unit for storage/page_layout.
   std::vector<std::vector<TupleId>> LayerGroups() const;
-  // The kd box tree over the real tuples (core/box_tree.h): the
-  // pruning unit of the constrained scenario and the diversified
-  // certificate. Derived by FinalizeInitialNodes after every build and
-  // snapshot load; never persisted.
+  // The kd box tree over the real tuples (geometry/box_tree.h): the
+  // coarse layering sweeps over it, and it is the pruning unit of the
+  // constrained scenario and the diversified certificate. Built first
+  // by Build, derived by FinalizeInitialNodes on a snapshot load; never
+  // persisted.
   const BoxTree& box_tree() const { return box_tree_; }
   bool uses_weight_table() const { return use_weight_table_; }
   const WeightRangeTable& weight_table() const { return weight_table_; }
@@ -375,9 +377,10 @@ class DualLayerIndex final : public TopKIndex {
   // Derives what queries run on from the node-space graph: the initial
   // nodes, the slot-space QueryLayout (including the lazy ∀-gate's
   // partitioned pseudo rows and parent CSR) and the box tree.
-  // Runs after every build and snapshot load; none of it is persisted.
+  // Runs after every snapshot load; none of it is persisted.
   void FinalizeInitialNodes();
-  // FinalizeInitialNodes without the box tree.
+  // FinalizeInitialNodes without the box tree: the end of Build, which
+  // built the tree before its coarse layering.
   void FinalizeLayout();
   // QueryLayout::stop_slack for the current graph.
   std::vector<double> ComputeStopSlack() const;
@@ -419,8 +422,8 @@ class DualLayerIndex final : public TopKIndex {
   std::vector<std::uint8_t> has_fine_in_;
   std::vector<NodeId> initial_;
   std::vector<std::vector<TupleId>> coarse_layers_;
-  // Derived from the members above by FinalizeInitialNodes; never
-  // serialized (rebuilt after every build and snapshot load).
+  // Derived from the members above (the box tree from points_ alone);
+  // never serialized (rebuilt after every build and snapshot load).
   QueryLayout layout_;
   BoxTree box_tree_;
   // Behind a pointer so the index stays movable.

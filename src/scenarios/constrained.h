@@ -5,7 +5,7 @@
 // family, over a smaller universe.
 //
 // Index acceleration pushes the predicate into the index's kd box tree
-// (DualLayerIndex::box_tree, core/box_tree.h). Over one DL+ index the
+// (DualLayerIndex::box_tree, geometry/box_tree.h). Over one DL+ index the
 // tree's nodes are opened best-first by a sound score lower bound --
 // the score of max(node lo, box lo), a corner that weakly dominates
 // every in-box member --

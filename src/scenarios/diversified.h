@@ -22,7 +22,7 @@
 //   tree:   g_j < fl(max(pool_bound, Score(w, lo_b))
 //                    + fl(lambda * pen_b))
 //           for the nodes b of a top-down walk of the relation's box
-//           tree (core/box_tree.h): a node whose bound exceeds g_j is
+//           tree (geometry/box_tree.h): a node whose bound exceeds g_j is
 //           certified whole, a leaf whose bound does not ends
 //           certification. pen_b is the max over picks 0..j-1 of
 //           SimilarityFloor(lo_b, hi_b, s). Every member t of b has
@@ -52,8 +52,8 @@
 #include <vector>
 
 #include "common/point.h"
-#include "core/box_tree.h"
 #include "core/dual_layer.h"
+#include "geometry/box_tree.h"
 #include "topk/query.h"
 
 namespace drli {

@@ -54,16 +54,17 @@ class SkyTreeImpl {
       return;
     }
 
-    // Pivot: minimum attribute sum. Nothing can dominate it (a
-    // dominator would have a strictly smaller sum), so it is a skyline
-    // point of this subproblem.
+    // Pivot: the first candidate in sum order (common/point.h). Nothing
+    // can dominate it -- a dominator would precede it -- so it is a
+    // skyline point of this subproblem. The sum alone is not enough: a
+    // dominator can round to the same sum.
     std::size_t pivot_pos = 0;
     double best_sum = 0.0;
     for (std::size_t i = 0; i < candidates.size(); ++i) {
       const PointView p = points_[candidates[i]];
-      double s = 0.0;
-      for (std::size_t j = 0; j < dim_; ++j) s += p[j];
-      if (i == 0 || s < best_sum) {
+      const double s = AttributeSum(p);
+      if (i == 0 ||
+          PrecedesInSumOrder(s, p, best_sum, points_[candidates[pivot_pos]])) {
         best_sum = s;
         pivot_pos = i;
       }

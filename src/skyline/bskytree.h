@@ -4,8 +4,9 @@
 // to build coarse layers ("we employed the state-of-the-art skyline
 // algorithm BSkyTree").
 //
-// Sketch: the minimum-attribute-sum point is chosen as the pivot (it is
-// always a skyline point). Every other point maps to a d-bit region mask
+// Sketch: the first point in sum order (minimum attribute sum, ties
+// broken lexicographically; common/point.h) is chosen as the pivot (it
+// is always a skyline point). Every other point maps to a d-bit region mask
 // (bit i set iff t_i >= pivot_i). Points with the all-ones mask are
 // dominated by the pivot and dropped. A point in region B can only be
 // dominated by points in regions A with A ⊆ B (bitwise), so regions are

@@ -10,7 +10,6 @@ namespace drli {
 namespace {
 
 constexpr std::uint32_t kLeafSize = 8;
-constexpr std::size_t kTailBlock = 16;
 
 bool CornersEqual(const double* a, PointView b, std::size_t d) {
   for (std::size_t j = 0; j < d; ++j) {
@@ -182,48 +181,6 @@ void DominanceTree::ForEachDominatorAt(std::uint32_t idx, PointView t,
   ForEachDominatorAt(idx + 1, t, strict, fn, stats);
   ForEachDominatorAt(static_cast<std::uint32_t>(node.right), t, strict, fn,
                      stats);
-}
-
-void IncrementalDominatorSet::Add(TupleId id) {
-  const PointView p = (*points_)[id];
-  members_.push_back(id);
-  const std::size_t tail_size = members_.size() - tree_size_;
-  if ((tail_size - 1) % kTailBlock == 0) {
-    tail_block_min_.insert(tail_block_min_.end(), p.begin(), p.end());
-  } else {
-    double* bmin = tail_block_min_.data() + (tail_block_min_.size() - dim_);
-    for (std::size_t j = 0; j < dim_; ++j) {
-      bmin[j] = std::min(bmin[j], p[j]);
-    }
-  }
-  tail_coords_.insert(tail_coords_.end(), p.begin(), p.end());
-  // Absorb the tail once it is a fixed fraction of the snapshot: total
-  // rebuild work stays near-linearithmic per layer and the linear tail
-  // scan stays short.
-  if (tail_size >= std::max<std::size_t>(64, tree_size_ / 16)) {
-    tree_.Build(*points_, members_);
-    tree_size_ = members_.size();
-    tail_coords_.clear();
-    tail_block_min_.clear();
-  }
-}
-
-bool IncrementalDominatorSet::AnyDominates(PointView t) const {
-  if (!tree_.empty() && tree_.AnyDominates(t)) return true;
-  const std::size_t tail_size = members_.size() - tree_size_;
-  const std::size_t num_blocks = tail_block_min_.size() / dim_;
-  for (std::size_t b = 0; b < num_blocks; ++b) {
-    const double* bmin = tail_block_min_.data() + b * dim_;
-    if (!WeaklyDominates(PointView(bmin, dim_), t)) continue;
-    const std::size_t begin = b * kTailBlock;
-    const std::size_t end = std::min(begin + kTailBlock, tail_size);
-    for (std::size_t i = begin; i < end; ++i) {
-      if (Dominates(PointView(tail_coords_.data() + i * dim_, dim_), t)) {
-        return true;
-      }
-    }
-  }
-  return false;
 }
 
 }  // namespace drli

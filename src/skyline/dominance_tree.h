@@ -87,34 +87,6 @@ class DominanceTree {
   std::vector<double> coords_;   // ids_.size() * dim_, aligned with ids_
 };
 
-// Append-only set of points over a fixed PointSet answering
-// AnyDominates, used by the single-pass skyline layering. Internally a
-// DominanceTree over a snapshot of the members plus a small linear
-// tail of recent inserts; the tree is rebuilt (absorbing the tail)
-// once the tail exceeds a fixed fraction of the snapshot, so rebuild
-// work stays O(m log^2 m) per layer while queries mostly hit the tree.
-class IncrementalDominatorSet {
- public:
-  explicit IncrementalDominatorSet(const PointSet& points)
-      : points_(&points), dim_(points.dim()) {}
-
-  std::size_t size() const { return members_.size(); }
-
-  void Add(TupleId id);
-  bool AnyDominates(PointView t) const;
-
- private:
-  const PointSet* points_;
-  std::size_t dim_;
-  std::vector<TupleId> members_;  // tree snapshot prefix, then the tail
-  std::size_t tree_size_ = 0;     // members_[0, tree_size_) are in tree_
-  DominanceTree tree_;
-  // Tail coordinates, contiguous, with a componentwise-min corner per
-  // block of kTailBlock members for O(d) block rejection.
-  std::vector<double> tail_coords_;
-  std::vector<double> tail_block_min_;
-};
-
 }  // namespace drli
 
 #endif  // DRLI_SKYLINE_DOMINANCE_TREE_H_

@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "common/point.h"
+#include "geometry/box_tree.h"
 
 namespace drli {
 
@@ -31,15 +32,26 @@ struct LayerDecomposition {
 
 // Iterated skylines: layer 1 = SKY(R), layer i = SKY(R - earlier).
 //
-// Computed in a single pass rather than by repeated skyline peels:
-// points are processed in ascending attribute-sum order (every
-// dominator of a point strictly precedes it), and each point's layer
-// is 1 + the deepest layer holding one of its dominators. Because
-// dominance is transitive, "some member of layer ℓ dominates p" is
-// downward closed in ℓ, so that layer is found by binary search over
-// the layers built so far. The decomposition is unique, so the result
-// is identical to peeling.
-LayerDecomposition BuildSkylineLayers(const PointSet& points);
+// Computed in a single pass rather than by repeated skyline peels: a
+// point's layer is 1 + the deepest layer holding one of its
+// dominators. Points are swept in sum order (common/point.h: attribute
+// sum, then coordinates lexicographically), ties by id; every
+// dominator of a point comes first. `tree` must be
+// BoxTree::Build(points): the sweep annotates each node with its
+// deepest swept layer and finds a point's deepest dominator by branch
+// and bound over the tree.
+//
+// With threads > 1 (0 = ParallelThreadCount()) the sweep runs in
+// chunks: the workers query the tree, frozen for the chunk, and list
+// each point's dominators among the chunk's earlier points; then one
+// thread resolves and inserts the chunk in order. The decomposition is
+// unique, so every thread count gives the peeling's result.
+LayerDecomposition BuildSkylineLayers(const PointSet& points,
+                                      const BoxTree& tree,
+                                      std::size_t threads = 1);
+// The same over a tree built here.
+LayerDecomposition BuildSkylineLayers(const PointSet& points,
+                                      std::size_t threads = 1);
 
 // Reference implementation: repeated ComputeSkylineOfSubset peels.
 // Same output as BuildSkylineLayers on every input (the decomposition

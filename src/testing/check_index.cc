@@ -262,17 +262,22 @@ void Checker::CheckCoarseLayers() {
   if (pair_work <= kMaxPairWork) {
     // Exact dominance-depth recomputation: a tuple's iterated-skyline
     // layer equals the length of the longest strict-dominance chain
-    // ending at it. Strict dominance lowers the coordinate sum, so a
-    // single pass in sum order sees every dominator first.
+    // ending at it. A single pass in sum order (common/point.h) sees
+    // every dominator first; the sum alone would not, since a
+    // dominator can round to the same sum.
     std::vector<TupleId> order(n());
     std::iota(order.begin(), order.end(), 0);
     std::vector<double> sum(n(), 0.0);
     for (std::size_t id = 0; id < n(); ++id) {
-      const PointView p = index_.points()[id];
-      for (std::size_t a = 0; a < p.size(); ++a) sum[id] += p[a];
+      sum[id] = AttributeSum(index_.points()[id]);
     }
-    std::sort(order.begin(), order.end(),
-              [&](TupleId a, TupleId b) { return sum[a] < sum[b]; });
+    std::sort(order.begin(), order.end(), [&](TupleId a, TupleId b) {
+      const PointView pa = index_.points()[a];
+      const PointView pb = index_.points()[b];
+      if (PrecedesInSumOrder(sum[a], pa, sum[b], pb)) return true;
+      if (PrecedesInSumOrder(sum[b], pb, sum[a], pa)) return false;
+      return a < b;
+    });
     std::vector<std::uint32_t> depth(n(), 0);
     for (std::size_t i = 0; i < order.size(); ++i) {
       const PointView pi = index_.points()[order[i]];

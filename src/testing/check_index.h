@@ -53,7 +53,7 @@ struct CheckReport {
 CheckReport CheckIndex(const DualLayerIndex& index,
                        const CheckOptions& options = {});
 
-// The box tree's structure (core/box_tree.h) over the relation it was
+// The box tree's structure (geometry/box_tree.h) over the relation it was
 // built from: its leaves partition the ids, no leaf holds more than
 // BoxTree::kLeafSize members, every node's box is its members' exact
 // min/max, and every child's box lies inside its parent's.

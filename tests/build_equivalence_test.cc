@@ -29,6 +29,10 @@
 namespace drli {
 namespace {
 
+// DualLayerIndex builds run their parallel phases from this many
+// points (kMinPointsForParallelBuild in core/dual_layer.cc).
+constexpr std::size_t kParallelBuildPoints = 4096;
+
 struct Config {
   Distribution dist;
   std::size_t n;
@@ -43,23 +47,28 @@ std::string ConfigName(const ::testing::TestParamInfo<Config>& info) {
                          : "ant";
   std::ostringstream os;
   os << dist << "_d" << info.param.d;
+  // The configs large enough for the parallel build phases.
+  if (info.param.n >= kParallelBuildPoints) os << "_n" << info.param.n;
   return os.str();
 }
 
 class BuildEquivalenceTest : public ::testing::TestWithParam<Config> {};
 
-// The single-pass layering must equal the repeated-peel reference
-// exactly (the decomposition is unique).
+// The single-pass layering, serial and chunked, must equal the
+// repeated-peel reference exactly (the decomposition is unique).
 TEST_P(BuildEquivalenceTest, LayeringMatchesPeelingReference) {
   const Config& c = GetParam();
   const PointSet pts = Generate(c.dist, c.n, c.d, c.seed);
-  const LayerDecomposition fast = BuildSkylineLayers(pts);
   const LayerDecomposition naive = BuildSkylineLayersByPeeling(pts);
-  ASSERT_EQ(fast.layers.size(), naive.layers.size());
-  for (std::size_t i = 0; i < fast.layers.size(); ++i) {
-    EXPECT_EQ(fast.layers[i], naive.layers[i]) << "layer " << i;
+  for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+    const LayerDecomposition fast = BuildSkylineLayers(pts, threads);
+    ASSERT_EQ(fast.layers.size(), naive.layers.size()) << threads;
+    for (std::size_t i = 0; i < fast.layers.size(); ++i) {
+      EXPECT_EQ(fast.layers[i], naive.layers[i])
+          << "layer " << i << " threads " << threads;
+    }
+    EXPECT_EQ(fast.layer_of, naive.layer_of) << threads;
   }
-  EXPECT_EQ(fast.layer_of, naive.layer_of);
 }
 
 // Pruned ∀-edge detection between adjacent layers: same edge set, same
@@ -254,7 +263,7 @@ TEST_P(BuildEquivalenceTest, SerializedIndexIsDeterministic) {
   const std::string dir = std::filesystem::temp_directory_path().string();
   const std::string base =
       dir + "/drli_equiv_" + std::to_string(c.d) + "_" +
-      std::to_string(static_cast<int>(c.dist));
+      std::to_string(static_cast<int>(c.dist)) + "_" + std::to_string(c.n);
 
   DualLayerOptions serial;
   serial.build_zero_layer = true;
@@ -312,8 +321,41 @@ INSTANTIATE_TEST_SUITE_P(
         Config{Distribution::kAnticorrelated, 900, 2, 15},
         Config{Distribution::kAnticorrelated, 900, 3, 16},
         Config{Distribution::kAnticorrelated, 700, 4, 17},
-        Config{Distribution::kAnticorrelated, 500, 5, 18}),
+        Config{Distribution::kAnticorrelated, 500, 5, 18},
+        // Past kParallelBuildPoints: serial and 4-thread builds take
+        // different paths, chunked layering included.
+        Config{Distribution::kAnticorrelated, 5000, 3, 19},
+        Config{Distribution::kAnticorrelated, 5000, 4, 20},
+        Config{Distribution::kIndependent, 6000, 4, 21}),
     ConfigName);
+
+// The chunked layering (threads > 1) against the one-point sweep and
+// the peeling reference, just past the parallel threshold with n on
+// either side of a chunk boundary (the sweep's chunks hold 128 points).
+// Every fifth row repeats an earlier one: duplicates share a layer
+// and may fall into one chunk.
+TEST(ChunkedLayeringTest, MatchesPeelingAcrossChunkBoundaries) {
+  constexpr std::size_t kChunk = 128;
+  for (const std::size_t n : {kParallelBuildPoints + kChunk - 1,
+                              kParallelBuildPoints + kChunk,
+                              kParallelBuildPoints + kChunk + 1}) {
+    for (const std::size_t d : {std::size_t{3}, std::size_t{4}}) {
+      const PointSet base = Generate(Distribution::kAnticorrelated, n, d, n);
+      PointSet pts(d);
+      for (std::size_t i = 0; i < n; ++i) {
+        pts.Add(base[i % 5 == 4 ? i / 2 : i]);
+      }
+      const LayerDecomposition reference = BuildSkylineLayersByPeeling(pts);
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const LayerDecomposition layers = BuildSkylineLayers(pts, threads);
+        EXPECT_EQ(layers.layers, reference.layers)
+            << "n=" << n << " d=" << d << " threads=" << threads;
+        EXPECT_EQ(layers.layer_of, reference.layer_of)
+            << "n=" << n << " d=" << d << " threads=" << threads;
+      }
+    }
+  }
+}
 
 }  // namespace
 }  // namespace drli

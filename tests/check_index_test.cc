@@ -9,6 +9,7 @@
 
 #include "gtest/gtest.h"
 
+#include "common/random.h"
 #include "core/dual_layer.h"
 #include "core/serialization.h"
 #include "data/generator.h"
@@ -39,6 +40,24 @@ TEST(CheckIndexTest, CleanBuildsAcrossShapes) {
                         std::to_string(d) +
                         (zero_layer ? " dl+" : " dl"));
       }
+    }
+  }
+}
+
+// The exact dominance-depth oracle sweeps in sum order, so a dominator
+// whose sum ties with its tuple's must still come first there.
+TEST(CheckIndexTest, SumTiedDominatorsPass) {
+  Rng rng(31);
+  for (const std::size_t d : {3u, 4u}) {
+    for (int trial = 0; trial < 10; ++trial) {
+      const PointSet points = testing_util::SumTiedDominatorPair(
+          d, trial % 2 == 0 ? 0.05 : 0.5, 60, &rng);
+      DualLayerOptions options;
+      options.build_zero_layer = true;
+      const DualLayerIndex index = DualLayerIndex::Build(points, options);
+      EXPECT_EQ(index.coarse_layer_of(0), index.coarse_layer_of(1) + 1);
+      ExpectClean(index, "d=" + std::to_string(d) + " trial " +
+                             std::to_string(trial));
     }
   }
 }

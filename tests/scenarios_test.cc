@@ -15,10 +15,10 @@
 #include "gtest/gtest.h"
 
 #include "common/random.h"
-#include "core/box_tree.h"
 #include "core/dual_layer.h"
 #include "core/tiered_index.h"
 #include "data/generator.h"
+#include "geometry/box_tree.h"
 #include "scenarios/constrained.h"
 #include "scenarios/diversified.h"
 #include "scenarios/reverse_topk.h"

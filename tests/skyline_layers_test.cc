@@ -1,11 +1,14 @@
 #include <numeric>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include "gtest/gtest.h"
 
 #include "common/random.h"
 #include "data/generator.h"
 #include "skyline/dominance_tree.h"
+#include "skyline/skyline.h"
 #include "skyline/skyline_layers.h"
 #include "test_util.h"
 
@@ -128,6 +131,56 @@ TEST(ConvexLayersTest, AnticorrelatedManyLayersStillPartition) {
   const PointSet pts = GenerateAnticorrelated(300, 4, 9);
   const ConvexLayerDecomposition layers = BuildConvexLayers(pts);
   CheckPartition(layers.layers, layers.layer_of, pts.size());
+}
+
+// Layers by the definition alone, never sorting by sum: peel the
+// points no remaining point dominates. O(n^2) per layer.
+std::vector<std::vector<TupleId>> BruteForceLayers(const PointSet& pts) {
+  std::vector<std::vector<TupleId>> layers;
+  std::vector<TupleId> remaining(pts.size());
+  std::iota(remaining.begin(), remaining.end(), TupleId{0});
+  while (!remaining.empty()) {
+    std::vector<TupleId> layer;
+    std::vector<TupleId> rest;
+    for (const TupleId t : remaining) {
+      bool dominated = false;
+      for (const TupleId s : remaining) dominated |= Dominates(pts[s], pts[t]);
+      (dominated ? rest : layer).push_back(t);
+    }
+    layers.push_back(std::move(layer));
+    remaining = std::move(rest);
+  }
+  return layers;
+}
+
+// A 1-ulp improvement of one coordinate can leave the rounded attribute
+// sum unchanged (SumTiedDominatorPair), so every sum-ordered pass must
+// break sum ties. Half the pairs lie near the origin, where the pair
+// holds the least sum and becomes the SkyTree pivot; the others sit
+// among the random rows, in deeper layers.
+TEST(SkylineLayersTest, DominatorTiedInSumComesFirst) {
+  Rng rng(29);
+  for (std::size_t d = 2; d <= 5; ++d) {
+    for (int trial = 0; trial < 20; ++trial) {
+      const double scale = trial % 2 == 0 ? 0.05 : 0.5;
+      const PointSet pts =
+          testing_util::SumTiedDominatorPair(d, scale, 60, &rng);
+      ASSERT_TRUE(Dominates(pts[1], pts[0]));
+
+      const std::vector<std::vector<TupleId>> expected = BruteForceLayers(pts);
+      for (const std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
+        const LayerDecomposition layers = BuildSkylineLayers(pts, threads);
+        EXPECT_EQ(layers.layers, expected)
+            << "d=" << d << " trial " << trial << " threads " << threads;
+        EXPECT_EQ(layers.layer_of[0], layers.layer_of[1] + 1);
+      }
+      std::vector<TupleId> all(pts.size());
+      std::iota(all.begin(), all.end(), TupleId{0});
+      EXPECT_EQ(ComputeSkylineOfSubset(pts, all), expected[0])
+          << "d=" << d << " trial " << trial;
+      EXPECT_EQ(BuildSkylineLayersByPeeling(pts).layers, expected);
+    }
+  }
 }
 
 TEST(ForEachDominancePairTest, MatchesBruteForce) {

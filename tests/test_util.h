@@ -111,6 +111,34 @@ inline std::vector<TopKQuery> RandomQueries(std::size_t dim, std::size_t k,
   return queries;
 }
 
+// A tuple (id 0) and its dominator (id 1) whose attribute sums tie: the
+// dominator is 1 ulp lower in one coordinate, which rounds away in the
+// sum. A (sum, id) order would sweep the dominated tuple first. The
+// pair's coordinates lie in [0.2, 1] * scale; `rows` random rows in
+// [0, 1]^d follow.
+inline PointSet SumTiedDominatorPair(std::size_t d, double scale,
+                                     std::size_t rows, Rng* rng) {
+  Point dominated(d);
+  Point dominator;
+  // Retry until the bump rounds away in the sum.
+  do {
+    for (double& v : dominated) v = scale * rng->Uniform(0.2, 1.0);
+    dominator = dominated;
+    const std::size_t axis = rng->Index(d);
+    dominator[axis] = std::nextafter(dominator[axis], 0.0);
+  } while (AttributeSum(PointView(dominated)) !=
+           AttributeSum(PointView(dominator)));
+  PointSet pts(d);
+  pts.Add(PointView(dominated));
+  pts.Add(PointView(dominator));
+  for (std::size_t row = 0; row < rows; ++row) {
+    Point p(d);
+    for (double& v : p) v = rng->Uniform();
+    pts.Add(PointView(p));
+  }
+  return pts;
+}
+
 }  // namespace testing_util
 }  // namespace drli
 
