@@ -13,6 +13,9 @@
 //     common/point.h (the two differ on -0.0 inputs).
 //   * Dominance/comparison kernels are exact predicates (ordered,
 //     non-signalling compares on NaN-free input).
+//   * The similarity kernel subtracts, squares, sums from 0.0, takes
+//     the square root and divides per lane, each step its own
+//     correctly rounded IEEE instruction, as the scalar loop does.
 //
 // This file is only added to the build when the compiler supports
 // -mavx2 and DRLI_DISABLE_SIMD is off; callers reach it through the
@@ -154,6 +157,29 @@ void CompareBatchAvx2(const SoaPointSet& soa, const std::uint32_t* ids,
   }
   if (i < count) {
     CompareBatchScalar(soa, ids + i, count - i, q, out + i);
+  }
+}
+
+void SimilarityMaxRangeAvx2(const SoaPointSet& soa, std::size_t count,
+                            PointView s, double* penalty) {
+  const std::size_t d = soa.dim();
+  const __m256d one = _mm256_set1_pd(1.0);
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    __m256d sum = _mm256_setzero_pd();
+    for (std::size_t a = 0; a < d; ++a) {
+      const __m256d delta = _mm256_sub_pd(_mm256_loadu_pd(soa.column(a) + i),
+                                          _mm256_set1_pd(s[a]));
+      sum = _mm256_add_pd(sum, _mm256_mul_pd(delta, delta));
+    }
+    const __m256d sim =
+        _mm256_div_pd(one, _mm256_add_pd(one, _mm256_sqrt_pd(sum)));
+    // max(sim, pen) keeps pen unless sim > pen: std::max(pen, sim).
+    _mm256_storeu_pd(penalty + i,
+                     _mm256_max_pd(sim, _mm256_loadu_pd(penalty + i)));
+  }
+  if (i < count) {
+    SimilarityMaxRangeScalar(soa, i, count - i, s, penalty + i);
   }
 }
 

@@ -1,5 +1,8 @@
 #include "common/kernels_batch.h"
 
+#include <algorithm>
+#include <cmath>
+
 #include "common/check.h"
 #include "common/simd.h"
 
@@ -84,6 +87,20 @@ void CompareBatchScalar(const SoaPointSet& soa, const std::uint32_t* ids,
   }
 }
 
+void SimilarityMaxRangeScalar(const SoaPointSet& soa, std::size_t first,
+                              std::size_t count, PointView s,
+                              double* penalty) {
+  const std::size_t d = soa.dim();
+  for (std::size_t i = 0; i < count; ++i) {
+    double sum = 0.0;
+    for (std::size_t a = 0; a < d; ++a) {
+      const double delta = soa.column(a)[first + i] - s[a];
+      sum += delta * delta;
+    }
+    penalty[i] = std::max(penalty[i], 1.0 / (1.0 + std::sqrt(sum)));
+  }
+}
+
 }  // namespace kernel_internal
 
 ScoreBatchFn ResolveScoreBatch() {
@@ -161,6 +178,22 @@ void CompareBatch(const SoaPointSet& soa, const std::uint32_t* ids,
 #endif
     default:
       kernel_internal::CompareBatchScalar(soa, ids, count, q, out);
+      return;
+  }
+}
+
+void SimilarityMaxRange(const SoaPointSet& soa, std::size_t count,
+                        PointView s, double* penalty) {
+  DRLI_DCHECK(s.size() == soa.dim());
+  DRLI_DCHECK(count <= soa.size());
+  switch (ActiveSimdTarget()) {
+#if defined(DRLI_HAVE_AVX2)
+    case SimdTarget::kAvx2:
+      kernel_internal::SimilarityMaxRangeAvx2(soa, count, s, penalty);
+      return;
+#endif
+    default:
+      kernel_internal::SimilarityMaxRangeScalar(soa, 0, count, s, penalty);
       return;
   }
 }

@@ -14,6 +14,13 @@
 // (tests/property_test.cc) verifies exhaustively and the differential
 // oracle + fuzzer re-verify end to end on both dispatch targets.
 //
+// SimilarityMaxRange extends the contract to the diversified greedy's
+// similarity: per row the same steps as Similarity() in
+// scenarios/diversified.h (differences summed left to right from 0.0,
+// then sqrt, then 1 / (1 + .)), each rounded on its own -- IEEE sqrt
+// and division are correctly rounded in every lane, so the result is
+// bit-identical too.
+//
 // Inputs are assumed NaN-free (the library's data model is points in
 // [0,1]^d and simplex weights); comparisons use ordered predicates.
 
@@ -50,6 +57,14 @@ bool DominatesAnyBatch(const SoaPointSet& soa, const std::uint32_t* ids,
 void CompareBatch(const SoaPointSet& soa, const std::uint32_t* ids,
                   std::size_t count, PointView q, DomRel* out);
 
+// penalty[i] = std::max(penalty[i], Sim(soa row i, s)) for rows
+// [0, count), where Sim(a, b) = 1 / (1 + ||a - b||_2), bit-identical to
+// std::max(penalty[i], Similarity(row i, s)). Rows are loaded, not
+// gathered. There is no NEON version (no aarch64 toolchain to build
+// one against): on NEON targets the dispatch runs the scalar kernel.
+void SimilarityMaxRange(const SoaPointSet& soa, std::size_t count,
+                        PointView s, double* penalty);
+
 // Hot loops that issue many small batches (the DL heap expansion makes
 // ~25 calls of ~6 tuples per query) resolve the dispatch once and call
 // through the pointer, instead of paying the ActiveSimdTarget() load +
@@ -72,6 +87,9 @@ bool DominatesAnyBatchScalar(const SoaPointSet& soa, const std::uint32_t* ids,
                              std::size_t count, PointView q);
 void CompareBatchScalar(const SoaPointSet& soa, const std::uint32_t* ids,
                         std::size_t count, PointView q, DomRel* out);
+void SimilarityMaxRangeScalar(const SoaPointSet& soa, std::size_t first,
+                              std::size_t count, PointView s,
+                              double* penalty);
 
 #if defined(DRLI_HAVE_AVX2)
 void ScoreBatchAvx2(PointView weights, const SoaPointSet& soa,
@@ -82,6 +100,8 @@ bool DominatesAnyBatchAvx2(const SoaPointSet& soa, const std::uint32_t* ids,
                            std::size_t count, PointView q);
 void CompareBatchAvx2(const SoaPointSet& soa, const std::uint32_t* ids,
                       std::size_t count, PointView q, DomRel* out);
+void SimilarityMaxRangeAvx2(const SoaPointSet& soa, std::size_t count,
+                            PointView s, double* penalty);
 #endif
 
 #if defined(DRLI_HAVE_NEON)

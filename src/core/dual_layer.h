@@ -257,9 +257,10 @@ class QueryScratch {
   // pending_[p]: fine-blocked slots whose ∃ bit arrived before pseudo
   // slot p popped; p counts them down when it pops (lazy ∀-gate).
   std::vector<std::vector<std::uint32_t>> pending_;
-  // Max-heap over the k smallest real candidate scores seen so far;
-  // its top bounds the final k-th answer and prunes doomed heap pushes.
-  std::vector<double> bound_heap_;
+  // Real candidate scores below the push bound, cut back to the k
+  // smallest whenever it reaches 2k; its k-th smallest bounds the final
+  // k-th answer and prunes doomed heap pushes.
+  std::vector<double> push_scores_;
 };
 
 class DualLayerIndex final : public TopKIndex {

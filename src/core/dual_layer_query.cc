@@ -54,7 +54,7 @@ bool QueryScratch::Prepare(const QueryLayout& layout) {
   }
   heap_.clear();
   freed_.clear();
-  bound_heap_.clear();
+  push_scores_.clear();
   return seed;
 }
 
@@ -102,9 +102,12 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
   }
   const PointView w(query.weights);
   const std::size_t total = num_nodes();
+  // k > n returns all n tuples; clamping keeps every k-sized buffer
+  // below sized by the relation, not by the client.
+  const std::size_t k = std::min(query.k, points_.size());
 
   TopKResult result;
-  if (total == 0 || query.k == 0) {
+  if (total == 0 || k == 0) {
     FinalizeComplete(result);
     return result;
   }
@@ -118,8 +121,8 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
   }
   // One allocation each instead of a doubling chain; the typical query
   // evaluates a few dozen tuples per answer slot.
-  result.items.reserve(query.k + 8);
-  result.accessed.reserve(16 * query.k);
+  result.items.reserve(k + 8);
+  result.accessed.reserve(std::min(16 * k, points_.size()));
   const ScoreBatchFn score_batch = ResolveScoreBatch();
   const std::uint32_t epoch = s.epoch_;
   QueryScratch::NodeState* const st = s.nodes_.data();
@@ -162,7 +165,8 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
   double stop_above = tie_cutoff;
 
   // Provisional upper bound on the final k-th answer: the k-th smallest
-  // real candidate score seen so far (+inf until k have been seen).
+  // of a subset of the real candidate scores seen so far (+inf until k
+  // have been seen), hence at least the k-th smallest of all of them.
   // Unlocking a node never reveals a score more than `slack` below its
   // unlocker's, so (a) the final answer set is the k smallest real keys
   // among everything eventually scored, which makes any prefix's k-th
@@ -170,10 +174,15 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
   // scoring more than `slack` above the final tie_cutoff is ever popped
   // or unlocks anything at or below it. A candidate scoring more than
   // `slack` above the bound is therefore dead weight: it is counted and
-  // recorded exactly as before, but its heap push is skipped. Only
-  // exercised when no budget gate is active -- a tripped gate certifies
-  // its partial result against the literal heap minimum, which pruning
-  // would move.
+  // recorded exactly as before, but its heap push is skipped. A looser
+  // bound skips fewer of them, and the extra entries sit in the heap
+  // past the stop rule, so pops, evaluations and the answer never
+  // depend on how tight the bound is. The bound is kept in amortized
+  // O(1) per score (QueryScratch::push_scores_): scores below it are
+  // appended, and at 2k entries nth_element cuts the buffer back to its
+  // k smallest, whose largest becomes the bound. Only exercised when no
+  // budget gate is active -- a tripped gate certifies its partial
+  // result against the literal heap minimum, which pruning would move.
   double push_bound = std::numeric_limits<double>::infinity();
   double push_above = push_bound;
   const bool prune_pushes = !gate.active();
@@ -202,19 +211,16 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
       } else {
         ++result.stats.tuples_evaluated;
         result.accessed.push_back(node);
-        if (prune_pushes) {
-          // Track the k smallest real scores in a max-heap; its top is
-          // the push bound once full.
-          std::vector<double>& bh = s.bound_heap_;
-          if (bh.size() < query.k) {
-            bh.push_back(score);
-            std::push_heap(bh.begin(), bh.end());
-            if (bh.size() == query.k) push_bound = bh.front();
-          } else if (score < bh.front()) {
-            std::pop_heap(bh.begin(), bh.end());
-            bh.back() = score;
-            std::push_heap(bh.begin(), bh.end());
-            push_bound = bh.front();
+        if (prune_pushes && score < push_bound) {
+          std::vector<double>& buf = s.push_scores_;
+          buf.push_back(score);
+          if (buf.size() == k) {
+            // First fill (it never shrinks below k): every score so far.
+            push_bound = *std::max_element(buf.begin(), buf.end());
+          } else if (buf.size() == 2 * k) {
+            std::nth_element(buf.begin(), buf.begin() + (k - 1), buf.end());
+            buf.resize(k);
+            push_bound = buf[k - 1];
           }
           push_above = push_bound + slack;
         }
@@ -257,7 +263,7 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
     // `slack` above it, so once the heap minimum is more than the slack
     // above the k-th answer no tie can be hiding behind a blocked node
     // and the query is done.
-    if (result.items.size() >= query.k &&
+    if (result.items.size() >= k &&
         s.heap_.front().score > stop_above) {
       break;
     }
@@ -281,7 +287,7 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
 
     if (slot >= layout.first_real_slot) {
       result.items.push_back(ScoredTuple{top.node, top.score});
-      if (result.items.size() == query.k) {
+      if (result.items.size() == k) {
         tie_cutoff = top.score;
         stop_above = tie_cutoff + slack;
       }
@@ -356,9 +362,13 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
   }
   // Equal-score tuples freed late (they were ∃- or chain-blocked behind
   // an equal-score node) pop out of id order; restore the canonical
-  // (score, id) order and drop surplus ties beyond k.
-  std::sort(result.items.begin(), result.items.end(), ResultOrderLess);
-  if (result.items.size() > query.k) result.items.resize(query.k);
+  // (score, id) order and drop surplus ties beyond k. Without such ties
+  // the pops already are in that order and the sort is skipped.
+  if (!std::is_sorted(result.items.begin(), result.items.end(),
+                      ResultOrderLess)) {
+    std::sort(result.items.begin(), result.items.end(), ResultOrderLess);
+  }
+  if (result.items.size() > k) result.items.resize(k);
   if (stop == Termination::kComplete) {
     FinalizeComplete(result);
   } else {

@@ -217,8 +217,12 @@ TopKResult MergeDualLayerPartitions(const PartitionSet& set,
       k, budget, timer, std::move(opened), bounds,
       [&](std::size_t p, const ExecBudget& sub) {
         const DualLayerPartition& part = *set.parts[p];
-        std::optional<TopKResult> result = traverse(
-            part.index, std::min(part.ids.size(), k + part.dead), sub);
+        // min(|ids|, k + dead) without forming k + dead, which wraps
+        // for k near SIZE_MAX.
+        const std::size_t live = part.ids.size() - part.dead;
+        const std::size_t part_k =
+            k >= live ? part.ids.size() : k + part.dead;
+        std::optional<TopKResult> result = traverse(part.index, part_k, sub);
         if (!result.has_value()) {
           TopKResult declined;
           declined.stats.boxes_pruned = 1;

@@ -8,6 +8,8 @@
 #include <optional>
 #include <vector>
 
+#include "common/kernels_batch.h"
+#include "common/soa_points.h"
 #include "common/stopwatch.h"
 
 namespace drli {
@@ -41,39 +43,49 @@ Status ValidateDiversified(const DiversifiedQuery& query, std::size_t dim) {
 
 // The greedy over a pool given in canonical (score, id) order. Both
 // the accelerated path and the brute-force reference run exactly this
-// code on their pools, so certified prefixes agree bit-for-bit: same
-// Similarity arithmetic, same running-max accumulation (in selection
-// order), same (g, id) tie-break.
+// code on their pools, so certified prefixes agree bit-for-bit. The
+// pool is copied once into a dimension-major view, and each pick costs
+// one SimilarityMaxRange call (the running max of Similarity, in
+// selection order, bit for bit) plus one argmin pass over
+// g = score + lambda * penalty with the (g, id) tie-break. A taken
+// candidate's score becomes NaN: its g compares neither below nor
+// equal to anything, so it can never be picked again, while an
+// untaken g of +inf still wins against the +inf start on its id.
 std::vector<DiversifiedPick> GreedySelect(const PointSet& points,
                                           const std::vector<ScoredTuple>& pool,
                                           double lambda, std::size_t k) {
+  const std::size_t m = pool.size();
+  const std::size_t want = std::min(k, m);
   std::vector<DiversifiedPick> picks;
+  picks.reserve(want);
+  if (want == 0) return picks;
+  std::vector<std::uint32_t> ids(m);
+  std::vector<double> score(m);
+  for (std::size_t i = 0; i < m; ++i) {
+    ids[i] = pool[i].id;
+    score[i] = pool[i].score;
+  }
+  const SoaPointSet soa = SoaPointSet::FromSubset(points, ids);
   // max over already-picked similarities, per pool candidate.
-  std::vector<double> penalty(pool.size(), 0.0);
-  std::vector<char> taken(pool.size(), 0);
-  while (picks.size() < k) {
-    std::size_t best = pool.size();
-    double best_g = 0.0;
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (taken[i]) continue;
-      const double g = pool[i].score + lambda * penalty[i];
-      if (best == pool.size() || g < best_g ||
-          (g == best_g && pool[i].id < pool[best].id)) {
+  std::vector<double> penalty(m, 0.0);
+  for (;;) {
+    std::size_t best = m;
+    double best_g = std::numeric_limits<double>::infinity();
+    std::uint32_t best_id = std::numeric_limits<std::uint32_t>::max();
+    for (std::size_t i = 0; i < m; ++i) {
+      const double g = score[i] + lambda * penalty[i];
+      if (g < best_g || (g == best_g && ids[i] < best_id)) {
         best = i;
         best_g = g;
+        best_id = ids[i];
       }
     }
-    if (best == pool.size()) break;  // pool exhausted
-    taken[best] = 1;
-    picks.push_back(DiversifiedPick{pool[best].id, pool[best].score, best_g});
-    const PointView chosen = points[pool[best].id];
-    for (std::size_t i = 0; i < pool.size(); ++i) {
-      if (taken[i]) continue;
-      penalty[i] =
-          std::max(penalty[i], Similarity(points[pool[i].id], chosen));
-    }
+    if (best == m) return picks;  // only NaN g left: rows holding NaN
+    picks.push_back(DiversifiedPick{best_id, score[best], best_g});
+    if (picks.size() == want) return picks;
+    score[best] = std::numeric_limits<double>::quiet_NaN();
+    SimilarityMaxRange(soa, m, points[best_id], penalty.data());
   }
-  return picks;
 }
 
 // Leading run of picks whose utility is strictly below the pool bound
@@ -151,8 +163,11 @@ DiversifiedResult RunDiversified(const TopKIndex& index,
   // The on-demand tree, built at the first round the score certificate
   // falls short.
   std::optional<BoxTree> built;
-  std::size_t m = std::min(n, std::max(query.k,
-                                       query.pool_factor * query.k));
+  // pool_factor * k (>= k, pool_factor >= 1) capped at n. pool_factor
+  // comes from the client, so a product past n is never formed.
+  std::size_t m = query.pool_factor > n / query.k
+                      ? n
+                      : query.pool_factor * query.k;
   for (;;) {
     TopKQuery pool_query;
     pool_query.weights = query.weights;

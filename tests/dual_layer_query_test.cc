@@ -1,8 +1,12 @@
+#include <cstddef>
+#include <limits>
+
 #include "gtest/gtest.h"
 
 #include "core/dual_layer.h"
 #include "data/generator.h"
 #include "test_util.h"
+#include "topk/scan.h"
 
 namespace drli {
 namespace {
@@ -87,6 +91,33 @@ TEST(DualLayerQueryTest, KEqualsNReturnsEverything) {
   EXPECT_EQ(result.stats.tuples_evaluated, 200u);
   for (std::size_t i = 1; i < result.items.size(); ++i) {
     EXPECT_LE(result.items[i - 1].score, result.items[i].score);
+  }
+}
+
+// The TopKIndex contract returns all n tuples for any k > n, so a k
+// far past n must size no buffer by k (2^40 and 2^59 used to throw
+// from a reservation).
+TEST(DualLayerQueryTest, HugeKReturnsEverything) {
+  const PointSet pts = GenerateIndependent(300, 3, 9);
+  DualLayerOptions plus;
+  plus.build_zero_layer = true;
+  const Point weights = {0.2, 0.3, 0.5};
+  const TopKResult want = Scan(pts, TopKQuery{weights, pts.size()});
+  for (const DualLayerOptions& options : {DualLayerOptions{}, plus}) {
+    const DualLayerIndex index = DualLayerIndex::Build(pts, options);
+    for (const std::size_t k :
+         {std::size_t{1} << 40, std::size_t{1} << 62,
+          std::numeric_limits<std::size_t>::max()}) {
+      const TopKResult got = index.Query(TopKQuery{weights, k});
+      ASSERT_TRUE(got.complete()) << got.error;
+      EXPECT_EQ(got.certified_prefix, pts.size());
+      EXPECT_EQ(got.stats.tuples_evaluated, pts.size());
+      ASSERT_EQ(got.items.size(), want.items.size()) << k;
+      for (std::size_t i = 0; i < want.items.size(); ++i) {
+        EXPECT_EQ(got.items[i].id, want.items[i].id) << k << " rank " << i;
+        EXPECT_EQ(got.items[i].score, want.items[i].score) << k;
+      }
+    }
   }
 }
 

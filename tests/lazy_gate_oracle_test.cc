@@ -241,6 +241,56 @@ TEST(LazyGateOracleTest, IntegerGridWithDuplicates) {
   }
 }
 
+// The push bound's score buffer: scores below the bound are appended,
+// and at 2k entries it is cut back to the k smallest. On 20k
+// anticorrelated d=3 rows a k = 1000 query fills it once and evaluates
+// too few tuples (about 1.3k) to reach 2k, while k = 1 and k = 10
+// queries compact it about once each. Complete and budget-cut runs must
+// equal the eager walk, which pushes every freed node. Compactions are
+// counted by replaying `accessed`, which lists real tuples in scoring
+// order.
+TEST(LazyGateOracleTest, PushBoundBufferAtLargeAndSmallK) {
+  const PointSet points =
+      Generate(Distribution::kAnticorrelated, 20000, 3, 64);
+  const DualLayerIndex index =
+      DualLayerIndex::Build(points, ZeroLayerOptions());
+  Rng rng(603);
+  std::size_t compactions = 0;
+  for (const std::size_t k : {1, 10, 1000}) {
+    for (int q = 0; q < (k == 1000 ? 3 : 8); ++q) {
+      TopKQuery query{rng.SimplexWeight(3), k};
+      const TopKResult full = index.Query(query);
+      ASSERT_TRUE(SameAnswer(EagerReference(index, query).result, full))
+          << "k=" << k << " query " << q;
+      std::vector<double> buffer;
+      double bound = std::numeric_limits<double>::infinity();
+      for (const TupleId id : full.accessed) {
+        const double score = Score(query.weights, points[id]);
+        if (!(score < bound)) continue;
+        buffer.push_back(score);
+        if (buffer.size() == k) {
+          bound = *std::max_element(buffer.begin(), buffer.end());
+        } else if (buffer.size() == 2 * k) {
+          std::nth_element(buffer.begin(), buffer.begin() + (k - 1),
+                           buffer.end());
+          buffer.resize(k);
+          bound = buffer[k - 1];
+          ++compactions;
+        }
+      }
+      const std::size_t evals = full.stats.tuples_evaluated;
+      for (std::size_t cut = 1; cut < evals;
+           cut += std::max<std::size_t>(1, evals / 7)) {
+        query.budget.max_evals = cut;
+        ASSERT_TRUE(SameAnswer(EagerReference(index, query).result,
+                               index.Query(query)))
+            << "k=" << k << " query " << q << " max_evals=" << cut;
+      }
+    }
+  }
+  EXPECT_GE(compactions, 8u);
+}
+
 // The gate's point: at d=4 a k=10 DL+ query reads strictly fewer
 // adjacency entries than the eager walk, with the same answer.
 TEST(LazyGateOracleTest, WalksFewerEdgesThanEagerAtD4) {

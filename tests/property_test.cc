@@ -14,6 +14,7 @@
 #include "core/dual_layer.h"
 #include "core/index_registry.h"
 #include "data/generator.h"
+#include "scenarios/diversified.h"
 #include "test_util.h"
 
 namespace drli {
@@ -306,6 +307,45 @@ TEST(KernelCrossCheckTest, BatchedMatchesScalarBitwise) {
           EXPECT_EQ(rels[i], rels_ref[i]);
           EXPECT_EQ(rels[i], Compare(pts[ids[i]], q));
         }
+      }
+    }
+  }
+  ForceScalarKernels(false);
+}
+
+// The greedy's similarity kernel: scalar and dispatched results equal
+// std::max(penalty, Similarity(row, s)) bitwise, for every count 1..17
+// (sub-width and unaligned tails) at d = 2..8, with a query point that
+// duplicates a row (Sim = 1) and starting penalties above and below the
+// similarities.
+TEST(KernelCrossCheckTest, SimilarityMaxRangeMatchesScalarBitwise) {
+  namespace ki = kernel_internal;
+  for (const bool force_scalar : {false, true}) {
+    ForceScalarKernels(force_scalar);
+    for (std::size_t d = 2; d <= 8; ++d) {
+      const PointSet pts = BatchKernelPoints(d, 1200 + d);
+      Rng rng(7100 + d);
+      for (std::size_t count = 1; count <= 17; ++count) {
+        std::vector<std::uint32_t> ids(count);
+        for (std::uint32_t& id : ids) {
+          id = static_cast<std::uint32_t>(rng.Index(pts.size()));
+        }
+        const SoaPointSet soa = SoaPointSet::FromSubset(pts, ids);
+        const PointView s = pts[ids[rng.Index(count)]];
+        std::vector<double> start(count);
+        for (double& p : start) p = rng.Uniform() * 0.6;
+        std::vector<double> dispatched = start, reference = start;
+        SimilarityMaxRange(soa, count, s, dispatched.data());
+        ki::SimilarityMaxRangeScalar(soa, 0, count, s, reference.data());
+        bool saw_one = false;
+        for (std::size_t i = 0; i < count; ++i) {
+          EXPECT_EQ(dispatched[i], reference[i]) << "d=" << d << " i=" << i;
+          EXPECT_EQ(reference[i],
+                    std::max(start[i], Similarity(pts[ids[i]], s)))
+              << "d=" << d << " i=" << i;
+          saw_one = saw_one || dispatched[i] == 1.0;
+        }
+        EXPECT_TRUE(saw_one) << "d=" << d << " count=" << count;
       }
     }
   }

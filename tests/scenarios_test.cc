@@ -15,6 +15,7 @@
 #include "gtest/gtest.h"
 
 #include "common/random.h"
+#include "common/simd.h"
 #include "core/dual_layer.h"
 #include "core/tiered_index.h"
 #include "data/generator.h"
@@ -616,6 +617,139 @@ TEST(DiversifiedTest, CellCertificateStopsOnASmallerPool) {
   EXPECT_LT(got.pool_size, score_only);
   EXPECT_LT(got.pool_size, points.size() / 2);
   ExpectSameDiversified(got, DiversifiedTopKScan(points, query), "ant");
+}
+
+// The greedy as it ran over row-major points before the dimension-major
+// rewrite: one Similarity call per untaken candidate per pick, a taken
+// flag, the (g, id) tie-break. The engine and DiversifiedTopKScan share
+// the library's greedy, so this copy is its only independent check.
+std::vector<DiversifiedPick> ReferenceGreedy(
+    const PointSet& points, const std::vector<ScoredTuple>& pool,
+    double lambda, std::size_t k) {
+  std::vector<DiversifiedPick> picks;
+  std::vector<double> penalty(pool.size(), 0.0);
+  std::vector<char> taken(pool.size(), 0);
+  while (picks.size() < k) {
+    std::size_t best = pool.size();
+    double best_g = 0.0;
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (taken[i]) continue;
+      const double g = pool[i].score + lambda * penalty[i];
+      if (best == pool.size() || g < best_g ||
+          (g == best_g && pool[i].id < pool[best].id)) {
+        best = i;
+        best_g = g;
+      }
+    }
+    if (best == pool.size()) break;
+    taken[best] = 1;
+    picks.push_back(DiversifiedPick{pool[best].id, pool[best].score, best_g});
+    const PointView chosen = points[pool[best].id];
+    for (std::size_t i = 0; i < pool.size(); ++i) {
+      if (taken[i]) continue;
+      penalty[i] =
+          std::max(penalty[i], Similarity(points[pool[i].id], chosen));
+    }
+  }
+  return picks;
+}
+
+void ExpectSamePicks(const std::vector<DiversifiedPick>& got,
+                     const std::vector<DiversifiedPick>& want,
+                     const std::string& what) {
+  ASSERT_EQ(got.size(), want.size()) << what;
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].id, want[i].id) << what << " pick " << i;
+    EXPECT_EQ(got[i].score, want[i].score) << what << " pick " << i;
+    EXPECT_EQ(got[i].utility, want[i].utility) << what << " pick " << i;
+  }
+}
+
+// `n` random rows in which every third row repeats an earlier one: a
+// duplicate ties its twin's score and every similarity, so g ties
+// exactly and the id decides.
+PointSet RowsWithDuplicates(std::size_t n, std::size_t d, std::uint64_t seed) {
+  Rng rng(seed);
+  PointSet points(d);
+  for (std::size_t i = 0; i < n; ++i) {
+    if (i % 3 == 2) {
+      points.Add(points.Materialize(rng.Index(i)));
+      continue;
+    }
+    Point row(d);
+    for (double& x : row) x = rng.Uniform();
+    points.Add(row);
+  }
+  return points;
+}
+
+// The library greedy equals the reference bit for bit on both kernel
+// targets: over whole relations of every size 1..17 (the scan's pool)
+// and over the final pools of real DL+ runs.
+TEST(DiversifiedTest, GreedyMatchesRowMajorReferenceBitwise) {
+  for (const bool force_scalar : {false, true}) {
+    ForceScalarKernels(force_scalar);
+    const std::string target = force_scalar ? "scalar" : "dispatched";
+    for (const double lambda : {0.0, 0.5, 2.0}) {
+      for (std::size_t m = 1; m <= 17; ++m) {
+        const std::size_t d = 2 + m % 4;
+        const PointSet points = RowsWithDuplicates(m, d, 70 + m);
+        Rng rng(170 + m);
+        DiversifiedQuery query;
+        query.weights = rng.SimplexWeight(d);
+        query.k = m;
+        query.lambda = lambda;
+        std::vector<ScoredTuple> pool;
+        for (std::size_t i = 0; i < m; ++i) {
+          pool.push_back(ScoredTuple{static_cast<TupleId>(i),
+                                     Score(query.weights, points[i])});
+        }
+        std::sort(pool.begin(), pool.end(), ResultOrderLess);
+        ExpectSamePicks(DiversifiedTopKScan(points, query).picks,
+                        ReferenceGreedy(points, pool, lambda, m),
+                        target + " m=" + std::to_string(m) +
+                            " lambda=" + std::to_string(lambda));
+      }
+      const PointSet points = RowsWithDuplicates(3000, 3, 71);
+      const DualLayerIndex dl = DualLayerIndex::Build(points);
+      Rng rng(171);
+      for (int q = 0; q < 4; ++q) {
+        DiversifiedQuery query;
+        query.weights = rng.SimplexWeight(3);
+        query.k = 10;
+        query.lambda = lambda;
+        const DiversifiedResult got = DiversifiedTopK(dl, points, query);
+        ASSERT_TRUE(got.complete());
+        const TopKResult pool = dl.Query(TopKQuery{query.weights,
+                                                   got.pool_size});
+        ASSERT_EQ(pool.items.size(), got.pool_size);
+        ExpectSamePicks(got.picks,
+                        ReferenceGreedy(points, pool.items, lambda, query.k),
+                        target + " dl+ q=" + std::to_string(q) +
+                            " lambda=" + std::to_string(lambda));
+      }
+    }
+  }
+  ForceScalarKernels(false);
+}
+
+// pool_factor is client-supplied: a product pool_factor * k past n
+// asks for the whole relation at once instead of wrapping to a small
+// first pool.
+TEST(DiversifiedTest, HugePoolFactorSaturatesAtTheRelation) {
+  const PointSet points = GenerateIndependent(200, 3, 73);
+  const DualLayerIndex dl = DualLayerIndex::Build(points);
+  DiversifiedQuery query;
+  query.weights = {0.3, 0.3, 0.4};
+  query.k = 8;
+  query.lambda = 0.5;
+  query.pool_factor = std::size_t{1} << 62;  // times 8 wraps to 0
+  const DiversifiedResult got = DiversifiedTopK(dl, points, query);
+  ASSERT_TRUE(got.complete());
+  EXPECT_EQ(got.pool_size, points.size());
+  EXPECT_EQ(got.stats.tuples_evaluated, points.size());
+  ExpectSamePicks(got.picks, DiversifiedTopKScan(points, query).picks,
+                  "pool_factor 2^62");
 }
 
 // --- reverse top-k ---

@@ -7,6 +7,7 @@
 // block on the merge).
 
 #include <algorithm>
+#include <limits>
 #include <map>
 #include <vector>
 
@@ -14,6 +15,7 @@
 
 #include "common/random.h"
 #include "core/tiered_index.h"
+#include "scenarios/constrained.h"
 #include "test_util.h"
 #include "topk/query.h"
 
@@ -206,6 +208,55 @@ TEST(TieredIndexTest, KLargerThanLiveSizeWithTombstones) {
     EXPECT_TRUE(live.count(item.id)) << "dead id " << item.id << " returned";
   }
   ExpectExact(index, live, live.size() + 5, "k > live");
+}
+
+// Each run is asked for k + (its tombstones) items; for k near
+// SIZE_MAX that sum must saturate at the run size instead of wrapping
+// to a handful of items. Plain and constrained queries at k past the
+// live count return every live tuple, in canonical order, complete.
+TEST(TieredIndexTest, HugeKReturnsEveryLiveTuple) {
+  const std::size_t n = 1000;
+  TieredIndexOptions options = SmallRuns();
+  options.memtable_capacity = 256;
+  TieredDualLayerIndex index(3, options);
+  std::map<TupleId, Point> live;
+  std::vector<TupleId> ids;
+  Rng rng(31);
+  for (std::size_t i = 0; i < n; ++i) {
+    const Point row = RandomRow(rng, 3);
+    ids.push_back(index.Insert(PointView(row.data(), row.size())));
+    live[ids.back()] = row;
+  }
+  index.SealMemtable();
+  for (const std::size_t pos : {3, 170, 401, 650, 999}) {
+    ASSERT_TRUE(index.Erase(ids[pos]));
+    live.erase(ids[pos]);
+  }
+  ASSERT_EQ(index.tombstone_count(), 5u);
+  ASSERT_GT(index.num_runs(), 1u);
+  const Point weights = {0.2, 0.3, 0.5};
+  const std::vector<ScoredTuple> want =
+      ExactTopK(live, TopKQuery{weights, live.size()});
+  ASSERT_EQ(want.size(), n - 5);
+  const auto expect_all_live = [&](const TopKResult& got, std::size_t k,
+                                   const char* what) {
+    ASSERT_TRUE(got.complete()) << what << " k=" << k << ": " << got.error;
+    EXPECT_EQ(got.certified_prefix, got.items.size()) << what;
+    ASSERT_EQ(got.items.size(), want.size()) << what << " k=" << k;
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      EXPECT_EQ(got.items[i].id, want[i].id) << what << " rank " << i;
+      EXPECT_EQ(got.items[i].score, want[i].score) << what << " rank " << i;
+    }
+  };
+  const std::size_t max = std::numeric_limits<std::size_t>::max();
+  for (const std::size_t k : {max, max - 2, n + 1}) {
+    expect_all_live(index.Query(TopKQuery{weights, k}), k, "plain");
+    ConstrainedQuery constrained;
+    constrained.weights = weights;
+    constrained.k = k;
+    constrained.box = AttributeBox::All(3);
+    expect_all_live(ConstrainedTopK(index, constrained), k, "constrained");
+  }
 }
 
 TEST(TieredIndexTest, AllTombstonedRunsAndEmptyMemtable) {
