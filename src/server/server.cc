@@ -15,6 +15,7 @@
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <sched.h>
 #include <sys/epoll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -27,7 +28,8 @@ namespace server {
 
 namespace {
 
-// One frame's worth of socket reads per burst iteration.
+// One frame's worth of socket reads per burst iteration; each pool
+// thread reads into its own chunk of this size.
 constexpr std::size_t kReadChunk = 64 * 1024;
 // Cap on bytes read per claim of a connection: whatever is left waits
 // for the re-arm, so a firehose client can neither pin a pool thread
@@ -41,6 +43,23 @@ constexpr double kIoTimeoutSeconds = 10.0;
 constexpr double kDrainTimeoutSeconds = 5.0;
 // The listener's epoll_data; connection ids count up from 1.
 constexpr std::uint64_t kListenerId = 0;
+
+using PollClock = std::chrono::steady_clock;
+// A pool thread that finished a cycle less than this long ago polls the
+// epoll set before it blocks (DESIGN.md §10). Set by measurement on
+// dl-serve on a 4-core VM: 20, 50 and 100 us gained alike; the middle
+// one leaves room for a client that turns a reply around more slowly.
+constexpr std::chrono::microseconds kPollWindow{50};
+
+// Whether the process may run on two CPUs or more. On one CPU, polling
+// lowered the median but raised every p99 (DESIGN.md §10), so the pool
+// does not poll there. A cgroup CPU quota is not visible here.
+bool MayUseTwoCpus() {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  return ::sched_getaffinity(0, sizeof(cpus), &cpus) == 0 &&
+         CPU_COUNT(&cpus) >= 2;
+}
 
 Status Errno(const std::string& what) {
   return Status::IoError(what + ": " + std::strerror(errno));
@@ -92,6 +111,7 @@ struct TopKServer::Impl {
   ServerOptions options;
   ServingEngine engine;
   std::uint16_t bound_port = 0;
+  bool poll_pays = false;  // read once at Start
 
   int epoll_fd = -1;
   std::vector<std::thread> pool;
@@ -110,6 +130,9 @@ struct TopKServer::Impl {
   std::atomic<std::uint64_t> shed{0};
   std::atomic<std::uint64_t> malformed{0};
   std::atomic<std::uint64_t> conns_opened{0};
+  std::atomic<std::uint64_t> polled_events{0};
+  // Held by the one pool thread that polls the epoll set.
+  std::atomic<bool> polling{false};
 
   // Covers listen_fd and next_id; the listener is EPOLLONESHOT too, so
   // only the drain path ever waits on it.
@@ -133,9 +156,11 @@ struct TopKServer::Impl {
   // --- pool threads ---
 
   void PoolMain();
+  bool PollForEvent(PollClock::time_point cycle_end,
+                    struct epoll_event* event);
   void AcceptAll();
-  void Serve(std::uint64_t id, std::uint32_t events);
-  bool ReadBurst(Connection& conn);
+  void Serve(std::uint64_t id, std::uint32_t events, std::uint8_t* chunk);
+  bool ReadBurst(Connection& conn, std::uint8_t* chunk);
   void DecodeFrames(Connection& conn, std::vector<WorkItem>* admitted);
   void HandleFrame(Connection& conn, wire::Frame&& frame,
                    std::vector<WorkItem>* admitted);
@@ -165,6 +190,7 @@ Status TopKServer::Impl::Start(const std::string& dir,
     options.num_workers = std::min<std::size_t>(cores, 8);
   }
   if (options.max_in_flight == 0) options.max_in_flight = 256;
+  poll_pays = MayUseTwoCpus();
 
   Status status = engine.Open(dir);
   if (!status.ok()) return status;
@@ -228,21 +254,49 @@ void TopKServer::Impl::StopAccepting() {
 // --- pool threads ---
 
 void TopKServer::Impl::PoolMain() {
+  std::vector<std::uint8_t> chunk(kReadChunk);
+  PollClock::time_point cycle_end;  // the epoch: no cycle yet
   while (!stop.load()) {
     // One event per wait: a thread never holds a ready connection it is
     // not serving.
     struct epoll_event event;
-    const int n = ::epoll_wait(epoll_fd, &event, 1, kEpollWaitMs);
+    const int n = PollForEvent(cycle_end, &event)
+                      ? 1
+                      : ::epoll_wait(epoll_fd, &event, 1, kEpollWaitMs);
     if (n < 0 && errno != EINTR) break;
     if (n == 1) {
       if (event.data.u64 == kListenerId) {
         AcceptAll();
       } else {
-        Serve(event.data.u64, event.events);
+        Serve(event.data.u64, event.events, chunk.data());
       }
+      cycle_end = PollClock::now();
     }
     ReapTimeouts();
   }
+}
+
+// A thread that finished a cycle less than kPollWindow ago polls the
+// epoll set until the window closes, if no other thread is polling, so
+// a busy server burns at most one core on polling and an idle one
+// stops within a window. True when the poll got an event.
+bool TopKServer::Impl::PollForEvent(PollClock::time_point cycle_end,
+                                    struct epoll_event* event) {
+  const PollClock::time_point deadline = cycle_end + kPollWindow;
+  if (!poll_pays || PollClock::now() >= deadline ||
+      polling.load(std::memory_order_relaxed) ||
+      polling.exchange(true, std::memory_order_acquire)) {
+    return false;
+  }
+  bool got;
+  while (true) {
+    got = ::epoll_wait(epoll_fd, event, 1, 0) == 1;
+    if (got || PollClock::now() >= deadline) break;
+    ::sched_yield();
+  }
+  polling.store(false, std::memory_order_release);
+  if (got) polled_events.fetch_add(1, std::memory_order_relaxed);
+  return got;
 }
 
 void TopKServer::Impl::AcceptAll() {
@@ -287,7 +341,8 @@ void TopKServer::Impl::AcceptAll() {
 // One cycle: claim, read one burst, answer or admit every complete
 // frame in it, run the admitted requests in frame order while flushing
 // each reply, then re-arm (or close).
-void TopKServer::Impl::Serve(std::uint64_t id, std::uint32_t events) {
+void TopKServer::Impl::Serve(std::uint64_t id, std::uint32_t events,
+                             std::uint8_t* chunk) {
   std::shared_ptr<Connection> conn;
   {
     std::lock_guard<std::mutex> lock(conns_mu);
@@ -307,7 +362,7 @@ void TopKServer::Impl::Serve(std::uint64_t id, std::uint32_t events) {
   bool peer_open = true;
   std::vector<WorkItem> admitted;
   if (events & EPOLLIN) {
-    peer_open = ReadBurst(*conn);
+    peer_open = ReadBurst(*conn, chunk);
     DecodeFrames(*conn, &admitted);
   }
   bool writable = Flush(*conn);
@@ -323,22 +378,20 @@ void TopKServer::Impl::Serve(std::uint64_t id, std::uint32_t events) {
   }
 }
 
-// False once the peer has closed (mid-request disconnects land here).
-bool TopKServer::Impl::ReadBurst(Connection& conn) {
+// Reads through the calling thread's `chunk` (kReadChunk bytes) and
+// appends only the bytes received. False once the peer has closed
+// (mid-request disconnects land here).
+bool TopKServer::Impl::ReadBurst(Connection& conn, std::uint8_t* chunk) {
   std::size_t burst = 0;
   while (burst < kMaxReadBurst) {
-    const std::size_t old_size = conn.inbuf.size();
-    conn.inbuf.resize(old_size + kReadChunk);
-    const ssize_t n =
-        ::recv(conn.fd, conn.inbuf.data() + old_size, kReadChunk, 0);
+    const ssize_t n = ::recv(conn.fd, chunk, kReadChunk, 0);
     if (n > 0) {
-      conn.inbuf.resize(old_size + static_cast<std::size_t>(n));
+      conn.inbuf.insert(conn.inbuf.end(), chunk, chunk + n);
       conn.last_activity.Restart();
       burst += static_cast<std::size_t>(n);
       if (static_cast<std::size_t>(n) < kReadChunk) break;
       continue;
     }
-    conn.inbuf.resize(old_size);
     if (n < 0 && errno == EINTR) continue;
     return n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK);
   }
@@ -717,6 +770,7 @@ ServerCounters TopKServer::counters() const {
   counters.queries_in_flight = impl_->in_flight.load();
   counters.malformed_frames = impl_->malformed.load();
   counters.connections_opened = impl_->conns_opened.load();
+  counters.polled_events = impl_->polled_events.load();
   counters.reloads = impl_->engine.reload_count();
   return counters;
 }

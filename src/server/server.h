@@ -3,8 +3,10 @@
 // thread that gets a connection's event reads one burst from it,
 // answers or admits every frame in it, runs the admitted requests in
 // frame order through the QueryBatch machinery, writes each reply, and
-// re-arms the connection. A watcher thread polls the serving
-// directory's CURRENT pointer for hot generation swaps.
+// re-arms the connection. A thread that just finished a cycle polls the
+// epoll set for a bounded window before it blocks (at most one thread
+// polls at a time). A watcher thread polls the serving directory's
+// CURRENT pointer for hot generation swaps.
 //
 // Robustness contract, in degradation order:
 //   1. full answers while capacity and deadlines allow;
@@ -71,6 +73,9 @@ struct ServerCounters {
   std::uint64_t malformed_frames = 0;
   std::uint64_t connections_opened = 0;
   std::uint64_t reloads = 0;
+  // Events a pool thread got while polling before it would block
+  // (DESIGN.md §10), not after blocking. In-process only.
+  std::uint64_t polled_events = 0;
 };
 
 // The server. Start() spawns the pool and the watcher;

@@ -7,11 +7,13 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <ctime>
 #include <filesystem>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include <sched.h>
 #include <unistd.h>
 
 #include "gtest/gtest.h"
@@ -760,6 +762,167 @@ TEST(ServerSoakTest, HotReloadServesTenThousandQueriesAcrossTwentyBumps) {
   ASSERT_TRUE(inspect.ok());
   EXPECT_EQ(inspect.value().snapshot,
             "gen-" + std::to_string(kGenerations - 1) + ".v2");
+  server.Shutdown();
+}
+
+// --- the poll window (DESIGN.md §10) ---
+
+bool SameAnswer(const wire::WireResult& got, const TopKResult& expected) {
+  if (got.status != wire::ReplyStatus::kOk ||
+      got.items.size() != expected.items.size()) {
+    return false;
+  }
+  for (std::size_t r = 0; r < expected.items.size(); ++r) {
+    if (got.items[r].id != expected.items[r].id ||
+        got.items[r].score != expected.items[r].score) {
+      return false;
+    }
+  }
+  return true;
+}
+
+// The number of CPUs the calling thread may run on.
+int AffinityCpuCount() {
+  cpu_set_t cpus;
+  CPU_ZERO(&cpus);
+  return ::sched_getaffinity(0, sizeof(cpus), &cpus) == 0 ? CPU_COUNT(&cpus)
+                                                          : 0;
+}
+
+// More closed-loop connections than pool threads: the one thread that
+// polls must not keep events from the threads that block, so every
+// connection finishes its run and every reply is exact.
+TEST(ServerTest, PollingServesMoreConnectionsThanThreads) {
+  ServingDir serving("drli_server_polling");
+  const DualLayerIndex local = BuildAndPublish(serving, "gen-1.v2", 43);
+  ServerOptions options;
+  options.num_loops = 1;
+  options.num_workers = 1;
+  TopKServer server;
+  ASSERT_TRUE(server.Start(serving.dir, options).ok());
+
+  constexpr std::size_t kConnections = 6;
+  constexpr std::size_t kQueries = 200;
+  std::vector<std::vector<TopKQuery>> queries(kConnections);
+  std::vector<std::vector<TopKResult>> expected(kConnections);
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    queries[c] = testing_util::RandomQueries(3, 5, kQueries, 100 + c);
+    for (const TopKQuery& query : queries[c]) {
+      expected[c].push_back(local.Query(query));
+    }
+  }
+  std::vector<std::size_t> exact(kConnections, 0);
+  std::vector<std::thread> clients;
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    clients.emplace_back([&, c] {
+      DrliClient client;
+      if (!client.Connect("127.0.0.1", server.port()).ok()) return;
+      for (std::size_t i = 0; i < kQueries; ++i) {
+        wire::WireQuery wq;
+        wq.weights = queries[c][i].weights;
+        wq.k = queries[c][i].k;
+        auto result = client.Query(wq);
+        if (!result.ok() || !SameAnswer(result.value(), expected[c][i])) {
+          return;
+        }
+        ++exact[c];
+      }
+    });
+  }
+  for (std::thread& client : clients) client.join();
+  for (std::size_t c = 0; c < kConnections; ++c) {
+    EXPECT_EQ(exact[c], kQueries) << "connection " << c;
+  }
+  // Six connections keep an event ready after almost every cycle.
+  if (AffinityCpuCount() >= 2) {
+    EXPECT_GT(server.counters().polled_events, 0u);
+  }
+  server.Shutdown();
+}
+
+// Restores the calling thread's CPU mask on scope exit.
+class AffinityGuard {
+ public:
+  AffinityGuard() {
+    CPU_ZERO(&saved_);
+    ok_ = ::sched_getaffinity(0, sizeof(saved_), &saved_) == 0;
+  }
+  ~AffinityGuard() {
+    if (ok_) ::sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  bool ok() const { return ok_; }
+  // Pins the calling thread to the first CPU of the saved mask.
+  bool PinToOneCpu() const {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+      if (!CPU_ISSET(cpu, &saved_)) continue;
+      cpu_set_t one;
+      CPU_ZERO(&one);
+      CPU_SET(cpu, &one);
+      return ::sched_setaffinity(0, sizeof(one), &one) == 0;
+    }
+    return false;
+  }
+
+ private:
+  cpu_set_t saved_;
+  bool ok_ = false;
+};
+
+// On one CPU the pool does not poll: there polling raised the tail
+// (DESIGN.md §10). The pool threads inherit the test thread's mask at
+// Start.
+TEST(ServerTest, OneCpuNeverPolls) {
+  AffinityGuard affinity;
+  ASSERT_TRUE(affinity.ok());
+  ASSERT_TRUE(affinity.PinToOneCpu());
+  ASSERT_EQ(AffinityCpuCount(), 1);
+
+  ServingDir serving("drli_server_one_cpu");
+  const DualLayerIndex local = BuildAndPublish(serving, "gen-1.v2", 47);
+  TopKServer server;
+  ASSERT_TRUE(server.Start(serving.dir, ServerOptions{}).ok());
+  DrliClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  for (const TopKQuery& query :
+       testing_util::RandomQueries(3, /*k=*/6, /*count=*/64, /*seed=*/9)) {
+    wire::WireQuery wq;
+    wq.weights = query.weights;
+    wq.k = query.k;
+    auto result = client.Query(wq);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_TRUE(SameAnswer(result.value(), local.Query(query)));
+  }
+  EXPECT_EQ(server.counters().polled_events, 0u);
+  server.Shutdown();
+}
+
+double ProcessCpuSeconds() {
+  struct timespec ts;
+  ::clock_gettime(CLOCK_PROCESS_CPUTIME_ID, &ts);
+  return static_cast<double>(ts.tv_sec) +
+         1e-9 * static_cast<double>(ts.tv_nsec);
+}
+
+// A server that has gone quiet stops polling within one window: its
+// threads block, so an idle wait costs the process almost no CPU.
+TEST(ServerTest, IdleServerStopsPolling) {
+  ServingDir serving("drli_server_idle");
+  BuildAndPublish(serving, "gen-1.v2", 53);
+  TopKServer server;
+  ASSERT_TRUE(server.Start(serving.dir, ServerOptions{}).ok());
+  DrliClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  for (const TopKQuery& query :
+       testing_util::RandomQueries(3, /*k=*/5, /*count=*/200, /*seed=*/13)) {
+    wire::WireQuery wq;
+    wq.weights = query.weights;
+    wq.k = query.k;
+    auto result = client.Query(wq);
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+  }
+  const double before = ProcessCpuSeconds();
+  std::this_thread::sleep_for(std::chrono::milliseconds(200));
+  EXPECT_LT(ProcessCpuSeconds() - before, 0.040);
   server.Shutdown();
 }
 
