@@ -13,11 +13,11 @@
 // A second section measures snapshot load latency: the v2 owning
 // (copying) reader and the v2 mmap-backed zero-copy path, each loading
 // the same DL+ index from disk. Results go to stdout and to
-// BENCH_io.json (or DRLI_BENCH_OUT).
+// BENCH_io.json (or the path left in argv[1] after Google Benchmark's
+// flags, or DRLI_BENCH_OUT).
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -136,7 +136,8 @@ struct LoadRow {
 // best (the stable floor once the file is in page cache; relative
 // ordering matches the cold case because the copy and parse work
 // being measured is identical either way).
-void MeasureSnapshotLoads(std::size_t n, std::size_t d) {
+void MeasureSnapshotLoads(std::size_t n, std::size_t d,
+                          const std::string& out_path) {
   const auto* index = dynamic_cast<const drli::DualLayerIndex*>(
       &drli::bench_util::GetIndex("dl+", Distribution::kAnticorrelated, n,
                                   d));
@@ -173,8 +174,6 @@ void MeasureSnapshotLoads(std::size_t n, std::size_t d) {
   }
   std::remove(path.c_str());
 
-  const char* env_out = std::getenv("DRLI_BENCH_OUT");
-  const std::string out_path = env_out != nullptr ? env_out : "BENCH_io.json";
   std::ofstream out(out_path);
   out << "[\n";
   constexpr std::size_t kRows = std::size(rows);
@@ -206,9 +205,15 @@ int main(int argc, char** argv) {
     }
   }
   benchmark::Initialize(&argc, argv);
-  if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
+  const std::string out_path =
+      drli::bench_util::OutputPath(argc, argv, "BENCH_io.json");
+  if (argc > 2) {  // anything after the output path is an unknown flag
+    argv[1] = argv[0];
+    benchmark::ReportUnrecognizedArguments(argc - 1, argv + 1);
+    return 1;
+  }
   benchmark::RunSpecifiedBenchmarks();
   benchmark::Shutdown();
-  MeasureSnapshotLoads(n, /*d=*/4);
+  MeasureSnapshotLoads(n, /*d=*/4, out_path);
   return 0;
 }

@@ -3,15 +3,15 @@
 //
 // Conventions:
 //  * The cost metric is the paper's Definition 9 -- the number of
-//    relation tuples evaluated by the scoring function -- exposed as
-//    the "tuples" counter on every benchmark row. Wall-clock time is
-//    reported too but is not the headline number.
+//    relation tuples evaluated by the scoring function. Wall-clock
+//    time is reported too but is not the headline number.
 //  * Dataset sizes scale with the DRLI_BENCH_N environment variable
 //    (default 10000; the paper uses 200000 -- set DRLI_BENCH_N=200000
 //    to run at paper scale). DRLI_BENCH_QUERIES (default 30) controls
 //    how many random weight vectors are averaged.
-//  * Indexes are built once per (kind, distribution, n, d) and shared
-//    across benchmark registrations within a binary.
+//  * A bench that writes a JSON record takes its path from argv[1],
+//    else DRLI_BENCH_OUT, else a BENCH_<name>.json default
+//    (OutputPath), and records Provenance() on its rows.
 
 #ifndef DRLI_BENCH_BENCH_UTIL_H_
 #define DRLI_BENCH_BENCH_UTIL_H_
@@ -25,6 +25,29 @@
 
 namespace drli {
 namespace bench_util {
+
+// The positive integer in environment variable `name`, or `fallback`
+// when it is unset or empty. Any other value -- trailing characters
+// ("200k", "2e5"), a sign, zero -- prints an error naming the variable
+// and exits the process with code 2.
+std::size_t EnvSize(const char* name, std::size_t fallback);
+
+// Where a bench writes its JSON record: argv[1], else DRLI_BENCH_OUT,
+// else `fallback`.
+std::string OutputPath(int argc, char** argv, const char* fallback);
+
+// What a recorded number was measured on and with.
+struct Provenance {
+  std::string kernel;             // active score-kernel dispatch target
+  unsigned hardware_threads = 0;  // std::thread::hardware_concurrency()
+  // `git rev-parse --short HEAD` of the source tree the bench was built
+  // from, with "-dirty" when tracked files differ from HEAD; "unknown"
+  // when git or the tree is unavailable.
+  std::string commit;
+};
+
+// Computed once per process; never fails.
+const Provenance& RunProvenance();
 
 // DRLI_BENCH_N (default 10000).
 std::size_t DefaultN();
@@ -48,14 +71,6 @@ CostSample AverageCost(const TopKIndex& index, std::size_t d, std::size_t k,
 
 // The shared dataset the cached indexes are built on.
 const PointSet& GetDataset(Distribution dist, std::size_t n, std::size_t d);
-
-// Registers one benchmark row named `name` that reports the average
-// access cost of index `kind` for top-k queries on (dist, n, d) as the
-// "tuples" counter (and zero-layer pseudo-tuple accesses as
-// "virtual"). The index is built outside the timed region.
-void RegisterCostBenchmark(const std::string& name, const std::string& kind,
-                           Distribution dist, std::size_t n, std::size_t d,
-                           std::size_t k);
 
 }  // namespace bench_util
 }  // namespace drli

@@ -5,7 +5,7 @@
 // machine-readable JSON (BENCH_build.json in the working
 // directory, or the path given as argv[1] / DRLI_BENCH_OUT), including
 // the hull, EDS and coarse-edge pruning counters, the active score
-// kernel and the host's hardware thread count.
+// kernel, the host's hardware thread count and the commit.
 //
 // DRLI_BENCH_N overrides the n sweep with a single cardinality (the CI
 // smoke uses 5000).
@@ -18,8 +18,8 @@
 #include <thread>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/check.h"
-#include "common/simd.h"
 #include "common/stopwatch.h"
 #include "core/dual_layer.h"
 #include "data/generator.h"
@@ -28,19 +28,12 @@ namespace {
 
 using namespace drli;
 
-std::size_t EnvSize(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  const long parsed = std::strtol(value, nullptr, 10);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
+using bench_util::EnvSize;
 
 struct Row {
   std::size_t n = 0;
   std::size_t d = 0;
   std::size_t build_threads = 0;
-  unsigned hardware_threads = 0;
-  const char* kernel = "";
   DualLayerBuildStats stats;
 };
 
@@ -49,8 +42,6 @@ Row Measure(const PointSet& points, std::size_t build_threads) {
   row.n = points.size();
   row.d = points.dim();
   row.build_threads = build_threads;
-  row.hardware_threads = std::thread::hardware_concurrency();
-  row.kernel = SimdTargetName(ActiveSimdTarget());
   DualLayerOptions options;
   options.build_zero_layer = true;
   options.build_threads = build_threads;
@@ -98,10 +89,9 @@ int main(int argc, char** argv) {
     }
   }
 
-  const char* env_out = std::getenv("DRLI_BENCH_OUT");
-  const std::string out_path = argc > 1            ? argv[1]
-                               : env_out != nullptr ? env_out
-                                                    : "BENCH_build.json";
+  const std::string out_path =
+      bench_util::OutputPath(argc, argv, "BENCH_build.json");
+  const bench_util::Provenance& p = bench_util::RunProvenance();
   std::ofstream out(out_path);
   out << "[\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -111,7 +101,7 @@ int main(int argc, char** argv) {
     std::snprintf(
         buffer, sizeof(buffer),
         "  {\"n\": %zu, \"d\": %zu, \"build_threads\": %zu, "
-        "\"hardware_threads\": %u, \"kernel\": \"%s\", "
+        "\"hardware_threads\": %u, \"kernel\": \"%s\", \"commit\": \"%s\", "
         "\"build_seconds\": %.6f, "
         "\"skyline_seconds\": %.6f, \"fine_peel_seconds\": %.6f, "
         "\"coarse_edge_seconds\": %.6f, \"zero_layer_seconds\": %.6f, "
@@ -121,7 +111,8 @@ int main(int argc, char** argv) {
         "\"eds_member_hits\": %zu, \"coarse_pairs_pruned\": %zu, "
         "\"coarse_pairs_tested\": %zu, \"num_coarse_edges\": %zu, "
         "\"num_fine_edges\": %zu}%s\n",
-        r.n, r.d, r.build_threads, r.hardware_threads, r.kernel,
+        r.n, r.d, r.build_threads, p.hardware_threads, p.kernel.c_str(),
+        p.commit.c_str(),
         s.build_seconds,
         s.skyline_seconds, s.fine_peel_seconds, s.coarse_edge_seconds,
         s.zero_layer_seconds, s.finalize_seconds, s.eds_seconds,

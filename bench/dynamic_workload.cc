@@ -16,11 +16,11 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/check.h"
 #include "common/random.h"
 #include "common/stopwatch.h"
@@ -32,12 +32,7 @@ namespace {
 
 using namespace drli;
 
-std::size_t EnvSize(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  const long parsed = std::strtol(value, nullptr, 10);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
+using bench_util::EnvSize;
 
 struct Row {
   const char* label = "";
@@ -166,10 +161,8 @@ int main(int argc, char** argv) {
                 "stream beyond the 2x budget\n");
   }
 
-  const char* env_out = std::getenv("DRLI_BENCH_OUT");
-  const std::string out_path = argc > 1             ? argv[1]
-                               : env_out != nullptr ? env_out
-                                                    : "BENCH_dynamic.json";
+  const std::string out_path =
+      bench_util::OutputPath(argc, argv, "BENCH_dynamic.json");
   std::ofstream out(out_path);
   out << "[\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {

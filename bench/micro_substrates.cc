@@ -1,11 +1,12 @@
-// Microbenchmarks for the substrates underneath the indexes: convex
-// hull construction, convex-skyline extraction, the EDS feasibility LP,
-// k-means, the Section V-A weight-table lookup, and the 2-d kinetic
-// rank sweep. These are timing benchmarks proper (google-benchmark
-// loops), unlike the figure harnesses whose headline is the access
-// counter.
+// Microbenchmarks for the substrates underneath the indexes: skyline
+// and convex hull construction, convex-skyline extraction, the EDS
+// feasibility LP, k-means, the Section V-A weight-table lookup, and the
+// 2-d kinetic rank sweep. These are timing benchmarks proper
+// (google-benchmark loops), unlike bench/paper, whose headline is the
+// access counter.
 
 #include <algorithm>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -25,11 +26,45 @@
 #include "geometry/convex_hull.h"
 #include "geometry/convex_hull_2d.h"
 #include "geometry/convex_skyline.h"
+#include "skyline/skyline.h"
 
 namespace {
 
 using drli::Distribution;
 using drli::PointSet;
+
+std::vector<drli::TupleId> NaiveOfAll(const PointSet& points) {
+  std::vector<drli::TupleId> all(points.size());
+  std::iota(all.begin(), all.end(), 0);
+  return drli::NaiveSkyline(points, all);
+}
+
+// The skyline algorithm behind the layers (the paper uses BSkyTree):
+// the naive O(n^2) reference sweep against SkyTree-style pivot
+// partitioning (ComputeSkyline). Args: n, distribution (0 = IND,
+// 1 = ANT), at d = 4. Expected shape: SkyTree << naive, the gap largest
+// on anti-correlated data (big skylines).
+void BM_Skyline(benchmark::State& state,
+                std::vector<drli::TupleId> (*skyline)(const PointSet&)) {
+  const std::size_t n = static_cast<std::size_t>(state.range(0));
+  const Distribution dist = state.range(1) == 0
+                                ? Distribution::kIndependent
+                                : Distribution::kAnticorrelated;
+  const PointSet& pts = drli::bench_util::GetDataset(dist, n, 4);
+  std::size_t members = 0;
+  for (auto _ : state) {
+    const auto sky = skyline(pts);
+    benchmark::DoNotOptimize(sky.data());
+    members = sky.size();
+  }
+  state.counters["skyline"] = static_cast<double>(members);
+}
+BENCHMARK_CAPTURE(BM_Skyline, naive, &NaiveOfAll)
+    ->ArgsProduct({{2500, 5000, 10000}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
+BENCHMARK_CAPTURE(BM_Skyline, skytree, &drli::ComputeSkyline)
+    ->ArgsProduct({{2500, 5000, 10000}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 void BM_ConvexHull(benchmark::State& state) {
   const std::size_t n = static_cast<std::size_t>(state.range(0));

@@ -18,7 +18,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <mutex>
@@ -29,6 +28,7 @@
 
 #include <unistd.h>
 
+#include "bench/bench_util.h"
 #include "common/check.h"
 #include "core/dual_layer.h"
 #include "core/serialization.h"
@@ -43,12 +43,7 @@ namespace {
 using namespace drli;
 using Clock = std::chrono::steady_clock;
 
-std::size_t EnvSize(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  const long parsed = std::strtol(value, nullptr, 10);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
+using bench_util::EnvSize;
 
 double Seconds(Clock::time_point from, Clock::time_point to) {
   return std::chrono::duration<double>(to - from).count();
@@ -336,10 +331,8 @@ int main(int argc, char** argv) {
   server.Shutdown();
   std::filesystem::remove_all(dir);
 
-  const char* env_out = std::getenv("DRLI_BENCH_OUT");
-  const std::string out_path = argc > 1            ? argv[1]
-                               : env_out != nullptr ? env_out
-                                                    : "BENCH_serving.json";
+  const std::string out_path =
+      bench_util::OutputPath(argc, argv, "BENCH_serving.json");
   std::ofstream out(out_path);
   out << "[\n";
   const LoadResult* rows[] = {&closed, &open_1x, &open_2x};

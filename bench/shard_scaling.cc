@@ -26,16 +26,14 @@
 // DRLI_BENCH_OUT).
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <string>
-#include <thread>
 #include <utility>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/check.h"
 #include "common/random.h"
-#include "common/simd.h"
 #include "common/stopwatch.h"
 #include "data/generator.h"
 #include "shard/sharded_index.h"
@@ -47,12 +45,7 @@ using namespace drli;
 // Minimum timed window per (S, k) cell.
 constexpr double kMinTimedSeconds = 0.5;
 
-std::size_t EnvSize(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  const long parsed = std::strtol(value, nullptr, 10);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
+using bench_util::EnvSize;
 
 struct KRow {
   std::size_t k = 0;
@@ -65,13 +58,11 @@ struct Row {
   std::size_t n = 0;
   std::size_t d = 0;
   std::size_t shards = 0;
-  unsigned hardware_threads = 0;
   double partition_seconds = 0;
   double build_wall_seconds = 0;
   double build_cpu_seconds = 0;
   double build_total_seconds = 0;
   KRow at_k[2];
-  const char* kernel = "";
 };
 
 Row Measure(const PointSet& points, std::size_t num_shards,
@@ -81,8 +72,6 @@ Row Measure(const PointSet& points, std::size_t num_shards,
   row.n = points.size();
   row.d = points.dim();
   row.shards = num_shards;
-  row.hardware_threads = std::thread::hardware_concurrency();
-  row.kernel = SimdTargetName(ActiveSimdTarget());
 
   ShardedBuildOptions options;
   options.num_shards = num_shards;
@@ -187,16 +176,16 @@ int main(int argc, char** argv) {
           row.partition_seconds, row.build_wall_seconds,
           row.build_cpu_seconds, s1_build / row.build_total_seconds,
           row.at_k[0].qps, row.at_k[0].mean_shards_touched, row.at_k[1].qps,
-          row.at_k[1].mean_shards_touched, row.kernel);
+          row.at_k[1].mean_shards_touched,
+          bench_util::RunProvenance().kernel.c_str());
       std::fflush(stdout);
       rows.push_back(row);
     }
   }
 
-  const char* env_out = std::getenv("DRLI_BENCH_OUT");
-  const std::string out_path = argc > 1            ? argv[1]
-                               : env_out != nullptr ? env_out
-                                                    : "BENCH_shard.json";
+  const std::string out_path =
+      bench_util::OutputPath(argc, argv, "BENCH_shard.json");
+  const bench_util::Provenance& p = bench_util::RunProvenance();
   std::ofstream out(out_path);
   out << "[\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -205,14 +194,15 @@ int main(int argc, char** argv) {
     std::snprintf(
         buffer, sizeof(buffer),
         "  {\"n\": %zu, \"d\": %zu, \"shards\": %zu, "
-        "\"hardware_threads\": %u, \"kernel\": \"%s\", "
+        "\"hardware_threads\": %u, \"kernel\": \"%s\", \"commit\": \"%s\", "
         "\"partition_seconds\": %.6f, \"build_wall_seconds\": %.6f, "
         "\"build_cpu_seconds\": %.6f, \"build_total_seconds\": %.6f, "
         "\"qps_k10\": %.1f, \"mean_shards_touched_k10\": %.3f, "
         "\"avg_tuples_k10\": %.2f, "
         "\"qps_k100\": %.1f, \"mean_shards_touched_k100\": %.3f, "
         "\"avg_tuples_k100\": %.2f}%s\n",
-        r.n, r.d, r.shards, r.hardware_threads, r.kernel,
+        r.n, r.d, r.shards, p.hardware_threads, p.kernel.c_str(),
+        p.commit.c_str(),
         r.partition_seconds, r.build_wall_seconds, r.build_cpu_seconds,
         r.build_total_seconds, r.at_k[0].qps,
         r.at_k[0].mean_shards_touched, r.at_k[0].avg_tuples, r.at_k[1].qps,

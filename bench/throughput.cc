@@ -19,6 +19,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/bench_util.h"
 #include "common/check.h"
 #include "common/parallel_for.h"
 #include "common/random.h"
@@ -31,12 +32,7 @@ namespace {
 
 using namespace drli;
 
-std::size_t EnvSize(const char* name, std::size_t fallback) {
-  const char* value = std::getenv(name);
-  if (value == nullptr || *value == '\0') return fallback;
-  const long parsed = std::strtol(value, nullptr, 10);
-  return parsed > 0 ? static_cast<std::size_t>(parsed) : fallback;
-}
+using bench_util::EnvSize;
 
 struct Row {
   std::size_t n = 0;
@@ -223,10 +219,8 @@ int main(int argc, char** argv) {
     }
   }
 
-  const char* env_out = std::getenv("DRLI_BENCH_OUT");
-  const std::string out_path = argc > 1            ? argv[1]
-                               : env_out != nullptr ? env_out
-                                                    : "BENCH_throughput.json";
+  const std::string out_path =
+      bench_util::OutputPath(argc, argv, "BENCH_throughput.json");
   std::ofstream out(out_path);
   out << "[\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
