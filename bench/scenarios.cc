@@ -159,7 +159,7 @@ int main(int argc, char** argv) {
     std::size_t tuples = 0, pool = 0;
     Stopwatch timer;
     for (const DiversifiedQuery& query : queries) {
-      const DiversifiedResult result = DiversifiedTopK(dl, points, query);
+      const DiversifiedResult result = DiversifiedTopK(dl, dl.points(), query);
       DRLI_CHECK(result.complete()) << "diversified returned a partial";
       tuples += result.stats.tuples_evaluated;
       pool += result.pool_size;

@@ -13,7 +13,9 @@ std::vector<std::string> GenericNames(std::size_t d) {
   std::vector<std::string> names;
   names.reserve(d);
   for (std::size_t i = 0; i < d; ++i) {
-    names.push_back("a" + std::to_string(i));
+    // Appended, not "a" + to_string: GCC 12 reports a false -Wrestrict
+    // on operator+(const char*, string&&) at -O3.
+    names.push_back(std::string("a").append(std::to_string(i)));
   }
   return names;
 }

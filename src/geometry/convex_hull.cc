@@ -402,7 +402,16 @@ bool HullBuilder::ProcessOutsidePoints() {
         for (std::size_t t = 0; t < dim_; ++t) {
           if (t != s) key.verts[key.size++] = nf.verts[t];
         }
-        std::sort(key.verts.begin(), key.verts.begin() + key.size);
+        // Insertion sort over the d - 1 ids: std::sort over the runtime
+        // key.size trips GCC 12's -Warray-bounds at -O3.
+        for (std::uint32_t i = 1; i < key.size; ++i) {
+          const std::int32_t v = key.verts[i];
+          std::uint32_t j = i;
+          for (; j > 0 && key.verts[j - 1] > v; --j) {
+            key.verts[j] = key.verts[j - 1];
+          }
+          key.verts[j] = v;
+        }
         std::size_t h = RidgeKeyHash(key) & ridge_mask;
         while (true) {
           RidgeSlot& rs = ridge_table[h];

@@ -9,7 +9,10 @@
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "core/dual_layer.h"
 #include "core/partition_merge.h"
+#include "core/tiered_index.h"
+#include "shard/sharded_index.h"
 #include "topk/threshold_algorithm.h"
 
 namespace drli {
@@ -23,22 +26,6 @@ Status ValidateConstrained(const ConstrainedQuery& query, std::size_t dim) {
   return ValidateBox(query.box, dim);
 }
 
-// A constrained merge's per-partition traversal: the box-tree
-// traversal below, or nullopt when the tree's root box misses the box.
-PartitionTraversal ConstrainedTraversal(const ConstrainedQuery& query) {
-  return [&query](const DualLayerIndex& part, std::size_t k,
-                  const ExecBudget& budget) -> std::optional<TopKResult> {
-    const BoxTree& tree = part.box_tree();
-    if (tree.empty() || !query.box.Intersects(tree.lo(0), tree.hi(0))) {
-      return std::nullopt;
-    }
-    ConstrainedQuery sub = query;
-    sub.k = k;
-    sub.budget = budget;
-    return ConstrainedTopK(part, sub);
-  };
-}
-
 // Can a unit with bound `bound` still change the heap's answer? Ties
 // must stay open: an equal-score member with a smaller id would
 // displace the current worst. KthScore is +inf while the heap fills
@@ -47,10 +34,10 @@ bool FrontierOpen(const TopKHeap& heap, double bound) {
   return bound <= heap.KthScore();
 }
 
-}  // namespace
-
-TopKResult ConstrainedTopK(const DualLayerIndex& index,
-                           const ConstrainedQuery& query) {
+// The best-first box-tree traversal over one DL+ index (header
+// comment).
+TopKResult BoxTreeTopK(const DualLayerIndex& index,
+                       const ConstrainedQuery& query) {
   Stopwatch timer;
   TopKResult result;
   if (Status status = ValidateConstrained(query, index.points().dim());
@@ -116,34 +103,57 @@ TopKResult ConstrainedTopK(const DualLayerIndex& index,
   return result;
 }
 
-TopKResult ConstrainedTopK(const ShardedDualLayerIndex& index,
-                           const ConstrainedQuery& query) {
-  Stopwatch timer;
-  if (Status status = ValidateConstrained(query, index.dim()); !status.ok()) {
-    return InvalidQueryResult(status);
-  }
-  return MergeDualLayerPartitions(index.partitions(), query.weights, query.k,
-                                  query.budget, timer, {},
-                                  ConstrainedTraversal(query));
+// A constrained merge's per-partition traversal: BoxTreeTopK, or
+// nullopt when the tree's root box misses the box.
+PartitionTraversal ConstrainedTraversal(const ConstrainedQuery& query) {
+  return [&query](const DualLayerIndex& part, std::size_t k,
+                  const ExecBudget& budget) -> std::optional<TopKResult> {
+    const BoxTree& tree = part.box_tree();
+    if (tree.empty() || !query.box.Intersects(tree.lo(0), tree.hi(0))) {
+      return std::nullopt;
+    }
+    ConstrainedQuery sub = query;
+    sub.k = k;
+    sub.budget = budget;
+    return BoxTreeTopK(part, sub);
+  };
 }
 
-TopKResult ConstrainedTopK(const TieredDualLayerIndex& index,
+}  // namespace
+
+TopKResult ConstrainedTopK(const TopKIndex& engine,
                            const ConstrainedQuery& query) {
+  // The one place that tells the DL+ engines apart.
+  if (const auto* dl = dynamic_cast<const DualLayerIndex*>(&engine)) {
+    return BoxTreeTopK(*dl, query);
+  }
   Stopwatch timer;
-  if (Status status = ValidateConstrained(query, index.dim()); !status.ok()) {
+  if (Status status = ValidateConstrained(query, engine.dim()); !status.ok()) {
     return InvalidQueryResult(status);
   }
-
+  if (const auto* sharded =
+          dynamic_cast<const ShardedDualLayerIndex*>(&engine)) {
+    return MergeDualLayerPartitions(sharded->partitions(), query.weights,
+                                    query.k, query.budget, timer, {},
+                                    ConstrainedTraversal(query));
+  }
+  const auto* tiered = dynamic_cast<const TieredDualLayerIndex*>(&engine);
+  if (tiered == nullptr) {
+    return InvalidQueryResult(Status::InvalidArgument(
+        "constrained top-k needs a dl+, sdl+ or tdl+ engine (engine is " +
+        engine.name() + ")"));
+  }
   // The memtable is always fully scanned (it is small by construction:
   // at most memtable_capacity rows), so a later partial stop only has
   // to certify against run bounds.
   ConstrainedQuery every = query;
-  every.k = index.memtable().size();
+  every.k = tiered->memtable().size();
   every.budget = {};
   TopKResult memtable =
-      ConstrainedScanRows(index.memtable(), index.memtable_ids(), every);
-  return MergeDualLayerPartitions(index.partitions(), query.weights, query.k,
-                                  query.budget, timer, std::move(memtable),
+      ConstrainedScanRows(tiered->memtable(), tiered->memtable_ids(), every);
+  return MergeDualLayerPartitions(tiered->partitions(), query.weights,
+                                  query.k, query.budget, timer,
+                                  std::move(memtable),
                                   ConstrainedTraversal(query));
 }
 

@@ -18,7 +18,8 @@
 // Over shards (sdl+) and runs (tdl+), the partitions' open rule
 // (core/partition_merge.h) runs with the predicate pushed in: a shard
 // or run whose root box misses the box counts as one box pruned, any
-// other runs the traversal above.
+// other runs the traversal above. ConstrainedTopK takes the engine as a
+// TopKIndex and is the one place that tells the three apart.
 //
 // Certified partials: with an ExecBudget, a tripped traversal returns
 // a certified prefix. Over one index the frontier is the next node's
@@ -34,10 +35,7 @@
 #include <vector>
 
 #include "common/point.h"
-#include "core/dual_layer.h"
-#include "core/tiered_index.h"
 #include "scenarios/scenario_box.h"
-#include "shard/sharded_index.h"
 #include "topk/query.h"
 
 namespace drli {
@@ -52,28 +50,23 @@ struct ConstrainedQuery {
   ExecBudget budget{};
 };
 
-// Best-first box-tree traversal over one DL+ index.
-TopKResult ConstrainedTopK(const DualLayerIndex& index,
-                           const ConstrainedQuery& query);
-
-// Scatter-gather over shards: a shard is opened only when its frontier
-// bound reaches the merge frontier AND its bounding box intersects the
-// constraint; opened shards run the DL+ traversal above with the
-// remaining budget (RemainingBudget composition).
-TopKResult ConstrainedTopK(const ShardedDualLayerIndex& index,
-                           const ConstrainedQuery& query);
-
-// Tiered engine: the memtable is always fully scanned (so partials
-// certify against run bounds alone, like the unconstrained merge);
-// runs open in bound order, each queried for min(|run|, k + dead(run))
-// items so tombstoned members can never starve the live answer.
-TopKResult ConstrainedTopK(const TieredDualLayerIndex& index,
+// Constrained top-k on any DL+ engine: a DualLayerIndex runs the
+// best-first box-tree traversal; a ShardedDualLayerIndex merges its
+// shards, each opened only when its frontier bound reaches the merge
+// frontier AND its root box meets the constraint, and opened shards
+// run the traversal with the remaining budget (RemainingBudget
+// composition); a TieredDualLayerIndex scans its whole memtable (so
+// partials certify against run bounds alone) and merges its runs the
+// same way, each queried for min(|run|, k + dead(run)) items so
+// tombstoned members can never starve the live answer. Any other
+// family has no box tree: kInvalidQuery, naming the engine.
+TopKResult ConstrainedTopK(const TopKIndex& engine,
                            const ConstrainedQuery& query);
 
 // Brute-force reference: one pass over `points` in id order, scoring
 // exactly the tuples the box contains (they are the scenario's cost
 // universe). Enrolled in the differential oracle and fuzzer as the
-// ground truth for every engine above. Budget semantics match
+// ground truth for every engine. Budget semantics match
 // FullScan: a mid-scan stop cannot bound the remainder, so partials
 // certify nothing (frontier -inf).
 TopKResult ConstrainedTopKScan(const PointSet& points,

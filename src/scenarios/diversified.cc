@@ -11,6 +11,8 @@
 #include "common/kernels_batch.h"
 #include "common/soa_points.h"
 #include "common/stopwatch.h"
+#include "core/dual_layer.h"
+#include "geometry/box_tree.h"
 
 namespace drli {
 namespace {
@@ -138,8 +140,8 @@ std::size_t TreeCertifiedPicks(const PointSet& points,
   return certified;
 }
 
-// Pool-and-grow body shared by the overloads. `tree` is the caller's
-// box tree, or null to build one on first need.
+// Pool-and-grow body. `tree` is the index's own box tree of `points`,
+// or null to build one on first need.
 DiversifiedResult RunDiversified(const TopKIndex& index,
                                  const PointSet& points,
                                  const DiversifiedQuery& query,
@@ -265,20 +267,10 @@ double Similarity(PointView a, PointView b) {
 DiversifiedResult DiversifiedTopK(const TopKIndex& index,
                                   const PointSet& points,
                                   const DiversifiedQuery& query) {
-  return RunDiversified(index, points, query, nullptr);
-}
-
-DiversifiedResult DiversifiedTopK(const TopKIndex& index,
-                                  const PointSet& points,
-                                  const DiversifiedQuery& query,
-                                  const BoxTree& tree) {
-  return RunDiversified(index, points, query, &tree);
-}
-
-DiversifiedResult DiversifiedTopK(const DualLayerIndex& index,
-                                  const PointSet& points,
-                                  const DiversifiedQuery& query) {
-  return DiversifiedTopK(index, points, query, index.box_tree());
+  const auto* dl = dynamic_cast<const DualLayerIndex*>(&index);
+  return RunDiversified(
+      index, points, query,
+      dl != nullptr && &dl->points() == &points ? &dl->box_tree() : nullptr);
 }
 
 DiversifiedResult DiversifiedTopKScan(const PointSet& points,

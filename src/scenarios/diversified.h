@@ -52,8 +52,6 @@
 #include <vector>
 
 #include "common/point.h"
-#include "core/dual_layer.h"
-#include "geometry/box_tree.h"
 #include "topk/query.h"
 
 namespace drli {
@@ -105,22 +103,12 @@ double SimilarityFloor(PointView lo, PointView hi, PointView s);
 // relation `index` was built over (ids index into it); the index
 // answers the pool queries, the similarity penalty reads `points`.
 // stats accumulates every pool query's cost; the greedy and the
-// certificates score no new tuples. Builds the box tree of `points`
-// on demand, only when the score certificate fails.
+// certificates score no new tuples. The tree certificate walks the box
+// tree of `points`: the index's own (DualLayerIndex::box_tree) when
+// `index` is a DualLayerIndex and `points` is the very object its
+// points() returns, else one built on demand, only when the score
+// certificate fails. Either tree gives the same answer.
 DiversifiedResult DiversifiedTopK(const TopKIndex& index,
-                                  const PointSet& points,
-                                  const DiversifiedQuery& query);
-
-// The same with a prebuilt tree, which must be BoxTree::Build(points);
-// returns exactly what the overload above returns.
-DiversifiedResult DiversifiedTopK(const TopKIndex& index,
-                                  const PointSet& points,
-                                  const DiversifiedQuery& query,
-                                  const BoxTree& tree);
-
-// The same over one DL+ index with the tree it already holds
-// (DualLayerIndex::box_tree); `points` must be index.points().
-DiversifiedResult DiversifiedTopK(const DualLayerIndex& index,
                                   const PointSet& points,
                                   const DiversifiedQuery& query);
 

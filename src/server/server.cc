@@ -464,11 +464,11 @@ void TopKServer::Impl::HandleFrame(Connection& conn, wire::Frame&& frame,
     case wire::Verb::kInspect: {
       wire::InspectInfo info;
       auto gen = engine.Acquire();
-      info.engine = gen->index->name();
+      info.engine = gen->index().name();
       info.snapshot = gen->snapshot;
       info.generation = gen->sequence;
-      info.num_points = gen->index->size();
-      info.dim = static_cast<std::uint32_t>(gen->dim);
+      info.num_points = gen->index().size();
+      info.dim = static_cast<std::uint32_t>(gen->index().dim());
       info.last_reload_error = engine.last_reload_error();
       SendReply(conn, frame.request_id, wire::EncodeInspectReply(info));
       return;

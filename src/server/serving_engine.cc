@@ -6,14 +6,11 @@
 
 #include <sys/stat.h>
 
-#include "core/serialization.h"
 #include "scenarios/constrained.h"
 #include "scenarios/diversified.h"
 #include "scenarios/reverse_topk.h"
-#include "shard/shard_io.h"
 #include "storage/file_io.h"
 #include "storage/mmap_file.h"
-#include "storage/tiered_io.h"
 
 namespace drli {
 namespace server {
@@ -197,33 +194,15 @@ StatusOr<std::string> ServingEngine::ReadCurrent() const {
 
 Status ServingEngine::LoadGeneration(
     const std::string& name, std::shared_ptr<const ServingGeneration>* out) {
-  const std::string path = dir_ + "/" + name;
-  auto generation = std::make_shared<ServingGeneration>();
-  generation->snapshot = name;
-  if (IsShardManifest(path)) {
-    auto loaded = LoadShardedIndex(path);
-    if (!loaded.ok()) return loaded.status();
-    generation->sharded.emplace(std::move(loaded).value());
-    generation->index = &*generation->sharded;
-    generation->dim = generation->sharded->dim();
-  } else if (IsTieredManifest(path)) {
-    auto loaded = LoadTieredIndex(path);
-    if (!loaded.ok()) return loaded.status();
-    generation->tiered.emplace(std::move(loaded).value());
-    generation->index = &*generation->tiered;
-    generation->dim = generation->tiered->dim();
-  } else {
-    auto loaded = LoadDualLayerIndex(path);  // prefer_mmap: read-only map
-    if (!loaded.ok()) return loaded.status();
-    generation->dl.emplace(std::move(loaded).value());
-    generation->index = &*generation->dl;
-    generation->dim = generation->dl->points().dim();
-  }
+  auto loaded = LoadEngine(dir_ + "/" + name);
+  if (!loaded.ok()) return loaded.status();
+  std::uint64_t sequence;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    generation->sequence = next_sequence_++;
+    sequence = next_sequence_++;
   }
-  *out = std::move(generation);
+  *out = std::make_shared<const ServingGeneration>(
+      ServingGeneration{std::move(loaded).value(), sequence, name});
   return Status::Ok();
 }
 
@@ -252,7 +231,7 @@ wire::WireResult ExecuteWireQuery(const ServingGeneration& generation,
       q.weights = query.weights;
       q.k = k;
       q.budget = budget;
-      return FromTopKResult(generation.index->Query(q),
+      return FromTopKResult(generation.index().Query(q),
                             generation.sequence);
     }
     case wire::Scenario::kConstrained: {
@@ -261,22 +240,15 @@ wire::WireResult ExecuteWireQuery(const ServingGeneration& generation,
       q.k = k;
       q.box = query.box;
       q.budget = budget;
-      TopKResult result;
-      if (generation.dl.has_value()) {
-        result = ConstrainedTopK(*generation.dl, q);
-      } else if (generation.sharded.has_value()) {
-        result = ConstrainedTopK(*generation.sharded, q);
-      } else {
-        result = ConstrainedTopK(*generation.tiered, q);
-      }
-      return FromTopKResult(result, generation.sequence);
+      return FromTopKResult(ConstrainedTopK(generation.index(), q),
+                            generation.sequence);
     }
     case wire::Scenario::kDiversified: {
       if (!generation.dl.has_value()) {
         return InvalidWireQuery(generation.sequence,
                                 "diversified queries need a single dl+ "
                                 "generation (engine is " +
-                                    generation.index->name() + ")");
+                                    generation.index().name() + ")");
       }
       DiversifiedQuery q;
       q.weights = query.weights;
@@ -302,7 +274,7 @@ wire::WireResult ExecuteWireQuery(const ServingGeneration& generation,
         return InvalidWireQuery(generation.sequence,
                                 "reverse top-k needs a single dl+ "
                                 "generation (engine is " +
-                                    generation.index->name() + ")");
+                                    generation.index().name() + ")");
       }
       ReverseTopKQuery q;
       q.target = query.reverse_target;
@@ -367,7 +339,7 @@ std::vector<wire::WireResult> ExecuteWireBatch(
     q.budget = budgets[i];
     batch.push_back(std::move(q));
   }
-  std::vector<TopKResult> results = generation.index->QueryBatch(batch);
+  std::vector<TopKResult> results = generation.index().QueryBatch(batch);
   for (std::size_t j = 0; j < plain.size(); ++j) {
     out[plain[j]] = FromTopKResult(results[j], generation.sequence);
   }

@@ -24,38 +24,28 @@
 #include <cstdint>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "common/status.h"
-#include "core/dual_layer.h"
-#include "core/tiered_index.h"
-#include "scenarios/diversified.h"
 #include "server/protocol.h"
-#include "shard/sharded_index.h"
+#include "storage/engine_io.h"
 #include "topk/query.h"
 
 namespace drli {
 namespace server {
 
-// One loaded snapshot generation. Exactly one of the engine slots is
-// engaged; `index` points at it through the common interface. Pinned
-// by shared_ptr: the ServingEngine holds the serving generation, every
+// One loaded snapshot generation: the engine LoadEngine returned
+// (storage/engine_io.h), plus where it came from. Pinned by
+// shared_ptr: the ServingEngine holds the serving generation, every
 // in-flight query holds the generation it started on.
-struct ServingGeneration {
+struct ServingGeneration : LoadedEngine {
   // Monotone per-process sequence number; bumps on every swap. Echoed
   // in every reply so a client (and the reload race test) can tie an
   // answer to the snapshot that produced it.
   std::uint64_t sequence = 0;
   // The CURRENT pointer value this generation was loaded from.
   std::string snapshot;
-
-  std::optional<DualLayerIndex> dl;
-  std::optional<ShardedDualLayerIndex> sharded;
-  std::optional<TieredDualLayerIndex> tiered;
-  const TopKIndex* index = nullptr;
-  std::size_t dim = 0;
 };
 
 class ServingEngine {

@@ -57,7 +57,7 @@ StatusOr<ShardedDualLayerIndex> LoadShardedIndex(
     const std::string& path, const ShardedLoadOptions& options = {});
 
 // Cheap probe: does `path` start with the shard-manifest magic? Used by
-// the CLI to route --index files to the sharded or single-index loader.
+// LoadEngine (storage/engine_io.h) and by `drli stats`/`drli inspect`.
 bool IsShardManifest(const std::string& path);
 
 // --- manifest metadata (drli inspect, tests) ---

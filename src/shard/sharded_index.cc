@@ -131,7 +131,8 @@ ShardedDualLayerIndex ShardedDualLayerIndex::Build(
     index.name_ = options.name;
   } else {
     index.name_ = shard_options.build_zero_layer ? "SDL+" : "SDL";
-    index.name_ += "x" + std::to_string(shards);
+    index.name_ += 'x';  // "x" + to_string trips GCC 12's -Wrestrict
+    index.name_ += std::to_string(shards);
     index.name_ +=
         options.partitioner == ShardPartitioner::kHyperplane ? "h" : "r";
   }

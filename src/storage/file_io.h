@@ -42,8 +42,11 @@ namespace file_io_detail {
 template <typename T>
 void AppendLe(std::vector<std::uint8_t>* out, T v) {
   static_assert(std::is_arithmetic_v<T>);
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(&v);
-  out->insert(out->end(), bytes, bytes + sizeof(T));
+  // resize + memcpy: a vector::insert of the value's bytes trips GCC
+  // 12's -Warray-bounds at -O3.
+  const std::size_t at = out->size();
+  out->resize(at + sizeof(T));
+  std::memcpy(out->data() + at, &v, sizeof(T));
 }
 }  // namespace file_io_detail
 

@@ -81,7 +81,7 @@ Status SaveTieredIndex(const TieredDualLayerIndex& index,
 StatusOr<TieredDualLayerIndex> LoadTieredIndex(const std::string& path);
 
 // Cheap probe: does `path` start with the tiered-manifest magic? Used
-// by the CLI to route --index files to the right loader.
+// by LoadEngine (storage/engine_io.h) and by `drli stats`/`drli inspect`.
 bool IsTieredManifest(const std::string& path);
 
 // --- manifest metadata (drli inspect, tests) ---

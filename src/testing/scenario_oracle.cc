@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstddef>
 #include <sstream>
+#include <utility>
 #include <vector>
 
 #include "common/random.h"
@@ -141,23 +142,22 @@ void RunConstrainedProbe(const ScenarioEngines& engines,
     failures->push_back(out.str());
   };
   check("scan", ConstrainedTopKScan(universe.rows, query), query.budget);
-  const TopKResult dl = ConstrainedTopK(engines.dl, query);
-  const TopKResult sdl = ConstrainedTopK(engines.sdl, query);
-  const TopKResult tdl = ConstrainedTopK(engines.tdl, query);
-  check("dl+", dl, query.budget);
-  check("sdl+", sdl, query.budget);
-  check("tdl+", tdl, query.budget);
+  const std::pair<const char*, const TopKIndex*> dl_engines[] = {
+      {"dl+", &engines.dl}, {"sdl+", &engines.sdl}, {"tdl+", &engines.tdl}};
+  std::size_t max_cost = 1;
+  for (const auto& [name, engine] : dl_engines) {
+    const TopKResult got = ConstrainedTopK(*engine, query);
+    check(name, got, query.budget);
+    max_cost = std::max(max_cost, got.stats.tuples_evaluated);
+  }
 
   // Budget cuts across the full cost range, engine by engine.
-  const std::size_t max_cost =
-      std::max({dl.stats.tuples_evaluated, sdl.stats.tuples_evaluated,
-                tdl.stats.tuples_evaluated, std::size_t{1}});
   for (std::size_t cut = 0; cut < budget_probes; ++cut) {
     ConstrainedQuery budgeted = query;
     budgeted.budget.max_evals = 1 + rng.Index(max_cost);
-    check("dl+", ConstrainedTopK(engines.dl, budgeted), budgeted.budget);
-    check("sdl+", ConstrainedTopK(engines.sdl, budgeted), budgeted.budget);
-    check("tdl+", ConstrainedTopK(engines.tdl, budgeted), budgeted.budget);
+    for (const auto& [name, engine] : dl_engines) {
+      check(name, ConstrainedTopK(*engine, budgeted), budgeted.budget);
+    }
   }
 }
 
@@ -181,14 +181,16 @@ void RunDiversifiedProbe(const ScenarioEngines& engines,
         << ": " << failure;
     failures->push_back(out.str());
   };
-  check("dl+", DiversifiedTopK(engines.dl, points, query), query.budget);
+  const PointSet& dl_points = engines.dl.points();
+  check("dl+", DiversifiedTopK(engines.dl, dl_points, query), query.budget);
   check("sdl+", DiversifiedTopK(engines.sdl, points, query), query.budget);
   check("tdl+", DiversifiedTopK(engines.tdl, points, query), query.budget);
 
   DiversifiedQuery budgeted = query;
   budgeted.budget.max_evals = 1 + rng.Index(std::max<std::size_t>(
                                       1, points.size()));
-  check("dl+", DiversifiedTopK(engines.dl, points, budgeted), budgeted.budget);
+  check("dl+", DiversifiedTopK(engines.dl, dl_points, budgeted),
+        budgeted.budget);
 }
 
 // === reverse ================================================================

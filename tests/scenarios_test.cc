@@ -17,6 +17,7 @@
 #include "common/random.h"
 #include "common/simd.h"
 #include "core/dual_layer.h"
+#include "core/index_registry.h"
 #include "core/tiered_index.h"
 #include "data/generator.h"
 #include "geometry/box_tree.h"
@@ -270,6 +271,53 @@ TEST(ConstrainedTest, EveryEvalCutCertifies) {
   }
 }
 
+// One entry point for every engine: registry-built dl+, sdl+4h and
+// tdl+64, held only as a TopKIndex, answer like the scan and certify
+// every max-evals cut; a family without a box tree is refused by name.
+TEST(ConstrainedTest, OneEntryPointServesEveryRegistryEngine) {
+  const PointSet points = GenerateAnticorrelated(400, 3, 61);
+  const CheckUniverse universe = CheckUniverse::Of(points);
+  Rng rng(61);
+  ConstrainedQuery query;
+  query.weights = rng.SimplexWeight(3);
+  query.k = 8;
+  query.box = AttributeBox::All(3);
+  query.box.hi[0] = 0.7;
+  query.box.lo[1] = 0.1;
+  const TopKResult want = ConstrainedTopKScan(points, query);
+  const TopKReference reference(universe.InBox(query.box), query.weights,
+                                query.k);
+  for (const char* kind : {"dl+", "sdl+4h", "tdl+64"}) {
+    IndexBuildConfig config;
+    config.kind = kind;
+    auto built = BuildIndex(config, points);
+    ASSERT_TRUE(built.ok()) << kind;
+    const TopKIndex& engine = *built.value();
+    const TopKResult got = ConstrainedTopK(engine, query);
+    ExpectSameItems(got, want, kind);
+    EXPECT_LT(got.stats.tuples_evaluated, want.stats.tuples_evaluated)
+        << kind;
+    for (std::size_t cut = 1; cut <= got.stats.tuples_evaluated; ++cut) {
+      ConstrainedQuery budgeted = query;
+      budgeted.budget.max_evals = cut;
+      const std::string error = reference.Check(
+          ConstrainedTopK(engine, budgeted), MatchRule::kExact,
+          budgeted.budget);
+      ASSERT_TRUE(error.empty()) << kind << " cut " << cut << ": " << error;
+    }
+  }
+
+  IndexBuildConfig config;
+  config.kind = "ta";
+  auto ta = BuildIndex(config, points);
+  ASSERT_TRUE(ta.ok());
+  const TopKResult refused = ConstrainedTopK(*ta.value(), query);
+  EXPECT_EQ(refused.termination, Termination::kInvalidQuery);
+  EXPECT_NE(refused.error.find(ta.value()->name()), std::string::npos)
+      << refused.error;
+  EXPECT_TRUE(refused.items.empty());
+}
+
 // --- diversified ---
 
 TEST(DiversifiedTest, LambdaZeroIsCanonicalTopK) {
@@ -283,7 +331,8 @@ TEST(DiversifiedTest, LambdaZeroIsCanonicalTopK) {
   plain.weights = query.weights;
   plain.k = query.k;
   const TopKResult topk = engines.dl.Query(plain);
-  const DiversifiedResult got = DiversifiedTopK(engines.dl, points, query);
+  const DiversifiedResult got =
+      DiversifiedTopK(engines.dl, engines.dl.points(), query);
   ASSERT_TRUE(got.complete());
   ASSERT_EQ(got.picks.size(), topk.items.size());
   for (std::size_t i = 0; i < topk.items.size(); ++i) {
@@ -303,7 +352,7 @@ TEST(DiversifiedTest, MatchesBruteForceAcrossLambdas) {
     query.pool_factor = 2;
     const DiversifiedResult want = DiversifiedTopKScan(points, query);
     for (const DiversifiedResult& got :
-         {DiversifiedTopK(engines.dl, points, query),
+         {DiversifiedTopK(engines.dl, engines.dl.points(), query),
           DiversifiedTopK(engines.sdl, points, query),
           DiversifiedTopK(engines.tdl, points, query)}) {
       ASSERT_TRUE(got.complete()) << "lambda=" << lambda;
@@ -332,7 +381,8 @@ TEST(DiversifiedTest, PoolGrowsUntilCertificateCovers) {
   query.k = 4;
   query.lambda = 50.0;  // penalty dwarfs scores: picks flee the pool top
   query.pool_factor = 2;
-  const DiversifiedResult got = DiversifiedTopK(engines.dl, points, query);
+  const DiversifiedResult got =
+      DiversifiedTopK(engines.dl, engines.dl.points(), query);
   ASSERT_TRUE(got.complete());
   EXPECT_EQ(got.certified_prefix, got.picks.size());
   // The initial pool (pool_factor * k = 8) cannot certify under this
@@ -507,11 +557,12 @@ void ExpectSameDiversified(const DiversifiedResult& got,
   }
 }
 
-// The engine equals the brute-force greedy; the DL+ overload (the
-// index's own box tree) and the generic on-demand overload agree on
-// everything the replay of a traced run compares; and each certified
-// pick's g is strictly below the true g of every tuple outside the pool
-// at its step.
+// The engine equals the brute-force greedy; a DL+ index passed as a
+// TopKIndex with its own relation (the index's box tree) and with an
+// equal copy of it (a tree built on demand) agree on everything the
+// replay of a traced run compares; and each certified pick's g is
+// strictly below the true g of every tuple outside the pool at its
+// step.
 TEST(DiversifiedTest, CellCertificateMatchesScanAndIsSound) {
   const PointSet points = GenerateAnticorrelated(3000, 3, 47);
   DualLayerOptions options;
@@ -529,7 +580,8 @@ TEST(DiversifiedTest, CellCertificateMatchesScanAndIsSound) {
       const std::string where =
           "lambda=" + std::to_string(lambda) + " k=" + std::to_string(k);
       const DiversifiedResult want = DiversifiedTopKScan(points, query);
-      const DiversifiedResult cached = DiversifiedTopK(dl, points, query);
+      const DiversifiedResult cached =
+          DiversifiedTopK(generic, dl.points(), query);
       const DiversifiedResult on_demand =
           DiversifiedTopK(generic, points, query);
       ASSERT_TRUE(cached.complete()) << where;
@@ -611,7 +663,7 @@ TEST(DiversifiedTest, CellCertificateStopsOnASmallerPool) {
   query.weights = {0.3, 0.3, 0.4};
   query.k = 10;
   query.lambda = 0.5;
-  const DiversifiedResult got = DiversifiedTopK(dl, points, query);
+  const DiversifiedResult got = DiversifiedTopK(dl, dl.points(), query);
   ASSERT_TRUE(got.complete());
   const std::size_t score_only = ScoreOnlyPool(points, query);
   EXPECT_LT(got.pool_size, score_only);
@@ -718,7 +770,8 @@ TEST(DiversifiedTest, GreedyMatchesRowMajorReferenceBitwise) {
         query.weights = rng.SimplexWeight(3);
         query.k = 10;
         query.lambda = lambda;
-        const DiversifiedResult got = DiversifiedTopK(dl, points, query);
+        const DiversifiedResult got =
+            DiversifiedTopK(dl, dl.points(), query);
         ASSERT_TRUE(got.complete());
         const TopKResult pool = dl.Query(TopKQuery{query.weights,
                                                    got.pool_size});
@@ -744,7 +797,7 @@ TEST(DiversifiedTest, HugePoolFactorSaturatesAtTheRelation) {
   query.k = 8;
   query.lambda = 0.5;
   query.pool_factor = std::size_t{1} << 62;  // times 8 wraps to 0
-  const DiversifiedResult got = DiversifiedTopK(dl, points, query);
+  const DiversifiedResult got = DiversifiedTopK(dl, dl.points(), query);
   ASSERT_TRUE(got.complete());
   EXPECT_EQ(got.pool_size, points.size());
   EXPECT_EQ(got.stats.tuples_evaluated, points.size());

@@ -20,13 +20,19 @@
 
 #include "core/dual_layer.h"
 #include "core/serialization.h"
+#include "core/tiered_index.h"
 #include "data/generator.h"
+#include "scenarios/constrained.h"
 #include "scenarios/scenario_box.h"
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
 #include "server/serving_engine.h"
+#include "shard/shard_io.h"
+#include "shard/sharded_index.h"
+#include "storage/tiered_io.h"
 #include "test_util.h"
+#include "topk/scan.h"
 
 namespace drli {
 namespace {
@@ -410,7 +416,7 @@ TEST(ServerTest, RepliesThatCannotFitOneFrameAreRejectedUpFront) {
 }
 
 // A constrained k = 0 query is legal and routes to the single-index
-// ConstrainedTopK overload: it must answer kOk with no items, and the
+// box-tree traversal: it must answer kOk with no items, and the
 // server must stay up to answer the next request.
 TEST(ServerTest, ConstrainedKZeroAnswersEmptyOnADlPlusGeneration) {
   ServingDir serving("drli_server_kzero");
@@ -923,6 +929,107 @@ TEST(ServerTest, IdleServerStopsPolling) {
   const double before = ProcessCpuSeconds();
   std::this_thread::sleep_for(std::chrono::milliseconds(200));
   EXPECT_LT(ProcessCpuSeconds() - before, 0.040);
+  server.Shutdown();
+}
+
+// --- scenario routing on every engine (DESIGN.md §10) ---
+
+// A dl+ snapshot, a DRLS shard manifest and a DRLT tiered manifest of
+// one relation, published in turn: plain and constrained answers over
+// the wire equal the in-process scan on each, and diversified and
+// reverse queries on the sharded and tiered generations are refused
+// with their messages.
+TEST(ServerTest, ScenariosRouteOnEveryEngineGeneration) {
+  ServingDir serving("drli_server_engines");
+  const PointSet points = GenerateAnticorrelated(300, 3, 31);
+  DualLayerOptions dl_options;
+  dl_options.build_zero_layer = true;
+  ASSERT_TRUE(SaveDualLayerIndex(DualLayerIndex::Build(points, dl_options),
+                                 serving.dir + "/gen-1.v2")
+                  .ok());
+  ShardedBuildOptions sharded;
+  sharded.num_shards = 3;
+  sharded.shard_options.build_zero_layer = true;
+  ASSERT_TRUE(SaveShardedIndex(ShardedDualLayerIndex::Build(points, sharded),
+                               serving.dir + "/gen-2.drls")
+                  .ok());
+  TieredIndexOptions tiered_options;
+  tiered_options.memtable_capacity = 32;
+  TieredDualLayerIndex tiered(3, tiered_options);
+  for (std::size_t i = 0; i < points.size(); ++i) tiered.Insert(points[i]);
+  ASSERT_TRUE(SaveTieredIndex(tiered, serving.dir + "/gen-3.drlt").ok());
+  ASSERT_TRUE(server::PublishSnapshot(serving.dir, "gen-1.v2").ok());
+
+  TopKServer server;
+  ASSERT_TRUE(server.Start(serving.dir, ServerOptions{}).ok());
+  DrliClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", server.port()).ok());
+  const char* const snapshots[] = {"gen-1.v2", "gen-2.drls", "gen-3.drlt"};
+  for (std::size_t g = 0; g < 3; ++g) {
+    const std::string where = snapshots[g];
+    if (g > 0) {
+      ASSERT_TRUE(server::PublishSnapshot(serving.dir, snapshots[g]).ok());
+      auto reload = client.Reload();
+      ASSERT_TRUE(reload.ok()) << where;
+      ASSERT_TRUE(reload.value().error.empty()) << reload.value().error;
+    }
+    auto inspect = client.Inspect();
+    ASSERT_TRUE(inspect.ok()) << where;
+    ASSERT_EQ(inspect.value().snapshot, where);
+
+    for (const TopKQuery& query : testing_util::RandomQueries(
+             3, /*k=*/6, /*count=*/8, /*seed=*/40 + g)) {
+      wire::WireQuery plain;
+      plain.weights = query.weights;
+      plain.k = query.k;
+      auto got = client.Query(plain);
+      ASSERT_TRUE(got.ok()) << where;
+      EXPECT_TRUE(SameAnswer(got.value(), Scan(points, query))) << where;
+
+      ConstrainedQuery local;
+      local.weights = query.weights;
+      local.k = query.k;
+      local.box = AttributeBox::All(3);
+      local.box.hi[0] = 0.6;
+      local.box.lo[2] = 0.1;
+      wire::WireQuery constrained = plain;
+      constrained.scenario = wire::Scenario::kConstrained;
+      constrained.box = local.box;
+      got = client.Query(constrained);
+      ASSERT_TRUE(got.ok()) << where;
+      EXPECT_TRUE(
+          SameAnswer(got.value(), ConstrainedTopKScan(points, local)))
+          << where;
+    }
+
+    wire::WireQuery diversified;
+    diversified.scenario = wire::Scenario::kDiversified;
+    diversified.weights = {0.3, 0.3, 0.4};
+    diversified.k = 5;
+    wire::WireQuery reverse;
+    reverse.scenario = wire::Scenario::kReverse;
+    reverse.k = 5;
+    auto div = client.Query(diversified);
+    auto rev = client.Query(reverse);
+    ASSERT_TRUE(div.ok() && rev.ok()) << where;
+    if (g == 0) {
+      EXPECT_EQ(div.value().status, wire::ReplyStatus::kOk);
+      continue;
+    }
+    EXPECT_EQ(div.value().status, wire::ReplyStatus::kInvalidQuery) << where;
+    EXPECT_NE(div.value().message.find(
+                  "diversified queries need a single dl+ generation"),
+              std::string::npos)
+        << div.value().message;
+    EXPECT_EQ(rev.value().status, wire::ReplyStatus::kInvalidQuery) << where;
+    EXPECT_NE(
+        rev.value().message.find("reverse top-k needs a single dl+ generation"),
+        std::string::npos)
+        << rev.value().message;
+    EXPECT_NE(rev.value().message.find(inspect.value().engine),
+              std::string::npos)
+        << rev.value().message;
+  }
   server.Shutdown();
 }
 

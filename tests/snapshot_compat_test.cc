@@ -35,6 +35,7 @@
 #include "core/tiered_index.h"
 #include "data/generator.h"
 #include "shard/shard_io.h"
+#include "storage/engine_io.h"
 #include "storage/tiered_io.h"
 #include "testing/check_index.h"
 #include "testing/result_check.h"
@@ -331,6 +332,102 @@ TEST(SnapshotCompatTest, TieredManifestGoldenLoadsAnswersAndResaves) {
   ExpectResavedIdentically(kTieredGolden, [&](const std::string& out) {
     return SaveTieredIndex(index, out);
   });
+}
+
+// Every answer of `loaded` equals the answer of `saved`, the engine it
+// was loaded from (or the same file through its own loader): items,
+// scores and evaluations.
+void ExpectAnswersLikeSaved(const TopKIndex& loaded, const TopKIndex& saved) {
+  for (const TopKQuery& query : testing_util::RandomQueries(
+           saved.dim(), /*k=*/10, /*count=*/20, /*seed=*/7)) {
+    const TopKResult want = saved.Query(query);
+    const TopKResult got = loaded.Query(query);
+    ASSERT_EQ(got.items.size(), want.items.size());
+    for (std::size_t r = 0; r < want.items.size(); ++r) {
+      EXPECT_EQ(got.items[r].id, want.items[r].id) << "rank " << r;
+      EXPECT_EQ(got.items[r].score, want.items[r].score) << "rank " << r;
+    }
+    EXPECT_EQ(got.stats.tuples_evaluated, want.stats.tuples_evaluated);
+  }
+}
+
+// LoadEngine routes each format by its magic into its own slot, and
+// index() is the engaged slot.
+TEST(SnapshotCompatTest, LoadEngineRoutesEveryFormatToItsSlot) {
+  const std::string golden_dir = DRLI_TEST_GOLDEN_DIR;
+
+  auto single = LoadEngine(GoldenPath(kRecipes[0], 2));
+  ASSERT_TRUE(single.ok()) << single.status().ToString();
+  EXPECT_TRUE(single.value().dl.has_value());
+  EXPECT_FALSE(single.value().sharded.has_value());
+  EXPECT_FALSE(single.value().tiered.has_value());
+  EXPECT_EQ(&single.value().index(), &*single.value().dl);
+  EXPECT_TRUE(single.value().partitions().parts.empty());
+  const auto direct_dl = LoadDualLayerIndex(GoldenPath(kRecipes[0], 2));
+  ASSERT_TRUE(direct_dl.ok());
+  ExpectAnswersLikeSaved(single.value().index(), direct_dl.value());
+
+  auto sharded = LoadEngine(golden_dir + "/" + kShardedGolden);
+  ASSERT_TRUE(sharded.ok()) << sharded.status().ToString();
+  EXPECT_FALSE(sharded.value().dl.has_value());
+  ASSERT_TRUE(sharded.value().sharded.has_value());
+  EXPECT_FALSE(sharded.value().tiered.has_value());
+  EXPECT_EQ(&sharded.value().index(), &*sharded.value().sharded);
+  EXPECT_EQ(sharded.value().partitions().parts.size(), 3u);
+  const auto direct_sharded =
+      LoadShardedIndex(golden_dir + "/" + kShardedGolden);
+  ASSERT_TRUE(direct_sharded.ok());
+  ExpectAnswersLikeSaved(sharded.value().index(), direct_sharded.value());
+
+  // A fresh DRLT: runs, tombstones and a partial memtable.
+  TieredIndexOptions options;
+  options.memtable_capacity = 40;
+  TieredDualLayerIndex saved(3, options);
+  const PointSet points = Generate(Distribution::kIndependent, 200, 3, 46);
+  for (std::size_t i = 0; i < points.size(); ++i) saved.Insert(points[i]);
+  for (TupleId id = 1; id < points.size(); id += 9) saved.Erase(id);
+  const std::string path = ::testing::TempDir() + "/load_engine.drlt";
+  ASSERT_TRUE(SaveTieredIndex(saved, path).ok());
+  auto tiered = LoadEngine(path);
+  ASSERT_TRUE(tiered.ok()) << tiered.status().ToString();
+  EXPECT_FALSE(tiered.value().dl.has_value());
+  EXPECT_FALSE(tiered.value().sharded.has_value());
+  ASSERT_TRUE(tiered.value().tiered.has_value());
+  EXPECT_EQ(&tiered.value().index(), &*tiered.value().tiered);
+  EXPECT_EQ(tiered.value().partitions().parts.size(), saved.num_runs());
+  ExpectAnswersLikeSaved(tiered.value().index(), saved);
+
+  // index() reads the slot, so a moved engine answers from its new home.
+  LoadedEngine moved = std::move(tiered).value();
+  EXPECT_EQ(&moved.index(), &*moved.tiered);
+  ExpectAnswersLikeSaved(moved.index(), saved);
+}
+
+// A file of unknown magic, a truncated manifest of either kind and a
+// missing file are errors, never a crash or a half-loaded engine.
+TEST(SnapshotCompatTest, LoadEngineRejectsUnknownAndTruncatedFiles) {
+  const std::string dir = ::testing::TempDir() + "/load_engine_bad";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const auto write = [&](const std::string& name,
+                         const std::vector<std::uint8_t>& bytes) {
+    std::ofstream out(dir + "/" + name, std::ios::binary);
+    out.write(reinterpret_cast<const char*>(bytes.data()),
+              static_cast<std::streamsize>(bytes.size()));
+    return dir + "/" + name;
+  };
+  const std::string unknown = write("unknown.bin", {'X', 'Y', 'Z', 'W', 1, 2});
+  EXPECT_FALSE(LoadEngine(unknown).ok());
+  EXPECT_FALSE(LoadEngine(dir + "/missing.bin").ok());
+  for (const char* golden : {kShardedGolden, kTieredGolden}) {
+    std::vector<std::uint8_t> bytes =
+        FileBytes(std::string(DRLI_TEST_GOLDEN_DIR) + "/" + golden);
+    ASSERT_GT(bytes.size(), 16u) << golden;
+    bytes.resize(bytes.size() / 2);
+    const auto loaded = LoadEngine(write(golden, bytes));
+    EXPECT_FALSE(loaded.ok()) << golden;
+  }
+  std::filesystem::remove_all(dir);
 }
 
 }  // namespace

@@ -68,6 +68,17 @@ echo "$COMPARE_OUT" | grep -q "DL+"
   --box=0.1:0.9,:0.8,0.2: | grep -qE "boxes pruned"
 "$CLI" query --input="$WORK/data.csv" --kind=tdl+64 --weights=0.2,0.3,0.5 \
   --k=5 --box=0.1:0.9,:0.8,0.2: | grep -q "constrained top-5"
+# --box runs a registry-built sharded engine, which evaluates fewer
+# tuples than the scan; a family without a box tree says the scan
+# answered.
+evals_of() { sed -nE 's/.* ([0-9]+) tuples evaluated.*/\1/p'; }
+SDL_EVALS="$("$CLI" query --input="$WORK/data.csv" --kind=sdl+4 \
+  --weights=0.2,0.3,0.5 --k=5 --box=0.1:0.9,:0.8,0.2: | evals_of)"
+SCAN_EVALS="$("$CLI" query --input="$WORK/data.csv" --kind=scan \
+  --weights=0.2,0.3,0.5 --k=5 --box=0.1:0.9,:0.8,0.2: | evals_of)"
+[ -n "$SDL_EVALS" ] && [ "$SDL_EVALS" -lt "$SCAN_EVALS" ]
+"$CLI" query --input="$WORK/data.csv" --kind=ta --weights=0.2,0.3,0.5 \
+  --k=5 --box=0.1:0.9,:0.8,0.2: | grep -q "answered by the full scan"
 "$CLI" query --index="$WORK/index.bin" --weights=0.2,0.3,0.5 --k=4 \
   --lambda=0.5 | grep -q "utility"
 "$CLI" query --input="$WORK/d2.csv" --k=3 --reverse=0 \
@@ -196,6 +207,35 @@ expect_unknown_flag format build --input="$WORK/data.csv" --format=v1 \
 [ ! -e "$WORK/y.bin" ]
 expect_unknown_flag kk query --index="$WORK/index.bin" \
   --weights=0.2,0.3,0.5 --kk=5
+# A malformed flag value exits 2 and names the flag: trailing
+# characters, non-numbers, non-finite numbers and negative counts.
+expect_bad_value() {
+  local flag="$1" status=0
+  shift
+  "$@" 2>"$WORK/value_err.txt" || status=$?
+  if [ "$status" -ne 2 ] || ! grep -q -- "--$flag=" "$WORK/value_err.txt"; then
+    echo "expected exit 2 naming --$flag for: $* (got $status)" >&2
+    exit 1
+  fi
+}
+Q=(query --index="$WORK/index.bin")
+expect_bad_value weights "$CLI" "${Q[@]}" --weights=0.2,abc,0.5 --k=3
+expect_bad_value weights "$CLI" "${Q[@]}" --weights=0.2,inf,0.5 --k=3
+expect_bad_value k "$CLI" "${Q[@]}" --weights=0.2,0.3,0.5 --k=3x
+expect_bad_value k "$CLI" "${Q[@]}" --weights=0.2,0.3,0.5 --k=-1
+expect_bad_value deadline-ms "$CLI" "${Q[@]}" --weights=0.2,0.3,0.5 \
+  --deadline-ms=soon
+expect_bad_value box "$CLI" "${Q[@]}" --weights=0.2,0.3,0.5 \
+  --box=0.1:0.9x,:,:
+expect_bad_value n "$CLI" generate --n=2e3 --out="$WORK/z.csv"
+[ ! -e "$WORK/z.csv" ]
+if [ -n "$CLIENT" ]; then
+  expect_bad_value port "$CLIENT" health --port=70000
+  expect_bad_value k "$CLIENT" query --port=1 --weights=0.5,0.5 --k=5o
+  status=0
+  "$CLIENT" health --port=1 --frobnicate 2>"$WORK/flag_err.txt" || status=$?
+  [ "$status" -eq 2 ] && grep -q -- "--frobnicate" "$WORK/flag_err.txt"
+fi
 if "$CLI" check --input="$WORK/data.csv" --kind=onion 2>/dev/null; then
   echo "expected failure for non-checkable kind" >&2
   exit 1

@@ -74,16 +74,12 @@
 // the active kernel dispatch target. Any other flag a command does not
 // read is an error: the command exits 2 and names the flag.
 
-#include <algorithm>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <map>
 #include <memory>
 #include <optional>
-#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -106,61 +102,20 @@
 #include "server/serving_engine.h"
 #include "shard/shard_io.h"
 #include "shard/sharded_index.h"
+#include "storage/engine_io.h"
 #include "storage/tiered_io.h"
 #include "testing/check_index.h"
+
+#include "flags.h"
 
 namespace drli {
 namespace {
 
-using Flags = std::map<std::string, std::string>;
-
-// Parses the --key[=value] arguments after the command argv[1]. A flag
-// outside `accepted` (and not the global --no-simd) exits 2 naming it,
-// so a mistyped or retired flag is never silently ignored.
-Flags ParseFlags(int argc, char** argv,
-                 const std::vector<std::string>& accepted) {
-  Flags flags;
-  for (int i = 2; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    arg = arg.substr(2);
-    const std::size_t eq = arg.find('=');
-    const std::string key = arg.substr(0, eq);
-    if (key != "no-simd" &&
-        std::find(accepted.begin(), accepted.end(), key) == accepted.end()) {
-      std::fprintf(stderr, "unknown flag for %s: --%s\n", argv[1],
-                   key.c_str());
-      std::exit(2);
-    }
-    flags[key] = eq == std::string::npos ? "true" : arg.substr(eq + 1);
-  }
-  return flags;
-}
-
-std::string GetFlag(const Flags& flags, const std::string& key,
-                    const std::string& fallback = "") {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
-
-std::size_t GetSizeFlag(const Flags& flags, const std::string& key,
-                        std::size_t fallback) {
-  const std::string value = GetFlag(flags, key);
-  return value.empty() ? fallback : std::strtoul(value.c_str(), nullptr, 10);
-}
-
-std::vector<std::string> SplitComma(const std::string& value) {
-  std::vector<std::string> parts;
-  std::stringstream ss(value);
-  std::string part;
-  while (std::getline(ss, part, ',')) {
-    if (!part.empty()) parts.push_back(part);
-  }
-  return parts;
-}
+using cli::Flags;
+using cli::GetDoubleFlag;
+using cli::GetFlag;
+using cli::GetSizeFlag;
+using cli::SplitComma;
 
 int Usage() {
   std::fprintf(stderr,
@@ -457,46 +412,18 @@ int CmdStats(const Flags& flags) {
   return 0;
 }
 
+// --weights with one component per attribute, normalized to sum 1.
 StatusOr<Point> ParseWeights(const Flags& flags, std::size_t d) {
-  const std::vector<std::string> parts =
-      SplitComma(GetFlag(flags, "weights"));
-  if (parts.size() != d) {
+  Point weights = cli::GetWeightsFlag(flags);
+  if (weights.size() != d) {
     return Status::InvalidArgument(
         "--weights must have " + std::to_string(d) + " components");
   }
-  Point weights;
   double sum = 0.0;
-  for (const std::string& part : parts) {
-    weights.push_back(std::strtod(part.c_str(), nullptr));
-    sum += weights.back();
-  }
+  for (const double w : weights) sum += w;
   if (sum <= 0.0) return Status::InvalidArgument("weights must sum > 0");
   for (double& w : weights) w /= sum;  // normalize for convenience
   return weights;
-}
-
-// --box=lo:hi,lo:hi,... -- one inclusive range per attribute; an empty
-// side is unbounded, a bare ":" leaves the attribute unconstrained.
-StatusOr<AttributeBox> ParseBoxFlag(const std::string& value,
-                                    std::size_t d) {
-  const std::vector<std::string> parts = SplitComma(value);
-  if (parts.size() != d) {
-    return Status::InvalidArgument("--box must have " + std::to_string(d) +
-                                   " lo:hi components");
-  }
-  AttributeBox box = AttributeBox::All(d);
-  for (std::size_t a = 0; a < d; ++a) {
-    const std::size_t colon = parts[a].find(':');
-    if (colon == std::string::npos) {
-      return Status::InvalidArgument("--box component \"" + parts[a] +
-                                     "\" is not lo:hi");
-    }
-    const std::string lo = parts[a].substr(0, colon);
-    const std::string hi = parts[a].substr(colon + 1);
-    if (!lo.empty()) box.lo[a] = std::strtod(lo.c_str(), nullptr);
-    if (!hi.empty()) box.hi[a] = std::strtod(hi.c_str(), nullptr);
-  }
-  return box;
 }
 
 void PrintTopKItems(const TopKResult& result) {
@@ -515,110 +442,67 @@ void PrintTopKItems(const TopKResult& result) {
   }
 }
 
-// The index a saved --index file holds, routed by its 4-byte magic: a
-// shard manifest, a tiered manifest, or a v2 snapshot. One slot is
-// engaged and `index` points at it.
-struct SavedIndex {
-  std::optional<DualLayerIndex> dl;
-  std::optional<ShardedDualLayerIndex> sharded;
-  std::optional<TieredDualLayerIndex> tiered;
-  const TopKIndex* index = nullptr;
-};
-
-// Loads `path` into `out`; prints the error and returns false on
-// failure.
-bool LoadSavedIndex(const std::string& path, SavedIndex* out) {
-  const auto load = [out](auto loaded, auto& slot) {
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
-      return false;
-    }
-    out->index = &slot.emplace(std::move(loaded).value());
-    return true;
-  };
-  if (IsShardManifest(path)) return load(LoadShardedIndex(path), out->sharded);
-  if (IsTieredManifest(path)) return load(LoadTieredIndex(path), out->tiered);
-  return load(LoadDualLayerIndex(path), out->dl);
-}
-
 int CmdQuery(const Flags& flags) {
   const std::size_t k = GetSizeFlag(flags, "k", 10);
   const std::string index_path = GetFlag(flags, "index");
 
-  std::unique_ptr<TopKIndex> owned;
-  SavedIndex saved;
+  LoadedEngine loaded;
+  std::unique_ptr<TopKIndex> built;
   std::optional<Dataset> dataset;
-  const TieredDualLayerIndex* tiered_alias = nullptr;
   const TopKIndex* index = nullptr;
-  std::size_t dim = 0;
   if (!index_path.empty()) {
-    if (!LoadSavedIndex(index_path, &saved)) return 1;
-    index = saved.index;
-    dim = index->dim();
-  } else {
-    auto loaded = LoadInput(flags);
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
+    auto engine = LoadEngine(index_path);
+    if (!engine.ok()) {
+      std::fprintf(stderr, "%s\n", engine.status().ToString().c_str());
       return 1;
     }
-    dataset.emplace(std::move(loaded).value());
-    dim = dataset->dim();
-    const std::string kind = GetFlag(flags, "kind", "dl+");
-    const bool concrete_engine = !GetFlag(flags, "box").empty() ||
-                                 !GetFlag(flags, "reverse").empty();
-    if (concrete_engine && (kind == "dl" || kind == "dl+")) {
-      // The constrained / reverse traversals dispatch on the concrete
-      // engine type, so build the dual-layer index directly instead of
-      // through the registry's type-erased handle.
-      DualLayerOptions options;
-      options.build_zero_layer = (kind == "dl+");
-      options.zero_layer_clusters = GetSizeFlag(flags, "clusters", 0);
-      saved.dl.emplace(DualLayerIndex::Build(dataset->points(), options));
-      index = &*saved.dl;
-    } else {
-      IndexBuildConfig config;
-      config.kind = kind;
-      auto built = BuildIndex(config, dataset->points());
-      if (!built.ok()) {
-        std::fprintf(stderr, "%s\n", built.status().ToString().c_str());
-        return 1;
-      }
-      owned = std::move(built).value();
-      index = owned.get();
-      if (kind.rfind("tdl+", 0) == 0) {
-        tiered_alias = static_cast<const TieredDualLayerIndex*>(owned.get());
-      }
+    loaded = std::move(engine).value();
+    index = &loaded.index();
+  } else {
+    auto input = LoadInput(flags);
+    if (!input.ok()) {
+      std::fprintf(stderr, "%s\n", input.status().ToString().c_str());
+      return 1;
     }
+    dataset.emplace(std::move(input).value());
+    IndexBuildConfig config;
+    config.kind = GetFlag(flags, "kind", "dl+");
+    config.zero_layer_clusters = GetSizeFlag(flags, "clusters", 0);
+    auto result = BuildIndex(config, dataset->points());
+    if (!result.ok()) {
+      std::fprintf(stderr, "%s\n", result.status().ToString().c_str());
+      return 1;
+    }
+    built = std::move(result).value();
+    index = built.get();
   }
+  const std::size_t dim = index->dim();
+  // Reverse top-k and --explain read the single DL+ index.
+  const auto* dl = dynamic_cast<const DualLayerIndex*>(index);
 
   // Serving controls: --deadline-ms caps wall time, --max-evals caps
   // scored tuples; either can cut the traversal short, in which case
   // the certified prefix of the partial answer is reported. They apply
   // to every scenario below as well.
   ExecBudget budget;
-  const std::string deadline_ms = GetFlag(flags, "deadline-ms");
-  if (!deadline_ms.empty()) {
-    budget.deadline_seconds =
-        std::strtod(deadline_ms.c_str(), nullptr) / 1000.0;
-  }
+  budget.deadline_seconds = GetDoubleFlag(flags, "deadline-ms", 0.0) / 1000.0;
   budget.max_evals = GetSizeFlag(flags, "max-evals", 0);
 
   // Reverse top-k: no weight vector -- the weights ARE the answer.
-  const std::string reverse_flag = GetFlag(flags, "reverse");
-  if (!reverse_flag.empty()) {
-    if (!saved.dl.has_value()) {
+  if (flags.count("reverse") != 0) {
+    if (dl == nullptr) {
       std::fprintf(stderr,
                    "--reverse needs a dl+ engine: a dual-layer snapshot or "
                    "--input with --kind=dl+\n");
       return 2;
     }
     ReverseTopKQuery rquery;
-    rquery.target =
-        static_cast<TupleId>(std::strtoul(reverse_flag.c_str(), nullptr, 10));
+    rquery.target = static_cast<TupleId>(
+        GetSizeFlag(flags, "reverse", 0, kInvalidTupleId - 1));
     rquery.k = k;
     rquery.budget = budget;
     Stopwatch timer;
-    const ReverseTopKResult result = ReverseTopK2D(*saved.dl, rquery);
+    const ReverseTopKResult result = ReverseTopK2D(*dl, rquery);
     const double ms = timer.ElapsedMillis();
     if (!result.complete()) {
       std::fprintf(stderr, "reverse query stopped (%s): %s\n",
@@ -627,7 +511,7 @@ int CmdQuery(const Flags& flags) {
     }
     std::printf("%s reverse top-%zu of tuple %u "
                 "(%.3f ms, %zu tuples swept%s):",
-                saved.dl->name().c_str(), k, rquery.target, ms,
+                dl->name().c_str(), k, rquery.target, ms,
                 result.stats.tuples_evaluated,
                 result.used_weight_table ? ", via 2-d weight table" : "");
     if (result.intervals.empty()) std::printf(" never in the top-%zu", k);
@@ -645,27 +529,24 @@ int CmdQuery(const Flags& flags) {
   }
 
   // Constrained top-k: the plain query restricted to an attribute box,
-  // with whole sublayers / shards / runs pruned on bounding-box misses.
-  const std::string box_flag = GetFlag(flags, "box");
-  if (!box_flag.empty()) {
-    auto box = ParseBoxFlag(box_flag, dim);
-    if (!box.ok()) {
-      std::fprintf(stderr, "%s\n", box.status().ToString().c_str());
-      return 2;
-    }
+  // with box-tree nodes, shards and runs pruned on bounding-box misses.
+  if (flags.count("box") != 0) {
     ConstrainedQuery cquery;
     cquery.weights = weights.value();
     cquery.k = k;
-    cquery.box = std::move(box).value();
+    cquery.box = cli::GetBoxFlag(flags);
     cquery.budget = budget;
+    if (cquery.box.lo.size() != dim) {
+      std::fprintf(stderr, "--box must have %zu lo:hi components\n", dim);
+      return 2;
+    }
     Stopwatch timer;
-    const TopKResult result =
-        saved.dl.has_value()        ? ConstrainedTopK(*saved.dl, cquery)
-        : saved.sharded.has_value() ? ConstrainedTopK(*saved.sharded, cquery)
-        : saved.tiered.has_value()  ? ConstrainedTopK(*saved.tiered, cquery)
-        : tiered_alias != nullptr   ? ConstrainedTopK(*tiered_alias, cquery)
-                                    : ConstrainedTopKScan(
-                                          dataset->points(), cquery);
+    TopKResult result = ConstrainedTopK(*index, cquery);
+    // A family without a box tree refuses the query; over a CSV the scan
+    // answers it instead (and rejects a query that is itself invalid).
+    const bool scanned = result.termination == Termination::kInvalidQuery &&
+                         dataset.has_value();
+    if (scanned) result = ConstrainedTopKScan(dataset->points(), cquery);
     const double ms = timer.ElapsedMillis();
     if (result.termination == Termination::kInvalidQuery ||
         result.termination == Termination::kError) {
@@ -673,21 +554,23 @@ int CmdQuery(const Flags& flags) {
                    TerminationName(result.termination), result.error.c_str());
       return 1;
     }
-    std::printf("%s constrained top-%zu "
+    std::printf("%s constrained top-%zu%s "
                 "(%.3f ms, %zu tuples evaluated, %zu boxes pruned):\n",
-                index->name().c_str(), k, ms, result.stats.tuples_evaluated,
-                result.stats.boxes_pruned);
+                index->name().c_str(), k,
+                scanned ? ", answered by the full scan" : "", ms,
+                result.stats.tuples_evaluated, result.stats.boxes_pruned);
     PrintTopKItems(result);
     return 0;
   }
 
   // Diversified top-k: greedy score + lambda * similarity re-ranking
   // over a certified candidate pool.
-  const std::string lambda_flag = GetFlag(flags, "lambda");
-  if (!lambda_flag.empty()) {
-    const PointSet* relation = dataset.has_value()    ? &dataset->points()
-                               : saved.dl.has_value() ? &saved.dl->points()
-                                                      : nullptr;
+  if (flags.count("lambda") != 0) {
+    // The index's own relation when it has one, so a DL+ index lends
+    // the certificate its box tree.
+    const PointSet* relation = dl != nullptr          ? &dl->points()
+                               : dataset.has_value() ? &dataset->points()
+                                                     : nullptr;
     if (relation == nullptr) {
       std::fprintf(stderr,
                    "--lambda needs the relation for the similarity "
@@ -697,7 +580,7 @@ int CmdQuery(const Flags& flags) {
     DiversifiedQuery dquery;
     dquery.weights = weights.value();
     dquery.k = k;
-    dquery.lambda = std::strtod(lambda_flag.c_str(), nullptr);
+    dquery.lambda = GetDoubleFlag(flags, "lambda", 0.0);
     dquery.pool_factor = GetSizeFlag(flags, "pool-factor", 4);
     dquery.budget = budget;
     Stopwatch timer;
@@ -747,23 +630,23 @@ int CmdQuery(const Flags& flags) {
   std::printf("%s top-%zu (%.3f ms, %zu tuples evaluated, kernel=%s):\n",
               index->name().c_str(), k, ms, result.stats.tuples_evaluated,
               SimdTargetName(ActiveSimdTarget()));
-  if (saved.sharded.has_value()) {
+  if (loaded.sharded.has_value()) {
     std::printf("shards touched %zu/%zu\n", result.stats.shards_touched,
-                saved.sharded->num_shards());
+                loaded.sharded->num_shards());
   } else if (result.stats.shards_touched > 0) {
     std::printf("shards touched %zu\n", result.stats.shards_touched);
   }
-  if (saved.tiered.has_value()) {
+  if (loaded.tiered.has_value()) {
     std::printf("runs opened %zu/%zu (+memtable of %zu rows)\n",
-                result.stats.runs_opened, saved.tiered->num_runs(),
-                saved.tiered->memtable_size());
+                result.stats.runs_opened, loaded.tiered->num_runs(),
+                loaded.tiered->memtable_size());
   }
   PrintTopKItems(result);
-  if (GetFlag(flags, "explain") == "true" && saved.dl.has_value()) {
+  if (GetFlag(flags, "explain") == "true" && dl != nullptr) {
     std::printf("\naccess breakdown by sublayer:\n");
     std::printf("%-8s %-6s %-8s %-8s\n", "coarse", "fine", "size",
                 "accessed");
-    for (const LayerAccessRow& row : ExplainAccess(*saved.dl, result)) {
+    for (const LayerAccessRow& row : ExplainAccess(*dl, result)) {
       if (row.accessed == 0) continue;
       std::printf("%-8u %-6u %-8zu %-8zu\n", row.coarse, row.fine,
                   row.layer_size, row.accessed);
@@ -846,10 +729,9 @@ int CmdSweep(const Flags& flags) {
     std::printf("  ... (%zu more intervals)\n",
                 sweep.topk_sets.size() - limit);
   }
-  const std::string target_flag = GetFlag(flags, "reverse");
-  if (!target_flag.empty()) {
-    const auto target =
-        static_cast<TupleId>(std::strtoul(target_flag.c_str(), nullptr, 10));
+  if (flags.count("reverse") != 0) {
+    const auto target = static_cast<TupleId>(
+        GetSizeFlag(flags, "reverse", 0, kInvalidTupleId - 1));
     const auto intervals = ReverseTopKIntervals2D(sweep, target);
     std::printf("reverse top-%zu of tuple %u:", k, target);
     if (intervals.empty()) std::printf(" never in the top-%zu", k);
@@ -867,10 +749,15 @@ int CmdSweep(const Flags& flags) {
 // index (the merge layer itself is covered by the differential suite,
 // not structural invariants).
 int CmdCheck(const Flags& flags) {
-  SavedIndex saved;
+  LoadedEngine engine;
   const std::string index_path = GetFlag(flags, "index");
   if (!index_path.empty()) {
-    if (!LoadSavedIndex(index_path, &saved)) return 1;
+    auto loaded = LoadEngine(index_path);
+    if (!loaded.ok()) {
+      std::fprintf(stderr, "%s\n", loaded.status().ToString().c_str());
+      return 1;
+    }
+    engine = std::move(loaded).value();
   } else {
     auto dataset = LoadInput(flags);
     if (!dataset.ok()) {
@@ -885,25 +772,22 @@ int CmdCheck(const Flags& flags) {
     DualLayerOptions options;
     options.build_zero_layer = (kind == "dl+");
     options.zero_layer_clusters = GetSizeFlag(flags, "clusters", 0);
-    saved.index = &saved.dl.emplace(
-        DualLayerIndex::Build(dataset.value().points(), options));
+    engine.dl.emplace(DualLayerIndex::Build(dataset.value().points(), options));
   }
 
-  PartitionSet set;
-  std::string shape;  // printed after the size
-  if (saved.sharded.has_value()) {
-    set = saved.sharded->partitions();
-    shape = ", " + std::to_string(set.parts.size()) + " shards";
-  } else if (saved.tiered.has_value()) {
-    set = saved.tiered->partitions();
-    shape = ", " + std::to_string(set.parts.size()) + " runs, " +
-            std::to_string(saved.tiered->memtable_size()) + " memtable rows";
-  }
+  const PartitionSet set = engine.partitions();
   std::vector<const DualLayerIndex*> audited;
   for (const DualLayerPartition* part : set.parts) {
     audited.push_back(&part->index);
   }
-  if (saved.dl.has_value()) audited.push_back(&*saved.dl);
+  if (engine.dl.has_value()) audited.push_back(&*engine.dl);
+  std::string shape;  // printed after the size
+  if (engine.sharded.has_value()) {
+    shape = ", " + std::to_string(set.parts.size()) + " shards";
+  } else if (engine.tiered.has_value()) {
+    shape = ", " + std::to_string(set.parts.size()) + " runs, " +
+            std::to_string(engine.tiered->memtable_size()) + " memtable rows";
+  }
 
   CheckOptions options;
   options.weight_samples = GetSizeFlag(flags, "samples", 16);
@@ -920,7 +804,7 @@ int CmdCheck(const Flags& flags) {
     }
   }
   std::printf("%s: n=%zu%s, %zu invariants checked\n",
-              saved.index->name().c_str(), saved.index->size(),
+              engine.index().name().c_str(), engine.index().size(),
               shape.c_str(), invariants);
   if (!ok) return 1;
   std::printf("OK\n");
@@ -931,12 +815,6 @@ volatile std::sig_atomic_t g_stop_serving = 0;
 
 void HandleStopSignal(int) { g_stop_serving = 1; }
 
-double GetDoubleFlag(const Flags& flags, const std::string& key,
-                     double fallback) {
-  const std::string value = GetFlag(flags, key);
-  return value.empty() ? fallback : std::strtod(value.c_str(), nullptr);
-}
-
 int CmdServe(const Flags& flags) {
   const std::string dir = GetFlag(flags, "dir");
   if (dir.empty()) {
@@ -945,7 +823,8 @@ int CmdServe(const Flags& flags) {
   }
   server::ServerOptions options;
   options.host = GetFlag(flags, "host", "127.0.0.1");
-  options.port = static_cast<std::uint16_t>(GetSizeFlag(flags, "port", 0));
+  options.port =
+      static_cast<std::uint16_t>(GetSizeFlag(flags, "port", 0, 65535));
   options.num_loops = GetSizeFlag(flags, "loops", 0);
   options.num_workers = GetSizeFlag(flags, "workers", 0);
   options.max_in_flight = GetSizeFlag(flags, "max-in-flight", 0);
@@ -962,8 +841,8 @@ int CmdServe(const Flags& flags) {
   }
   const auto generation = server.engine().Acquire();
   std::printf("serving %s (%s, n=%zu d=%zu) on %s:%u\n", dir.c_str(),
-              generation->snapshot.c_str(), generation->index->size(),
-              generation->dim, options.host.c_str(), server.port());
+              generation->snapshot.c_str(), generation->index().size(),
+              generation->index().dim(), options.host.c_str(), server.port());
   std::fflush(stdout);
 
   // Smoke tests bind port 0 and discover the real port from this file.
@@ -1053,7 +932,10 @@ int Main(int argc, char** argv) {
   };
   for (const Command& command : commands) {
     if (command.name != std::string(argv[1])) continue;
-    const Flags flags = ParseFlags(argc, argv, command.flags);
+    std::vector<std::string> accepted = command.flags;
+    accepted.push_back("no-simd");
+    const Flags flags =
+        cli::ParseFlags(argc, argv, 2, command.name, accepted);
     if (GetFlag(flags, "no-simd") == "true") ForceScalarKernels(true);
     return command.run(flags);
   }

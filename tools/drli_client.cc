@@ -14,11 +14,8 @@
 // kOverloaded reply prints the server's retry-after hint and exits 3;
 // certified partials print like `drli query` partials and exit 0.
 
+#include <cstdint>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <map>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -26,36 +23,15 @@
 #include "server/client.h"
 #include "server/protocol.h"
 
+#include "flags.h"
+
 namespace drli {
 namespace {
 
+using cli::Flags;
+using cli::GetFlag;
+using cli::GetSizeFlag;
 using server::DrliClient;
-using Flags = std::map<std::string, std::string>;
-
-Flags ParseFlags(int argc, char** argv, int first) {
-  Flags flags;
-  for (int i = first; i < argc; ++i) {
-    std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) {
-      std::fprintf(stderr, "unexpected argument: %s\n", arg.c_str());
-      std::exit(2);
-    }
-    arg = arg.substr(2);
-    const std::size_t eq = arg.find('=');
-    if (eq == std::string::npos) {
-      flags[arg] = "true";
-    } else {
-      flags[arg.substr(0, eq)] = arg.substr(eq + 1);
-    }
-  }
-  return flags;
-}
-
-std::string GetFlag(const Flags& flags, const std::string& key,
-                    const std::string& fallback = "") {
-  const auto it = flags.find(key);
-  return it == flags.end() ? fallback : it->second;
-}
 
 int Usage() {
   std::fprintf(stderr,
@@ -67,13 +43,12 @@ int Usage() {
 
 int ConnectOrDie(const Flags& flags, DrliClient* client) {
   const std::string host = GetFlag(flags, "host", "127.0.0.1");
-  const std::string port_flag = GetFlag(flags, "port");
-  if (port_flag.empty()) {
+  if (flags.count("port") == 0) {
     std::fprintf(stderr, "--port=N is required\n");
     return 2;
   }
-  const auto port = static_cast<std::uint16_t>(
-      std::strtoul(port_flag.c_str(), nullptr, 10));
+  const auto port =
+      static_cast<std::uint16_t>(GetSizeFlag(flags, "port", 0, 65535));
   const Status status = client->Connect(host, port);
   if (!status.ok()) {
     std::fprintf(stderr, "%s\n", status.ToString().c_str());
@@ -84,50 +59,21 @@ int ConnectOrDie(const Flags& flags, DrliClient* client) {
 
 int CmdQuery(const Flags& flags) {
   wire::WireQuery query;
-  const std::string weights_flag = GetFlag(flags, "weights");
-  std::stringstream ss(weights_flag);
-  std::string part;
-  while (std::getline(ss, part, ',')) {
-    if (!part.empty()) {
-      query.weights.push_back(std::strtod(part.c_str(), nullptr));
-    }
-  }
-  query.k = std::strtoul(GetFlag(flags, "k", "10").c_str(), nullptr, 10);
-  query.deadline_ms =
-      std::strtod(GetFlag(flags, "deadline-ms", "0").c_str(), nullptr);
-  query.max_evals =
-      std::strtoul(GetFlag(flags, "max-evals", "0").c_str(), nullptr, 10);
-
-  const std::string box_flag = GetFlag(flags, "box");
-  const std::string lambda_flag = GetFlag(flags, "lambda");
-  const std::string reverse_flag = GetFlag(flags, "reverse");
-  if (!box_flag.empty()) {
+  query.weights = cli::GetWeightsFlag(flags);
+  query.k = GetSizeFlag(flags, "k", 10);
+  query.deadline_ms = cli::GetDoubleFlag(flags, "deadline-ms", 0.0);
+  query.max_evals = GetSizeFlag(flags, "max-evals", 0);
+  if (flags.count("box") != 0) {
     query.scenario = wire::Scenario::kConstrained;
-    std::vector<std::string> parts;
-    std::stringstream bss(box_flag);
-    while (std::getline(bss, part, ',')) parts.push_back(part);
-    query.box = AttributeBox::All(parts.size());
-    for (std::size_t a = 0; a < parts.size(); ++a) {
-      const std::size_t colon = parts[a].find(':');
-      if (colon == std::string::npos) {
-        std::fprintf(stderr, "--box component \"%s\" is not lo:hi\n",
-                     parts[a].c_str());
-        return 2;
-      }
-      const std::string lo = parts[a].substr(0, colon);
-      const std::string hi = parts[a].substr(colon + 1);
-      if (!lo.empty()) query.box.lo[a] = std::strtod(lo.c_str(), nullptr);
-      if (!hi.empty()) query.box.hi[a] = std::strtod(hi.c_str(), nullptr);
-    }
-  } else if (!lambda_flag.empty()) {
+    query.box = cli::GetBoxFlag(flags);
+  } else if (flags.count("lambda") != 0) {
     query.scenario = wire::Scenario::kDiversified;
-    query.lambda = std::strtod(lambda_flag.c_str(), nullptr);
-    query.pool_factor =
-        std::strtoul(GetFlag(flags, "pool-factor", "4").c_str(), nullptr, 10);
-  } else if (!reverse_flag.empty()) {
+    query.lambda = cli::GetDoubleFlag(flags, "lambda", 0.0);
+    query.pool_factor = GetSizeFlag(flags, "pool-factor", 4);
+  } else if (flags.count("reverse") != 0) {
     query.scenario = wire::Scenario::kReverse;
     query.reverse_target = static_cast<std::uint32_t>(
-        std::strtoul(reverse_flag.c_str(), nullptr, 10));
+        GetSizeFlag(flags, "reverse", 0, kInvalidTupleId - 1));
   }
 
   DrliClient client;
@@ -242,7 +188,14 @@ int CmdReload(const Flags& flags) {
 int Main(int argc, char** argv) {
   if (argc < 2) return Usage();
   const std::string command = argv[1];
-  const Flags flags = ParseFlags(argc, argv, 2);
+  // Every command reads --host and --port; query reads the rest.
+  std::vector<std::string> accepted = {"host", "port"};
+  if (command == "query") {
+    accepted.insert(accepted.end(),
+                    {"weights", "k", "deadline-ms", "max-evals", "box",
+                     "lambda", "pool-factor", "reverse"});
+  }
+  const Flags flags = cli::ParseFlags(argc, argv, 2, argv[1], accepted);
   if (command == "query") return CmdQuery(flags);
   if (command == "health") return CmdHealth(flags);
   if (command == "inspect") return CmdInspect(flags);

@@ -35,7 +35,6 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -47,19 +46,10 @@
 #include "testing/fuzz.h"
 #include "testing/server_faults.h"
 
+#include "flags.h"
+
 namespace drli {
 namespace {
-
-int Usage() {
-  std::fprintf(stderr,
-               "usage: drli_fuzz [--cases=N] [--seed=S] [--replay=SEED]\n"
-               "                 [--dynamic=0|1] [--max-n=N]\n"
-               "       drli_fuzz --mixed-rw [--cases=N] [--seed=S]\n"
-               "       drli_fuzz --snapshot-faults [--flips=N] [--seed=S]\n"
-               "       drli_fuzz --budget-faults [--cases=N] [--seed=S]\n"
-               "       drli_fuzz --server-faults [--cases=N] [--seed=S]\n");
-  return 2;
-}
 
 // Sustained ~95% read / ~5% write traces against the tiered dynamic
 // engine, each checked step by step against a brute-force mirror. The
@@ -231,55 +221,31 @@ int RunServerFaults(std::size_t cases, std::uint64_t first_seed) {
 }
 
 int Main(int argc, char** argv) {
-  std::size_t cases = 100;
-  std::uint64_t first_seed = 1;
-  bool replay = false;
-  bool snapshot_faults = false;
-  bool budget_faults = false;
-  bool mixed_rw = false;
-  bool server_faults = false;
+  const cli::Flags flags = cli::ParseFlags(
+      argc, argv, 1, "drli_fuzz",
+      {"cases", "seed", "replay", "dynamic", "max-n", "mixed-rw",
+       "snapshot-faults", "flips", "budget-faults", "server-faults"});
+  // --replay=SEED runs that one seed, verbosely.
+  const bool replay = flags.count("replay") != 0;
+  const std::uint64_t first_seed =
+      cli::GetSizeFlag(flags, replay ? "replay" : "seed", 1);
+  const std::size_t cases = replay ? 1 : cli::GetSizeFlag(flags, "cases", 100);
   // DRLI_FAULT_FLIPS pre-sets the flip budget (the nightly job raises
   // it); --flips= wins over the environment.
   std::size_t flips = 1000;
   if (const char* env = std::getenv("DRLI_FAULT_FLIPS")) {
     flips = std::strtoul(env, nullptr, 10);
   }
+  flips = cli::GetSizeFlag(flags, "flips", flips);
   FuzzOptions options;
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto value = [&](const char* prefix) -> const char* {
-      return arg.c_str() + std::strlen(prefix);
-    };
-    if (arg == "--snapshot-faults") {
-      snapshot_faults = true;
-    } else if (arg == "--budget-faults") {
-      budget_faults = true;
-    } else if (arg == "--mixed-rw") {
-      mixed_rw = true;
-    } else if (arg == "--server-faults") {
-      server_faults = true;
-    } else if (arg.rfind("--flips=", 0) == 0) {
-      flips = std::strtoul(value("--flips="), nullptr, 10);
-    } else if (arg.rfind("--cases=", 0) == 0) {
-      cases = std::strtoul(value("--cases="), nullptr, 10);
-    } else if (arg.rfind("--seed=", 0) == 0) {
-      first_seed = std::strtoull(value("--seed="), nullptr, 10);
-    } else if (arg.rfind("--replay=", 0) == 0) {
-      first_seed = std::strtoull(value("--replay="), nullptr, 10);
-      cases = 1;
-      replay = true;
-    } else if (arg.rfind("--dynamic=", 0) == 0) {
-      options.dynamic = std::strtoul(value("--dynamic="), nullptr, 10) != 0;
-    } else if (arg.rfind("--max-n=", 0) == 0) {
-      options.max_n = std::strtoul(value("--max-n="), nullptr, 10);
-    } else {
-      return Usage();
-    }
+  options.dynamic = cli::GetSizeFlag(flags, "dynamic", 1, 1) != 0;
+  options.max_n = cli::GetSizeFlag(flags, "max-n", options.max_n);
+  if (flags.count("snapshot-faults")) {
+    return RunSnapshotFaults(flips, first_seed);
   }
-  if (snapshot_faults) return RunSnapshotFaults(flips, first_seed);
-  if (budget_faults) return RunBudgetFaults(cases, first_seed);
-  if (mixed_rw) return RunMixedTraces(cases, first_seed);
-  if (server_faults) return RunServerFaults(cases, first_seed);
+  if (flags.count("budget-faults")) return RunBudgetFaults(cases, first_seed);
+  if (flags.count("mixed-rw")) return RunMixedTraces(cases, first_seed);
+  if (flags.count("server-faults")) return RunServerFaults(cases, first_seed);
 
   std::size_t failed = 0;
   for (std::size_t i = 0; i < cases; ++i) {
