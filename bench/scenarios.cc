@@ -3,7 +3,10 @@
 // pruning counters that justify the pushdown (DESIGN.md "Query
 // scenarios"). Times explicit loops (no Google-Benchmark averaging)
 // and emits machine-readable JSON (BENCH_scenarios.json in the working
-// directory, or the path given as argv[1] / DRLI_BENCH_OUT).
+// directory, or the path given as argv[1] / DRLI_BENCH_OUT), each row
+// stamped with the kernel, hardware threads and commit. Exits non-zero
+// when a constrained query costs more than the in-box scan or a DL+
+// diversified pick differs from the whole-relation greedy's.
 //
 // DRLI_BENCH_N scales the relation (default 20000); DRLI_BENCH_QUERIES
 // scales each probe loop (default 200).
@@ -157,12 +160,15 @@ int main(int argc, char** argv) {
     engine_row.detail = "lambda=" + std::to_string(lambda);
     engine_row.queries = num_queries;
     std::size_t tuples = 0, pool = 0;
+    std::vector<std::vector<DiversifiedPick>> answers;
+    answers.reserve(num_queries);
     Stopwatch timer;
     for (const DiversifiedQuery& query : queries) {
-      const DiversifiedResult result = DiversifiedTopK(dl, dl.points(), query);
+      DiversifiedResult result = DiversifiedTopK(dl, dl.points(), query);
       DRLI_CHECK(result.complete()) << "diversified returned a partial";
       tuples += result.stats.tuples_evaluated;
       pool += result.pool_size;
+      answers.push_back(std::move(result.picks));
     }
     engine_row.avg_ms =
         timer.ElapsedSeconds() * 1000.0 / static_cast<double>(num_queries);
@@ -176,15 +182,34 @@ int main(int argc, char** argv) {
     scan_row.engine = "scan";
     scan_row.avg_pool = static_cast<double>(n);
     tuples = 0;
+    std::vector<std::vector<DiversifiedPick>> wanted;
+    wanted.reserve(num_queries);
     timer.Restart();
     for (const DiversifiedQuery& query : queries) {
-      tuples += DiversifiedTopKScan(points, query).stats.tuples_evaluated;
+      DiversifiedResult result = DiversifiedTopKScan(points, query);
+      tuples += result.stats.tuples_evaluated;
+      wanted.push_back(std::move(result.picks));
     }
     scan_row.avg_ms =
         timer.ElapsedSeconds() * 1000.0 / static_cast<double>(num_queries);
     scan_row.avg_tuples =
         static_cast<double>(tuples) / static_cast<double>(num_queries);
     rows.push_back(scan_row);
+    // The engine's picks are the whole-relation greedy's, bit for bit.
+    for (std::size_t q = 0; q < num_queries; ++q) {
+      DRLI_CHECK(answers[q].size() == wanted[q].size())
+          << engine_row.detail << " query " << q << ": "
+          << answers[q].size() << " picks, the scan "
+          << wanted[q].size();
+      for (std::size_t i = 0; i < wanted[q].size(); ++i) {
+        DRLI_CHECK(answers[q][i].id == wanted[q][i].id &&
+                   answers[q][i].score == wanted[q][i].score &&
+                   answers[q][i].utility == wanted[q][i].utility)
+            << engine_row.detail << " query " << q << " pick " << i
+            << ": id " << answers[q][i].id << ", the scan "
+            << wanted[q][i].id;
+      }
+    }
   }
 
   // --- reverse (d = 2): layer-restricted sweep vs. full sweep ---
@@ -234,18 +259,21 @@ int main(int argc, char** argv) {
 
   const std::string out_path =
       bench_util::OutputPath(argc, argv, "BENCH_scenarios.json");
+  const bench_util::Provenance& p = bench_util::RunProvenance();
   std::ofstream out(out_path);
   out << "[\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
     const Row& r = rows[i];
-    char buffer[512];
+    char buffer[640];
     std::snprintf(
         buffer, sizeof(buffer),
         "  {\"family\": \"%s\", \"engine\": \"%s\", \"detail\": \"%s\", "
-        "\"n\": %zu, \"queries\": %zu, \"avg_ms\": %.4f, "
+        "\"n\": %zu, \"queries\": %zu, \"hardware_threads\": %u, "
+        "\"kernel\": \"%s\", \"commit\": \"%s\", \"avg_ms\": %.4f, "
         "\"avg_tuples\": %.1f, \"boxes_pruned\": %.2f, \"avg_pool\": %.1f}%s\n",
         r.family.c_str(), r.engine.c_str(), r.detail.c_str(), n, r.queries,
-        r.avg_ms, r.avg_tuples, r.boxes_pruned, r.avg_pool,
+        p.hardware_threads, p.kernel.c_str(), p.commit.c_str(), r.avg_ms,
+        r.avg_tuples, r.boxes_pruned, r.avg_pool,
         i + 1 < rows.size() ? "," : "");
     out << buffer;
     std::printf("%-12s %-5s %-12s avg_ms=%.4f tuples=%.1f pruned=%.2f "

@@ -103,42 +103,111 @@ std::size_t CertifiedPicks(const std::vector<DiversifiedPick>& picks,
   return certified;
 }
 
-// The box-tree certificate (header comment), continuing from the
-// first pick the score certificate left uncertified. For pick j the
-// tree is walked top-down: a node whose bound exceeds g_j is certified
-// as a whole, a leaf whose bound does not ends certification. A node's
-// penalty floor catches up lazily over the picks, only when the walk
-// first needs it at some later pick.
-std::size_t TreeCertifiedPicks(const PointSet& points,
-                               const std::vector<DiversifiedPick>& picks,
-                               std::size_t certified, double pool_bound,
-                               const DiversifiedQuery& query,
-                               const BoxTree& tree) {
-  std::vector<double> penalty(tree.num_nodes(), 0.0);
-  std::vector<std::uint32_t> upto(tree.num_nodes(), 0);
-  std::vector<std::size_t> stack;
-  for (; certified < picks.size(); ++certified) {
-    const double g = picks[certified].utility;
-    stack.assign(1, 0);
-    while (!stack.empty()) {
-      const std::size_t node = stack.back();
-      stack.pop_back();
-      const PointView lo = tree.lo(node);
+// The box-tree certificate (header comment) over the rounds of one
+// query. For pick j the tree is walked top-down: a node whose bound
+// exceeds g_j is certified as a whole, a leaf whose bound does not has
+// its out-of-pool members tested exactly. A node's penalty floor folds
+// the picks lazily, only when the walk first needs it at some later
+// pick.
+//
+// The floors live for the whole query. They only ever fold certified
+// picks, and certified picks are the whole relation's greedy prefix:
+// each round's pool holds the last one, so its greedy begins with them
+// and they stay certified. A round therefore resumes after the picks
+// certified so far, on the floors already folded.
+class TreeCertificate {
+ public:
+  TreeCertificate(const PointSet& points, const BoxTree& tree)
+      : points_(points),
+        tree_(tree),
+        penalty_(tree.num_nodes(), 0.0),
+        upto_(tree.num_nodes(), 0),
+        in_pool_(points.size(), 0) {}
+
+  // The certified prefix of `picks`, the greedy over `pool` (the
+  // certified pool, whose outside scores >= pool_bound), given that
+  // picks[0 .. certified) are certified.
+  std::size_t Certify(const std::vector<DiversifiedPick>& picks,
+                      std::size_t certified,
+                      const std::vector<ScoredTuple>& pool,
+                      double pool_bound, const DiversifiedQuery& query) {
+    std::size_t same = 0;
+    while (same < certified_.size() && same < picks.size() &&
+           picks[same].id == certified_[same]) {
+      ++same;
+    }
+    if (same < certified_.size()) {
+      // Only a budget-cut pool, smaller than the last one, can miss a
+      // certified pick: fold the floors again from the first pick.
+      std::fill(penalty_.begin(), penalty_.end(), 0.0);
+      std::fill(upto_.begin(), upto_.end(), 0);
+      certified_.clear();
+    }
+    certified = std::max(certified, certified_.size());
+    for (const ScoredTuple& item : pool) in_pool_[item.id] = 1;
+    while (certified < picks.size() &&
+           PickBeatsOutside(picks, certified, pool_bound, query)) {
+      ++certified;
+    }
+    for (std::size_t j = certified_.size(); j < certified; ++j) {
+      certified_.push_back(picks[j].id);
+    }
+    for (const ScoredTuple& item : pool) in_pool_[item.id] = 0;
+    return certified;
+  }
+
+ private:
+  // True iff every out-of-pool tuple t has (g(t), id_t) after
+  // (g_j, id_j), the utility and id of picks[j].
+  bool PickBeatsOutside(const std::vector<DiversifiedPick>& picks,
+                        std::size_t j, double pool_bound,
+                        const DiversifiedQuery& query) {
+    const double g = picks[j].utility;
+    const TupleId id = picks[j].id;
+    stack_.assign(1, 0);
+    while (!stack_.empty()) {
+      const std::size_t node = stack_.back();
+      stack_.pop_back();
+      const PointView lo = tree_.lo(node);
       const double base = std::max(pool_bound, Score(query.weights, lo));
       if (base > g) continue;
-      for (; upto[node] < certified; ++upto[node]) {
-        const PointView pick = points[picks[upto[node]].id];
-        penalty[node] =
-            std::max(penalty[node], SimilarityFloor(lo, tree.hi(node), pick));
+      for (; upto_[node] < j; ++upto_[node]) {
+        const PointView pick = points_[picks[upto_[node]].id];
+        penalty_[node] = std::max(penalty_[node],
+                                  SimilarityFloor(lo, tree_.hi(node), pick));
       }
-      if (base + query.lambda * penalty[node] > g) continue;
-      if (tree.is_leaf(node)) return certified;
-      stack.push_back(tree.left(node));
-      stack.push_back(tree.left(node) + 1);
+      if (base + query.lambda * penalty_[node] > g) continue;
+      if (!tree_.is_leaf(node)) {
+        stack_.push_back(tree_.left(node));
+        stack_.push_back(tree_.left(node) + 1);
+        continue;
+      }
+      for (const TupleId t : tree_.members(node)) {
+        if (in_pool_[t]) continue;
+        const PointView row = points_[t];
+        const double score = Score(query.weights, row);
+        if (score > g) continue;  // the penalty term only adds
+        // The greedy's own g(t): the same running max over the picks
+        // in selection order, then the same score + lambda * penalty.
+        double pen = 0.0;
+        for (std::size_t s = 0; s < j; ++s) {
+          pen = std::max(pen, Similarity(row, points_[picks[s].id]));
+        }
+        const double gt = score + query.lambda * pen;
+        if (gt < g || (gt == g && t < id)) return false;
+      }
     }
+    return true;
   }
-  return certified;
-}
+
+  const PointSet& points_;
+  const BoxTree& tree_;
+  std::vector<double> penalty_;       // per node, over picks [0, upto_)
+  std::vector<std::uint32_t> upto_;   // per node
+  std::vector<std::size_t> stack_;
+  std::vector<char> in_pool_;         // per tuple, this round's pool
+  std::vector<TupleId> certified_;    // the picks certified so far
+};
 
 // Pool-and-grow body. `tree` is the index's own box tree of `points`,
 // or null to build one on first need.
@@ -162,9 +231,11 @@ DiversifiedResult RunDiversified(const TopKIndex& index,
     return result;
   }
 
-  // The on-demand tree, built at the first round the score certificate
-  // falls short.
+  // The on-demand tree and the tree certificate, both made at the first
+  // round the score certificate falls short; the certificate then
+  // carries its floors and certified picks to the later rounds.
   std::optional<BoxTree> built;
+  std::optional<TreeCertificate> certificate;
   // pool_factor * k (>= k, pool_factor >= 1) capped at n. pool_factor
   // comes from the client, so a product past n is never formed.
   std::size_t m = query.pool_factor > n / query.k
@@ -220,10 +291,12 @@ DiversifiedResult RunDiversified(const TopKIndex& index,
     result.pool_bound = pool_bound;
     result.certified_prefix = CertifiedPicks(result.picks, pool_bound);
     if (result.certified_prefix < result.picks.size()) {
-      if (tree == nullptr) tree = &built.emplace(BoxTree::Build(points));
-      result.certified_prefix =
-          TreeCertifiedPicks(points, result.picks, result.certified_prefix,
-                             pool_bound, query, *tree);
+      if (!certificate) {
+        if (tree == nullptr) tree = &built.emplace(BoxTree::Build(points));
+        certificate.emplace(points, *tree);
+      }
+      result.certified_prefix = certificate->Certify(
+          result.picks, result.certified_prefix, pool, pool_bound, query);
     }
     const std::size_t want = std::min<std::size_t>(query.k, n);
     if (result.certified_prefix == result.picks.size() &&

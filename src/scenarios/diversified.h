@@ -19,30 +19,37 @@
 //
 //   score:  g_j < pool_bound. The penalty is non-negative, so
 //           g(t) >= Score(w, t) >= pool_bound for any outside t.
-//   tree:   g_j < fl(max(pool_bound, Score(w, lo_b))
-//                    + fl(lambda * pen_b))
-//           for the nodes b of a top-down walk of the relation's box
-//           tree (geometry/box_tree.h): a node whose bound exceeds g_j is
-//           certified whole, a leaf whose bound does not ends
-//           certification. pen_b is the max over picks 0..j-1 of
-//           SimilarityFloor(lo_b, hi_b, s). Every member t of b has
-//           Score(w, t) >= Score(w, lo_b) and Sim(t, s) >= that floor,
-//           so the node bound is <= g(t) -- bit for bit, because each
-//           step (subtract, square, sum, sqrt, reciprocal, scale, add)
-//           is monotone in IEEE arithmetic and the bound calls the same
-//           Score and Similarity accumulation as the greedy (DESIGN.md
-//           "Diversified top-k").
+//   tree:   walk the relation's box tree (geometry/box_tree.h) top
+//           down. A node b whose bound
+//             fl(max(pool_bound, Score(w, lo_b)) + fl(lambda * pen_b))
+//           exceeds g_j is certified whole; pen_b is the max over
+//           picks 0..j-1 of SimilarityFloor(lo_b, hi_b, s). Every
+//           member t of b has Score(w, t) >= Score(w, lo_b) and
+//           Sim(t, s) >= that floor, so the bound is <= g(t) -- bit for
+//           bit, because each step (subtract, square, sum, sqrt,
+//           reciprocal, scale, add) is monotone in IEEE arithmetic and
+//           the bound calls the same Score and Similarity accumulation
+//           as the greedy. A leaf whose bound does not exceed g_j has
+//           its members tested exactly: pool members are skipped (by
+//           id), and every other member t must have (g(t), id) after
+//           (g_j, id_j), with g(t) = Score(w, t) + lambda * (max over
+//           picks 0..j-1 of Similarity(t, s)) computed in the greedy's
+//           own order, so it is the very double the whole-relation
+//           greedy would compare (DESIGN.md "Diversified top-k").
 //
-// Either way a certified pick's g is strictly below that of every
-// out-of-pool tuple, id tie-break included. Picks are certified in
+// Either way a certified pick precedes every out-of-pool tuple in
+// (g, id) order. Picks are certified in
 // selection order until the first uncertified one (later penalties
 // depend on earlier picks); with an unlimited budget the pool doubles
 // until every pick is certified (worst case: pool = relation, bound =
 // +inf), so the accelerated greedy equals the brute-force greedy
-// exactly. The tree certificate only runs when the score certificate
-// leaves a pick uncertified; it never changes the pool schedule, the
-// pool bound, or the counted evaluations -- only the round the
-// doubling stops at.
+// exactly. The tree certificate is tight: a pick fails it only when
+// some outside tuple beats it, so with an unlimited budget the
+// doubling stops at the first pool of its schedule whose greedy equals
+// the whole relation's. It only runs when the score certificate leaves
+// a pick uncertified; it never changes the pool schedule, the pool
+// bound, or the counted evaluations -- only the round the doubling
+// stops at.
 
 #ifndef DRLI_SCENARIOS_DIVERSIFIED_H_
 #define DRLI_SCENARIOS_DIVERSIFIED_H_
@@ -102,8 +109,10 @@ double SimilarityFloor(PointView lo, PointView hi, PointView s);
 // Pool-and-grow greedy over any index family. `points` must be the
 // relation `index` was built over (ids index into it); the index
 // answers the pool queries, the similarity penalty reads `points`.
-// stats accumulates every pool query's cost; the greedy and the
-// certificates score no new tuples. The tree certificate walks the box
+// stats accumulates every pool query's cost and nothing else: the
+// tree certificate's exact leaf tests score out-of-pool tuples from
+// `points` without counting them, so tuples_evaluated stays what a
+// replay of the pool queries counts. The tree certificate walks the box
 // tree of `points`: the index's own (DualLayerIndex::box_tree) when
 // `index` is a DualLayerIndex and `points` is the very object its
 // points() returns, else one built on demand, only when the score

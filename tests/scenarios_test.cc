@@ -671,6 +671,159 @@ TEST(DiversifiedTest, CellCertificateStopsOnASmallerPool) {
   ExpectSameDiversified(got, DiversifiedTopKScan(points, query), "ant");
 }
 
+// The first pool of the doubling schedule whose greedy returns `want`:
+// the greedy over a top-m pool is the scan greedy over those rows,
+// kept in id order so id ties break the same way.
+std::size_t FirstPoolHoldingTheAnswer(
+    const PointSet& points, const DiversifiedQuery& query,
+    const std::vector<DiversifiedPick>& want) {
+  std::vector<ScoredTuple> ranked;
+  for (std::size_t i = 0; i < points.size(); ++i) {
+    ranked.push_back(ScoredTuple{static_cast<TupleId>(i),
+                                 Score(query.weights, points[i])});
+  }
+  std::sort(ranked.begin(), ranked.end(), ResultOrderLess);
+  const std::size_t n = points.size();
+  for (std::size_t m = std::min(n, query.pool_factor * query.k);;
+       m = std::min(n, 2 * m)) {
+    if (m == n) return n;
+    std::vector<TupleId> ids;
+    for (std::size_t r = 0; r < m; ++r) ids.push_back(ranked[r].id);
+    std::sort(ids.begin(), ids.end());
+    PointSet pool(points.dim());
+    for (const TupleId id : ids) pool.Add(points[id]);
+    const std::vector<DiversifiedPick> picks =
+        DiversifiedTopKScan(pool, query).picks;
+    if (std::equal(picks.begin(), picks.end(), want.begin(), want.end(),
+                   [&](const DiversifiedPick& got,
+                       const DiversifiedPick& pick) {
+                     return ids[got.id] == pick.id;
+                   })) {
+      return m;
+    }
+  }
+}
+
+// The certificate is tight: the doubling stops at the first pool of
+// its schedule whose greedy already equals the whole relation's, on
+// both index-backed paths (the DL+ index's own tree and a tree built on
+// demand).
+TEST(DiversifiedTest, DoublingStopsAtFirstPoolHoldingTheAnswer) {
+  for (const Distribution dist :
+       {Distribution::kAnticorrelated, Distribution::kIndependent}) {
+    for (std::size_t d = 2; d <= 4; ++d) {
+      const PointSet points = Generate(dist, 3000, d, 80 + d);
+      const DualLayerIndex dl = DualLayerIndex::Build(points);
+      Rng rng(90 + d);
+      for (const double lambda : {0.1, 0.5, 2.0, 10.0}) {
+        for (const std::size_t k : {1u, 5u, 20u}) {
+          for (int q = 0; q < 2; ++q) {
+            DiversifiedQuery query;
+            query.weights = rng.SimplexWeight(d);
+            query.k = k;
+            query.lambda = lambda;
+            query.pool_factor = 2;
+            const std::string where =
+                std::string(dist == Distribution::kIndependent ? "ind"
+                                                               : "ant") +
+                " d=" + std::to_string(d) + " lambda=" +
+                std::to_string(lambda) + " k=" + std::to_string(k) +
+                " q=" + std::to_string(q);
+            const DiversifiedResult want = DiversifiedTopKScan(points, query);
+            const std::size_t first =
+                FirstPoolHoldingTheAnswer(points, query, want.picks);
+            for (const DiversifiedResult& got :
+                 {DiversifiedTopK(dl, dl.points(), query),
+                  DiversifiedTopK(dl, points, query)}) {
+              ASSERT_TRUE(got.complete()) << where;
+              ExpectSameDiversified(got, want, where);
+              EXPECT_EQ(got.pool_size, first) << where;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// Exact g ties and budget cuts. On the integer grid with duplicates
+// many rows tie on score and on every similarity, so g ties exactly
+// and the id decides; the engine still equals the scan. Under an
+// evaluation cap the pool may be partial, and only its certified
+// prefix is the pool: the rows past it count as out of pool, so the
+// certified picks stay a prefix of the scan's.
+TEST(DiversifiedTest, TiesAndPartialPoolsCertifyTheScanPrefix) {
+  for (std::size_t d = 2; d <= 4; ++d) {
+    const PointSet points = CellDatasets(d, 300 + d)[3];
+    const DualLayerIndex dl = DualLayerIndex::Build(points);
+    // Dyadic weights score the integer grid exactly, so whole level
+    // sets tie; random weights tie on duplicates.
+    Point dyadic(d, 0.25);
+    dyadic[d - 1] = 1.0 - 0.25 * static_cast<double>(d - 1);
+    Rng rng(310 + d);
+    std::vector<DiversifiedQuery> queries;
+    for (const double lambda : {0.1, 0.5, 2.0}) {
+      for (const std::size_t k : {1u, 5u, 20u}) {
+        for (const Point& weights : {dyadic, rng.SimplexWeight(d)}) {
+          DiversifiedQuery query;
+          query.weights = weights;
+          query.k = k;
+          query.lambda = lambda;
+          query.pool_factor = 2;
+          queries.push_back(query);
+        }
+      }
+    }
+    bool saw_tie = false;
+    bool saw_partial_certified = false;
+    for (const DiversifiedQuery& query : queries) {
+      const std::string where =
+          "d=" + std::to_string(d) + " lambda=" +
+          std::to_string(query.lambda) + " k=" + std::to_string(query.k) +
+          " w0=" + std::to_string(query.weights[0]);
+      const DiversifiedResult want = DiversifiedTopKScan(points, query);
+      const DiversifiedResult full = DiversifiedTopK(dl, dl.points(), query);
+      ASSERT_TRUE(full.complete()) << where;
+      ExpectSameDiversified(full, want, where);
+      ExpectSameDiversified(DiversifiedTopK(dl, points, query), want,
+                            where + " on-demand tree");
+      // Some row not yet picked has exactly the g of the pick.
+      std::vector<double> penalty(points.size(), 0.0);
+      std::vector<char> taken(points.size(), 0);
+      for (const DiversifiedPick& pick : want.picks) {
+        taken[pick.id] = 1;
+        for (std::size_t i = 0; i < points.size(); ++i) {
+          const double g =
+              Score(query.weights, points[i]) + query.lambda * penalty[i];
+          saw_tie |= !taken[i] && g == pick.utility;
+        }
+        for (std::size_t i = 0; i < points.size(); ++i) {
+          penalty[i] =
+              std::max(penalty[i], Similarity(points[i], points[pick.id]));
+        }
+      }
+
+      const std::size_t full_cost = full.stats.tuples_evaluated;
+      for (std::size_t cut = 1; cut <= full_cost; cut += 1 + cut / 3) {
+        DiversifiedQuery budgeted = query;
+        budgeted.budget.max_evals = cut;
+        const DiversifiedResult got =
+            DiversifiedTopK(dl, dl.points(), budgeted);
+        const std::string at = where + " cut=" + std::to_string(cut);
+        ASSERT_LE(got.certified_prefix, got.picks.size()) << at;
+        ASSERT_LE(got.certified_prefix, want.picks.size()) << at;
+        saw_partial_certified |= !got.complete() && got.certified_prefix > 0;
+        for (std::size_t i = 0; i < got.certified_prefix; ++i) {
+          EXPECT_EQ(got.picks[i].id, want.picks[i].id) << at;
+          EXPECT_EQ(got.picks[i].utility, want.picks[i].utility) << at;
+        }
+      }
+    }
+    EXPECT_TRUE(saw_tie) << "d=" << d;
+    EXPECT_TRUE(saw_partial_certified) << "d=" << d;
+  }
+}
+
 // The greedy as it ran over row-major points before the dimension-major
 // rewrite: one Similarity call per untaken candidate per pick, a taken
 // flag, the (g, id) tie-break. The engine and DiversifiedTopKScan share
