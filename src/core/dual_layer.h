@@ -342,6 +342,24 @@ class DualLayerIndex final : public TopKIndex {
   const WeightRangeTable& weight_table() const { return weight_table_; }
   // The derived slot-space layout queries run on (tests, benchmarks).
   const QueryLayout& query_layout() const { return layout_; }
+
+  // --- retirement: an in-place delete mask over the real tuples ---
+  // A retired tuple stays in the graph: Query still scores, pops and
+  // expands it, so every ∀ count, ∃ bit and pending list opens as
+  // before, and its score counts in tuples_evaluated (and `accessed`).
+  // It is never returned, never counts toward k or the tie cutoff, and
+  // never tightens the push bound. An index whose every tuple is
+  // retired answers empty at zero cost. The mask is not persisted (a
+  // snapshot saves every tuple) and the box-tree traversal of the
+  // constrained scenario skips retired members unscored. Paths that
+  // read points() wholesale -- DiversifiedTopK, ReverseTopK2D -- refuse
+  // an index with retired tuples. Not thread-safe against concurrent
+  // queries. Returns false when `id` was already retired.
+  bool Retire(TupleId id);
+  bool retired(TupleId id) const {
+    return num_retired_ != 0 && retired_[layout_.slot_of[id]] != 0;
+  }
+  std::size_t num_retired() const { return num_retired_; }
   // sum_j weights[j] * query_layout().stop_slack[j]: how far below the
   // ancestors blocking it a tuple can score under `weights`.
   double StopSlack(PointView weights) const;
@@ -427,6 +445,9 @@ class DualLayerIndex final : public TopKIndex {
   // never serialized (rebuilt after every build and snapshot load).
   QueryLayout layout_;
   BoxTree box_tree_;
+  // Retire mask, per layout slot; empty until the first Retire.
+  std::vector<std::uint8_t> retired_;
+  std::size_t num_retired_ = 0;
   // Behind a pointer so the index stays movable.
   std::unique_ptr<ScratchPool> scratch_pool_ =
       std::make_unique<ScratchPool>();

@@ -85,6 +85,16 @@ void DualLayerIndex::ReleaseScratch(
                                    std::move(scratch));
 }
 
+bool DualLayerIndex::Retire(TupleId id) {
+  DRLI_CHECK_LT(id, points_.size()) << "Retire: no such tuple";
+  if (retired_.empty()) retired_.assign(num_nodes(), 0);
+  std::uint8_t& mark = retired_[layout_.slot_of[id]];
+  if (mark != 0) return false;
+  mark = 1;
+  ++num_retired_;
+  return true;
+}
+
 TopKResult DualLayerIndex::Query(const TopKQuery& query) const {
   // A throwing query drops its scratch instead of returning it.
   std::unique_ptr<QueryScratch> scratch = AcquireScratch();
@@ -102,9 +112,10 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
   }
   const PointView w(query.weights);
   const std::size_t total = num_nodes();
-  // k > n returns all n tuples; clamping keeps every k-sized buffer
-  // below sized by the relation, not by the client.
-  const std::size_t k = std::min(query.k, points_.size());
+  // k > live returns every live tuple; clamping keeps every k-sized
+  // buffer below sized by the relation, not by the client. A fully
+  // retired index answers empty here, at zero cost.
+  const std::size_t k = std::min(query.k, points_.size() - num_retired_);
 
   TopKResult result;
   if (total == 0 || k == 0) {
@@ -135,6 +146,12 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
   const std::uint32_t* const free_end = layout.pseudo_free_end.data();
   const std::uint32_t* const parent_off = layout.parent_offsets.data();
   const std::uint32_t* const parent_slot = layout.parent_slots.data();
+  // Null while nothing is retired: one predictable branch per pop.
+  const std::uint8_t* const retired =
+      num_retired_ != 0 ? retired_.data() : nullptr;
+  const auto live = [&](std::uint32_t slot) {
+    return retired == nullptr || retired[slot] == 0;
+  };
   // Adjacency entries read, reported as QueryStats::edges_walked.
   std::size_t edges = 0;
 
@@ -165,12 +182,12 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
   double stop_above = tie_cutoff;
 
   // Provisional upper bound on the final k-th answer: the k-th smallest
-  // of a subset of the real candidate scores seen so far (+inf until k
-  // have been seen), hence at least the k-th smallest of all of them.
-  // Unlocking a node never reveals a score more than `slack` below its
-  // unlocker's, so (a) the final answer set is the k smallest real keys
-  // among everything eventually scored, which makes any prefix's k-th
-  // smallest an upper bound on the final tie_cutoff, and (b) no entry
+  // of a subset of the live real candidate scores seen so far (+inf
+  // until k have been seen), hence at least the k-th smallest of all of
+  // them. Unlocking a node never reveals a score more than `slack` below
+  // its unlocker's, so (a) the final answer set is the k smallest live
+  // keys among everything eventually scored, which makes any prefix's
+  // k-th smallest an upper bound on the final tie_cutoff, and (b) no entry
   // scoring more than `slack` above the final tie_cutoff is ever popped
   // or unlocks anything at or below it. A candidate scoring more than
   // `slack` above the bound is therefore dead weight: it is counted and
@@ -211,7 +228,9 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
       } else {
         ++result.stats.tuples_evaluated;
         result.accessed.push_back(node);
-        if (prune_pushes && score < push_bound) {
+        // A retired score would pull the bound below the live k-th
+        // answer and prune live candidates.
+        if (prune_pushes && score < push_bound && live(slot)) {
           std::vector<double>& buf = s.push_scores_;
           buf.push_back(score);
           if (buf.size() == k) {
@@ -285,7 +304,7 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
     st[slot].packed =
         (st[slot].packed & ~QueryLayout::kStateMask) | QueryLayout::kPoppedBit;
 
-    if (slot >= layout.first_real_slot) {
+    if (slot >= layout.first_real_slot && live(slot)) {
       result.items.push_back(ScoredTuple{top.node, top.score});
       if (result.items.size() == k) {
         tie_cutoff = top.score;

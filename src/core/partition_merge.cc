@@ -181,23 +181,15 @@ TopKResult MergePartitions(std::size_t k, const ExecBudget& budget,
   return result;
 }
 
-void MapToGlobal(const std::vector<TupleId>& ids,
-                 const std::unordered_set<TupleId>* dead,
-                 TopKResult* result) {
+void MapToGlobal(const std::vector<TupleId>& ids, TopKResult* result) {
   for (TupleId& id : result->accessed) id = ids[id];
-  std::size_t kept = 0;
-  for (const ScoredTuple& item : result->items) {
-    const TupleId global = ids[item.id];
-    if (dead != nullptr && dead->count(global) != 0) continue;
-    result->items[kept++] = ScoredTuple{global, item.score};
-  }
-  result->items.resize(kept);
+  for (ScoredTuple& item : result->items) item.id = ids[item.id];
 }
 
 DualLayerPartition MakeDualLayerPartition(DualLayerIndex index,
                                           std::vector<TupleId> ids) {
   std::vector<double> bound_values = SkylineCorners(index);
-  return DualLayerPartition{std::move(index), std::move(ids), 0,
+  return DualLayerPartition{std::move(index), std::move(ids),
                             std::move(bound_values)};
 }
 
@@ -210,19 +202,15 @@ TopKResult MergeDualLayerPartitions(const PartitionSet& set,
   bounds.reserve(set.parts.size());
   for (std::size_t p = 0; p < set.parts.size(); ++p) {
     const DualLayerPartition& part = *set.parts[p];
-    if (part.ids.size() <= part.dead) continue;  // no live member
+    if (part.ids.empty()) continue;
     bounds.push_back({CornerLowerBound(part.bound_values, weights), p});
   }
   return MergePartitions(
       k, budget, timer, std::move(opened), bounds,
       [&](std::size_t p, const ExecBudget& sub) {
         const DualLayerPartition& part = *set.parts[p];
-        // min(|ids|, k + dead) without forming k + dead, which wraps
-        // for k near SIZE_MAX.
-        const std::size_t live = part.ids.size() - part.dead;
-        const std::size_t part_k =
-            k >= live ? part.ids.size() : k + part.dead;
-        std::optional<TopKResult> result = traverse(part.index, part_k, sub);
+        std::optional<TopKResult> result =
+            traverse(part.index, std::min(k, part.ids.size()), sub);
         if (!result.has_value()) {
           TopKResult declined;
           declined.stats.boxes_pruned = 1;
@@ -230,7 +218,7 @@ TopKResult MergeDualLayerPartitions(const PartitionSet& set,
           return declined;
         }
         ++(result->stats.*set.opened);
-        MapToGlobal(part.ids, set.tombstones, &*result);
+        MapToGlobal(part.ids, &*result);
         return std::move(*result);
       },
       set.label);

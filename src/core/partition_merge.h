@@ -28,7 +28,6 @@
 #include <functional>
 #include <optional>
 #include <string>
-#include <unordered_set>
 #include <vector>
 
 #include "common/point.h"
@@ -62,7 +61,7 @@ struct PartitionBound {
 
 // Queries partition `partition` under `budget`, the remainder of the
 // merge's budget. Returns its items in canonical order with global ids
-// and no dead members, `accessed` in global ids too, and stats carrying
+// and no retired members, `accessed` in global ids too, and stats carrying
 // whatever counters the caller keeps (shards_touched, runs_opened,
 // boxes_pruned); the merge folds them in with QueryStats::Merge. A
 // kError or kInvalidQuery result aborts the merge with kError.
@@ -84,23 +83,21 @@ TopKResult MergePartitions(std::size_t k, const ExecBudget& budget,
                            const OpenPartition& open,
                            const PartitionLabel& label);
 
-// Rewrites a partition result from local to global ids: `ids[local]`
-// is the global id of local tuple `local`. Items whose global id is in
-// `dead` (may be null) are dropped; `accessed` is mapped unfiltered.
-void MapToGlobal(const std::vector<TupleId>& ids,
-                 const std::unordered_set<TupleId>* dead, TopKResult* result);
+// Rewrites a partition result's items and `accessed` from local to
+// global ids: `ids[local]` is the global id of local tuple `local`.
+void MapToGlobal(const std::vector<TupleId>& ids, TopKResult* result);
 
 // A shard or a tiered run: a complete DL+ index over a subset of the
 // relation. `ids[local]` is the global id of local tuple `local`,
 // strictly ascending, so the local (score, id) order is the global
-// one. `dead` counts members masked by tombstones (always 0 for a
-// shard). `bound_values` = SkylineCorners(index), the points of the
-// partition's corner bound; sound under tombstones too, since masking
-// members only raises the live minimum.
+// one. A tiered run's tombstoned members are retired inside `index`
+// (DualLayerIndex::Retire; a shard retires nothing), so its traversal
+// returns live members only. `bound_values` = SkylineCorners(index),
+// the points of the partition's corner bound; sound under retirement
+// too, since masking members only raises the live minimum.
 struct DualLayerPartition {
   DualLayerIndex index;
   std::vector<TupleId> ids;
-  std::size_t dead = 0;
   std::vector<double> bound_values;
 };
 
@@ -112,8 +109,6 @@ DualLayerPartition MakeDualLayerPartition(DualLayerIndex index,
 // One engine's partitions as its merges see them.
 struct PartitionSet {
   std::vector<const DualLayerPartition*> parts;
-  // Masked run members, dropped from opened lists; null for shards.
-  const std::unordered_set<TupleId>* tombstones = nullptr;
   std::size_t QueryStats::*opened = nullptr;  // shards_touched, runs_opened
   PartitionLabel label;
 };
@@ -124,13 +119,14 @@ struct PartitionSet {
 using PartitionTraversal = std::function<std::optional<TopKResult>(
     const DualLayerIndex& index, std::size_t k, const ExecBudget& budget)>;
 
-// The open rule of every merge over DL+ partitions. A partition with no
-// live member is never enqueued; the rest wait at their corner bound
-// under `weights`. An opened partition is asked for
-// min(|ids|, k + dead) items -- the top k + dead members hold at least
-// min(live, k) live ones -- mapped to global ids with the tombstones
-// dropped, and bumps `set.opened`; errors carry `set.label`. `opened`
-// (the already-open list) and `timer` are as in MergePartitions.
+// The open rule of every merge over DL+ partitions. An empty partition
+// is never enqueued; the rest wait at their corner bound under
+// `weights`. An opened partition is asked for min(|ids|, k) items --
+// its traversal skips retired members, so that is min(live, k) live
+// ones; a fully retired partition answers empty at zero cost -- mapped
+// to global ids, and bumps `set.opened`; errors carry `set.label`.
+// `opened` (the already-open list) and `timer` are as in
+// MergePartitions.
 TopKResult MergeDualLayerPartitions(const PartitionSet& set,
                                     PointView weights, std::size_t k,
                                     const ExecBudget& budget,

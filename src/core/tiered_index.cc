@@ -124,9 +124,15 @@ bool TieredDualLayerIndex::Erase(TupleId id) {
   const std::size_t slot = RunSlotOf(id);
   if (slot == kNpos) return false;
   tombstones_.insert(id);
-  ++runs_[slot].dead;
+  RetireMember(&runs_[slot], id);
   MaybeMaintain();
   return true;
+}
+
+void TieredDualLayerIndex::RetireMember(TieredRun* run, TupleId id) {
+  const auto it = std::lower_bound(run->ids.begin(), run->ids.end(), id);
+  DRLI_CHECK(it != run->ids.end() && *it == id) << "not a run member";
+  run->index.Retire(static_cast<TupleId>(it - run->ids.begin()));
 }
 
 void TieredDualLayerIndex::SealMemtable() {
@@ -254,12 +260,6 @@ CompactProgress TieredDualLayerIndex::CompactStep() {
   // Install: this is the only step queries can observe -- everything
   // before it worked on job-private state.
   for (const TupleId id : job.dropped) tombstones_.erase(id);
-  // Ids erased after their row was copied stay tombstoned: they are
-  // members of the new run and must remain masked (no resurrection).
-  std::size_t dead = 0;
-  for (const TupleId id : job.row_ids) {
-    dead += tombstones_.count(id) ? 1 : 0;
-  }
   std::vector<TieredRun> kept;
   kept.reserve(runs_.size());
   std::size_t insert_at = kNpos;
@@ -278,7 +278,13 @@ CompactProgress TieredDualLayerIndex::CompactStep() {
     TieredRun merged{MakeDualLayerPartition(std::move(*job.built),
                                             std::move(job.row_ids)),
                      next_run_uid_++, job.target_tier};
-    merged.dead = dead;
+    // Ids erased after their row was copied stay tombstoned: they are
+    // members of the new run and are retired in it (no resurrection).
+    for (std::size_t local = 0; local < merged.ids.size(); ++local) {
+      if (tombstones_.count(merged.ids[local]) != 0) {
+        merged.index.Retire(static_cast<TupleId>(local));
+      }
+    }
     kept.insert(kept.begin() + static_cast<std::ptrdiff_t>(insert_at),
                 std::move(merged));
   }
@@ -352,7 +358,6 @@ PartitionSet TieredDualLayerIndex::partitions() const {
   PartitionSet set;
   set.parts.reserve(runs_.size());
   for (const TieredRun& run : runs_) set.parts.push_back(&run);
-  set.tombstones = &tombstones_;
   set.opened = &QueryStats::runs_opened;
   set.label = [this](std::size_t r) {
     return "run " + std::to_string(runs_[r].uid);

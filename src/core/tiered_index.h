@@ -5,8 +5,10 @@
 //  * a mutable memtable (unindexed rows, scanned at query time),
 //  * a set of immutable runs, each a small DualLayerIndex built when
 //    the memtable sealed or when a compaction merged older runs,
-//  * a tombstone set masking deleted stable ids that still sit inside
-//    a run (memtable deletes are applied in place).
+//  * a tombstone set naming deleted stable ids that still sit inside
+//    a run (memtable deletes are applied in place). Each such id is
+//    also retired inside its run (DualLayerIndex::Retire): the run's
+//    traversal still scores and counts it, but never returns it.
 //
 // Stable ids are assigned by Insert in increasing order and never
 // reused, so at any time the runs hold pairwise disjoint, ascending id
@@ -18,13 +20,13 @@
 //
 // Every run is a DualLayerPartition (core/partition_merge.h) plus its
 // uid and tier, and queries run the partitions' one open rule, the
-// same as the sharded coordinator: one partition per run holding a
-// live member, bounded by its exact top-1 score (the minimum over its
-// SkylineCorners points, dead members included), plus the fully
-// scanned memtable as an already-open list. A run is opened -- its
-// DualLayerIndex queried for min(|run|, k + dead(run)) items,
-// tombstones filtered before the merge -- only when the merge frontier
-// reaches its bound, so cold runs stay closed exactly like cold shards.
+// same as the sharded coordinator: one partition per run, bounded by
+// its exact top-1 score (the minimum over its SkylineCorners points,
+// retired members included), plus the fully scanned memtable as an
+// already-open list. A run is opened -- its DualLayerIndex queried for
+// min(|run|, k) items, which its retire mask makes live ones -- only
+// when the merge frontier reaches its bound, so cold runs stay closed
+// exactly like cold shards.
 // Budgets compose by remainder and partial results certify against the
 // surviving heap keys.
 //
@@ -33,8 +35,8 @@
 // build step, then an O(#runs) install), so queries interleaved
 // between steps always see the pre-merge generation. Tombstones whose
 // run was consumed by the merge are dropped at install; ids erased
-// *after* their row was copied stay tombstoned in the new run (no
-// resurrection).
+// *after* their row was copied stay tombstoned, and are retired in the
+// new run (no resurrection).
 
 #ifndef DRLI_CORE_TIERED_INDEX_H_
 #define DRLI_CORE_TIERED_INDEX_H_
@@ -86,11 +88,15 @@ enum class CompactProgress : std::uint8_t {
 };
 
 // One immutable run: a partition over a contiguous batch of stable
-// ids (`ids` maps run-local positions to them; `dead` counts members
-// currently tombstoned).
+// ids (`ids` maps run-local positions to them); its tombstoned members
+// are retired in `index`.
 struct TieredRun : DualLayerPartition {
   std::uint32_t uid = 0;   // unique within the index, monotone
   std::uint32_t tier = 0;  // 0 = sealed memtable, +1 per merge
+  // Always 0: tombstoned members are retired inside the run, so a read
+  // asks it for min(|run|, k + dead) = min(|run|, k). Kept only for the
+  // frozen bench/e2e replay, which copies that rule.
+  static constexpr std::size_t dead = 0;
 };
 
 class TieredDualLayerIndex final : public TopKIndex {
@@ -193,6 +199,8 @@ class TieredDualLayerIndex final : public TopKIndex {
   // search inside it.
   std::size_t RunSlotOf(TupleId id) const;
   std::size_t MemtablePosOf(TupleId id) const;
+  // Retires member `id` inside `run` (binary search on its ids).
+  static void RetireMember(TieredRun* run, TupleId id);
   std::size_t SlotOfUid(std::uint32_t uid) const;
 
   std::size_t dim_;

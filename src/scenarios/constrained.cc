@@ -88,9 +88,10 @@ TopKResult BoxTreeTopK(const DualLayerIndex& index,
     }
     for (const TupleId id : tree.members(node)) {
       const PointView p = index.points()[id];
-      if (!query.box.Contains(p)) continue;
-      // Definition-9 accounting: only tuples the predicate admits are
-      // scored; a containment miss costs comparisons, not a score.
+      if (index.retired(id) || !query.box.Contains(p)) continue;
+      // Definition-9 accounting: only live tuples the predicate admits
+      // are scored; a retired member or a containment miss costs
+      // comparisons, not a score.
       ++result.stats.tuples_evaluated;
       result.accessed.push_back(id);
       heap.Push(ScoredTuple{id, Score(query.weights, p)});

@@ -14,7 +14,9 @@
 //   * the traversal stops once the next node's bound exceeds the
 //     current k-th in-box score (ties stay open; exact in FP because
 //     the score is monotone under non-negative weights).
-// A popped leaf scores only its in-box members.
+// A popped leaf scores only its live in-box members: a retired member
+// (DualLayerIndex::Retire) is skipped unscored, like a containment
+// miss.
 // Over shards (sdl+) and runs (tdl+), the partitions' open rule
 // (core/partition_merge.h) runs with the predicate pushed in: a shard
 // or run whose root box misses the box counts as one box pruned, any
@@ -57,8 +59,8 @@ struct ConstrainedQuery {
 // run the traversal with the remaining budget (RemainingBudget
 // composition); a TieredDualLayerIndex scans its whole memtable (so
 // partials certify against run bounds alone) and merges its runs the
-// same way, each queried for min(|run|, k + dead(run)) items so
-// tombstoned members can never starve the live answer. Any other
+// same way, each queried for min(|run|, k) items; a run's tombstoned
+// members are retired in it, so they are never scored. Any other
 // family has no box tree: kInvalidQuery, naming the engine.
 TopKResult ConstrainedTopK(const TopKIndex& engine,
                            const ConstrainedQuery& query);

@@ -6,6 +6,7 @@
 #include <cstdint>
 #include <limits>
 #include <optional>
+#include <string>
 #include <vector>
 
 #include "common/kernels_batch.h"
@@ -341,6 +342,19 @@ DiversifiedResult DiversifiedTopK(const TopKIndex& index,
                                   const PointSet& points,
                                   const DiversifiedQuery& query) {
   const auto* dl = dynamic_cast<const DualLayerIndex*>(&index);
+  if (dl != nullptr && dl->num_retired() != 0) {
+    // The penalty and the tree certificate read every row of points(),
+    // retired ones included: a retired tuple outside every pool would
+    // keep the pool bound finite, and the doubling would never stop.
+    DiversifiedResult result;
+    result.termination = Termination::kInvalidQuery;
+    result.error = Status::InvalidArgument(
+                       "diversified top-k needs an index without retired "
+                       "tuples (" + std::to_string(dl->num_retired()) +
+                       " retired)")
+                       .ToString();
+    return result;
+  }
   return RunDiversified(
       index, points, query,
       dl != nullptr && &dl->points() == &points ? &dl->box_tree() : nullptr);

@@ -116,7 +116,9 @@ double SimilarityFloor(PointView lo, PointView hi, PointView s);
 // tree of `points`: the index's own (DualLayerIndex::box_tree) when
 // `index` is a DualLayerIndex and `points` is the very object its
 // points() returns, else one built on demand, only when the score
-// certificate fails. Either tree gives the same answer.
+// certificate fails. Either tree gives the same answer. A
+// DualLayerIndex with retired tuples is refused (kInvalidQuery): the
+// penalty and the certificate read every row of `points`.
 DiversifiedResult DiversifiedTopK(const TopKIndex& index,
                                   const PointSet& points,
                                   const DiversifiedQuery& query);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstddef>
 #include <limits>
+#include <string>
 #include <utility>
 #include <vector>
 
@@ -51,8 +52,15 @@ ReverseTopKResult ReverseTopK2D(const DualLayerIndex& index,
   Stopwatch timer;
   ReverseTopKResult result;
   const PointSet& points = index.points();
-  if (Status status = ValidateReverse(query, points.dim(), points.size());
-      !status.ok()) {
+  Status status = ValidateReverse(query, points.dim(), points.size());
+  if (status.ok() && index.num_retired() != 0) {
+    // The layer sweep ranks the target against every row of points(),
+    // retired ones included.
+    status = Status::InvalidArgument(
+        "reverse top-k needs an index without retired tuples (" +
+        std::to_string(index.num_retired()) + " retired)");
+  }
+  if (!status.ok()) {
     result.termination = Termination::kInvalidQuery;
     result.error = status.ToString();
     return result;

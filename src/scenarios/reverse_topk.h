@@ -67,7 +67,8 @@ struct ReverseTopKResult {
 };
 
 // Layer-restricted sweep over a DL+ index (d == 2 only; other
-// dimensionalities are rejected as invalid queries).
+// dimensionalities, and an index with retired tuples, are rejected as
+// invalid queries).
 ReverseTopKResult ReverseTopK2D(const DualLayerIndex& index,
                                 const ReverseTopKQuery& query);
 

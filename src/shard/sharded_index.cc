@@ -114,7 +114,7 @@ ShardedDualLayerIndex ShardedDualLayerIndex::Build(
     index.build_stats_.max_shard_points =
         std::max(index.build_stats_.max_shard_points, members[s].size());
     index.shards_.push_back(
-        {std::move(*built[s]), std::move(members[s]), 0, {}});
+        {std::move(*built[s]), std::move(members[s]), {}});
   }
   // The bound points cost an LP per LP-gated skyline member: a second
   // pass over the same workers, once every shard is built.

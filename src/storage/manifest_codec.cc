@@ -159,7 +159,7 @@ StatusOr<std::vector<DualLayerPartition>> LoadManifestPartitions(
                                 ": cardinality does not match manifest");
     }
     partitions.push_back(
-        {std::move(index).value(), std::move(entry.ids), 0, {}});
+        {std::move(index).value(), std::move(entry.ids), {}});
   }
   // Bound points cost an LP per LP-gated skyline member: one partition
   // per worker.

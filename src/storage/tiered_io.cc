@@ -197,7 +197,7 @@ Status SaveTieredIndex(const TieredDualLayerIndex& index,
 }
 
 // Assembles the index from the manifest and the run snapshots,
-// re-deriving everything that is not persisted (bounds, dead counts).
+// re-deriving everything that is not persisted (bounds, retire masks).
 StatusOr<TieredDualLayerIndex> LoadTieredIndex(const std::string& path) {
   ParsedManifest parsed;
   if (Status status = ReadManifest(path, &parsed); !status.ok()) {
@@ -225,7 +225,7 @@ StatusOr<TieredDualLayerIndex> LoadTieredIndex(const std::string& path) {
 
   // Tombstones must resolve to run members (memtable deletes are
   // applied in place, so a tombstone naming a memtable or unknown id
-  // means the manifest lies); dead counts are re-derived here.
+  // means the manifest lies); each is retired in its run here.
   for (const TupleId id : parsed.tombstones) {
     const std::size_t slot = index.RunSlotOf(id);
     if (slot == static_cast<std::size_t>(-1)) {
@@ -233,7 +233,7 @@ StatusOr<TieredDualLayerIndex> LoadTieredIndex(const std::string& path) {
                                 std::to_string(id) + " is not a run member");
     }
     index.tombstones_.insert(id);
-    ++index.runs_[slot].dead;
+    TieredDualLayerIndex::RetireMember(&index.runs_[slot], id);
   }
 
   index.next_id_ = static_cast<TupleId>(info.next_id);

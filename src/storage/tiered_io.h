@@ -26,8 +26,8 @@
 // memtable ids must all exceed every run id, tombstones must resolve
 // to run members, ids/uids must stay below next_id/next_run_uid, and
 // every run file must parse as a valid snapshot of matching dim and
-// cardinality. Run corner bounds (on worker threads) and per-run dead
-// counts are recomputed from the loaded state, never persisted. An
+// cardinality. Run corner bounds (on worker threads) and per-run
+// retire masks are recomputed from the loaded state, never persisted. An
 // in-flight compaction job is transient state and is not persisted: a
 // save mid-job records the pre-install generation and loading resumes
 // with compaction idle.

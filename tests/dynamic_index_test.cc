@@ -5,6 +5,7 @@
 
 #include "core/tiered_index.h"
 #include "data/generator.h"
+#include "scenarios/constrained.h"
 #include "test_util.h"
 #include "topk/scan.h"
 
@@ -134,10 +135,18 @@ TEST(DynamicIndexTest, DeletedBaseTuplesNeverReturned) {
   TopKQuery query;
   query.weights = {0.5, 0.5};
   query.k = 1;
+  ConstrainedQuery constrained;
+  constrained.weights = query.weights;
+  constrained.k = query.k;
+  constrained.box = AttributeBox::All(2);
   std::vector<double> seen_scores;
   for (int round = 0; round < 20; ++round) {
     const TopKResult result = index.Query(query);
     ASSERT_EQ(result.items.size(), 1u);
+    // The constrained merge skips the same retired members.
+    const TopKResult boxed = ConstrainedTopK(index, constrained);
+    ASSERT_EQ(boxed.items.size(), 1u);
+    EXPECT_EQ(boxed.items[0].id, result.items[0].id) << "round " << round;
     if (!seen_scores.empty()) {
       EXPECT_GE(result.items[0].score, seen_scores.back() - 1e-12);
     }

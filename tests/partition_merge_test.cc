@@ -11,7 +11,6 @@
 #include <limits>
 #include <map>
 #include <string>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
@@ -171,15 +170,20 @@ TEST(PartitionMergeTest, PreOpenedListAlone) {
   EXPECT_EQ(all.certified_prefix, 3u);
 }
 
-TEST(PartitionMergeTest, MapToGlobalDropsDeadMembers) {
+// Items and `accessed` are rewritten through the id list, scores and
+// order untouched: retired members never reach it (the traversal
+// skips them), so it drops nothing.
+TEST(PartitionMergeTest, MapToGlobalMapsItemsAndAccessed) {
   TopKResult local;
   local.items = {{0, 1.0}, {1, 2.0}, {2, 3.0}};
-  local.accessed = {2, 0, 1};
-  const std::vector<TupleId> ids = {10, 20, 30};
-  const std::unordered_set<TupleId> dead = {20};
-  MapToGlobal(ids, &dead, &local);
-  EXPECT_EQ(Ids(local), (std::vector<TupleId>{10, 30}));
-  EXPECT_EQ(local.accessed, (std::vector<TupleId>{30, 10, 20}));
+  local.accessed = {2, 0, 1, 3};
+  const std::vector<TupleId> ids = {10, 20, 30, 45};
+  MapToGlobal(ids, &local);
+  EXPECT_EQ(Ids(local), (std::vector<TupleId>{10, 20, 30}));
+  EXPECT_EQ(local.items[0].score, 1.0);
+  EXPECT_EQ(local.items[1].score, 2.0);
+  EXPECT_EQ(local.items[2].score, 3.0);
+  EXPECT_EQ(local.accessed, (std::vector<TupleId>{30, 10, 20, 45}));
 }
 
 // The brute-force top-1 score over every row of `index`, dead rows of
@@ -482,8 +486,9 @@ TEST(PartitionMergeTest, RunMergeOpensOnlyTheRunsItMust) {
     const Point w = rng.SimplexWeight(4);
     std::vector<double> top_one;
     for (std::size_t r = 0; r < index.num_runs(); ++r) {
+      // A fully erased run is still enqueued: its retired members keep
+      // their corner bound, and opening it costs nothing.
       const TieredRun& run = index.run(r);
-      if (run.ids.size() <= run.dead) continue;  // never enqueued
       top_one.push_back(TopOneScore(run.index, w));
       EXPECT_EQ(CornerLowerBound(run.bound_values, w), top_one.back())
           << "run " << r << " query " << q;

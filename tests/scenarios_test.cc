@@ -411,14 +411,7 @@ std::vector<PointSet> CellDatasets(std::size_t d, std::uint64_t seed) {
     sets.push_back(Generate(dist, 1500, d, seed));
   }
   Rng rng(seed);
-  PointSet grid(d);
-  for (std::size_t i = 0; i < 800; ++i) {
-    Point p(d);
-    for (double& x : p) x = static_cast<double>(rng.Index(6));
-    grid.Add(p);
-    if (i % 5 == 0) grid.Add(p);
-  }
-  sets.push_back(std::move(grid));
+  sets.push_back(testing_util::GridWithDuplicateRows(d, 800, &rng));
   PointSet constant = Generate(Distribution::kIndependent, 900, d, seed + 1);
   for (std::size_t i = 0; i < constant.size(); ++i) constant.Set(i, 0, 0.25);
   sets.push_back(std::move(constant));

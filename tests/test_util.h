@@ -139,6 +139,20 @@ inline PointSet SumTiedDominatorPair(std::size_t d, double scale,
   return pts;
 }
 
+// An integer grid in [0, 5]^d with exact duplicates: `rows` draws,
+// every fifth one added twice in a row, so bitwise score ties abound.
+inline PointSet GridWithDuplicateRows(std::size_t d, std::size_t rows,
+                                      Rng* rng) {
+  PointSet grid(d);
+  for (std::size_t i = 0; i < rows; ++i) {
+    Point p(d);
+    for (double& x : p) x = static_cast<double>(rng->Index(6));
+    grid.Add(p);
+    if (i % 5 == 0) grid.Add(p);
+  }
+  return grid;
+}
+
 }  // namespace testing_util
 }  // namespace drli
 

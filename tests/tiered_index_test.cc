@@ -15,6 +15,7 @@
 
 #include "common/random.h"
 #include "core/tiered_index.h"
+#include "data/generator.h"
 #include "scenarios/constrained.h"
 #include "test_util.h"
 #include "topk/query.h"
@@ -207,13 +208,35 @@ TEST(TieredIndexTest, KLargerThanLiveSizeWithTombstones) {
   for (const ScoredTuple& item : result.items) {
     EXPECT_TRUE(live.count(item.id)) << "dead id " << item.id << " returned";
   }
+  // The constrained merge over the same runs: the whole space gives the
+  // plain answer, and a half-space box only live in-box rows.
+  ConstrainedQuery constrained;
+  constrained.weights = query.weights;
+  constrained.k = query.k;
+  constrained.box = AttributeBox::All(3);
+  const TopKResult all = ConstrainedTopK(index, constrained);
+  ASSERT_TRUE(all.complete()) << all.error;
+  ASSERT_EQ(all.items.size(), result.items.size());
+  for (std::size_t i = 0; i < all.items.size(); ++i) {
+    EXPECT_EQ(all.items[i].id, result.items[i].id) << "rank " << i;
+  }
+  constrained.box.hi[0] = 0.5;
+  const TopKResult half = ConstrainedTopK(index, constrained);
+  ASSERT_TRUE(half.complete()) << half.error;
+  std::size_t in_box = 0;
+  for (const auto& [id, row] : live) in_box += row[0] <= 0.5 ? 1 : 0;
+  EXPECT_EQ(half.items.size(), in_box);
+  for (const ScoredTuple& item : half.items) {
+    EXPECT_TRUE(live.count(item.id)) << "dead id " << item.id << " returned";
+    EXPECT_LE(live.at(item.id)[0], 0.5) << "id " << item.id;
+  }
   ExpectExact(index, live, live.size() + 5, "k > live");
 }
 
-// Each run is asked for k + (its tombstones) items; for k near
-// SIZE_MAX that sum must saturate at the run size instead of wrapping
-// to a handful of items. Plain and constrained queries at k past the
-// live count return every live tuple, in canonical order, complete.
+// Each run is asked for min(|run|, k) items, its tombstoned members
+// retired in it; for k near SIZE_MAX that is the run size. Plain and
+// constrained queries at k past the live count return every live
+// tuple, in canonical order, complete.
 TEST(TieredIndexTest, HugeKReturnsEveryLiveTuple) {
   const std::size_t n = 1000;
   TieredIndexOptions options = SmallRuns();
@@ -256,6 +279,71 @@ TEST(TieredIndexTest, HugeKReturnsEveryLiveTuple) {
     constrained.k = k;
     constrained.box = AttributeBox::All(3);
     expect_all_live(ConstrainedTopK(index, constrained), k, "constrained");
+  }
+}
+
+// Tombstoned members are retired inside their run, so erasing rows a
+// read never scored leaves that read -- plain or constrained -- exactly
+// as it was: same answer, same cost, same runs opened.
+TEST(TieredIndexTest, ErasingUnreachedRowsLeavesReadsUnchanged) {
+  TieredIndexOptions options;
+  options.memtable_capacity = 200;
+  options.auto_compact = false;
+  TieredDualLayerIndex index(GenerateAnticorrelated(3000, 4, 81), options);
+  Rng rng(82);
+  for (std::size_t i = 0; i < 700; ++i) {
+    const Point row = RandomRow(rng, 4);
+    index.Insert(PointView(row.data(), row.size()));
+  }
+  ASSERT_GE(index.num_runs(), 3u);
+  const std::vector<TopKQuery> plain =
+      testing_util::RandomQueries(4, 10, 8, 83);
+  std::vector<ConstrainedQuery> constrained;
+  for (const TopKQuery& query : plain) {
+    ConstrainedQuery c;
+    c.weights = query.weights;
+    c.k = query.k;
+    c.box = AttributeBox::All(4);
+    c.box.hi[1] = 0.6;
+    constrained.push_back(c);
+  }
+  const auto run_reads = [&] {
+    std::vector<TopKResult> reads;
+    for (const TopKQuery& query : plain) reads.push_back(index.Query(query));
+    for (const ConstrainedQuery& query : constrained) {
+      reads.push_back(ConstrainedTopK(index, query));
+    }
+    return reads;
+  };
+  const std::vector<TopKResult> before = run_reads();
+  std::vector<char> touched(index.next_id(), 0);
+  for (const TopKResult& read : before) {
+    for (const TupleId id : read.accessed) touched[id] = 1;
+  }
+  std::vector<TupleId> victims;
+  for (std::size_t r = 0; r < index.num_runs(); ++r) {
+    for (const TupleId id : index.run(r).ids) {
+      if (touched[id] == 0 && id % 2 == 0) victims.push_back(id);
+    }
+  }
+  for (const TupleId id : victims) ASSERT_TRUE(index.Erase(id));
+  ASSERT_GT(index.tombstone_count(), 1000u);
+  const std::vector<TopKResult> after = run_reads();
+  for (std::size_t q = 0; q < before.size(); ++q) {
+    ASSERT_TRUE(after[q].complete()) << "read " << q << ": " << after[q].error;
+    ASSERT_EQ(after[q].items.size(), before[q].items.size()) << "read " << q;
+    for (std::size_t i = 0; i < before[q].items.size(); ++i) {
+      EXPECT_EQ(after[q].items[i].id, before[q].items[i].id)
+          << "read " << q << " rank " << i;
+      EXPECT_EQ(after[q].items[i].score, before[q].items[i].score)
+          << "read " << q << " rank " << i;
+    }
+    EXPECT_EQ(after[q].stats.tuples_evaluated,
+              before[q].stats.tuples_evaluated)
+        << "read " << q;
+    EXPECT_EQ(after[q].stats.runs_opened, before[q].stats.runs_opened)
+        << "read " << q;
+    EXPECT_EQ(after[q].accessed, before[q].accessed) << "read " << q;
   }
 }
 
