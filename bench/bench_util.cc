@@ -11,7 +11,6 @@
 #include <sys/wait.h>
 
 #include "common/check.h"
-#include "common/random.h"
 #include "common/simd.h"
 
 namespace drli {
@@ -91,42 +90,6 @@ const PointSet& GetDataset(Distribution dist, std::size_t n, std::size_t d) {
              .first;
   }
   return *it->second;
-}
-
-const TopKIndex& GetIndex(const std::string& kind, Distribution dist,
-                          std::size_t n, std::size_t d) {
-  static std::map<std::string, std::unique_ptr<TopKIndex>>* cache =
-      new std::map<std::string, std::unique_ptr<TopKIndex>>();
-  const std::string key = kind + "/" + DistributionName(dist) + "/" +
-                          std::to_string(n) + "/" + std::to_string(d);
-  auto it = cache->find(key);
-  if (it == cache->end()) {
-    IndexBuildConfig config;
-    config.kind = kind;
-    auto built = BuildIndex(config, GetDataset(dist, n, d));
-    DRLI_CHECK(built.ok()) << built.status().ToString();
-    it = cache->emplace(key, std::move(built).value()).first;
-  }
-  return *it->second;
-}
-
-CostSample AverageCost(const TopKIndex& index, std::size_t d, std::size_t k,
-                       std::uint64_t seed) {
-  Rng rng(seed);
-  CostSample sample;
-  const std::size_t q = NumQueries();
-  for (std::size_t i = 0; i < q; ++i) {
-    TopKQuery query;
-    query.weights = rng.SimplexWeight(d);
-    query.k = k;
-    const TopKResult result = index.Query(query);
-    sample.avg_tuples += static_cast<double>(result.stats.tuples_evaluated);
-    sample.avg_virtual +=
-        static_cast<double>(result.stats.virtual_evaluated);
-  }
-  sample.avg_tuples /= static_cast<double>(q);
-  sample.avg_virtual /= static_cast<double>(q);
-  return sample;
 }
 
 }  // namespace bench_util

@@ -11,17 +11,19 @@
 //    how many random weight vectors are averaged.
 //  * A bench that writes a JSON record takes its path from argv[1],
 //    else DRLI_BENCH_OUT, else a BENCH_<name>.json default
-//    (OutputPath), and records Provenance() on its rows.
+//    (OutputPath), and records RunProvenance() on every row.
 
 #ifndef DRLI_BENCH_BENCH_UTIL_H_
 #define DRLI_BENCH_BENCH_UTIL_H_
 
+#include <algorithm>
 #include <cstdint>
+#include <limits>
 #include <string>
 
+#include "common/stopwatch.h"
 #include "core/index_registry.h"
 #include "data/generator.h"
-#include "topk/query.h"
 
 namespace drli {
 namespace bench_util {
@@ -55,22 +57,34 @@ std::size_t DefaultN();
 // DRLI_BENCH_QUERIES (default 30).
 std::size_t NumQueries();
 
-// Lazily built, cached index. `kind` as in IndexBuildConfig.
-const TopKIndex& GetIndex(const std::string& kind, Distribution dist,
-                          std::size_t n, std::size_t d);
-
-struct CostSample {
-  double avg_tuples = 0.0;    // Definition 9, averaged over queries
-  double avg_virtual = 0.0;   // zero-layer pseudo-tuple evaluations
-};
-
-// Runs NumQueries() random top-k queries (deterministic from `seed`)
-// and averages the access cost.
-CostSample AverageCost(const TopKIndex& index, std::size_t d, std::size_t k,
-                       std::uint64_t seed);
-
-// The shared dataset the cached indexes are built on.
+// The benches' shared datasets (seed 20120401), generated once per
+// (dist, n, d).
 const PointSet& GetDataset(Distribution dist, std::size_t n, std::size_t d);
+
+// The timer of the plain-main benches. `body(i)` runs in batches of
+// calls, i = 0, 1, ... within a batch, the batch size doubled until
+// one batch takes kMinBatchSeconds; then kBestOf batches are timed.
+// Returns the best batch's seconds per call.
+inline constexpr int kBestOf = 7;
+inline constexpr double kMinBatchSeconds = 0.05;
+
+template <typename Body>
+double BestSeconds(Body body) {
+  std::size_t calls = 1;
+  for (;; calls *= 2) {
+    Stopwatch timer;
+    for (std::size_t i = 0; i < calls; ++i) body(i);
+    if (timer.ElapsedSeconds() >= kMinBatchSeconds) break;
+  }
+  double best = std::numeric_limits<double>::infinity();
+  for (int batch = 0; batch < kBestOf; ++batch) {
+    Stopwatch timer;
+    for (std::size_t i = 0; i < calls; ++i) body(i);
+    best = std::min(best,
+                    timer.ElapsedSeconds() / static_cast<double>(calls));
+  }
+  return best;
+}
 
 }  // namespace bench_util
 }  // namespace drli

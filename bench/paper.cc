@@ -1,35 +1,50 @@
 // The paper's Section VI in one run: Table IV and Figs. 8-16, plus the
-// list- and view-based baselines of Section VII, at n = DRLI_BENCH_N
-// (default 10000; the paper's n is 200000) with DRLI_BENCH_QUERIES
-// random weight vectors per cell (default 30).
+// list- and view-based baselines of Section VII and the extension
+// ablations, at n = DRLI_BENCH_N (default 10000; the paper's n is
+// 200000) with DRLI_BENCH_QUERIES random weight vectors per cell
+// (default 30).
 //
 // The figures are one table, kFigures. It expands into distinct
 // indexes, keyed (distribution, n, d, kind), and distinct cost cells,
 // an index and a k; a cell that several figures plot is scored once
-// and lists all of them. Each index is built once from
+// and lists all of them. A kind is a registry kind or one of the
+// ablations' variants (kVariants). Each index is built once from
 // bench_util::GetDataset, and that build's wall time is its Table IV
-// number; a cell's cost is the paper's Definition 9 averaged by
-// bench_util::AverageCost with seed k * 7919 + d. Indexes run grouped
-// by (distribution, n, d), each freed once its cells are scored.
+// number; a cell's cost is the paper's Definition 9 averaged over
+// queries drawn with seed k * 7919 + d. Indexes run grouped by
+// (distribution, n, d), each freed once its cells are scored.
+//
+// Every DualLayerIndex (DG, DG+, DL, DL+ and the variants) also
+// replays each cell's access traces against pages: its LayerGroups()
+// packed 128 tuples to a page, read cold ("pages") and through an
+// 8-frame LRU pool ("lru_fetches"), and a shuffled heap file
+// ("scattered_pages") -- the paper's remark that the layers port to
+// disk by storing each layer in the same blocks.
 //
 // Output: BENCH_paper.json (or argv[1] / DRLI_BENCH_OUT), one "build"
 // row per index and one "cost" row per cell, each with the run's
 // provenance and build thread count (DRLI_THREADS). Then the paper's
-// orderings are checked on every matching pair of cells -- in
-// avg_tuples, DL+ <= DL at d >= 3, DL+ <= DG+ and DL+ <= HL+ -- and
-// the program prints each violation and exits 1.
+// orderings are checked on every matching pair of cells (kOrderings),
+// and the program prints each violation and exits 1.
 
 #include <cstdio>
 #include <fstream>
 #include <map>
+#include <memory>
+#include <numeric>
+#include <optional>
 #include <string>
 #include <tuple>
+#include <utility>
 #include <vector>
 
 #include "bench/bench_util.h"
 #include "common/check.h"
 #include "common/parallel_for.h"
+#include "common/random.h"
 #include "common/stopwatch.h"
+#include "core/dual_layer.h"
+#include "storage/page_layout.h"
 
 namespace {
 
@@ -50,6 +65,28 @@ struct Figure {
 const std::vector<std::size_t> kKs = {10, 20, 30, 40, 50};
 const std::vector<std::size_t> kDs = {2, 3, 4, 5};
 
+// The ablations (not in the paper). A variant is a DualLayerOptions
+// whose name is its kind. One whose options equal a registry kind's,
+// apart from the name, is that kind: the no-∃-edge row is "dg", the
+// single-EDS-facet row "dl" and the default cluster count with the
+// fine split "dl+".
+const std::vector<DualLayerOptions> kVariants = {
+    // Section III-B: edges from every qualifying EDS facet, not one.
+    {.eds_policy = EdsPolicy::kAllFacets, .name = "dl/all-facets"},
+    // Section V-B leaves the zero layer's cluster count open.
+    {.build_zero_layer = true, .zero_layer_clusters = 4,
+     .name = "dl+/clusters:4"},
+    {.build_zero_layer = true, .zero_layer_clusters = 16,
+     .name = "dl+/clusters:16"},
+    {.build_zero_layer = true, .zero_layer_clusters = 64,
+     .name = "dl+/clusters:64"},
+    {.build_zero_layer = true, .zero_layer_clusters = 256,
+     .name = "dl+/clusters:256"},
+    // A flat L0, as DG+ has, under DL's fine layers.
+    {.build_zero_layer = true, .zero_layer_fine_split = false,
+     .name = "dl+/flat"},
+};
+
 const std::vector<Figure> kFigures = {
     {"table4", {"hl", "hl+", "dg", "dg+", "dl", "dl+"}, Axis::kBuild, {}},
     {"fig08", {"dl", "dl+"}, Axis::kK, kKs},
@@ -65,21 +102,121 @@ const std::vector<Figure> kFigures = {
      {"fa", "ta", "nra", "prefer", "lpta", "pli", "hl+", "dl+"},
      Axis::kK,
      {10, 50}},
+    {"ablation_eds", {"dg", "dl", "dl/all-facets"}, Axis::kK, {10, 50}},
+    {"ablation_zero_layer",
+     {"dl+/clusters:4", "dl+/clusters:16", "dl+/clusters:64",
+      "dl+/clusters:256", "dl+", "dl+/flat"},
+     Axis::kK,
+     {10}},
 };
+
+// The orderings the paper shows, in avg_tuples on every matching pair
+// of cells: DL+ <= DL at d >= 3 (Figs. 8-9), DL+ <= DG+ and HL+
+// (Figs. 11-12, 14-15), and DL <= DG (Theorem 5; Figs. 10, 13).
+struct Ordering {
+  const char* winner;
+  const char* rival;
+  std::size_t min_d;
+};
+
+const std::vector<Ordering> kOrderings = {
+    {"dl+", "dl", 3}, {"dl+", "dg+", 0}, {"dl+", "hl+", 0}, {"dl", "dg", 0}};
+
+// Disk pages of a DualLayerIndex: its layer groups packed, and a
+// shuffled heap file of the same relation.
+constexpr std::size_t kTuplesPerPage = 128;
+constexpr std::size_t kBufferFrames = 8;
+
+struct Pages {
+  PageLayout clustered;
+  PageLayout scattered;
+};
+
+Pages MakePages(const DualLayerIndex& index) {
+  std::vector<TupleId> shuffled(index.points().size());
+  std::iota(shuffled.begin(), shuffled.end(), 0);
+  Rng rng(5);
+  for (std::size_t i = shuffled.size(); i > 1; --i) {
+    std::swap(shuffled[i - 1], shuffled[rng.Index(i)]);
+  }
+  return {PageLayout(index.LayerGroups(), kTuplesPerPage),
+          PageLayout({shuffled}, kTuplesPerPage)};
+}
+
+// Per-query averages over a cell's queries; the page columns only for
+// a DualLayerIndex.
+struct Cost {
+  double avg_tuples = 0.0;   // Definition 9
+  double avg_virtual = 0.0;  // zero-layer pseudo-tuple evaluations
+  double pages = 0.0;
+  double lru_fetches = 0.0;
+  double scattered_pages = 0.0;
+};
+
+Cost ScoreCell(const TopKIndex& index, const Pages* pages, std::size_t d,
+               std::size_t k) {
+  Rng rng(k * 7919 + d);
+  Cost cost;
+  const std::size_t queries = bench_util::NumQueries();
+  for (std::size_t i = 0; i < queries; ++i) {
+    TopKQuery query;
+    query.weights = rng.SimplexWeight(d);
+    query.k = k;
+    const TopKResult result = index.Query(query);
+    cost.avg_tuples += static_cast<double>(result.stats.tuples_evaluated);
+    cost.avg_virtual +=
+        static_cast<double>(result.stats.virtual_evaluated);
+    if (pages == nullptr) continue;
+    cost.pages += static_cast<double>(
+        pages->clustered.DistinctPages(result.accessed));
+    cost.lru_fetches += static_cast<double>(
+        pages->clustered.LruFetches(result.accessed, kBufferFrames));
+    cost.scattered_pages += static_cast<double>(
+        pages->scattered.DistinctPages(result.accessed));
+  }
+  for (double* sum : {&cost.avg_tuples, &cost.avg_virtual, &cost.pages,
+                      &cost.lru_fetches, &cost.scattered_pages}) {
+    *sum /= static_cast<double>(queries);
+  }
+  return cost;
+}
 
 struct Cell {
   std::vector<const char*> figures;
-  bench_util::CostSample cost;
+  Cost cost;
 };
 
 struct Index {
   std::vector<const char*> figures;  // those plotting its build time
   double build_seconds = 0.0;
+  // A DualLayerIndex's fine_edges and pseudo (num_virtual); such an
+  // index's cost rows carry the page columns.
+  std::optional<DualLayerBuildStats> dual_layer;
   std::map<std::size_t, Cell> cells;  // by k
 };
 
 using IndexKey = std::tuple<Distribution, std::size_t, std::size_t,
                             std::string>;  // dist, n, d, kind
+
+const DualLayerOptions* FindVariant(const std::string& kind) {
+  for (const DualLayerOptions& variant : kVariants) {
+    if (kind == variant.name) return &variant;
+  }
+  return nullptr;
+}
+
+std::unique_ptr<TopKIndex> Build(const std::string& kind,
+                                 const PointSet& points) {
+  if (const DualLayerOptions* variant = FindVariant(kind)) {
+    return std::make_unique<DualLayerIndex>(
+        DualLayerIndex::Build(points, *variant));
+  }
+  IndexBuildConfig config;
+  config.kind = kind;
+  auto built = BuildIndex(config, points);
+  DRLI_CHECK(built.ok()) << built.status().ToString();
+  return std::move(built).value();
+}
 
 std::map<IndexKey, Index> Expand(std::size_t base_n) {
   std::map<IndexKey, Index> indexes;
@@ -117,6 +254,22 @@ std::string Figures(const std::vector<const char*>& figures) {
   return list + "]";
 }
 
+// A variant's options field: the options that shape the index.
+std::string OptionsJson(const DualLayerOptions& o) {
+  char buffer[256];
+  std::snprintf(buffer, sizeof(buffer),
+                "\"options\": {\"eds_policy\": \"%s\", "
+                "\"enable_fine_layers\": %s, \"build_zero_layer\": %s, "
+                "\"zero_layer_clusters\": %zu, "
+                "\"zero_layer_fine_split\": %s}, ",
+                o.eds_policy == EdsPolicy::kAllFacets ? "all-facets"
+                                                      : "single-facet",
+                o.enable_fine_layers ? "true" : "false",
+                o.build_zero_layer ? "true" : "false", o.zero_layer_clusters,
+                o.zero_layer_fine_split ? "true" : "false");
+  return buffer;
+}
+
 std::string WriteJson(const std::map<IndexKey, Index>& indexes,
                       std::size_t queries, std::size_t build_threads,
                       const bench_util::Provenance& p) {
@@ -127,52 +280,72 @@ std::string WriteJson(const std::map<IndexKey, Index>& indexes,
                 build_threads, p.hardware_threads, p.kernel.c_str(),
                 p.commit.c_str());
   std::string json;
-  char buffer[512];
+  char buffer[1024];
   for (const auto& [key, index] : indexes) {
     const auto& [dist, n, d, kind] = key;
+    const DualLayerOptions* variant = FindVariant(kind);
+    const std::string options =
+        variant != nullptr ? OptionsJson(*variant) : "";
     std::snprintf(buffer, sizeof(buffer),
                   "  {\"row\": \"build\", \"figures\": %s, \"dist\": \"%s\", "
-                  "\"kind\": \"%s\", \"n\": %zu, \"d\": %zu, "
+                  "\"kind\": \"%s\", %s\"n\": %zu, \"d\": %zu, "
                   "\"build_seconds\": %.6f, ",
                   Figures(index.figures).c_str(), DistributionName(dist),
-                  kind.c_str(), n, d, index.build_seconds);
-    json += (json.empty() ? "" : ",\n") + std::string(buffer) + tail;
+                  kind.c_str(), options.c_str(), n, d, index.build_seconds);
+    std::string row = buffer;
+    if (index.dual_layer) {
+      std::snprintf(buffer, sizeof(buffer),
+                    "\"fine_edges\": %zu, \"pseudo\": %zu, ",
+                    index.dual_layer->num_fine_edges,
+                    index.dual_layer->num_virtual);
+      row += buffer;
+    }
+    json += (json.empty() ? "" : ",\n") + row + tail;
     for (const auto& [k, cell] : index.cells) {
       std::snprintf(buffer, sizeof(buffer),
                     "  {\"row\": \"cost\", \"figures\": %s, \"dist\": \"%s\", "
-                    "\"kind\": \"%s\", \"n\": %zu, \"d\": %zu, \"k\": %zu, "
+                    "\"kind\": \"%s\", %s\"n\": %zu, \"d\": %zu, \"k\": %zu, "
                     "\"queries\": %zu, \"avg_tuples\": %.4f, "
                     "\"avg_virtual\": %.4f, ",
                     Figures(cell.figures).c_str(), DistributionName(dist),
-                    kind.c_str(), n, d, k, queries,
+                    kind.c_str(), options.c_str(), n, d, k, queries,
                     cell.cost.avg_tuples, cell.cost.avg_virtual);
-      json += ",\n" + std::string(buffer) + tail;
+      row = buffer;
+      if (index.dual_layer) {
+        std::snprintf(buffer, sizeof(buffer),
+                      "\"pages\": %.4f, \"lru_fetches\": %.4f, "
+                      "\"scattered_pages\": %.4f, ",
+                      cell.cost.pages, cell.cost.lru_fetches,
+                      cell.cost.scattered_pages);
+        row += buffer;
+      }
+      json += ",\n" + row + tail;
     }
   }
   return "[\n" + json + "\n]\n";
 }
 
-// Prints every cell where DL+ evaluates more tuples than a kind the
-// paper shows it beating; returns how many there are.
+// Prints every pair of matching cells that breaks one of kOrderings;
+// returns how many there are.
 std::size_t CheckOrderings(const std::map<IndexKey, Index>& indexes) {
   std::size_t violations = 0;
-  for (const auto& [key, dl_plus] : indexes) {
-    const auto& [dist, n, d, kind] = key;
-    if (kind != "dl+") continue;
-    for (const char* rival : {"dl", "dg+", "hl+"}) {
-      if (std::string(rival) == "dl" && d < 3) continue;
-      const auto it = indexes.find({dist, n, d, rival});
+  for (const Ordering& ordering : kOrderings) {
+    for (const auto& [key, winner] : indexes) {
+      const auto& [dist, n, d, kind] = key;
+      if (kind != ordering.winner || d < ordering.min_d) continue;
+      const auto it = indexes.find({dist, n, d, ordering.rival});
       if (it == indexes.end()) continue;
-      for (const auto& [k, cell] : dl_plus.cells) {
+      for (const auto& [k, cell] : winner.cells) {
         const auto other = it->second.cells.find(k);
         if (other == it->second.cells.end()) continue;
         const double mine = cell.cost.avg_tuples;
         const double theirs = other->second.cost.avg_tuples;
         if (mine <= theirs) continue;
         ++violations;
-        std::printf("ordering violated: %s n=%zu d=%zu k=%zu: dl+ %.4f > "
+        std::printf("ordering violated: %s n=%zu d=%zu k=%zu: %s %.4f > "
                     "%s %.4f tuples\n",
-                    DistributionName(dist), n, d, k, mine, rival, theirs);
+                    DistributionName(dist), n, d, k, ordering.winner, mine,
+                    ordering.rival, theirs);
       }
     }
   }
@@ -194,17 +367,18 @@ int main(int argc, char** argv) {
   for (auto& [key, index] : indexes) {
     const auto& [dist, n, d, kind] = key;
     const PointSet& points = bench_util::GetDataset(dist, n, d);
-    IndexBuildConfig config;
-    config.kind = kind;
     Stopwatch timer;
-    auto built = BuildIndex(config, points);
+    const std::unique_ptr<TopKIndex> built = Build(kind, points);
     index.build_seconds = timer.ElapsedSeconds();
-    DRLI_CHECK(built.ok()) << built.status().ToString();
     std::printf("%s/%s n=%zu d=%zu: build %.3fs\n", DistributionName(dist),
                 kind.c_str(), n, d, index.build_seconds);
+    std::optional<Pages> pages;
+    if (const auto* dl = dynamic_cast<const DualLayerIndex*>(built.get())) {
+      index.dual_layer = dl->build_stats();
+      if (!index.cells.empty()) pages = MakePages(*dl);
+    }
     for (auto& [k, cell] : index.cells) {
-      cell.cost = bench_util::AverageCost(*built.value(), d, k,
-                                          /*seed=*/k * 7919 + d);
+      cell.cost = ScoreCell(*built, pages ? &*pages : nullptr, d, k);
       std::printf("  k=%-3zu tuples=%.4f virtual=%.4f %s\n", k,
                   cell.cost.avg_tuples, cell.cost.avg_virtual,
                   Figures(cell.figures).c_str());
@@ -223,6 +397,6 @@ int main(int argc, char** argv) {
     std::printf("%zu ordering violations\n", violations);
     return 1;
   }
-  std::printf("orderings hold: dl+ <= dl (d >= 3), dg+, hl+\n");
+  std::printf("orderings hold: dl+ <= dl (d >= 3), dg+, hl+; dl <= dg\n");
   return 0;
 }

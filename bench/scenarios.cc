@@ -1,12 +1,12 @@
 // Query-scenario bench: constrained, diversified, and reverse top-k
 // over the DL+ engines versus their brute-force references, with the
 // pruning counters that justify the pushdown (DESIGN.md "Query
-// scenarios"). Times explicit loops (no Google-Benchmark averaging)
-// and emits machine-readable JSON (BENCH_scenarios.json in the working
-// directory, or the path given as argv[1] / DRLI_BENCH_OUT), each row
-// stamped with the kernel, hardware threads and commit. Exits non-zero
-// when a constrained query costs more than the in-box scan or a DL+
-// diversified pick differs from the whole-relation greedy's.
+// scenarios"). Times explicit loops and emits machine-readable JSON
+// (BENCH_scenarios.json in the working directory, or the path given as
+// argv[1] / DRLI_BENCH_OUT), each row stamped with the kernel, hardware
+// threads and commit. Exits non-zero when a constrained query costs
+// more than the in-box scan or a DL+ diversified pick differs from the
+// whole-relation greedy's.
 //
 // DRLI_BENCH_N scales the relation (default 20000); DRLI_BENCH_QUERIES
 // scales each probe loop (default 200).

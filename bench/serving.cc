@@ -11,8 +11,9 @@
 // by request id, and every reply is either kOk (latency sample) or
 // kOverloaded (shed sample).
 //
-// Emits BENCH_serving.json (or argv[1] / DRLI_BENCH_OUT). DRLI_BENCH_N
-// scales the relation, DRLI_BENCH_SECONDS each timed window.
+// Emits BENCH_serving.json (or argv[1] / DRLI_BENCH_OUT), with the
+// run's provenance on every row. DRLI_BENCH_N scales the relation,
+// DRLI_BENCH_SECONDS each timed window.
 
 #include <algorithm>
 #include <atomic>
@@ -333,22 +334,26 @@ int main(int argc, char** argv) {
 
   const std::string out_path =
       bench_util::OutputPath(argc, argv, "BENCH_serving.json");
+  const bench_util::Provenance& p = bench_util::RunProvenance();
   std::ofstream out(out_path);
   out << "[\n";
   const LoadResult* rows[] = {&closed, &open_1x, &open_2x};
   const char* modes[] = {"closed", "open-1x", "open-2x"};
   for (std::size_t i = 0; i < 3; ++i) {
     const LoadResult& r = *rows[i];
-    char buffer[512];
+    char buffer[640];
     std::snprintf(
         buffer, sizeof(buffer),
         "  {\"mode\": \"%s\", \"n\": %zu, \"connections\": %zu, "
+        "\"hardware_threads\": %u, \"kernel\": \"%s\", "
+        "\"commit\": \"%s\", "
         "\"offered_qps\": %.1f, \"achieved_qps\": %.1f, \"sent\": %llu, "
         "\"ok\": %llu, \"shed\": %llu, \"errors\": %llu, "
         "\"unanswered\": %llu, "
         "\"shed_fraction\": %.4f, \"p50_us\": %.1f, \"p99_us\": %.1f, "
         "\"p999_us\": %.1f}%s\n",
         modes[i], n, i == 0 ? closed_threads : open_connections,
+        p.hardware_threads, p.kernel.c_str(), p.commit.c_str(),
         r.offered_qps, r.achieved_qps,
         static_cast<unsigned long long>(r.sent),
         static_cast<unsigned long long>(r.ok),

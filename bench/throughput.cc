@@ -1,14 +1,13 @@
 // Query-engine throughput: build seconds (serial vs. parallel) and
-// batch QPS (1 worker vs. DRLI_THREADS workers) for DL+ across
-// n x d -- the wall-clock companion to the tuples-evaluated figures --
-// plus the same single-query loop on DL (no zero layer), so every row
-// is a same-binary DL+ vs DL comparison.
+// batch QPS (1 worker vs. DRLI_THREADS workers) for DL+ across n x d,
+// d = 2..5 -- the wall-clock companion to the tuples-evaluated
+// figures -- plus the same single-query loop on DL (no zero layer), so
+// every row is a same-binary DL+ vs DL comparison.
 //
-// Unlike the figure benches this one is not averaged through Google
-// Benchmark: it times explicit batches so the 1-thread and N-thread
-// numbers come from the identical workload, and it emits machine-
-// readable JSON (BENCH_throughput.json in the working directory, or
-// the path given as argv[1] / DRLI_BENCH_OUT).
+// It times explicit batches so the 1-thread and N-thread numbers come
+// from the identical workload, and it emits machine-readable JSON
+// (BENCH_throughput.json in the working directory, or the path given
+// as argv[1] / DRLI_BENCH_OUT) with the run's provenance on every row.
 //
 // DRLI_BENCH_N overrides the n sweep with a single cardinality (the CI
 // smoke uses 5000); DRLI_BENCH_QUERIES scales the batch (default 4000).
@@ -23,7 +22,6 @@
 #include "common/check.h"
 #include "common/parallel_for.h"
 #include "common/random.h"
-#include "common/simd.h"
 #include "common/stopwatch.h"
 #include "core/dual_layer.h"
 #include "data/generator.h"
@@ -59,7 +57,6 @@ struct Row {
   double batch_query_seconds_nt = 0;
   double avg_tuples = 0;  // Definition 9, for cross-checking
   double avg_edges = 0;   // QueryStats::edges_walked per DL+ query
-  const char* kernel = "";  // active score-kernel dispatch target
 };
 
 Row Measure(std::size_t n, std::size_t d, std::size_t num_queries,
@@ -93,8 +90,6 @@ Row Measure(std::size_t n, std::size_t d, std::size_t num_queries,
   for (std::size_t i = 0; i < num_queries; ++i) {
     queries.push_back(TopKQuery{rng.SimplexWeight(d), /*k=*/10});
   }
-
-  row.kernel = SimdTargetName(ActiveSimdTarget());
 
   // Warmup pass: faults in the index arrays, seeds the scratch, and
   // lets the frequency governor settle before anything is timed.
@@ -197,14 +192,14 @@ int main(int argc, char** argv) {
 
   std::vector<Row> rows;
   for (std::size_t n : ns) {
-    for (std::size_t d : {std::size_t{2}, std::size_t{4}}) {
+    for (std::size_t d : {2, 3, 4, 5}) {
       Row row = Measure(n, d, num_queries, threads);
       std::printf(
-          "n=%-7zu d=%zu kernel=%s build_serial=%.3fs build_parallel=%.3fs "
+          "n=%-7zu d=%zu build_serial=%.3fs build_parallel=%.3fs "
           "query=%.2fus dl_query=%.2fus budgeted=%.2fus overhead=%+.1f%% "
           "qps_1t=%.0f qps_%zut=%.0f speedup=%.2fx tuples=%.1f "
           "edges=%.1f\n",
-          row.n, row.d, row.kernel, row.build_seconds_serial,
+          row.n, row.d, row.build_seconds_serial,
           row.build_seconds_parallel, row.single_query_seconds * 1e6,
           row.dl_single_query_seconds * 1e6,
           row.single_query_budgeted_seconds * 1e6,
@@ -221,6 +216,7 @@ int main(int argc, char** argv) {
 
   const std::string out_path =
       bench_util::OutputPath(argc, argv, "BENCH_throughput.json");
+  const bench_util::Provenance& p = bench_util::RunProvenance();
   std::ofstream out(out_path);
   out << "[\n";
   for (std::size_t i = 0; i < rows.size(); ++i) {
@@ -229,14 +225,16 @@ int main(int argc, char** argv) {
     std::snprintf(
         buffer, sizeof(buffer),
         "  {\"n\": %zu, \"d\": %zu, \"batch\": %zu, \"threads\": %zu, "
-        "\"kernel\": \"%s\", "
+        "\"hardware_threads\": %u, \"kernel\": \"%s\", "
+        "\"commit\": \"%s\", "
         "\"build_seconds_serial\": %.6f, \"build_seconds_parallel\": %.6f, "
         "\"single_query_seconds\": %.9f, \"dl_single_query_seconds\": %.9f, "
         "\"single_query_budgeted_seconds\": %.9f, \"batch_qps_1t\": %.1f, "
         "\"batch_qps_nt\": %.1f, \"batch_wall_seconds_nt\": %.6f, "
         "\"batch_query_seconds_nt\": %.6f, \"avg_tuples\": %.2f, "
         "\"avg_edges\": %.2f}%s\n",
-        r.n, r.d, r.batch, r.threads, r.kernel, r.build_seconds_serial,
+        r.n, r.d, r.batch, r.threads, p.hardware_threads, p.kernel.c_str(),
+        p.commit.c_str(), r.build_seconds_serial,
         r.build_seconds_parallel, r.single_query_seconds,
         r.dl_single_query_seconds,
         r.single_query_budgeted_seconds, r.batch_qps_1t, r.batch_qps_nt,
