@@ -63,13 +63,13 @@ const PointSet& GetDataset(Distribution dist, std::size_t n, std::size_t d);
 
 // The timer of the plain-main benches. `body(i)` runs in batches of
 // calls, i = 0, 1, ... within a batch, the batch size doubled until
-// one batch takes kMinBatchSeconds; then kBestOf batches are timed.
+// one batch takes kMinBatchSeconds; then `best_of` batches are timed.
 // Returns the best batch's seconds per call.
 inline constexpr int kBestOf = 7;
 inline constexpr double kMinBatchSeconds = 0.05;
 
 template <typename Body>
-double BestSeconds(Body body) {
+double BestSeconds(Body body, int best_of = kBestOf) {
   std::size_t calls = 1;
   for (;; calls *= 2) {
     Stopwatch timer;
@@ -77,7 +77,7 @@ double BestSeconds(Body body) {
     if (timer.ElapsedSeconds() >= kMinBatchSeconds) break;
   }
   double best = std::numeric_limits<double>::infinity();
-  for (int batch = 0; batch < kBestOf; ++batch) {
+  for (int batch = 0; batch < best_of; ++batch) {
     Stopwatch timer;
     for (std::size_t i = 0; i < calls; ++i) body(i);
     best = std::min(best,

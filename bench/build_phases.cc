@@ -7,6 +7,11 @@
 // the hull, EDS and coarse-edge pruning counters, the active score
 // kernel, the host's hardware thread count and the commit.
 //
+// build_seconds is the best of three timed Build calls
+// (bench_util::BestSeconds, best_of = 3); the phase timers, the summed
+// hull and EDS seconds and the counters are those of the fastest of
+// the timed builds (the counters are the same for every build).
+//
 // Each serial row also records the index's footprint: its bytes per
 // tuple by component (row-major points, the slot-ordered SoA copy,
 // the node-space graph the snapshot stores and the slot-space graph
@@ -124,9 +129,21 @@ Row Measure(const PointSet& points, std::size_t build_threads) {
   DualLayerOptions options;
   options.build_zero_layer = true;
   options.build_threads = build_threads;
-  const DualLayerIndex index = DualLayerIndex::Build(points, options);
-  row.stats = index.build_stats();
-  if (build_threads == 1) row.footprint = MeasureFootprint(index);
+  std::optional<DualLayerIndex> index;
+  bool first = true;
+  const double best = bench_util::BestSeconds(
+      [&](std::size_t) {
+        index.reset();  // never two indexes alive at once
+        index.emplace(DualLayerIndex::Build(points, options));
+        const DualLayerBuildStats& stats = index->build_stats();
+        if (first || stats.build_seconds < row.stats.build_seconds) {
+          row.stats = stats;
+          first = false;
+        }
+      },
+      /*best_of=*/3);
+  row.stats.build_seconds = best;
+  if (build_threads == 1) row.footprint = MeasureFootprint(*index);
   return row;
 }
 
@@ -151,11 +168,12 @@ int main(int argc, char** argv) {
       const DualLayerBuildStats& s = row.stats;
       std::printf(
           "n=%-7zu d=%zu threads=%zu build=%.3fs skyline=%.3fs "
-          "fine_peel=%.3fs (eds=%.3fs) coarse_edge=%.3fs zero=%.3fs "
-          "finalize=%.3fs\n",
+          "fine_peel=%.3fs (hull=%.3fs eds=%.3fs) coarse_edge=%.3fs "
+          "zero=%.3fs finalize=%.3fs\n",
           row.n, row.d, row.build_threads, s.build_seconds,
-          s.skyline_seconds, s.fine_peel_seconds, s.eds_seconds,
-          s.coarse_edge_seconds, s.zero_layer_seconds, s.finalize_seconds);
+          s.skyline_seconds, s.fine_peel_seconds, s.hull_seconds,
+          s.eds_seconds, s.coarse_edge_seconds, s.zero_layer_seconds,
+          s.finalize_seconds);
       std::printf(
           "          hull_facets_created=%zu; eds: lp_calls=%zu "
           "bbox_rejects=%zu member_hits=%zu; coarse: pruned=%zu tested=%zu "
@@ -201,7 +219,7 @@ int main(int argc, char** argv) {
           f->zero_copy ? "true" : "false");
       footprint = fields;
     }
-    char buffer[1024];
+    char buffer[2048];
     std::snprintf(
         buffer, sizeof(buffer),
         "  {\"n\": %zu, \"d\": %zu, \"build_threads\": %zu, "
@@ -209,7 +227,8 @@ int main(int argc, char** argv) {
         "\"build_seconds\": %.6f, "
         "\"skyline_seconds\": %.6f, \"fine_peel_seconds\": %.6f, "
         "\"coarse_edge_seconds\": %.6f, \"zero_layer_seconds\": %.6f, "
-        "\"finalize_seconds\": %.6f, \"eds_seconds\": %.6f, "
+        "\"finalize_seconds\": %.6f, \"hull_seconds\": %.6f, "
+        "\"eds_seconds\": %.6f, "
         "\"hull_facets_created\": %zu, "
         "\"eds_lp_calls\": %zu, \"eds_bbox_rejects\": %zu, "
         "\"eds_member_hits\": %zu, \"coarse_pairs_pruned\": %zu, "
@@ -219,10 +238,11 @@ int main(int argc, char** argv) {
         p.commit.c_str(),
         s.build_seconds,
         s.skyline_seconds, s.fine_peel_seconds, s.coarse_edge_seconds,
-        s.zero_layer_seconds, s.finalize_seconds, s.eds_seconds,
-        s.hull_facets_created, s.eds_lp_calls, s.eds_bbox_rejects,
-        s.eds_member_hits, s.coarse_pairs_pruned, s.coarse_pairs_tested,
-        s.num_coarse_edges, s.num_fine_edges, footprint.c_str(),
+        s.zero_layer_seconds, s.finalize_seconds, s.hull_seconds,
+        s.eds_seconds, s.hull_facets_created, s.eds_lp_calls,
+        s.eds_bbox_rejects, s.eds_member_hits, s.coarse_pairs_pruned,
+        s.coarse_pairs_tested, s.num_coarse_edges, s.num_fine_edges,
+        footprint.c_str(),
         i + 1 < rows.size() ? "," : "");
     out << buffer;
   }

@@ -128,7 +128,7 @@ void Hulls() {
       ConvexHull hull;
       const auto status = ComputeConvexHull(points, {}, &hull);
       DoNotOptimize(status);
-      facets = hull.facets.size();
+      facets = hull.num_facets();
     });
     Record(Label("convex_hull", {n, d}), seconds, "facets", facets);
   }

@@ -100,11 +100,12 @@ DualLayerIndex::FinePeelResult DualLayerIndex::PeelFineLayers(
 
   std::uint32_t fine = 0;
   const std::size_t d = pool.dim();
-  // Facets of the previous sublayer, as node ids.
-  std::vector<std::vector<NodeId>> prev_facets;
-  // The previous sublayer lives in `pool`; the EDS LP needs pool-local
-  // coordinates, so keep a parallel pool-id version of the facets.
-  std::vector<std::vector<TupleId>> prev_facets_pool;
+  // Facets of the previous sublayer, flat with stride prev_facet_size
+  // (ConvexSkylineResult::facet_size), as node ids and, since the EDS
+  // LP needs pool-local coordinates, as pool ids.
+  std::vector<NodeId> prev_facet_nodes;
+  std::vector<TupleId> prev_facet_pool;
+  std::size_t prev_facet_size = 0;
   // Componentwise-min corner per facet (FacetMinCorner), computed once
   // per facet, and a dominance tree over the corners: a facet whose
   // corner fails to weakly dominate a target cannot be its EDS, so the
@@ -112,25 +113,33 @@ DualLayerIndex::FinePeelResult DualLayerIndex::PeelFineLayers(
   PointSet prev_corners(d);
   DominanceTree prev_corner_tree;
   std::vector<TupleId> candidates;
+  // Per-sublayer buffers, refilled every round.
+  Point corner;
+  std::vector<TupleId> corner_ids;
+  std::vector<TupleId> local_pool_ids;
+  PointSet subset(d);
+  std::vector<NodeId> member_nodes;
+  std::vector<bool> is_member;
+  std::vector<std::size_t> next;
 
   while (!remaining.empty()) {
-    std::vector<TupleId> local_pool_ids;
-    local_pool_ids.reserve(remaining.size());
-    PointSet subset(d);
+    local_pool_ids.clear();
+    subset.Clear();
     subset.Reserve(remaining.size());
     for (std::size_t r : remaining) {
       local_pool_ids.push_back(pool_ids[r]);
       subset.Add(pool[pool_ids[r]]);
     }
+    Stopwatch hull_timer;
     const ConvexSkylineResult csky = ComputeConvexSkyline(subset);
+    out.hull_seconds += hull_timer.ElapsedSeconds();
     if (!csky.exact) ++out.csky_fallbacks;
     out.hull_facets_created += csky.hull_facets_created;
     DRLI_CHECK(!csky.members.empty());
 
     // Map sublayer members and facets back to node / pool ids.
-    std::vector<NodeId> member_nodes;
-    member_nodes.reserve(csky.members.size());
-    std::vector<bool> is_member(remaining.size(), false);
+    member_nodes.clear();
+    is_member.assign(remaining.size(), false);
     for (TupleId local : csky.members) {
       is_member[local] = true;
       const NodeId node = node_ids[remaining[local]];
@@ -140,7 +149,7 @@ DualLayerIndex::FinePeelResult DualLayerIndex::PeelFineLayers(
 
     // ∃-edges from sublayer fine-1 into this sublayer (Section III-B):
     // each target takes the first facet, in the canonical order of
-    // ConvexSkylineResult::facets, that passes the EDS test.
+    // ConvexSkylineResult's facets, that passes the EDS test.
     if (fine > 0) {
       Stopwatch eds_timer;
       for (std::size_t m = 0; m < member_nodes.size(); ++m) {
@@ -153,17 +162,21 @@ DualLayerIndex::FinePeelResult DualLayerIndex::PeelFineLayers(
         // A facet the tree leaves out is the bbox reject a scan in
         // canonical order would have counted, up to where that scan
         // stops.
-        std::size_t scan_end = prev_facets.size();
+        std::size_t scan_end = prev_corners.size();
         std::size_t tested = 0;
         bool covered = false;
         for (const TupleId f : candidates) {
           ++tested;
-          if (!FacetIsVerifiedEds(pool, prev_facets_pool[f], prev_corners[f],
-                                  target, EdsMargin::kRounding, &out.eds)) {
+          const std::size_t at = f * prev_facet_size;
+          if (!FacetIsVerifiedEds(
+                  pool,
+                  std::span<const TupleId>(prev_facet_pool.data() + at,
+                                           prev_facet_size),
+                  prev_corners[f], target, EdsMargin::kRounding, &out.eds)) {
             continue;
           }
-          for (const NodeId source : prev_facets[f]) {
-            out.edges.emplace_back(source, target_node);
+          for (std::size_t v = 0; v < prev_facet_size; ++v) {
+            out.edges.emplace_back(prev_facet_nodes[at + v], target_node);
           }
           covered = true;
           if (options_.eds_policy == EdsPolicy::kSingleFacet) {
@@ -177,33 +190,32 @@ DualLayerIndex::FinePeelResult DualLayerIndex::PeelFineLayers(
       out.eds_seconds += eds_timer.ElapsedSeconds();
     }
 
-    prev_facets.clear();
-    prev_facets_pool.clear();
-    prev_corners.Clear();
-    for (const auto& facet : csky.facets) {
-      std::vector<NodeId> f_nodes;
-      std::vector<TupleId> f_pool;
-      f_nodes.reserve(facet.size());
-      f_pool.reserve(facet.size());
-      for (TupleId local : facet) {
-        f_nodes.push_back(node_ids[remaining[local]]);
-        f_pool.push_back(pool_ids[remaining[local]]);
-      }
-      prev_corners.Add(FacetMinCorner(pool, f_pool));
-      prev_facets.push_back(std::move(f_nodes));
-      prev_facets_pool.push_back(std::move(f_pool));
+    prev_facet_size = csky.facet_size;
+    prev_facet_nodes.clear();
+    prev_facet_pool.clear();
+    for (const TupleId local : csky.facet_ids) {
+      prev_facet_nodes.push_back(node_ids[remaining[local]]);
+      prev_facet_pool.push_back(pool_ids[remaining[local]]);
     }
-    std::vector<TupleId> facet_ids(prev_facets.size());
-    std::iota(facet_ids.begin(), facet_ids.end(), 0);
-    prev_corner_tree.Build(prev_corners, facet_ids);
+    prev_corners.Clear();
+    corner_ids.clear();
+    for (std::size_t f = 0; f < csky.num_facets(); ++f) {
+      FacetMinCorner(pool,
+                     std::span<const TupleId>(
+                         prev_facet_pool.data() + f * prev_facet_size,
+                         prev_facet_size),
+                     &corner);
+      prev_corners.Add(corner);
+      corner_ids.push_back(static_cast<TupleId>(f));
+    }
+    prev_corner_tree.Build(prev_corners, corner_ids);
 
     // Remove the sublayer from the remaining pool.
-    std::vector<std::size_t> next;
-    next.reserve(remaining.size() - csky.members.size());
+    next.clear();
     for (std::size_t local = 0; local < remaining.size(); ++local) {
       if (!is_member[local]) next.push_back(remaining[local]);
     }
-    remaining = std::move(next);
+    remaining.swap(next);
     ++fine;
     ++out.num_fine_layers;
   }
@@ -225,6 +237,7 @@ void DualLayerIndex::ApplyFinePeel(const FinePeelResult& peel,
   stats_.eds_bbox_rejects += peel.eds.bbox_rejects;
   stats_.eds_lp_calls += peel.eds.lp_calls;
   stats_.eds_seconds += peel.eds_seconds;
+  stats_.hull_seconds += peel.hull_seconds;
   stats_.hull_facets_created += peel.hull_facets_created;
 }
 

@@ -115,6 +115,10 @@ struct DualLayerBuildStats {
   // (lp_calls). eds_seconds is CPU time summed across fine-peel tasks,
   // so it can exceed fine_peel_seconds when build_threads > 1.
   double eds_seconds = 0.0;
+  // Time inside the fine peel's ComputeConvexSkyline calls (the
+  // sublayer hulls and their membership LPs), summed across fine-peel
+  // tasks like eds_seconds.
+  double hull_seconds = 0.0;
   std::size_t eds_member_hits = 0;
   std::size_t eds_bbox_rejects = 0;
   std::size_t eds_lp_calls = 0;
@@ -384,6 +388,7 @@ class DualLayerIndex final : public TopKIndex {
     std::size_t hull_facets_created = 0;
     EdsCounters eds;
     double eds_seconds = 0.0;
+    double hull_seconds = 0.0;
   };
 
   DualLayerIndex() : points_(1), virtual_points_(1) {}

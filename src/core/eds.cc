@@ -3,25 +3,30 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
-#include <utility>
 
 #include "common/check.h"
 #include "geometry/simplex_lp.h"
 
 namespace drli {
 
-Point FacetMinCorner(const PointSet& points,
-                     const std::vector<TupleId>& facet) {
+Point FacetMinCorner(const PointSet& points, std::span<const TupleId> facet) {
+  Point corner;
+  FacetMinCorner(points, facet, &corner);
+  return corner;
+}
+
+void FacetMinCorner(const PointSet& points, std::span<const TupleId> facet,
+                    Point* corner) {
   DRLI_CHECK(!facet.empty());
   const std::size_t d = points.dim();
-  Point corner(points[facet[0]].begin(), points[facet[0]].end());
+  const PointView first = points[facet[0]];
+  corner->assign(first.begin(), first.end());
   for (std::size_t m = 1; m < facet.size(); ++m) {
     const PointView p = points[facet[m]];
     for (std::size_t j = 0; j < d; ++j) {
-      corner[j] = std::min(corner[j], p[j]);
+      (*corner)[j] = std::min((*corner)[j], p[j]);
     }
   }
-  return corner;
 }
 
 namespace {
@@ -32,10 +37,20 @@ namespace {
 // below any gap between distinct data rows.
 constexpr double kStrictMargin = 0x1p-36;
 
-// The LP-stage certificate x re-checked per coordinate (header).
-bool CertificateHolds(const PointSet& points,
-                      const std::vector<TupleId>& facet,
-                      std::vector<double> x, PointView target,
+// The LP stage's workspace, one per thread: the build's fine-peel
+// workers each solve hundreds of thousands of these LPs, and refilling
+// one program, row and solution keeps them from allocating after a
+// thread's first call. Nothing in it outlives a FacetTest call.
+struct LpWorkspace {
+  LinearProgram lp{1};
+  std::vector<double> row;
+  LpResult solved;
+};
+
+// The LP-stage certificate x re-checked per coordinate (header); x is
+// clamped at zero in place.
+bool CertificateHolds(const PointSet& points, std::span<const TupleId> facet,
+                      std::vector<double>& x, PointView target,
                       EdsMargin margin) {
   const std::size_t d = points.dim();
   const double ulps = EdsRoundingUlps(facet.size(), d) *
@@ -69,7 +84,7 @@ bool CertificateHolds(const PointSet& points,
 
 // The three stages (header comment). Without a margin the LP stage is
 // the plain feasibility test; with one, its solution is re-checked.
-bool FacetTest(const PointSet& points, const std::vector<TupleId>& facet,
+bool FacetTest(const PointSet& points, std::span<const TupleId> facet,
                PointView min_corner, PointView target,
                const EdsMargin* margin, EdsCounters* counters) {
   const std::size_t d = points.dim();
@@ -98,9 +113,12 @@ bool FacetTest(const PointSet& points, const std::vector<TupleId>& facet,
   //   sum_m lambda_m = 1,  sum_m lambda_m * t^m_j <= target_j  (all j).
   if (counters != nullptr) ++counters->lp_calls;
   const bool strict = margin != nullptr && *margin == EdsMargin::kStrict;
-  LinearProgram lp(facet.size());
+  thread_local LpWorkspace ws;
+  LinearProgram& lp = ws.lp;
+  std::vector<double>& row = ws.row;
+  lp.Reset(facet.size());
   lp.ReserveConstraints(d + 1);
-  std::vector<double> row(facet.size(), 1.0);
+  row.assign(facet.size(), 1.0);
   lp.AddConstraint(row, LpRelation::kEqual, 1.0);
   for (std::size_t j = 0; j < d; ++j) {
     double rhs = target[j];
@@ -115,10 +133,9 @@ bool FacetTest(const PointSet& points, const std::vector<TupleId>& facet,
     lp.AddConstraint(row, LpRelation::kLessEq, rhs);
   }
   if (margin == nullptr) return lp.IsFeasible();
-  LpResult solved = lp.Solve();
-  return solved.status == LpStatus::kOptimal &&
-         CertificateHolds(points, facet, std::move(solved.x), target,
-                          *margin);
+  lp.Solve(&ws.solved);
+  return ws.solved.status == LpStatus::kOptimal &&
+         CertificateHolds(points, facet, ws.solved.x, target, *margin);
 }
 
 }  // namespace
@@ -127,14 +144,14 @@ double EdsRoundingUlps(std::size_t facet_size, std::size_t dim) {
   return 4.0 * static_cast<double>(facet_size + dim + 4);
 }
 
-bool FacetIsEds(const PointSet& points, const std::vector<TupleId>& facet,
+bool FacetIsEds(const PointSet& points, std::span<const TupleId> facet,
                 PointView min_corner, PointView target,
                 EdsCounters* counters) {
   return FacetTest(points, facet, min_corner, target, nullptr, counters);
 }
 
 bool FacetIsVerifiedEds(const PointSet& points,
-                        const std::vector<TupleId>& facet,
+                        std::span<const TupleId> facet,
                         PointView min_corner, PointView target,
                         EdsMargin margin, EdsCounters* counters) {
   return FacetTest(points, facet, min_corner, target, &margin, counters);

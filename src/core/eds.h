@@ -20,6 +20,7 @@
 #define DRLI_CORE_EDS_H_
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/point.h"
@@ -34,14 +35,17 @@ struct EdsCounters {
 };
 
 // Componentwise minimum of the facet members: the corner of the
-// smallest axis-aligned box containing the facet's simplex.
-Point FacetMinCorner(const PointSet& points, const std::vector<TupleId>& facet);
+// smallest axis-aligned box containing the facet's simplex. The second
+// form writes it into *corner, reusing its storage.
+Point FacetMinCorner(const PointSet& points, std::span<const TupleId> facet);
+void FacetMinCorner(const PointSet& points, std::span<const TupleId> facet,
+                    Point* corner);
 
 // True iff conv{points[id] : id in facet} intersects {x : x <= target}
 // componentwise. Exact up to LP tolerance; facets of any size >= 1 are
 // accepted (degenerate fallback facets included). `min_corner` must be
 // FacetMinCorner(points, facet); `counters` may be null.
-bool FacetIsEds(const PointSet& points, const std::vector<TupleId>& facet,
+bool FacetIsEds(const PointSet& points, std::span<const TupleId> facet,
                 PointView min_corner, PointView target,
                 EdsCounters* counters);
 
@@ -69,7 +73,7 @@ bool FacetIsEds(const PointSet& points, const std::vector<TupleId>& facet,
 // per coordinate in floating point.
 enum class EdsMargin { kRounding, kStrict };
 bool FacetIsVerifiedEds(const PointSet& points,
-                        const std::vector<TupleId>& facet,
+                        std::span<const TupleId> facet,
                         PointView min_corner, PointView target,
                         EdsMargin margin, EdsCounters* counters);
 

@@ -4,17 +4,17 @@
 #include <array>
 #include <cmath>
 #include <limits>
-#include <map>
+#include <numeric>
 #include <utility>
 
 #include "common/check.h"
+#include "geometry/linalg.h"
 
 namespace drli {
 
 namespace {
 
-// Facet vertex/neighbour lists are stored inline (simplicial facets
-// have exactly d entries); dimensions beyond this cap report
+// Ridge keys are stored inline; dimensions beyond this cap report
 // kDegenerate, which callers already translate into their exact
 // fallbacks. Hull-based indexing is hopeless that deep anyway.
 constexpr std::size_t kMaxHullDim = 12;
@@ -28,27 +28,22 @@ constexpr double kEps = 1e-9;
 // exhausting memory.
 constexpr std::size_t kMaxFacets = 4'000'000;
 
-// Working representation of one facet during construction. The plane
-// is stored inline (fixed-size normal plus offset) so facet creation
-// does not heap-allocate per facet.
-struct FacetRec {
-  std::array<std::int32_t, kMaxHullDim> verts;  // d point indices
-  std::array<std::int32_t, kMaxHullDim> neigh;  // d facet ids, per vertex
-  std::array<double, kMaxHullDim> normal;       // outward unit normal
-  double offset = 0.0;                          // normal . x == offset
-  std::vector<std::int32_t> outside;  // points strictly above this facet
+// The thread-local builder keeps its storage between builds up to this
+// many facets; past it the storage goes back after the build, so a
+// thread that once built a huge hull does not hold its memory for good.
+constexpr std::size_t kRetainFacets = std::size_t{1} << 17;
+
+// Per-facet scalars of the working hull. A facet's d vertex and d
+// neighbour ids and its plane live in HullBuilder's flat arrays, and
+// its outside points (those strictly above it) form a list threaded
+// through HullBuilder::next_outside_, so a facet owns no storage.
+struct FacetState {
   double furthest_dist = 0.0;
   std::int32_t furthest = -1;
+  std::int32_t outside_head = -1;  // -1: no outside points
+  std::int32_t outside_tail = -1;
   bool alive = true;
 };
-
-// Same accumulation order as Hyperplane::SignedDistance.
-inline double FacetDistance(const FacetRec& f, PointView p,
-                            std::size_t dim) {
-  double s = -f.offset;
-  for (std::size_t j = 0; j < dim; ++j) s += f.normal[j] * p[j];
-  return s;
-}
 
 // Hash key for a (d-1)-vertex ridge: sorted vertex ids.
 struct RidgeKey {
@@ -73,10 +68,10 @@ std::size_t RidgeKeyHash(const RidgeKey& k) {
 }
 
 // Slot of the flat linear-probing table used to pair apex ridges. The
-// table is hoisted across apexes and invalidated by bumping `stamp`
-// instead of clearing, so the pairing allocates nothing in steady
-// state. Each ridge occurs exactly twice on a closed horizon, so a
-// slot is inserted once and consumed (paired) once; no deletion.
+// table is kept across apexes and builds and invalidated by bumping a
+// stamp instead of clearing, so the pairing allocates nothing in
+// steady state. Each ridge occurs exactly twice on a closed horizon, so
+// a slot is inserted once and consumed (paired) once; no deletion.
 struct RidgeSlot {
   RidgeKey key;
   std::int32_t facet = -1;
@@ -85,26 +80,50 @@ struct RidgeSlot {
   bool paired = false;
 };
 
+// One hull build at a time. Every buffer is cleared, not freed, between
+// builds (up to kRetainFacets), so the thread-local builder of
+// ComputeConvexHull stops allocating once it has seen its largest
+// input.
 class HullBuilder {
  public:
-  HullBuilder(const PointSet& points, const ConvexHullOptions& options)
-      : input_(points), options_(options), dim_(points.dim()) {}
-
-  HullStatus Build(ConvexHull* out);
+  HullStatus Build(const PointSet& points, const ConvexHullOptions& options,
+                   ConvexHull* out);
 
  private:
   PointView PointAt(std::int32_t id) const {
-    if (id < static_cast<std::int32_t>(input_.size())) {
-      return input_[static_cast<std::size_t>(id)];
+    if (id < static_cast<std::int32_t>(input_->size())) {
+      return (*input_)[static_cast<std::size_t>(id)];
     }
     return PointView(sentinel_);
   }
 
   std::size_t NumPoints() const {
-    return input_.size() + (sentinel_.empty() ? 0 : 1);
+    return input_->size() + (sentinel_.empty() ? 0 : 1);
   }
 
-  bool MakePlane(const std::int32_t* verts, FacetRec* f);
+  // Facet f's d vertex ids, then its d neighbour ids: neighbour s lies
+  // across the ridge opposite vertex s.
+  std::int32_t* Verts(std::int32_t f) {
+    return ids_.data() + static_cast<std::size_t>(f) * 2 * dim_;
+  }
+  std::int32_t* Neigh(std::int32_t f) { return Verts(f) + dim_; }
+  // Facet f's outward unit normal, then its offset: normal . x == offset.
+  const double* Plane(std::int32_t f) const {
+    return planes_.data() + static_cast<std::size_t>(f) * (dim_ + 1);
+  }
+  // Same accumulation order as Hyperplane::SignedDistance.
+  double Distance(const double* plane, PointView p) const {
+    double s = -plane[dim_];
+    for (std::size_t j = 0; j < dim_; ++j) s += plane[j] * p[j];
+    return s;
+  }
+
+  // Appends a facet with unset vertices, no neighbours and no plane.
+  std::int32_t AddFacet();
+  // Sets the plane of facet f through its vertices, oriented outward.
+  bool MakePlane(std::int32_t f);
+  // Appends q, at distance `dist` above facet f, to f's outside list.
+  void AddOutside(std::int32_t f, std::int32_t q, double dist);
   void PushPending(std::int32_t fid) {
     pending_.push_back(Pending{facets_[fid].furthest_dist, fid});
     std::push_heap(pending_.begin(), pending_.end());
@@ -114,14 +133,17 @@ class HullBuilder {
   void AssignInitialOutside();
   void Compact(ConvexHull* out);
 
-  const PointSet& input_;
-  ConvexHullOptions options_;
-  std::size_t dim_;
+  const PointSet* input_ = nullptr;
+  std::size_t dim_ = 0;
   Point sentinel_;         // empty unless add_top_sentinel
   std::int32_t sentinel_id_ = -1;
   Point interior_;         // reference interior point
   std::vector<std::int32_t> simplex_;   // initial d+1 vertex ids
-  std::vector<FacetRec> facets_;
+  std::vector<FacetState> facets_;
+  std::vector<std::int32_t> ids_;   // per facet: d vertices, d neighbours
+  std::vector<double> planes_;      // per facet: d normal entries, offset
+  // Per point: the next point of the outside list holding it, -1 last.
+  std::vector<std::int32_t> next_outside_;
   // Facets with outside points as a max-heap on (furthest_dist, -id):
   // the next apex is the furthest outside point over all live facets
   // (Barber, Dobkin & Huhdanpaa's furthest-point rule). A facet's key
@@ -140,11 +162,36 @@ class HullBuilder {
   // Per-facet visit stamps for the visibility BFS.
   std::vector<std::uint32_t> visit_stamp_;
   std::uint32_t current_stamp_ = 0;
+  // Apex distance per stamped facet, so the BFS evaluates each facet's
+  // plane once instead of once per incident edge.
+  std::vector<double> apex_dist_;
+  std::vector<std::int32_t> visible_;
+  std::vector<std::int32_t> bfs_;
+  // Horizon ridge: (visible facet id, slot, outer neighbour id).
+  struct Horizon {
+    std::int32_t visible_facet;
+    std::size_t slot;
+    std::int32_t outer;
+  };
+  std::vector<Horizon> horizon_;
+  std::vector<RidgeSlot> ridge_table_;  // power-of-two linear probing
+  std::uint32_t ridge_stamp_ = 0;
+  std::vector<std::int32_t> remap_;     // Compact scratch
+  std::vector<std::uint8_t> is_vertex_;  // Compact scratch
   std::vector<PointView> plane_pts_;  // MakePlane scratch
   Hyperplane plane_scratch_;          // MakePlane scratch
 };
 
-bool HullBuilder::MakePlane(const std::int32_t* verts, FacetRec* f) {
+std::int32_t HullBuilder::AddFacet() {
+  const auto f = static_cast<std::int32_t>(facets_.size());
+  facets_.emplace_back();
+  ids_.resize(ids_.size() + 2 * dim_, -1);
+  planes_.resize(planes_.size() + dim_ + 1);
+  return f;
+}
+
+bool HullBuilder::MakePlane(std::int32_t f) {
+  const std::int32_t* verts = Verts(f);
   plane_pts_.clear();
   for (std::size_t s = 0; s < dim_; ++s) plane_pts_.push_back(PointAt(verts[s]));
   Hyperplane* plane = &plane_scratch_;
@@ -156,9 +203,25 @@ bool HullBuilder::MakePlane(const std::int32_t* verts, FacetRec* f) {
     for (double& x : plane->normal) x = -x;
     plane->offset = -plane->offset;
   }
-  std::copy(plane->normal.begin(), plane->normal.end(), f->normal.begin());
-  f->offset = plane->offset;
+  double* out = planes_.data() + static_cast<std::size_t>(f) * (dim_ + 1);
+  std::copy(plane->normal.begin(), plane->normal.end(), out);
+  out[dim_] = plane->offset;
   return true;
+}
+
+void HullBuilder::AddOutside(std::int32_t f, std::int32_t q, double dist) {
+  FacetState& fs = facets_[f];
+  next_outside_[q] = -1;
+  if (fs.outside_tail < 0) {
+    fs.outside_head = q;
+  } else {
+    next_outside_[fs.outside_tail] = q;
+  }
+  fs.outside_tail = q;
+  if (dist > fs.furthest_dist) {
+    fs.furthest_dist = dist;
+    fs.furthest = q;
+  }
 }
 
 bool HullBuilder::BuildInitialSimplex() {
@@ -168,7 +231,6 @@ bool HullBuilder::BuildInitialSimplex() {
   // Greedy affinely-independent selection: start from the two points
   // extreme along the axis of largest spread, then repeatedly add the
   // point furthest from the current affine span.
-  std::size_t best_axis = 0;
   std::int32_t lo = 0, hi = 0;
   double best_spread = -1.0;
   for (std::size_t a = 0; a < dim_; ++a) {
@@ -181,12 +243,10 @@ bool HullBuilder::BuildInitialSimplex() {
     const double spread = PointAt(hi_a)[a] - PointAt(lo_a)[a];
     if (spread > best_spread) {
       best_spread = spread;
-      best_axis = a;
       lo = lo_a;
       hi = hi_a;
     }
   }
-  (void)best_axis;
   if (lo == hi || best_spread < kEps) return false;
 
   AffineBasis basis(dim_);
@@ -223,28 +283,26 @@ bool HullBuilder::BuildInitialSimplex() {
   for (double& x : interior_) x /= static_cast<double>(dim_ + 1);
 
   // The d+1 simplex facets: facet i omits simplex_[i].
-  facets_.clear();
-  facets_.resize(dim_ + 1);
   for (std::size_t i = 0; i <= dim_; ++i) {
-    FacetRec& f = facets_[i];
-    f.neigh.fill(-1);
+    const std::int32_t f = AddFacet();
+    std::int32_t* verts = Verts(f);
     std::size_t vcount = 0;
     for (std::size_t j = 0; j <= dim_; ++j) {
-      if (j != i) f.verts[vcount++] = simplex_[j];
+      if (j != i) verts[vcount++] = simplex_[j];
     }
-    if (!MakePlane(f.verts.data(), &f)) return false;
-    // Neighbour opposite f.verts[s]: f.verts[s] == simplex_[j], and the
+    if (!MakePlane(f)) return false;
+    // Neighbour opposite verts[s]: verts[s] == simplex_[j], and the
     // ridge omitting both simplex_[i] and simplex_[j] is shared with
     // facet j.
+    std::int32_t* neigh = Neigh(f);
     for (std::size_t s = 0; s < dim_; ++s) {
-      const std::int32_t vid = f.verts[s];
       for (std::size_t j = 0; j <= dim_; ++j) {
-        if (simplex_[j] == vid) {
-          f.neigh[s] = static_cast<std::int32_t>(j);
+        if (simplex_[j] == verts[s]) {
+          neigh[s] = static_cast<std::int32_t>(j);
           break;
         }
       }
-      DRLI_DCHECK(f.neigh[s] >= 0);
+      DRLI_DCHECK(neigh[s] >= 0);
     }
   }
   live_facets_ = dim_ + 1;
@@ -253,143 +311,117 @@ bool HullBuilder::BuildInitialSimplex() {
 
 void HullBuilder::AssignInitialOutside() {
   const std::size_t n = NumPoints();
+  next_outside_.assign(n, -1);
+  const auto num_facets = static_cast<std::int32_t>(facets_.size());
   for (std::size_t i = 0; i < n; ++i) {
     const auto id = static_cast<std::int32_t>(i);
     if (std::find(simplex_.begin(), simplex_.end(), id) != simplex_.end()) {
       continue;
     }
     PointView p = PointAt(id);
-    for (FacetRec& f : facets_) {
-      const double dist = FacetDistance(f, p, dim_);
+    for (std::int32_t f = 0; f < num_facets; ++f) {
+      const double dist = Distance(Plane(f), p);
       if (dist > kEps) {
-        f.outside.push_back(id);
-        if (dist > f.furthest_dist) {
-          f.furthest_dist = dist;
-          f.furthest = id;
-        }
+        AddOutside(f, id, dist);
         break;
       }
     }
   }
-  for (std::size_t i = 0; i < facets_.size(); ++i) {
-    if (!facets_[i].outside.empty()) {
-      PushPending(static_cast<std::int32_t>(i));
-    }
+  for (std::int32_t f = 0; f < num_facets; ++f) {
+    if (facets_[f].outside_head >= 0) PushPending(f);
   }
 }
 
 bool HullBuilder::ProcessOutsidePoints() {
+  current_stamp_ = 0;
   visit_stamp_.assign(facets_.size(), 0);
-  std::vector<std::int32_t> visible;
-  std::vector<std::int32_t> bfs;
-  // Horizon ridge: (visible facet id, slot, outer neighbour id).
-  struct Horizon {
-    std::int32_t visible_facet;
-    std::size_t slot;
-    std::int32_t outer;
-  };
-  std::vector<Horizon> horizon;
-  std::vector<RidgeSlot> ridge_table;  // power-of-two linear probing
-  std::uint32_t ridge_stamp = 0;
-  std::vector<std::int32_t> new_facets;
-  // New-facet planes flattened to d normal entries plus the offset per
-  // facet, so the redistribution loop scans contiguous memory instead
-  // of chasing FacetRec -> heap-allocated normal per probe.
-  std::vector<double> new_planes;
-  // Apex distance per stamped facet, so the BFS evaluates each facet's
-  // plane once instead of once per incident edge.
-  std::vector<double> apex_dist;
-  // Retired outside-point buffers, recycled into new facets so the
-  // redistribution loop reuses capacity instead of reallocating.
-  std::vector<std::vector<std::int32_t>> spare_outside;
 
   while (!pending_.empty()) {
     std::pop_heap(pending_.begin(), pending_.end());
     const std::int32_t fid = pending_.back().facet;
     pending_.pop_back();
-    FacetRec& f = facets_[fid];
-    if (!f.alive) continue;
+    if (!facets_[fid].alive) continue;
 
-    const std::int32_t apex = f.furthest;
+    const std::int32_t apex = facets_[fid].furthest;
     DRLI_DCHECK(apex >= 0);
     PointView apex_pt = PointAt(apex);
 
-    // Visibility BFS from f.
+    // Visibility BFS from fid.
     ++current_stamp_;
     visit_stamp_.resize(facets_.size(), 0);
-    apex_dist.resize(facets_.size(), 0.0);
-    visible.clear();
-    horizon.clear();
-    bfs.clear();
-    bfs.push_back(fid);
+    apex_dist_.resize(facets_.size(), 0.0);
+    visible_.clear();
+    horizon_.clear();
+    bfs_.clear();
+    bfs_.push_back(fid);
     visit_stamp_[fid] = current_stamp_;
     // The seed's apex distance was computed when the apex was assigned
     // as its furthest outside point.
-    apex_dist[fid] = f.furthest_dist;
-    while (!bfs.empty()) {
-      const std::int32_t cur = bfs.back();
-      bfs.pop_back();
-      visible.push_back(cur);
-      const FacetRec& fc = facets_[cur];
+    apex_dist_[fid] = facets_[fid].furthest_dist;
+    while (!bfs_.empty()) {
+      const std::int32_t cur = bfs_.back();
+      bfs_.pop_back();
+      visible_.push_back(cur);
+      const std::int32_t* neigh = Neigh(cur);
       for (std::size_t s = 0; s < dim_; ++s) {
-        const std::int32_t nb = fc.neigh[s];
+        const std::int32_t nb = neigh[s];
         DRLI_DCHECK(nb >= 0);
         if (visit_stamp_[nb] == current_stamp_) {
-          if (facets_[nb].alive && apex_dist[nb] > kEps) {
+          if (facets_[nb].alive && apex_dist_[nb] > kEps) {
             continue;  // already queued as visible
           }
           // Already classified not-visible: horizon ridge.
-          horizon.push_back(Horizon{cur, s, nb});
+          horizon_.push_back(Horizon{cur, s, nb});
           continue;
         }
         visit_stamp_[nb] = current_stamp_;
-        const double dist = FacetDistance(facets_[nb], apex_pt, dim_);
-        apex_dist[nb] = dist;
+        const double dist = Distance(Plane(nb), apex_pt);
+        apex_dist_[nb] = dist;
         if (dist > kEps) {
-          bfs.push_back(nb);
+          bfs_.push_back(nb);
         } else {
-          horizon.push_back(Horizon{cur, s, nb});
+          horizon_.push_back(Horizon{cur, s, nb});
         }
       }
     }
 
-    if (horizon.empty()) return false;  // numerically inconsistent
+    if (horizon_.empty()) return false;  // numerically inconsistent
 
     // Create one new facet per horizon ridge. Size the ridge table for
     // load factor <= 1/2 and invalidate previous contents by stamp.
-    const std::size_t expected_ridges = horizon.size() * (dim_ - 1);
+    const std::size_t expected_ridges = horizon_.size() * (dim_ - 1);
     std::size_t cap = 16;
     while (cap < 2 * expected_ridges) cap <<= 1;
-    if (ridge_table.size() < cap) {
-      ridge_table.assign(cap, RidgeSlot{});
-      ridge_stamp = 0;
-    } else {
-      cap = ridge_table.size();
+    if (ridge_table_.size() < cap ||
+        ridge_stamp_ == std::numeric_limits<std::uint32_t>::max()) {
+      ridge_table_.assign(std::max(cap, ridge_table_.size()), RidgeSlot{});
+      ridge_stamp_ = 0;
     }
-    ++ridge_stamp;
+    cap = ridge_table_.size();
+    ++ridge_stamp_;
     const std::size_t ridge_mask = cap - 1;
     std::size_t open_ridges = 0;
-    new_facets.clear();
-    new_facets.reserve(horizon.size());
-    for (const Horizon& h : horizon) {
-      const FacetRec& vf = facets_[h.visible_facet];
-      FacetRec nf;
+    // The new facets take consecutive ids from first_new.
+    const auto first_new = static_cast<std::int32_t>(facets_.size());
+    for (const Horizon& h : horizon_) {
+      const std::int32_t new_id = AddFacet();
+      std::int32_t* nv = Verts(new_id);
+      const std::int32_t* vv = Verts(h.visible_facet);
       std::size_t vcount = 0;
       for (std::size_t s = 0; s < dim_; ++s) {
-        if (s != h.slot) nf.verts[vcount++] = vf.verts[s];
+        if (s != h.slot) nv[vcount++] = vv[s];
       }
-      nf.verts[vcount] = apex;
-      nf.neigh.fill(-1);
-      if (!MakePlane(nf.verts.data(), &nf)) return false;
-      const auto new_id = static_cast<std::int32_t>(facets_.size());
+      nv[vcount] = apex;
+      if (!MakePlane(new_id)) return false;
 
       // Across the ridge without the apex lies the old outer facet.
-      nf.neigh[dim_ - 1] = h.outer;
-      FacetRec& outer = facets_[h.outer];
+      std::int32_t* nn = Neigh(new_id);
+      nn[dim_ - 1] = h.outer;
+      std::int32_t* outer = Neigh(h.outer);
       bool wired = false;
       for (std::size_t s = 0; s < dim_; ++s) {
-        if (outer.neigh[s] == h.visible_facet) {
-          outer.neigh[s] = new_id;
+        if (outer[s] == h.visible_facet) {
+          outer[s] = new_id;
           wired = true;
           break;
         }
@@ -400,7 +432,7 @@ bool HullBuilder::ProcessOutsidePoints() {
       for (std::size_t s = 0; s + 1 < dim_; ++s) {
         RidgeKey key;
         for (std::size_t t = 0; t < dim_; ++t) {
-          if (t != s) key.verts[key.size++] = nf.verts[t];
+          if (t != s) key.verts[key.size++] = nv[t];
         }
         // Insertion sort over the d - 1 ids: std::sort over the runtime
         // key.size trips GCC 12's -Warray-bounds at -O3.
@@ -412,82 +444,65 @@ bool HullBuilder::ProcessOutsidePoints() {
           }
           key.verts[j] = v;
         }
-        std::size_t h = RidgeKeyHash(key) & ridge_mask;
+        std::size_t slot = RidgeKeyHash(key) & ridge_mask;
         while (true) {
-          RidgeSlot& rs = ridge_table[h];
-          if (rs.stamp != ridge_stamp) {
+          RidgeSlot& rs = ridge_table_[slot];
+          if (rs.stamp != ridge_stamp_) {
             rs.key = key;
             rs.facet = new_id;
             rs.slot = static_cast<std::uint32_t>(s);
-            rs.stamp = ridge_stamp;
+            rs.stamp = ridge_stamp_;
             rs.paired = false;
             ++open_ridges;
             break;
           }
           if (rs.key == key) {
             if (rs.paired) return false;  // ridge seen three times
-            nf.neigh[s] = rs.facet;
-            facets_[rs.facet].neigh[rs.slot] = new_id;
+            nn[s] = rs.facet;
+            Neigh(rs.facet)[rs.slot] = new_id;
             rs.paired = true;
             --open_ridges;
             break;
           }
-          h = (h + 1) & ridge_mask;
+          slot = (slot + 1) & ridge_mask;
         }
       }
 
-      facets_.push_back(std::move(nf));
-      visit_stamp_.push_back(0);
-      new_facets.push_back(new_id);
       ++live_facets_;
       if (live_facets_ > kMaxFacets) return false;
     }
     if (open_ridges != 0) return false;  // horizon not closed
 
-    // Redistribute the outside points of all visible facets.
+    // Redistribute the outside points of all visible facets. The new
+    // facets' planes are contiguous, so the scan over them reads one
+    // flat run of memory.
+    const std::size_t num_new = horizon_.size();
     const std::size_t pstride = dim_ + 1;
-    new_planes.clear();
-    for (const std::int32_t nid : new_facets) {
-      const FacetRec& nf = facets_[nid];
-      new_planes.insert(new_planes.end(), nf.normal.begin(),
-                        nf.normal.begin() + dim_);
-      new_planes.push_back(nf.offset);
-    }
-    for (const std::int32_t vid : visible) {
-      FacetRec& vf = facets_[vid];
-      for (const std::int32_t q : vf.outside) {
-        if (q == apex) continue;
-        PointView qp = PointAt(q);
-        for (std::size_t k = 0; k < new_facets.size(); ++k) {
-          // Same accumulation order as Hyperplane::SignedDistance.
-          const double* pl = new_planes.data() + k * pstride;
-          double dist = -pl[dim_];
-          for (std::size_t j = 0; j < dim_; ++j) dist += pl[j] * qp[j];
-          if (dist > kEps) {
-            FacetRec& nf = facets_[new_facets[k]];
-            if (nf.outside.capacity() == 0 && !spare_outside.empty()) {
-              nf.outside = std::move(spare_outside.back());
-              spare_outside.pop_back();
+    const double* new_planes = Plane(first_new);
+    for (const std::int32_t vid : visible_) {
+      std::int32_t q = facets_[vid].outside_head;
+      while (q >= 0) {
+        const std::int32_t next = next_outside_[q];
+        if (q != apex) {
+          PointView qp = PointAt(q);
+          for (std::size_t k = 0; k < num_new; ++k) {
+            const double dist = Distance(new_planes + k * pstride, qp);
+            if (dist > kEps) {
+              AddOutside(first_new + static_cast<std::int32_t>(k), q, dist);
+              break;
             }
-            nf.outside.push_back(q);
-            if (dist > nf.furthest_dist) {
-              nf.furthest_dist = dist;
-              nf.furthest = q;
-            }
-            break;
           }
         }
+        q = next;
       }
-      if (vf.outside.capacity() != 0) {
-        vf.outside.clear();
-        spare_outside.push_back(std::move(vf.outside));
-        vf.outside = {};
-      }
+      FacetState& vf = facets_[vid];
+      vf.outside_head = vf.outside_tail = -1;
       vf.alive = false;
       --live_facets_;
     }
-    for (const std::int32_t nid : new_facets) {
-      if (!facets_[nid].outside.empty()) PushPending(nid);
+    for (std::size_t k = 0; k < num_new; ++k) {
+      const std::int32_t nid = first_new + static_cast<std::int32_t>(k);
+      if (facets_[nid].outside_head >= 0) PushPending(nid);
     }
   }
   return true;
@@ -496,66 +511,86 @@ bool HullBuilder::ProcessOutsidePoints() {
 void HullBuilder::Compact(ConvexHull* out) {
   out->dim = dim_;
   out->vertices.clear();
-  out->facets.clear();
+  out->facet_vertices.clear();
+  out->facet_neighbors.clear();
+  out->facet_normals.clear();
+  out->facet_offsets.clear();
 
   // Keep alive facets not incident to the sentinel.
-  std::vector<std::int32_t> remap(facets_.size(), -1);
-  for (std::size_t i = 0; i < facets_.size(); ++i) {
-    const FacetRec& f = facets_[i];
-    if (!f.alive) continue;
+  const auto num_facets = static_cast<std::int32_t>(facets_.size());
+  remap_.assign(facets_.size(), -1);
+  std::int32_t kept = 0;
+  for (std::int32_t f = 0; f < num_facets; ++f) {
+    if (!facets_[f].alive) continue;
+    const std::int32_t* verts = Verts(f);
     if (sentinel_id_ >= 0 &&
-        std::find(f.verts.begin(), f.verts.begin() + dim_, sentinel_id_) !=
-            f.verts.begin() + dim_) {
+        std::find(verts, verts + dim_, sentinel_id_) != verts + dim_) {
       continue;
     }
-    remap[i] = static_cast<std::int32_t>(out->facets.size());
-    out->facets.emplace_back();
+    remap_[f] = kept++;
   }
-  std::size_t next = 0;
-  for (std::size_t i = 0; i < facets_.size(); ++i) {
-    if (remap[i] < 0) continue;
-    const FacetRec& f = facets_[i];
-    HullFacet& hf = out->facets[next++];
-    hf.vertices.assign(f.verts.begin(), f.verts.begin() + dim_);
-    hf.plane.normal.assign(f.normal.begin(), f.normal.begin() + dim_);
-    hf.plane.offset = f.offset;
-    hf.neighbors.assign(dim_, -1);
+  out->facet_vertices.reserve(kept * dim_);
+  out->facet_neighbors.reserve(kept * dim_);
+  out->facet_normals.reserve(kept * dim_);
+  out->facet_offsets.reserve(kept);
+  for (std::int32_t f = 0; f < num_facets; ++f) {
+    if (remap_[f] < 0) continue;
+    const std::int32_t* verts = Verts(f);
+    const std::int32_t* neigh = Neigh(f);
+    const double* plane = Plane(f);
+    out->facet_vertices.insert(out->facet_vertices.end(), verts,
+                               verts + dim_);
     for (std::size_t s = 0; s < dim_; ++s) {
-      const std::int32_t nb = f.neigh[s];
-      if (nb >= 0 && remap[nb] >= 0) hf.neighbors[s] = remap[nb];
+      const std::int32_t nb = neigh[s];
+      out->facet_neighbors.push_back(nb >= 0 ? remap_[nb] : -1);
     }
+    out->facet_normals.insert(out->facet_normals.end(), plane, plane + dim_);
+    out->facet_offsets.push_back(plane[dim_]);
   }
 
-  std::vector<bool> is_vertex(NumPoints(), false);
+  is_vertex_.assign(NumPoints(), 0);
   // Vertices come from all alive facets (including sentinel ones, so
   // that points whose every incident facet touches the sentinel are
   // still reported as hull vertices), minus the sentinel itself.
-  for (const FacetRec& f : facets_) {
-    if (!f.alive) continue;
+  for (std::int32_t f = 0; f < num_facets; ++f) {
+    if (!facets_[f].alive) continue;
+    const std::int32_t* verts = Verts(f);
     for (std::size_t s = 0; s < dim_; ++s) {
-      if (f.verts[s] != sentinel_id_) is_vertex[f.verts[s]] = true;
+      if (verts[s] != sentinel_id_) is_vertex_[verts[s]] = 1;
     }
   }
-  for (std::size_t i = 0; i < is_vertex.size(); ++i) {
-    if (is_vertex[i]) out->vertices.push_back(static_cast<std::int32_t>(i));
+  for (std::size_t i = 0; i < is_vertex_.size(); ++i) {
+    if (is_vertex_[i]) out->vertices.push_back(static_cast<std::int32_t>(i));
   }
 }
 
-HullStatus HullBuilder::Build(ConvexHull* out) {
+HullStatus HullBuilder::Build(const PointSet& points,
+                              const ConvexHullOptions& options,
+                              ConvexHull* out) {
+  input_ = &points;
+  dim_ = points.dim();
   DRLI_CHECK(dim_ >= 2) << "convex hull requires dim >= 2";
+  out->facets_created = 0;
   if (dim_ > kMaxHullDim) return HullStatus::kDegenerate;
-  if (options_.add_top_sentinel && input_.size() > 0) {
+  sentinel_.clear();
+  sentinel_id_ = -1;
+  facets_.clear();
+  ids_.clear();
+  planes_.clear();
+  pending_.clear();
+  live_facets_ = 0;
+  if (options.add_top_sentinel && points.size() > 0) {
     // One point beyond the max corner in every coordinate; it is never
     // below any lower facet, so the lower hull is unchanged.
     sentinel_.assign(dim_, 0.0);
-    for (std::size_t i = 0; i < input_.size(); ++i) {
-      PointView p = input_[i];
+    for (std::size_t i = 0; i < points.size(); ++i) {
+      PointView p = points[i];
       for (std::size_t j = 0; j < dim_; ++j) {
         sentinel_[j] = std::max(sentinel_[j], p[j]);
       }
     }
     for (double& x : sentinel_) x = x * 2.0 + 1.0;
-    sentinel_id_ = static_cast<std::int32_t>(input_.size());
+    sentinel_id_ = static_cast<std::int32_t>(points.size());
   }
   bool built = BuildInitialSimplex();
   if (built) {
@@ -564,6 +599,7 @@ HullStatus HullBuilder::Build(ConvexHull* out) {
   }
   if (built) Compact(out);
   out->facets_created = facets_.size();
+  if (facets_.capacity() > kRetainFacets) *this = HullBuilder();
   return built ? HullStatus::kOk : HullStatus::kDegenerate;
 }
 
@@ -572,27 +608,49 @@ HullStatus HullBuilder::Build(ConvexHull* out) {
 HullStatus ComputeConvexHull(const PointSet& points,
                              const ConvexHullOptions& options,
                              ConvexHull* hull) {
-  HullBuilder builder(points, options);
-  return builder.Build(hull);
+  thread_local HullBuilder builder;
+  return builder.Build(points, options, hull);
 }
 
-std::vector<std::vector<std::int32_t>> BuildVertexAdjacency(
-    const ConvexHull& hull, const std::vector<bool>& wanted) {
-  std::vector<std::vector<std::int32_t>> adj(wanted.size());
-  for (const HullFacet& f : hull.facets) {
-    // Simplicial facet: every vertex pair within it is a hull edge.
-    for (const std::int32_t a : f.vertices) {
+CsrGraph BuildVertexAdjacency(const ConvexHull& hull,
+                              const std::vector<bool>& wanted) {
+  using NodeId = CsrGraph::NodeId;
+  const std::size_t n = wanted.size();
+  const std::size_t d = hull.dim;
+  // Simplicial facets: every vertex pair within a facet is a hull edge,
+  // so a wanted vertex gets d - 1 entries per incident facet. Count,
+  // fill, then sort, dedupe and close up each row in place.
+  std::vector<std::uint32_t> offsets(n + 1, 0);
+  for (const std::int32_t v : hull.facet_vertices) {
+    if (wanted[v]) offsets[v + 1] += static_cast<std::uint32_t>(d - 1);
+  }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  std::vector<NodeId> targets(offsets[n]);
+  std::vector<std::uint32_t> fill(offsets.begin(), offsets.end() - 1);
+  for (std::size_t f = 0; f < hull.num_facets(); ++f) {
+    const std::span<const std::int32_t> verts = hull.facet(f).vertices;
+    for (const std::int32_t a : verts) {
       if (!wanted[a]) continue;
-      for (const std::int32_t b : f.vertices) {
-        if (b != a) adj[a].push_back(b);
+      for (const std::int32_t b : verts) {
+        if (b != a) targets[fill[a]++] = static_cast<NodeId>(b);
       }
     }
   }
-  for (auto& list : adj) {
-    std::sort(list.begin(), list.end());
-    list.erase(std::unique(list.begin(), list.end()), list.end());
+  std::uint32_t kept = 0;
+  std::uint32_t begin = 0;
+  for (std::size_t v = 0; v < n; ++v) {
+    const std::uint32_t end = offsets[v + 1];
+    const auto row = targets.begin();
+    std::sort(row + begin, row + end);
+    const auto last = std::unique(row + begin, row + end);
+    offsets[v] = kept;
+    kept = static_cast<std::uint32_t>(
+        std::copy(row + begin, last, row + kept) - targets.begin());
+    begin = end;
   }
-  return adj;
+  offsets[n] = kept;
+  targets.resize(kept);
+  return CsrGraph::FromVectors(std::move(offsets), std::move(targets));
 }
 
 }  // namespace drli

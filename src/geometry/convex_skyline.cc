@@ -16,41 +16,48 @@ namespace {
 // at most this.
 constexpr double kLowerNormalTolerance = 1e-9;
 
-// Sorts `facets` into the canonical order (header). A facet's corner
-// is the componentwise minimum over its rows.
+// Sorts the facets into the canonical order (header). A facet's corner
+// is the componentwise minimum over its rows. The sort permutes facet
+// indices, and each facet's ids then move once, to their final place.
 void SortFacetsCanonically(const PointSet& points,
-                           std::vector<std::vector<TupleId>>* facets) {
-  struct Key {
-    double corner_sum;
-    std::vector<TupleId> sorted;
-    std::size_t at;
-  };
+                           ConvexSkylineResult* result) {
   const std::size_t d = points.dim();
-  std::vector<Key> keys;
-  keys.reserve(facets->size());
+  const std::size_t size = result->facet_size;
+  const std::size_t count = result->num_facets();
+  // Per facet: the corner sum, and its ids ascending for the tie-break.
+  std::vector<double> corner_sums(count);
+  std::vector<TupleId> sorted(result->facet_ids);
   Point corner(d);
-  for (std::size_t f = 0; f < facets->size(); ++f) {
-    const std::vector<TupleId>& facet = (*facets)[f];
+  for (std::size_t f = 0; f < count; ++f) {
+    const std::span<const TupleId> facet = result->facet(f);
     const PointView first = points[facet[0]];
     std::copy(first.begin(), first.end(), corner.begin());
-    for (std::size_t v = 1; v < facet.size(); ++v) {
+    for (std::size_t v = 1; v < size; ++v) {
       const PointView p = points[facet[v]];
       for (std::size_t j = 0; j < d; ++j) corner[j] = std::min(corner[j], p[j]);
     }
     double corner_sum = 0.0;
     for (std::size_t j = 0; j < d; ++j) corner_sum += corner[j];
-    std::vector<TupleId> sorted = facet;
-    std::sort(sorted.begin(), sorted.end());
-    keys.push_back(Key{corner_sum, std::move(sorted), f});
+    corner_sums[f] = corner_sum;
+    std::sort(sorted.begin() + f * size, sorted.begin() + (f + 1) * size);
   }
-  std::sort(keys.begin(), keys.end(), [](const Key& a, const Key& b) {
-    if (a.corner_sum != b.corner_sum) return a.corner_sum > b.corner_sum;
-    return a.sorted < b.sorted;
+  std::vector<std::size_t> order(count);
+  std::iota(order.begin(), order.end(), 0);
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    if (corner_sums[a] != corner_sums[b]) {
+      return corner_sums[a] > corner_sums[b];
+    }
+    return std::lexicographical_compare(
+        sorted.begin() + a * size, sorted.begin() + (a + 1) * size,
+        sorted.begin() + b * size, sorted.begin() + (b + 1) * size);
   });
-  std::vector<std::vector<TupleId>> ordered;
-  ordered.reserve(facets->size());
-  for (Key& key : keys) ordered.push_back(std::move((*facets)[key.at]));
-  *facets = std::move(ordered);
+  std::vector<TupleId> ordered;
+  ordered.reserve(result->facet_ids.size());
+  for (const std::size_t f : order) {
+    const std::span<const TupleId> facet = result->facet(f);
+    ordered.insert(ordered.end(), facet.begin(), facet.end());
+  }
+  result->facet_ids = std::move(ordered);
 }
 
 ConvexSkylineResult Fallback(const PointSet& points) {
@@ -61,7 +68,8 @@ ConvexSkylineResult Fallback(const PointSet& points) {
   if (!result.members.empty()) {
     // One pseudo-facet spanning all members: still a sound EDS
     // candidate (the intersection LP is what certifies a facet).
-    result.facets.push_back(result.members);
+    result.facet_ids = result.members;
+    result.facet_size = result.members.size();
   }
   return result;
 }
@@ -70,12 +78,13 @@ ConvexSkylineResult ConvexSkyline2D(const PointSet& points) {
   ConvexSkylineResult result;
   const std::vector<std::int32_t> chain = LowerLeftChain2D(points);
   result.members.assign(chain.begin(), chain.end());
+  result.facet_size = 2;
   for (std::size_t i = 0; i + 1 < chain.size(); ++i) {
-    result.facets.push_back({static_cast<TupleId>(chain[i]),
-                             static_cast<TupleId>(chain[i + 1])});
+    result.facet_ids.push_back(static_cast<TupleId>(chain[i]));
+    result.facet_ids.push_back(static_cast<TupleId>(chain[i + 1]));
   }
   std::sort(result.members.begin(), result.members.end());
-  SortFacetsCanonically(points, &result.facets);
+  SortFacetsCanonically(points, &result);
   return result;
 }
 
@@ -83,17 +92,20 @@ ConvexSkylineResult ConvexSkyline2D(const PointSet& points) {
 // hence globally) optimal: exists w with w_i >= 1 and
 // w . (u - v) >= 0 for every hull neighbour u.
 bool IsPositiveMinimizer(const PointSet& points, std::int32_t v,
-                         const std::vector<std::int32_t>& neighbors) {
+                         std::span<const CsrGraph::NodeId> neighbors) {
   const std::size_t d = points.dim();
-  LinearProgram lp(d);
-  std::vector<double> row(d);
+  // One program and row per thread, refilled per call.
+  thread_local LinearProgram lp(1);
+  thread_local std::vector<double> row;
+  lp.Reset(d);
+  row.resize(d);
   for (std::size_t j = 0; j < d; ++j) {
     std::fill(row.begin(), row.end(), 0.0);
     row[j] = 1.0;
     lp.AddConstraint(row, LpRelation::kGreaterEq, 1.0);
   }
   const PointView pv = points[v];
-  for (std::int32_t u : neighbors) {
+  for (const CsrGraph::NodeId u : neighbors) {
     const PointView pu = points[u];
     for (std::size_t j = 0; j < d; ++j) row[j] = pu[j] - pv[j];
     lp.AddConstraint(row, LpRelation::kGreaterEq, 0.0);
@@ -120,24 +132,24 @@ ConvexSkylineResult ComputeConvexSkyline(const PointSet& points) {
 
   ConvexSkylineResult result;
   result.hull_facets_created = hull.facets_created;
+  result.facet_size = d;
   std::vector<bool> member(points.size(), false);
-  for (const HullFacet& f : hull.facets) {
+  for (std::size_t fi = 0; fi < hull.num_facets(); ++fi) {
+    const HullFacet f = hull.facet(fi);
     bool lower = true;
-    for (double n : f.plane.normal) {
+    for (double n : f.normal) {
       if (n > kLowerNormalTolerance) {
         lower = false;
         break;
       }
     }
     if (!lower) continue;
-    std::vector<TupleId> facet;
-    facet.reserve(f.vertices.size());
+    const std::size_t at = result.facet_ids.size();
     for (std::int32_t v : f.vertices) {
-      facet.push_back(static_cast<TupleId>(v));
+      result.facet_ids.push_back(static_cast<TupleId>(v));
       member[v] = true;
     }
-    std::sort(facet.begin(), facet.end());
-    result.facets.push_back(std::move(facet));
+    std::sort(result.facet_ids.begin() + at, result.facet_ids.end());
   }
 
   // Only the hull vertices no lower facet holds need the LP, and with
@@ -158,7 +170,7 @@ ConvexSkylineResult ComputeConvexSkyline(const PointSet& points) {
     fallback.hull_facets_created = hull.facets_created;
     return fallback;
   }
-  SortFacetsCanonically(points, &result.facets);
+  SortFacetsCanonically(points, &result);
   return result;
 }
 

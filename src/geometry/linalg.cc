@@ -206,19 +206,20 @@ bool HyperplaneThroughPoints(const std::vector<PointView>& pts,
 
 double AffineBasis::DistanceToSpan(PointView p) const {
   if (!origin_set_) return std::numeric_limits<double>::infinity();
-  return Norm(PointView(Residual(p)));
+  Residual(p);
+  return Norm(PointView(residual_));
 }
 
-std::vector<double> AffineBasis::Residual(PointView p) const {
+void AffineBasis::Residual(PointView p) const {
   DRLI_DCHECK(p.size() == dim_);
-  std::vector<double> r(p.begin(), p.end());
-  for (std::size_t j = 0; j < dim_; ++j) r[j] -= origin_[j];
-  for (const auto& b : basis_) {
+  double* r = residual_.data();
+  for (std::size_t j = 0; j < dim_; ++j) r[j] = p[j] - origin_[j];
+  for (std::size_t at = 0; at < basis_.size(); at += dim_) {
+    const double* b = basis_.data() + at;
     double proj = 0.0;
     for (std::size_t j = 0; j < dim_; ++j) proj += r[j] * b[j];
     for (std::size_t j = 0; j < dim_; ++j) r[j] -= proj * b[j];
   }
-  return r;
 }
 
 bool AffineBasis::Add(PointView p, double tol) {
@@ -227,11 +228,10 @@ bool AffineBasis::Add(PointView p, double tol) {
     origin_set_ = true;
     return true;
   }
-  std::vector<double> r = Residual(p);
-  const double dist = Norm(PointView(r));
+  Residual(p);
+  const double dist = Norm(PointView(residual_));
   if (dist <= tol) return false;
-  for (double& x : r) x /= dist;
-  basis_.push_back(std::move(r));
+  for (const double x : residual_) basis_.push_back(x / dist);
   return true;
 }
 

@@ -62,11 +62,13 @@ bool HyperplaneThroughPoints(const std::vector<PointView>& pts,
 // of a candidate to the current affine span.
 class AffineBasis {
  public:
-  explicit AffineBasis(std::size_t dim) : dim_(dim) {}
+  explicit AffineBasis(std::size_t dim) : dim_(dim), residual_(dim) {}
 
   std::size_t dim() const { return dim_; }
   // Number of points accepted so far (affine rank is count()-1).
-  std::size_t count() const { return origin_set_ ? basis_.size() + 1 : 0; }
+  std::size_t count() const {
+    return origin_set_ ? basis_.size() / dim_ + 1 : 0;
+  }
 
   // Distance from p to the affine span of the accepted points.
   // Infinity-like large value when no point was accepted yet.
@@ -77,13 +79,17 @@ class AffineBasis {
   bool Add(PointView p, double tol);
 
  private:
-  // Returns the residual of p after projecting out origin + basis.
-  std::vector<double> Residual(PointView p) const;
+  // Sets residual_ to p after projecting out origin + basis.
+  void Residual(PointView p) const;
 
   std::size_t dim_;
   bool origin_set_ = false;
   std::vector<double> origin_;
-  std::vector<std::vector<double>> basis_;  // orthonormal directions
+  std::vector<double> basis_;  // orthonormal directions, stride dim_
+  // Residual scratch: the hull's initial simplex asks DistanceToSpan of
+  // every input point, so one buffer serves every call. A basis is
+  // therefore not safe to query from two threads at once.
+  mutable std::vector<double> residual_;
 };
 
 }  // namespace drli

@@ -116,9 +116,15 @@ LpRelation EffectiveRelation(LpRelation rel, double rhs) {
 
 }  // namespace
 
-LinearProgram::LinearProgram(std::size_t num_vars) : num_vars_(num_vars) {
+LinearProgram::LinearProgram(std::size_t num_vars) { Reset(num_vars); }
+
+void LinearProgram::Reset(std::size_t num_vars) {
   DRLI_CHECK(num_vars >= 1);
+  num_vars_ = num_vars;
+  rows_.clear();
+  row_coeffs_.clear();
   objective_.assign(num_vars, 0.0);
+  maximize_ = false;
 }
 
 void LinearProgram::AddConstraint(std::span<const double> coeffs,
@@ -141,13 +147,21 @@ void LinearProgram::SetMaximize(std::span<const double> coeffs) {
   maximize_ = true;
 }
 
-LpResult LinearProgram::Solve() const { return SolveImpl(false); }
-
-bool LinearProgram::IsFeasible() const {
-  return SolveImpl(true).status == LpStatus::kOptimal;
+LpResult LinearProgram::Solve() const {
+  LpResult result;
+  SolveImpl(false, &result);
+  return result;
 }
 
-LpResult LinearProgram::SolveImpl(bool feasibility_only) const {
+void LinearProgram::Solve(LpResult* result) const { SolveImpl(false, result); }
+
+bool LinearProgram::IsFeasible() const {
+  LpResult result;
+  SolveImpl(true, &result);
+  return result.status == LpStatus::kOptimal;
+}
+
+void LinearProgram::SolveImpl(bool feasibility_only, LpResult* result) const {
   const std::size_t m = rows_.size();
 
   // Column layout: [original vars][slack/surplus][artificials][rhs].
@@ -204,7 +218,6 @@ LpResult LinearProgram::SolveImpl(bool feasibility_only) const {
     }
   }
 
-  LpResult result;
   thread_local std::vector<double> cost;
   thread_local std::vector<bool> can_enter;
 
@@ -219,8 +232,8 @@ LpResult LinearProgram::SolveImpl(bool feasibility_only) const {
     DRLI_CHECK(status == LpStatus::kOptimal)
         << "phase-1 LP cannot be unbounded";
     if (phase1_obj > 1e-7) {
-      result.status = LpStatus::kInfeasible;
-      return result;
+      result->status = LpStatus::kInfeasible;
+      return;
     }
     // Drive remaining artificials out of the basis where possible.
     for (std::size_t i = 0; i < m; ++i) {
@@ -262,17 +275,17 @@ LpResult LinearProgram::SolveImpl(bool feasibility_only) const {
   const LpStatus status =
       RunSimplex(tableau.data(), m, basis, cost, can_enter, cols, &obj);
   if (status == LpStatus::kUnbounded) {
-    result.status = LpStatus::kUnbounded;
-    return result;
+    result->status = LpStatus::kUnbounded;
+    return;
   }
 
-  result.status = LpStatus::kOptimal;
-  result.objective = maximize_ ? -obj : obj;
-  result.x.assign(num_vars_, 0.0);
+  result->status = LpStatus::kOptimal;
+  if (feasibility_only) return;
+  result->objective = maximize_ ? -obj : obj;
+  result->x.assign(num_vars_, 0.0);
   for (std::size_t i = 0; i < m; ++i) {
-    if (basis[i] < num_vars_) result.x[basis[i]] = tableau[i * stride + cols];
+    if (basis[i] < num_vars_) result->x[basis[i]] = tableau[i * stride + cols];
   }
-  return result;
 }
 
 }  // namespace drli

@@ -35,6 +35,11 @@ class LinearProgram {
   // objective (pure feasibility) until SetMinimize is called.
   explicit LinearProgram(std::size_t num_vars);
 
+  // Clears every constraint and the objective and sets `num_vars`, so
+  // one program can be refilled without giving its storage back (the
+  // hot path's thread-local workspaces).
+  void Reset(std::size_t num_vars);
+
   std::size_t num_vars() const { return num_vars_; }
   std::size_t num_constraints() const { return rows_.size(); }
 
@@ -55,6 +60,8 @@ class LinearProgram {
 
   // Runs two-phase simplex. Deterministic; no randomness involved.
   LpResult Solve() const;
+  // Solve into *result, reusing the capacity of result->x.
+  void Solve(LpResult* result) const;
 
   // Convenience: true iff the constraint system admits any feasible
   // point (objective ignored).
@@ -68,8 +75,9 @@ class LinearProgram {
 
   // Shared two-phase body; feasibility_only runs phase 2 with a zero
   // objective (equivalent to, but cheaper than, solving a copy with
-  // the objective cleared).
-  LpResult SolveImpl(bool feasibility_only) const;
+  // the objective cleared) and leaves result->x and the objective
+  // untouched.
+  void SolveImpl(bool feasibility_only, LpResult* result) const;
 
   std::size_t num_vars_;
   std::vector<RowMeta> rows_;

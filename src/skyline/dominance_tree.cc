@@ -11,13 +11,6 @@ namespace {
 
 constexpr std::uint32_t kLeafSize = 8;
 
-bool CornersEqual(const double* a, PointView b, std::size_t d) {
-  for (std::size_t j = 0; j < d; ++j) {
-    if (a[j] != b[j]) return false;
-  }
-  return true;
-}
-
 }  // namespace
 
 void DominanceTree::Build(const PointSet& points,
@@ -119,7 +112,7 @@ bool DominanceTree::AnyDominatesAt(std::uint32_t idx, PointView t) const {
   // Max corner weakly dominating t (and != t) means every member does,
   // strictly: some coordinate of the max is strictly below t's, hence
   // strictly below in every member.
-  if (WeaklyDominates(PointView(bmax, dim_), t) && !CornersEqual(bmax, t, dim_)) {
+  if (WeaklyDominates(PointView(bmax, dim_), t) && !CornerEquals(bmax, t)) {
     return true;
   }
   if (node.right < 0) {
@@ -130,57 +123,6 @@ bool DominanceTree::AnyDominatesAt(std::uint32_t idx, PointView t) const {
   }
   return AnyDominatesAt(idx + 1, t) ||
          AnyDominatesAt(static_cast<std::uint32_t>(node.right), t);
-}
-
-void DominanceTree::ForEachDominator(PointView t,
-                                     const std::function<void(TupleId)>& fn,
-                                     DominanceTreeStats* stats) const {
-  if (empty()) return;
-  DRLI_DCHECK(t.size() == dim_);
-  DominanceTreeStats local;
-  ForEachDominatorAt(0, t, /*strict=*/true, fn, &local);
-  if (stats != nullptr) {
-    stats->pruned += local.pruned;
-    stats->tested += local.tested;
-  }
-}
-
-void DominanceTree::ForEachWeakDominator(
-    PointView t, const std::function<void(TupleId)>& fn) const {
-  if (empty()) return;
-  DRLI_DCHECK(t.size() == dim_);
-  DominanceTreeStats unused;
-  ForEachDominatorAt(0, t, /*strict=*/false, fn, &unused);
-}
-
-void DominanceTree::ForEachDominatorAt(std::uint32_t idx, PointView t,
-                                       bool strict,
-                                       const std::function<void(TupleId)>& fn,
-                                       DominanceTreeStats* stats) const {
-  const Node& node = nodes_[idx];
-  const double* bmin = bounds_.data() + static_cast<std::size_t>(idx) * 2 * dim_;
-  const double* bmax = bmin + dim_;
-  if (!WeaklyDominates(PointView(bmin, dim_), t)) {
-    stats->pruned += node.end - node.begin;
-    return;
-  }
-  if (WeaklyDominates(PointView(bmax, dim_), t) &&
-      !(strict && CornersEqual(bmax, t, dim_))) {
-    for (std::uint32_t i = node.begin; i < node.end; ++i) fn(ids_[i]);
-    stats->tested += node.end - node.begin;
-    return;
-  }
-  if (node.right < 0) {
-    for (std::uint32_t i = node.begin; i < node.end; ++i) {
-      ++stats->tested;
-      const PointView p(coords_.data() + i * dim_, dim_);
-      if (strict ? Dominates(p, t) : WeaklyDominates(p, t)) fn(ids_[i]);
-    }
-    return;
-  }
-  ForEachDominatorAt(idx + 1, t, strict, fn, stats);
-  ForEachDominatorAt(static_cast<std::uint32_t>(node.right), t, strict, fn,
-                     stats);
 }
 
 }  // namespace drli

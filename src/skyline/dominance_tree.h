@@ -22,9 +22,9 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <vector>
 
+#include "common/check.h"
 #include "common/point.h"
 
 namespace drli {
@@ -52,16 +52,31 @@ class DominanceTree {
   // True when some member strictly dominates t.
   bool AnyDominates(PointView t) const;
 
-  // Invokes fn(id) for every member strictly dominating t. The
+  // Invokes visit(id) for every member strictly dominating t. The
   // reporting order is the tree's deterministic preorder, not id
   // order. `stats` (optional) accumulates pruning counters.
-  void ForEachDominator(PointView t, const std::function<void(TupleId)>& fn,
-                        DominanceTreeStats* stats = nullptr) const;
+  template <typename Visit>
+  void ForEachDominator(PointView t, Visit&& visit,
+                        DominanceTreeStats* stats = nullptr) const {
+    if (empty()) return;
+    DRLI_DCHECK(t.size() == dim_);
+    DominanceTreeStats local;
+    ForEachDominatorAt</*kStrict=*/true>(0, t, visit, &local);
+    if (stats != nullptr) {
+      stats->pruned += local.pruned;
+      stats->tested += local.tested;
+    }
+  }
 
-  // Invokes fn(id) for every member weakly dominating t (<= in every
+  // Invokes visit(id) for every member weakly dominating t (<= in every
   // coordinate, so a member equal to t counts), in the same preorder.
-  void ForEachWeakDominator(PointView t,
-                            const std::function<void(TupleId)>& fn) const;
+  template <typename Visit>
+  void ForEachWeakDominator(PointView t, Visit&& visit) const {
+    if (empty()) return;
+    DRLI_DCHECK(t.size() == dim_);
+    DominanceTreeStats unused;
+    ForEachDominatorAt</*kStrict=*/false>(0, t, visit, &unused);
+  }
 
  private:
   struct Node {
@@ -76,9 +91,42 @@ class DominanceTree {
                           std::vector<std::uint32_t>* perm);
   bool AnyDominatesAt(std::uint32_t idx, PointView t) const;
   // Strict or weak dominators (see the public queries).
-  void ForEachDominatorAt(std::uint32_t idx, PointView t, bool strict,
-                          const std::function<void(TupleId)>& fn,
-                          DominanceTreeStats* stats) const;
+  template <bool kStrict, typename Visit>
+  void ForEachDominatorAt(std::uint32_t idx, PointView t, Visit& visit,
+                          DominanceTreeStats* stats) const {
+    const Node& node = nodes_[idx];
+    const double* bmin =
+        bounds_.data() + static_cast<std::size_t>(idx) * 2 * dim_;
+    const double* bmax = bmin + dim_;
+    if (!WeaklyDominates(PointView(bmin, dim_), t)) {
+      stats->pruned += node.end - node.begin;
+      return;
+    }
+    if (WeaklyDominates(PointView(bmax, dim_), t) &&
+        !(kStrict && CornerEquals(bmax, t))) {
+      for (std::uint32_t i = node.begin; i < node.end; ++i) visit(ids_[i]);
+      stats->tested += node.end - node.begin;
+      return;
+    }
+    if (node.right < 0) {
+      for (std::uint32_t i = node.begin; i < node.end; ++i) {
+        ++stats->tested;
+        const PointView p(coords_.data() + i * dim_, dim_);
+        if (kStrict ? Dominates(p, t) : WeaklyDominates(p, t)) visit(ids_[i]);
+      }
+      return;
+    }
+    ForEachDominatorAt<kStrict>(idx + 1, t, visit, stats);
+    ForEachDominatorAt<kStrict>(static_cast<std::uint32_t>(node.right), t,
+                                visit, stats);
+  }
+  // True when the dim_ coordinates at `corner` equal t's.
+  bool CornerEquals(const double* corner, PointView t) const {
+    for (std::size_t j = 0; j < dim_; ++j) {
+      if (corner[j] != t[j]) return false;
+    }
+    return true;
+  }
 
   std::size_t dim_ = 0;
   std::vector<Node> nodes_;      // preorder

@@ -218,9 +218,9 @@ TEST_P(BuildEquivalenceTest, ExistsEdgesMatchFirstCoveringFacetReference) {
       }
       ASSERT_EQ(members, built_members) << "fine sublayer " << fine;
       std::vector<std::vector<TupleId>> facets;
-      for (const std::vector<TupleId>& facet : csky.facets) {
+      for (std::size_t f = 0; f < csky.num_facets(); ++f) {
         facets.emplace_back();
-        for (const TupleId local : facet) {
+        for (const TupleId local : csky.facet(f)) {
           facets.back().push_back(remaining[local]);
         }
       }

@@ -7,6 +7,7 @@
 #include "data/generator.h"
 #include "geometry/convex_hull.h"
 #include "geometry/convex_hull_2d.h"
+#include "geometry/linalg.h"
 #include "geometry/simplex_lp.h"
 
 namespace drli {
@@ -36,14 +37,15 @@ void CheckHullInvariants(const PointSet& points, const ConvexHull& hull,
   const std::size_t d = points.dim();
   // Every facet has d vertices, a unit normal, and no point of the set
   // lies meaningfully above it.
-  for (const HullFacet& f : hull.facets) {
+  for (std::size_t fi = 0; fi < hull.num_facets(); ++fi) {
+    const HullFacet f = hull.facet(fi);
     ASSERT_EQ(f.vertices.size(), d);
-    EXPECT_NEAR(Norm(PointView(f.plane.normal)), 1.0, 1e-9);
+    EXPECT_NEAR(Norm(f.normal), 1.0, 1e-9);
     for (std::int32_t v : f.vertices) {
-      EXPECT_NEAR(f.plane.SignedDistance(points[v]), 0.0, 1e-7);
+      EXPECT_NEAR(f.SignedDistance(points[v]), 0.0, 1e-7);
     }
     for (std::size_t i = 0; i < points.size(); ++i) {
-      EXPECT_LT(f.plane.SignedDistance(points[i]), 1e-6)
+      EXPECT_LT(f.SignedDistance(points[i]), 1e-6)
           << "point " << i << " above facet";
     }
     if (!sentinel_used) {
@@ -51,7 +53,7 @@ void CheckHullInvariants(const PointSet& points, const ConvexHull& hull,
       for (std::size_t s = 0; s < d; ++s) {
         const std::int32_t nb = f.neighbors[s];
         ASSERT_GE(nb, 0);
-        ASSERT_LT(nb, static_cast<std::int32_t>(hull.facets.size()));
+        ASSERT_LT(nb, static_cast<std::int32_t>(hull.num_facets()));
       }
     }
   }
@@ -66,7 +68,7 @@ TEST(ConvexHullTest, Simplex3D) {
   pts.Add({0.2, 0.2, 0.2});  // interior
   ConvexHull hull;
   ASSERT_EQ(ComputeConvexHull(pts, {}, &hull), HullStatus::kOk);
-  EXPECT_EQ(hull.facets.size(), 4u);
+  EXPECT_EQ(hull.num_facets(), 4u);
   EXPECT_EQ(std::set<std::int32_t>(hull.vertices.begin(), hull.vertices.end()),
             (std::set<std::int32_t>{0, 1, 2, 3}));
   CheckHullInvariants(pts, hull, false);
@@ -87,7 +89,7 @@ TEST(ConvexHullTest, Cube3D) {
   ASSERT_EQ(ComputeConvexHull(pts, {}, &hull), HullStatus::kOk);
   EXPECT_EQ(hull.vertices.size(), 8u);
   // A triangulated cube has 12 facets.
-  EXPECT_EQ(hull.facets.size(), 12u);
+  EXPECT_EQ(hull.num_facets(), 12u);
   CheckHullInvariants(pts, hull, false);
 }
 
@@ -168,9 +170,10 @@ TEST(ConvexHullTest, SentinelPreservesLowerFacets) {
 
   auto lower_facets = [](const ConvexHull& hull) {
     std::set<std::set<std::int32_t>> out;
-    for (const HullFacet& f : hull.facets) {
+    for (std::size_t fi = 0; fi < hull.num_facets(); ++fi) {
+      const HullFacet f = hull.facet(fi);
       bool lower = true;
-      for (double n : f.plane.normal) {
+      for (double n : f.normal) {
         if (n > 1e-9) lower = false;
       }
       if (lower) {
@@ -190,10 +193,10 @@ TEST(ConvexHullTest, VertexAdjacencySymmetric) {
   const auto adj =
       BuildVertexAdjacency(hull, std::vector<bool>(pts.size(), true));
   for (std::size_t v = 0; v < adj.size(); ++v) {
-    for (std::int32_t u : adj[v]) {
-      const auto& back = adj[u];
+    for (const CsrGraph::NodeId u : adj[v]) {
+      const auto back = adj[u];
       EXPECT_TRUE(std::binary_search(back.begin(), back.end(),
-                                     static_cast<std::int32_t>(v)));
+                                     static_cast<CsrGraph::NodeId>(v)));
     }
   }
   // Non-vertices have no adjacency.
@@ -211,13 +214,13 @@ TEST(ConvexHullTest, LargerRandomHulls) {
     const PointSet pts = GenerateIndependent(2000, d, 55 + d);
     ConvexHull hull;
     ASSERT_EQ(ComputeConvexHull(pts, {}, &hull), HullStatus::kOk) << d;
-    ASSERT_FALSE(hull.facets.empty());
+    ASSERT_GT(hull.num_facets(), 0u);
     // Spot-check containment on a sample of points.
     Rng rng(3);
     for (int s = 0; s < 50; ++s) {
       const std::size_t i = rng.Index(pts.size());
-      for (const HullFacet& f : hull.facets) {
-        EXPECT_LT(f.plane.SignedDistance(pts[i]), 1e-6);
+      for (std::size_t fi = 0; fi < hull.num_facets(); ++fi) {
+        EXPECT_LT(hull.facet(fi).SignedDistance(pts[i]), 1e-6);
       }
     }
   }

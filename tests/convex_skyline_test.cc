@@ -1,6 +1,7 @@
 #include <algorithm>
 #include <numeric>
 #include <set>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -44,11 +45,12 @@ void ExpectCanonicalFacetOrder(const PointSet& pts,
                                const ConvexSkylineResult& csky,
                                const std::string& label) {
   std::vector<std::pair<double, std::vector<TupleId>>> keys;
-  for (const std::vector<TupleId>& facet : csky.facets) {
+  for (std::size_t f = 0; f < csky.num_facets(); ++f) {
+    const std::span<const TupleId> facet = csky.facet(f);
     const Point corner = FacetMinCorner(pts, facet);
     double sum = 0.0;
     for (const double c : corner) sum += c;
-    std::vector<TupleId> sorted = facet;
+    std::vector<TupleId> sorted(facet.begin(), facet.end());
     std::sort(sorted.begin(), sorted.end());
     keys.emplace_back(sum, std::move(sorted));
   }
@@ -67,10 +69,11 @@ TEST(ConvexSkylineTest, FacetsComeInCanonicalOrder) {
       const PointSet pts = Generate(dist, 400, d, 90 + d);
       const ConvexSkylineResult csky = ComputeConvexSkyline(pts);
       ASSERT_TRUE(csky.exact) << d;
-      ASSERT_GT(csky.facets.size(), 1u) << d;
+      ASSERT_GT(csky.num_facets(), 1u) << d;
       ExpectCanonicalFacetOrder(pts, csky, "d=" + std::to_string(d));
       if (d == 2) continue;  // d == 2 keeps chain order within a facet
-      for (const std::vector<TupleId>& facet : csky.facets) {
+      for (std::size_t f = 0; f < csky.num_facets(); ++f) {
+        const std::span<const TupleId> facet = csky.facet(f);
         EXPECT_TRUE(std::is_sorted(facet.begin(), facet.end())) << d;
       }
     }
@@ -80,8 +83,8 @@ TEST(ConvexSkylineTest, FacetsComeInCanonicalOrder) {
   for (int i = 0; i < 30; ++i) flat.Add({i * 0.03, 0.9 - i * 0.03, 0.5});
   const ConvexSkylineResult fallback = ComputeConvexSkyline(flat);
   ASSERT_FALSE(fallback.exact);
-  ASSERT_EQ(fallback.facets.size(), 1u);
-  EXPECT_EQ(fallback.facets[0], fallback.members);
+  ASSERT_EQ(fallback.num_facets(), 1u);
+  EXPECT_EQ(fallback.facet_ids, fallback.members);
   ExpectCanonicalFacetOrder(flat, fallback, "fallback");
 }
 
@@ -92,9 +95,11 @@ TEST(ConvexSkylineTest, RowOrderLeavesMembersAndFacetsUnchanged) {
     const PointSet pts = GenerateIndependent(500, d, 110 + d);
     const ConvexSkylineResult csky = ComputeConvexSkyline(pts);
     ASSERT_TRUE(csky.exact) << d;
-    std::set<std::vector<TupleId>> facets(csky.facets.begin(),
-                                          csky.facets.end());
-    ASSERT_EQ(facets.size(), csky.facets.size()) << d;
+    std::set<std::vector<TupleId>> facets;
+    for (std::size_t f = 0; f < csky.num_facets(); ++f) {
+      facets.emplace(csky.facet(f).begin(), csky.facet(f).end());
+    }
+    ASSERT_EQ(facets.size(), csky.num_facets()) << d;
     Rng rng(120 + d);
     for (int trial = 0; trial < 3; ++trial) {
       // shuffled row r is original row perm[r].
@@ -110,9 +115,9 @@ TEST(ConvexSkylineTest, RowOrderLeavesMembersAndFacetsUnchanged) {
       std::sort(members.begin(), members.end());
       EXPECT_EQ(members, csky.members) << "d=" << d << " trial " << trial;
       std::set<std::vector<TupleId>> got_facets;
-      for (const std::vector<TupleId>& facet : got.facets) {
+      for (std::size_t f = 0; f < got.num_facets(); ++f) {
         std::vector<TupleId> mapped;
-        for (const TupleId r : facet) mapped.push_back(perm[r]);
+        for (const TupleId r : got.facet(f)) mapped.push_back(perm[r]);
         std::sort(mapped.begin(), mapped.end());
         got_facets.insert(std::move(mapped));
       }
@@ -129,11 +134,10 @@ TEST(ConvexSkylineTest, ToyDatasetFirstLayer) {
             (std::vector<TupleId>{testing_util::kA, testing_util::kB,
                                   testing_util::kC}));
   // Facets {a,b} and {b,c} (Example 2).
-  ASSERT_EQ(csky.facets.size(), 2u);
-  EXPECT_EQ(csky.facets[0],
-            (std::vector<TupleId>{testing_util::kA, testing_util::kB}));
-  EXPECT_EQ(csky.facets[1],
-            (std::vector<TupleId>{testing_util::kB, testing_util::kC}));
+  ASSERT_EQ(csky.num_facets(), 2u);
+  EXPECT_EQ(csky.facet_ids,
+            (std::vector<TupleId>{testing_util::kA, testing_util::kB,
+                                  testing_util::kB, testing_util::kC}));
 }
 
 TEST(ConvexSkylineTest, MembersContainEveryPositiveMinimizer2D) {
@@ -199,10 +203,8 @@ TEST(ConvexSkylineTest, FacetMembersAreLayerMembers) {
     const ConvexSkylineResult csky = ComputeConvexSkyline(pts);
     const std::set<TupleId> members(csky.members.begin(),
                                     csky.members.end());
-    for (const auto& facet : csky.facets) {
-      for (TupleId id : facet) {
-        EXPECT_TRUE(members.count(id)) << "d=" << d;
-      }
+    for (const TupleId id : csky.facet_ids) {
+      EXPECT_TRUE(members.count(id)) << "d=" << d;
     }
   }
 }
@@ -214,8 +216,8 @@ TEST(ConvexSkylineTest, SmallInputsFallBackToAllMembers) {
   const ConvexSkylineResult csky = ComputeConvexSkyline(pts);
   EXPECT_FALSE(csky.exact);
   EXPECT_EQ(csky.members.size(), 2u);
-  ASSERT_EQ(csky.facets.size(), 1u);
-  EXPECT_EQ(csky.facets[0].size(), 2u);
+  ASSERT_EQ(csky.num_facets(), 1u);
+  EXPECT_EQ(csky.facet(0).size(), 2u);
 }
 
 TEST(ConvexSkylineTest, DegenerateFlatInputFallsBack) {
@@ -232,7 +234,7 @@ TEST(ConvexSkylineTest, EmptyInput) {
   PointSet pts(4);
   const ConvexSkylineResult csky = ComputeConvexSkyline(pts);
   EXPECT_TRUE(csky.members.empty());
-  EXPECT_TRUE(csky.facets.empty());
+  EXPECT_EQ(csky.num_facets(), 0u);
 }
 
 TEST(ConvexSkylineTest, MembersAreSubsetOfSkylineOnSkylineInput) {

@@ -59,19 +59,18 @@ TEST_P(HullStressTest, NoPointAboveAnyFacet) {
   if (ComputeConvexHull(pts, {}, &hull) != HullStatus::kOk) {
     GTEST_SKIP() << "degenerate draw";
   }
-  for (const HullFacet& f : hull.facets) {
+  for (std::size_t fi = 0; fi < hull.num_facets(); ++fi) {
+    const HullFacet f = hull.facet(fi);
     for (std::size_t i = 0; i < pts.size(); ++i) {
-      ASSERT_LT(f.plane.SignedDistance(pts[i]), 1e-6)
+      ASSERT_LT(f.SignedDistance(pts[i]), 1e-6)
           << "point " << i << " above a facet";
     }
   }
   // Facet vertices are reported hull vertices.
   const std::set<std::int32_t> vertex_set(hull.vertices.begin(),
                                           hull.vertices.end());
-  for (const HullFacet& f : hull.facets) {
-    for (std::int32_t v : f.vertices) {
-      EXPECT_TRUE(vertex_set.count(v));
-    }
+  for (const std::int32_t v : hull.facet_vertices) {
+    EXPECT_TRUE(vertex_set.count(v));
   }
 }
 

@@ -1,4 +1,5 @@
 #include <cmath>
+#include <vector>
 
 #include "gtest/gtest.h"
 
@@ -94,6 +95,41 @@ TEST(SimplexLpTest, DegenerateTiesTerminate) {
   const LpResult r = lp.Solve();
   ASSERT_EQ(r.status, LpStatus::kOptimal);
   EXPECT_NEAR(r.objective, 1.0, 1e-9);
+}
+
+TEST(SimplexLpTest, ResetAndSolveIntoMatchAFreshProgram) {
+  // A reused program and result (the EDS test's workspace) must solve
+  // exactly as fresh ones: Reset drops the rows, the objective and its
+  // sense, and Solve(LpResult*) refills x.
+  LinearProgram reused(2);
+  reused.AddConstraint(std::vector<double>{1, 1}, LpRelation::kGreaterEq, 9);
+  reused.SetMaximize(std::vector<double>{1, 1});
+  LpResult into;
+  reused.Solve(&into);
+  ASSERT_EQ(into.status, LpStatus::kUnbounded);
+
+  reused.Reset(3);
+  LinearProgram fresh(3);
+  for (LinearProgram* lp : {&reused, &fresh}) {
+    lp->AddConstraint(std::vector<double>{1, 1, 1}, LpRelation::kEqual, 1);
+    lp->AddConstraint(std::vector<double>{0, 1, 2}, LpRelation::kLessEq, 0.5);
+    lp->SetMinimize(std::vector<double>{3, 1, 2});
+  }
+  EXPECT_EQ(reused.num_vars(), 3u);
+  EXPECT_EQ(reused.num_constraints(), 2u);
+  reused.Solve(&into);
+  const LpResult expected = fresh.Solve();
+  ASSERT_EQ(into.status, LpStatus::kOptimal);
+  ASSERT_EQ(expected.status, LpStatus::kOptimal);
+  EXPECT_EQ(into.objective, expected.objective);
+  EXPECT_EQ(into.x, expected.x);
+
+  // Reset with no constraints and no objective: a feasible zero program.
+  reused.Reset(1);
+  reused.Solve(&into);
+  ASSERT_EQ(into.status, LpStatus::kOptimal);
+  EXPECT_EQ(into.objective, 0.0);
+  EXPECT_EQ(into.x, std::vector<double>{0.0});
 }
 
 TEST(SimplexLpTest, RandomFeasibilityAgainstSampling) {

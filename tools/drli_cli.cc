@@ -267,7 +267,8 @@ int CmdBuild(const Flags& flags) {
       "zero_layer=%.3fs finalize=%.3fs\n",
       bs.skyline_seconds, bs.fine_peel_seconds, bs.coarse_edge_seconds,
       bs.zero_layer_seconds, bs.finalize_seconds);
-  std::printf("fine peel: hull_facets_created=%zu\n", bs.hull_facets_created);
+  std::printf("fine peel: hull_facets_created=%zu (%.3fs)\n",
+              bs.hull_facets_created, bs.hull_seconds);
   std::printf(
       "eds: lp_calls=%zu bbox_rejects=%zu member_hits=%zu (%.3fs)\n",
       bs.eds_lp_calls, bs.eds_bbox_rejects, bs.eds_member_hits,
