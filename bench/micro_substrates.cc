@@ -1,7 +1,8 @@
 // Microbenchmarks for the substrates underneath the indexes: skyline
 // and convex hull construction, convex-skyline extraction, the EDS
-// feasibility LP, the point and batched SoA kernels, k-means, the
-// Section V-A weight-table lookup, and the 2-d kinetic rank sweep.
+// feasibility LP, the point and batched SoA kernels, the coordinators'
+// bound pass, k-means, the Section V-A weight-table lookup, and the 2-d
+// kinetic rank sweep.
 // These are timing benchmarks proper, unlike bench/paper, whose
 // headline is the access counter: each row is bench_util::BestSeconds
 // of its body, in seconds per call.
@@ -28,12 +29,14 @@
 #include "common/random.h"
 #include "common/soa_points.h"
 #include "core/eds.h"
+#include "core/partition_merge.h"
 #include "core/rank_sweep_2d.h"
 #include "core/zero_layer.h"
 #include "data/generator.h"
 #include "geometry/convex_hull.h"
 #include "geometry/convex_hull_2d.h"
 #include "geometry/convex_skyline.h"
+#include "shard/sharded_index.h"
 #include "skyline/skyline.h"
 
 namespace {
@@ -267,6 +270,48 @@ void BatchKernels() {
   }
 }
 
+// The coordinator's bound pass over every shard of a sharded engine
+// (100k anti-correlated tuples, hyperplane shards): one CornerLowerBound
+// per shard over its own row-major bound points, against the fused pass
+// over the engine's dimension-major block (PartitionSet::Bound, the
+// ScoreMinRange kernel). Per query, over all S shards.
+void BoundPasses() {
+  for (const auto& [shards, d] : {std::pair<std::size_t, std::size_t>{8, 4},
+                                  {16, 4},
+                                  {8, 5},
+                                  {16, 5}}) {
+    ShardedBuildOptions options;
+    options.num_shards = shards;
+    options.shard_options.build_zero_layer = true;
+    const ShardedDualLayerIndex index = ShardedDualLayerIndex::Build(
+        GetDataset(Distribution::kAnticorrelated, 100000, d), options);
+    const PartitionSet& set = index.partitions();
+    std::size_t points = 0;
+    for (const DualLayerPartition* part : set.parts) {
+      points += part->bound_values.size() / d;
+    }
+    Rng rng(27);
+    std::vector<Point> weights;
+    for (int i = 0; i < 1024; ++i) weights.push_back(rng.SimplexWeight(d));
+    std::vector<double> bounds(shards);
+    const double per_partition = BestSeconds([&](std::size_t i) {
+      const PointView w(weights[i & 1023]);
+      for (std::size_t s = 0; s < shards; ++s) {
+        bounds[s] = index.ShardLowerBound(s, w);
+      }
+      DoNotOptimize(bounds.data());
+    });
+    Record(Label("bound_pass/per_partition", {shards, d}), per_partition,
+           "points", points);
+    const double fused = BestSeconds([&](std::size_t i) {
+      const PointView w(weights[i & 1023]);
+      for (std::size_t s = 0; s < shards; ++s) bounds[s] = set.Bound(s, w);
+      DoNotOptimize(bounds.data());
+    });
+    Record(Label("bound_pass/fused", {shards, d}), fused, "points", points);
+  }
+}
+
 void ZeroLayerSubstrates() {
   for (std::size_t n : {2000, 10000}) {
     const PointSet& points = GetDataset(Distribution::kIndependent, n, 4);
@@ -313,6 +358,7 @@ int main(int argc, char** argv) {
   EdsFacetTests();
   PointKernels();
   BatchKernels();
+  BoundPasses();
   ZeroLayerSubstrates();
 
   const bench_util::Provenance& p = bench_util::RunProvenance();

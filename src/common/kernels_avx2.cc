@@ -11,6 +11,12 @@
 //   * d <= 4 seeds the accumulator with the first product while d >= 5
 //     seeds with 0.0, mirroring the unrolled-vs-generic split of
 //     common/point.h (the two differ on -0.0 inputs).
+//   * The min fold keeps one running minimum per lane (_mm256_min_pd
+//     returns its second operand unless the first is smaller, i.e.
+//     std::min(lane, score)) and folds the lanes at the end. Equal
+//     doubles are equal bit for bit except +0.0 and -0.0, so only a
+//     zero minimum can depend on the fold order: it is re-folded in
+//     row order.
 //   * Dominance/comparison kernels are exact predicates (ordered,
 //     non-signalling compares on NaN-free input).
 //   * The similarity kernel subtracts, squares, sums from 0.0, takes
@@ -22,6 +28,9 @@
 // runtime dispatch in kernels_batch.cc, never directly.
 
 #include <immintrin.h>
+
+#include <algorithm>
+#include <limits>
 
 #include "common/kernels_batch.h"
 
@@ -106,6 +115,22 @@ void ScoreRangeAvx2(PointView weights, const SoaPointSet& soa,
   if (i < count) {
     ScoreRangeScalar(weights, soa, first + i, count - i, out + i);
   }
+}
+
+double ScoreMinRangeAvx2(PointView weights, const SoaPointSet& soa,
+                         std::size_t first, std::size_t count) {
+  __m256d lanes = _mm256_set1_pd(std::numeric_limits<double>::infinity());
+  std::size_t i = 0;
+  for (; i + 4 <= count; i += 4) {
+    lanes = _mm256_min_pd(ScoreLanesLoad(weights, soa, first + i), lanes);
+  }
+  alignas(32) double folded[4];
+  _mm256_store_pd(folded, lanes);
+  const double bound = std::min(
+      std::min(std::min(folded[0], folded[1]), std::min(folded[2], folded[3])),
+      ScoreMinRangeScalar(weights, soa, first + i, count - i));
+  if (bound == 0.0) return ScoreMinRangeScalar(weights, soa, first, count);
+  return bound;
 }
 
 bool DominatesAnyBatchAvx2(const SoaPointSet& soa, const std::uint32_t* ids,

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "common/check.h"
 #include "common/simd.h"
@@ -49,6 +50,15 @@ void ScoreRangeScalar(PointView weights, const SoaPointSet& soa,
   for (std::size_t i = 0; i < count; ++i) {
     out[i] = ScoreRow(weights, soa, first + i);
   }
+}
+
+double ScoreMinRangeScalar(PointView weights, const SoaPointSet& soa,
+                           std::size_t first, std::size_t count) {
+  double bound = std::numeric_limits<double>::infinity();
+  for (std::size_t i = 0; i < count; ++i) {
+    bound = std::min(bound, ScoreRow(weights, soa, first + i));
+  }
+  return bound;
 }
 
 bool DominatesAnyBatchScalar(const SoaPointSet& soa, const std::uint32_t* ids,
@@ -142,6 +152,20 @@ void ScoreRange(PointView weights, const SoaPointSet& soa,
     default:
       kernel_internal::ScoreRangeScalar(weights, soa, first, count, out);
       return;
+  }
+}
+
+double ScoreMinRange(PointView weights, const SoaPointSet& soa,
+                     std::size_t first, std::size_t count) {
+  DRLI_DCHECK(weights.size() == soa.dim());
+  DRLI_DCHECK(first + count <= soa.size());
+  switch (ActiveSimdTarget()) {
+#if defined(DRLI_HAVE_AVX2)
+    case SimdTarget::kAvx2:
+      return kernel_internal::ScoreMinRangeAvx2(weights, soa, first, count);
+#endif
+    default:
+      return kernel_internal::ScoreMinRangeScalar(weights, soa, first, count);
   }
 }
 

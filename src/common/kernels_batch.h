@@ -21,6 +21,11 @@
 // and division are correctly rounded in every lane, so the result is
 // bit-identical too.
 //
+// ScoreMinRange folds the same per-row scores with std::min in row
+// order. The minimum's value does not depend on the fold order; only
+// the sign of a zero minimum could, and the SIMD path re-folds a zero
+// in order, so it too is bit-identical to the scalar fold.
+//
 // Inputs are assumed NaN-free (the library's data model is points in
 // [0,1]^d and simplex weights); comparisons use ordered predicates.
 
@@ -45,6 +50,14 @@ void ScoreBatch(PointView weights, const SoaPointSet& soa,
 // variant used by full scans; columns are loaded, not gathered.
 void ScoreRange(PointView weights, const SoaPointSet& soa,
                 std::uint32_t first, std::size_t count, double* out);
+
+// The minimum of Score(weights, soa row first + i) over i in
+// [0, count), folded as std::min in row order: bit-identical to
+// CornerLowerBound (core/partition_merge.h) over the same rows; +inf
+// when count is 0. The bound pass of the partition merge. NEON targets
+// run the scalar kernel.
+double ScoreMinRange(PointView weights, const SoaPointSet& soa,
+                     std::size_t first, std::size_t count);
 
 // True iff Dominates(soa row ids[i], q) for at least one i -- the inner
 // test of skyline window sweeps. Exact predicate, identical outcome to
@@ -83,6 +96,8 @@ void ScoreBatchScalar(PointView weights, const SoaPointSet& soa,
                       double* out);
 void ScoreRangeScalar(PointView weights, const SoaPointSet& soa,
                       std::uint32_t first, std::size_t count, double* out);
+double ScoreMinRangeScalar(PointView weights, const SoaPointSet& soa,
+                           std::size_t first, std::size_t count);
 bool DominatesAnyBatchScalar(const SoaPointSet& soa, const std::uint32_t* ids,
                              std::size_t count, PointView q);
 void CompareBatchScalar(const SoaPointSet& soa, const std::uint32_t* ids,
@@ -96,6 +111,8 @@ void ScoreBatchAvx2(PointView weights, const SoaPointSet& soa,
                     const std::uint32_t* ids, std::size_t count, double* out);
 void ScoreRangeAvx2(PointView weights, const SoaPointSet& soa,
                     std::uint32_t first, std::size_t count, double* out);
+double ScoreMinRangeAvx2(PointView weights, const SoaPointSet& soa,
+                         std::size_t first, std::size_t count);
 bool DominatesAnyBatchAvx2(const SoaPointSet& soa, const std::uint32_t* ids,
                            std::size_t count, PointView q);
 void CompareBatchAvx2(const SoaPointSet& soa, const std::uint32_t* ids,

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "common/check.h"
+#include "common/kernels_batch.h"
 #include "core/eds.h"
 
 namespace drli {
@@ -193,6 +194,39 @@ DualLayerPartition MakeDualLayerPartition(DualLayerIndex index,
                             std::move(bound_values)};
 }
 
+std::string PartitionSet::Label(std::size_t p) const {
+  return std::string(noun) + " " + std::to_string(numbers[p]);
+}
+
+double PartitionSet::Bound(std::size_t p, PointView weights) const {
+  return ScoreMinRange(weights, bounds, first_row[p],
+                       first_row[p + 1] - first_row[p]);
+}
+
+PartitionSet MakePartitionSet(std::size_t dim,
+                              std::vector<const DualLayerPartition*> parts,
+                              std::size_t QueryStats::*opened,
+                              const char* noun,
+                              std::vector<std::uint32_t> numbers) {
+  DRLI_CHECK_EQ(numbers.size(), parts.size());
+  PartitionSet set;
+  std::vector<double> values;
+  set.first_row.reserve(parts.size() + 1);
+  set.first_row.push_back(0);
+  for (const DualLayerPartition* part : parts) {
+    values.insert(values.end(), part->bound_values.begin(),
+                  part->bound_values.end());
+    set.first_row.push_back(static_cast<std::uint32_t>(values.size() / dim));
+  }
+  set.bounds =
+      SoaPointSet::FromPointSet(PointSet::FromVector(dim, std::move(values)));
+  set.parts = std::move(parts);
+  set.opened = opened;
+  set.noun = noun;
+  set.numbers = std::move(numbers);
+  return set;
+}
+
 TopKResult MergeDualLayerPartitions(const PartitionSet& set,
                                     PointView weights, std::size_t k,
                                     const ExecBudget& budget,
@@ -201,9 +235,8 @@ TopKResult MergeDualLayerPartitions(const PartitionSet& set,
   std::vector<PartitionBound> bounds;
   bounds.reserve(set.parts.size());
   for (std::size_t p = 0; p < set.parts.size(); ++p) {
-    const DualLayerPartition& part = *set.parts[p];
-    if (part.ids.empty()) continue;
-    bounds.push_back({CornerLowerBound(part.bound_values, weights), p});
+    if (set.parts[p]->ids.empty()) continue;
+    bounds.push_back({set.Bound(p, weights), p});
   }
   return MergePartitions(
       k, budget, timer, std::move(opened), bounds,
@@ -221,7 +254,7 @@ TopKResult MergeDualLayerPartitions(const PartitionSet& set,
         MapToGlobal(part.ids, &*result);
         return std::move(*result);
       },
-      set.label);
+      [&set](std::size_t p) { return set.Label(p); });
 }
 
 }  // namespace drli

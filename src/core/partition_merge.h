@@ -20,17 +20,29 @@
 // Shards and tiered runs are one type, DualLayerPartition, and the four
 // merges over them (plain and constrained, sharded and tiered) share
 // one open rule, MergeDualLayerPartitions.
+//
+// A query pays only for what it opens. Each engine builds its
+// PartitionSet once -- at build and load, and again on every tiered
+// install (seal or compaction) -- with every partition's bound points
+// in one dimension-major block, and each query scores that block in one
+// fused pass (ScoreMinRange per partition row range). The tiered
+// memtable opens as its k best rows only: every row is still scored and
+// counted, and since no list enters the merge with more than k items
+// the cut-list certificate below covers the rows it drops.
 
 #ifndef DRLI_CORE_PARTITION_MERGE_H_
 #define DRLI_CORE_PARTITION_MERGE_H_
 
+#include <algorithm>
 #include <cstddef>
+#include <cstdint>
 #include <functional>
 #include <optional>
 #include <string>
 #include <vector>
 
 #include "common/point.h"
+#include "common/soa_points.h"
 #include "common/stopwatch.h"
 #include "core/dual_layer.h"
 #include "topk/query.h"
@@ -106,12 +118,74 @@ struct DualLayerPartition {
 DualLayerPartition MakeDualLayerPartition(DualLayerIndex index,
                                           std::vector<TupleId> ids);
 
-// One engine's partitions as its merges see them.
+// One engine's partitions as its merges see them, made by
+// MakePartitionSet when the partitions change (build, load, tiered
+// install) and read by every query in between. It holds no pointer to
+// its engine, only to the partitions, which sit in a vector the
+// engine's moves carry along; an install that reallocates that vector
+// makes a new set.
 struct PartitionSet {
   std::vector<const DualLayerPartition*> parts;
   std::size_t QueryStats::*opened = nullptr;  // shards_touched, runs_opened
-  PartitionLabel label;
+  // Error text names partition p "<noun> <numbers[p]>": "shard 3",
+  // "run 7" (a run's uid).
+  const char* noun = "";
+  std::vector<std::uint32_t> numbers;
+  // Every partition's bound_values as one dimension-major block:
+  // partition p's points are rows [first_row[p], first_row[p + 1]).
+  SoaPointSet bounds;
+  std::vector<std::uint32_t> first_row;
+
+  std::string Label(std::size_t p) const;
+  // CornerLowerBound(parts[p]->bound_values, weights), bit for bit,
+  // from the block (ScoreMinRange).
+  double Bound(std::size_t p, PointView weights) const;
 };
+
+// Copies the partitions' bound points into one block. `dim` is the
+// engine's; `numbers` names each partition in error text.
+PartitionSet MakePartitionSet(std::size_t dim,
+                              std::vector<const DualLayerPartition*> parts,
+                              std::size_t QueryStats::*opened,
+                              const char* noun,
+                              std::vector<std::uint32_t> numbers);
+
+// Scores every row `admit` accepts -- the tiered memtable, unindexed --
+// as an already-open list for MergeDualLayerPartitions: each admitted
+// row is counted in tuples_evaluated and listed in accessed, and items
+// keeps the k best of them in canonical (score, id) order. The merge
+// emits at most k items, so the rows past the cut can never be
+// emitted, and a partial merge certifies them through the list's
+// surviving cursor like any other cut list.
+template <typename Admit>
+TopKResult OpenRows(const PointSet& rows, const std::vector<TupleId>& ids,
+                    PointView weights, std::size_t k, const Admit& admit) {
+  TopKResult open;
+  open.accessed.reserve(ids.size());
+  // The k best so far, ascending; a row that beats the worst of them
+  // is insertion-sorted in from the back. Cheaper than a heap or a
+  // sort at memtable sizes.
+  std::vector<ScoredTuple>& best = open.items;
+  best.reserve(std::min(k, ids.size()));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const PointView row = rows[i];
+    if (!admit(row)) continue;
+    open.accessed.push_back(ids[i]);
+    const ScoredTuple item{ids[i], Score(weights, row)};
+    if (best.size() == k) {
+      if (best.empty() || !ResultOrderLess(item, best.back())) continue;
+      best.pop_back();
+    }
+    best.push_back(item);
+    std::size_t at = best.size() - 1;
+    for (; at > 0 && ResultOrderLess(item, best[at - 1]); --at) {
+      best[at] = best[at - 1];
+    }
+    best[at] = item;
+  }
+  open.stats.tuples_evaluated = open.accessed.size();
+  return open;
+}
 
 // One merge's per-partition traversal: the top `k` items of `index`
 // under `budget`, in local ids; nullopt declines the partition unopened
@@ -121,10 +195,11 @@ using PartitionTraversal = std::function<std::optional<TopKResult>(
 
 // The open rule of every merge over DL+ partitions. An empty partition
 // is never enqueued; the rest wait at their corner bound under
-// `weights`. An opened partition is asked for min(|ids|, k) items --
-// its traversal skips retired members, so that is min(live, k) live
-// ones; a fully retired partition answers empty at zero cost -- mapped
-// to global ids, and bumps `set.opened`; errors carry `set.label`.
+// `weights` (PartitionSet::Bound). An opened partition is asked for
+// min(|ids|, k) items -- its traversal skips retired members, so that
+// is min(live, k) live ones; a fully retired partition answers empty
+// at zero cost -- mapped to global ids, and bumps `set.opened`; errors
+// carry `set.Label`.
 // `opened` (the already-open list) and `timer` are as in
 // MergePartitions.
 TopKResult MergeDualLayerPartitions(const PartitionSet& set,

@@ -156,6 +156,19 @@ void TieredDualLayerIndex::InstallRun(PointSet rows, std::vector<TupleId> ids,
           std::move(ids)),
       next_run_uid_++, tier});
   ++generation_;
+  MakePartitions();
+}
+
+void TieredDualLayerIndex::MakePartitions() {
+  std::vector<const DualLayerPartition*> parts;
+  std::vector<std::uint32_t> uids;
+  for (const TieredRun& run : runs_) {
+    parts.push_back(&run);
+    uids.push_back(run.uid);
+  }
+  partitions_ = MakePartitionSet(dim_, std::move(parts),
+                                 &QueryStats::runs_opened, "run",
+                                 std::move(uids));
 }
 
 void TieredDualLayerIndex::MaybeMaintain() {
@@ -289,6 +302,7 @@ CompactProgress TieredDualLayerIndex::CompactStep() {
                 std::move(merged));
   }
   runs_ = std::move(kept);
+  MakePartitions();
   ++compactions_;
   ++generation_;
   job_.reset();
@@ -336,33 +350,14 @@ TopKResult TieredDualLayerIndex::Query(const TopKQuery& query) const {
   // the run frontiers alone (unsorted unscanned rows would otherwise
   // force a -inf frontier and certify nothing).
   const PointView w(query.weights);
-  TopKResult memtable;
-  memtable.items.reserve(memtable_ids_.size());
-  for (std::size_t i = 0; i < memtable_ids_.size(); ++i) {
-    memtable.items.push_back(
-        ScoredTuple{memtable_ids_[i], Score(w, memtable_[i])});
-    memtable.accessed.push_back(memtable_ids_[i]);
-  }
-  memtable.stats.tuples_evaluated = memtable_ids_.size();
-  std::sort(memtable.items.begin(), memtable.items.end(), ResultOrderLess);
-
   return MergeDualLayerPartitions(
-      partitions(), w, query.k, query.budget, timer, std::move(memtable),
+      partitions_, w, query.k, query.budget, timer,
+      OpenRows(memtable_, memtable_ids_, w, query.k,
+               [](PointView) { return true; }),
       [&](const DualLayerIndex& run, std::size_t k,
           const ExecBudget& budget) -> std::optional<TopKResult> {
         return run.Query(TopKQuery{query.weights, k, budget});
       });
-}
-
-PartitionSet TieredDualLayerIndex::partitions() const {
-  PartitionSet set;
-  set.parts.reserve(runs_.size());
-  for (const TieredRun& run : runs_) set.parts.push_back(&run);
-  set.opened = &QueryStats::runs_opened;
-  set.label = [this](std::size_t r) {
-    return "run " + std::to_string(runs_[r].uid);
-  };
-  return set;
 }
 
 }  // namespace drli

@@ -22,8 +22,13 @@
 // uid and tier, and queries run the partitions' one open rule, the
 // same as the sharded coordinator: one partition per run, bounded by
 // its exact top-1 score (the minimum over its SkylineCorners points,
-// retired members included), plus the fully scanned memtable as an
-// already-open list. A run is opened -- its DualLayerIndex queried for
+// retired members included), plus the memtable as an already-open
+// list. The engine makes its PartitionSet -- every run's bound points
+// in one block -- again on each install (seal, compaction, bulk start)
+// and at the end of LoadTieredIndex; an erase retires in place and
+// changes no bound, so it keeps the set. The memtable is scanned in
+// full, every row scored and counted, but opens as its k best rows
+// only (OpenRows). A run is opened -- its DualLayerIndex queried for
 // min(|run|, k) items, which its retire mask makes live ones -- only
 // when the merge frontier reaches its bound, so cold runs stay closed
 // exactly like cold shards.
@@ -164,8 +169,9 @@ class TieredDualLayerIndex final : public TopKIndex {
   const std::unordered_set<TupleId>& tombstones() const {
     return tombstones_;
   }
-  // The runs as the merges, plain and constrained, see them.
-  PartitionSet partitions() const;
+  // The runs as the merges, plain and constrained, see them; made
+  // again on every install.
+  const PartitionSet& partitions() const { return partitions_; }
 
  private:
   friend StatusOr<TieredDualLayerIndex> LoadTieredIndex(  // tiered_io.cc
@@ -189,6 +195,8 @@ class TieredDualLayerIndex final : public TopKIndex {
   // generation; drops empty row sets.
   void InstallRun(PointSet rows, std::vector<TupleId> ids,
                   std::uint32_t tier);
+  // Makes partitions_ over runs_; every change to runs_ ends with it.
+  void MakePartitions();
   // Picks the next merge job per the size-tiered policy; false = none.
   bool ScheduleCompaction();
   // Queues a merge of every run (full compaction driver).
@@ -210,6 +218,7 @@ class TieredDualLayerIndex final : public TopKIndex {
   std::vector<TupleId> memtable_ids_;  // ascending
   std::vector<TieredRun> runs_;        // ascending min-id order
   std::unordered_set<TupleId> tombstones_;  // masked run members
+  PartitionSet partitions_;  // points into runs_' heap buffer
 
   std::optional<CompactionJob> job_;
 

@@ -147,15 +147,12 @@ TopKResult ConstrainedTopK(const TopKIndex& engine,
   // The memtable is always fully scanned (it is small by construction:
   // at most memtable_capacity rows), so a later partial stop only has
   // to certify against run bounds.
-  ConstrainedQuery every = query;
-  every.k = tiered->memtable().size();
-  every.budget = {};
-  TopKResult memtable =
-      ConstrainedScanRows(tiered->memtable(), tiered->memtable_ids(), every);
-  return MergeDualLayerPartitions(tiered->partitions(), query.weights,
-                                  query.k, query.budget, timer,
-                                  std::move(memtable),
-                                  ConstrainedTraversal(query));
+  return MergeDualLayerPartitions(
+      tiered->partitions(), query.weights, query.k, query.budget, timer,
+      OpenRows(tiered->memtable(), tiered->memtable_ids(), query.weights,
+               query.k,
+               [&query](PointView row) { return query.box.Contains(row); }),
+      ConstrainedTraversal(query));
 }
 
 TopKResult ConstrainedScanRows(const PointSet& points,

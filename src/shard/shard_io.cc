@@ -114,6 +114,7 @@ StatusOr<ShardedDualLayerIndex> LoadShardedIndex(
   index.partition_seed_ = info.value().partition_seed;
   index.name_ = info.value().name;
   index.shards_ = std::move(shards).value();
+  index.MakePartitions();
   return index;
 }
 

@@ -127,6 +127,8 @@ ShardedDualLayerIndex ShardedDualLayerIndex::Build(
       },
       options.build_threads);
 
+  index.MakePartitions();
+
   if (!options.name.empty()) {
     index.name_ = options.name;
   } else {
@@ -145,13 +147,16 @@ double ShardedDualLayerIndex::ShardLowerBound(std::size_t s,
   return CornerLowerBound(shards_[s].bound_values, weights);
 }
 
-PartitionSet ShardedDualLayerIndex::partitions() const {
-  PartitionSet set;
-  set.parts.reserve(shards_.size());
-  for (const DualLayerPartition& shard : shards_) set.parts.push_back(&shard);
-  set.opened = &QueryStats::shards_touched;
-  set.label = [](std::size_t s) { return "shard " + std::to_string(s); };
-  return set;
+void ShardedDualLayerIndex::MakePartitions() {
+  std::vector<const DualLayerPartition*> parts;
+  std::vector<std::uint32_t> numbers;
+  for (const DualLayerPartition& shard : shards_) {
+    numbers.push_back(static_cast<std::uint32_t>(parts.size()));
+    parts.push_back(&shard);
+  }
+  partitions_ = MakePartitionSet(dim_, std::move(parts),
+                                 &QueryStats::shards_touched, "shard",
+                                 std::move(numbers));
 }
 
 TopKResult ShardedDualLayerIndex::Query(const TopKQuery& query) const {
@@ -160,7 +165,7 @@ TopKResult ShardedDualLayerIndex::Query(const TopKQuery& query) const {
     return InvalidQueryResult(status);
   }
   return MergeDualLayerPartitions(
-      partitions(), query.weights, query.k, query.budget, timer, {},
+      partitions_, query.weights, query.k, query.budget, timer, {},
       [&](const DualLayerIndex& shard, std::size_t k,
           const ExecBudget& budget) -> std::optional<TopKResult> {
         return shard.Query(TopKQuery{query.weights, k, budget});

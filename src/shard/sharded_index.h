@@ -8,7 +8,10 @@
 // index, its ascending global member ids and its bound points. Query
 // processing is the partitions' one open rule, MergeDualLayerPartitions,
 // bounded by each shard's exact top-1 score (the minimum over its
-// SkylineCorners points). A shard is opened -- its DL+ index queried
+// SkylineCorners points). The engine makes its PartitionSet -- every
+// shard's bound points in one block -- once, at Build and at the end of
+// LoadShardedIndex; a query scores that block in one fused pass and
+// builds nothing per shard. A shard is opened -- its DL+ index queried
 // for min(k, |shard|) items -- only when its bound reaches the merge
 // frontier, so with selective partitions (hyperplane split) most
 // queries touch a small fraction of S; stats.shards_touched counts the
@@ -116,8 +119,9 @@ class ShardedDualLayerIndex final : public TopKIndex {
   const std::vector<TupleId>& shard_members(std::size_t s) const {
     return shards_[s].ids;
   }
-  // The shards as the merges, plain and constrained, see them.
-  PartitionSet partitions() const;
+  // The shards as the merges, plain and constrained, see them; made
+  // once per engine.
+  const PartitionSet& partitions() const { return partitions_; }
   ShardPartitioner partitioner() const { return partitioner_; }
   std::uint64_t partition_seed() const { return partition_seed_; }
   const ShardedBuildStats& build_stats() const { return build_stats_; }
@@ -132,6 +136,10 @@ class ShardedDualLayerIndex final : public TopKIndex {
 
   ShardedDualLayerIndex() = default;
 
+  // Makes partitions_ over shards_; the build and the loader call it
+  // last.
+  void MakePartitions();
+
   std::string name_;
   std::size_t dim_ = 0;
   std::size_t total_points_ = 0;
@@ -140,6 +148,7 @@ class ShardedDualLayerIndex final : public TopKIndex {
   ShardedBuildStats build_stats_;
 
   std::vector<DualLayerPartition> shards_;
+  PartitionSet partitions_;  // points into shards_' heap buffer
 };
 
 }  // namespace drli

@@ -8,10 +8,11 @@
 
 namespace drli {
 
-PartitionSet LoadedEngine::partitions() const {
+const PartitionSet& LoadedEngine::partitions() const {
+  static const PartitionSet kNone;
   if (sharded.has_value()) return sharded->partitions();
   if (tiered.has_value()) return tiered->partitions();
-  return {};
+  return kNone;
 }
 
 StatusOr<LoadedEngine> LoadEngine(const std::string& path) {

@@ -36,7 +36,7 @@ struct LoadedEngine {
 
   // The shards or runs of a sharded or tiered engine, as its merges see
   // them; no parts for a single index.
-  PartitionSet partitions() const;
+  const PartitionSet& partitions() const;
 };
 
 // Loads the engine saved at `path`. A missing, torn or unknown file is

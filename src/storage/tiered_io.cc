@@ -239,6 +239,7 @@ StatusOr<TieredDualLayerIndex> LoadTieredIndex(const std::string& path) {
   index.next_id_ = static_cast<TupleId>(info.next_id);
   index.next_run_uid_ = static_cast<std::uint32_t>(info.next_run_uid);
   index.generation_ = info.generation;
+  index.MakePartitions();
   return index;
 }
 

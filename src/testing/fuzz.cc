@@ -535,6 +535,7 @@ FuzzCaseResult RunMixedTraceCase(std::uint64_t seed,
     const CheckUniverse live_universe = CheckUniverse::Of(live, d);
     const TopKReference reference(live_universe, query.weights, query.k);
     if (tiered.compaction_active()) ++result.mid_compaction_queries;
+    if (query.k < tiered.memtable_size()) ++result.memtable_cut_queries;
     CheckExact(reference, tiered.Query(query), query.budget, "[mixed] query",
                step, &result.failures);
     if (!result.failures.empty()) return result;

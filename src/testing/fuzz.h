@@ -55,6 +55,9 @@ struct FuzzCaseResult {
   std::size_t peak_tombstones = 0;
   // Queries whose exact answer splits a tie class across runs.
   std::size_t split_tie_queries = 0;
+  // Mixed-trace reads at k below the memtable size: the memtable opens
+  // cut to its k best.
+  std::size_t memtable_cut_queries = 0;
 
   bool ok() const { return failures.empty(); }
 };

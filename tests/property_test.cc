@@ -2,7 +2,10 @@
 // randomized inputs, beyond pointwise agreement with the scan oracle.
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <limits>
 #include <utility>
 #include <vector>
 
@@ -13,6 +16,7 @@
 #include "common/soa_points.h"
 #include "core/dual_layer.h"
 #include "core/index_registry.h"
+#include "core/partition_merge.h"
 #include "data/generator.h"
 #include "scenarios/diversified.h"
 #include "test_util.h"
@@ -308,6 +312,48 @@ TEST(KernelCrossCheckTest, BatchedMatchesScalarBitwise) {
           EXPECT_EQ(rels[i], Compare(pts[ids[i]], q));
         }
       }
+    }
+  }
+  ForceScalarKernels(false);
+}
+
+// The merge's fused bound pass: ScoreMinRange, dispatched and scalar,
+// equals CornerLowerBound over the same rows bit for bit, for d = 2..6,
+// every range length 0..9 at random offsets, and zero minima of either
+// sign (the one case the lane fold order could change); an empty range
+// is +inf.
+TEST(KernelCrossCheckTest, ScoreMinRangeMatchesCornerLowerBoundBitwise) {
+  namespace ki = kernel_internal;
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const bool force_scalar : {false, true}) {
+    ForceScalarKernels(force_scalar);
+    for (std::size_t d = 2; d <= 6; ++d) {
+      PointSet pts = BatchKernelPoints(d, 1500 + d);
+      Rng rng(8100 + d);
+      for (int i = 0; i < 40; ++i) {
+        // Signed zeros: 0.5 * -0.0 sums to -0.0 on the unrolled d <= 4
+        // path and to +0.0 on the generic one.
+        pts.Add(Point(d, rng.Index(2) == 0 ? -0.0 : 0.0));
+      }
+      const SoaPointSet soa = SoaPointSet::FromPointSet(pts);
+      for (std::size_t count = 0; count <= 9; ++count) {
+        for (int trial = 0; trial < 40; ++trial) {
+          const std::size_t first = rng.Index(pts.size() - count + 1);
+          const Point w = trial == 0 ? Point(d, 1.0 / static_cast<double>(d))
+                                     : rng.SimplexWeight(d);
+          const std::vector<double> corners(
+              pts.raw().begin() + static_cast<std::ptrdiff_t>(first * d),
+              pts.raw().begin() +
+                  static_cast<std::ptrdiff_t>((first + count) * d));
+          const double want = CornerLowerBound(corners, w);
+          EXPECT_EQ(bits(ScoreMinRange(w, soa, first, count)), bits(want))
+              << "d=" << d << " first=" << first << " count=" << count;
+          EXPECT_EQ(bits(ki::ScoreMinRangeScalar(w, soa, first, count)),
+                    bits(want));
+        }
+      }
+      EXPECT_EQ(ScoreMinRange(Point(d, 0.2), soa, 3, 0),
+                std::numeric_limits<double>::infinity());
     }
   }
   ForceScalarKernels(false);

@@ -501,6 +501,68 @@ TEST_F(ShardIoTest, RoundTripWithEmptyShards) {
   RemoveAll(path, 5);
 }
 
+// The engine makes its partition set once, at Build and at the end of
+// LoadShardedIndex, and a move carries it along: it still lists the
+// engine's own shards, bounds each from its block bit for bit as
+// ShardLowerBound does, and the moved engine reads exactly as before.
+void ExpectFreshShardSet(const ShardedDualLayerIndex& index,
+                         const std::string& where) {
+  const PartitionSet& set = index.partitions();
+  ASSERT_EQ(set.parts.size(), index.num_shards()) << where;
+  for (std::size_t s = 0; s < index.num_shards(); ++s) {
+    ASSERT_EQ(&set.parts[s]->index, &index.shard(s)) << where;
+    ASSERT_EQ(&set.parts[s]->ids, &index.shard_members(s)) << where;
+    EXPECT_EQ(set.Label(s), "shard " + std::to_string(s)) << where;
+  }
+  testing_util::ExpectFreshBounds(
+      set, index.dim(),
+      [&index](std::size_t s, PointView w) {
+        return index.ShardLowerBound(s, w);
+      },
+      where);
+}
+
+void ExpectMovePreservesReads(ShardedDualLayerIndex&& index,
+                              const std::string& where) {
+  const std::vector<TopKResult> before = testing_util::SampleReads(index);
+  const ShardedDualLayerIndex moved = std::move(index);
+  ExpectFreshShardSet(moved, where + " moved");
+  const std::vector<TopKResult> after = testing_util::SampleReads(moved);
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    testing_util::ExpectIdenticalResult(before[i], after[i],
+                                        where + " moved read");
+  }
+}
+
+TEST_F(ShardIoTest, PartitionSetFreshAfterBuildLoadAndMove) {
+  struct Case {
+    std::size_t n, d, shards;
+    ShardPartitioner partitioner;
+  };
+  // The last case leaves empty shards (n < S): empty row ranges.
+  for (const Case& c : {Case{400, 3, 5, ShardPartitioner::kHyperplane},
+                        Case{300, 5, 8, ShardPartitioner::kRandom},
+                        Case{250, 4, 16, ShardPartitioner::kHyperplane},
+                        Case{3, 2, 5, ShardPartitioner::kRandom}}) {
+    const std::string where = "n=" + std::to_string(c.n) +
+                              " d=" + std::to_string(c.d) +
+                              " S=" + std::to_string(c.shards);
+    ShardedDualLayerIndex built = ShardedDualLayerIndex::Build(
+        GenerateAnticorrelated(c.n, c.d, 61 + c.d),
+        Opts(c.shards, c.partitioner));
+    ExpectFreshShardSet(built, where + " built");
+    const std::string path = Path("fresh_set.idx");
+    ASSERT_TRUE(SaveShardedIndex(built, path).ok());
+    StatusOr<ShardedDualLayerIndex> loaded = LoadShardedIndex(path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    ExpectFreshShardSet(loaded.value(), where + " loaded");
+    ExpectMovePreservesReads(std::move(built), where + " built");
+    ExpectMovePreservesReads(std::move(loaded.value()), where + " loaded");
+    RemoveAll(path, c.shards);
+  }
+}
+
 // The fuzzer's own entry point with the sharded family enrolled in the
 // default kind list -- one pinned seed here; the corpus seed and the
 // nightly run cover breadth.

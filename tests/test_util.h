@@ -4,13 +4,18 @@
 #ifndef DRLI_TESTS_TEST_UTIL_H_
 #define DRLI_TESTS_TEST_UTIL_H_
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "gtest/gtest.h"
 
 #include "common/point.h"
 #include "common/random.h"
+#include "core/partition_merge.h"
+#include "core/tiered_index.h"
 #include "topk/query.h"
 #include "topk/scan.h"
 
@@ -151,6 +156,81 @@ inline PointSet GridWithDuplicateRows(std::size_t d, std::size_t rows,
     if (i % 5 == 0) grid.Add(p);
   }
   return grid;
+}
+
+// An engine's partition set is fresh: on 100 weight vectors every
+// partition's bound from the set's block equals `reference(p, w)` --
+// CornerLowerBound over that partition's own bound_values -- bit for
+// bit. The caller checks that set.parts names the engine's partitions.
+template <typename Reference>
+void ExpectFreshBounds(const PartitionSet& set, std::size_t dim,
+                       const Reference& reference, const std::string& where) {
+  Rng rng(4242 + set.parts.size());
+  for (std::size_t q = 0; q < 100; ++q) {
+    const Point w = rng.SimplexWeight(dim);
+    for (std::size_t p = 0; p < set.parts.size(); ++p) {
+      ASSERT_EQ(std::bit_cast<std::uint64_t>(set.Bound(p, w)),
+                std::bit_cast<std::uint64_t>(reference(p, PointView(w))))
+          << where << ": partition " << p << " of " << set.parts.size();
+    }
+  }
+}
+
+// The tiered engine's set lists its runs in order, under their uids,
+// and bounds each one fresh (ExpectFreshBounds).
+inline void ExpectFreshTieredSet(const TieredDualLayerIndex& index,
+                                 const std::string& where) {
+  const PartitionSet& set = index.partitions();
+  ASSERT_EQ(set.parts.size(), index.num_runs()) << where;
+  for (std::size_t r = 0; r < index.num_runs(); ++r) {
+    ASSERT_EQ(set.parts[r], &index.run(r)) << where << ": run " << r;
+    EXPECT_EQ(set.Label(r), "run " + std::to_string(index.run(r).uid))
+        << where;
+  }
+  ExpectFreshBounds(
+      set, index.dim(),
+      [&index](std::size_t r, PointView w) {
+        return CornerLowerBound(index.run(r).bound_values, w);
+      },
+      where);
+}
+
+// Two results of one query agree exactly: items (ids and score bits),
+// termination, certified prefix, frontier bits and every counter.
+inline void ExpectIdenticalResult(const TopKResult& want,
+                                  const TopKResult& got,
+                                  const std::string& where) {
+  ASSERT_EQ(got.items.size(), want.items.size()) << where;
+  for (std::size_t i = 0; i < want.items.size(); ++i) {
+    EXPECT_EQ(got.items[i].id, want.items[i].id) << where << " rank " << i;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.items[i].score),
+              std::bit_cast<std::uint64_t>(want.items[i].score))
+        << where << " rank " << i;
+  }
+  EXPECT_EQ(got.termination, want.termination) << where;
+  EXPECT_EQ(got.certified_prefix, want.certified_prefix) << where;
+  EXPECT_EQ(std::bit_cast<std::uint64_t>(got.frontier_bound),
+            std::bit_cast<std::uint64_t>(want.frontier_bound))
+      << where;
+  EXPECT_EQ(got.stats.tuples_evaluated, want.stats.tuples_evaluated)
+      << where;
+  EXPECT_EQ(got.stats.shards_touched, want.stats.shards_touched) << where;
+  EXPECT_EQ(got.stats.runs_opened, want.stats.runs_opened) << where;
+  EXPECT_EQ(got.accessed, want.accessed) << where;
+}
+
+// Plain reads at k = 10 and budgeted reads under a few step caps: what
+// a moved engine must answer exactly as before the move.
+inline std::vector<TopKResult> SampleReads(const TopKIndex& index) {
+  std::vector<TopKResult> reads;
+  for (TopKQuery query : RandomQueries(index.dim(), 10, 12, 77)) {
+    reads.push_back(index.Query(query));
+    for (const std::size_t cap : {1ul, 7ul, 40ul}) {
+      query.budget.max_evals = cap;
+      reads.push_back(index.Query(query));
+    }
+  }
+  return reads;
 }
 
 }  // namespace testing_util

@@ -9,11 +9,15 @@
 #include <algorithm>
 #include <limits>
 #include <map>
+#include <numeric>
+#include <optional>
 #include <vector>
 
 #include "gtest/gtest.h"
 
 #include "common/random.h"
+#include "common/stopwatch.h"
+#include "core/partition_merge.h"
 #include "core/tiered_index.h"
 #include "data/generator.h"
 #include "scenarios/constrained.h"
@@ -493,6 +497,135 @@ TEST(TieredIndexTest, BulkConstructorMatchesInsertPath) {
       EXPECT_DOUBLE_EQ(a.items[i].score, b.items[i].score);
     }
   }
+}
+
+// The engine makes its partition set again on every install (seal,
+// compaction, bulk start) and keeps it across erases, which retire in
+// place: after each such step the set lists the current runs and
+// bounds each from its block bit for bit. A move carries the set
+// along, and the moved engine reads exactly as before.
+TEST(TieredIndexTest, PartitionSetFreshAfterEveryInstallAndErase) {
+  TieredIndexOptions options = SmallRuns();
+  options.compact_rows_per_step = 5;
+  TieredDualLayerIndex index(GenerateAnticorrelated(30, 3, 5), options);
+  testing_util::ExpectFreshTieredSet(index, "bulk start");
+  std::vector<TupleId> live(30);
+  std::iota(live.begin(), live.end(), TupleId{0});
+  Rng rng(53);
+  std::size_t seals = 0;
+  std::size_t installs = 0;
+  std::size_t erases = 0;
+  for (std::size_t step = 0; step < 400; ++step) {
+    const std::string where = "step " + std::to_string(step);
+    const std::size_t seals_before = index.seal_count();
+    const std::size_t op = rng.Index(10);
+    if (op < 5) {
+      const Point row = RandomRow(rng, 3);
+      live.push_back(index.Insert(PointView(row)));
+    } else if (op < 7 && !live.empty()) {
+      const std::size_t pick = rng.Index(live.size());
+      ASSERT_TRUE(index.Erase(live[pick]));
+      live[pick] = live.back();
+      live.pop_back();
+      ++erases;
+      testing_util::ExpectFreshTieredSet(index, where + " erase");
+    } else if (op == 7) {
+      index.SealMemtable();
+    } else if (index.CompactStep() == CompactProgress::kInstalled) {
+      ++installs;
+      testing_util::ExpectFreshTieredSet(index, where + " install");
+    }
+    if (index.seal_count() != seals_before) {
+      ++seals;
+      testing_util::ExpectFreshTieredSet(index, where + " seal");
+    }
+  }
+  EXPECT_GT(seals, 10u);
+  EXPECT_GT(installs, 3u);
+  EXPECT_GT(erases, 30u);
+
+  const std::vector<TopKResult> before = testing_util::SampleReads(index);
+  const TieredDualLayerIndex moved = std::move(index);
+  testing_util::ExpectFreshTieredSet(moved, "moved");
+  const std::vector<TopKResult> after = testing_util::SampleReads(moved);
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    testing_util::ExpectIdenticalResult(before[i], after[i], "moved read");
+  }
+}
+
+// The read as it was before the memtable cut: the same merge, opened
+// with the whole memtable scored and fully sorted.
+TopKResult FullSortMemtableRead(const TieredDualLayerIndex& index,
+                                const TopKQuery& query) {
+  const PointView w(query.weights);
+  TopKResult memtable;
+  for (std::size_t i = 0; i < index.memtable_size(); ++i) {
+    memtable.items.push_back(
+        ScoredTuple{index.memtable_ids()[i], Score(w, index.memtable()[i])});
+    memtable.accessed.push_back(index.memtable_ids()[i]);
+  }
+  memtable.stats.tuples_evaluated = index.memtable_size();
+  std::sort(memtable.items.begin(), memtable.items.end(), ResultOrderLess);
+  return MergeDualLayerPartitions(
+      index.partitions(), w, query.k, query.budget, Stopwatch(),
+      std::move(memtable),
+      [&](const DualLayerIndex& run, std::size_t k,
+          const ExecBudget& budget) -> std::optional<TopKResult> {
+        return run.Query(TopKQuery{query.weights, k, budget});
+      });
+}
+
+// The memtable opens as its k best rows only. Over a memtable larger
+// than k full of exact duplicates (equal scores, so the id tie-break
+// decides the cut), at k at and beyond the memtable size, and under
+// budgets that trip before or inside the first run, every read equals
+// the full-sort read: items, costs, certified prefix and frontier.
+TEST(TieredIndexTest, MemtableCutMatchesFullSort) {
+  TieredIndexOptions options = SmallRuns();
+  options.memtable_capacity = 64;
+  TieredDualLayerIndex index(3, options);
+  Rng rng(59);
+  // Grid rows: attributes in {lo, ..., lo + steps - 1} / 4. The runs
+  // take the upper grid, the memtable the lower one, so the memtable
+  // holds most of every top-k; the grids overlap, so ties also cross
+  // from the memtable into the runs.
+  const auto grid_row = [&rng](std::size_t lo, std::size_t steps) {
+    Point row(3);
+    for (double& x : row) {
+      x = static_cast<double>(lo + rng.Index(steps)) / 4.0;
+    }
+    return row;
+  };
+  for (std::size_t run = 0; run < 2; ++run) {
+    for (std::size_t i = 0; i < 40; ++i) {
+      index.Insert(PointView(grid_row(1, 4)));
+    }
+    index.SealMemtable();
+  }
+  for (std::size_t i = 0; i < 50; ++i) index.Insert(PointView(grid_row(0, 3)));
+  ASSERT_EQ(index.num_runs(), 2u);
+  ASSERT_EQ(index.memtable_size(), 50u);
+
+  std::vector<Point> weights = {{1.0 / 3, 1.0 / 3, 1.0 / 3}};
+  for (std::size_t i = 0; i < 5; ++i) weights.push_back(rng.SimplexWeight(3));
+  std::size_t partials = 0;
+  for (const Point& w : weights) {
+    for (const std::size_t k : {1ul, 5ul, 10ul, 49ul, 50ul, 51ul, 200ul}) {
+      for (const std::size_t extra : {0ul, 1ul, 3ul, 1000ul}) {
+        TopKQuery query{w, k};
+        // max_evals = memtable size trips before the first run opens;
+        // a few more trip inside it; 1000 never trips.
+        query.budget.max_evals = index.memtable_size() + extra;
+        const TopKResult got = index.Query(query);
+        partials += got.complete() ? 0 : 1;
+        testing_util::ExpectIdenticalResult(
+            FullSortMemtableRead(index, query), got,
+            "k=" + std::to_string(k) + " extra=" + std::to_string(extra));
+      }
+    }
+  }
+  EXPECT_GT(partials, 0u) << "no budget tripped on the first run";
 }
 
 }  // namespace

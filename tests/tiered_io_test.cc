@@ -131,6 +131,30 @@ TEST(TieredIoTest, RoundTripPreservesLiveState) {
   RemoveWithRuns(path);
 }
 
+// LoadTieredIndex makes the loaded engine's partition set last, and a
+// move carries it along: it lists the loaded runs and bounds each from
+// its block bit for bit, and the moved engine reads exactly as before.
+TEST(TieredIoTest, LoadedPartitionSetIsFreshAndSurvivesAMove) {
+  const TieredDualLayerIndex index = MakeLiveIndex(nullptr, 5);
+  testing_util::ExpectFreshTieredSet(index, "saved");
+  const std::string path = TempPath("fresh_set.drlt");
+  ASSERT_TRUE(SaveTieredIndex(index, path).ok());
+  auto loaded = LoadTieredIndex(path);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  testing_util::ExpectFreshTieredSet(loaded.value(), "loaded");
+
+  const std::vector<TopKResult> before =
+      testing_util::SampleReads(loaded.value());
+  const TieredDualLayerIndex moved = std::move(loaded.value());
+  testing_util::ExpectFreshTieredSet(moved, "moved");
+  const std::vector<TopKResult> after = testing_util::SampleReads(moved);
+  ASSERT_EQ(after.size(), before.size());
+  for (std::size_t i = 0; i < before.size(); ++i) {
+    testing_util::ExpectIdenticalResult(before[i], after[i], "moved read");
+  }
+  RemoveWithRuns(path);
+}
+
 TEST(TieredIoTest, EmptyIndexRoundTrips) {
   TieredDualLayerIndex index(2);
   const std::string path = TempPath("empty.drlt");

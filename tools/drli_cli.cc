@@ -776,7 +776,7 @@ int CmdCheck(const Flags& flags) {
     engine.dl.emplace(DualLayerIndex::Build(dataset.value().points(), options));
   }
 
-  const PartitionSet set = engine.partitions();
+  const PartitionSet& set = engine.partitions();
   std::vector<const DualLayerIndex*> audited;
   for (const DualLayerPartition* part : set.parts) {
     audited.push_back(&part->index);
@@ -800,7 +800,9 @@ int CmdCheck(const Flags& flags) {
     invariants += report.invariants_checked;
     if (!report.ok()) {
       ok = false;
-      if (set.label) std::fprintf(stderr, "%s:\n", set.label(i).c_str());
+      if (i < set.parts.size()) {
+        std::fprintf(stderr, "%s:\n", set.Label(i).c_str());
+      }
       std::fprintf(stderr, "%s", report.ToString().c_str());
     }
   }

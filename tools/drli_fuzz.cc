@@ -59,11 +59,13 @@ int RunMixedTraces(std::size_t cases, std::uint64_t first_seed) {
   std::size_t failed = 0;
   std::size_t max_runs = 0;
   std::size_t mid_compaction = 0;
+  std::size_t memtable_cut = 0;
   for (std::size_t i = 0; i < cases; ++i) {
     const std::uint64_t seed = first_seed + i;
     const FuzzCaseResult result = RunMixedTraceCase(seed);
     max_runs = std::max(max_runs, result.max_runs);
     mid_compaction += result.mid_compaction_queries;
+    memtable_cut += result.memtable_cut_queries;
     if (result.ok()) continue;
     ++failed;
     std::printf("FAIL seed=%llu (%s)\n",
@@ -75,8 +77,8 @@ int RunMixedTraces(std::size_t cases, std::uint64_t first_seed) {
   }
   if (failed == 0) {
     std::printf("%zu/%zu mixed-rw traces ok (max %zu runs, %zu queries "
-                "mid-compaction)\n",
-                cases, cases, max_runs, mid_compaction);
+                "mid-compaction, %zu with k below the memtable size)\n",
+                cases, cases, max_runs, mid_compaction, memtable_cut);
     return 0;
   }
   std::printf("%zu/%zu mixed-rw traces FAILED\n", failed, cases);
