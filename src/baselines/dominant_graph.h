@@ -16,12 +16,7 @@
 #ifndef DRLI_BASELINES_DOMINANT_GRAPH_H_
 #define DRLI_BASELINES_DOMINANT_GRAPH_H_
 
-#include <cstddef>
-#include <functional>
-
-#include "common/point.h"
 #include "core/dual_layer.h"
-#include "topk/query.h"
 
 namespace drli {
 
@@ -29,24 +24,6 @@ namespace drli {
 // of the dual-layer index: no fine sublayers and no ∃-edges, a flat
 // clustered zero layer in every dimensionality, named "DG" / "DG+".
 DualLayerOptions DominantGraphConfig(bool zero_layer);
-
-// Extension beyond the paper's linear model: skyline layers and
-// ∀-dominance only need monotonicity, so DG answers top-k for ANY
-// monotone scoring function (if t_i <= t'_i for all i then
-// scorer(t) <= scorer(t')), e.g. weighted L_p norms. The zero layer
-// remains sound because pseudo-tuples weakly dominate their cluster
-// members.
-using MonotoneScorer = std::function<double(PointView)>;
-
-// Best-first top-k of `index` under `scorer`, walking the ∀-graph in
-// node space. The dual-resolution index itself cannot offer this:
-// ∃-dominance is a convexity argument and the 2-d weight-range table a
-// linear one, so an index with any ∃-edge or a weight table (DL, DL+)
-// gets a kInvalidQuery result. Answers, costs and certified partials
-// follow the TopKIndex contract.
-TopKResult MonotoneTopK(const DualLayerIndex& index,
-                        const MonotoneScorer& scorer, std::size_t k,
-                        const ExecBudget& budget = {});
 
 }  // namespace drli
 

@@ -1,9 +1,11 @@
-// The bounded-partition merge (DESIGN.md §7): the one coordinator loop
+// The bounded-partition merge (DESIGN.md §7): the one coordinator
 // behind the sharded engine, the tiered run merge, and the constrained
-// scenario over both. Whole partitions (shards, runs) wait in a
-// min-heap at a lower bound on their scores and are opened through a
-// caller callback only when the merge frontier reaches that bound;
-// opened partitions' sorted lists compete in the same heap.
+// scenario over both, built on the best-first loop (core/best_first.h)
+// it shares with the constrained box-tree walk. Whole partitions
+// (shards, runs) wait in the loop's min-heap at a lower bound on their
+// scores and are opened through a caller callable only when the merge
+// frontier reaches that bound; opened partitions' sorted lists compete
+// in the same heap.
 //
 // Heap order: by score; at equal score a bound precedes an item (a
 // partition must open before a tuple at its bound is emitted, or an
@@ -11,11 +13,12 @@
 // order); bounds then break ties by partition index, items by global
 // id. Partitions therefore open in ascending (bound, index) order.
 //
-// Budgets compose by remainder (RemainingBudget). One partial policy: a
-// partition whose traversal trips contributes no items and is bounded
-// by the smaller of its frontier and its best returned score; the
-// emitted prefix is certified against the minimum of that floor and
-// every surviving heap key.
+// Budgets compose by remainder (RemainingBudget, called as a bound
+// pops). One partial policy: a partition whose traversal trips
+// contributes no items and is bounded by the smaller of its frontier
+// and its best returned score; the emitted prefix is certified against
+// the minimum of that floor and every surviving heap key -- the loop's
+// stop frontier.
 //
 // Shards and tiered runs are one type, DualLayerPartition, and the four
 // merges over them (plain and constrained, sharded and tiered) share
@@ -36,14 +39,16 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
+#include <limits>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "common/point.h"
 #include "common/soa_points.h"
 #include "common/stopwatch.h"
+#include "core/best_first.h"
 #include "core/dual_layer.h"
 #include "topk/query.h"
 
@@ -71,29 +76,119 @@ struct PartitionBound {
   std::size_t partition = 0;  // passed to the callbacks; breaks bound ties
 };
 
-// Queries partition `partition` under `budget`, the remainder of the
-// merge's budget. Returns its items in canonical order with global ids
-// and no retired members, `accessed` in global ids too, and stats carrying
-// whatever counters the caller keeps (shards_touched, runs_opened,
-// boxes_pruned); the merge folds them in with QueryStats::Merge. A
-// kError or kInvalidQuery result aborts the merge with kError.
-using OpenPartition =
-    std::function<TopKResult(std::size_t partition, const ExecBudget& budget)>;
+namespace partition_merge_internal {
 
-// Names a partition in error text, e.g. "shard 3" or "run 7".
-using PartitionLabel = std::function<std::string(std::size_t partition)>;
+// One unit of the merge's walk: a bound stands in for a whole unopened
+// partition; an item is the cursor over one opened list. The tie's
+// high word puts a bound before an item at equal score.
+struct MergeUnit {
+  static constexpr std::uint64_t kItem = std::uint64_t{1} << 32;
+  double key;
+  std::uint64_t tie;   // bound: partition; item: kItem | global tuple id
+  std::uint32_t list;  // item: index into the opened lists
+  std::uint32_t pos;   // item: position in that list
+};
 
-// Merges `partitions` into the canonical top-k. `opened` is an
+}  // namespace partition_merge_internal
+
+// Merges `partitions` into the canonical top-k on the best-first loop
+// (core/best_first.h). `open(partition, budget)` queries one partition
+// under `budget`, the remainder of the merge's: it returns the
+// partition's items in canonical order with global ids and no retired
+// members, `accessed` in global ids too, and stats carrying whatever
+// counters the caller keeps (shards_touched, runs_opened,
+// boxes_pruned), folded in with QueryStats::Merge; a kError or
+// kInvalidQuery result aborts the merge with kError, its text prefixed
+// by `label(partition)` ("shard 3", "run 7"). `opened` is an
 // already-open partition: its items (canonical order) enter the heap
 // up front and its stats and accessed ids seed the result's -- the
 // tiered memtable scan; pass {} when there is none. `timer` is the
 // caller's Query clock: deadlines and elapsed_seconds are measured on
 // it.
+template <typename Open, typename Label>
 TopKResult MergePartitions(std::size_t k, const ExecBudget& budget,
                            const Stopwatch& timer, TopKResult opened,
                            const std::vector<PartitionBound>& partitions,
-                           const OpenPartition& open,
-                           const PartitionLabel& label);
+                           const Open& open, const Label& label) {
+  using partition_merge_internal::MergeUnit;
+  TopKResult result;
+  result.stats = opened.stats;
+  result.accessed = std::move(opened.accessed);
+
+  // Opened partitions' item lists; an item unit's `list` indexes here.
+  std::vector<std::vector<ScoredTuple>> lists;
+  lists.reserve(partitions.size() + 1);
+  BestFirst<MergeUnit> walk;
+  walk.Reserve(partitions.size() + 2);
+  const auto push_item = [&](std::uint32_t list, std::uint32_t pos) {
+    if (pos >= lists[list].size()) return;
+    const ScoredTuple& item = lists[list][pos];
+    walk.Push({item.score, MergeUnit::kItem | item.id, list, pos});
+  };
+  const auto add_list = [&](std::vector<ScoredTuple> items) {
+    lists.push_back(std::move(items));
+    push_item(static_cast<std::uint32_t>(lists.size() - 1), 0);
+  };
+  add_list(std::move(opened.items));
+  for (const PartitionBound& p : partitions) {
+    walk.Push({p.bound, p.partition, 0, 0});
+  }
+
+  // A partial walk's frontier covers every unreturned tuple: (a) in the
+  // partition that stopped or was unaffordable -- bounded by the stop's
+  // floor, (b) in a partition still represented by a bound unit, (c)
+  // after the cursor of an opened list, or (d) past the cut of an
+  // opened list. A callback cuts a list only after k live items, so
+  // such a tuple scores >= the list's live cursor unit (a fully emitted
+  // cut list would have ended the merge). (b)-(d) are all covered by
+  // the surviving heap keys.
+  const BestFirstEnd end = walk.Run([&](const MergeUnit& unit) {
+    if (result.items.size() >= k) return BestFirstStep::End();
+    if (unit.tie >= MergeUnit::kItem) {
+      result.items.push_back(lists[unit.list][unit.pos]);
+      push_item(unit.list, unit.pos + 1);
+      return BestFirstStep::Continue();
+    }
+    // The merge frontier reached this partition's bound: open it,
+    // or stop at the bound of the partition we cannot afford.
+    ExecBudget sub;
+    if (const Termination reason = RemainingBudget(
+            budget, result.stats.tuples_evaluated, timer, &sub);
+        reason != Termination::kComplete) {
+      return BestFirstStep::Stop(reason, unit.key);
+    }
+    const std::size_t p = static_cast<std::size_t>(unit.tie);
+    TopKResult part = open(p, sub);
+    result.stats.Merge(part.stats);
+    result.accessed.insert(result.accessed.end(), part.accessed.begin(),
+                           part.accessed.end());
+    if (part.termination == Termination::kError ||
+        part.termination == Termination::kInvalidQuery) {
+      result.items.clear();
+      result.error = label(p) + ": " +
+                     (part.error.empty()
+                          ? std::string(TerminationName(part.termination))
+                          : part.error);
+      return BestFirstStep::Stop(Termination::kError,
+                                 -std::numeric_limits<double>::infinity());
+    }
+    if (!part.complete()) {
+      // The partition tripped mid-traversal. None of its items are
+      // merged; the whole partition is bounded by the smaller of
+      // its frontier and its best returned score.
+      double floor = part.frontier_bound;
+      if (!part.items.empty()) {
+        floor = std::min(floor, part.items.front().score);
+      }
+      return BestFirstStep::Stop(part.termination, floor);
+    }
+    add_list(std::move(part.items));
+    return BestFirstStep::Continue();
+  });
+  end.Finalize(result);
+  result.stats.elapsed_seconds = timer.ElapsedSeconds();
+  return result;
+}
 
 // Rewrites a partition result's items and `accessed` from local to
 // global ids: `ids[local]` is the global id of local tuple `local`.
@@ -187,26 +282,47 @@ TopKResult OpenRows(const PointSet& rows, const std::vector<TupleId>& ids,
   return open;
 }
 
-// One merge's per-partition traversal: the top `k` items of `index`
-// under `budget`, in local ids; nullopt declines the partition unopened
-// (one box pruned: its box tree's root box misses a constraint box).
-using PartitionTraversal = std::function<std::optional<TopKResult>(
-    const DualLayerIndex& index, std::size_t k, const ExecBudget& budget)>;
-
 // The open rule of every merge over DL+ partitions. An empty partition
 // is never enqueued; the rest wait at their corner bound under
 // `weights` (PartitionSet::Bound). An opened partition is asked for
 // min(|ids|, k) items -- its traversal skips retired members, so that
 // is min(live, k) live ones; a fully retired partition answers empty
 // at zero cost -- mapped to global ids, and bumps `set.opened`; errors
-// carry `set.Label`.
-// `opened` (the already-open list) and `timer` are as in
-// MergePartitions.
+// carry `set.Label`. `traverse(index, k, budget)` returns the top `k`
+// items of a partition's `index` under `budget` in local ids, or
+// nullopt to decline the partition unopened (one box pruned: its box
+// tree's root box misses a constraint box). `opened` (the already-open
+// list) and `timer` are as in MergePartitions.
+template <typename Traverse>
 TopKResult MergeDualLayerPartitions(const PartitionSet& set,
                                     PointView weights, std::size_t k,
                                     const ExecBudget& budget,
                                     const Stopwatch& timer, TopKResult opened,
-                                    const PartitionTraversal& traverse);
+                                    const Traverse& traverse) {
+  std::vector<PartitionBound> bounds;
+  bounds.reserve(set.parts.size());
+  for (std::size_t p = 0; p < set.parts.size(); ++p) {
+    if (set.parts[p]->ids.empty()) continue;
+    bounds.push_back({set.Bound(p, weights), p});
+  }
+  return MergePartitions(
+      k, budget, timer, std::move(opened), bounds,
+      [&](std::size_t p, const ExecBudget& sub) {
+        const DualLayerPartition& part = *set.parts[p];
+        std::optional<TopKResult> result =
+            traverse(part.index, std::min(k, part.ids.size()), sub);
+        if (!result.has_value()) {
+          TopKResult declined;
+          declined.stats.boxes_pruned = 1;
+          FinalizeComplete(declined);
+          return declined;
+        }
+        ++(result->stats.*set.opened);
+        MapToGlobal(part.ids, &*result);
+        return std::move(*result);
+      },
+      [&set](std::size_t p) { return set.Label(p); });
+}
 
 }  // namespace drli
 

@@ -2,13 +2,13 @@
 
 #include <algorithm>
 #include <cstddef>
-#include <functional>
 #include <limits>
 #include <optional>
 #include <utility>
 #include <vector>
 
 #include "common/stopwatch.h"
+#include "core/best_first.h"
 #include "core/dual_layer.h"
 #include "core/partition_merge.h"
 #include "core/tiered_index.h"
@@ -26,24 +26,24 @@ Status ValidateConstrained(const ConstrainedQuery& query, std::size_t dim) {
   return ValidateBox(query.box, dim);
 }
 
-// Can a unit with bound `bound` still change the heap's answer? Ties
-// must stay open: an equal-score member with a smaller id would
-// displace the current worst. KthScore is +inf while the heap fills
-// and -inf at k = 0, which opens nothing.
-bool FrontierOpen(const TopKHeap& heap, double bound) {
-  return bound <= heap.KthScore();
-}
+// One node of the box-tree walk, keyed by its corner score.
+struct BoxUnit {
+  double key;
+  std::size_t tie;  // the node
+};
 
-// The best-first box-tree traversal over one DL+ index (header
-// comment).
-TopKResult BoxTreeTopK(const DualLayerIndex& index,
-                       const ConstrainedQuery& query) {
+// The best-first box-tree walk over one DL+ index (header comment), on
+// the best-first loop: a node pops, and the walk ends once its bound
+// exceeds the current k-th in-box score (ties stay open: an
+// equal-score member with a smaller id would displace the current
+// worst; KthScore is +inf while the heap fills and -inf at k = 0,
+// which opens nothing), or stops at the popped bound when the budget
+// trips before it is expanded. The query is validated by the caller.
+TopKResult BoxTreeTopK(const DualLayerIndex& index, PointView weights,
+                       const AttributeBox& box, std::size_t k,
+                       const ExecBudget& budget) {
   Stopwatch timer;
   TopKResult result;
-  if (Status status = ValidateConstrained(query, index.points().dim());
-      !status.ok()) {
-    return InvalidQueryResult(status);
-  }
 
   // Tree nodes, best first by the score of the corner max(lo, box.lo)
   // (header comment). A node whose box misses the query box is never
@@ -51,92 +51,79 @@ TopKResult BoxTreeTopK(const DualLayerIndex& index,
   const BoxTree& tree = index.box_tree();
   const std::size_t d = index.points().dim();
   Point corner(d);
-  using Entry = std::pair<double, std::size_t>;  // (key, node)
-  std::vector<Entry> frontier;
+  BestFirst<BoxUnit> walk;
   const auto enqueue = [&](std::size_t node) {
     const PointView lo = tree.lo(node);
-    if (!query.box.Intersects(lo, tree.hi(node))) {
+    if (!box.Intersects(lo, tree.hi(node))) {
       ++result.stats.boxes_pruned;
       return;
     }
-    for (std::size_t a = 0; a < d; ++a) {
-      corner[a] = std::max(lo[a], query.box.lo[a]);
-    }
-    frontier.emplace_back(Score(query.weights, corner), node);
-    std::push_heap(frontier.begin(), frontier.end(), std::greater<>());
+    for (std::size_t a = 0; a < d; ++a) corner[a] = std::max(lo[a], box.lo[a]);
+    walk.Push({Score(weights, corner), node});
   };
   if (!tree.empty()) enqueue(0);
 
-  BudgetGate gate(query.budget);
-  TopKHeap heap(query.k);
-  while (!frontier.empty()) {
-    const auto [bound, node] = frontier.front();
-    if (!FrontierOpen(heap, bound)) break;
+  BudgetGate gate(budget);
+  TopKHeap heap(k);
+  const BestFirstEnd end = walk.Run([&](const BoxUnit& unit) {
+    if (unit.key > heap.KthScore()) return BestFirstStep::End();
     if (const Termination stop = gate.Step(result.stats.tuples_evaluated);
         stop != Termination::kComplete) {
-      result.items = heap.SortedAscending();
-      result.stats.elapsed_seconds = timer.ElapsedSeconds();
-      FinalizePartial(result, stop, bound);
-      return result;
+      return BestFirstStep::Stop(stop, unit.key);
     }
-    std::pop_heap(frontier.begin(), frontier.end(), std::greater<>());
-    frontier.pop_back();
+    const std::size_t node = unit.tie;
     if (!tree.is_leaf(node)) {
       enqueue(tree.left(node));
       enqueue(tree.left(node) + 1);
-      continue;
+      return BestFirstStep::Continue();
     }
     for (const TupleId id : tree.members(node)) {
       const PointView p = index.points()[id];
-      if (index.retired(id) || !query.box.Contains(p)) continue;
+      if (index.retired(id) || !box.Contains(p)) continue;
       // Definition-9 accounting: only live tuples the predicate admits
       // are scored; a retired member or a containment miss costs
       // comparisons, not a score.
       ++result.stats.tuples_evaluated;
       result.accessed.push_back(id);
-      heap.Push(ScoredTuple{id, Score(query.weights, p)});
+      heap.Push(ScoredTuple{id, Score(weights, p)});
     }
-  }
+    return BestFirstStep::Continue();
+  });
 
   result.items = heap.SortedAscending();
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
-  FinalizeComplete(result);
+  end.Finalize(result);
   return result;
-}
-
-// A constrained merge's per-partition traversal: BoxTreeTopK, or
-// nullopt when the tree's root box misses the box.
-PartitionTraversal ConstrainedTraversal(const ConstrainedQuery& query) {
-  return [&query](const DualLayerIndex& part, std::size_t k,
-                  const ExecBudget& budget) -> std::optional<TopKResult> {
-    const BoxTree& tree = part.box_tree();
-    if (tree.empty() || !query.box.Intersects(tree.lo(0), tree.hi(0))) {
-      return std::nullopt;
-    }
-    ConstrainedQuery sub = query;
-    sub.k = k;
-    sub.budget = budget;
-    return BoxTreeTopK(part, sub);
-  };
 }
 
 }  // namespace
 
 TopKResult ConstrainedTopK(const TopKIndex& engine,
                            const ConstrainedQuery& query) {
-  // The one place that tells the DL+ engines apart.
-  if (const auto* dl = dynamic_cast<const DualLayerIndex*>(&engine)) {
-    return BoxTreeTopK(*dl, query);
-  }
   Stopwatch timer;
   if (Status status = ValidateConstrained(query, engine.dim()); !status.ok()) {
     return InvalidQueryResult(status);
   }
+  // The one place that tells the DL+ engines apart.
+  if (const auto* dl = dynamic_cast<const DualLayerIndex*>(&engine)) {
+    return BoxTreeTopK(*dl, query.weights, query.box, query.k, query.budget);
+  }
+  // A partition's walk, declined (one box pruned) when its tree's root
+  // box misses the box.
+  const auto traverse = [&query](const DualLayerIndex& part, std::size_t k,
+                                 const ExecBudget& budget)
+      -> std::optional<TopKResult> {
+    const BoxTree& tree = part.box_tree();
+    if (tree.empty() || !query.box.Intersects(tree.lo(0), tree.hi(0))) {
+      return std::nullopt;
+    }
+    return BoxTreeTopK(part, query.weights, query.box, k, budget);
+  };
   if (const auto* sharded =
           dynamic_cast<const ShardedDualLayerIndex*>(&engine)) {
     return MergeDualLayerPartitions(sharded->partitions(), query.weights,
                                     query.k, query.budget, timer, {},
-                                    ConstrainedTraversal(query));
+                                    traverse);
   }
   const auto* tiered = dynamic_cast<const TieredDualLayerIndex*>(&engine);
   if (tiered == nullptr) {
@@ -152,7 +139,7 @@ TopKResult ConstrainedTopK(const TopKIndex& engine,
       OpenRows(tiered->memtable(), tiered->memtable_ids(), query.weights,
                query.k,
                [&query](PointView row) { return query.box.Contains(row); }),
-      ConstrainedTraversal(query));
+      traverse);
 }
 
 TopKResult ConstrainedScanRows(const PointSet& points,

@@ -6,7 +6,8 @@
 //
 // Index acceleration pushes the predicate into the index's kd box tree
 // (DualLayerIndex::box_tree, geometry/box_tree.h). Over one DL+ index the
-// tree's nodes are opened best-first by a sound score lower bound --
+// tree's nodes are opened on the best-first loop (core/best_first.h,
+// shared with the partition merge) by a sound score lower bound --
 // the score of max(node lo, box lo), a corner that weakly dominates
 // every in-box member --
 //   * a node whose member box misses the constraint box is dropped
@@ -23,12 +24,15 @@
 // other runs the traversal above. ConstrainedTopK takes the engine as a
 // TopKIndex and is the one place that tells the three apart.
 //
+// The query is validated once, at ConstrainedTopK's entry.
+//
 // Certified partials: with an ExecBudget, a tripped traversal returns
-// a certified prefix. Over one index the frontier is the next node's
-// lower bound: unopened nodes cannot hold an in-box tuple scoring
-// below it, box-pruned nodes hold no eligible tuple at all, and a
-// tuple rejected by the running top-k heap canonically follows every
-// returned item. Over shards and runs the merge certifies.
+// a certified prefix. Over one index the frontier is the lower bound
+// of the node the budget stopped: unopened nodes cannot hold an in-box
+// tuple scoring below it, box-pruned nodes hold no eligible tuple at
+// all, and a tuple rejected by the running top-k heap canonically
+// follows every returned item. Over shards and runs the merge
+// certifies.
 
 #ifndef DRLI_SCENARIOS_CONSTRAINED_H_
 #define DRLI_SCENARIOS_CONSTRAINED_H_

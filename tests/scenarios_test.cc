@@ -230,9 +230,10 @@ TEST(ConstrainedTest, BudgetedPartialCertifiesTruePrefix) {
 }
 
 // Every cut of the evaluation budget, from 0 (unlimited) to the
-// unbudgeted cost, on every engine: the result passes the shared check
-// (certified prefix equal to the exact answer's, frontier at most the
-// score of every in-box tuple it did not return).
+// unbudgeted cost, and every cancel fuse up to that many polls, on
+// every engine: the result passes the shared check (certified prefix
+// equal to the exact answer's, frontier at most the score of every
+// in-box tuple it did not return).
 TEST(ConstrainedTest, EveryEvalCutCertifies) {
   const PointSet points = GenerateIndependent(150, 3, 23);
   const Engines engines = BuildEngines(points);
@@ -267,6 +268,22 @@ TEST(ConstrainedTest, EveryEvalCutCertifies) {
                                    << " cut " << cut << ": " << error;
       }
       EXPECT_TRUE(saw_partial) << names[e] << " probe " << probe;
+      // The same cuts made by a cancel fuse, polled at the box-tree
+      // walk's budget step and at every partition open of a merge.
+      bool saw_cancel = false;
+      for (std::size_t polls = 0; polls <= full_cost; ++polls) {
+        CancelToken token;
+        token.CancelAfterChecks(polls);
+        ConstrainedQuery fused = query;
+        fused.budget.cancel = &token;
+        const TopKResult got = run(e, fused);
+        saw_cancel |= got.termination == Termination::kCancelled;
+        const std::string error =
+            reference.Check(got, MatchRule::kExact, fused.budget);
+        ASSERT_TRUE(error.empty()) << names[e] << " probe " << probe
+                                   << " fuse " << polls << ": " << error;
+      }
+      EXPECT_TRUE(saw_cancel) << names[e] << " probe " << probe;
     }
   }
 }

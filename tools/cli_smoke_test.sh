@@ -77,6 +77,14 @@ SDL_EVALS="$("$CLI" query --input="$WORK/data.csv" --kind=sdl+4 \
 SCAN_EVALS="$("$CLI" query --input="$WORK/data.csv" --kind=scan \
   --weights=0.2,0.3,0.5 --k=5 --box=0.1:0.9,:0.8,0.2: | evals_of)"
 [ -n "$SDL_EVALS" ] && [ "$SDL_EVALS" -lt "$SCAN_EVALS" ]
+# A budgeted constrained call stops partial inside the merge: on sdl+4
+# a shard's box-tree walk trips, on tdl+64 the memtable scan spends the
+# budget before the first run opens.
+for kind in sdl+4 tdl+64; do
+  "$CLI" query --input="$WORK/data.csv" --kind="$kind" --weights=0.2,0.3,0.5 \
+    --k=5 --box=0.1:0.9,:0.8,0.2: --max-evals=3 \
+    | grep -q "partial result: stopped on step-budget"
+done
 "$CLI" query --input="$WORK/data.csv" --kind=ta --weights=0.2,0.3,0.5 \
   --k=5 --box=0.1:0.9,:0.8,0.2: | grep -q "answered by the full scan"
 "$CLI" query --index="$WORK/index.bin" --weights=0.2,0.3,0.5 --k=4 \
