@@ -121,6 +121,44 @@ TEST(BestFirstTest, StopReturnsMinOfFloorAndNextKey) {
   EXPECT_EQ(result.frontier_bound, 3.5);
 }
 
+// A stopping step's own pushes are in the heap when the frontier is
+// taken: the partition merge pushes an opened partition's items
+// before a later pop trips, and those items bound the rest too.
+TEST(BestFirstTest, StopFrontierCoversUnitsPushedByTheStoppingStep) {
+  BestFirst<ToyUnit> walk;
+  walk.Push({1.0, 0});
+  walk.Push({8.0, 1});
+  const BestFirstEnd end = walk.Run([&](const ToyUnit& unit) {
+    walk.Push({unit.key + 2.0, 2});
+    return BestFirstStep::Stop(Termination::kStepBudget, 5.0);
+  });
+  EXPECT_EQ(end.termination, Termination::kStepBudget);
+  EXPECT_EQ(end.frontier, 3.0);
+}
+
+// End is complete however much the heap still holds: the caller has
+// proved the rest cannot enter the answer, so nothing more is popped.
+TEST(BestFirstTest, EndLeavesTheRestOfTheHeapUnpopped) {
+  BestFirst<ToyUnit> walk;
+  for (std::uint32_t i = 0; i < 6; ++i) walk.Push({0.5 * i, i});
+  std::vector<std::uint32_t> popped;
+  const BestFirstEnd end = walk.Run([&](const ToyUnit& unit) {
+    popped.push_back(unit.tie);
+    return unit.key >= 1.0 ? BestFirstStep::End() : BestFirstStep::Continue();
+  });
+  EXPECT_EQ(popped, (std::vector<std::uint32_t>{0, 1, 2}));
+  EXPECT_EQ(end.termination, Termination::kComplete);
+  EXPECT_EQ(end.frontier, kInf);
+
+  // The units left behind are still there, in order, for a later walk.
+  popped.clear();
+  walk.Run([&](const ToyUnit& unit) {
+    popped.push_back(unit.tie);
+    return BestFirstStep::Continue();
+  });
+  EXPECT_EQ(popped, (std::vector<std::uint32_t>{3, 4, 5}));
+}
+
 TEST(BestFirstTest, EmptyHeapAndZeroKEndComplete) {
   BestFirst<ToyUnit> empty;
   std::size_t calls = 0;

@@ -195,6 +195,63 @@ TEST(ConstrainedTest, KZeroIsCompleteAndEmptyOnAllEngines) {
   }
 }
 
+// ConstrainedTopK validates once, at its entry: a bad query is refused
+// on every engine before any tuple is scored or any shard or run is
+// opened.
+TEST(ConstrainedTest, InvalidQueryIsRefusedBeforeAnyWork) {
+  const PointSet points = GenerateIndependent(120, 3, 31);
+  const Engines engines = BuildEngines(points);
+  ConstrainedQuery good;
+  good.weights = {0.3, 0.3, 0.4};
+  good.k = 5;
+  good.box = AttributeBox::All(3);
+
+  std::vector<ConstrainedQuery> bad(4, good);
+  bad[0].weights = {0.5, 0.5};
+  bad[1].weights = {0.6, -0.1, 0.5};
+  bad[2].box.lo = {0.0, 0.0};
+  bad[2].box.hi = {1.0, 1.0};
+  bad[3].box.hi[1] = std::numeric_limits<double>::quiet_NaN();
+  for (std::size_t i = 0; i < bad.size(); ++i) {
+    for (const TopKResult& got : {ConstrainedTopK(engines.dl, bad[i]),
+                                  ConstrainedTopK(engines.sdl, bad[i]),
+                                  ConstrainedTopK(engines.tdl, bad[i])}) {
+      EXPECT_EQ(got.termination, Termination::kInvalidQuery) << "query " << i;
+      EXPECT_TRUE(got.items.empty()) << "query " << i;
+      EXPECT_EQ(got.stats.tuples_evaluated, 0u) << "query " << i;
+      EXPECT_EQ(got.stats.shards_touched, 0u) << "query " << i;
+      EXPECT_EQ(got.stats.runs_opened, 0u) << "query " << i;
+    }
+  }
+}
+
+// A box that misses every tuple: one DL+ index drops its root node
+// unopened, and a merge declines every shard and run by its root box,
+// so no engine scores a tuple and the empty answer is complete.
+TEST(ConstrainedTest, BoxMissingTheDataIsPrunedUnopened) {
+  const PointSet points = GenerateIndependent(200, 3, 37);
+  const Engines engines = BuildEngines(points);
+  ConstrainedQuery query;
+  query.weights = {0.3, 0.3, 0.4};
+  query.k = 10;
+  query.box = AttributeBox::All(3);
+  query.box.lo[1] = 1.5;
+  query.box.hi[1] = 2.0;
+  ASSERT_TRUE(ConstrainedTopKScan(points, query).items.empty());
+  const char* const names[] = {"dl+", "sdl+", "tdl+"};
+  const TopKResult results[] = {ConstrainedTopK(engines.dl, query),
+                                ConstrainedTopK(engines.sdl, query),
+                                ConstrainedTopK(engines.tdl, query)};
+  for (std::size_t e = 0; e < 3; ++e) {
+    const TopKResult& got = results[e];
+    EXPECT_EQ(got.termination, Termination::kComplete) << names[e];
+    EXPECT_TRUE(got.items.empty()) << names[e];
+    EXPECT_EQ(got.stats.tuples_evaluated, 0u) << names[e];
+    EXPECT_GT(got.stats.boxes_pruned, 0u) << names[e];
+  }
+  EXPECT_EQ(results[1].stats.boxes_pruned, engines.sdl.num_shards());
+}
+
 TEST(ConstrainedTest, BudgetedPartialCertifiesTruePrefix) {
   const PointSet points = GenerateIndependent(150, 3, 23);
   const Engines engines = BuildEngines(points);
