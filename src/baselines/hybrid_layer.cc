@@ -87,9 +87,8 @@ TopKResult HybridLayerIndex::Query(const TopKQuery& query) const {
       }
     }
     double layer_min_bound = 0.0;
-    TaScanLayer(points_, layer_lists, w, &heap,
-                &result.stats.tuples_evaluated, &layer_min_bound,
-                &result.accessed, &control, &soa_);
+    TaScanLayer(soa_, layer_lists, w, &heap, &result.stats.tuples_evaluated,
+                &layer_min_bound, &result.accessed, &control);
     if (control.stop != Termination::kComplete) {
       // Budget tripped mid-layer. Unoffered tuples of this layer are
       // bounded by the TA frontier. Unscanned deeper layers: convex

@@ -151,9 +151,9 @@ TopKResult ListIndex::QueryTa(const TopKQuery& query) const {
   TaScanControl control;
   control.gate = &gate;
   TopKHeap heap(query.k);
-  TaScanLayer(points_, lists_, query.weights, &heap,
+  TaScanLayer(soa_, lists_, query.weights, &heap,
               &result.stats.tuples_evaluated, /*layer_min_bound=*/nullptr,
-              &result.accessed, &control, &soa_);
+              &result.accessed, &control);
   result.items = heap.SortedAscending();
   if (control.stop == Termination::kComplete) {
     FinalizeComplete(result);
@@ -168,7 +168,10 @@ TopKResult ListIndex::QueryNra(const TopKQuery& query) const {
   const std::size_t d = points_.dim();
   const std::size_t n = points_.size();
   TopKResult result;
-  if (n == 0) return result;
+  if (n == 0) {
+    FinalizeComplete(result);
+    return result;
+  }
   const std::size_t k = std::min(query.k, n);
   const PointView w(query.weights);
   BudgetGate gate(query.budget);

@@ -2,28 +2,32 @@
 
 #include <algorithm>
 #include <limits>
+#include <numeric>
 
 #include "common/check.h"
 
 namespace drli {
 
-CsrGraph CsrGraph::FromAdjacency(
-    const std::vector<std::vector<NodeId>>& adjacency) {
-  CsrGraph graph;
-  std::size_t total = 0;
-  for (const auto& list : adjacency) total += list.size();
-  DRLI_CHECK(total <= std::numeric_limits<std::uint32_t>::max())
+CsrGraph CsrGraph::FromEdges(
+    std::size_t num_nodes, std::span<const std::pair<NodeId, NodeId>> edges) {
+  DRLI_CHECK(edges.size() <= std::numeric_limits<std::uint32_t>::max())
       << "edge count overflows 32-bit CSR offsets";
-
-  graph.offsets_vec_.reserve(adjacency.size() + 1);
-  graph.targets_vec_.reserve(total);
-  graph.offsets_vec_.push_back(0);
-  for (const auto& list : adjacency) {
-    graph.targets_vec_.insert(graph.targets_vec_.end(), list.begin(),
-                              list.end());
-    graph.offsets_vec_.push_back(
-        static_cast<std::uint32_t>(graph.targets_vec_.size()));
+  CsrGraph graph;
+  std::vector<std::uint32_t>& offsets = graph.offsets_vec_;
+  offsets.assign(num_nodes + 1, 0);
+  for (const auto& edge : edges) {
+    DRLI_DCHECK(edge.first < num_nodes && edge.second < num_nodes);
+    ++offsets[edge.first + 1];
   }
+  std::partial_sum(offsets.begin(), offsets.end(), offsets.begin());
+  // offsets[s] is the start of row s; each placement advances it, so
+  // afterwards it holds the end of row s, the start of row s + 1.
+  graph.targets_vec_.resize(edges.size());
+  for (const auto& edge : edges) {
+    graph.targets_vec_[offsets[edge.first]++] = edge.second;
+  }
+  std::shift_right(offsets.begin(), offsets.end(), 1);
+  offsets[0] = 0;
   return graph;
 }
 

@@ -4,8 +4,8 @@
 // best-first traversal touches two cache lines per expansion instead of
 // chasing a pointer per node, and the whole graph is two allocations.
 //
-// Like PointSet, a CsrGraph is either owning (built from adjacency
-// lists) or view-backed (borrowed spans over an mmap-ed snapshot
+// Like PointSet, a CsrGraph is either owning (built from an edge
+// list) or view-backed (borrowed spans over an mmap-ed snapshot
 // section, guarded by a shared keepalive). Readers see one interface.
 
 #ifndef DRLI_COMMON_CSR_H_
@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 namespace drli {
@@ -24,9 +25,11 @@ class CsrGraph {
 
   CsrGraph() = default;
 
-  // Flattens build-time adjacency lists; per-node edge order is kept.
-  static CsrGraph FromAdjacency(
-      const std::vector<std::vector<NodeId>>& adjacency);
+  // Graph over nodes [0, num_nodes) from (source, target) edges: a
+  // stable counting sort on source, so each row keeps the edges' order.
+  static CsrGraph FromEdges(
+      std::size_t num_nodes,
+      std::span<const std::pair<NodeId, NodeId>> edges);
 
   // Owning graph adopting pre-built CSR arrays. Requires a well-formed
   // shape: offsets empty (zero nodes) or offsets.front() == 0 and

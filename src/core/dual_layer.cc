@@ -13,7 +13,6 @@
 #include "common/stopwatch.h"
 #include "core/eds.h"
 #include "geometry/convex_skyline.h"
-#include "skyline/dominance_tree.h"
 #include "skyline/skyline_layers.h"
 
 namespace drli {
@@ -47,8 +46,8 @@ DualLayerIndex DualLayerIndex::Build(PointSet points,
   index.has_fine_in_.assign(n, 0);
   index.chain_pos_.assign(n, kNoFineLayer);
 
-  AdjacencyBuilder coarse_adj(n);
-  AdjacencyBuilder fine_adj(n);
+  EdgeList coarse_edges;
+  EdgeList fine_edges;
   Stopwatch phase;
   // The box tree reads only points_: built first, it drives the coarse
   // layering and is then kept for queries.
@@ -57,20 +56,20 @@ DualLayerIndex DualLayerIndex::Build(PointSet points,
     index.BuildCoarseLayers();
     index.stats_.skyline_seconds = phase.ElapsedSeconds();
     phase.Restart();
-    index.BuildFineLayers(&fine_adj);
+    index.BuildFineLayers(&fine_edges);
     index.stats_.fine_peel_seconds = phase.ElapsedSeconds();
     phase.Restart();
-    index.BuildCoarseEdges(&coarse_adj);
+    index.BuildCoarseEdges(&coarse_edges);
     index.stats_.coarse_edge_seconds = phase.ElapsedSeconds();
     if (options.build_zero_layer) {
       phase.Restart();
-      index.BuildZeroLayer(&coarse_adj, &fine_adj);
+      index.BuildZeroLayer(&coarse_edges, &fine_edges);
       index.stats_.zero_layer_seconds = phase.ElapsedSeconds();
     }
   }
   phase.Restart();
-  index.coarse_out_ = CsrGraph::FromAdjacency(coarse_adj);
-  index.fine_out_ = CsrGraph::FromAdjacency(fine_adj);
+  index.coarse_out_ = CsrGraph::FromEdges(index.num_nodes(), coarse_edges);
+  index.fine_out_ = CsrGraph::FromEdges(index.num_nodes(), fine_edges);
   index.FinalizeLayout();
   index.stats_.finalize_seconds = phase.ElapsedSeconds();
   index.stats_.build_seconds = timer.ElapsedSeconds();
@@ -107,15 +106,14 @@ DualLayerIndex::FinePeelResult DualLayerIndex::PeelFineLayers(
   std::vector<TupleId> prev_facet_pool;
   std::size_t prev_facet_size = 0;
   // Componentwise-min corner per facet (FacetMinCorner), computed once
-  // per facet, and a dominance tree over the corners: a facet whose
-  // corner fails to weakly dominate a target cannot be its EDS, so the
-  // tree hands each target only the facets worth testing.
+  // per facet, and a box tree over the corners: a facet whose corner
+  // fails to weakly dominate a target cannot be its EDS, so the tree
+  // hands each target only the facets worth testing.
   PointSet prev_corners(d);
-  DominanceTree prev_corner_tree;
+  BoxTree prev_corner_tree;
   std::vector<TupleId> candidates;
   // Per-sublayer buffers, refilled every round.
   Point corner;
-  std::vector<TupleId> corner_ids;
   std::vector<TupleId> local_pool_ids;
   PointSet subset(d);
   std::vector<NodeId> member_nodes;
@@ -156,8 +154,9 @@ DualLayerIndex::FinePeelResult DualLayerIndex::PeelFineLayers(
         const NodeId target_node = member_nodes[m];
         const PointView target = pool[local_pool_ids[csky.members[m]]];
         candidates.clear();
-        prev_corner_tree.ForEachWeakDominator(
-            target, [&](TupleId f) { candidates.push_back(f); });
+        prev_corner_tree.ForEachDominator<Dominance::kWeak>(
+            prev_corners, target,
+            [&](TupleId f) { candidates.push_back(f); });
         std::sort(candidates.begin(), candidates.end());
         // A facet the tree leaves out is the bbox reject a scan in
         // canonical order would have counted, up to where that scan
@@ -198,7 +197,6 @@ DualLayerIndex::FinePeelResult DualLayerIndex::PeelFineLayers(
       prev_facet_pool.push_back(pool_ids[remaining[local]]);
     }
     prev_corners.Clear();
-    corner_ids.clear();
     for (std::size_t f = 0; f < csky.num_facets(); ++f) {
       FacetMinCorner(pool,
                      std::span<const TupleId>(
@@ -206,9 +204,8 @@ DualLayerIndex::FinePeelResult DualLayerIndex::PeelFineLayers(
                          prev_facet_size),
                      &corner);
       prev_corners.Add(corner);
-      corner_ids.push_back(static_cast<TupleId>(f));
     }
-    prev_corner_tree.Build(prev_corners, corner_ids);
+    prev_corner_tree = BoxTree::Build(prev_corners);
 
     // Remove the sublayer from the remaining pool.
     next.clear();
@@ -223,13 +220,11 @@ DualLayerIndex::FinePeelResult DualLayerIndex::PeelFineLayers(
 }
 
 void DualLayerIndex::ApplyFinePeel(const FinePeelResult& peel,
-                                   AdjacencyBuilder* fine_adj) {
+                                   EdgeList* fine_edges) {
   for (const auto& [node, fine] : peel.fine_of) fine_of_[node] = fine;
-  for (const auto& [source, target] : peel.edges) {
-    (*fine_adj)[source].push_back(target);
-    has_fine_in_[target] = 1;
-    ++stats_.num_fine_edges;
-  }
+  for (const auto& edge : peel.edges) has_fine_in_[edge.second] = 1;
+  fine_edges->insert(fine_edges->end(), peel.edges.begin(), peel.edges.end());
+  stats_.num_fine_edges += peel.edges.size();
   stats_.num_fine_layers += peel.num_fine_layers;
   stats_.eds_uncovered += peel.eds_uncovered;
   stats_.csky_fallbacks += peel.csky_fallbacks;
@@ -241,7 +236,7 @@ void DualLayerIndex::ApplyFinePeel(const FinePeelResult& peel,
   stats_.hull_facets_created += peel.hull_facets_created;
 }
 
-void DualLayerIndex::BuildFineLayers(AdjacencyBuilder* fine_adj) {
+void DualLayerIndex::BuildFineLayers(EdgeList* fine_edges) {
   if (!options_.enable_fine_layers) {
     for (const std::vector<TupleId>& layer : coarse_layers_) {
       for (TupleId id : layer) fine_of_[id] = 0;
@@ -274,10 +269,10 @@ void DualLayerIndex::BuildFineLayers(AdjacencyBuilder* fine_adj) {
         results[i] = PeelFineLayers(node_ids, points_, layer);
       },
       threads);
-  for (const FinePeelResult& peel : results) ApplyFinePeel(peel, fine_adj);
+  for (const FinePeelResult& peel : results) ApplyFinePeel(peel, fine_edges);
 }
 
-void DualLayerIndex::BuildCoarseEdges(AdjacencyBuilder* coarse_adj) {
+void DualLayerIndex::BuildCoarseEdges(EdgeList* coarse_edges) {
   // ∀-edges between adjacent coarse layers (Lemma 1): t -> t' iff t ≺ t'.
   // Each adjacent pair is scanned independently on the task pool; edges
   // are buffered per pair and merged in pair order (a source node only
@@ -285,7 +280,7 @@ void DualLayerIndex::BuildCoarseEdges(AdjacencyBuilder* coarse_adj) {
   // build).
   if (coarse_layers_.size() < 2) return;
   const std::size_t pairs = coarse_layers_.size() - 1;
-  std::vector<std::vector<std::pair<NodeId, NodeId>>> pair_edges(pairs);
+  std::vector<EdgeList> pair_edges(pairs);
   std::vector<DominancePairStats> pair_stats(pairs);
   const std::size_t threads =
       points_.size() < kMinPointsForParallelBuild ? 1 : options_.build_threads;
@@ -313,11 +308,10 @@ void DualLayerIndex::BuildCoarseEdges(AdjacencyBuilder* coarse_adj) {
   for (std::size_t i = 0; i < pairs; ++i) {
     stats_.coarse_pairs_pruned += pair_stats[i].pairs_pruned;
     stats_.coarse_pairs_tested += pair_stats[i].pairs_tested;
-    for (const auto& [source, target] : pair_edges[i]) {
-      (*coarse_adj)[source].push_back(target);
-      ++coarse_in_degree_[target];
-      ++stats_.num_coarse_edges;
-    }
+    for (const auto& edge : pair_edges[i]) ++coarse_in_degree_[edge.second];
+    coarse_edges->insert(coarse_edges->end(), pair_edges[i].begin(),
+                         pair_edges[i].end());
+    stats_.num_coarse_edges += pair_edges[i].size();
     for (TupleId target : coarse_layers_[i + 1]) {
       DRLI_DCHECK(coarse_in_degree_[target] > 0)
           << "every tuple below layer 1 has a dominator one layer up";
@@ -325,8 +319,8 @@ void DualLayerIndex::BuildCoarseEdges(AdjacencyBuilder* coarse_adj) {
   }
 }
 
-void DualLayerIndex::BuildZeroLayer(AdjacencyBuilder* coarse_adj,
-                                    AdjacencyBuilder* fine_adj) {
+void DualLayerIndex::BuildZeroLayer(EdgeList* coarse_edges,
+                                    EdgeList* fine_edges) {
   const std::vector<TupleId>& layer1 = coarse_layers_[0];
 
   if (points_.dim() == 2 && options_.enable_fine_layers) {
@@ -358,9 +352,7 @@ void DualLayerIndex::BuildZeroLayer(AdjacencyBuilder* coarse_adj,
 
   coarse_of_.resize(n + v, 0);
   fine_of_.resize(n + v, kNoFineLayer);
-  coarse_adj->resize(n + v);
   coarse_in_degree_.resize(n + v, 0);
-  fine_adj->resize(n + v);
   has_fine_in_.resize(n + v, 0);
   chain_pos_.resize(n + v, kNoFineLayer);
 
@@ -372,7 +364,7 @@ void DualLayerIndex::BuildZeroLayer(AdjacencyBuilder* coarse_adj,
   }
   if (options_.zero_layer_fine_split) {
     ApplyFinePeel(PeelFineLayers(virtual_nodes, virtual_points_, virtual_ids),
-                  fine_adj);
+                  fine_edges);
   } else {
     for (NodeId node : virtual_nodes) fine_of_[node] = 0;
   }
@@ -383,7 +375,7 @@ void DualLayerIndex::BuildZeroLayer(AdjacencyBuilder* coarse_adj,
     const PointView tp = points_[target];
     for (std::size_t i = 0; i < v; ++i) {
       if (WeaklyDominates(virtual_points_[i], tp)) {
-        (*coarse_adj)[n + i].push_back(target);
+        coarse_edges->emplace_back(static_cast<NodeId>(n + i), target);
         ++coarse_in_degree_[target];
         ++stats_.num_coarse_edges;
       }

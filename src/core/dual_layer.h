@@ -371,8 +371,9 @@ class DualLayerIndex final : public TopKIndex {
  private:
   friend class DualLayerSerializer;
 
-  // Build-time adjacency accumulator, flattened to CSR once complete.
-  using AdjacencyBuilder = std::vector<std::vector<NodeId>>;
+  // Build-time edges as (source, target) in creation order;
+  // CsrGraph::FromEdges turns them into the CSR, each row in that order.
+  using EdgeList = std::vector<std::pair<NodeId, NodeId>>;
 
   // One node subset's fine decomposition, computed independently
   // (possibly on a worker thread) and merged serially in layer order --
@@ -381,7 +382,7 @@ class DualLayerIndex final : public TopKIndex {
     // (node, 0-based fine sublayer), in assignment order.
     std::vector<std::pair<NodeId, std::uint32_t>> fine_of;
     // ∃-edges in creation order.
-    std::vector<std::pair<NodeId, NodeId>> edges;
+    EdgeList edges;
     std::size_t num_fine_layers = 0;
     std::size_t eds_uncovered = 0;
     std::size_t csky_fallbacks = 0;
@@ -394,10 +395,9 @@ class DualLayerIndex final : public TopKIndex {
   DualLayerIndex() : points_(1), virtual_points_(1) {}
 
   void BuildCoarseLayers();
-  void BuildFineLayers(AdjacencyBuilder* fine_adj);
-  void BuildCoarseEdges(AdjacencyBuilder* coarse_adj);
-  void BuildZeroLayer(AdjacencyBuilder* coarse_adj,
-                      AdjacencyBuilder* fine_adj);
+  void BuildFineLayers(EdgeList* fine_edges);
+  void BuildCoarseEdges(EdgeList* coarse_edges);
+  void BuildZeroLayer(EdgeList* coarse_edges, EdgeList* fine_edges);
   // Derives what queries run on from the node-space graph: the initial
   // nodes, the slot-space QueryLayout (including the lazy ∀-gate's
   // partitioned pseudo rows and parent CSR) and the box tree.
@@ -417,7 +417,7 @@ class DualLayerIndex final : public TopKIndex {
   FinePeelResult PeelFineLayers(const std::vector<NodeId>& node_ids,
                                 const PointSet& pool,
                                 const std::vector<TupleId>& pool_ids) const;
-  void ApplyFinePeel(const FinePeelResult& peel, AdjacencyBuilder* fine_adj);
+  void ApplyFinePeel(const FinePeelResult& peel, EdgeList* fine_edges);
 
   // Idle scratches bound to this index's layout (see Query), each with
   // the thread that last used it. A thread gets its own scratch back

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <limits>
 #include <memory>
+#include <span>
 #include <utility>
 #include <vector>
 
@@ -463,19 +464,22 @@ class DualLayerSerializer {
     const std::size_t total = index.num_nodes();
     PointSet nodes(index.points_.dim());
     nodes.Reserve(total);
-    std::vector<std::vector<TupleId>> parents(total);
+    DualLayerIndex::EdgeList edges;
+    edges.reserve(index.fine_out_.num_edges());
     for (std::size_t node = 0; node < total; ++node) {
-      nodes.Add(index.node_point(static_cast<CsrGraph::NodeId>(node)));
-      for (const CsrGraph::NodeId succ :
-           index.fine_out_[static_cast<CsrGraph::NodeId>(node)]) {
-        parents[succ].push_back(static_cast<TupleId>(node));
+      const auto id = static_cast<CsrGraph::NodeId>(node);
+      nodes.Add(index.node_point(id));
+      for (const CsrGraph::NodeId succ : index.fine_out_[id]) {
+        edges.emplace_back(succ, id);
       }
     }
+    // Each node's fine parents, ascending: the facet its ∃-edges name.
+    const CsrGraph parents = CsrGraph::FromEdges(total, edges);
     bool dropped = false;
     for (std::size_t node = 0; node < total; ++node) {
-      if (parents[node].empty() ||
-          FacetIsVerifiedEds(nodes, parents[node],
-                             FacetMinCorner(nodes, parents[node]),
+      const std::span<const TupleId> facet = parents[node];
+      if (facet.empty() ||
+          FacetIsVerifiedEds(nodes, facet, FacetMinCorner(nodes, facet),
                              nodes[node], EdsMargin::kRounding, nullptr)) {
         continue;
       }
@@ -483,14 +487,14 @@ class DualLayerSerializer {
       dropped = true;
     }
     if (!dropped) return;
-    std::vector<std::vector<CsrGraph::NodeId>> kept(total);
+    edges.clear();
     for (std::size_t node = 0; node < total; ++node) {
-      for (const CsrGraph::NodeId succ :
-           index.fine_out_[static_cast<CsrGraph::NodeId>(node)]) {
-        if (index.has_fine_in_[succ] != 0) kept[node].push_back(succ);
+      const auto id = static_cast<CsrGraph::NodeId>(node);
+      for (const CsrGraph::NodeId succ : index.fine_out_[id]) {
+        if (index.has_fine_in_[succ] != 0) edges.emplace_back(id, succ);
       }
     }
-    index.fine_out_ = CsrGraph::FromAdjacency(kept);
+    index.fine_out_ = CsrGraph::FromEdges(total, edges);
   }
 
   // Tail of LoadV2: range-checks everything that could index out of

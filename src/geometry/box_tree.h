@@ -1,8 +1,11 @@
-// A static kd tree of member boxes over one PointSet. It has three
-// users: the coarse layering's sweep (skyline/skyline_layers.h, DESIGN.md
-// "Build pipeline"), and the pruning unit of the constrained scenario
-// and of the diversified certificate (DESIGN.md "Constrained top-k",
-// "Diversified top-k").
+// A static kd tree of member boxes over one PointSet: the repository's
+// one kd tree. Its users are the coarse layering's sweep
+// (skyline/skyline_layers.h, DESIGN.md "Build pipeline"), the ∀-edge
+// wiring between adjacent coarse layers (ForEachDominancePair) and the
+// EDS facet-corner prefilter of the fine peel (core/dual_layer.cc), the
+// last two through ForEachDominator, and the pruning unit of the
+// constrained scenario and of the diversified certificate (DESIGN.md
+// "Constrained top-k", "Diversified top-k").
 //
 // Each node splits its members at the median of the widest axis of the
 // box it inherits (the relation's bounding box at the root); splitting
@@ -16,19 +19,36 @@
 #ifndef DRLI_GEOMETRY_BOX_TREE_H_
 #define DRLI_GEOMETRY_BOX_TREE_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <span>
 #include <vector>
 
+#include "common/check.h"
 #include "common/point.h"
 
 namespace drli {
 
+// Which members BoxTree::ForEachDominator reports: those strictly
+// dominating the target (Dominates) or those weakly dominating it
+// (WeaklyDominates: <= in every coordinate, so a copy of it counts).
+enum class Dominance { kStrict, kWeak };
+
+// How one ForEachDominator call resolved the tree's members. Every
+// member lands in exactly one bucket, so pruned + tested is the member
+// count.
+struct DominatorWalkCounts {
+  // Members of nodes whose lo corner does not weakly dominate the target.
+  std::size_t pruned = 0;
+  // Members taken whole with their node or compared one by one in a leaf.
+  std::size_t tested = 0;
+};
+
 class BoxTree {
  public:
   // Largest leaf. A constant, not an option: 8 certifies and prunes
-  // better than 16 or 32 for both users.
+  // better than 16 or 32 for the constrained walk and the certificate.
   static constexpr std::size_t kLeafSize = 8;
 
   BoxTree() = default;
@@ -52,6 +72,53 @@ class BoxTree {
   std::span<const TupleId> members(std::size_t node) const {
     return std::span<const TupleId>(ids_.data() + begin_[node],
                                     end_[node] - begin_[node]);
+  }
+
+  // Calls visit(id) once for every member dominating t in the kKind
+  // sense; `points` is the set the tree was built over. A node whose lo
+  // corner does not weakly dominate t holds no dominator and is pruned.
+  // A node whose hi corner weakly dominates t holds only weak
+  // dominators and is taken whole; under kStrict that needs hi != t,
+  // which puts some coordinate of every member strictly below t's.
+  // Members are reported in the tree's preorder, not id order.
+  template <Dominance kKind, typename Visit>
+  DominatorWalkCounts ForEachDominator(const PointSet& points, PointView t,
+                                       Visit&& visit) const {
+    DominatorWalkCounts counts;
+    if (empty()) return counts;
+    DRLI_DCHECK(t.size() == dim_ && points.dim() == dim_);
+    // At most one pending sibling per level plus one: median splits
+    // keep the depth under 32.
+    std::uint32_t stack[64];
+    std::size_t size = 0;
+    stack[size++] = 0;
+    while (size > 0) {
+      const std::uint32_t node = stack[--size];
+      const std::span<const TupleId> ids = members(node);
+      if (!WeaklyDominates(lo(node), t)) {
+        counts.pruned += ids.size();
+        continue;
+      }
+      if (WeaklyDominates(hi(node), t) &&
+          (kKind == Dominance::kWeak || !std::ranges::equal(hi(node), t))) {
+        for (const TupleId id : ids) visit(id);
+        counts.tested += ids.size();
+        continue;
+      }
+      if (is_leaf(node)) {
+        for (const TupleId id : ids) {
+          if (kKind == Dominance::kStrict ? Dominates(points[id], t)
+                                          : WeaklyDominates(points[id], t)) {
+            visit(id);
+          }
+        }
+        counts.tested += ids.size();
+        continue;
+      }
+      stack[size++] = child_[node] + 1;
+      stack[size++] = child_[node];
+    }
+    return counts;
   }
 
  private:

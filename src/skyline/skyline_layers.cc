@@ -14,7 +14,6 @@
 #include "common/check.h"
 #include "common/parallel_for.h"
 #include "geometry/convex_skyline.h"
-#include "skyline/dominance_tree.h"
 #include "skyline/skyline.h"
 
 namespace drli {
@@ -366,26 +365,6 @@ ConvexLayerDecomposition BuildConvexLayers(const PointSet& points,
     out.layers.push_back(std::move(layer));
   }
   return out;
-}
-
-void ForEachDominancePair(
-    const PointSet& points, const std::vector<TupleId>& upper,
-    const std::vector<TupleId>& lower,
-    const std::function<void(TupleId source, TupleId target)>& edge,
-    DominancePairStats* stats) {
-  if (upper.empty() || lower.empty()) return;
-  DominanceTree tree;
-  tree.Build(points, upper);
-  DominanceTreeStats tree_stats;
-  for (TupleId target : lower) {
-    tree.ForEachDominator(
-        points[target], [&](TupleId source) { edge(source, target); },
-        &tree_stats);
-  }
-  if (stats != nullptr) {
-    stats->pairs_pruned += tree_stats.pruned;
-    stats->pairs_tested += tree_stats.tested;
-  }
 }
 
 }  // namespace drli

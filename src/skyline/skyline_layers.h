@@ -13,7 +13,6 @@
 #define DRLI_SKYLINE_SKYLINE_LAYERS_H_
 
 #include <cstddef>
-#include <functional>
 #include <limits>
 #include <vector>
 
@@ -85,19 +84,32 @@ struct DominancePairStats {
 // Invokes edge(t, t') for every pair t in `upper`, t' in `lower` with
 // t ≺ t'. Used to wire ∀-dominance edges between adjacent layers.
 //
-// Bounds-tree scan: `upper` is indexed by a kd-style tree whose nodes
-// carry componentwise min/max corners (DominanceTree); per target, a
-// subtree whose min corner fails to weakly dominate the target is
-// skipped in O(d) and a subtree whose max corner weakly dominates it
-// is accepted wholesale. Targets are visited in the given `lower`
-// order; the per-target source order is the tree's deterministic
-// preorder (callers must not rely on a particular source order).
-// `stats` (optional) accumulates pruning counters.
-void ForEachDominancePair(
-    const PointSet& points, const std::vector<TupleId>& upper,
-    const std::vector<TupleId>& lower,
-    const std::function<void(TupleId source, TupleId target)>& edge,
-    DominancePairStats* stats = nullptr);
+// A BoxTree over `upper` answers each target's strict dominators
+// (BoxTree::ForEachDominator): a node whose lo corner fails to weakly
+// dominate the target is skipped in O(d), and one whose hi corner
+// dominates it is taken whole. Targets are visited in the given `lower`
+// order; the per-target source order is the tree's preorder (callers
+// must not rely on a particular source order). `stats` (optional)
+// accumulates pruning counters.
+template <typename Edge>
+void ForEachDominancePair(const PointSet& points,
+                          const std::vector<TupleId>& upper,
+                          const std::vector<TupleId>& lower, Edge&& edge,
+                          DominancePairStats* stats = nullptr) {
+  if (upper.empty() || lower.empty()) return;
+  const PointSet sources = points.Subset(upper);
+  const BoxTree tree = BoxTree::Build(sources);
+  for (const TupleId target : lower) {
+    const DominatorWalkCounts counts =
+        tree.ForEachDominator<Dominance::kStrict>(
+            sources, points[target],
+            [&](TupleId local) { edge(upper[local], target); });
+    if (stats != nullptr) {
+      stats->pairs_pruned += counts.pruned;
+      stats->pairs_tested += counts.tested;
+    }
+  }
+}
 
 }  // namespace drli
 

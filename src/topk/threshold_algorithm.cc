@@ -39,10 +39,10 @@ std::vector<ScoredTuple> TopKHeap::SortedAscending() const {
   return out;
 }
 
-void TaScanLayer(const PointSet& points, const SortedLists& lists,
+void TaScanLayer(const SoaPointSet& soa, const SortedLists& lists,
                  PointView weights, TopKHeap* heap, std::size_t* evaluated,
                  double* layer_min_bound, std::vector<TupleId>* accessed,
-                 TaScanControl* control, const SoaPointSet* soa) {
+                 TaScanControl* control) {
   const std::size_t d = lists.dim();
   const std::size_t n = lists.size();
   DRLI_CHECK_EQ(weights.size(), d);
@@ -53,15 +53,24 @@ void TaScanLayer(const PointSet& points, const SortedLists& lists,
   // the round boundary instead of per list entry changes nothing: the
   // stop condition only consults the heap after the round.
   std::vector<TupleId> round_ids;
-  std::vector<double> round_scores;
-  if (soa != nullptr) {
-    round_ids.reserve(d);
-    round_scores.resize(d);
-  }
-  const auto complete_round = [&](const std::vector<TupleId>& ids,
-                                  std::vector<double>& out) {
-    if (ids.empty()) return;
-    ScoreBatch(weights, *soa, ids.data(), ids.size(), out.data());
+  round_ids.reserve(d);
+  std::vector<double> round_scores(d);
+  // Reads one entry from each list at depth pos into round_ids (the
+  // tuples first seen there) and round_scores, and returns the weighted
+  // sum of the entries' values: the threshold at that depth.
+  const auto sorted_access = [&](std::size_t pos) {
+    double sum = 0.0;
+    round_ids.clear();
+    for (std::size_t attr = 0; attr < d; ++attr) {
+      const SortedLists::Entry& e = lists.At(attr, pos);
+      sum += weights[attr] * e.value;
+      if (seen.insert(e.id).second) round_ids.push_back(e.id);
+    }
+    if (!round_ids.empty()) {
+      ScoreBatch(weights, soa, round_ids.data(), round_ids.size(),
+                 round_scores.data());
+    }
+    return sum;
   };
   double best_seen = std::numeric_limits<double>::infinity();
   double threshold = 0.0;
@@ -86,36 +95,14 @@ void TaScanLayer(const PointSet& points, const SortedLists& lists,
       }
     }
     // Sorted access: one entry from each list (round-robin depth pos).
-    threshold = 0.0;
-    if (soa != nullptr) {
-      round_ids.clear();
-      for (std::size_t attr = 0; attr < d; ++attr) {
-        const SortedLists::Entry& e = lists.At(attr, pos);
-        threshold += weights[attr] * e.value;
-        if (seen.insert(e.id).second) round_ids.push_back(e.id);
-      }
-      complete_round(round_ids, round_scores);
-      for (std::size_t i = 0; i < round_ids.size(); ++i) {
-        // Random access completes the tuple; this is one evaluation.
-        const double score = round_scores[i];
-        ++*evaluated;
-        if (accessed != nullptr) accessed->push_back(round_ids[i]);
-        best_seen = std::min(best_seen, score);
-        heap->Push(ScoredTuple{round_ids[i], score});
-      }
-    } else {
-      for (std::size_t attr = 0; attr < d; ++attr) {
-        const SortedLists::Entry& e = lists.At(attr, pos);
-        threshold += weights[attr] * e.value;
-        if (seen.insert(e.id).second) {
-          // Random access completes the tuple; this is one evaluation.
-          const double score = Score(weights, points[e.id]);
-          ++*evaluated;
-          if (accessed != nullptr) accessed->push_back(e.id);
-          best_seen = std::min(best_seen, score);
-          heap->Push(ScoredTuple{e.id, score});
-        }
-      }
+    threshold = sorted_access(pos);
+    for (std::size_t i = 0; i < round_ids.size(); ++i) {
+      // Random access completes the tuple; this is one evaluation.
+      const double score = round_scores[i];
+      ++*evaluated;
+      if (accessed != nullptr) accessed->push_back(round_ids[i]);
+      best_seen = std::min(best_seen, score);
+      heap->Push(ScoredTuple{round_ids[i], score});
     }
     // Every unseen tuple ranks at or beyond the frontier in all lists,
     // so its score is >= threshold (classic TA stop).
@@ -152,34 +139,12 @@ void TaScanLayer(const PointSet& points, const SortedLists& lists,
           return;
         }
       }
-      double probe_threshold = 0.0;
-      if (soa != nullptr) {
-        round_ids.clear();
-        for (std::size_t attr = 0; attr < d; ++attr) {
-          const SortedLists::Entry& e = lists.At(attr, pos);
-          probe_threshold += weights[attr] * e.value;
-          if (seen.insert(e.id).second) round_ids.push_back(e.id);
-        }
-        complete_round(round_ids, round_scores);
-        for (std::size_t i = 0; i < round_ids.size(); ++i) {
-          if (round_scores[i] == kth) {
-            ++*evaluated;
-            if (accessed != nullptr) accessed->push_back(round_ids[i]);
-            heap->Push(ScoredTuple{round_ids[i], kth});
-          }
-        }
-      } else {
-        for (std::size_t attr = 0; attr < d; ++attr) {
-          const SortedLists::Entry& e = lists.At(attr, pos);
-          probe_threshold += weights[attr] * e.value;
-          if (seen.insert(e.id).second) {
-            const double score = Score(weights, points[e.id]);
-            if (score == kth) {
-              ++*evaluated;
-              if (accessed != nullptr) accessed->push_back(e.id);
-              heap->Push(ScoredTuple{e.id, score});
-            }
-          }
+      const double probe_threshold = sorted_access(pos);
+      for (std::size_t i = 0; i < round_ids.size(); ++i) {
+        if (round_scores[i] == kth) {
+          ++*evaluated;
+          if (accessed != nullptr) accessed->push_back(round_ids[i]);
+          heap->Push(ScoredTuple{round_ids[i], kth});
         }
       }
       if (probe_threshold > kth) break;

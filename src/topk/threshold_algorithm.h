@@ -72,15 +72,14 @@ struct TaScanControl {
 // When `control` is non-null its gate is polled every round and the
 // scan stops early once it trips (see TaScanControl).
 //
-// When `soa` is non-null it must be a dimension-major view of `points`
-// (same ids); each round's random accesses are then completed through
-// one batched kernel call. Scores are bit-identical either way.
-void TaScanLayer(const PointSet& points, const SortedLists& lists,
+// `soa` is the dimension-major view of the relation the lists' ids
+// index; each round's random accesses are completed through one
+// batched kernel call (ScoreBatch).
+void TaScanLayer(const SoaPointSet& soa, const SortedLists& lists,
                  PointView weights, TopKHeap* heap, std::size_t* evaluated,
                  double* layer_min_bound = nullptr,
                  std::vector<TupleId>* accessed = nullptr,
-                 TaScanControl* control = nullptr,
-                 const SoaPointSet* soa = nullptr);
+                 TaScanControl* control = nullptr);
 
 // Weighted sum of the per-attribute list minima: a lower bound on the
 // score of every tuple in the layer. Used by HL+ to skip whole layers.

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <string>
 
 #include "gtest/gtest.h"
@@ -173,6 +174,35 @@ TEST(DegenerateInputTest, EveryFamilyHandlesDegenerateShapes) {
                                                       result))
               << what;
         }
+      }
+    }
+  }
+}
+
+// The TopKResult contract on the empty relation: a complete run with
+// nothing to return certifies everything, so frontier_bound is +inf.
+TEST(DegenerateInputTest, EmptyRelationIsACompleteEmptyAnswer) {
+  for (const std::size_t d : {2u, 3u}) {
+    const PointSet pts(d);
+    for (const std::string& kind : KnownIndexKinds()) {
+      IndexBuildConfig config;
+      config.kind = kind;
+      auto index = BuildIndex(config, pts);
+      ASSERT_TRUE(index.ok()) << kind << " d=" << d;
+      for (const std::size_t k : {std::size_t{1}, std::size_t{10}}) {
+        TopKQuery query;
+        query.weights.assign(d, 1.0 / static_cast<double>(d));
+        query.k = k;
+        const TopKResult result = index.value()->Query(query);
+        const std::string what =
+            kind + " d=" + std::to_string(d) + " k=" + std::to_string(k);
+        EXPECT_TRUE(result.complete()) << what;
+        EXPECT_TRUE(result.items.empty()) << what;
+        EXPECT_EQ(result.certified_prefix, 0u) << what;
+        EXPECT_EQ(result.frontier_bound,
+                  std::numeric_limits<double>::infinity())
+            << what;
+        EXPECT_EQ(result.stats.tuples_evaluated, 0u) << what;
       }
     }
   }

@@ -5,6 +5,7 @@
 #include "gtest/gtest.h"
 
 #include "common/random.h"
+#include "common/soa_points.h"
 #include "data/generator.h"
 #include "test_util.h"
 #include "topk/query.h"
@@ -107,12 +108,13 @@ TEST(ThresholdAlgorithmTest, FindsExactTopK) {
   std::vector<TupleId> members(pts.size());
   std::iota(members.begin(), members.end(), 0);
   const SortedLists lists(pts, members);
+  const SoaPointSet soa = SoaPointSet::FromPointSet(pts);
   Rng rng(8);
   for (int trial = 0; trial < 20; ++trial) {
     const Point w = rng.SimplexWeight(4);
     TopKHeap heap(10);
     std::size_t evaluated = 0;
-    TaScanLayer(pts, lists, w, &heap, &evaluated);
+    TaScanLayer(soa, lists, w, &heap, &evaluated);
     TopKQuery query;
     query.weights = w;
     query.k = 10;
