@@ -13,11 +13,11 @@
 // the timed builds (the counters are the same for every build).
 //
 // Each serial row also records the index's footprint: its bytes per
-// tuple by component (row-major points, the slot-ordered SoA copy,
-// the node-space graph the snapshot stores and the slot-space graph
-// queries read), the snapshot's size, and the snapshot's load time
-// through the copying reader and the mmap-backed zero-copy path
-// (bench_util::BestSeconds each).
+// tuple by component (row-major points, the slot-ordered SoA copy and
+// the slot-space graph, the only graph the index holds), the
+// snapshot's size, and the snapshot's load time through the copying
+// reader and the mmap-backed zero-copy path (bench_util::BestSeconds
+// each).
 //
 // DRLI_BENCH_N replaces the cells with n = DRLI_BENCH_N at d = 2 and 4
 // (the CI smoke uses 2000).
@@ -51,12 +51,11 @@ struct Footprint {
   // Bytes per tuple.
   double points = 0.0;      // row-major, pseudo-tuples included
   double soa_points = 0.0;  // QueryLayout::points
-  double node_graph = 0.0;  // the CSR, in-degrees, ∃ bits, initial nodes
   double slot_graph = 0.0;  // the QueryLayout's uint32 arrays
   std::uintmax_t snapshot_bytes = 0;
   double load_copy_seconds = 0.0;
   double load_mmap_seconds = 0.0;
-  bool zero_copy = false;  // the mmap load borrows points and graph
+  bool zero_copy = false;  // the mmap load borrows the points
 };
 
 struct Row {
@@ -82,14 +81,6 @@ Footprint MeasureFootprint(const DualLayerIndex& index) {
   f.soa_points = static_cast<double>(layout.points.size() *
                                      layout.points.dim() * sizeof(double)) /
                  n;
-  f.node_graph =
-      static_cast<double>(Bytes(index.coarse_out().offsets(),
-                                index.coarse_out().targets(),
-                                index.fine_out().offsets(),
-                                index.fine_out().targets(),
-                                index.coarse_in_degree(), index.has_fine_in(),
-                                index.initial_nodes())) /
-      n;
   f.slot_graph =
       static_cast<double>(Bytes(
           layout.node_of, layout.slot_of, layout.coarse_offsets,
@@ -111,8 +102,7 @@ Footprint MeasureFootprint(const DualLayerIndex& index) {
       auto loaded = LoadDualLayerIndex(path, load);
       DRLI_CHECK(loaded.ok()) << loaded.status().ToString();
       if (mmap) {
-        f.zero_copy = !loaded.value().points().owns_data() &&
-                      !loaded.value().coarse_out().owns_data();
+        f.zero_copy = !loaded.value().points().owns_data();
       }
     });
     (mmap ? f.load_mmap_seconds : f.load_copy_seconds) = seconds;
@@ -183,10 +173,9 @@ int main(int argc, char** argv) {
           s.num_coarse_edges, s.num_fine_edges);
       if (const auto& f = row.footprint) {
         std::printf(
-            "          bytes/tuple: points=%.1f soa=%.1f node_graph=%.1f "
-            "slot_graph=%.1f; snapshot=%ju B load copy=%.2fms "
-            "mmap=%.2fms zero_copy=%d\n",
-            f->points, f->soa_points, f->node_graph, f->slot_graph,
+            "          bytes/tuple: points=%.1f soa=%.1f slot_graph=%.1f; "
+            "snapshot=%ju B load copy=%.2fms mmap=%.2fms zero_copy=%d\n",
+            f->points, f->soa_points, f->slot_graph,
             f->snapshot_bytes, f->load_copy_seconds * 1e3,
             f->load_mmap_seconds * 1e3, f->zero_copy ? 1 : 0);
       }
@@ -210,11 +199,10 @@ int main(int argc, char** argv) {
           fields, sizeof(fields),
           ", \"points_bytes_per_tuple\": %.2f, "
           "\"soa_points_bytes_per_tuple\": %.2f, "
-          "\"node_graph_bytes_per_tuple\": %.2f, "
           "\"slot_graph_bytes_per_tuple\": %.2f, \"snapshot_bytes\": %ju, "
           "\"load_copy_seconds\": %.6f, \"load_mmap_seconds\": %.6f, "
           "\"zero_copy\": %s",
-          f->points, f->soa_points, f->node_graph, f->slot_graph,
+          f->points, f->soa_points, f->slot_graph,
           f->snapshot_bytes, f->load_copy_seconds, f->load_mmap_seconds,
           f->zero_copy ? "true" : "false");
       footprint = fields;

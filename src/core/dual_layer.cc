@@ -42,8 +42,6 @@ DualLayerIndex DualLayerIndex::Build(PointSet points,
   const std::size_t n = index.points_.size();
   index.coarse_of_.assign(n, 0);
   index.fine_of_.assign(n, kNoFineLayer);
-  index.coarse_in_degree_.assign(n, 0);
-  index.has_fine_in_.assign(n, 0);
   index.chain_pos_.assign(n, kNoFineLayer);
 
   EdgeList coarse_edges;
@@ -68,9 +66,8 @@ DualLayerIndex DualLayerIndex::Build(PointSet points,
     }
   }
   phase.Restart();
-  index.coarse_out_ = CsrGraph::FromEdges(index.num_nodes(), coarse_edges);
-  index.fine_out_ = CsrGraph::FromEdges(index.num_nodes(), fine_edges);
-  index.FinalizeLayout();
+  index.FinalizeLayout(CsrGraph::FromEdges(index.num_nodes(), coarse_edges),
+                       CsrGraph::FromEdges(index.num_nodes(), fine_edges));
   index.stats_.finalize_seconds = phase.ElapsedSeconds();
   index.stats_.build_seconds = timer.ElapsedSeconds();
   return index;
@@ -222,7 +219,6 @@ DualLayerIndex::FinePeelResult DualLayerIndex::PeelFineLayers(
 void DualLayerIndex::ApplyFinePeel(const FinePeelResult& peel,
                                    EdgeList* fine_edges) {
   for (const auto& [node, fine] : peel.fine_of) fine_of_[node] = fine;
-  for (const auto& edge : peel.edges) has_fine_in_[edge.second] = 1;
   fine_edges->insert(fine_edges->end(), peel.edges.begin(), peel.edges.end());
   stats_.num_fine_edges += peel.edges.size();
   stats_.num_fine_layers += peel.num_fine_layers;
@@ -305,15 +301,16 @@ void DualLayerIndex::BuildCoarseEdges(EdgeList* coarse_edges) {
                              &pair_stats[i]);
       },
       threads);
+  std::vector<std::uint8_t> dominated(points_.size(), 0);
   for (std::size_t i = 0; i < pairs; ++i) {
     stats_.coarse_pairs_pruned += pair_stats[i].pairs_pruned;
     stats_.coarse_pairs_tested += pair_stats[i].pairs_tested;
-    for (const auto& edge : pair_edges[i]) ++coarse_in_degree_[edge.second];
+    for (const auto& edge : pair_edges[i]) dominated[edge.second] = 1;
     coarse_edges->insert(coarse_edges->end(), pair_edges[i].begin(),
                          pair_edges[i].end());
     stats_.num_coarse_edges += pair_edges[i].size();
     for (TupleId target : coarse_layers_[i + 1]) {
-      DRLI_DCHECK(coarse_in_degree_[target] > 0)
+      DRLI_DCHECK(dominated[target] != 0)
           << "every tuple below layer 1 has a dominator one layer up";
     }
   }
@@ -352,8 +349,6 @@ void DualLayerIndex::BuildZeroLayer(EdgeList* coarse_edges,
 
   coarse_of_.resize(n + v, 0);
   fine_of_.resize(n + v, kNoFineLayer);
-  coarse_in_degree_.resize(n + v, 0);
-  has_fine_in_.resize(n + v, 0);
   chain_pos_.resize(n + v, kNoFineLayer);
 
   std::vector<NodeId> virtual_nodes(v);
@@ -373,15 +368,15 @@ void DualLayerIndex::BuildZeroLayer(EdgeList* coarse_edges,
   // it weakly dominates (its own cluster members at minimum).
   for (TupleId target : layer1) {
     const PointView tp = points_[target];
+    bool covered = false;
     for (std::size_t i = 0; i < v; ++i) {
       if (WeaklyDominates(virtual_points_[i], tp)) {
         coarse_edges->emplace_back(static_cast<NodeId>(n + i), target);
-        ++coarse_in_degree_[target];
         ++stats_.num_coarse_edges;
+        covered = true;
       }
     }
-    DRLI_CHECK(coarse_in_degree_[target] > 0)
-        << "zero layer must cover every first-layer tuple";
+    DRLI_CHECK(covered) << "zero layer must cover every first-layer tuple";
   }
 }
 
@@ -400,7 +395,8 @@ std::vector<std::vector<TupleId>> DualLayerIndex::LayerGroups() const {
   return groups;
 }
 
-void DualLayerIndex::FinalizeInitialNodes() {
+void DualLayerIndex::FinalizeInitialNodes(CsrView coarse_out,
+                                          CsrView fine_out) {
   // The box tree reads only points_, so on the task pool it builds
   // beside the layout (below kMinPointsForParallelBuild, inline).
   const std::size_t threads =
@@ -411,24 +407,18 @@ void DualLayerIndex::FinalizeInitialNodes() {
         if (task == 0) {
           box_tree_ = BoxTree::Build(points_);
         } else {
-          FinalizeLayout();
+          FinalizeLayout(coarse_out, fine_out);
         }
       },
       threads);
 }
 
-void DualLayerIndex::FinalizeLayout() {
+void DualLayerIndex::FinalizeLayout(CsrView coarse_out, CsrView fine_out) {
   const std::size_t total = num_nodes();
-  initial_.clear();
-  for (std::size_t node = 0; node < total; ++node) {
-    if (coarse_in_degree_[node] == 0 && !has_fine_in_[node]) {
-      initial_.push_back(static_cast<NodeId>(node));
-    }
-  }
+  DRLI_CHECK(coarse_out.num_nodes() == total && fine_out.num_nodes() == total);
 
-  // Rebuild the derived slot-space query layout (see QueryLayout in
-  // dual_layer.h). This runs after every build and snapshot load, so
-  // the layout can never go stale relative to the graph above.
+  // Build the slot-space query layout (see QueryLayout in dual_layer.h)
+  // from the node-space graph; after this the index holds no other copy.
   QueryLayout& layout = layout_;
   layout.node_of.resize(total);
   std::iota(layout.node_of.begin(), layout.node_of.end(), 0u);
@@ -453,7 +443,7 @@ void DualLayerIndex::FinalizeLayout() {
 
   // Remap both edge sets to slot space, keeping each row's edge order;
   // only the lazy ∀-gate below reorders the pseudo-tuples' coarse rows.
-  const auto remap = [&](const CsrGraph& graph,
+  const auto remap = [&](CsrView graph,
                          std::vector<std::uint32_t>& offsets,
                          std::vector<std::uint32_t>& targets) {
     offsets.resize(total + 1);
@@ -467,18 +457,23 @@ void DualLayerIndex::FinalizeLayout() {
     }
     offsets[total] = static_cast<std::uint32_t>(targets.size());
   };
-  remap(coarse_out_, layout.coarse_offsets, layout.coarse_targets);
-  remap(fine_out_, layout.fine_offsets, layout.fine_targets);
+  remap(coarse_out, layout.coarse_offsets, layout.coarse_targets);
+  remap(fine_out, layout.fine_offsets, layout.fine_targets);
 
-  layout.init_packed.resize(total);
-  for (std::size_t slot = 0; slot < total; ++slot) {
-    const NodeId node = layout.node_of[slot];
+  // Each init word counts its slot's ∀ in-edges and is fine-free
+  // unless an ∃-edge enters it.
+  layout.init_packed.assign(total, 0);
+  for (const std::uint32_t target : layout.coarse_targets) {
+    ++layout.init_packed[target];
+  }
+  for (std::uint32_t& word : layout.init_packed) {
     // The in-degree countdown lives in the low 24 bits of the packed
     // state word; an overflow would corrupt the lifecycle bits.
-    DRLI_CHECK(coarse_in_degree_[node] <= QueryLayout::kRemainingMask);
-    layout.init_packed[slot] =
-        coarse_in_degree_[node] |
-        (has_fine_in_[node] ? 0u : QueryLayout::kFineFreeBit);
+    DRLI_CHECK(word <= QueryLayout::kRemainingMask);
+    word |= QueryLayout::kFineFreeBit;
+  }
+  for (const std::uint32_t target : layout.fine_targets) {
+    layout.init_packed[target] &= ~QueryLayout::kFineFreeBit;
   }
 
   // Lazy ∀-gate (see QueryLayout): split each pseudo slot's coarse row
@@ -518,10 +513,13 @@ void DualLayerIndex::FinalizeLayout() {
       }
     }
   }
+  // The start set, in node order: every slot free at init.
   layout.initial_slots.clear();
-  layout.initial_slots.reserve(initial_.size());
-  for (const NodeId node : initial_) {
-    layout.initial_slots.push_back(layout.slot_of[node]);
+  for (std::size_t node = 0; node < total; ++node) {
+    const std::uint32_t slot = layout.slot_of[node];
+    if (layout.init_packed[slot] == QueryLayout::kFreeable) {
+      layout.initial_slots.push_back(slot);
+    }
   }
   layout.points =
       SoaPointSet::FromPermutation(points_, virtual_points_, layout.node_of);
@@ -532,6 +530,49 @@ void DualLayerIndex::FinalizeLayout() {
   // per-slot init words belong to another layout and must be re-seeded.
   static std::atomic<std::uint64_t> layout_generation{0};
   layout.generation = ++layout_generation;
+}
+
+NodeSpaceGraph DualLayerIndex::NodeGraph() const {
+  const QueryLayout& layout = layout_;
+  const std::size_t total = num_nodes();
+  // Row `node` is slot_of[node]'s row mapped back through node_of; a
+  // pseudo slot's coarse row is sorted back to ascending (see header).
+  const auto export_rows = [&](const std::vector<std::uint32_t>& offsets,
+                               const std::vector<std::uint32_t>& targets,
+                               bool sort_pseudo_rows) {
+    CsrGraph graph{{0}, {}};
+    graph.offsets.reserve(total + 1);
+    graph.targets.reserve(targets.size());
+    for (std::size_t node = 0; node < total; ++node) {
+      const std::uint32_t slot = layout.slot_of[node];
+      for (std::uint32_t i = offsets[slot]; i < offsets[slot + 1]; ++i) {
+        graph.targets.push_back(layout.node_of[targets[i]]);
+      }
+      if (sort_pseudo_rows && slot < layout.first_real_slot) {
+        std::sort(graph.targets.begin() + graph.offsets.back(),
+                  graph.targets.end());
+      }
+      graph.offsets.push_back(
+          static_cast<std::uint32_t>(graph.targets.size()));
+    }
+    return graph;
+  };
+  NodeSpaceGraph graph{
+      export_rows(layout.coarse_offsets, layout.coarse_targets, true),
+      export_rows(layout.fine_offsets, layout.fine_targets, false),
+      {}, {}, {}};
+  graph.coarse_in_degree.reserve(total);
+  graph.has_fine_in.reserve(total);
+  graph.initial.reserve(layout.initial_slots.size());
+  for (std::size_t node = 0; node < total; ++node) {
+    const std::uint32_t word = layout.init_packed[layout.slot_of[node]];
+    graph.coarse_in_degree.push_back(word & QueryLayout::kRemainingMask);
+    graph.has_fine_in.push_back((word & QueryLayout::kFineFreeBit) == 0);
+  }
+  for (const std::uint32_t slot : layout.initial_slots) {
+    graph.initial.push_back(layout.node_of[slot]);
+  }
+  return graph;
 }
 
 double DualLayerIndex::StopSlack(PointView weights) const {
@@ -551,11 +592,7 @@ std::vector<double> DualLayerIndex::ComputeStopSlack() const {
   // index; ∀ steps between layers are exact.
   // deepest[coarse_layers_.size()] is the pseudo-tuples' layer.
   std::vector<std::uint32_t> deepest(coarse_layers_.size() + 1, 0);
-  std::vector<std::uint32_t> fine_in(total, 0);
   for (std::size_t node = 0; node < total; ++node) {
-    for (const NodeId succ : fine_out_[static_cast<NodeId>(node)]) {
-      ++fine_in[succ];
-    }
     if (fine_of_[node] == kNoFineLayer) continue;
     std::uint32_t& depth =
         deepest[node < n ? coarse_of_[node] : coarse_layers_.size()];
@@ -564,7 +601,9 @@ std::vector<double> DualLayerIndex::ComputeStopSlack() const {
   double chain = 0.0;
   for (const std::uint32_t depth : deepest) chain += depth;
   std::vector<double> slack(d, 0.0);
-  if (fine_out_.num_edges() == 0 || chain == 0.0) return slack;
+  if (layout_.fine_targets.empty() || chain == 0.0) return slack;
+  std::vector<std::uint32_t> fine_in(total, 0);
+  for (const std::uint32_t slot : layout_.fine_targets) ++fine_in[slot];
   // One ∃ step (eds.h, kRounding): the virtual tuple passes the target
   // by at most ~3 * (ulps + facet) ulps of the coordinate's magnitude,
   // and two Score evaluations round by d ulps each; 8 * ulps + 2d + 8

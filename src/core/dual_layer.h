@@ -20,10 +20,10 @@
 // (Definition 9) and is reported in TopKResult::stats.
 //
 // Performance architecture (see DESIGN.md): both edge sets are stored
-// as CSR (CsrGraph), per-query node state lives in reusable
-// epoch-stamped QueryScratch objects pooled per index, and the build
-// parallelizes the coarse layering's sum-order sweep in chunks, the
-// fine peel across coarse layers and the ∀-edge wiring across
+// as slot-space CSR (QueryLayout), per-query node state lives in
+// reusable epoch-stamped QueryScratch objects pooled per index, and the
+// build parallelizes the coarse layering's sum-order sweep in chunks,
+// the fine peel across coarse layers and the ∀-edge wiring across
 // adjacent layer pairs, each with a deterministic merge, so the
 // parallel build is bit-identical to the serial one.
 
@@ -129,9 +129,11 @@ struct DualLayerBuildStats {
   std::size_t coarse_pairs_tested = 0;
 };
 
-// Derived, traversal-ordered layout the query path runs on. Built by
-// FinalizeLayout (once per Build and once per snapshot load -- never
-// persisted; a snapshot stores only the node-space index).
+// The index's graph in memory: the traversal-ordered layout every query
+// runs on. Built by FinalizeLayout, once per Build and once per snapshot
+// load, from a node-space graph that dies when it returns; it is never
+// persisted. A snapshot stores the graph in node space, and
+// DualLayerIndex::NodeGraph rebuilds that form from this layout.
 //
 // Nodes are renumbered into *slots* ordered by (pseudo-tuples first,
 // coarse layer, fine sublayer, node id). Best-first traversal touches
@@ -267,6 +269,19 @@ class QueryScratch {
   std::vector<double> push_scores_;
 };
 
+// The ∀/∃ graph in node space: the coarse and fine CSR rows a v2
+// snapshot stores, the coarse in-degree and ∃ flag of every node, and
+// the start nodes (no ∀ or ∃ in-edge), ascending.
+struct NodeSpaceGraph {
+  CsrGraph coarse_out;
+  CsrGraph fine_out;
+  std::vector<std::uint32_t> coarse_in_degree;
+  std::vector<std::uint8_t> has_fine_in;
+  std::vector<std::uint32_t> initial;
+
+  bool operator==(const NodeSpaceGraph&) const = default;
+};
+
 class DualLayerIndex final : public TopKIndex {
  public:
   // Node ids: [0, n) real tuples, [n, n + num_virtual) pseudo-tuples.
@@ -317,15 +332,13 @@ class DualLayerIndex final : public TopKIndex {
   }
   std::uint32_t fine_layer_of(NodeId node) const { return fine_of_[node]; }
 
-  const CsrGraph& coarse_out() const { return coarse_out_; }
-  const CsrGraph& fine_out() const { return fine_out_; }
-  const std::vector<std::uint32_t>& coarse_in_degree() const {
-    return coarse_in_degree_;
-  }
-  const std::vector<std::uint8_t>& has_fine_in() const {
-    return has_fine_in_;
-  }
-  const std::vector<NodeId>& initial_nodes() const { return initial_; }
+  // The graph in node space, rebuilt from the slot layout through
+  // node_of / slot_of: for the snapshot writer, the invariant checker
+  // and tests. Real rows keep their slot order, which is the build's;
+  // the pseudo-tuples' coarse rows, which the lazy ∀-gate partitions,
+  // come back ascending, the order BuildZeroLayer creates them in.
+  // O(nodes + edges); no query reads it.
+  NodeSpaceGraph NodeGraph() const;
   // Real tuples grouped by coarse layer, in layer order (the iterated
   // skylines). Exposed for the invariant checker and serialization;
   // a deserialized index restores this from the snapshot, where the
@@ -398,15 +411,18 @@ class DualLayerIndex final : public TopKIndex {
   void BuildFineLayers(EdgeList* fine_edges);
   void BuildCoarseEdges(EdgeList* coarse_edges);
   void BuildZeroLayer(EdgeList* coarse_edges, EdgeList* fine_edges);
-  // Derives what queries run on from the node-space graph: the initial
-  // nodes, the slot-space QueryLayout (including the lazy ∀-gate's
-  // partitioned pseudo rows and parent CSR) and the box tree.
-  // Runs after every snapshot load; none of it is persisted.
-  void FinalizeInitialNodes();
+  // Derives what queries run on from the node-space graph `coarse_out`
+  // / `fine_out`, which need not outlive the call: the slot-space
+  // QueryLayout (the in-degrees, ∃ flags and start set counted into its
+  // init words, the lazy ∀-gate's partitioned pseudo rows and parent
+  // CSR) and the box tree. Runs after every snapshot load, on CSR views
+  // of the file; none of it is persisted.
+  void FinalizeInitialNodes(CsrView coarse_out, CsrView fine_out);
   // FinalizeInitialNodes without the box tree: the end of Build, which
-  // built the tree before its coarse layering.
-  void FinalizeLayout();
-  // QueryLayout::stop_slack for the current graph.
+  // built the tree before its coarse layering. Every coarse in-degree
+  // must fit QueryLayout::kRemainingMask (the loader checks files).
+  void FinalizeLayout(CsrView coarse_out, CsrView fine_out);
+  // QueryLayout::stop_slack for the current layout.
   std::vector<double> ComputeStopSlack() const;
 
   // Splits one node subset (real coarse layer or the virtual layer)
@@ -440,14 +456,10 @@ class DualLayerIndex final : public TopKIndex {
 
   std::vector<std::uint32_t> coarse_of_;
   std::vector<std::uint32_t> fine_of_;
-  CsrGraph coarse_out_;
-  std::vector<std::uint32_t> coarse_in_degree_;
-  CsrGraph fine_out_;
-  std::vector<std::uint8_t> has_fine_in_;
-  std::vector<NodeId> initial_;
   std::vector<std::vector<TupleId>> coarse_layers_;
-  // Derived from the members above (the box tree from points_ alone);
-  // never serialized (rebuilt after every build and snapshot load).
+  // The graph itself, in slot space (see QueryLayout), and the box tree
+  // over points_; neither is serialized (rebuilt after every build and
+  // snapshot load).
   QueryLayout layout_;
   BoxTree box_tree_;
   // Retire mask, per layout slot; empty until the first Retire.

@@ -127,8 +127,8 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
   const QueryLayout& layout = layout_;
   QueryScratch& s = *scratch;
   result.stats.scratch_seeds = s.Prepare(layout) ? 1 : 0;
-  if (s.heap_.capacity() < initial_.size() + 16) {
-    s.heap_.reserve(initial_.size() + 16);
+  if (s.heap_.capacity() < layout.initial_slots.size() + 16) {
+    s.heap_.reserve(layout.initial_slots.size() + 16);
   }
   // One allocation each instead of a doubling chain; the typical query
   // evaluates a few dozen tuples per answer slot.

@@ -21,15 +21,20 @@ std::vector<double> SkylineCorners(const DualLayerIndex& index) {
   // deeper sublayer without giving it a covering facet). Then the gated
   // members whose fine parents certify them only up to rounding: on a
   // facet, such a member can score an ulp below every parent.
+  // The ∃ rows and flags come from the slot layout; the skyline is
+  // ascending, so each member collects its fine parents ascending.
   const std::vector<TupleId>& skyline = index.coarse_layers().front();
-  const std::vector<std::uint8_t>& has_fine_in = index.has_fine_in();
+  const QueryLayout& layout = index.query_layout();
   // Fine edges stay inside a coarse layer: a skyline member's fine
   // parents are skyline members.
   std::vector<std::vector<TupleId>> parents(skyline.size());
   std::vector<std::size_t> position(pts.size(), skyline.size());
   for (std::size_t i = 0; i < skyline.size(); ++i) position[skyline[i]] = i;
   for (const TupleId id : skyline) {
-    for (const auto succ : index.fine_out()[id]) {
+    const std::uint32_t slot = layout.slot_of[id];
+    for (std::uint32_t e = layout.fine_offsets[slot];
+         e < layout.fine_offsets[slot + 1]; ++e) {
+      const std::uint32_t succ = layout.node_of[layout.fine_targets[e]];
       DRLI_DCHECK(position[succ] < skyline.size());
       parents[position[succ]].push_back(id);
     }
@@ -37,7 +42,9 @@ std::vector<double> SkylineCorners(const DualLayerIndex& index) {
   for (std::size_t i = 0; i < skyline.size(); ++i) {
     const TupleId id = skyline[i];
     const PointView p = pts[id];
-    if (index.fine_layer_of(id) != 0 && has_fine_in[id] &&
+    const bool has_fine_in = (layout.init_packed[layout.slot_of[id]] &
+                              QueryLayout::kFineFreeBit) == 0;
+    if (index.fine_layer_of(id) != 0 && has_fine_in &&
         FacetIsVerifiedEds(pts, parents[i], FacetMinCorner(pts, parents[i]),
                            p, EdsMargin::kStrict, nullptr)) {
       continue;

@@ -246,9 +246,8 @@ std::span<const T> SectionSpan(const SectionView& view) {
                             view.length / sizeof(T));
 }
 
-// Pre-validates CSR shape so CsrGraph::FromViews / FromVectors
-// preconditions hold on untrusted data (their DRLI_CHECKs must never
-// fire on file input).
+// Pre-validates CSR shape on untrusted data, so rows read through a
+// CsrView stay inside their section.
 Status ValidateCsrShape(std::span<const std::uint32_t> offsets,
                         std::uint64_t num_targets, std::uint64_t total,
                         const char* what) {
@@ -288,13 +287,11 @@ class DualLayerSerializer {
 
     const std::span<const double> points_raw = index.points_.raw();
     const std::span<const double> virtual_raw = index.virtual_points_.raw();
-    const auto coarse_offsets = index.coarse_out_.offsets();
-    const auto coarse_targets = index.coarse_out_.targets();
-    const auto fine_offsets = index.fine_out_.offsets();
-    const auto fine_targets = index.fine_out_.targets();
+    // The graph sections are node space, exported from the slot layout.
+    const NodeSpaceGraph graph = index.NodeGraph();
     const std::vector<TupleId>& chain = index.weight_table_.chain();
 
-    // Every section is written straight from the index's own arrays.
+    // The other sections are written straight from the index's arrays.
     const auto bytes_of = [](const auto& array) {
       return ByteSpan(reinterpret_cast<const std::uint8_t*>(array.data()),
                       array.size() * sizeof(*array.data()));
@@ -309,10 +306,10 @@ class DualLayerSerializer {
         {SectionKind::kVirtualPoints, bytes_of(virtual_raw)},
         {SectionKind::kCoarseOf, bytes_of(index.coarse_of_)},
         {SectionKind::kFineOf, bytes_of(index.fine_of_)},
-        {SectionKind::kCoarseOffsets, bytes_of(coarse_offsets)},
-        {SectionKind::kCoarseTargets, bytes_of(coarse_targets)},
-        {SectionKind::kFineOffsets, bytes_of(fine_offsets)},
-        {SectionKind::kFineTargets, bytes_of(fine_targets)},
+        {SectionKind::kCoarseOffsets, bytes_of(graph.coarse_out.offsets)},
+        {SectionKind::kCoarseTargets, bytes_of(graph.coarse_out.targets)},
+        {SectionKind::kFineOffsets, bytes_of(graph.fine_out.offsets)},
+        {SectionKind::kFineTargets, bytes_of(graph.fine_out.targets)},
         {SectionKind::kLayerOffsets, bytes_of(layer_offsets)},
         {SectionKind::kLayerMembers, bytes_of(layer_members)},
         {SectionKind::kWeightChain, bytes_of(chain)},
@@ -375,11 +372,11 @@ class DualLayerSerializer {
     const auto coarse_offsets =
         SectionSpan<std::uint32_t>(map[SectionKind::kCoarseOffsets]);
     const auto coarse_targets =
-        SectionSpan<CsrGraph::NodeId>(map[SectionKind::kCoarseTargets]);
+        SectionSpan<CsrView::NodeId>(map[SectionKind::kCoarseTargets]);
     const auto fine_offsets =
         SectionSpan<std::uint32_t>(map[SectionKind::kFineOffsets]);
     const auto fine_targets =
-        SectionSpan<CsrGraph::NodeId>(map[SectionKind::kFineTargets]);
+        SectionSpan<CsrView::NodeId>(map[SectionKind::kFineTargets]);
     if (Status s = ValidateCsrShape(coarse_offsets, coarse_targets.size(),
                                     total, "coarse");
         !s.ok()) {
@@ -408,31 +405,17 @@ class DualLayerSerializer {
     const auto virtuals =
         SectionSpan<double>(map[SectionKind::kVirtualPoints]);
     if (keepalive != nullptr) {
-      // Zero-copy: the point and adjacency payloads stay in the mapped
-      // file; views keep the mapping alive.
+      // Zero-copy: the point payloads stay in the mapped file; views
+      // keep the mapping alive.
       index.points_ =
           PointSet::FromView(h.dim, points.data(), points.size(), keepalive);
       index.virtual_points_ = PointSet::FromView(h.dim, virtuals.data(),
                                                  virtuals.size(), keepalive);
-      index.coarse_out_ =
-          CsrGraph::FromViews(coarse_offsets, coarse_targets, keepalive);
-      index.fine_out_ =
-          CsrGraph::FromViews(fine_offsets, fine_targets, keepalive);
     } else {
       index.points_ = PointSet::FromVector(
           h.dim, std::vector<double>(points.begin(), points.end()));
       index.virtual_points_ = PointSet::FromVector(
           h.dim, std::vector<double>(virtuals.begin(), virtuals.end()));
-      index.coarse_out_ = CsrGraph::FromVectors(
-          std::vector<std::uint32_t>(coarse_offsets.begin(),
-                                     coarse_offsets.end()),
-          std::vector<CsrGraph::NodeId>(coarse_targets.begin(),
-                                        coarse_targets.end()));
-      index.fine_out_ = CsrGraph::FromVectors(
-          std::vector<std::uint32_t>(fine_offsets.begin(),
-                                     fine_offsets.end()),
-          std::vector<CsrGraph::NodeId>(fine_targets.begin(),
-                                        fine_targets.end()));
     }
     const auto coarse_of = SectionSpan<std::uint32_t>(
         map[SectionKind::kCoarseOf]);
@@ -448,9 +431,13 @@ class DualLayerSerializer {
     const auto chain_span =
         SectionSpan<TupleId>(map[SectionKind::kWeightChain]);
     std::vector<TupleId> chain(chain_span.begin(), chain_span.end());
+    // The graph is read in place from `base` (the mapping or the
+    // caller's buffer) while the layout is derived; nothing keeps it.
     return FinishLoadedIndex(
         std::move(index), (h.flags & snapshot::kFlagWeightTable) != 0,
-        std::move(chain), (h.flags & snapshot::kFlagVerifiedFineEdges) != 0);
+        std::move(chain), (h.flags & snapshot::kFlagVerifiedFineEdges) != 0,
+        CsrView(coarse_offsets, coarse_targets),
+        CsrView(fine_offsets, fine_targets));
   }
 
   // A file without kFlagVerifiedFineEdges may hold ∃-edges the EDS LP
@@ -459,23 +446,25 @@ class DualLayerSerializer {
   // slack (QueryLayout::stop_slack), and DL+ would stop before it. Each
   // gated node's in-set is re-verified as the build verifies a facet; a
   // node that fails loses its in-edges and becomes a start node. Runs
-  // after the range checks.
-  static void DropUnverifiedFineEdges(DualLayerIndex& index) {
+  // after the range checks; returns `fine_out` without the failed
+  // nodes' in-edges.
+  static CsrGraph DropUnverifiedFineEdges(const DualLayerIndex& index,
+                                          CsrView fine_out) {
     const std::size_t total = index.num_nodes();
     PointSet nodes(index.points_.dim());
     nodes.Reserve(total);
     DualLayerIndex::EdgeList edges;
-    edges.reserve(index.fine_out_.num_edges());
+    edges.reserve(fine_out.num_edges());
     for (std::size_t node = 0; node < total; ++node) {
-      const auto id = static_cast<CsrGraph::NodeId>(node);
+      const auto id = static_cast<CsrView::NodeId>(node);
       nodes.Add(index.node_point(id));
-      for (const CsrGraph::NodeId succ : index.fine_out_[id]) {
+      for (const CsrView::NodeId succ : fine_out[id]) {
         edges.emplace_back(succ, id);
       }
     }
     // Each node's fine parents, ascending: the facet its ∃-edges name.
     const CsrGraph parents = CsrGraph::FromEdges(total, edges);
-    bool dropped = false;
+    std::vector<std::uint8_t> dropped(total, 0);
     for (std::size_t node = 0; node < total; ++node) {
       const std::span<const TupleId> facet = parents[node];
       if (facet.empty() ||
@@ -483,31 +472,29 @@ class DualLayerSerializer {
                              nodes[node], EdsMargin::kRounding, nullptr)) {
         continue;
       }
-      index.has_fine_in_[node] = 0;
-      dropped = true;
+      dropped[node] = 1;
     }
-    if (!dropped) return;
     edges.clear();
     for (std::size_t node = 0; node < total; ++node) {
-      const auto id = static_cast<CsrGraph::NodeId>(node);
-      for (const CsrGraph::NodeId succ : index.fine_out_[id]) {
-        if (index.has_fine_in_[succ] != 0) edges.emplace_back(id, succ);
+      const auto id = static_cast<CsrView::NodeId>(node);
+      for (const CsrView::NodeId succ : fine_out[id]) {
+        if (dropped[succ] == 0) edges.emplace_back(id, succ);
       }
     }
-    index.fine_out_ = CsrGraph::FromEdges(total, edges);
+    return CsrGraph::FromEdges(total, edges);
   }
 
   // Tail of LoadV2: range-checks everything that could index out of
-  // bounds at query time, then recomputes derived state.
+  // bounds at query time, then derives the query layout from the
+  // node-space graph `coarse_out` / `fine_out`.
   static StatusOr<DualLayerIndex> FinishLoadedIndex(
       DualLayerIndex index, bool use_table, std::vector<TupleId> chain,
-      bool fine_edges_verified) {
+      bool fine_edges_verified, CsrView coarse_out, CsrView fine_out) {
     const std::size_t n = index.points_.size();
     const std::size_t total = index.num_nodes();
     if (index.coarse_of_.size() != total ||
-        index.fine_of_.size() != total ||
-        index.coarse_out_.num_nodes() != total ||
-        index.fine_out_.num_nodes() != total) {
+        index.fine_of_.size() != total || coarse_out.num_nodes() != total ||
+        fine_out.num_nodes() != total) {
       return Status::Corruption("node array size mismatch");
     }
     // Layer assignments are indices into per-node bookkeeping; anything
@@ -517,17 +504,18 @@ class DualLayerSerializer {
         return Status::Corruption("layer assignment out of range");
       }
     }
-    // Derived state is recomputed rather than stored; the recount
-    // doubles as the edge-target range check.
-    index.coarse_in_degree_.assign(total, 0);
-    index.has_fine_in_.assign(total, 0);
-    for (const CsrGraph::NodeId target : index.coarse_out_.targets()) {
+    // Every edge target is a node, and every coarse in-degree fits the
+    // 24-bit countdown of the layout's init words (FinalizeLayout
+    // CHECKs it, so a file must not reach it).
+    std::vector<std::uint32_t> in_degree(total, 0);
+    for (const CsrView::NodeId target : coarse_out.targets) {
       if (target >= total) return Status::Corruption("edge out of range");
-      ++index.coarse_in_degree_[target];
+      if (++in_degree[target] > QueryLayout::kRemainingMask) {
+        return Status::Corruption("coarse in-degree overflows the countdown");
+      }
     }
-    for (const CsrGraph::NodeId target : index.fine_out_.targets()) {
+    for (const CsrView::NodeId target : fine_out.targets) {
       if (target >= total) return Status::Corruption("edge out of range");
-      index.has_fine_in_[target] = 1;
     }
     // The coarse layer lists must partition the real tuples and agree
     // with coarse_of_ (CheckIndex repeats this audit on live indexes).
@@ -568,8 +556,12 @@ class DualLayerSerializer {
       index.weight_table_ =
           WeightRangeTable::Build(index.points_, std::move(chain));
     }
-    if (!fine_edges_verified) DropUnverifiedFineEdges(index);
-    index.FinalizeInitialNodes();
+    CsrGraph verified_fine;
+    if (!fine_edges_verified) {
+      verified_fine = DropUnverifiedFineEdges(index, fine_out);
+      fine_out = verified_fine;
+    }
+    index.FinalizeInitialNodes(coarse_out, fine_out);
 
     index.stats_.num_coarse_layers = index.coarse_layers_.size();
     index.stats_.num_virtual = index.virtual_points_.size();

@@ -6,19 +6,21 @@
 // One on-disk format, v2 (core/snapshot_format.h): fixed header +
 // section table, one 64-byte-aligned section per array, each carrying
 // a CRC-32C. Written atomically and durably (storage/file_io.h: temp
-// file, fsync, rename). Loads either zero-copy -- PointSet/CsrGraph
-// views pointed straight into a shared mmap of the file, no copy of
-// the point or adjacency payloads -- or into owned storage (the
-// fallback). The retired v1 stream format is recognised by its version
-// field and rejected with a hint to rebuild; no byte past that field
-// is parsed.
+// file, fsync, rename). Loads either zero-copy -- PointSet views
+// pointed straight into a shared mmap of the file, no copy of the
+// point payloads -- or into owned storage (the fallback). Either way
+// the node-space graph sections are read in place while the slot
+// layout is derived from them, and are not kept: the index holds its
+// graph once, as the layout. The retired v1 stream format is
+// recognised by its version field and rejected with a hint to rebuild;
+// no byte past that field is parsed.
 //
 // Load never trusts the file: lengths are bounded by the file size
 // before any allocation, every section CRC is verified, edge targets /
-// layer members / zero-layer chains are range-checked and
-// cross-checked, and any violation surfaces as Status::Corruption or
-// Status::IoError -- never a crash or an index that later reads out of
-// bounds.
+// coarse in-degrees / layer members / zero-layer chains are
+// range-checked and cross-checked, and any violation surfaces as
+// Status::Corruption or Status::IoError -- never a crash or an index
+// that later reads out of bounds.
 
 #ifndef DRLI_CORE_SERIALIZATION_H_
 #define DRLI_CORE_SERIALIZATION_H_

@@ -650,7 +650,7 @@ CsrGraph BuildVertexAdjacency(const ConvexHull& hull,
   }
   offsets[n] = kept;
   targets.resize(kept);
-  return CsrGraph::FromVectors(std::move(offsets), std::move(targets));
+  return CsrGraph{std::move(offsets), std::move(targets)};
 }
 
 }  // namespace drli

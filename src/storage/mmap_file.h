@@ -1,6 +1,6 @@
 // Read-only memory-mapped file with shared ownership. The zero-copy
-// snapshot loader (core/serialization, format v2) points PointSet /
-// CsrGraph views directly at the mapping; each view holds a
+// snapshot loader (core/serialization, format v2) points PointSet
+// views directly at the mapping; each view holds a
 // shared_ptr<MmapFile> keepalive, so the mapping lives exactly as long
 // as the last structure referencing it -- the index can outlive the
 // loader, move across threads, or be destroyed in any order.

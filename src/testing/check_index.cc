@@ -32,7 +32,7 @@ constexpr std::size_t kMaxFailures = 32;
 class Checker {
  public:
   Checker(const DualLayerIndex& index, const CheckOptions& options)
-      : index_(index), options_(options) {}
+      : index_(index), graph_(index.NodeGraph()), options_(options) {}
 
   CheckReport Run();
 
@@ -68,6 +68,9 @@ class Checker {
   std::vector<std::vector<TupleId>> RealLayers() const;
 
   const DualLayerIndex& index_;
+  // The index's graph exported to node space: the edges, and the
+  // in-degrees, ∃ flags and start set its slot layout holds.
+  const NodeSpaceGraph graph_;
   const CheckOptions& options_;
   CheckReport report_;
   bool shapes_ok_ = false;
@@ -96,10 +99,10 @@ void Checker::CheckShapes() {
       shapes_ok_ = false;
     }
   };
-  require_size("coarse_out", index_.coarse_out().num_nodes());
-  require_size("fine_out", index_.fine_out().num_nodes());
-  require_size("coarse_in_degree", index_.coarse_in_degree().size());
-  require_size("has_fine_in", index_.has_fine_in().size());
+  require_size("coarse_out", graph_.coarse_out.num_nodes());
+  require_size("fine_out", graph_.fine_out.num_nodes());
+  require_size("coarse_in_degree", graph_.coarse_in_degree.size());
+  require_size("has_fine_in", graph_.has_fine_in.size());
   for (std::size_t node = 0; shapes_ok_ && node < total(); ++node) {
     if (index_.fine_layer_of(static_cast<NodeId>(node)) ==
         DualLayerIndex::kNoFineLayer) {
@@ -110,7 +113,7 @@ void Checker::CheckShapes() {
 
   Checked();
   auto check_targets = [&](const char* what, const CsrGraph& graph) {
-    for (NodeId target : graph.targets()) {
+    for (NodeId target : graph.targets) {
       if (target >= total()) {
         Fail(what, " edge target ", target, " out of range [0, ", total(),
              ")");
@@ -119,8 +122,8 @@ void Checker::CheckShapes() {
       }
     }
   };
-  check_targets("coarse", index_.coarse_out());
-  check_targets("fine", index_.fine_out());
+  check_targets("coarse", graph_.coarse_out);
+  check_targets("fine", graph_.fine_out);
 }
 
 void Checker::CheckEdgeSoundness() {
@@ -128,7 +131,7 @@ void Checker::CheckEdgeSoundness() {
   for (std::size_t u = 0; u < total(); ++u) {
     const NodeId source = static_cast<NodeId>(u);
     const PointView sp = index_.node_point(source);
-    for (NodeId v : index_.coarse_out()[source]) {
+    for (NodeId v : graph_.coarse_out[source]) {
       if (index_.is_virtual(v)) {
         Fail("coarse edge ", u, " -> ", v, " targets a pseudo-tuple");
         continue;
@@ -163,7 +166,7 @@ void Checker::CheckEdgeSoundness() {
   Checked();
   for (std::size_t u = 0; u < total(); ++u) {
     const NodeId source = static_cast<NodeId>(u);
-    for (NodeId v : index_.fine_out()[source]) {
+    for (NodeId v : graph_.fine_out[source]) {
       if (index_.is_virtual(source) != index_.is_virtual(v)) {
         Fail("fine edge ", u, " -> ", v, " crosses real/virtual spaces");
         continue;
@@ -186,17 +189,17 @@ void Checker::CheckDegreeRecounts() {
   Checked();
   std::vector<std::uint32_t> in_degree(total(), 0);
   std::vector<std::uint8_t> fine_in(total(), 0);
-  for (NodeId target : index_.coarse_out().targets()) ++in_degree[target];
-  for (NodeId target : index_.fine_out().targets()) fine_in[target] = 1;
+  for (NodeId target : graph_.coarse_out.targets) ++in_degree[target];
+  for (NodeId target : graph_.fine_out.targets) fine_in[target] = 1;
   for (std::size_t node = 0; node < total(); ++node) {
-    if (in_degree[node] != index_.coarse_in_degree()[node]) {
+    if (in_degree[node] != graph_.coarse_in_degree[node]) {
       Fail("coarse_in_degree[", node, "] = ",
-           index_.coarse_in_degree()[node], ", recount says ",
+           graph_.coarse_in_degree[node], ", recount says ",
            in_degree[node]);
     }
-    if (fine_in[node] != index_.has_fine_in()[node]) {
+    if (fine_in[node] != graph_.has_fine_in[node]) {
       Fail("has_fine_in[", node, "] = ",
-           static_cast<int>(index_.has_fine_in()[node]), ", recount says ",
+           static_cast<int>(graph_.has_fine_in[node]), ", recount says ",
            static_cast<int>(fine_in[node]));
     }
   }
@@ -208,8 +211,8 @@ void Checker::CheckDegreeRecounts() {
       initial.push_back(static_cast<NodeId>(node));
     }
   }
-  if (initial != index_.initial_nodes()) {
-    Fail("initial_nodes has ", index_.initial_nodes().size(),
+  if (initial != graph_.initial) {
+    Fail("the start set has ", graph_.initial.size(),
          " entries, recount (in-degree 0, no fine in-edge) finds ",
          initial.size(), " or differs in membership/order");
   }
@@ -322,7 +325,7 @@ void Checker::CheckCoarseEdgeCompleteness() {
   for (std::size_t id = 0; id < n(); ++id) {
     const NodeId node = static_cast<NodeId>(id);
     if (index_.coarse_layer_of(node) > 0 &&
-        index_.coarse_in_degree()[node] == 0) {
+        graph_.coarse_in_degree[node] == 0) {
       Fail("tuple ", id, " in coarse layer ", index_.coarse_layer_of(node),
            " has no coarse in-edge");
     }
@@ -337,7 +340,7 @@ void Checker::CheckCoarseEdgeCompleteness() {
   if (pair_work > kMaxPairWork) return;  // covered by sampling above
   std::unordered_set<std::uint64_t> edges;
   for (std::size_t u = 0; u < n(); ++u) {
-    for (NodeId v : index_.coarse_out()[static_cast<NodeId>(u)]) {
+    for (NodeId v : graph_.coarse_out[static_cast<NodeId>(u)]) {
       edges.insert((static_cast<std::uint64_t>(u) << 32) | v);
     }
   }
@@ -424,7 +427,7 @@ void Checker::CheckEdsInSets() {
   // virtual nodes index into virtual_points() locally.
   std::vector<std::vector<NodeId>> fine_in(total());
   for (std::size_t u = 0; u < total(); ++u) {
-    for (NodeId v : index_.fine_out()[static_cast<NodeId>(u)]) {
+    for (NodeId v : graph_.fine_out[static_cast<NodeId>(u)]) {
       fine_in[v].push_back(static_cast<NodeId>(u));
     }
   }
@@ -465,14 +468,14 @@ void Checker::CheckZeroLayer() {
   // first-layer tuple is an initial node when L0 is present.
   for (std::size_t i = 0; i < v; ++i) {
     const NodeId node = static_cast<NodeId>(n() + i);
-    if (index_.coarse_out()[node].empty()) {
+    if (graph_.coarse_out[node].empty()) {
       Fail("pseudo-tuple ", i, " has no outgoing zero-layer edge");
     }
   }
   for (std::size_t id = 0; id < n(); ++id) {
     const NodeId node = static_cast<NodeId>(id);
     if (index_.coarse_layer_of(node) == 0 &&
-        index_.coarse_in_degree()[node] == 0) {
+        graph_.coarse_in_degree[node] == 0) {
       Fail("first-layer tuple ", id, " is not covered by the zero layer");
     }
   }

@@ -1,14 +1,16 @@
 // Structural invariant checker for DualLayerIndex (the "drli check"
 // oracle). CheckIndex revalidates a built or deserialized index against
 // the paper's definitions using only public accessors, so it works on
-// indexes that went through a save/load round trip:
+// indexes that went through a save/load round trip. It reads the graph
+// through DualLayerIndex::NodeGraph, the node-space export of the slot
+// layout queries run on:
 //
 //  * array shapes and CSR edge targets are in range;
 //  * every ∀-edge steps one coarse layer down under strict dominance
 //    (weak dominance for pseudo-tuple sources, Lemma 1), every ∃-edge
 //    steps one fine sublayer down inside one coarse layer;
-//  * coarse_in_degree / has_fine_in / initial_nodes match a recount
-//    from the adjacency;
+//  * the layout's coarse in-degrees, ∃ flags and start set match a
+//    recount from its edges;
 //  * coarse layers are exactly the iterated skyline (dominance-depth
 //    recomputation, capped at 4M point pairs with a sampled
 //    fallback), and adjacent-layer ∀-edges are complete;

@@ -141,7 +141,7 @@ TEST(DominantGraphTest, RegistryBuildsTheConfiguration) {
   for (bool zero_layer : {false, true}) {
     const DualLayerIndex direct =
         DualLayerIndex::Build(pts, DominantGraphConfig(zero_layer));
-    EXPECT_EQ(direct.fine_out().num_edges(), 0u) << direct.name();
+    EXPECT_EQ(direct.NodeGraph().fine_out.num_edges(), 0u) << direct.name();
     EXPECT_EQ(direct.LayerGroups(), direct.coarse_layers()) << direct.name();
 
     IndexBuildConfig config;

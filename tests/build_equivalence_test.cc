@@ -190,10 +190,10 @@ TEST_P(BuildEquivalenceTest, ExistsEdgesMatchFirstCoveringFacetReference) {
   const Config& c = GetParam();
   const PointSet pts = Generate(c.dist, c.n, c.d, c.seed);
   const DualLayerIndex index = DualLayerIndex::Build(pts);
+  const CsrGraph fine_out = index.NodeGraph().fine_out;
   std::vector<std::vector<TupleId>> parents(pts.size());
   for (std::size_t node = 0; node < pts.size(); ++node) {
-    for (const auto succ :
-         index.fine_out()[static_cast<DualLayerIndex::NodeId>(node)]) {
+    for (const auto succ : fine_out[node]) {
       parents[succ].push_back(static_cast<TupleId>(node));
     }
   }

@@ -56,8 +56,9 @@ std::uint64_t GraphHash(const DualLayerIndex& index) {
     hash.Add(std::uint64_t{index.coarse_layer_of(id)});
     hash.Add(std::uint64_t{index.fine_layer_of(id)});
   }
-  AddRows(index.coarse_out(), &hash);
-  AddRows(index.fine_out(), &hash);
+  const NodeSpaceGraph graph = index.NodeGraph();
+  AddRows(graph.coarse_out, &hash);
+  AddRows(graph.fine_out, &hash);
   const PointSet& pseudo = index.virtual_points();
   hash.Add(std::uint64_t{pseudo.size()});
   for (std::size_t i = 0; i < pseudo.size(); ++i) {

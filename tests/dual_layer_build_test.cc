@@ -16,6 +16,7 @@ using testing_util::MakeToyDataset;
 void CheckStructure(const DualLayerIndex& index) {
   const std::size_t n = index.points().size();
   const std::size_t total = index.num_nodes();
+  const NodeSpaceGraph graph = index.NodeGraph();
 
   // Every real tuple belongs to a coarse and a fine layer.
   for (std::size_t i = 0; i < n; ++i) {
@@ -28,7 +29,7 @@ void CheckStructure(const DualLayerIndex& index) {
   // virtual -> first layer) and agree with dominance.
   for (std::size_t u = 0; u < total; ++u) {
     const auto node = static_cast<DualLayerIndex::NodeId>(u);
-    for (const auto succ : index.coarse_out()[u]) {
+    for (const auto succ : graph.coarse_out[u]) {
       ASSERT_LT(succ, total);
       if (index.is_virtual(node)) {
         EXPECT_FALSE(index.is_virtual(succ));
@@ -44,7 +45,7 @@ void CheckStructure(const DualLayerIndex& index) {
     }
     // Fine edges go one fine layer down within the same coarse layer
     // and the same node space.
-    for (const auto succ : index.fine_out()[u]) {
+    for (const auto succ : graph.fine_out[u]) {
       ASSERT_LT(succ, total);
       EXPECT_EQ(index.is_virtual(node), index.is_virtual(succ));
       EXPECT_EQ(index.coarse_layer_of(succ), index.coarse_layer_of(node));
@@ -56,17 +57,17 @@ void CheckStructure(const DualLayerIndex& index) {
   std::vector<std::uint32_t> in_degree(total, 0);
   std::vector<std::uint8_t> has_fine(total, 0);
   for (std::size_t u = 0; u < total; ++u) {
-    for (const auto succ : index.coarse_out()[u]) ++in_degree[succ];
-    for (const auto succ : index.fine_out()[u]) has_fine[succ] = 1;
+    for (const auto succ : graph.coarse_out[u]) ++in_degree[succ];
+    for (const auto succ : graph.fine_out[u]) has_fine[succ] = 1;
   }
   for (std::size_t u = 0; u < total; ++u) {
-    EXPECT_EQ(in_degree[u], index.coarse_in_degree()[u]) << "node " << u;
-    EXPECT_EQ(has_fine[u], index.has_fine_in()[u]) << "node " << u;
+    EXPECT_EQ(in_degree[u], graph.coarse_in_degree[u]) << "node " << u;
+    EXPECT_EQ(has_fine[u], graph.has_fine_in[u]) << "node " << u;
   }
 
   // Initial nodes are exactly the unblocked ones.
-  std::set<DualLayerIndex::NodeId> initial(index.initial_nodes().begin(),
-                                           index.initial_nodes().end());
+  std::set<DualLayerIndex::NodeId> initial(graph.initial.begin(),
+                                           graph.initial.end());
   for (std::size_t u = 0; u < total; ++u) {
     const bool expected = in_degree[u] == 0 && !has_fine[u];
     EXPECT_EQ(initial.count(static_cast<DualLayerIndex::NodeId>(u)) > 0,
@@ -95,10 +96,11 @@ TEST(DualLayerBuildTest, ToyDatasetStructure) {
   CheckStructure(index);
 
   // ∃-edges (Example 3): {a,b} -> f and {b,c} -> g.
+  const NodeSpaceGraph graph = index.NodeGraph();
   auto fine_sources = [&](TupleId target) {
     std::set<TupleId> sources;
     for (std::size_t u = 0; u < index.num_nodes(); ++u) {
-      for (const auto succ : index.fine_out()[u]) {
+      for (const auto succ : graph.fine_out[u]) {
         if (succ == target) sources.insert(static_cast<TupleId>(u));
       }
     }
@@ -114,7 +116,7 @@ TEST(DualLayerBuildTest, ToyDatasetStructure) {
   auto coarse_sources = [&](TupleId target) {
     std::set<TupleId> sources;
     for (std::size_t u = 0; u < index.num_nodes(); ++u) {
-      for (const auto succ : index.coarse_out()[u]) {
+      for (const auto succ : graph.coarse_out[u]) {
         if (succ == target) sources.insert(static_cast<TupleId>(u));
       }
     }
@@ -169,10 +171,12 @@ TEST(DualLayerBuildTest, ZeroLayerHighDUsesClusters) {
   EXPECT_GT(index.build_stats().num_virtual, 0u);
   CheckStructure(index);
   // First-layer tuples must all be guarded by the zero layer.
+  const std::vector<std::uint32_t> in_degree =
+      index.NodeGraph().coarse_in_degree;
   for (std::size_t i = 0; i < index.size(); ++i) {
     const auto node = static_cast<DualLayerIndex::NodeId>(i);
     if (index.coarse_layer_of(node) == 0) {
-      EXPECT_GT(index.coarse_in_degree()[node], 0u) << "tuple " << i;
+      EXPECT_GT(in_degree[node], 0u) << "tuple " << i;
     }
   }
 }

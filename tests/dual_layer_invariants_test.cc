@@ -79,9 +79,10 @@ TEST_P(DualLayerInvariantsTest, FineEdgesCarryLemma2Guarantee) {
   // For every ∃-edge target, at least one of its in-neighbours scores
   // no worse under every sampled weight vector.
   const std::size_t total = index_->num_nodes();
+  const CsrGraph fine_out = index_->NodeGraph().fine_out;
   std::vector<std::vector<DualLayerIndex::NodeId>> fine_in(total);
   for (std::size_t u = 0; u < total; ++u) {
-    for (const auto succ : index_->fine_out()[u]) {
+    for (const auto succ : fine_out[u]) {
       fine_in[succ].push_back(static_cast<DualLayerIndex::NodeId>(u));
     }
   }
@@ -109,9 +110,10 @@ TEST_P(DualLayerInvariantsTest, FineInEdgesIncludeAQualifyingFacet) {
   // Each covered tuple's in-neighbour set must itself be an EDS (the
   // union of one facet is enough for the traversal guarantee).
   const std::size_t n = points_.size();
+  const CsrGraph fine_out = index_->NodeGraph().fine_out;
   std::vector<std::vector<TupleId>> fine_in(n);
   for (std::size_t u = 0; u < n; ++u) {
-    for (const auto succ : index_->fine_out()[u]) {
+    for (const auto succ : fine_out[u]) {
       if (succ < n) fine_in[succ].push_back(static_cast<TupleId>(u));
     }
   }
@@ -164,13 +166,13 @@ TEST(DualLayerZeroLayerInvariantsTest, PseudoTuplesWeaklyDominateClusters) {
   options.build_zero_layer = true;
   const DualLayerIndex index = DualLayerIndex::Build(pts, options);
   const std::size_t n = pts.size();
+  const CsrGraph coarse_out = index.NodeGraph().coarse_out;
   // Every first-layer tuple has >= 1 virtual dominator, and each
   // virtual node's successors are weakly dominated.
   for (std::size_t v = n; v < index.num_nodes(); ++v) {
     const auto node = static_cast<DualLayerIndex::NodeId>(v);
-    EXPECT_FALSE(index.coarse_out()[v].empty())
-        << "useless pseudo-tuple " << v;
-    for (const auto succ : index.coarse_out()[v]) {
+    EXPECT_FALSE(coarse_out[v].empty()) << "useless pseudo-tuple " << v;
+    for (const auto succ : coarse_out[v]) {
       EXPECT_TRUE(
           WeaklyDominates(index.node_point(node), index.node_point(succ)));
     }
@@ -185,10 +187,12 @@ TEST(DualLayerDeterminismTest, RebuildIsByteIdentical) {
   options.build_zero_layer = true;
   const DualLayerIndex a = DualLayerIndex::Build(pts, options);
   const DualLayerIndex b = DualLayerIndex::Build(pts, options);
-  EXPECT_EQ(a.coarse_out(), b.coarse_out());
-  EXPECT_EQ(a.fine_out(), b.fine_out());
-  EXPECT_EQ(a.coarse_in_degree(), b.coarse_in_degree());
-  EXPECT_EQ(a.initial_nodes(), b.initial_nodes());
+  const NodeSpaceGraph ga = a.NodeGraph();
+  const NodeSpaceGraph gb = b.NodeGraph();
+  EXPECT_EQ(ga.coarse_out, gb.coarse_out);
+  EXPECT_EQ(ga.fine_out, gb.fine_out);
+  EXPECT_EQ(ga.coarse_in_degree, gb.coarse_in_degree);
+  EXPECT_EQ(ga.initial, gb.initial);
   EXPECT_EQ(a.build_stats().num_fine_edges, b.build_stats().num_fine_edges);
   EXPECT_TRUE(
       std::ranges::equal(a.virtual_points().raw(), b.virtual_points().raw()));

@@ -29,16 +29,17 @@ struct EagerRun {
   std::size_t edges = 0;  // adjacency entries read, as edges_walked
 };
 
-// Algorithm 2 over coarse_out() / fine_out() in node space, scoring each
+// Algorithm 2 over NodeGraph()'s rows in node space, scoring each
 // node the moment it is freed and decrementing every ∀-successor of
 // every pop -- the traversal before the lazy gate.
 EagerRun EagerReference(const DualLayerIndex& index, const TopKQuery& query) {
   const PointView w(query.weights);
   const std::size_t total = index.num_nodes();
-  std::vector<std::uint32_t> remaining = index.coarse_in_degree();
+  const NodeSpaceGraph graph = index.NodeGraph();
+  std::vector<std::uint32_t> remaining = graph.coarse_in_degree;
   std::vector<std::uint8_t> fine_free(total), locked(total), freed(total);
   for (std::size_t i = 0; i < total; ++i) {
-    fine_free[i] = !index.has_fine_in()[i];
+    fine_free[i] = !graph.has_fine_in[i];
   }
   std::vector<std::size_t> chain_pos(
       total, std::numeric_limits<std::size_t>::max());
@@ -76,7 +77,7 @@ EagerRun EagerReference(const DualLayerIndex& index, const TopKQuery& query) {
     }
     heap.emplace(score, node);
   };
-  for (const std::uint32_t node : index.initial_nodes()) try_free(node);
+  for (const std::uint32_t node : graph.initial) try_free(node);
   BudgetGate gate(query.budget);
   Termination stop = Termination::kComplete;
   double frontier = -std::numeric_limits<double>::infinity();
@@ -96,12 +97,12 @@ EagerRun EagerReference(const DualLayerIndex& index, const TopKQuery& query) {
         stop_above = tie_cutoff + slack;
       }
     }
-    for (const std::uint32_t succ : index.coarse_out()[node]) {
+    for (const std::uint32_t succ : graph.coarse_out[node]) {
       ++run.edges;
       --remaining[succ];
       try_free(succ);
     }
-    for (const std::uint32_t succ : index.fine_out()[node]) {
+    for (const std::uint32_t succ : graph.fine_out[node]) {
       ++run.edges;
       fine_free[succ] = 1;
       try_free(succ);

@@ -485,6 +485,7 @@ TEST(DualLayerPopOrderTest, AccessTraceRespectsDominance) {
   // whenever both were accessed (t' cannot unlock before t pops).
   const PointSet pts = GenerateIndependent(300, 3, 93);
   const DualLayerIndex index = DualLayerIndex::Build(pts);
+  const NodeSpaceGraph graph = index.NodeGraph();
   for (const TopKQuery& query : testing_util::RandomQueries(3, 40, 5, 9)) {
     const TopKResult result = index.Query(query);
     std::vector<std::size_t> order(pts.size(), SIZE_MAX);
@@ -492,7 +493,7 @@ TEST(DualLayerPopOrderTest, AccessTraceRespectsDominance) {
       order[result.accessed[i]] = i;
     }
     for (std::size_t u = 0; u < pts.size(); ++u) {
-      for (const auto succ : index.coarse_out()[u]) {
+      for (const auto succ : graph.coarse_out[u]) {
         if (order[u] != SIZE_MAX && order[succ] != SIZE_MAX) {
           EXPECT_LT(order[u], order[succ])
               << "dominated tuple " << succ << " accessed before " << u;

@@ -199,11 +199,13 @@ TEST(ScratchPoolTest, ConcurrentShardedQueriesMatchSerial) {
 }
 
 void ExpectSameIndex(const DualLayerIndex& a, const DualLayerIndex& b) {
-  EXPECT_EQ(a.coarse_out(), b.coarse_out());
-  EXPECT_EQ(a.fine_out(), b.fine_out());
-  EXPECT_EQ(a.coarse_in_degree(), b.coarse_in_degree());
-  EXPECT_EQ(a.has_fine_in(), b.has_fine_in());
-  EXPECT_EQ(a.initial_nodes(), b.initial_nodes());
+  const NodeSpaceGraph ga = a.NodeGraph();
+  const NodeSpaceGraph gb = b.NodeGraph();
+  EXPECT_EQ(ga.coarse_out, gb.coarse_out);
+  EXPECT_EQ(ga.fine_out, gb.fine_out);
+  EXPECT_EQ(ga.coarse_in_degree, gb.coarse_in_degree);
+  EXPECT_EQ(ga.has_fine_in, gb.has_fine_in);
+  EXPECT_EQ(ga.initial, gb.initial);
   EXPECT_EQ(a.LayerGroups(), b.LayerGroups());
   EXPECT_TRUE(
       std::ranges::equal(a.virtual_points().raw(), b.virtual_points().raw()));

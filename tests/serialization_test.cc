@@ -1,11 +1,15 @@
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 
 #include "gtest/gtest.h"
 
+#include "baselines/dominant_graph.h"
+#include "common/crc32c.h"
 #include "core/serialization.h"
+#include "core/snapshot_format.h"
 #include "data/generator.h"
 #include "testing/check_index.h"
 #include "testing/fault_inject.h"
@@ -130,19 +134,16 @@ TEST(SerializationTest, MmapLoadIsZeroCopy) {
 
   auto mapped = LoadDualLayerIndex(path);  // prefer_mmap defaults true
   ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
-  // The point and adjacency payloads are views into the mapping, not
-  // copies -- the zero-copy claim of the v2 loader.
+  // The point payloads are views into the mapping, not copies -- the
+  // zero-copy claim of the v2 loader.
   EXPECT_FALSE(mapped.value().points().owns_data());
   EXPECT_FALSE(mapped.value().virtual_points().owns_data());
-  EXPECT_FALSE(mapped.value().coarse_out().owns_data());
-  EXPECT_FALSE(mapped.value().fine_out().owns_data());
 
   SnapshotLoadOptions no_mmap;
   no_mmap.prefer_mmap = false;
   auto copied = LoadDualLayerIndex(path, no_mmap);
   ASSERT_TRUE(copied.ok()) << copied.status().ToString();
   EXPECT_TRUE(copied.value().points().owns_data());
-  EXPECT_TRUE(copied.value().coarse_out().owns_data());
 
   ExpectSameAnswersAndCost(index, mapped.value(), 4, 10);
   ExpectSameAnswersAndCost(mapped.value(), copied.value(), 4, 10);
@@ -297,6 +298,136 @@ TEST(SerializationTest, OutOfRangeIdsRejectedAtLoad) {
         << "out-of-range id in " << snapshot::SectionKindName(kind)
         << " loaded";
     EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption);
+  }
+  std::remove(path.c_str());
+}
+
+// Save, load, save is a fixpoint for every index shape, through both
+// readers: the second file is byte-identical to the first, and the
+// loaded index exports the same node-space graph as the built one.
+TEST(SerializationTest, SaveLoadSaveIsAFixpoint) {
+  struct Case {
+    const char* label;
+    PointSet points;
+    DualLayerOptions options;
+  };
+  DualLayerOptions dl_plus;
+  dl_plus.build_zero_layer = true;
+  const std::vector<Case> cases = {
+      {"dl_3d", GenerateAnticorrelated(400, 3, 41), DualLayerOptions{}},
+      {"dl_plus_2d", GenerateIndependent(400, 2, 42), dl_plus},
+      {"dl_plus_3d", GenerateAnticorrelated(400, 3, 43), dl_plus},
+      {"dl_plus_4d", GenerateIndependent(400, 4, 44), dl_plus},
+      {"dg_plus_4d", GenerateAnticorrelated(400, 4, 45),
+       DominantGraphConfig(true)},
+      {"empty", PointSet(3), DualLayerOptions{}},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.label);
+    const DualLayerIndex index = DualLayerIndex::Build(c.points, c.options);
+    if (std::string(c.label) == "dl_plus_2d") {
+      ASSERT_TRUE(index.uses_weight_table());
+    } else if (c.options.build_zero_layer) {
+      ASSERT_GT(index.virtual_points().size(), 0u);
+    }
+    const NodeSpaceGraph graph = index.NodeGraph();
+    const std::string path = TempPath(std::string("drli_fixpoint_") +
+                                      c.label + ".v2");
+    ASSERT_TRUE(SaveDualLayerIndex(index, path).ok());
+    const std::vector<std::uint8_t> saved = testing::ReadFileBytes(path);
+    for (const bool mmap : {true, false}) {
+      SnapshotLoadOptions load;
+      load.prefer_mmap = mmap;
+      auto loaded = LoadDualLayerIndex(path, load);
+      ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+      EXPECT_TRUE(loaded.value().NodeGraph() == graph) << "mmap=" << mmap;
+      const std::string again = path + ".again";
+      ASSERT_TRUE(SaveDualLayerIndex(loaded.value(), again).ok());
+      EXPECT_TRUE(testing::ReadFileBytes(again) == saved) << "mmap=" << mmap;
+      std::remove(again.c_str());
+    }
+    std::remove(path.c_str());
+  }
+}
+
+template <typename T>
+std::vector<std::uint8_t> AsBytes(const std::vector<T>& values) {
+  std::vector<std::uint8_t> bytes(values.size() * sizeof(T));
+  if (!bytes.empty()) std::memcpy(bytes.data(), values.data(), bytes.size());
+  return bytes;
+}
+
+// Writes a CRC-valid v2 snapshot: two tuples, (0, 0) dominating
+// (1, 1), and kRemainingMask + 1 ∀-edges from the first to the second
+// -- one more in-edge than a layout init word can count down.
+void WriteOverflowingInDegreeSnapshot(const std::string& path) {
+  constexpr std::uint32_t kEdges = QueryLayout::kRemainingMask + 1;
+  // Section payloads, in SectionKind order 1..12.
+  const std::vector<std::vector<std::uint8_t>> payloads = {
+      {},                                                      // name
+      AsBytes(std::vector<double>{0.0, 0.0, 1.0, 1.0}),        // points
+      {},                                                      // virtual
+      AsBytes(std::vector<std::uint32_t>{0, 1}),               // coarse_of
+      AsBytes(std::vector<std::uint32_t>{0, 0}),               // fine_of
+      AsBytes(std::vector<std::uint32_t>{0, kEdges, kEdges}),  // ∀ offsets
+      AsBytes(std::vector<std::uint32_t>(kEdges, 1)),          // ∀ targets
+      AsBytes(std::vector<std::uint32_t>{0, 0, 0}),            // ∃ offsets
+      {},                                                      // ∃ targets
+      AsBytes(std::vector<std::uint32_t>{0, 1, 2}),            // layers
+      AsBytes(std::vector<std::uint32_t>{0, 1}),               // members
+      {},                                                      // chain
+  };
+  snapshot::HeaderV2 header;
+  header.dim = 2;
+  header.flags = snapshot::kFlagVerifiedFineEdges;
+  header.num_points = 2;
+  header.num_sections = static_cast<std::uint32_t>(payloads.size());
+  header.section_table_offset = sizeof(header);
+  std::vector<snapshot::SectionEntry> entries(payloads.size());
+  std::uint64_t cursor =
+      sizeof(header) + entries.size() * sizeof(snapshot::SectionEntry);
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    entries[i].kind = static_cast<std::uint32_t>(i + 1);
+    entries[i].offset = (cursor + snapshot::kSectionAlignment - 1) /
+                        snapshot::kSectionAlignment *
+                        snapshot::kSectionAlignment;
+    entries[i].length = payloads[i].size();
+    entries[i].crc = Crc32c(payloads[i].data(), payloads[i].size());
+    cursor = entries[i].offset + entries[i].length;
+  }
+  header.section_table_crc =
+      Crc32c(entries.data(), entries.size() * sizeof(snapshot::SectionEntry));
+  header.header_crc = snapshot::ComputeHeaderCrc(header);
+
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(reinterpret_cast<const char*>(&header), sizeof(header));
+  out.write(reinterpret_cast<const char*>(entries.data()),
+            static_cast<std::streamsize>(entries.size() *
+                                         sizeof(snapshot::SectionEntry)));
+  std::uint64_t written =
+      sizeof(header) + entries.size() * sizeof(snapshot::SectionEntry);
+  for (std::size_t i = 0; i < payloads.size(); ++i) {
+    const std::vector<char> padding(entries[i].offset - written, 0);
+    out.write(padding.data(), static_cast<std::streamsize>(padding.size()));
+    out.write(reinterpret_cast<const char*>(payloads[i].data()),
+              static_cast<std::streamsize>(payloads[i].size()));
+    written = entries[i].offset + entries[i].length;
+  }
+  ASSERT_TRUE(out.good());
+}
+
+// A file whose coarse in-degree overflows the layout's 24-bit countdown
+// is Corruption on both readers, not an abort in the layout build.
+TEST(SerializationTest, OverflowingCoarseInDegreeRejectedAtLoad) {
+  const std::string path = TempPath("drli_index_in_degree.v2");
+  WriteOverflowingInDegreeSnapshot(path);
+  for (const bool mmap : {true, false}) {
+    SnapshotLoadOptions load;
+    load.prefer_mmap = mmap;
+    const auto loaded = LoadDualLayerIndex(path, load);
+    ASSERT_FALSE(loaded.ok()) << "mmap=" << mmap;
+    EXPECT_EQ(loaded.status().code(), StatusCode::kCorruption)
+        << loaded.status().ToString();
   }
   std::remove(path.c_str());
 }

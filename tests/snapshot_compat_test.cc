@@ -191,8 +191,9 @@ TEST(SnapshotCompatTest, UnverifiedFineEdgesAreDroppedAtLoad) {
   auto loaded = LoadDualLayerIndex(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
   const DualLayerIndex& index = loaded.value();
-  EXPECT_LT(index.fine_out().num_edges(), stored_edges);
-  EXPECT_GT(index.fine_out().num_edges(), 0u);
+  const std::size_t fine_edges = index.NodeGraph().fine_out.num_edges();
+  EXPECT_LT(fine_edges, stored_edges);
+  EXPECT_GT(fine_edges, 0u);
   EXPECT_TRUE(CheckIndex(index).ok());
 
   const std::size_t d = index.points().dim();
@@ -223,8 +224,7 @@ TEST(SnapshotCompatTest, UnverifiedFineEdgesAreDroppedAtLoad) {
   ASSERT_TRUE(SaveDualLayerIndex(index, resaved).ok());
   auto reloaded = LoadDualLayerIndex(resaved);
   ASSERT_TRUE(reloaded.ok()) << reloaded.status().ToString();
-  EXPECT_EQ(reloaded.value().fine_out().num_edges(),
-            index.fine_out().num_edges());
+  EXPECT_EQ(reloaded.value().NodeGraph().fine_out.num_edges(), fine_edges);
   expect_exact(reloaded.value(), "resaved");
   std::filesystem::remove(resaved);
 }
