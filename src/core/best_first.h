@@ -1,7 +1,7 @@
 // The best-first loop (Algorithm 2's priority-queue walk; DESIGN.md §7,
 // "Scatter-gather with frontier pruning") shared by the traversals
 // outside DL+'s own hot loop: the bounded-partition merge
-// (core/partition_merge.h) and the constrained box-tree walk
+// (core/partition_merge.h) and the constrained forest walk
 // (scenarios/constrained.h, DESIGN.md §9).
 //
 // The loop owns a min-heap of caller units ordered by (key, tie) and

@@ -109,4 +109,54 @@ PartitionSet MakePartitionSet(std::size_t dim,
   return set;
 }
 
+TopKResult OpenRows(const PointSet& rows, const std::vector<TupleId>& ids,
+                    PointView weights, std::size_t k) {
+  TopKResult open;
+  open.accessed = ids;
+  // The k best so far, ascending; a row that beats the worst of them
+  // is insertion-sorted in from the back. Cheaper than a heap or a
+  // sort at memtable sizes.
+  std::vector<ScoredTuple>& best = open.items;
+  best.reserve(std::min(k, ids.size()));
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    const ScoredTuple item{ids[i], Score(weights, rows[i])};
+    if (best.size() == k) {
+      if (best.empty() || !ResultOrderLess(item, best.back())) continue;
+      best.pop_back();
+    }
+    best.push_back(item);
+    std::size_t at = best.size() - 1;
+    for (; at > 0 && ResultOrderLess(item, best[at - 1]); --at) {
+      best[at] = best[at - 1];
+    }
+    best[at] = item;
+  }
+  open.stats.tuples_evaluated = ids.size();
+  return open;
+}
+
+TopKResult MergeDualLayerPartitions(const PartitionSet& set,
+                                    PointView weights, std::size_t k,
+                                    const ExecBudget& budget,
+                                    const Stopwatch& timer, TopKResult opened) {
+  std::vector<PartitionBound> bounds;
+  bounds.reserve(set.parts.size());
+  for (std::size_t p = 0; p < set.parts.size(); ++p) {
+    if (set.parts[p]->ids.empty()) continue;
+    bounds.push_back({set.Bound(p, weights), p});
+  }
+  return MergePartitions(
+      k, budget, timer, std::move(opened), bounds,
+      [&](std::size_t p, const ExecBudget& sub) {
+        const DualLayerPartition& part = *set.parts[p];
+        TopKResult result = part.index.Query(
+            TopKQuery{Point(weights.begin(), weights.end()),
+                      std::min(k, part.ids.size()), sub});
+        ++(result.stats.*set.opened);
+        MapToGlobal(part.ids, &result);
+        return result;
+      },
+      [&set](std::size_t p) { return set.Label(p); });
+}
+
 }  // namespace drli

@@ -1,11 +1,10 @@
 // The bounded-partition merge (DESIGN.md §7): the one coordinator
-// behind the sharded engine, the tiered run merge, and the constrained
-// scenario over both, built on the best-first loop (core/best_first.h)
-// it shares with the constrained box-tree walk. Whole partitions
-// (shards, runs) wait in the loop's min-heap at a lower bound on their
-// scores and are opened through a caller callable only when the merge
-// frontier reaches that bound; opened partitions' sorted lists compete
-// in the same heap.
+// behind the sharded engine and the tiered run merge, built on the
+// best-first loop (core/best_first.h) it shares with the constrained
+// forest walk. Whole partitions (shards, runs) wait in the loop's
+// min-heap at a lower bound on their scores and are opened through a
+// caller callable only when the merge frontier reaches that bound;
+// opened partitions' sorted lists compete in the same heap.
 //
 // Heap order: by score; at equal score a bound precedes an item (a
 // partition must open before a tuple at its bound is emitted, or an
@@ -20,9 +19,9 @@
 // the minimum of that floor and every surviving heap key -- the loop's
 // stop frontier.
 //
-// Shards and tiered runs are one type, DualLayerPartition, and the four
-// merges over them (plain and constrained, sharded and tiered) share
-// one open rule, MergeDualLayerPartitions.
+// Shards and tiered runs are one type, DualLayerPartition, and the two
+// plain merges over them (sharded and tiered) share one open rule,
+// MergeDualLayerPartitions.
 //
 // A query pays only for what it opens. Each engine builds its
 // PartitionSet once -- at build and load, and again on every tiered
@@ -40,7 +39,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <limits>
-#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -213,7 +211,7 @@ struct DualLayerPartition {
 DualLayerPartition MakeDualLayerPartition(DualLayerIndex index,
                                           std::vector<TupleId> ids);
 
-// One engine's partitions as its merges see them, made by
+// One engine's partitions as its queries see them, made by
 // MakePartitionSet when the partitions change (build, load, tiered
 // install) and read by every query in between. It holds no pointer to
 // its engine, only to the partitions, which sit in a vector the
@@ -245,84 +243,27 @@ PartitionSet MakePartitionSet(std::size_t dim,
                               const char* noun,
                               std::vector<std::uint32_t> numbers);
 
-// Scores every row `admit` accepts -- the tiered memtable, unindexed --
-// as an already-open list for MergeDualLayerPartitions: each admitted
-// row is counted in tuples_evaluated and listed in accessed, and items
-// keeps the k best of them in canonical (score, id) order. The merge
-// emits at most k items, so the rows past the cut can never be
-// emitted, and a partial merge certifies them through the list's
-// surviving cursor like any other cut list.
-template <typename Admit>
+// Scores every row -- the tiered memtable, unindexed -- as an
+// already-open list for MergeDualLayerPartitions: each row is counted in
+// tuples_evaluated and listed in accessed, and items keeps the k best in
+// canonical (score, id) order. The merge emits at most k items, so the
+// rows past the cut can never be emitted, and a partial merge certifies
+// them through the list's surviving cursor like any other cut list.
 TopKResult OpenRows(const PointSet& rows, const std::vector<TupleId>& ids,
-                    PointView weights, std::size_t k, const Admit& admit) {
-  TopKResult open;
-  open.accessed.reserve(ids.size());
-  // The k best so far, ascending; a row that beats the worst of them
-  // is insertion-sorted in from the back. Cheaper than a heap or a
-  // sort at memtable sizes.
-  std::vector<ScoredTuple>& best = open.items;
-  best.reserve(std::min(k, ids.size()));
-  for (std::size_t i = 0; i < ids.size(); ++i) {
-    const PointView row = rows[i];
-    if (!admit(row)) continue;
-    open.accessed.push_back(ids[i]);
-    const ScoredTuple item{ids[i], Score(weights, row)};
-    if (best.size() == k) {
-      if (best.empty() || !ResultOrderLess(item, best.back())) continue;
-      best.pop_back();
-    }
-    best.push_back(item);
-    std::size_t at = best.size() - 1;
-    for (; at > 0 && ResultOrderLess(item, best[at - 1]); --at) {
-      best[at] = best[at - 1];
-    }
-    best[at] = item;
-  }
-  open.stats.tuples_evaluated = open.accessed.size();
-  return open;
-}
+                    PointView weights, std::size_t k);
 
-// The open rule of every merge over DL+ partitions. An empty partition
-// is never enqueued; the rest wait at their corner bound under
-// `weights` (PartitionSet::Bound). An opened partition is asked for
-// min(|ids|, k) items -- its traversal skips retired members, so that
-// is min(live, k) live ones; a fully retired partition answers empty
-// at zero cost -- mapped to global ids, and bumps `set.opened`; errors
-// carry `set.Label`. `traverse(index, k, budget)` returns the top `k`
-// items of a partition's `index` under `budget` in local ids, or
-// nullopt to decline the partition unopened (one box pruned: its box
-// tree's root box misses a constraint box). `opened` (the already-open
+// The open rule of both plain merges over DL+ partitions. An empty
+// partition is never enqueued; the rest wait at their corner bound
+// under `weights` (PartitionSet::Bound). An opened partition's index is
+// queried for min(|ids|, k) items -- its traversal skips retired
+// members, so that is min(live, k) live ones; a fully retired partition
+// answers empty at zero cost -- mapped to global ids, and bumps
+// `set.opened`; errors carry `set.Label`. `opened` (the already-open
 // list) and `timer` are as in MergePartitions.
-template <typename Traverse>
 TopKResult MergeDualLayerPartitions(const PartitionSet& set,
                                     PointView weights, std::size_t k,
                                     const ExecBudget& budget,
-                                    const Stopwatch& timer, TopKResult opened,
-                                    const Traverse& traverse) {
-  std::vector<PartitionBound> bounds;
-  bounds.reserve(set.parts.size());
-  for (std::size_t p = 0; p < set.parts.size(); ++p) {
-    if (set.parts[p]->ids.empty()) continue;
-    bounds.push_back({set.Bound(p, weights), p});
-  }
-  return MergePartitions(
-      k, budget, timer, std::move(opened), bounds,
-      [&](std::size_t p, const ExecBudget& sub) {
-        const DualLayerPartition& part = *set.parts[p];
-        std::optional<TopKResult> result =
-            traverse(part.index, std::min(k, part.ids.size()), sub);
-        if (!result.has_value()) {
-          TopKResult declined;
-          declined.stats.boxes_pruned = 1;
-          FinalizeComplete(declined);
-          return declined;
-        }
-        ++(result->stats.*set.opened);
-        MapToGlobal(part.ids, &*result);
-        return std::move(*result);
-      },
-      [&set](std::size_t p) { return set.Label(p); });
-}
+                                    const Stopwatch& timer, TopKResult opened);
 
 }  // namespace drli
 

@@ -352,12 +352,7 @@ TopKResult TieredDualLayerIndex::Query(const TopKQuery& query) const {
   const PointView w(query.weights);
   return MergeDualLayerPartitions(
       partitions_, w, query.k, query.budget, timer,
-      OpenRows(memtable_, memtable_ids_, w, query.k,
-               [](PointView) { return true; }),
-      [&](const DualLayerIndex& run, std::size_t k,
-          const ExecBudget& budget) -> std::optional<TopKResult> {
-        return run.Query(TopKQuery{query.weights, k, budget});
-      });
+      OpenRows(memtable_, memtable_ids_, w, query.k));
 }
 
 }  // namespace drli

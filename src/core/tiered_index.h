@@ -169,8 +169,8 @@ class TieredDualLayerIndex final : public TopKIndex {
   const std::unordered_set<TupleId>& tombstones() const {
     return tombstones_;
   }
-  // The runs as the merges, plain and constrained, see them; made
-  // again on every install.
+  // The runs as the plain merge and the constrained forest walk see
+  // them; made again on every install.
   const PartitionSet& partitions() const { return partitions_; }
 
  private:

@@ -4,35 +4,35 @@
 // the tuples the box contains -- the same contract as every other
 // family, over a smaller universe.
 //
-// Index acceleration pushes the predicate into the index's kd box tree
-// (DualLayerIndex::box_tree, geometry/box_tree.h). Over one DL+ index the
-// tree's nodes are opened on the best-first loop (core/best_first.h,
-// shared with the partition merge) by a sound score lower bound --
-// the score of max(node lo, box lo), a corner that weakly dominates
-// every in-box member --
+// Index acceleration pushes the predicate into the kd box trees
+// (DualLayerIndex::box_tree, geometry/box_tree.h) of a forest: one DL+
+// index is a forest of one, a sharded or tiered engine one tree per
+// shard or run, each with its local-to-global id map. Every tree's
+// nodes are opened on one best-first loop (core/best_first.h, shared
+// with the partition merge) by a sound score lower bound -- the score
+// of max(node lo, box lo), a corner that weakly dominates every in-box
+// member --
 //   * a node whose member box misses the constraint box is dropped
-//     unopened (stats.boxes_pruned counts these), and
-//   * the traversal stops once the next node's bound exceeds the
-//     current k-th in-box score (ties stay open; exact in FP because
-//     the score is monotone under non-negative weights).
-// A popped leaf scores only its live in-box members: a retired member
-// (DualLayerIndex::Retire) is skipped unscored, like a containment
-// miss.
-// Over shards (sdl+) and runs (tdl+), the partitions' open rule
-// (core/partition_merge.h) runs with the predicate pushed in: a shard
-// or run whose root box misses the box counts as one box pruned, any
-// other runs the traversal above. ConstrainedTopK takes the engine as a
-// TopKIndex and is the one place that tells the three apart.
+//     unopened (stats.boxes_pruned counts these; a shard or run whose
+//     root misses the box is one such node), and
+//   * the walk stops once the next node's bound exceeds the current
+//     k-th in-box score over the whole forest (ties stay open; exact in
+//     FP because the score is monotone under non-negative weights).
+// A popped leaf scores only its live in-box members into the one
+// global top-k heap: a retired member (DualLayerIndex::Retire) is
+// skipped unscored, like a containment miss. The tdl+ memtable's
+// in-box rows are scored into that heap before the first pop.
+// ConstrainedTopK takes the engine as a TopKIndex and is the one place
+// that tells the three apart.
 //
 // The query is validated once, at ConstrainedTopK's entry.
 //
-// Certified partials: with an ExecBudget, a tripped traversal returns
-// a certified prefix. Over one index the frontier is the lower bound
-// of the node the budget stopped: unopened nodes cannot hold an in-box
-// tuple scoring below it, box-pruned nodes hold no eligible tuple at
-// all, and a tuple rejected by the running top-k heap canonically
-// follows every returned item. Over shards and runs the merge
-// certifies.
+// Certified partials: with an ExecBudget, a tripped walk returns a
+// certified prefix. The frontier is the bound of the node the budget
+// stopped: unopened nodes cannot hold an in-box tuple scoring below it,
+// box-pruned nodes hold no eligible tuple at all, the memtable rows
+// were all scored, and a tuple rejected by the running top-k heap
+// canonically follows every returned item.
 
 #ifndef DRLI_SCENARIOS_CONSTRAINED_H_
 #define DRLI_SCENARIOS_CONSTRAINED_H_
@@ -56,16 +56,11 @@ struct ConstrainedQuery {
   ExecBudget budget{};
 };
 
-// Constrained top-k on any DL+ engine: a DualLayerIndex runs the
-// best-first box-tree traversal; a ShardedDualLayerIndex merges its
-// shards, each opened only when its frontier bound reaches the merge
-// frontier AND its root box meets the constraint, and opened shards
-// run the traversal with the remaining budget (RemainingBudget
-// composition); a TieredDualLayerIndex scans its whole memtable (so
-// partials certify against run bounds alone) and merges its runs the
-// same way, each queried for min(|run|, k) items; a run's tombstoned
-// members are retired in it, so they are never scored. Any other
-// family has no box tree: kInvalidQuery, naming the engine.
+// Constrained top-k on any DL+ engine: one best-first walk over the
+// box trees of a DualLayerIndex, of a ShardedDualLayerIndex's shards,
+// or of a TieredDualLayerIndex's runs after its memtable's in-box rows
+// (header comment). Any other family has no box tree: kInvalidQuery,
+// naming the engine.
 TopKResult ConstrainedTopK(const TopKIndex& engine,
                            const ConstrainedQuery& query);
 

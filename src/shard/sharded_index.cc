@@ -164,12 +164,8 @@ TopKResult ShardedDualLayerIndex::Query(const TopKQuery& query) const {
   if (const Status status = ValidateQuery(query, dim_); !status.ok()) {
     return InvalidQueryResult(status);
   }
-  return MergeDualLayerPartitions(
-      partitions_, query.weights, query.k, query.budget, timer, {},
-      [&](const DualLayerIndex& shard, std::size_t k,
-          const ExecBudget& budget) -> std::optional<TopKResult> {
-        return shard.Query(TopKQuery{query.weights, k, budget});
-      });
+  return MergeDualLayerPartitions(partitions_, query.weights, query.k,
+                                  query.budget, timer, {});
 }
 
 }  // namespace drli

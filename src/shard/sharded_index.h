@@ -119,8 +119,8 @@ class ShardedDualLayerIndex final : public TopKIndex {
   const std::vector<TupleId>& shard_members(std::size_t s) const {
     return shards_[s].ids;
   }
-  // The shards as the merges, plain and constrained, see them; made
-  // once per engine.
+  // The shards as the plain merge and the constrained forest walk see
+  // them; made once per engine.
   const PartitionSet& partitions() const { return partitions_; }
   ShardPartitioner partitioner() const { return partitioner_; }
   std::uint64_t partition_seed() const { return partition_seed_; }

@@ -120,16 +120,18 @@ struct QueryStats {
   // Shards whose per-shard index actually ran for this query (sharded
   // families only; 0 for single-partition indexes). The scatter-gather
   // coordinator's pruning effectiveness metric: nonempty_shards -
-  // shards_touched shards were skipped outright.
+  // shards_touched shards were skipped outright. For a constrained
+  // read, the shards whose box tree had at least one node expanded.
   std::size_t shards_touched = 0;
   // Runs the tiered dynamic index opened for this query (tiered family
   // only; 0 elsewhere). num_runs - runs_opened runs were pruned by
-  // their frontier lower bound.
+  // their frontier lower bound. For a constrained read, the runs whose
+  // box tree had at least one node expanded.
   std::size_t runs_opened = 0;
-  // Bounding boxes (box-tree nodes, runs, or whole shards) discarded
-  // by a constrained-query predicate without scoring any member
-  // (scenarios/constrained.h only; 0 elsewhere). The constrained
-  // traversal's pruning effectiveness metric.
+  // Box-tree nodes discarded by a constrained-query predicate without
+  // scoring any member (scenarios/constrained.h only; 0 elsewhere); a
+  // shard or run whose root box misses the constraint box is one node.
+  // The constrained walk's pruning effectiveness metric.
   std::size_t boxes_pruned = 0;
   // DL/DL+ partition calls whose query scratch had to seed its O(nodes)
   // per-slot state because it last served another index (or none):

@@ -143,7 +143,7 @@ TEST(DynamicIndexTest, DeletedBaseTuplesNeverReturned) {
   for (int round = 0; round < 20; ++round) {
     const TopKResult result = index.Query(query);
     ASSERT_EQ(result.items.size(), 1u);
-    // The constrained merge skips the same retired members.
+    // The constrained forest walk skips the same retired members.
     const TopKResult boxed = ConstrainedTopK(index, constrained);
     ASSERT_EQ(boxed.items.size(), 1u);
     EXPECT_EQ(boxed.items[0].id, result.items[0].id) << "round " << round;

@@ -225,8 +225,8 @@ TEST(ConstrainedTest, InvalidQueryIsRefusedBeforeAnyWork) {
   }
 }
 
-// A box that misses every tuple: one DL+ index drops its root node
-// unopened, and a merge declines every shard and run by its root box,
+// A box that misses every tuple: the forest walk drops the root node of
+// every tree unopened -- one DL+ index's, and each shard's and run's --
 // so no engine scores a tuple and the empty answer is complete.
 TEST(ConstrainedTest, BoxMissingTheDataIsPrunedUnopened) {
   const PointSet points = GenerateIndependent(200, 3, 37);
@@ -325,8 +325,8 @@ TEST(ConstrainedTest, EveryEvalCutCertifies) {
                                    << " cut " << cut << ": " << error;
       }
       EXPECT_TRUE(saw_partial) << names[e] << " probe " << probe;
-      // The same cuts made by a cancel fuse, polled at the box-tree
-      // walk's budget step and at every partition open of a merge.
+      // The same cuts made by a cancel fuse, polled at the forest
+      // walk's budget step.
       bool saw_cancel = false;
       for (std::size_t polls = 0; polls <= full_cost; ++polls) {
         CancelToken token;
@@ -390,6 +390,75 @@ TEST(ConstrainedTest, OneEntryPointServesEveryRegistryEngine) {
   EXPECT_NE(refused.error.find(ta.value()->name()), std::string::npos)
       << refused.error;
   EXPECT_TRUE(refused.items.empty());
+}
+
+// The forest walk over every partition's box tree costs what one index
+// costs. On 8 hyperplane shards (every query bounds all of them) and on
+// a tiered engine with several runs, tombstones and a memtable, every
+// call over 200 boxes spanned by two rows answers like the in-box scan
+// over the live rows, and the shards together evaluate at most 1.3x
+// what the single DL+ index over the same rows does. Opening whole
+// shards at their unconstrained bound, each for its own k in-box
+// tuples, evaluated about 5x.
+TEST(ConstrainedTest, ForestWalkEvaluatesLikeOneTree) {
+  const std::size_t d = 4;
+  const PointSet points = GenerateAnticorrelated(12000, d, 45);
+  DualLayerOptions dl_options;
+  dl_options.build_zero_layer = true;
+  dl_options.build_threads = 1;
+  const DualLayerIndex dl = DualLayerIndex::Build(points, dl_options);
+  ShardedBuildOptions sh_options;
+  sh_options.num_shards = 8;
+  sh_options.partitioner = ShardPartitioner::kHyperplane;
+  sh_options.shard_options = dl_options;
+  sh_options.build_threads = 1;
+  const ShardedDualLayerIndex sdl =
+      ShardedDualLayerIndex::Build(points, sh_options);
+
+  TieredIndexOptions t_options;
+  t_options.memtable_capacity = 256;
+  TieredDualLayerIndex tdl(d, t_options);
+  for (std::size_t i = 0; i < points.size() / 4; ++i) tdl.Insert(points[i]);
+  for (TupleId id = 0; id < points.size() / 4; id += 7) tdl.Erase(id);
+  ASSERT_GE(tdl.num_runs(), 3u);
+  ASSERT_GT(tdl.memtable_size(), 0u);
+  ASSERT_GT(tdl.tombstone_count(), 0u);
+  PointSet live_rows(d);
+  std::vector<TupleId> live_ids;
+  for (TupleId id = 0; id < points.size() / 4; ++id) {
+    if (!tdl.Contains(id)) continue;
+    live_rows.Add(points[id]);
+    live_ids.push_back(id);
+  }
+
+  Rng rng(46);
+  std::size_t dl_evals = 0, sdl_evals = 0;
+  for (int probe = 0; probe < 200; ++probe) {
+    ConstrainedQuery query;
+    query.weights = rng.SimplexWeight(d);
+    query.k = 10;
+    const std::size_t a = rng.Index(points.size());
+    const std::size_t b = rng.Index(points.size());
+    query.box.lo.resize(d);
+    query.box.hi.resize(d);
+    for (std::size_t attr = 0; attr < d; ++attr) {
+      query.box.lo[attr] = std::min(points.At(a, attr), points.At(b, attr));
+      query.box.hi[attr] = std::max(points.At(a, attr), points.At(b, attr));
+    }
+    const TopKResult want = ConstrainedTopKScan(points, query);
+    const TopKResult one = ConstrainedTopK(dl, query);
+    const TopKResult forest = ConstrainedTopK(sdl, query);
+    ExpectSameItems(one, want, "dl+");
+    ExpectSameItems(forest, want, "sdl+");
+    ExpectSameItems(ConstrainedTopK(tdl, query),
+                    ConstrainedScanRows(live_rows, live_ids, query), "tdl+");
+    dl_evals += one.stats.tuples_evaluated;
+    sdl_evals += forest.stats.tuples_evaluated;
+  }
+  ASSERT_GT(dl_evals, 0u);
+  EXPECT_LE(static_cast<double>(sdl_evals),
+            1.3 * static_cast<double>(dl_evals))
+      << "sdl+ " << sdl_evals << " evaluations, dl+ " << dl_evals;
 }
 
 // --- diversified ---

@@ -10,7 +10,6 @@
 #include <limits>
 #include <map>
 #include <numeric>
-#include <optional>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -212,7 +211,7 @@ TEST(TieredIndexTest, KLargerThanLiveSizeWithTombstones) {
   for (const ScoredTuple& item : result.items) {
     EXPECT_TRUE(live.count(item.id)) << "dead id " << item.id << " returned";
   }
-  // The constrained merge over the same runs: the whole space gives the
+  // The constrained walk over the same runs: the whole space gives the
   // plain answer, and a half-space box only live in-box rows.
   ConstrainedQuery constrained;
   constrained.weights = query.weights;
@@ -567,13 +566,9 @@ TopKResult FullSortMemtableRead(const TieredDualLayerIndex& index,
   }
   memtable.stats.tuples_evaluated = index.memtable_size();
   std::sort(memtable.items.begin(), memtable.items.end(), ResultOrderLess);
-  return MergeDualLayerPartitions(
-      index.partitions(), w, query.k, query.budget, Stopwatch(),
-      std::move(memtable),
-      [&](const DualLayerIndex& run, std::size_t k,
-          const ExecBudget& budget) -> std::optional<TopKResult> {
-        return run.Query(TopKQuery{query.weights, k, budget});
-      });
+  return MergeDualLayerPartitions(index.partitions(), w, query.k,
+                                  query.budget, Stopwatch(),
+                                  std::move(memtable));
 }
 
 // The memtable opens as its k best rows only. Over a memtable larger

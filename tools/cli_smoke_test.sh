@@ -77,9 +77,14 @@ SDL_EVALS="$("$CLI" query --input="$WORK/data.csv" --kind=sdl+4 \
 SCAN_EVALS="$("$CLI" query --input="$WORK/data.csv" --kind=scan \
   --weights=0.2,0.3,0.5 --k=5 --box=0.1:0.9,:0.8,0.2: | evals_of)"
 [ -n "$SDL_EVALS" ] && [ "$SDL_EVALS" -lt "$SCAN_EVALS" ]
-# A budgeted constrained call stops partial inside the merge: on sdl+4
-# a shard's box-tree walk trips, on tdl+64 the memtable scan spends the
-# budget before the first run opens.
+# One walk over every shard's box tree costs about what one index's
+# tree walk costs: sdl+4 evaluates at most twice what dl+ does.
+DL_EVALS="$("$CLI" query --input="$WORK/data.csv" --kind=dl+ \
+  --weights=0.2,0.3,0.5 --k=5 --box=0.1:0.9,:0.8,0.2: | evals_of)"
+[ -n "$DL_EVALS" ] && [ "$SDL_EVALS" -le $((2 * DL_EVALS)) ]
+# A budgeted constrained call stops partial inside the forest walk: on
+# sdl+4 before a box-tree node is expanded, on tdl+64 because the
+# memtable's in-box rows, scored before the first node, spend the budget.
 for kind in sdl+4 tdl+64; do
   "$CLI" query --input="$WORK/data.csv" --kind="$kind" --weights=0.2,0.3,0.5 \
     --k=5 --box=0.1:0.9,:0.8,0.2: --max-evals=3 \
