@@ -15,6 +15,7 @@
 #include "core/dual_layer.h"
 #include "core/rank_sweep_2d.h"
 #include "data/generator.h"
+#include "scenarios/reverse_topk.h"
 #include "topk/scan.h"
 
 int main() {
@@ -74,12 +75,15 @@ int main() {
               "%zu distinct tuples ever in the top-%zu\n",
               k, sweep.topk_sets.size(), ever_in_topk.size(), k);
 
-  const TupleId probe = *ever_in_topk.begin();
-  const auto intervals = ReverseTopKIntervals2D(sweep, probe);
-  std::printf("reverse top-%zu of tuple #%u: in the answer for w1 in", k,
-              probe);
-  for (const auto& [lo, hi] : intervals) {
-    std::printf(" [%.4f, %.4f]", lo, hi);
+  ReverseTopKQuery reverse;
+  reverse.target = *ever_in_topk.begin();
+  reverse.k = k;
+  const ReverseTopKResult answer = ReverseTopK2D(index, reverse);
+  std::printf("reverse top-%zu of tuple #%u (%zu tuples compared): in the "
+              "answer for w1 in",
+              k, reverse.target, answer.stats.tuples_evaluated);
+  for (const WeightInterval& iv : answer.intervals) {
+    std::printf(" [%.4f, %.4f]", iv.lo, iv.hi);
   }
   std::printf("\n");
   return 0;

@@ -26,6 +26,39 @@ struct EventLater {
   }
 };
 
+// Score line of tuple t: f_t(w) = intercept + w * slope, with
+// intercept t_2 and slope t_1 - t_2.
+double Intercept(const PointSet& points, TupleId t) { return points.At(t, 1); }
+double Slope(const PointSet& points, TupleId t) {
+  return points.At(t, 0) - points.At(t, 1);
+}
+
+// Whether `a` ranks above `b` just right of w = 0: by intercept,
+// slope-tiebreak, then id.
+bool AboveAtZero(const PointSet& points, TupleId a, TupleId b) {
+  const double ia = Intercept(points, a), ib = Intercept(points, b);
+  if (ia != ib) return ia < ib;
+  const double sa = Slope(points, a), sb = Slope(points, b);
+  if (sa != sb) return sa < sb;
+  return a < b;
+}
+
+// The weight in (0, 1) at which `upper`, ranked above `lower`, falls
+// below it; 2.0 when the pair never swaps inside (0, 1).
+double CrossingWeight(const PointSet& points, TupleId upper, TupleId lower) {
+  // Equal first attributes tie the scores exactly at w = 1 and nowhere
+  // else: there is no interior crossing. This test must be exact --
+  // the generic formula below rounds such crossings to 1 - ulp, which
+  // would fabricate an interior breakpoint whose sliver segment
+  // carries a fully inverted (and wrong) order.
+  if (points.At(upper, 0) == points.At(lower, 0)) return 2.0;
+  const double slope_diff = Slope(points, upper) - Slope(points, lower);
+  if (slope_diff <= 0.0) return 2.0;  // upper stays at or below
+  const double w =
+      (Intercept(points, lower) - Intercept(points, upper)) / slope_diff;
+  return w < 1.0 ? w : 2.0;
+}
+
 }  // namespace
 
 const std::vector<TupleId>& RankSweepResult::SetAt(double w1) const {
@@ -46,18 +79,10 @@ RankSweepResult SweepTopKSets2D(const PointSet& points, std::size_t k) {
   }
   k = std::min(k, n);
 
-  // Score line of tuple t: f_t(w) = intercept_t + w * slope_t.
-  auto intercept = [&](TupleId t) { return points.At(t, 1); };
-  auto slope = [&](TupleId t) {
-    return points.At(t, 0) - points.At(t, 1);
-  };
-  // Initial order just right of w = 0: by intercept, slope-tiebreak.
   std::vector<TupleId> order(n);
   std::iota(order.begin(), order.end(), 0);
   std::sort(order.begin(), order.end(), [&](TupleId a, TupleId b) {
-    if (intercept(a) != intercept(b)) return intercept(a) < intercept(b);
-    if (slope(a) != slope(b)) return slope(a) < slope(b);
-    return a < b;
+    return AboveAtZero(points, a, b);
   });
   std::vector<std::size_t> position(n);
   for (std::size_t i = 0; i < n; ++i) position[order[i]] = i;
@@ -67,17 +92,8 @@ RankSweepResult SweepTopKSets2D(const PointSet& points, std::size_t k) {
   // passed slightly below the sweep position so that cascades of
   // crossings at one weight (concurrent lines) are not lost.
   auto crossing = [&](TupleId upper, TupleId lower, double after) {
-    // Equal first attributes tie the scores exactly at w = 1 and
-    // nowhere else: there is no interior crossing. This test must be
-    // exact -- the generic formula below rounds such crossings to
-    // 1 - ulp, which would fabricate an interior breakpoint whose
-    // sliver segment carries a fully inverted (and wrong) order.
-    if (points.At(upper, 0) == points.At(lower, 0)) return 2.0;
-    const double slope_diff = slope(upper) - slope(lower);
-    if (slope_diff <= 0.0) return 2.0;  // upper stays at or below
-    const double w = (intercept(lower) - intercept(upper)) / slope_diff;
-    if (w < after || w >= 1.0) return 2.0;
-    return w;
+    const double w = CrossingWeight(points, upper, lower);
+    return w < after ? 2.0 : w;
   };
 
   std::priority_queue<SwapEvent, std::vector<SwapEvent>, EventLater> events;
@@ -151,19 +167,44 @@ RankSweepResult SweepTopKSets2D(const PointSet& points, std::size_t k) {
   return result;
 }
 
-std::vector<std::pair<double, double>> ReverseTopKIntervals2D(
-    const RankSweepResult& sweep, TupleId target) {
-  std::vector<std::pair<double, double>> intervals;
-  const std::size_t m = sweep.topk_sets.size();
-  for (std::size_t i = 0; i < m; ++i) {
-    const auto& set = sweep.topk_sets[i];
-    if (!std::binary_search(set.begin(), set.end(), target)) continue;
-    const double lo = i == 0 ? 0.0 : sweep.breakpoints[i - 1];
-    const double hi = i + 1 == m ? 1.0 : sweep.breakpoints[i];
-    if (!intervals.empty() && intervals.back().second >= lo) {
-      intervals.back().second = hi;  // merge adjacent intervals
+std::vector<WeightInterval> ReverseIntervals2D(
+    const PointSet& points, std::span<const TupleId> candidates,
+    TupleId target, std::size_t k) {
+  DRLI_CHECK_EQ(points.dim(), 2u);
+  // Each crossing with the target moves the count of candidates that
+  // beat it by one: a candidate above it stops beating it, one below
+  // starts.
+  struct Crossing {
+    double w;
+    bool starts_beating;
+    bool operator<(const Crossing& other) const { return w < other.w; }
+  };
+  std::vector<Crossing> crossings;
+  std::size_t beating = 0;
+  for (const TupleId u : candidates) {
+    if (u == target) continue;
+    const bool above = AboveAtZero(points, u, target);
+    beating += above;
+    const double w = above ? CrossingWeight(points, u, target)
+                           : CrossingWeight(points, target, u);
+    if (w < 1.0) crossings.push_back({w, !above});
+  }
+  std::sort(crossings.begin(), crossings.end());
+
+  std::vector<WeightInterval> intervals;
+  bool member = beating < k;
+  if (member) intervals.push_back({0.0, 1.0});
+  for (std::size_t i = 0; i < crossings.size();) {
+    const double w = crossings[i].w;
+    for (; i < crossings.size() && crossings[i].w <= w + kWeightTol; ++i) {
+      beating = crossings[i].starts_beating ? beating + 1 : beating - 1;
+    }
+    if ((beating < k) == member) continue;
+    member = !member;
+    if (member) {
+      intervals.push_back({w, 1.0});
     } else {
-      intervals.emplace_back(lo, hi);
+      intervals.back().hi = w;
     }
   }
   return intervals;

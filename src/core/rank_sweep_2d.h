@@ -2,21 +2,25 @@
 // from top-1 to top-k.
 //
 // For d = 2 the weight space is the segment w1 in (0,1) and every
-// tuple's score f_t(w1) = t_2 + w1 (t_1 - t_2) is a line, so the rank
-// order changes only where adjacent score lines cross. A kinetic sweep
-// maintains the full order from w1 -> 0+ to w1 -> 1- and records every
-// weight where the top-k SET changes. Two applications:
+// tuple's score f_t(w1) = t_2 + w1 (t_1 - t_2) is a line, so two
+// tuples change order at most once, where their score lines cross.
+// Two applications:
 //
 //  * the exact partition of the weight space by top-k answer set (the
-//    top-1 case is the paper's weight-range table);
+//    top-1 case is the paper's weight-range table): a kinetic sweep
+//    maintains the full order from w1 -> 0+ to w1 -> 1- and records
+//    every weight where the top-k SET changes;
 //  * monochromatic reverse top-k queries (Vlachou et al., ICDE'10 --
 //    the paper's reference [32]): for which weights is a given tuple
-//    among the top-k?
+//    among the top-k? Answered from the target's own crossings alone:
+//    its rank is the number of tuples that beat it, and each tuple
+//    beats it on one side of their single crossing weight.
 
 #ifndef DRLI_CORE_RANK_SWEEP_2D_H_
 #define DRLI_CORE_RANK_SWEEP_2D_H_
 
-#include <utility>
+#include <cstddef>
+#include <span>
 #include <vector>
 
 #include "common/point.h"
@@ -40,10 +44,25 @@ struct RankSweepResult {
 // the number of adjacent rank swaps.
 RankSweepResult SweepTopKSets2D(const PointSet& points, std::size_t k);
 
-// The w1-intervals (merged, ascending) on which `target` belongs to
-// the top-k. Endpoints are the sweep breakpoints (or 0/1).
-std::vector<std::pair<double, double>> ReverseTopKIntervals2D(
-    const RankSweepResult& sweep, TupleId target);
+// One maximal w1-range [lo, hi] (within [0, 1]) on which a tuple is in
+// the top-k set; endpoints are crossing weights or 0/1. At an exact-tie
+// crossing either neighbouring set is a valid answer, so interval ends
+// are reported closed.
+struct WeightInterval {
+  double lo = 0.0;
+  double hi = 0.0;
+};
+
+// The w1-intervals (disjoint, ascending) on which `target` is in the
+// top-k of `candidates` (ids into `points`, `target` among them) in
+// (score, id) order. Counts the candidates that beat the target just
+// right of w1 = 0, then walks their crossings with it in weight order;
+// crossings within the sweep's tolerance of one another apply together
+// before the count is tested, as the sweep's cascades do. O(m log m)
+// for m candidates, no stored sets.
+std::vector<WeightInterval> ReverseIntervals2D(
+    const PointSet& points, std::span<const TupleId> candidates,
+    TupleId target, std::size_t k);
 
 }  // namespace drli
 

@@ -295,7 +295,7 @@ wire::WireResult ExecuteWireQuery(const ServingGeneration& generation,
       wire::WireResult out =
           ReplyOf(result.termination, result.stats.tuples_evaluated,
                   result.error, generation.sequence);
-      // Every returned interval of a complete sweep is exact.
+      // Every returned interval of a complete count is exact.
       out.certified_prefix =
           result.complete() ? result.intervals.size() : 0;
       out.intervals.reserve(result.intervals.size());

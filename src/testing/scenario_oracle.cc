@@ -29,11 +29,12 @@ constexpr std::size_t kDiversifiedProbes = 2;
 // Reverse top-k probes (d == 2 datasets only).
 constexpr std::size_t kReverseProbes = 3;
 
-// Reverse-interval endpoints: the table breakpoint B/(B-A) and the
-// sweep crossing (ia-ib)/(sb-sa) are the same rational number computed
-// through different FP expressions; they agree to ~1 ulp, far inside
-// this tolerance, while genuinely distinct breakpoints on fuzz-scale
-// datasets sit far outside it.
+// Reverse-interval endpoints: the sweep's breakpoint and the count's
+// endpoint may be crossings of different pairs in one cascade of
+// (nearly) concurrent lines -- the same weight through different FP
+// expressions; they agree to ~1 ulp, far inside this tolerance, while
+// genuinely distinct breakpoints on fuzz-scale datasets sit far
+// outside it.
 constexpr double kIntervalEps = 1e-9;
 
 std::string DescribeBox(const AttributeBox& box) {
@@ -213,33 +214,39 @@ bool InTopK2D(const PointSet& points, TupleId target, std::size_t k,
 void RunReverseProbe(const ScenarioEngines& engines, const PointSet& points,
                      const ReverseTopKQuery& query, std::uint64_t seed,
                      Rng& rng, std::vector<std::string>* failures) {
-  const ReverseTopKResult want = ReverseTopK2DScan(points, query);
-  const ReverseTopKResult got = ReverseTopK2D(engines.dl, query);
+  const std::vector<WeightInterval> want = ReverseTopKIntervals2D(
+      SweepTopKSets2D(points, query.k), query.target);
   std::ostringstream tag;
   tag << "seed=" << seed << " reverse target=" << query.target
-      << " k=" << query.k
-      << (got.used_weight_table ? " (weight-table)" : " (sweep)");
-  if (!got.complete() || !want.complete()) {
-    failures->push_back(tag.str() + ": unbudgeted reverse did not complete");
-    return;
-  }
-  if (got.intervals.size() != want.intervals.size()) {
-    std::ostringstream out;
-    out << tag.str() << ": " << got.intervals.size() << " intervals, want "
-        << want.intervals.size();
-    failures->push_back(out.str());
-    return;
-  }
-  for (std::size_t i = 0; i < want.intervals.size(); ++i) {
-    if (std::abs(got.intervals[i].lo - want.intervals[i].lo) > kIntervalEps ||
-        std::abs(got.intervals[i].hi - want.intervals[i].hi) > kIntervalEps) {
-      std::ostringstream out;
-      out << tag.str() << ": interval " << i << " = [" << got.intervals[i].lo
-          << "," << got.intervals[i].hi << "] want [" << want.intervals[i].lo
-          << "," << want.intervals[i].hi << "]";
-      failures->push_back(out.str());
-      return;
+      << " k=" << query.k;
+  const auto check = [&](const char* engine, const ReverseTopKResult& got) {
+    if (!got.complete()) {
+      failures->push_back(tag.str() + " " + engine +
+                          ": unbudgeted reverse did not complete");
+      return false;
     }
+    std::ostringstream out;
+    out << tag.str() << " " << engine << ": ";
+    if (got.intervals.size() != want.size()) {
+      out << got.intervals.size() << " intervals, want " << want.size();
+      failures->push_back(out.str());
+      return false;
+    }
+    for (std::size_t i = 0; i < want.size(); ++i) {
+      if (std::abs(got.intervals[i].lo - want[i].lo) > kIntervalEps ||
+          std::abs(got.intervals[i].hi - want[i].hi) > kIntervalEps) {
+        out << "interval " << i << " = [" << got.intervals[i].lo << ","
+            << got.intervals[i].hi << "] want [" << want[i].lo << ","
+            << want[i].hi << "]";
+        failures->push_back(out.str());
+        return false;
+      }
+    }
+    return true;
+  };
+  if (!check("dl+", ReverseTopK2D(engines.dl, query)) ||
+      !check("scan", ReverseTopK2DScan(points, query))) {
+    return;
   }
   // Membership probes at random interior points of each interval (wide
   // intervals only: the probe must sit clear of both FP-fuzzy
@@ -251,7 +258,7 @@ void RunReverseProbe(const ScenarioEngines& engines, const PointSet& points,
   const auto interior = [&rng](double lo, double hi) {
     return lo + rng.Uniform(0.25, 0.75) * (hi - lo);
   };
-  for (const WeightInterval& iv : want.intervals) {
+  for (const WeightInterval& iv : want) {
     if (iv.hi - iv.lo <= 4 * kIntervalEps) continue;
     const double probe_w = interior(iv.lo, iv.hi);
     if (!InTopK2D(points, query.target, query.k, probe_w)) {
@@ -264,9 +271,8 @@ void RunReverseProbe(const ScenarioEngines& engines, const PointSet& points,
   // And inside the complementary gaps: there the target must NOT be a
   // member.
   double prev = 0.0;
-  for (std::size_t i = 0; i <= want.intervals.size(); ++i) {
-    const double next =
-        i < want.intervals.size() ? want.intervals[i].lo : 1.0;
+  for (std::size_t i = 0; i <= want.size(); ++i) {
+    const double next = i < want.size() ? want[i].lo : 1.0;
     if (next - prev > 4 * kIntervalEps) {
       const double probe_w = interior(prev, next);
       if (InTopK2D(points, query.target, query.k, probe_w)) {
@@ -277,11 +283,29 @@ void RunReverseProbe(const ScenarioEngines& engines, const PointSet& points,
         return;
       }
     }
-    if (i < want.intervals.size()) prev = want.intervals[i].hi;
+    if (i < want.size()) prev = want[i].hi;
   }
 }
 
 }  // namespace
+
+std::vector<WeightInterval> ReverseTopKIntervals2D(
+    const RankSweepResult& sweep, TupleId target) {
+  std::vector<WeightInterval> intervals;
+  const std::size_t m = sweep.topk_sets.size();
+  for (std::size_t i = 0; i < m; ++i) {
+    const auto& set = sweep.topk_sets[i];
+    if (!std::binary_search(set.begin(), set.end(), target)) continue;
+    const double lo = i == 0 ? 0.0 : sweep.breakpoints[i - 1];
+    const double hi = i + 1 == m ? 1.0 : sweep.breakpoints[i];
+    if (!intervals.empty() && intervals.back().hi >= lo) {
+      intervals.back().hi = hi;  // merge adjacent intervals
+    } else {
+      intervals.push_back({lo, hi});
+    }
+  }
+  return intervals;
+}
 
 std::vector<std::string> CheckScenarioFamilies(const PointSet& points,
                                                std::uint64_t seed) {

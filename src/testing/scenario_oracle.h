@@ -13,8 +13,9 @@
 //    and frontier soundness over the in-box universe;
 //  * diversified: every engine, and one budgeted DL+ run, against the
 //    brute-force greedy, pick by pick on (id, score, utility);
-//  * reverse (2-d): intervals against the sweep reference, plus
-//    membership probes inside and between them.
+//  * reverse (2-d): DL+ and the full-relation count against the
+//    kinetic sweep's read-out below, plus membership probes inside
+//    and between its intervals.
 //
 // Probes are deterministic in the seed, so every failure replays. Box
 // probes are built FROM data coordinates (two sampled tuples span the
@@ -31,6 +32,7 @@
 #include <vector>
 
 #include "common/point.h"
+#include "core/rank_sweep_2d.h"
 
 namespace drli {
 
@@ -40,6 +42,14 @@ namespace drli {
 // mismatch; empty means every probe agreed.
 std::vector<std::string> CheckScenarioFamilies(const PointSet& points,
                                                std::uint64_t seed);
+
+// The reverse top-k reference: the w1-intervals (merged, ascending) on
+// which `target` belongs to the kinetic sweep's top-k sets. Endpoints
+// are the sweep breakpoints (or 0/1). It reads the stored partition,
+// not the target's crossings, so it stays independent of the rule the
+// shipped ReverseIntervals2D runs.
+std::vector<WeightInterval> ReverseTopKIntervals2D(
+    const RankSweepResult& sweep, TupleId target);
 
 }  // namespace drli
 

@@ -6,6 +6,7 @@
 #include "core/rank_sweep_2d.h"
 #include "data/generator.h"
 #include "test_util.h"
+#include "testing/scenario_oracle.h"
 #include "topk/scan.h"
 
 namespace drli {
@@ -166,7 +167,7 @@ TEST(ReverseTopKTest, AdjacentIntervalsMerged) {
   for (TupleId target = 0; target < 10; ++target) {
     const auto intervals = ReverseTopKIntervals2D(sweep, target);
     for (std::size_t i = 0; i + 1 < intervals.size(); ++i) {
-      EXPECT_LT(intervals[i].second, intervals[i + 1].first);
+      EXPECT_LT(intervals[i].hi, intervals[i + 1].lo);
     }
   }
 }

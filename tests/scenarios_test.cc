@@ -10,6 +10,7 @@
 #include <cmath>
 #include <limits>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "gtest/gtest.h"
@@ -18,6 +19,7 @@
 #include "common/simd.h"
 #include "core/dual_layer.h"
 #include "core/index_registry.h"
+#include "core/rank_sweep_2d.h"
 #include "core/tiered_index.h"
 #include "data/generator.h"
 #include "geometry/box_tree.h"
@@ -1096,28 +1098,38 @@ TEST(DiversifiedTest, HugePoolFactorSaturatesAtTheRelation) {
 
 // --- reverse top-k ---
 
-TEST(ReverseTopKTest, FastPathMatchesSweepForK1) {
-  const PointSet points = GenerateIndependent(100, 2, 43);
-  const Engines engines = BuildEngines(points);
-  ASSERT_TRUE(engines.dl.uses_weight_table());
+// Both entry points against the kinetic sweep's read-out, interval by
+// interval at the oracle's 1e-9.
+void ExpectReverseMatchesSweep(const DualLayerIndex& dl,
+                               const PointSet& points, std::size_t k,
+                               const std::string& label) {
+  const RankSweepResult sweep = SweepTopKSets2D(points, k);
   for (TupleId target = 0; target < points.size(); ++target) {
+    const std::vector<WeightInterval> want =
+        ReverseTopKIntervals2D(sweep, target);
     ReverseTopKQuery query;
     query.target = target;
-    query.k = 1;
-    const ReverseTopKResult got = ReverseTopK2D(engines.dl, query);
-    const ReverseTopKResult want = ReverseTopK2DScan(points, query);
-    ASSERT_EQ(got.intervals.size(), want.intervals.size())
-        << "target " << target;
-    for (std::size_t i = 0; i < want.intervals.size(); ++i) {
-      EXPECT_NEAR(got.intervals[i].lo, want.intervals[i].lo, 1e-9);
-      EXPECT_NEAR(got.intervals[i].hi, want.intervals[i].hi, 1e-9);
+    query.k = k;
+    const ReverseTopKResult got_dl = ReverseTopK2D(dl, query);
+    const ReverseTopKResult got_scan = ReverseTopK2DScan(points, query);
+    for (const ReverseTopKResult* got : {&got_dl, &got_scan}) {
+      const std::string where = label + (got == &got_dl ? " dl+" : " scan") +
+                                " k=" + std::to_string(k) +
+                                " target=" + std::to_string(target);
+      ASSERT_TRUE(got->complete()) << where;
+      ASSERT_EQ(got->intervals.size(), want.size()) << where;
+      for (std::size_t i = 0; i < want.size(); ++i) {
+        EXPECT_NEAR(got->intervals[i].lo, want[i].lo, 1e-9) << where;
+        EXPECT_NEAR(got->intervals[i].hi, want[i].hi, 1e-9) << where;
+      }
     }
-    if (engines.dl.coarse_layer_of(target) == 0) {
-      EXPECT_TRUE(got.used_weight_table) << "target " << target;
-    } else {
-      // Deeper than layer 0: top-1 is empty, certified at zero cost.
-      EXPECT_TRUE(got.intervals.empty());
-      EXPECT_EQ(got.stats.tuples_evaluated, 0u);
+    // Acceleration: the layer pool never exceeds the relation, and
+    // deep targets cost nothing at all.
+    EXPECT_EQ(got_scan.stats.tuples_evaluated, points.size());
+    EXPECT_LE(got_dl.stats.tuples_evaluated, points.size());
+    if (dl.coarse_layer_of(target) >= k) {
+      EXPECT_EQ(got_dl.stats.tuples_evaluated, 0u) << label;
+      EXPECT_TRUE(got_dl.intervals.empty()) << label;
     }
   }
 }
@@ -1125,26 +1137,35 @@ TEST(ReverseTopKTest, FastPathMatchesSweepForK1) {
 TEST(ReverseTopKTest, LayerRestrictedSweepMatchesFullSweep) {
   const PointSet points = GenerateIndependent(70, 2, 47);
   const Engines engines = BuildEngines(points);
-  for (const std::size_t k : {std::size_t{2}, std::size_t{3}, std::size_t{5}}) {
-    for (TupleId target = 0; target < points.size(); ++target) {
-      ReverseTopKQuery query;
-      query.target = target;
-      query.k = k;
-      const ReverseTopKResult got = ReverseTopK2D(engines.dl, query);
-      const ReverseTopKResult want = ReverseTopK2DScan(points, query);
-      ASSERT_EQ(got.intervals.size(), want.intervals.size())
-          << "k=" << k << " target=" << target;
-      for (std::size_t i = 0; i < want.intervals.size(); ++i) {
-        EXPECT_NEAR(got.intervals[i].lo, want.intervals[i].lo, 1e-9);
-        EXPECT_NEAR(got.intervals[i].hi, want.intervals[i].hi, 1e-9);
-      }
-      // Acceleration: the restricted pool never exceeds the relation,
-      // and deep targets cost nothing at all.
-      EXPECT_LE(got.stats.tuples_evaluated, want.stats.tuples_evaluated);
-      if (engines.dl.coarse_layer_of(target) >= k) {
-        EXPECT_EQ(got.stats.tuples_evaluated, 0u);
-        EXPECT_TRUE(got.intervals.empty());
-      }
+  for (const std::size_t k : {1u, 2u, 3u, 5u}) {
+    ExpectReverseMatchesSweep(engines.dl, points, k, "ind");
+  }
+}
+
+// Ties and duplicates: an anticorrelated grid floored to eighths (many
+// concurrent score lines and repeated rows) and a collinear set whose
+// lines all cross at w1 = 1/2, where every rank changes at one weight.
+TEST(ReverseTopKTest, CrossingsMatchSweepOnTiesAndDuplicates) {
+  const PointSet ant = GenerateAnticorrelated(400, 2, 61);
+  PointSet grid(2);
+  for (std::size_t i = 0; i < ant.size(); ++i) {
+    grid.Add({std::floor(ant.At(i, 0) * 8) / 8,
+              std::floor(ant.At(i, 1) * 8) / 8});
+  }
+  PointSet collinear(2);
+  for (std::size_t i = 0; i < 48; ++i) {
+    const double x = static_cast<double>(i % 32) / 32;  // 16 duplicates
+    collinear.Add({x, 1.0 - x});
+  }
+  DualLayerOptions options;
+  options.build_zero_layer = true;
+  options.build_threads = 1;
+  for (const auto& [label, points] :
+       {std::pair<std::string, const PointSet*>{"grid", &grid},
+        {"collinear", &collinear}}) {
+    const DualLayerIndex dl = DualLayerIndex::Build(*points, options);
+    for (const std::size_t k : {1u, 3u, 5u}) {
+      ExpectReverseMatchesSweep(dl, *points, k, label);
     }
   }
 }

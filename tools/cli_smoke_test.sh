@@ -58,7 +58,9 @@ echo "$COMPARE_OUT" | grep -q "DG+"
 echo "$COMPARE_OUT" | grep -q "DL+"
 
 "$CLI" generate --dist=ind --n=300 --d=2 --seed=3 --out="$WORK/d2.csv" >/dev/null
-"$CLI" sweep --input="$WORK/d2.csv" --k=3 --reverse=0 | grep -q "weight-space partition"
+"$CLI" sweep --input="$WORK/d2.csv" --k=3 --reverse=0 >"$WORK/sweep.txt"
+grep -q "weight-space partition" "$WORK/sweep.txt"
+grep -q "reverse top-3 of tuple 0:" "$WORK/sweep.txt"
 
 # Query scenarios: constrained (box pushdown with the pruning counter),
 # diversified (greedy with utility column), reverse (interval answer).
@@ -95,7 +97,7 @@ done
 "$CLI" query --index="$WORK/index.bin" --weights=0.2,0.3,0.5 --k=4 \
   --lambda=0.5 | grep -q "utility"
 "$CLI" query --input="$WORK/d2.csv" --k=3 --reverse=0 \
-  | grep -q "reverse top-3 of tuple 0"
+  | grep -q "reverse top-3 of tuple 0 (.* tuples compared)"
 # An inverted box is legal and empty; a malformed box is rejected.
 "$CLI" query --index="$WORK/index.bin" --weights=0.2,0.3,0.5 --k=5 \
   --box=0.9:0.1,:,: | grep -q "constrained top-5"
@@ -242,6 +244,19 @@ expect_bad_value box "$CLI" "${Q[@]}" --weights=0.2,0.3,0.5 \
   --box=0.1:0.9x,:,:
 expect_bad_value n "$CLI" generate --n=2e3 --out="$WORK/z.csv"
 [ ! -e "$WORK/z.csv" ]
+# sweep: top-0 is a flag error, and an out-of-range reverse target
+# fails as it does for `query --reverse`, before anything is printed.
+expect_bad_value k "$CLI" sweep --input="$WORK/d2.csv" --k=0
+for cmd in sweep query; do
+  status=0
+  "$CLI" "$cmd" --input="$WORK/d2.csv" --k=3 --reverse=5000 \
+    >"$WORK/rev_out.txt" 2>"$WORK/rev_err.txt" || status=$?
+  if [ "$status" -ne 1 ] || [ -s "$WORK/rev_out.txt" ] ||
+      ! grep -q "target id out of range" "$WORK/rev_err.txt"; then
+    echo "expected $cmd --reverse=5000 to fail as out of range" >&2
+    exit 1
+  fi
+done
 if [ -n "$CLIENT" ]; then
   expect_bad_value port "$CLIENT" health --port=70000
   expect_bad_value k "$CLIENT" query --port=1 --weights=0.5,0.5 --k=5o

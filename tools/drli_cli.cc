@@ -443,6 +443,25 @@ void PrintTopKItems(const TopKResult& result) {
   }
 }
 
+// False, after naming the stop on stderr, when a reverse query did not
+// complete.
+bool ReverseCompleted(const ReverseTopKResult& result) {
+  if (result.complete()) return true;
+  std::fprintf(stderr, "reverse query stopped (%s): %s\n",
+               TerminationName(result.termination), result.error.c_str());
+  return false;
+}
+
+// The intervals of a reverse top-k answer, after its caption.
+void PrintIntervals(const std::vector<WeightInterval>& intervals,
+                    std::size_t k) {
+  if (intervals.empty()) std::printf(" never in the top-%zu", k);
+  for (const WeightInterval& iv : intervals) {
+    std::printf(" [%.5f, %.5f]", iv.lo, iv.hi);
+  }
+  std::printf("\n");
+}
+
 int CmdQuery(const Flags& flags) {
   const std::size_t k = GetSizeFlag(flags, "k", 10);
   const std::string index_path = GetFlag(flags, "index");
@@ -505,21 +524,12 @@ int CmdQuery(const Flags& flags) {
     Stopwatch timer;
     const ReverseTopKResult result = ReverseTopK2D(*dl, rquery);
     const double ms = timer.ElapsedMillis();
-    if (!result.complete()) {
-      std::fprintf(stderr, "reverse query stopped (%s): %s\n",
-                   TerminationName(result.termination), result.error.c_str());
-      return 1;
-    }
+    if (!ReverseCompleted(result)) return 1;
     std::printf("%s reverse top-%zu of tuple %u "
-                "(%.3f ms, %zu tuples swept%s):",
+                "(%.3f ms, %zu tuples compared):",
                 dl->name().c_str(), k, rquery.target, ms,
-                result.stats.tuples_evaluated,
-                result.used_weight_table ? ", via 2-d weight table" : "");
-    if (result.intervals.empty()) std::printf(" never in the top-%zu", k);
-    for (const WeightInterval& iv : result.intervals) {
-      std::printf(" [%.5f, %.5f]", iv.lo, iv.hi);
-    }
-    std::printf("\n");
+                result.stats.tuples_evaluated);
+    PrintIntervals(result.intervals, k);
     return 0;
   }
 
@@ -711,6 +721,18 @@ int CmdSweep(const Flags& flags) {
     return 2;
   }
   const std::size_t k = GetSizeFlag(flags, "k", 5);
+  if (k == 0) cli::Reject("k", "0", "a positive integer");
+  // The reverse query validates its target before anything is printed.
+  ReverseTopKQuery rquery;
+  rquery.k = k;
+  ReverseTopKResult reverse;
+  const bool want_reverse = flags.count("reverse") != 0;
+  if (want_reverse) {
+    rquery.target = static_cast<TupleId>(
+        GetSizeFlag(flags, "reverse", 0, kInvalidTupleId - 1));
+    reverse = ReverseTopK2DScan(dataset.value().points(), rquery);
+    if (!ReverseCompleted(reverse)) return 1;
+  }
   const RankSweepResult sweep =
       SweepTopKSets2D(dataset.value().points(), k);
   std::printf("top-%zu weight-space partition: %zu intervals\n", k,
@@ -730,16 +752,9 @@ int CmdSweep(const Flags& flags) {
     std::printf("  ... (%zu more intervals)\n",
                 sweep.topk_sets.size() - limit);
   }
-  if (flags.count("reverse") != 0) {
-    const auto target = static_cast<TupleId>(
-        GetSizeFlag(flags, "reverse", 0, kInvalidTupleId - 1));
-    const auto intervals = ReverseTopKIntervals2D(sweep, target);
-    std::printf("reverse top-%zu of tuple %u:", k, target);
-    if (intervals.empty()) std::printf(" never in the top-%zu", k);
-    for (const auto& [lo, hi] : intervals) {
-      std::printf(" [%.5f, %.5f]", lo, hi);
-    }
-    std::printf("\n");
+  if (want_reverse) {
+    std::printf("reverse top-%zu of tuple %u:", k, rquery.target);
+    PrintIntervals(reverse.intervals, k);
   }
   return 0;
 }
