@@ -88,7 +88,7 @@ TopKResult ListIndex::QueryFa(const TopKQuery& query) const {
   // Nothing is scored yet, so the step budget cannot trip here; the
   // gate still honours deadlines and cancellation.
   std::unordered_map<TupleId, std::size_t> seen_count;
-  seen_count.reserve(4 * query.k * d);
+  seen_count.reserve(std::min(4 * std::min(query.k, n) * d, n));
   std::size_t fully_seen = 0;
   for (std::size_t pos = 0; pos < n && fully_seen < query.k; ++pos) {
     if (stop = gate.Step(result.stats.tuples_evaluated);

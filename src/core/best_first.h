@@ -1,6 +1,6 @@
 // The best-first loop (Algorithm 2's priority-queue walk; DESIGN.md §7,
-// "Scatter-gather with frontier pruning") shared by the traversals
-// outside DL+'s own hot loop: the bounded-partition merge
+// "Scatter-gather with frontier pruning") of DL+'s traversal
+// (core/dual_layer_query.cc), the bounded-partition merge
 // (core/partition_merge.h) and the constrained forest walk
 // (scenarios/constrained.h, DESIGN.md §9).
 //
@@ -11,11 +11,13 @@
 // cover (the unit it could not afford, a partition that tripped).
 // A stopped walk's frontier is min(floor, key of the next heap entry).
 //
-// The certificate needs popped keys never to decrease (checked under
-// DRLI_DCHECK): a unit pushed while expanding must key at or above the
-// unit being expanded. Both users meet it -- a box-tree child's corner
-// dominates its parent's, and an opened partition's items score at or
-// above its sound corner bound.
+// The certificate needs a unit pushed while expanding to key at or
+// above the unit being expanded, less the caller's slack (checked
+// under DRLI_DCHECK). The merge and the forest walk pass 0 -- a
+// box-tree child's corner dominates its parent's, and an opened
+// partition's items score at or above its sound corner bound. DL+
+// passes StopSlack(w): a freed tuple can score up to that much below
+// the tuple that unlocked it.
 
 #ifndef DRLI_CORE_BEST_FIRST_H_
 #define DRLI_CORE_BEST_FIRST_H_
@@ -66,22 +68,25 @@ template <typename Unit>
 class BestFirst {
  public:
   void Reserve(std::size_t n) { heap_.reserve(n); }
+  // Empties the heap; its storage is kept for the next walk.
+  void Clear() { heap_.clear(); }
 
   void Push(const Unit& unit) {
     heap_.push_back(unit);
-    std::push_heap(heap_.begin(), heap_.end(), After);
+    std::push_heap(heap_.begin(), heap_.end(), After{});
   }
 
   // Pops units best first into `expand` (Unit -> BestFirstStep) until
-  // the heap runs dry or a step ends or stops the walk.
+  // the heap runs dry or a step ends or stops the walk. `slack` >= 0 is
+  // how far a pop may key below the one before it.
   template <typename Expand>
-  BestFirstEnd Run(Expand&& expand) {
+  BestFirstEnd Run(Expand&& expand, double slack = 0.0) {
     double last = -std::numeric_limits<double>::infinity();
     while (!heap_.empty()) {
-      std::pop_heap(heap_.begin(), heap_.end(), After);
+      std::pop_heap(heap_.begin(), heap_.end(), After{});
       const Unit unit = heap_.back();
       heap_.pop_back();
-      DRLI_DCHECK(unit.key >= last);
+      DRLI_DCHECK(unit.key >= last - slack);
       last = unit.key;
       const BestFirstStep step = expand(unit);
       if (step.end) break;
@@ -95,11 +100,14 @@ class BestFirst {
   }
 
  private:
-  // "a pops after b": the heap is a max-heap under this order.
-  static bool After(const Unit& a, const Unit& b) {
-    if (a.key != b.key) return a.key > b.key;
-    return a.tie > b.tie;
-  }
+  // "a pops after b": the heap is a max-heap under this order. A type,
+  // not a function pointer, so every heap step inlines it.
+  struct After {
+    bool operator()(const Unit& a, const Unit& b) const {
+      if (a.key != b.key) return a.key > b.key;
+      return a.tie > b.tie;
+    }
+  };
 
   std::vector<Unit> heap_;
 };

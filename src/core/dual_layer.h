@@ -42,6 +42,7 @@
 #include "common/csr.h"
 #include "common/point.h"
 #include "common/soa_points.h"
+#include "core/best_first.h"
 #include "core/eds.h"
 #include "core/zero_layer.h"
 #include "geometry/box_tree.h"
@@ -229,8 +230,8 @@ class QueryScratch {
   QueryScratch() = default;
 
   struct HeapEntry {
-    double score;
-    std::uint32_t node;  // original node id -- the tie-break key
+    double key;          // score
+    std::uint32_t tie;   // original node id -- the tie-break key
     std::uint32_t slot;  // layout slot -- the memory key
   };
   // Per-slot traversal state. The layout's init word rides in the same
@@ -254,8 +255,8 @@ class QueryScratch {
   std::uint64_t generation_ = 0;
   std::uint32_t epoch_ = 0;
   std::vector<NodeState> nodes_;
-  // Min-heap storage (std::push_heap/pop_heap); capacity persists.
-  std::vector<HeapEntry> heap_;
+  // The traversal's heap; its capacity persists across queries.
+  BestFirst<HeapEntry> heap_;
   // Slots freed during one pop's expansion, scored in one batched
   // kernel call before being enqueued.
   std::vector<std::uint32_t> freed_;

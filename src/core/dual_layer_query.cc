@@ -1,4 +1,5 @@
 #include <algorithm>
+#include <cmath>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -12,21 +13,6 @@
 #include "core/dual_layer.h"
 
 namespace drli {
-
-namespace {
-
-// Orders the scratch heap as a min-heap on (score, original node id).
-// The node id -- not the slot -- is the tie-break key, so the pop
-// sequence is identical to the node-space traversal's.
-struct HeapEntryGreater {
-  bool operator()(const QueryScratch::HeapEntry& a,
-                  const QueryScratch::HeapEntry& b) const {
-    if (a.score != b.score) return a.score > b.score;
-    return a.node > b.node;
-  }
-};
-
-}  // namespace
 
 bool QueryScratch::Prepare(const QueryLayout& layout) {
   const bool seed = generation_ != layout.generation;
@@ -52,7 +38,7 @@ bool QueryScratch::Prepare(const QueryLayout& layout) {
     for (NodeState& node : nodes_) node.stamp = 0;
     epoch_ = 1;
   }
-  heap_.clear();
+  heap_.Clear();
   freed_.clear();
   push_scores_.clear();
   return seed;
@@ -127,9 +113,7 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
   const QueryLayout& layout = layout_;
   QueryScratch& s = *scratch;
   result.stats.scratch_seeds = s.Prepare(layout) ? 1 : 0;
-  if (s.heap_.capacity() < layout.initial_slots.size() + 16) {
-    s.heap_.reserve(layout.initial_slots.size() + 16);
-  }
+  s.heap_.Reserve(layout.initial_slots.size() + 16);
   // One allocation each instead of a doubling chain; the typical query
   // evaluates a few dozen tuples per answer slot.
   result.items.reserve(k + 8);
@@ -249,8 +233,7 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
       // that does.
       if (score > push_above) continue;
       st[slot].packed |= QueryLayout::kQueuedBit;
-      s.heap_.push_back(QueryScratch::HeapEntry{score, node, slot});
-      std::push_heap(s.heap_.begin(), s.heap_.end(), HeapEntryGreater{});
+      s.heap_.Push(QueryScratch::HeapEntry{score, node, slot});
     }
     s.freed_.clear();
   };
@@ -258,7 +241,13 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
   if (use_weight_table_ && !weight_table_.empty()) {
     // With the 2-d weight table, L^{11} chain tuples other than the
     // looked-up top-1 candidate start locked and unlock along the chain.
-    const std::size_t top1 = weight_table_.Lookup(query.weights[0]);
+    // The table is keyed by w1 on the simplex w1 + w2 = 1. Only the
+    // direction of the weights matters, so a vector off the simplex is
+    // scaled onto it; one on it up to rounding is looked up as given.
+    const double sum = query.weights[0] + query.weights[1];
+    const std::size_t top1 = weight_table_.Lookup(
+        std::abs(sum - 1.0) <= 1e-12 ? query.weights[0]
+                                     : query.weights[0] / sum);
     const std::vector<TupleId>& chain = weight_table_.chain();
     for (std::size_t pos = 0; pos < chain.size(); ++pos) {
       QueryScratch::NodeState& ns = touch(layout.slot_of[chain[pos]]);
@@ -272,42 +261,32 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
   }
   flush_freed();
 
-  // Set when the budget gate trips; the heap minimum at that pop
-  // boundary becomes the certification frontier.
-  Termination stop = Termination::kComplete;
-  double frontier = -std::numeric_limits<double>::infinity();
-
-  while (!s.heap_.empty()) {
+  const BestFirstEnd end = s.heap_.Run([&](const auto& top) {
     // Every blocked node has an in-heap ancestor scoring at most
     // `slack` above it, so once the heap minimum is more than the slack
     // above the k-th answer no tie can be hiding behind a blocked node
     // and the query is done.
-    if (result.items.size() >= k &&
-        s.heap_.front().score > stop_above) {
-      break;
+    if (result.items.size() >= k && top.key > stop_above) {
+      return BestFirstStep::End();
     }
     // Budget check at the pop boundary. The same invariant that powers
     // the stop rule above makes the partial result certifiable: every
-    // unreturned tuple is in the heap, behind an in-heap ancestor
-    // (score >= heap minimum - slack), or behind a tie-filtered probe
-    // (score > tie_cutoff + slack), so min(heap minimum - slack,
-    // tie_cutoff) lower-bounds all of them.
-    if (stop = gate.Step(result.stats.tuples_evaluated);
+    // unreturned tuple is in the heap (key >= the popped one), behind
+    // an in-heap ancestor (score >= heap minimum - slack), or behind a
+    // tie-filtered probe (score > tie_cutoff + slack), so
+    // min(popped key - slack, tie_cutoff) lower-bounds all of them.
+    if (const Termination stop = gate.Step(result.stats.tuples_evaluated);
         stop != Termination::kComplete) {
-      frontier = std::min(s.heap_.front().score - slack, tie_cutoff);
-      break;
+      return BestFirstStep::Stop(stop, std::min(top.key - slack, tie_cutoff));
     }
-    std::pop_heap(s.heap_.begin(), s.heap_.end(), HeapEntryGreater{});
-    const QueryScratch::HeapEntry top = s.heap_.back();
-    s.heap_.pop_back();
     const std::uint32_t slot = top.slot;
     st[slot].packed =
         (st[slot].packed & ~QueryLayout::kStateMask) | QueryLayout::kPoppedBit;
 
     if (slot >= layout.first_real_slot && live(slot)) {
-      result.items.push_back(ScoredTuple{top.node, top.score});
+      result.items.push_back(ScoredTuple{top.tie, top.key});
       if (result.items.size() == k) {
-        tie_cutoff = top.score;
+        tie_cutoff = top.key;
         stop_above = tie_cutoff + slack;
       }
     }
@@ -362,9 +341,9 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
       }
     }
     // Chain neighbours (2-d zero layer).
-    if (use_weight_table_ && chain_pos_[top.node] != kNoFineLayer) {
+    if (use_weight_table_ && chain_pos_[top.tie] != kNoFineLayer) {
       const std::vector<TupleId>& chain = weight_table_.chain();
-      const std::size_t pos = chain_pos_[top.node];
+      const std::size_t pos = chain_pos_[top.tie];
       const auto unlock = [&](std::size_t neighbour) {
         ++edges;
         const std::uint32_t nslot = layout.slot_of[chain[neighbour]];
@@ -378,7 +357,8 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
       if (pos + 1 < chain.size()) unlock(pos + 1);
     }
     flush_freed();
-  }
+    return BestFirstStep::Continue();
+  }, slack);
   // Equal-score tuples freed late (they were ∃- or chain-blocked behind
   // an equal-score node) pop out of id order; restore the canonical
   // (score, id) order and drop surplus ties beyond k. Without such ties
@@ -387,14 +367,10 @@ TopKResult DualLayerIndex::Query(const TopKQuery& query,
                       ResultOrderLess)) {
     std::sort(result.items.begin(), result.items.end(), ResultOrderLess);
   }
+  // Surplus ties dropped here score >= tie_cutoff >= any stopped
+  // walk's frontier, so they never invalidate the certified prefix.
   if (result.items.size() > k) result.items.resize(k);
-  if (stop == Termination::kComplete) {
-    FinalizeComplete(result);
-  } else {
-    // Surplus ties dropped by the resize above score >= tie_cutoff >=
-    // frontier, so they never invalidate the certified prefix.
-    FinalizePartial(result, stop, frontier);
-  }
+  end.Finalize(result);
   result.stats.edges_walked = edges;
   result.stats.elapsed_seconds = timer.ElapsedSeconds();
   return result;

@@ -84,11 +84,11 @@ struct ExecBudget {
   }
 };
 
-// A linear top-k query: non-negative finite weights summing to 1 (at
-// least one strictly positive), and the retrieval size k. Lower scores
-// are better. Zero weights are legal in every family -- queries on the
-// weight-simplex boundary arise naturally from reverse top-k slope
-// intervals and constrained scenarios (see ValidateQuery).
+// A linear top-k query: finite non-negative weights, one per attribute
+// and at least one positive, that need not sum to 1 (ValidateQuery),
+// and the retrieval size k. Lower scores are better. Zero weights are
+// legal in every family -- queries on the weight-simplex boundary arise
+// naturally from reverse top-k slope intervals and constrained scenarios.
 struct TopKQuery {
   Point weights;
   std::size_t k = 1;

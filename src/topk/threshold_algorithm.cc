@@ -9,7 +9,10 @@
 
 namespace drli {
 
-TopKHeap::TopKHeap(std::size_t k) : k_(k) { heap_.reserve(k); }
+// k may be anything up to SIZE_MAX; past 4096 the heap grows on demand.
+TopKHeap::TopKHeap(std::size_t k) : k_(k) {
+  heap_.reserve(std::min<std::size_t>(k, 4096));
+}
 
 void TopKHeap::Push(ScoredTuple t) {
   if (k_ == 0) return;

@@ -1,20 +1,26 @@
 // The best-first loop (core/best_first.h): its own contract driven
 // with a toy unit type -- pop order, the stop frontier, an empty heap
-// and k = 0 -- and its two users pinned to recorded rows.
+// and k = 0 -- and its three users pinned to recorded rows.
 //
-// Two goldens pin the partition merge and the constrained forest walk
-// bit for bit: termination, certified prefix, frontier bits, the cost
-// counters and hashes of the items and of `accessed`, over the
-// fixtures GoldenRows() rebuilds below.
+// Three goldens pin DL+'s traversal, the partition merge and the
+// constrained forest walk bit for bit: termination, certified prefix,
+// frontier bits, the cost counters and hashes of the items and of
+// `accessed`, over the fixtures GoldenRows() and PlainGoldenRows()
+// rebuild below.
 // tests/golden/best_first_v1.txt was written by a stand-alone program
-// linked against the library before both walks moved onto the loop; it
+// linked against the library before the merge and the constrained walk
+// moved onto the loop; it
 // still pins the dl+ constrained rows and the plain sdl+4h and tdl+64
 // rows. Its sdl+4h and tdl+64 constrained rows record the walk as it
 // was when those engines merged whole shards and runs; the forest walk
 // over every partition's box tree evaluates fewer tuples there, so
 // those rows are pinned by tests/golden/best_first_v2.txt instead,
 // written by the forest walk, and every complete one must also answer
-// like the in-box scan over the engine's live rows. Neither file is
+// like the in-box scan over the engine's live rows.
+// tests/golden/best_first_v3.txt was written the same way as v1,
+// before DL+'s traversal left its own heap for the loop; it pins plain
+// single-index dl, dl+ and dg+ queries, which v1 and v2 reach only
+// through dl+'s constrained rows and the sdl+/tdl+ members. No file is
 // regenerated; a change that alters these costs on purpose records a
 // new version.
 
@@ -35,10 +41,12 @@
 #include "gtest/gtest.h"
 
 #include "common/random.h"
+#include "core/dual_layer.h"
 #include "core/index_registry.h"
 #include "core/tiered_index.h"
 #include "data/generator.h"
 #include "scenarios/constrained.h"
+#include "topk/scan.h"
 
 #ifndef DRLI_TEST_GOLDEN_DIR
 #error "DRLI_TEST_GOLDEN_DIR must point at tests/golden"
@@ -198,11 +206,38 @@ TEST(BestFirstTest, EmptyHeapAndZeroKEndComplete) {
   }
 }
 
-// Fixtures of the best-first goldens (tests/golden/best_first_v*.txt):
-// the constrained walk on dl+, sdl+4h and a tiered engine, and the
-// plain merge on sdl+4h and the tiered engine, over IND and ANT at
-// d = 3 and 4, k = 1, 10 and 37, unbudgeted, at max_evals cuts of 1/3
-// and 2/3 of the unbudgeted cost, and under two cancel fuses.
+// DL+'s use: a freed tuple may key up to the caller's slack below the
+// tuple that freed it (the monotone-pop DCHECK allows exactly that),
+// and Clear empties the heap between queries.
+TEST(BestFirstTest, SlackAllowsPushesJustBelowThePop) {
+  BestFirst<ToyUnit> walk;
+  walk.Push({1.0, 0});
+  walk.Push({2.0, 1});
+  std::vector<std::uint32_t> popped;
+  const BestFirstEnd end = walk.Run(
+      [&](const ToyUnit& unit) {
+        popped.push_back(unit.tie);
+        if (unit.tie == 0) walk.Push({0.95, 2});
+        return BestFirstStep::Continue();
+      },
+      /*slack=*/0.1);
+  EXPECT_EQ(popped, (std::vector<std::uint32_t>{0, 2, 1}));
+  EXPECT_EQ(end.termination, Termination::kComplete);
+
+  walk.Push({3.0, 3});
+  walk.Clear();
+  std::size_t calls = 0;
+  walk.Run([&](const ToyUnit&) {
+    ++calls;
+    return BestFirstStep::Continue();
+  });
+  EXPECT_EQ(calls, 0u);
+}
+
+// Fixtures of tests/golden/best_first_v1.txt and v2.txt: the
+// constrained walk on dl+, sdl+4h and a tiered engine, and the plain
+// merge on sdl+4h and the tiered engine, over IND and ANT at d = 3 and
+// 4, k = 1, 10 and 37, under RunGoldenBudgets (below).
 constexpr std::size_t kGoldenN = 1200;
 constexpr std::size_t kGoldenWeights = 3;
 
@@ -249,10 +284,42 @@ std::string GoldenRow(const std::string& label, const TopKResult& result) {
 struct GoldenEntry {
   std::string text;
   bool v2 = false;  // an sdl+4h or tdl+64 constrained row
-  // A complete constrained row whose items differ from the in-box scan
-  // over its engine's live rows.
+  // A complete row whose items differ from the (in-box) scan over its
+  // engine's live rows.
   bool scan_mismatch = false;
 };
+
+struct NamedDistribution {
+  const char* name;
+  Distribution dist;
+};
+constexpr NamedDistribution kDistributions[] = {
+    {"ind", Distribution::kIndependent},
+    {"ant", Distribution::kAnticorrelated},
+};
+
+// Runs `run` (ExecBudget -> TopKResult) unbudgeted, at max_evals cuts
+// of 1/3 and 2/3 of the unbudgeted cost and under two cancel fuses,
+// handing each result to `add` with its budget label.
+template <typename Run, typename Add>
+void RunGoldenBudgets(const Run& run, const Add& add) {
+  const TopKResult full = run(ExecBudget{});
+  add("none", full);
+  const std::size_t cost = full.stats.tuples_evaluated;
+  for (std::size_t cut : {std::max<std::size_t>(1, cost / 3),
+                          std::max<std::size_t>(1, 2 * cost / 3)}) {
+    ExecBudget budget;
+    budget.max_evals = cut;
+    add("evals=" + std::to_string(cut), run(budget));
+  }
+  for (std::size_t fuse : {std::size_t{1}, cost / 4 + 2}) {
+    CancelToken token;
+    token.CancelAfterChecks(fuse);
+    ExecBudget budget;
+    budget.cancel = &token;
+    add("cancel=" + std::to_string(fuse), run(budget));
+  }
+}
 
 // tdl+64 over the first two thirds of `points`, every 5th id erased,
 // compacted into one run; then the last third inserted (new runs and a
@@ -281,14 +348,6 @@ std::unique_ptr<TopKIndex> BuildTiered(const PointSet& points) {
 }
 
 std::vector<GoldenEntry> GoldenRows() {
-  struct NamedDistribution {
-    const char* name;
-    Distribution dist;
-  };
-  constexpr NamedDistribution kDistributions[] = {
-      {"ind", Distribution::kIndependent},
-      {"ant", Distribution::kAnticorrelated},
-  };
   std::vector<GoldenEntry> rows;
   for (const NamedDistribution& dist : kDistributions) {
     for (std::size_t d = 3; d <= 4; ++d) {
@@ -334,13 +393,14 @@ std::vector<GoldenEntry> GoldenRows() {
         // Query on sdl+4h and tdl+64.
         for (std::size_t call = 0; call < 5; ++call) {
           const TopKIndex& engine = *engines[call < 3 ? call : call - 2];
-          const auto run = [&](const ConstrainedQuery& q) {
+          const auto run = [&](const ExecBudget& budget) {
+            ConstrainedQuery q = query;
+            q.budget = budget;
             return call < 3 ? ConstrainedTopK(engine, q)
-                            : engine.Query(TopKQuery{q.weights, q.k, q.budget});
+                            : engine.Query(TopKQuery{q.weights, q.k, budget});
           };
           for (std::size_t k : {1, 10, 37}) {
             query.k = k;
-            query.budget = ExecBudget{};
             char prefix[96];
             std::snprintf(prefix, sizeof(prefix), "%s %zu %s %s %zu %zu",
                           dist.name, d, names[call < 3 ? call : call - 2],
@@ -352,33 +412,15 @@ std::vector<GoldenEntry> GoldenRows() {
                                           result),
                                 v2};
               if (call < 3 && result.complete()) {
-                ConstrainedQuery unbudgeted = query;
-                unbudgeted.budget = ExecBudget{};
                 const TopKResult scan =
-                    call == 2
-                        ? ConstrainedScanRows(live_rows, live_ids, unbudgeted)
-                        : ConstrainedScanRows(points, all_ids, unbudgeted);
+                    call == 2 ? ConstrainedScanRows(live_rows, live_ids, query)
+                              : ConstrainedScanRows(points, all_ids, query);
                 entry.scan_mismatch =
                     ItemsHash(scan.items) != ItemsHash(result.items);
               }
               rows.push_back(std::move(entry));
             };
-            const TopKResult full = run(query);
-            add("none", full);
-            const std::size_t cost = full.stats.tuples_evaluated;
-            for (std::size_t cut : {std::max<std::size_t>(1, cost / 3),
-                                    std::max<std::size_t>(1, 2 * cost / 3)}) {
-              ConstrainedQuery budgeted = query;
-              budgeted.budget.max_evals = cut;
-              add("evals=" + std::to_string(cut), run(budgeted));
-            }
-            for (std::size_t fuse : {std::size_t{1}, cost / 4 + 2}) {
-              CancelToken token;
-              token.CancelAfterChecks(fuse);
-              ConstrainedQuery budgeted = query;
-              budgeted.budget.cancel = &token;
-              add("cancel=" + std::to_string(fuse), run(budgeted));
-            }
+            RunGoldenBudgets(run, add);
           }
         }
       }
@@ -430,6 +472,89 @@ TEST(BestFirstTest, ForestWalkMatchesItsGolden) {
   ASSERT_EQ(moved.size(), golden.size());
   for (std::size_t i = 0; i < moved.size(); ++i) {
     EXPECT_EQ(moved[i]->text, golden[i]) << "v2 row " << i;
+  }
+}
+
+// Fixtures of tests/golden/best_first_v3.txt: plain single-index
+// queries on dl, dl+, dg+ and a dl+ with every 5th id retired
+// ("dl+r"), over IND and ANT at d = 2 (where dl+ answers through the
+// weight table), 3 and 4, k = 1, 10 and 37, under RunGoldenBudgets.
+std::vector<GoldenEntry> PlainGoldenRows() {
+  constexpr std::size_t kRetireEvery = 5;
+  std::vector<GoldenEntry> rows;
+  for (const NamedDistribution& dist : kDistributions) {
+    for (std::size_t d = 2; d <= 4; ++d) {
+      const PointSet points = Generate(dist.dist, kGoldenN, d, 4700 + d);
+      const char* const names[4] = {"dl", "dl+", "dg+", "dl+r"};
+      std::unique_ptr<TopKIndex> engines[4];
+      for (std::size_t e = 0; e < 4; ++e) {
+        IndexBuildConfig config;
+        config.kind = e == 3 ? "dl+" : names[e];
+        auto built = BuildIndex(config, points);
+        if (!built.ok()) return {};
+        engines[e] = std::move(built).value();
+      }
+      auto* retired = dynamic_cast<DualLayerIndex*>(engines[3].get());
+      if (retired == nullptr) return {};
+      PointSet live_rows(d);
+      std::vector<TupleId> live_ids;
+      for (std::size_t id = 0; id < points.size(); ++id) {
+        if (id % kRetireEvery == 0) {
+          retired->Retire(static_cast<TupleId>(id));
+        } else {
+          live_rows.Add(points[id]);
+          live_ids.push_back(static_cast<TupleId>(id));
+        }
+      }
+
+      Rng rng(470 + d);
+      for (std::size_t weight = 0; weight < kGoldenWeights; ++weight) {
+        const Point weights = rng.SimplexWeight(d);
+        for (std::size_t e = 0; e < 4; ++e) {
+          for (const std::size_t k : {1, 10, 37}) {
+            char prefix[96];
+            std::snprintf(prefix, sizeof(prefix), "%s %zu %s plain %zu %zu",
+                          dist.name, d, names[e], k, weight);
+            const auto run = [&](const ExecBudget& budget) {
+              return engines[e]->Query(TopKQuery{weights, k, budget});
+            };
+            const auto add = [&](const std::string& budget,
+                                 const TopKResult& result) {
+              GoldenEntry entry{
+                  GoldenRow(std::string(prefix) + " " + budget, result)};
+              if (result.complete()) {
+                TopKResult scan = Scan(e == 3 ? live_rows : points,
+                                       TopKQuery{weights, k});
+                if (e == 3) {
+                  for (ScoredTuple& item : scan.items) {
+                    item.id = live_ids[item.id];
+                  }
+                }
+                entry.scan_mismatch =
+                    ItemsHash(scan.items) != ItemsHash(result.items);
+              }
+              rows.push_back(std::move(entry));
+            };
+            RunGoldenBudgets(run, add);
+          }
+        }
+      }
+    }
+  }
+  return rows;
+}
+
+// Plain dl, dl+, dg+ and retired-member dl+ queries match the golden
+// written before DL+'s traversal moved onto the loop, row for row, and
+// every complete row answers like the scan over the index's live rows.
+TEST(BestFirstTest, DualLayerQueryMatchesItsGolden) {
+  const std::vector<std::string> golden = ReadGolden("best_first_v3.txt");
+  const std::vector<GoldenEntry> rows = PlainGoldenRows();
+  ASSERT_EQ(rows.size(), 1080u);
+  ASSERT_EQ(rows.size(), golden.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    EXPECT_EQ(rows[i].text, golden[i]) << "v3 row " << i;
+    EXPECT_FALSE(rows[i].scan_mismatch) << rows[i].text;
   }
 }
 

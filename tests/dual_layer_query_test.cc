@@ -1,10 +1,13 @@
 #include <cstddef>
 #include <limits>
+#include <string>
 
 #include "gtest/gtest.h"
 
 #include "core/dual_layer.h"
+#include "core/index_registry.h"
 #include "data/generator.h"
+#include "scenarios/constrained.h"
 #include "test_util.h"
 #include "topk/scan.h"
 
@@ -103,21 +106,44 @@ TEST(DualLayerQueryTest, HugeKReturnsEverything) {
   plus.build_zero_layer = true;
   const Point weights = {0.2, 0.3, 0.5};
   const TopKResult want = Scan(pts, TopKQuery{weights, pts.size()});
+  constexpr std::size_t kHugeKs[] = {std::size_t{1} << 40,
+                                     std::size_t{1} << 62,
+                                     std::numeric_limits<std::size_t>::max()};
+  const auto expect_everything = [&](const TopKResult& got,
+                                     const std::string& what) {
+    ASSERT_TRUE(got.complete()) << what << ": " << got.error;
+    EXPECT_EQ(got.certified_prefix, pts.size()) << what;
+    ASSERT_EQ(got.items.size(), want.items.size()) << what;
+    for (std::size_t i = 0; i < want.items.size(); ++i) {
+      EXPECT_EQ(got.items[i].id, want.items[i].id) << what << " rank " << i;
+      EXPECT_EQ(got.items[i].score, want.items[i].score) << what;
+    }
+  };
   for (const DualLayerOptions& options : {DualLayerOptions{}, plus}) {
     const DualLayerIndex index = DualLayerIndex::Build(pts, options);
-    for (const std::size_t k :
-         {std::size_t{1} << 40, std::size_t{1} << 62,
-          std::numeric_limits<std::size_t>::max()}) {
+    for (const std::size_t k : kHugeKs) {
       const TopKResult got = index.Query(TopKQuery{weights, k});
-      ASSERT_TRUE(got.complete()) << got.error;
-      EXPECT_EQ(got.certified_prefix, pts.size());
       EXPECT_EQ(got.stats.tuples_evaluated, pts.size());
-      ASSERT_EQ(got.items.size(), want.items.size()) << k;
-      for (std::size_t i = 0; i < want.items.size(); ++i) {
-        EXPECT_EQ(got.items[i].id, want.items[i].id) << k << " rank " << i;
-        EXPECT_EQ(got.items[i].score, want.items[i].score) << k;
-      }
+      expect_everything(got, "k = " + std::to_string(k));
     }
+  }
+  // The TopKIndex contract holds for every kind and the constrained
+  // scan: a k past n answers all n tuples and never throws.
+  for (const std::string& kind : KnownIndexKinds()) {
+    IndexBuildConfig config;
+    config.kind = kind;
+    auto built = BuildIndex(config, pts);
+    ASSERT_TRUE(built.ok()) << kind;
+    for (const std::size_t k : kHugeKs) {
+      expect_everything(built.value()->Query(TopKQuery{weights, k}),
+                        kind + " k = " + std::to_string(k));
+    }
+  }
+  for (const std::size_t k : kHugeKs) {
+    expect_everything(
+        ConstrainedTopKScan(pts, ConstrainedQuery{weights, k,
+                                                  AttributeBox::All(3)}),
+        "constrained scan k = " + std::to_string(k));
   }
 }
 
@@ -146,6 +172,35 @@ TEST(DualLayerQueryTest, ZeroLayer2DAccessesOneChainTuple) {
     // Top-1 via the weight table costs exactly one evaluation.
     EXPECT_EQ(r_plus.stats.tuples_evaluated, 1u);
     EXPECT_GE(r_plain.stats.tuples_evaluated, r_plus.stats.tuples_evaluated);
+  }
+}
+
+// ValidateQuery accepts weights off the simplex; only their direction
+// matters. The 2-d weight table is keyed on the simplex, so a scaled
+// vector must start the chain walk where its normalized twin does.
+TEST(DualLayerQueryTest, ZeroLayer2DScaledWeightsMatchNormalized) {
+  const PointSet pts = GenerateAnticorrelated(2000, 2, 11);
+  DualLayerOptions with;
+  with.build_zero_layer = true;
+  const DualLayerIndex plus = DualLayerIndex::Build(pts, with);
+  ASSERT_TRUE(plus.uses_weight_table());
+  for (const std::size_t k : {1, 5, 20}) {
+    for (const TopKQuery& query : testing_util::RandomQueries(2, k, 25, 5)) {
+      const TopKResult normalized = plus.Query(query);
+      for (const double scale : {0.05, 0.5, 3.0}) {
+        TopKQuery scaled = query;
+        for (double& w : scaled.weights) w *= scale;
+        const TopKResult got = plus.Query(scaled);
+        const TopKResult want = Scan(pts, scaled);
+        ASSERT_EQ(got.items.size(), want.items.size());
+        for (std::size_t i = 0; i < want.items.size(); ++i) {
+          EXPECT_EQ(got.items[i].id, want.items[i].id) << scale << " " << i;
+        }
+        EXPECT_EQ(got.stats.tuples_evaluated,
+                  normalized.stats.tuples_evaluated)
+            << scale;
+      }
+    }
   }
 }
 
