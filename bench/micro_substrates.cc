@@ -16,6 +16,7 @@
 #include <cstdio>
 #include <fstream>
 #include <initializer_list>
+#include <map>
 #include <numeric>
 #include <string>
 #include <type_traits>
@@ -38,6 +39,7 @@
 #include "geometry/convex_skyline.h"
 #include "shard/sharded_index.h"
 #include "skyline/skyline.h"
+#include "skyline/skyline_layers.h"
 
 namespace {
 
@@ -90,16 +92,24 @@ std::vector<TupleId> NaiveOfAll(const PointSet& points) {
   return NaiveSkyline(points, all);
 }
 
-// The skyline algorithm behind the layers (the paper uses BSkyTree):
-// the naive O(n^2) reference sweep against SkyTree-style pivot
-// partitioning (ComputeSkyline), at d = 4. Expected shape: SkyTree <<
-// naive, the gap largest on anti-correlated data (big skylines).
+// The sweep's first layer is SKY(points).
+std::vector<TupleId> SweepOfAll(const PointSet& points) {
+  return BuildSkylineLayers(points).layers[0];
+}
+
+// The library's skyline against the naive O(n^2) reference sweep, at
+// d = 4. The library computes skylines on the box tree: a sweep row
+// times the whole BuildSkylineLayers (every layer, box tree included),
+// whose first layer is the skyline, so its `skyline` count must equal
+// its naive twin's. Expected shape: sweep << naive, the gap largest on
+// anti-correlated data (big skylines).
 void Skylines() {
   const struct {
     const char* name;
     std::vector<TupleId> (*skyline)(const PointSet&);
   } algorithms[] = {{"skyline/naive", &NaiveOfAll},
-                    {"skyline/skytree", &ComputeSkyline}};
+                    {"skyline/sweep", &SweepOfAll}};
+  std::map<std::string, std::size_t> naive_members;
   for (const auto& algorithm : algorithms) {
     for (Distribution dist :
          {Distribution::kIndependent, Distribution::kAnticorrelated}) {
@@ -111,9 +121,16 @@ void Skylines() {
           DoNotOptimize(sky.data());
           members = sky.size();
         });
-        Record(std::string(algorithm.name) + "/" + std::to_string(n) + "/" +
-                   DistributionName(dist),
-               seconds, "skyline", members);
+        const std::string cell =
+            std::to_string(n) + "/" + DistributionName(dist);
+        Record(std::string(algorithm.name) + "/" + cell, seconds, "skyline",
+               members);
+        if (algorithm.skyline == &NaiveOfAll) {
+          naive_members[cell] = members;
+        } else {
+          DRLI_CHECK_EQ(members, naive_members.at(cell))
+              << algorithm.name << "/" << cell;
+        }
       }
     }
   }

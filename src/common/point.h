@@ -143,8 +143,8 @@ inline double Score(PointView weights, PointView point) {
 // 1-ulp improvement in one coordinate can round away.
 double AttributeSum(PointView p);
 
-// The order of every sum-ordered pass (the single-pass layering, the
-// SkyTree pivot, the dominance-depth oracle): ascending attribute sum,
+// The order of both sum-ordered passes (the single-pass layering and
+// the dominance-depth oracle): ascending attribute sum,
 // ties broken lexicographically by coordinates. A strict dominator
 // always precedes the point it dominates -- its sum is <=, and on a
 // tie it is lexicographically smaller. Duplicates are equivalent.

@@ -1,11 +1,12 @@
 // A static kd tree of member boxes over one PointSet: the repository's
-// one kd tree. Its users are the coarse layering's sweep
-// (skyline/skyline_layers.h, DESIGN.md "Build pipeline"), the ∀-edge
-// wiring between adjacent coarse layers (ForEachDominancePair) and the
-// EDS facet-corner prefilter of the fine peel (core/dual_layer.cc), the
-// last two through ForEachDominator, and the pruning unit of the
-// constrained scenario and of the diversified certificate (DESIGN.md
-// "Constrained top-k", "Diversified top-k").
+// one kd tree. Its users are the coarse layering's sweep and the
+// convex layers' live-witness skyline (skyline/skyline_layers.h,
+// DESIGN.md "Build pipeline"), the ∀-edge wiring between adjacent
+// coarse layers (ForEachDominancePair) and the EDS facet-corner
+// prefilter of the fine peel (core/dual_layer.cc), the last two through
+// ForEachDominator, and the pruning unit of the constrained scenario and
+// of the diversified certificate (DESIGN.md "Constrained top-k",
+// "Diversified top-k").
 //
 // Each node splits its members at the median of the widest axis of the
 // box it inherits (the relation's bounding box at the root); splitting

@@ -6,7 +6,6 @@
 
 #include "common/kernels_batch.h"
 #include "common/soa_points.h"
-#include "skyline/bskytree.h"
 
 namespace drli {
 
@@ -18,19 +17,6 @@ namespace {
 constexpr std::size_t kBatchSweepThreshold = 32;
 
 }  // namespace
-
-std::vector<TupleId> ComputeSkylineOfSubset(
-    const PointSet& points, const std::vector<TupleId>& candidates) {
-  std::vector<TupleId> result = SkyTreeSkyline(points, candidates);
-  std::sort(result.begin(), result.end());
-  return result;
-}
-
-std::vector<TupleId> ComputeSkyline(const PointSet& points) {
-  std::vector<TupleId> all(points.size());
-  std::iota(all.begin(), all.end(), 0);
-  return ComputeSkylineOfSubset(points, all);
-}
 
 std::vector<TupleId> NaiveSkyline(const PointSet& points,
                                   const std::vector<TupleId>& candidates) {

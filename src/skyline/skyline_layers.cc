@@ -7,6 +7,8 @@
 #include <bit>
 #include <cstdint>
 #include <exception>
+#include <iterator>
+#include <limits>
 #include <numeric>
 #include <thread>
 #include <utility>
@@ -26,18 +28,17 @@ namespace {
 // term against one barrier per chunk.
 constexpr std::size_t kSweepChunk = 128;
 
-// The box tree with each node's deepest swept layer: the structure the
-// sweep queries. Member coordinates and layers are held in tree order,
-// so a leaf scan reads contiguous memory.
-class SweptLayers {
- public:
-  SweptLayers(const PointSet& points, const BoxTree& tree)
+// The box tree's members in tree order -- their coordinates, each id's
+// position and leaf -- and each node's parent: the layout of the two
+// walks below, the sweep's and the peel's. A leaf scan reads
+// contiguous memory.
+class TreeOrder {
+ protected:
+  TreeOrder(const PointSet& points, const BoxTree& tree)
       : tree_(tree), dim_(points.dim()) {
     const std::size_t n = points.size();
     const std::size_t nodes = tree.num_nodes();
     coords_.resize(n * dim_);
-    layer_.assign(n, -1);
-    max_layer_.assign(nodes, -1);
     parent_.assign(nodes, 0);
     position_.resize(n);
     leaf_of_.resize(n);
@@ -54,6 +55,48 @@ class SweptLayers {
         leaf_of_[id] = static_cast<std::uint32_t>(node);
       }
     }
+  }
+
+  // Calls search(node) on id's leaf, then on the sibling of each
+  // ancestor in turn, until it returns true: the nearest points to id
+  // come first.
+  template <typename Search>
+  void Outward(TupleId id, Search&& search) const {
+    std::uint32_t at = leaf_of_[id];
+    if (search(at)) return;
+    while (at != 0) {
+      // The sibling: children are left(parent) and left(parent) + 1.
+      const std::uint32_t parent = parent_[at];
+      const auto left = static_cast<std::uint32_t>(tree_.left(parent));
+      if (search(at == left ? left + 1 : left)) return;
+      at = parent;
+    }
+  }
+
+  // A node's member positions [Begin, End) in the tree's id permutation.
+  std::size_t Begin(std::size_t node) const {
+    return tree_.members(node).data() - tree_.members(0).data();
+  }
+  std::size_t End(std::size_t node) const {
+    return Begin(node) + tree_.members(node).size();
+  }
+
+  const BoxTree& tree_;
+  std::size_t dim_;
+  std::vector<double> coords_;            // tree order
+  std::vector<std::uint32_t> parent_;     // per node (the root's is 0)
+  std::vector<std::uint32_t> position_;   // per id: its tree position
+  std::vector<std::uint32_t> leaf_of_;    // per id: its leaf
+};
+
+// The box tree with each node's deepest swept layer: the structure the
+// sweep queries.
+class SweptLayers : private TreeOrder {
+ public:
+  SweptLayers(const PointSet& points, const BoxTree& tree)
+      : TreeOrder(points, tree) {
+    layer_.assign(points.size(), -1);
+    max_layer_.assign(tree.num_nodes(), -1);
   }
 
   // The deepest layer among swept points strictly dominating point
@@ -95,15 +138,11 @@ class SweptLayers {
   template <std::size_t D>
   std::int32_t Deepest(TupleId id, const double* p) const {
     const std::int32_t deepest = max_layer_[0];
-    std::uint32_t at = leaf_of_[id];
-    std::int32_t best = ScanLeaf<D>(at, p, -1);
-    while (at != 0 && best < deepest) {
-      // The sibling: children are left(parent) and left(parent) + 1.
-      const std::uint32_t parent = parent_[at];
-      const auto left = static_cast<std::uint32_t>(tree_.left(parent));
-      best = Search<D>(at == left ? left + 1 : left, p, deepest, best);
-      at = parent;
-    }
+    std::int32_t best = -1;
+    Outward(id, [&](std::uint32_t node) {
+      best = Search<D>(node, p, deepest, best);
+      return best >= deepest;
+    });
     return best;
   }
 
@@ -166,22 +205,158 @@ class SweptLayers {
     return best;
   }
 
-  // A node's member positions [Begin, End) in the tree's id permutation.
-  std::size_t Begin(std::size_t node) const {
-    return tree_.members(node).data() - tree_.members(0).data();
-  }
-  std::size_t End(std::size_t node) const {
-    return Begin(node) + tree_.members(node).size();
+  std::vector<std::int32_t> layer_;      // tree order, -1 until swept
+  std::vector<std::int32_t> max_layer_;  // per node, -1 while empty
+};
+
+// SKY(R) of a remainder R that convex layers leave one by one. Every
+// dominated member of R holds a witness: a member of R strictly
+// dominating it, found outward from its own leaf. A convex layer C
+// lies in SKY(R), so when it leaves only the tuples whose witness was
+// in C search again, and those that find none join the skyline; no
+// other tuple can, since its witness is still in R.
+class LiveSkyline : private TreeOrder {
+ public:
+  // R starts as every point.
+  LiveSkyline(const PointSet& points, const BoxTree& tree)
+      : TreeOrder(points, tree) {
+    const std::size_t n = points.size();
+    live_.assign(n, 1);
+    live_count_.resize(tree.num_nodes());
+    for (std::size_t node = 0; node < tree.num_nodes(); ++node) {
+      live_count_[node] = static_cast<std::uint32_t>(End(node) - Begin(node));
+    }
+    first_dependant_.assign(n, kNone);
+    next_dependant_.assign(n, kNone);
+    for (TupleId id = 0; id < n; ++id) Attach(id, &skyline_);
   }
 
-  const BoxTree& tree_;
-  std::size_t dim_;
-  std::vector<double> coords_;            // tree order
-  std::vector<std::int32_t> layer_;       // tree order, -1 until swept
-  std::vector<std::int32_t> max_layer_;   // per node, -1 while empty
-  std::vector<std::uint32_t> parent_;     // per node (the root's is 0)
-  std::vector<std::uint32_t> position_;   // per id: its tree position
-  std::vector<std::uint32_t> leaf_of_;    // per id: its leaf
+  // SKY(R), ascending.
+  const std::vector<TupleId>& skyline() const { return skyline_; }
+
+  // R, ascending.
+  std::vector<TupleId> Remainder() const {
+    std::vector<TupleId> rest;
+    for (TupleId id = 0; id < position_.size(); ++id) {
+      if (live_[position_[id]]) rest.push_back(id);
+    }
+    return rest;
+  }
+
+  // Takes `layer` (ascending, within skyline()) out of R.
+  void Remove(const std::vector<TupleId>& layer) {
+    for (const TupleId id : layer) {
+      live_[position_[id]] = 0;
+      for (std::uint32_t at = leaf_of_[id];; at = parent_[at]) {
+        --live_count_[at];
+        if (at == 0) break;
+      }
+    }
+    std::vector<TupleId> joined;
+    for (const TupleId id : layer) {
+      for (TupleId t = first_dependant_[id]; t != kNone;) {
+        const TupleId next = next_dependant_[t];
+        Attach(t, &joined);
+        t = next;
+      }
+    }
+    std::sort(joined.begin(), joined.end());
+    std::vector<TupleId> kept;
+    kept.reserve(skyline_.size() - layer.size());
+    std::set_difference(skyline_.begin(), skyline_.end(), layer.begin(),
+                        layer.end(), std::back_inserter(kept));
+    skyline_.clear();
+    std::merge(kept.begin(), kept.end(), joined.begin(), joined.end(),
+               std::back_inserter(skyline_));
+  }
+
+ private:
+  static constexpr TupleId kNone = std::numeric_limits<TupleId>::max();
+
+  // Files id under a witness in R, or appends it to `undominated`.
+  void Attach(TupleId id, std::vector<TupleId>* undominated) {
+    TupleId witness;
+    switch (dim_) {
+      case 2:
+        witness = Witness<2>(id);
+        break;
+      case 3:
+        witness = Witness<3>(id);
+        break;
+      case 4:
+        witness = Witness<4>(id);
+        break;
+      case 5:
+        witness = Witness<5>(id);
+        break;
+      default:
+        witness = Witness<0>(id);
+    }
+    if (witness == kNone) {
+      undominated->push_back(id);
+      return;
+    }
+    next_dependant_[id] = first_dependant_[witness];
+    first_dependant_[witness] = id;
+  }
+
+  // A member of R strictly dominating id, or kNone, with the dimension
+  // fixed at compile time for d = 2..5 (D = 0: dim_).
+  template <std::size_t D>
+  TupleId Witness(TupleId id) const {
+    const double* p = coords_.data() + position_[id] * (D != 0 ? D : dim_);
+    TupleId found = kNone;
+    Outward(id, [&](std::uint32_t node) {
+      found = Search<D>(node, p);
+      return found != kNone;
+    });
+    return found;
+  }
+
+  // A member of R below `root` strictly dominating p, or kNone. A node
+  // is skipped when none of its members is in R or its lo corner cannot
+  // dominate p. The upper half of a split is searched first, as in the
+  // sweep: its points are nearer p, so they tend to leave R later.
+  template <std::size_t D>
+  TupleId Search(std::uint32_t root, const double* p) const {
+    const std::size_t d = D != 0 ? D : dim_;
+    std::uint32_t stack[64];
+    std::size_t size = 0;
+    stack[size++] = root;
+    while (size > 0) {
+      const std::uint32_t at = stack[--size];
+      if (live_count_[at] == 0) continue;
+      const double* lo = tree_.lo(at).data();
+      bool lo_le = true;
+      for (std::size_t j = 0; j < d; ++j) lo_le &= lo[j] <= p[j];
+      if (!lo_le) continue;
+      if (tree_.is_leaf(at)) {
+        for (std::size_t pos = Begin(at); pos < End(at); ++pos) {
+          const double* c = coords_.data() + pos * d;
+          bool le = true;
+          bool lt = false;
+          for (std::size_t j = 0; j < d; ++j) {
+            le &= c[j] <= p[j];
+            lt |= c[j] < p[j];
+          }
+          if (live_[pos] & le & lt) return tree_.members(0)[pos];
+        }
+        continue;
+      }
+      const auto left = static_cast<std::uint32_t>(tree_.left(at));
+      stack[size++] = left;
+      stack[size++] = left + 1;
+    }
+    return kNone;
+  }
+
+  std::vector<std::uint8_t> live_;         // tree order: 1 while in R
+  std::vector<std::uint32_t> live_count_;  // per node: members in R
+  // Per id: the first tuple it witnesses, and the next tuple with the
+  // same witness as id; kNone ends a list.
+  std::vector<TupleId> first_dependant_;
+  std::vector<TupleId> next_dependant_;
+  std::vector<TupleId> skyline_;
 };
 
 }  // namespace
@@ -316,7 +491,7 @@ LayerDecomposition BuildSkylineLayersByPeeling(const PointSet& points) {
   std::vector<TupleId> remaining(points.size());
   std::iota(remaining.begin(), remaining.end(), 0);
   while (!remaining.empty()) {
-    std::vector<TupleId> layer = ComputeSkylineOfSubset(points, remaining);
+    std::vector<TupleId> layer = NaiveSkyline(points, remaining);
     DRLI_CHECK(!layer.empty()) << "skyline of a non-empty set is non-empty";
     const std::size_t layer_index = out.layers.size();
     for (TupleId id : layer) out.layer_of[id] = layer_index;
@@ -335,21 +510,22 @@ ConvexLayerDecomposition BuildConvexLayers(const PointSet& points,
                                            std::size_t max_layers) {
   ConvexLayerDecomposition out;
   out.layer_of.assign(points.size(), 0);
-  std::vector<TupleId> remaining(points.size());
-  std::iota(remaining.begin(), remaining.end(), 0);
-  while (!remaining.empty()) {
+  if (points.size() == 0) return out;
+  const BoxTree tree = BoxTree::Build(points);
+  LiveSkyline remaining(points, tree);
+  while (!remaining.skyline().empty()) {
     if (out.layers.size() == max_layers) {
       // Budget exhausted: the remainder becomes one final
       // complete-access layer.
-      for (TupleId id : remaining) out.layer_of[id] = out.layers.size();
-      out.layers.push_back(std::move(remaining));
+      std::vector<TupleId> rest = remaining.Remainder();
+      for (TupleId id : rest) out.layer_of[id] = out.layers.size();
+      out.layers.push_back(std::move(rest));
       out.truncated = true;
       break;
     }
-    // CSKY(S) = CSKY(SKY(S)): reduce to the skyline before the hull.
-    std::vector<TupleId> sky = ComputeSkylineOfSubset(points, remaining);
-    const PointSet sky_points = points.Subset(sky);
-    const ConvexSkylineResult csky = ComputeConvexSkyline(sky_points);
+    // CSKY(R) = CSKY(SKY(R)): the hull runs on the skyline only.
+    const std::vector<TupleId>& sky = remaining.skyline();
+    const ConvexSkylineResult csky = ComputeConvexSkyline(points.Subset(sky));
     std::vector<TupleId> layer;
     layer.reserve(csky.members.size());
     for (TupleId local : csky.members) layer.push_back(sky[local]);
@@ -357,11 +533,7 @@ ConvexLayerDecomposition BuildConvexLayers(const PointSet& points,
     DRLI_CHECK(!layer.empty());
     const std::size_t layer_index = out.layers.size();
     for (TupleId id : layer) out.layer_of[id] = layer_index;
-    std::vector<TupleId> next;
-    next.reserve(remaining.size() - layer.size());
-    std::set_difference(remaining.begin(), remaining.end(), layer.begin(),
-                        layer.end(), std::back_inserter(next));
-    remaining = std::move(next);
+    remaining.Remove(layer);
     out.layers.push_back(std::move(layer));
   }
   return out;

@@ -5,9 +5,10 @@
 //  * convex layers (iterated convex skylines) -- the layers of Onion
 //    and the Hybrid-Layer index.
 //
-// Convex-layer peeling exploits CSKY(S) = CSKY(SKY(S)): each iteration
-// first reduces the remaining set to its skyline (cheap, SkyTree) and
-// only runs the hull machinery on that reduced set.
+// Both run on a BoxTree (geometry/box_tree.h). Convex-layer peeling
+// exploits CSKY(S) = CSKY(SKY(S)): the hull machinery runs only on the
+// skyline of the remaining set, which the peel keeps up to date across
+// layers rather than recomputing.
 
 #ifndef DRLI_SKYLINE_SKYLINE_LAYERS_H_
 #define DRLI_SKYLINE_SKYLINE_LAYERS_H_
@@ -52,15 +53,22 @@ LayerDecomposition BuildSkylineLayers(const PointSet& points,
 LayerDecomposition BuildSkylineLayers(const PointSet& points,
                                       std::size_t threads = 1);
 
-// Reference implementation: repeated ComputeSkylineOfSubset peels.
-// Same output as BuildSkylineLayers on every input (the decomposition
-// is unique); kept for equivalence tests.
+// Reference implementation: repeated NaiveSkyline peels, O(n^2) per
+// layer. Same output as BuildSkylineLayers on every input (the
+// decomposition is unique); kept for equivalence tests.
 LayerDecomposition BuildSkylineLayersByPeeling(const PointSet& points);
 
 // Iterated convex skylines (Onion layers): layer 1 = CSKY(R), layer i =
 // CSKY(R - earlier). When `max_layers` peels have been produced and
 // tuples remain, the remainder becomes one final complete-access layer
 // and `truncated` is set; queries with k <= max_layers never reach it.
+//
+// The skyline of the remainder is kept across peels on a BoxTree over
+// `points`: every dominated tuple holds a witness, a remaining tuple
+// strictly dominating it. A convex layer lies within the skyline, so
+// when it leaves only the tuples whose witness it held search again,
+// and those that find no dominator join the skyline. The hull gets the
+// skyline's ids in ascending order, as a fresh skyline would give them.
 struct ConvexLayerDecomposition {
   std::vector<std::vector<TupleId>> layers;
   std::vector<std::size_t> layer_of;

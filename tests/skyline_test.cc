@@ -1,5 +1,12 @@
+// SKY(·) as the library computes it -- the first layer of the box-tree
+// sweep, BuildSkylineLayers -- against the pairwise reference
+// NaiveSkyline, and the convex layers, which keep the skyline of their
+// remainder across peels, against a peel that reruns the reference.
+
 #include <algorithm>
 #include <cmath>
+#include <iterator>
+#include <limits>
 #include <numeric>
 #include <ostream>
 #include <string>
@@ -7,7 +14,9 @@
 #include "gtest/gtest.h"
 
 #include "data/generator.h"
+#include "geometry/convex_skyline.h"
 #include "skyline/skyline.h"
+#include "skyline/skyline_layers.h"
 #include "test_util.h"
 
 namespace drli {
@@ -15,8 +24,70 @@ namespace {
 
 using testing_util::MakeToyDataset;
 
-// The skyline routine and its reference, both taking a candidate
-// subset; the whole-set cases pass every id.
+// The skyline of `candidates` by the sweep: the first layer of the
+// subset's skyline layers, mapped back to ids into `points`.
+std::vector<TupleId> SweepSkyline(const PointSet& points,
+                                  const std::vector<TupleId>& candidates) {
+  if (candidates.empty()) return {};
+  const LayerDecomposition layers =
+      BuildSkylineLayers(points.Subset(candidates));
+  std::vector<TupleId> sky;
+  for (const TupleId local : layers.layers[0]) {
+    sky.push_back(candidates[local]);
+  }
+  std::sort(sky.begin(), sky.end());
+  return sky;
+}
+
+// The convex layers by the definition: each peel reruns the reference
+// skyline over the remainder and keeps its convex skyline; past
+// `max_layers` peels the remainder is one final layer.
+ConvexLayerDecomposition ReferenceConvexLayers(const PointSet& points,
+                                               std::size_t max_layers) {
+  ConvexLayerDecomposition out;
+  out.layer_of.assign(points.size(), 0);
+  std::vector<TupleId> remaining(points.size());
+  std::iota(remaining.begin(), remaining.end(), TupleId{0});
+  while (!remaining.empty()) {
+    std::vector<TupleId> layer;
+    if (out.layers.size() == max_layers) {
+      layer = remaining;
+      out.truncated = true;
+    } else {
+      const std::vector<TupleId> sky = NaiveSkyline(points, remaining);
+      const ConvexSkylineResult csky =
+          ComputeConvexSkyline(points.Subset(sky));
+      for (const TupleId local : csky.members) layer.push_back(sky[local]);
+      std::sort(layer.begin(), layer.end());
+    }
+    for (const TupleId id : layer) out.layer_of[id] = out.layers.size();
+    std::vector<TupleId> next;
+    std::set_difference(remaining.begin(), remaining.end(), layer.begin(),
+                        layer.end(), std::back_inserter(next));
+    remaining = std::move(next);
+    out.layers.push_back(std::move(layer));
+  }
+  return out;
+}
+
+// BuildConvexLayers against the reference, uncapped and capped at
+// three peels.
+void ExpectConvexLayersMatchReference(const PointSet& pts) {
+  for (const std::size_t max_layers :
+       {std::numeric_limits<std::size_t>::max(), std::size_t{3}}) {
+    const ConvexLayerDecomposition reference =
+        ReferenceConvexLayers(pts, max_layers);
+    const ConvexLayerDecomposition layers = BuildConvexLayers(pts, max_layers);
+    EXPECT_EQ(layers.layers, reference.layers) << "max_layers " << max_layers;
+    EXPECT_EQ(layers.layer_of, reference.layer_of)
+        << "max_layers " << max_layers;
+    EXPECT_EQ(layers.truncated, reference.truncated)
+        << "max_layers " << max_layers;
+  }
+}
+
+// The sweep and the reference, both taking a candidate subset; the
+// whole-set cases pass every id.
 struct SkylineRoutine {
   const char* name;
   std::vector<TupleId> (*of_subset)(const PointSet&,
@@ -44,7 +115,7 @@ class SkylineAlgorithmTest : public ::testing::TestWithParam<SkylineRoutine> {
 INSTANTIATE_TEST_SUITE_P(
     AllAlgorithms, SkylineAlgorithmTest,
     ::testing::Values(SkylineRoutine{"naive", &NaiveSkyline},
-                      SkylineRoutine{"skytree", &ComputeSkylineOfSubset}),
+                      SkylineRoutine{"sweep", &SweepSkyline}),
     [](const auto& info) { return std::string(info.param.name); });
 
 TEST_P(SkylineAlgorithmTest, ToyDatasetSkyline) {
@@ -131,12 +202,11 @@ INSTANTIATE_TEST_SUITE_P(
 TEST_P(SkylineAgreementTest, AllAlgorithmsAgree) {
   const auto& c = GetParam();
   const PointSet pts = Generate(c.dist, c.n, c.d, c.seed);
-  EXPECT_EQ(ComputeSkyline(pts), NaiveSkyline(pts, AllIds(pts)));
+  EXPECT_EQ(SweepSkyline(pts, AllIds(pts)), NaiveSkyline(pts, AllIds(pts)));
 }
 
-// The subset entry point, which layer peeling drives: two of every
-// three ids, passed in descending order, must give the reference's
-// ascending answer.
+// A subset: two of every three ids, passed in descending order, must
+// give the reference's ascending answer.
 TEST_P(SkylineAgreementTest, SubsetAgrees) {
   const auto& c = GetParam();
   const PointSet pts = Generate(c.dist, c.n, c.d, c.seed);
@@ -144,31 +214,46 @@ TEST_P(SkylineAgreementTest, SubsetAgrees) {
   for (std::size_t i = pts.size(); i-- > 0;) {
     if (i % 3 != c.seed % 3) subset.push_back(static_cast<TupleId>(i));
   }
-  const auto sky = ComputeSkylineOfSubset(pts, subset);
+  const auto sky = SweepSkyline(pts, subset);
   EXPECT_TRUE(std::is_sorted(sky.begin(), sky.end()));
   EXPECT_EQ(sky, NaiveSkyline(pts, subset));
 }
 
 // Coordinates snapped to an eighth-grid: many ties on single attributes
-// and many exact duplicates, which the pivot partitioning must neither
-// drop nor let dominate each other.
-TEST_P(SkylineAgreementTest, GridTiesAgree) {
-  const auto& c = GetParam();
-  const PointSet raw = Generate(c.dist, c.n, c.d, c.seed);
-  PointSet pts(c.d);
-  std::vector<double> snapped(c.d);
+// and many exact duplicates, which the sweep and the convex peel must
+// neither drop nor let dominate each other.
+PointSet SnappedToEighths(const PointSet& raw) {
+  PointSet pts(raw.dim());
+  std::vector<double> snapped(raw.dim());
   for (std::size_t i = 0; i < raw.size(); ++i) {
-    for (std::size_t a = 0; a < c.d; ++a) {
+    for (std::size_t a = 0; a < raw.dim(); ++a) {
       snapped[a] = std::floor(raw.At(i, a) * 8.0) / 8.0;
     }
-    pts.Add(PointView(snapped.data(), c.d));
+    pts.Add(PointView(snapped.data(), raw.dim()));
   }
-  EXPECT_EQ(ComputeSkyline(pts), NaiveSkyline(pts, AllIds(pts)));
+  return pts;
+}
+
+TEST_P(SkylineAgreementTest, GridTiesAgree) {
+  const auto& c = GetParam();
+  const PointSet pts = SnappedToEighths(Generate(c.dist, c.n, c.d, c.seed));
+  EXPECT_EQ(SweepSkyline(pts, AllIds(pts)), NaiveSkyline(pts, AllIds(pts)));
+}
+
+TEST_P(SkylineAgreementTest, ConvexLayersMatchReferencePeel) {
+  const auto& c = GetParam();
+  ExpectConvexLayersMatchReference(Generate(c.dist, c.n, c.d, c.seed));
+}
+
+TEST_P(SkylineAgreementTest, ConvexLayersWithGridTiesMatchReferencePeel) {
+  const auto& c = GetParam();
+  ExpectConvexLayersMatchReference(
+      SnappedToEighths(Generate(c.dist, c.n, c.d, c.seed)));
 }
 
 TEST(SkylineSemanticsTest, NoMemberDominatedNoOutsiderUndominated) {
   const PointSet pts = GenerateAnticorrelated(500, 3, 42);
-  const auto sky = ComputeSkyline(pts);
+  const auto sky = SweepSkyline(pts, AllIds(pts));
   std::vector<bool> in_sky(pts.size(), false);
   for (TupleId id : sky) in_sky[id] = true;
   for (std::size_t i = 0; i < pts.size(); ++i) {
@@ -183,13 +268,13 @@ TEST(SkylineSemanticsTest, NoMemberDominatedNoOutsiderUndominated) {
   }
 }
 
-TEST(SkylineSemanticsTest, SkyTreeHandlesManyDuplicates) {
+TEST(SkylineSemanticsTest, ManyDuplicatesAllKept) {
   PointSet pts(3);
   for (int i = 0; i < 200; ++i) {
     pts.Add({0.25, 0.5, 0.75});
   }
-  const auto sky = ComputeSkyline(pts);
-  EXPECT_EQ(sky.size(), 200u);
+  EXPECT_EQ(SweepSkyline(pts, AllIds(pts)).size(), 200u);
+  ExpectConvexLayersMatchReference(pts);
 }
 
 }  // namespace
